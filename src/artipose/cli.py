@@ -198,6 +198,12 @@ def cmd_tta(args) -> int:
     return 0
 
 
+HAND_OPT_FIELDS = [
+    "scene", "mpjpe_before", "mpjpe_after", "mpvpe_before", "mpvpe_after",
+    "contacts", "aborted", "l_cd_trace",
+]
+
+
 def cmd_hand_opt(args) -> int:
     _, scenes = load_dataset(args.dataset, limit=args.limit)
     rng = np.random.default_rng(args.seed)
@@ -257,7 +263,7 @@ def cmd_hand_opt(args) -> int:
             }
         )
     with open(args.out, "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=list(rows[0]), restval="")
+        writer = csv.DictWriter(f, fieldnames=HAND_OPT_FIELDS, restval="")
         writer.writeheader()
         writer.writerows(rows)
     frac = reduced / max(1, len(rows))

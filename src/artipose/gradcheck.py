@@ -15,6 +15,7 @@ from . import autodiff as ad
 from . import diffgeom as dg
 from . import nn
 from .estimator import Estimator, EstimatorSpec, assemble_graph, member_sets, pose_loss_graph
+from .geometry import rot6d_to_matrix
 from .priors import ContactDiffuser, Discriminator, NoiseSchedule, diff_loss_graph
 from .synth.hand import default_hand_template, fk_vars
 
@@ -97,7 +98,7 @@ def _scene_fixture(rng, n_points=60, part_count=2):
     gt_rot = np.stack(
         [
             np.concatenate([M[:, 0], M[:, 1]])
-            for M in (dg.rot6d_to_matrix(ad.leaf(rng.normal(size=6), ad.Tape())).data for _ in range(part_count))
+            for M in (rot6d_to_matrix(rng.normal(size=6)) for _ in range(part_count))
         ]
     )
     extents = rng.uniform(0.05, 0.3, size=(part_count, 3))

@@ -137,23 +137,30 @@ def mlp_apply(
     return h
 
 
-def mlp_value(spec: MlpSpec, store: ParamStore, prefix: str, x: np.ndarray) -> np.ndarray:
-    """Tape-free forward pass (inference only); matches mlp_forward exactly."""
-    if x.ndim != 2 or x.shape[1] != spec.in_width:
+def mlp_value(
+    spec: MlpSpec, store: ParamStore, prefix: str, x: np.ndarray, start: int = 0
+) -> np.ndarray:
+    """Tape-free forward pass (inference only); matches mlp_forward exactly.
+
+    start > 0 skips the first `start` layers: x is then the activated output
+    of layer start - 1, of width spec.widths[start].
+    """
+    if x.ndim != 2 or x.shape[1] != spec.widths[start]:
         raise ShapeMismatch(
-            f"input width {x.shape} incompatible with spec {spec.widths}"
+            f"input width {x.shape} incompatible with spec {spec.widths} at layer {start}"
         )
     h = x
     last = spec.n_layers() - 1
-    for i in range(spec.n_layers()):
+    for i in range(start, spec.n_layers()):
         w = store.params[f"{prefix}.w{i}"]
         b = store.params[f"{prefix}.b{i}"]
         if h.dtype != w.dtype:
             w = w.astype(h.dtype)
             b = b.astype(h.dtype)
-        h = h @ w + b
+        h = h @ w
+        h += b
         if i < last:
-            h = np.maximum(h, 0)
+            np.maximum(h, 0, out=h)
         elif spec.out_activation == "sigmoid":
             h = 1.0 / (1.0 + np.exp(-h))
     return h

@@ -11,7 +11,9 @@ Diffusion: binary contact labels are encoded as x0 in {-1, +1}; a linear
 beta schedule corrupts them and a shared per-point MLP denoiser conditioned
 on the encoder feature and a sinusoidal time embedding learns to predict the
 injected noise. Sampling runs plain ancestral reversal and averages K
-generations into a per-point confidence, thresholded at 0.
+generations into a per-point confidence, thresholded at 0. The feature block
+of the denoiser's first layer is projected once per sampler call; each step
+adds only the noisy-contact and time-embedding terms to it.
 """
 
 from __future__ import annotations
@@ -237,14 +239,36 @@ class ContactDiffuser:
         )
         return nn.mlp_apply(self.spec, self.store, "eps", inp, dtype=dtype)
 
-    def denoise_value(self, z: np.ndarray, x_t: np.ndarray, t: int) -> np.ndarray:
-        """Tape-free denoiser forward for sampling."""
+    def condition(self, z: np.ndarray) -> np.ndarray:
+        """First-layer projection of (N, F) features: z @ W0[:F] + b0, (N, H).
+
+        It depends on neither the step nor the generation, so the sampler
+        computes it once per call and passes it to every denoise_value step.
+        """
+        z = np.asarray(z)
+        if z.ndim != 2 or z.shape[1] != self.feature_dim:
+            raise ShapeMismatch(f"features {z.shape} != (N, {self.feature_dim})")
+        w = self.store.params["eps.w0"][: self.feature_dim].astype(z.dtype, copy=False)
+        return z @ w + self.store.params["eps.b0"].astype(z.dtype, copy=False)
+
+    def denoise_value(self, cond: np.ndarray, x_t: np.ndarray, t: int) -> np.ndarray:
+        """Tape-free noise estimate at step t for G stacked generations.
+
+        cond is condition(z), (N, H); x_t is (G*N, 1), generation-major. The
+        first layer adds the rank-1 x_t term and the one time-embedding row
+        to cond; the remaining layers run as in nn.mlp_value.
+        """
         self.schedule.check_t(t)
-        M = z.shape[0]
-        temb = np.broadcast_to(self._temb[t].astype(z.dtype), (M, TIME_EMBED_DIM))
-        return nn.mlp_value(
-            self.spec, self.store, "eps", np.concatenate([z, x_t.astype(z.dtype), temb], axis=1)
-        )
+        N, H = cond.shape
+        if N == 0 or x_t.ndim != 2 or x_t.shape[1] != 1 or x_t.shape[0] % N:
+            raise ShapeMismatch(f"x_t shape {x_t.shape} is not (G * {N}, 1)")
+        F = self.feature_dim
+        w0 = self.store.params["eps.w0"].astype(cond.dtype, copy=False)
+        base = cond + self._temb[t].astype(cond.dtype) @ w0[F + 1 :]
+        h = x_t.astype(cond.dtype).reshape(-1, N, 1) * w0[F]
+        h += base
+        np.maximum(h, 0, out=h)
+        return nn.mlp_value(self.spec, self.store, "eps", h.reshape(-1, H), start=1)
 
 
 def diff_loss_graph(
@@ -283,6 +307,9 @@ def sample_contact_map(
     x_T ~ N(0, I); x_{t-1} = (x_t - beta_t/sqrt(1-ab_t) eps_hat)/sqrt(alpha_t)
     + sqrt(beta_t) w, with w = 0 at t = 1. Returns (binary map, confidence),
     confidence = mean of the K final x0 estimates; map = confidence > 0.
+    The K generations run stacked; the feature projection through the
+    denoiser's first layer (ContactDiffuser.condition) is computed once per
+    call and shared by every step and generation.
     """
     if generations < 1:
         raise ValueError("need at least one generation")
@@ -290,11 +317,11 @@ def sample_contact_map(
     N = z.shape[0]
     sched = diffuser.schedule
     rng = np.random.Generator(np.random.PCG64(seed))
-    zk = np.tile(z, (generations, 1))
+    cond = diffuser.condition(z)
     x = rng.standard_normal((generations * N, 1)).astype(np.float32)
     ab = sched.alpha_bars
     for t in range(sched.T, 0, -1):
-        eps_hat = diffuser.denoise_value(zk, x, t)
+        eps_hat = diffuser.denoise_value(cond, x, t)
         beta = sched.betas[t - 1]
         alpha = sched.alphas[t - 1]
         x = (x - beta / np.sqrt(1.0 - ab[t - 1]) * eps_hat) / np.sqrt(alpha)

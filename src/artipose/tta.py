@@ -24,7 +24,7 @@ from .errors import (
     TooFewPoints,
 )
 from .estimator import Estimator, HeadOutput, assemble_graph, assemble_pose, member_sets
-from .geometry import matrix_to_rot6d
+from .geometry import matrix_to_rot6d, rot6d_to_matrix
 from .priors import Discriminator
 from .synth.hand import ANGLE_HI, ANGLE_LO, KinematicHand, fk_vars
 
@@ -204,7 +204,7 @@ def optimize_hand(
 
     def snapshot():
         return KinematicHand(
-            dg.rot6d_to_matrix(ad.leaf(store.params["r6"].astype(np.float64), ad.Tape())).data,
+            rot6d_to_matrix(store.params["r6"]),
             store.params["t"].astype(np.float64),
             np.clip(store.params["ang"].astype(np.float64), ANGLE_LO, ANGLE_HI),
             template,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from artipose import autodiff as ad
-from artipose import priors
+from artipose import nn, priors
 from artipose.errors import BadTimestep, PartCountMismatch, ShapeMismatch
 from artipose.geometry import OrientedBox, SimilarityTransform, rot6d_to_matrix, transform_box
 from helpers import rel_err
@@ -246,6 +246,85 @@ class TestSampler:
             [priors.sample_contact_map(diffuser, z, 5, seed=100 + s)[1] for s in range(12)]
         )
         assert multi.var(axis=0).mean() < single.var(axis=0).mean()
+
+
+def reference_sample(diffuser, z, generations, seed):
+    """The sampler as first written: K tiled feature copies and the full
+    first-layer product [z | x_t | temb] @ W0 on every step."""
+    z = np.asarray(z, dtype=np.float32)
+    N = z.shape[0]
+    sched = diffuser.schedule
+    rng = np.random.Generator(np.random.PCG64(seed))
+    zk = np.tile(z, (generations, 1))
+    x = rng.standard_normal((generations * N, 1)).astype(np.float32)
+    ab = sched.alpha_bars
+    for t in range(sched.T, 0, -1):
+        temb = nn.time_embedding(t, sched.T, priors.TIME_EMBED_DIM).astype(np.float32)
+        inp = np.concatenate(
+            [zk, x.astype(np.float32), np.broadcast_to(temb, (len(zk), priors.TIME_EMBED_DIM))],
+            axis=1,
+        )
+        eps_hat = nn.mlp_value(diffuser.spec, diffuser.store, "eps", inp)
+        beta = sched.betas[t - 1]
+        alpha = sched.alphas[t - 1]
+        x = (x - beta / np.sqrt(1.0 - ab[t - 1]) * eps_hat) / np.sqrt(alpha)
+        if t > 1:
+            x = x + np.sqrt(beta) * rng.standard_normal(x.shape).astype(np.float32)
+    confidence = x.reshape(generations, N).mean(axis=0).astype(np.float64)
+    return (confidence > 0).astype(np.uint8), confidence
+
+
+class TestSplitDenoiser:
+    @pytest.fixture(scope="class")
+    def diffuser(self):
+        diffuser = priors.ContactDiffuser.create(16, 5, priors.NoiseSchedule.linear(30))
+        rng = np.random.default_rng(11)
+        # nonzero biases so that the projection's b0 term is exercised
+        for name in diffuser.store.names():
+            if ".b" in name:
+                diffuser.store.params[name][...] = rng.normal(size=diffuser.store.params[name].shape)
+        return diffuser
+
+    @pytest.mark.parametrize("generations", [1, 3])
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_matches_denoise_graph(self, diffuser, generations, dtype, tol):
+        rng = np.random.default_rng(12)
+        N = 40
+        z = rng.normal(size=(N, 16)).astype(dtype)
+        x_t = rng.normal(size=(generations * N, 1))
+        cond = diffuser.condition(z)
+        assert cond.shape == (N, diffuser.hidden[0]) and cond.dtype == dtype
+        for t in (1, 17, 30):
+            got = diffuser.denoise_value(cond, x_t, t)
+            tape = ad.Tape()
+            want = diffuser.denoise_graph(
+                tape, ad.const(np.tile(z, (generations, 1)), tape), x_t, t
+            ).data
+            assert got.shape == (generations * N, 1) and got.dtype == dtype
+            assert np.allclose(got, want, rtol=tol, atol=tol)
+
+    def test_rows_not_multiple_of_n(self, diffuser):
+        cond = diffuser.condition(np.zeros((10, 16), dtype=np.float32))
+        for rows in (15, 9, 11):
+            with pytest.raises(ShapeMismatch):
+                diffuser.denoise_value(cond, np.zeros((rows, 1)), 3)
+        with pytest.raises(ShapeMismatch):
+            diffuser.denoise_value(cond, np.zeros((20, 2)), 3)
+
+    def test_bad_feature_width_and_timestep(self, diffuser):
+        with pytest.raises(ShapeMismatch):
+            diffuser.condition(np.zeros((10, 15), dtype=np.float32))
+        cond = diffuser.condition(np.zeros((10, 16), dtype=np.float32))
+        with pytest.raises(BadTimestep):
+            diffuser.denoise_value(cond, np.zeros((10, 1)), 31)
+
+    @pytest.mark.parametrize("generations, seed", [(1, 3), (5, 4)])
+    def test_sampler_matches_reference(self, diffuser, generations, seed):
+        z = np.random.default_rng(13).normal(size=(300, 16)).astype(np.float32)
+        m_ref, c_ref = reference_sample(diffuser, z, generations, seed)
+        m, c = priors.sample_contact_map(diffuser, z, generations, seed=seed)
+        assert np.array_equal(m, m_ref)
+        assert np.allclose(c, c_ref, rtol=0, atol=1e-5)
 
 
 class TestTotalLoss:
