@@ -22,8 +22,8 @@ from . import metrics as metrics_mod
 from . import nn
 from . import priors as priors_mod
 from . import tta as tta_mod
-from .errors import ArtiposeError, UsageError
-from .geometry import rotation_error
+from .errors import ArtiposeError, TooFewPoints, UsageError
+from .geometry import box_iou, rotation_error
 from .synth import CATEGORIES, KinematicHand, generate_dataset, load_dataset
 from .synth.hand import default_hand_template
 
@@ -57,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", default="report.csv")
     p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--iou-samples", type=int, default=metrics_mod.IOU_SAMPLES)
 
     p = sub.add_parser("tta", help="test-time adaptation report (before/after)")
     p.add_argument("--checkpoint", required=True)
@@ -68,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--scope", choices=[tta_mod.HEADS_ONLY, tta_mod.FULL_ENCODER], default=tta_mod.HEADS_ONLY)
     p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--iou-samples", type=int, default=metrics_mod.IOU_SAMPLES)
 
     p = sub.add_parser("hand-opt", help="contact-guided hand optimization report")
     p.add_argument("--checkpoint", default=None, help="checkpoint with encoder+diffuser (omit with --gt-contact)")
@@ -133,7 +131,7 @@ def cmd_eval(args) -> int:
     est, meta, _ = est_mod.load_estimator(args.checkpoint)
     _, scenes = load_dataset(args.dataset, limit=args.limit)
     preds = [_prediction_record(rec, _predict_scene(est, rec)[1]) for rec in scenes]
-    report = metrics_mod.eval_object(preds, scenes, iou_samples=args.iou_samples)
+    report = metrics_mod.eval_object(preds, scenes)
     metrics_mod.write_report(args.out, report)
     metrics_mod.write_summary_json(
         Path(args.out).with_suffix(".json"), report, extra={"checkpoint": str(args.checkpoint)}
@@ -168,17 +166,24 @@ def cmd_tta(args) -> int:
     rows = []
     improved = 0
     for rec in scenes:
-        result = tta_mod.adapt_object(est, disc, rec.cloud, rec.canonical_boxes, cfg)
-        seed = metrics_mod.scene_iou_seed(rec.scene_id)
+        try:
+            result = tta_mod.adapt_object(est, disc, rec.cloud, rec.canonical_boxes, cfg)
+        except TooFewPoints as err:
+            # The first estimate already lacks a part: record it and move on.
+            nan = float("nan")
+            for p in range(rec.part_count):
+                row = {"scene": rec.scene_id, "part": p, "aborted": str(err)}
+                for tag in ("before", "after"):
+                    row[f"r_err_{tag}"] = row[f"t_err_{tag}"] = row[f"iou_{tag}"] = nan
+                rows.append(row)
+            continue
         for p, (pb, pa) in enumerate(zip(result.before, result.after)):
             row = {"scene": rec.scene_id, "part": p, "aborted": result.aborted}
             for tag, pe in (("before", pb), ("after", pa)):
                 if pe.valid:
                     row[f"r_err_{tag}"] = rotation_error(pe.pose.R, rec.part_poses[p].R)
                     row[f"t_err_{tag}"] = float(np.linalg.norm(pe.pose.t - rec.part_poses[p].t)) * 100
-                    row[f"iou_{tag}"] = metrics_mod.box_iou(
-                        pe.box, rec.posed_boxes[p], samples=args.iou_samples, seed=seed + p
-                    )
+                    row[f"iou_{tag}"] = box_iou(pe.box, rec.posed_boxes[p])
                 else:
                     row[f"r_err_{tag}"] = row[f"t_err_{tag}"] = row[f"iou_{tag}"] = float("nan")
             rows.append(row)
@@ -206,7 +211,10 @@ HAND_OPT_FIELDS = [
 
 def cmd_hand_opt(args) -> int:
     _, scenes = load_dataset(args.dataset, limit=args.limit)
-    rng = np.random.default_rng(args.seed)
+    # Separate streams, so the initial hands do not depend on whether the
+    # sampler draws seeds (--gt-contact or not).
+    perturb_rng = np.random.default_rng([args.seed, 0])
+    sampler_rng = np.random.default_rng([args.seed, 1])
     diffuser = est = None
     if not args.gt_contact:
         if args.checkpoint is None:
@@ -224,7 +232,7 @@ def cmd_hand_opt(args) -> int:
     rows = []
     reduced = 0
     for rec in scenes:
-        direction = rng.normal(size=3)
+        direction = perturb_rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         init = KinematicHand(
             rec.hand.root_rotation,
@@ -234,14 +242,13 @@ def cmd_hand_opt(args) -> int:
         )
         if args.gt_contact:
             contact = rec.contact.astype(bool)
-            confidence = None
         else:
             enc = est.encode(est.prepare_input(rec.cloud))
-            contact, confidence = priors_mod.sample_contact_map(
-                diffuser, enc.z, generations=args.generations, seed=int(rng.integers(2**31))
+            contact, _ = priors_mod.sample_contact_map(
+                diffuser, enc.z, generations=args.generations, seed=int(sampler_rng.integers(2**31))
             )
             contact = contact.astype(bool) & (rec.seg > 0)
-        result = tta_mod.optimize_hand(init, contact, rec.cloud, cfg, confidence)
+        result = tta_mod.optimize_hand(init, contact, rec.cloud, cfg)
         mpjpe_before, mpvpe_before = metrics_mod.eval_hand(
             [init.joints()], [rec.hand_joints], [init.surface()], [rec.hand_surface]
         )

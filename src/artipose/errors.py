@@ -58,10 +58,6 @@ class BadTimestep(ArtiposeError):
     """Diffusion timestep lies outside [1, T]."""
 
 
-class NonFiniteLoss(ArtiposeError):
-    """An optimization loss became NaN or infinite."""
-
-
 # -- evalcli ----------------------------------------------------------------
 
 class IdMismatch(ArtiposeError):

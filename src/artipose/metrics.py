@@ -1,17 +1,17 @@
 """Pose and hand metrics plus report I/O.
 
-Per part: rotation error (degrees), translation error (cm), Monte-Carlo box
-IoU; a part scores the 5deg5cm metric iff R_err < 5 and T_err < 5. Category
-numbers average over parts within a scene, then over scenes. Invalid parts
-(too few points / degenerate fits) fail 5deg5cm and contribute IoU 0, and
-are excluded from the R/T error means.
+Per part: rotation error (degrees), translation error (cm), and the exact
+box IoU of geometry.box_iou (polytope clipping, no sampling); a part scores
+the 5deg5cm metric iff R_err < 5 and T_err < 5. Category numbers average
+over parts within a scene, then over scenes. Invalid parts (too few points /
+degenerate fits) fail 5deg5cm and contribute IoU 0, and are excluded from
+the R/T error means.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import CountMismatch, IdMismatch
 from .geometry import OrientedBox, box_iou, rotation_error
-
-IOU_SAMPLES = 100_000
 
 
 @dataclass
@@ -61,12 +59,7 @@ class MetricsReport:
         ]
 
 
-def scene_iou_seed(scene_id: str) -> int:
-    """Deterministic IoU sampling seed derived from the scene id."""
-    return zlib.crc32(scene_id.encode("utf-8"))
-
-
-def eval_object(preds: list, gts: list, iou_samples: int = IOU_SAMPLES) -> MetricsReport:
+def eval_object(preds: list, gts: list) -> MetricsReport:
     """Aggregate object pose metrics over aligned prediction/gt scene lists."""
     if len(preds) != len(gts):
         raise IdMismatch(f"{len(preds)} predictions vs {len(gts)} gt scenes")
@@ -82,7 +75,6 @@ def eval_object(preds: list, gts: list, iou_samples: int = IOU_SAMPLES) -> Metri
             raise IdMismatch(
                 f"scene {pred.scene_id}: {len(pred.poses)} parts vs {gt.part_count}"
             )
-        seed = scene_iou_seed(pred.scene_id)
         hits, ious = [], []
         for p, (pose, box) in enumerate(zip(pred.poses, pred.boxes)):
             if pose is None or box is None:
@@ -95,7 +87,7 @@ def eval_object(preds: list, gts: list, iou_samples: int = IOU_SAMPLES) -> Metri
             r_all.append(r)
             t_all.append(t_cm)
             hits.append(1.0 if (r < 5.0 and t_cm < 5.0) else 0.0)
-            ious.append(box_iou(box, gt.posed_boxes[p], samples=iou_samples, seed=seed + p))
+            ious.append(box_iou(box, gt.posed_boxes[p]))
         acc_scene.append(np.mean(hits))
         iou_scene.append(np.mean(ious))
     return MetricsReport(
@@ -145,22 +137,6 @@ def write_report(path, report: MetricsReport) -> None:
         writer = csv.writer(f)
         writer.writerow(["metric", "value"])
         writer.writerows(report.rows())
-
-
-def read_report(path) -> MetricsReport:
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = {r[0]: r[1] for r in csv.reader(f) if r and r[0] != "metric"}
-    return MetricsReport(
-        category=rows["category"],
-        scene_count=int(rows["scenes"]),
-        acc_5deg5cm=float(rows["acc_5deg5cm"]),
-        miou=float(rows["mIoU"]),
-        r_err=float(rows["R_err_deg"]),
-        t_err=float(rows["T_err_cm"]),
-        invalid_parts=int(rows["invalid_parts"]),
-        mpjpe=float(rows["MPJPE_mm"]),
-        mpvpe=float(rows["MPVPE_mm"]),
-    )
 
 
 def write_summary_json(path, report: MetricsReport, extra: dict | None = None) -> None:

@@ -17,12 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import diffgeom as dg
 from . import nn
-from .errors import (
-    DegenerateCorrespondences,
-    DegenerateRotation,
-    NonFiniteLoss,
-    TooFewPoints,
-)
+from .errors import DegenerateCorrespondences, DegenerateRotation, TooFewPoints
 from .estimator import Estimator, HeadOutput, assemble_graph, assemble_pose, member_sets
 from .geometry import matrix_to_rot6d, rot6d_to_matrix
 from .priors import Discriminator
@@ -174,14 +169,9 @@ def optimize_hand(
     contact_map: np.ndarray,
     obj_cloud: np.ndarray,
     cfg: HandOptConfig = HandOptConfig(),
-    confidence: np.ndarray | None = None,
 ) -> HandOptResult:
     """Minimize the symmetric chamfer between the hand surface and the
-    contact point set; returns the best iterate.
-
-    confidence is accepted for interface symmetry with the diffusion
-    sampler; the objective itself is the unweighted chamfer.
-    """
+    contact point set; returns the best iterate."""
     contact_map = np.asarray(contact_map).astype(bool)
     obj_cloud = np.asarray(obj_cloud, dtype=np.float64)
     C = obj_cloud[contact_map]
@@ -233,47 +223,3 @@ def optimize_hand(
         store.params["ang"][...] = np.clip(store.params["ang"], ANGLE_LO, ANGLE_HI)
         store.version += 1
     return HandOptResult(best_hand, trace)
-
-
-def optimize_layout(
-    disc: Discriminator,
-    layout: np.ndarray,
-    steps: int = 50,
-    lr: float = 5e-3,
-) -> tuple:
-    """Box-parameterized adaptation: descend (D - 1)^2 over per-part rigid
-    corrections applied about each box center. Returns (layout, trace)."""
-    layout = np.asarray(layout, dtype=np.float64)
-    P = layout.shape[0]
-    centers = layout.mean(axis=1)
-    store = nn.ParamStore()
-    for p in range(P):
-        store.add(f"r6_{p}", np.array([1, 0, 0, 0, 1, 0], dtype=np.float64))
-        store.add(f"dt_{p}", np.zeros(3))
-
-    trace = []
-    for step in range(steps + 1):
-        tape = ad.Tape()
-        parts = []
-        for p in range(P):
-            r6 = store.use(f"r6_{p}", tape, dtype=np.float64)
-            dt = store.use(f"dt_{p}", tape, dtype=np.float64)
-            R = dg.rot6d_to_matrix(r6)
-            rel = ad.const(layout[p] - centers[p], tape)
-            moved = ad.add(
-                ad.add(ad.matmul(rel, ad.transpose(R)), ad.const(centers[p][None, :], tape)),
-                ad.reshape(dt, (1, 3)),
-            )
-            parts.append(moved)
-        full = ad.stack(parts, axis=0)
-        score = disc.score_graph(tape, full)
-        d = ad.sub(score, 1.0)
-        loss = ad.mul(d, d)
-        trace.append(float(loss.data))
-        if step == steps:
-            return full.data.copy(), trace
-        store.zero_grads()
-        tape.backward(loss)
-        store.flush_tape_grads(tape)
-        nn.adam_step(store, lr=lr)
-    return layout, trace

@@ -57,3 +57,18 @@ def box_surface_points(box, n, rng):
         base = v0 + (E[k] if f % 2 else 0)
         pts.append(base + u * E[i] + v * E[j])
     return np.vstack(pts)
+
+
+def mc_box_iou(a, b, samples, seed):
+    """Monte-Carlo box IoU, the oracle for the exact geometry.box_iou.
+
+    Samples uniformly in the joint axis-aligned bounding volume; returns
+    (#in both / #in either, #in either), the IoU 0.0 when no sample hits.
+    """
+    all_v = np.vstack([a.vertices, b.vertices])
+    pts = np.random.default_rng(seed).uniform(all_v.min(axis=0), all_v.max(axis=0), size=(samples, 3))
+    in_a, in_b = a.contains(pts), b.contains(pts)
+    union = int((in_a | in_b).sum())
+    if union == 0:
+        return 0.0, 0
+    return float((in_a & in_b).sum()) / union, union

@@ -1,12 +1,20 @@
-"""CLI smoke runs on a tiny dataset: synth, train, hand-opt and gradcheck
-through cli.main, checking exit codes and output files."""
+"""CLI smoke runs on a tiny dataset: synth, train, eval, tta, hand-opt,
+gradcheck and version through cli.main, checking exit codes and output
+files."""
 
 import csv
 import json
+import math
 
+import numpy as np
 import pytest
 
+import artipose
 from artipose import cli
+from artipose import tta as tta_mod
+from artipose.errors import TooFewPoints
+from artipose.estimator import PartPoseEstimate
+from artipose.synth import load_dataset
 
 
 def read_rows(path):
@@ -17,7 +25,7 @@ def read_rows(path):
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """Two 512-point laptop scenes and a one-epoch checkpoint with a
-    10-step contact diffuser."""
+    discriminator group and a 10-step contact diffuser."""
     root = tmp_path_factory.mktemp("cli")
     ds = root / "ds"
     assert cli.main(
@@ -30,6 +38,7 @@ def trained(tmp_path_factory):
                 "dataset": str(ds),
                 "epochs": 1,
                 "batch_size": 2,
+                "lambda_adv": 0.1,
                 "lambda_diff": 1.0,
                 "diffusion_points": 64,
                 "diffusion_steps": 10,
@@ -70,6 +79,104 @@ class TestHandOpt:
     def test_sampled_contacts_need_checkpoint(self, trained):
         _, ds, _ = trained
         assert cli.main(["hand-opt", "--dataset", str(ds)]) == 1
+
+    def test_same_initial_hands_in_both_modes(self, trained):
+        root, ds, ckpt = trained
+        argv = ["hand-opt", "--dataset", str(ds), "--iters", "1", "--seed", "3"]
+        gt, sampled = root / "init_gt.csv", root / "init_sampled.csv"
+        assert cli.main(argv + ["--gt-contact", "--out", str(gt)]) == 0
+        assert cli.main(argv + ["--checkpoint", str(ckpt), "--generations", "1", "--out", str(sampled)]) == 0
+        col = cli.HAND_OPT_FIELDS.index("mpjpe_before")
+        before_gt = [row[col] for row in read_rows(gt)[1:]]
+        assert len(before_gt) == 2
+        assert before_gt == [row[col] for row in read_rows(sampled)[1:]]
+
+
+class TestEval:
+    def test_writes_report_and_summary(self, trained, capsys):
+        root, ds, ckpt = trained
+        out = root / "report.csv"
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--dataset", str(ds), "--out", str(out)]) == 0
+        rows = dict(read_rows(out))
+        assert rows["metric"] == "value"
+        assert rows["scenes"] == "2"
+        assert 0.0 <= float(rows["mIoU"]) <= 100.0
+        summary = json.loads(out.with_suffix(".json").read_text())
+        assert summary["mIoU"] == rows["mIoU"]
+        assert summary["checkpoint"] == str(ckpt)
+        assert "mIoU: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["eval", "tta"])
+    def test_iou_samples_flag_rejected(self, trained, command):
+        root, ds, ckpt = trained
+        argv = [command, "--checkpoint", str(ckpt), "--dataset", str(ds), "--iou-samples", "1000"]
+        assert cli.main(argv + ["--out", str(root / f"rejected_{command}.csv")]) == 1
+        assert not (root / f"rejected_{command}.csv").exists()
+
+
+TTA_FIELDS = [
+    "scene", "part", "r_err_before", "t_err_before", "iou_before",
+    "r_err_after", "t_err_after", "iou_after", "aborted", "l_adv_trace",
+]
+
+
+class TestTta:
+    def run(self, root, ds, ckpt, name):
+        out = root / name
+        argv = ["tta", "--checkpoint", str(ckpt), "--dataset", str(ds), "--steps", "2", "--out", str(out)]
+        assert cli.main(argv) == 0
+        with open(out, newline="", encoding="utf-8") as f:
+            return list(csv.DictReader(f))
+
+    def test_one_row_per_part(self, trained):
+        root, ds, ckpt = trained
+        rows = self.run(root, ds, ckpt, "tta.csv")
+        assert list(rows[0]) == TTA_FIELDS
+        assert [(r["scene"], r["part"]) for r in rows] == [
+            (f"scene_{i:06d}", str(p)) for i in range(2) for p in range(2)
+        ]
+
+    def test_ground_truth_estimates_score_exactly(self, trained, monkeypatch):
+        root, ds, ckpt = trained
+        records = iter(load_dataset(ds)[1])
+
+        def perfect(est, disc, cloud, canonical_boxes, cfg):
+            rec = next(records)
+            ests = [
+                PartPoseEstimate(p, True, pose, box, np.arange(3))
+                for p, (pose, box) in enumerate(zip(rec.part_poses, rec.posed_boxes))
+            ]
+            return tta_mod.AdaptResult(ests, ests, [1.0, 0.5])
+
+        monkeypatch.setattr(tta_mod, "adapt_object", perfect)
+        rows = self.run(root, ds, ckpt, "tta_perfect.csv")
+        assert len(rows) == 4
+        for row in rows:
+            assert row["aborted"] == ""
+            for tag in ("before", "after"):
+                assert float(row[f"r_err_{tag}"]) == pytest.approx(0.0, abs=1e-4)
+                assert float(row[f"t_err_{tag}"]) == 0.0
+                assert float(row[f"iou_{tag}"]) == pytest.approx(1.0, abs=1e-12)
+        assert [row["l_adv_trace"] for row in rows] == ["", "1.0;0.5", "", "1.0;0.5"]
+
+    def test_too_few_points_recorded_per_scene(self, trained, monkeypatch):
+        root, ds, ckpt = trained
+
+        def starved(*args, **kwargs):
+            raise TooFewPoints(1, 2)
+
+        monkeypatch.setattr(tta_mod, "adapt_object", starved)
+        rows = self.run(root, ds, ckpt, "tta_starved.csv")
+        assert len(rows) == 4
+        for row in rows:
+            assert row["aborted"] == "part 1 has only 2 member points"
+            for name in TTA_FIELDS[2:8]:
+                assert math.isnan(float(row[name]))
+
+
+def test_version(capsys):
+    assert cli.main(["version"]) == 0
+    assert capsys.readouterr().out.strip() == artipose.__version__
 
 
 def test_gradcheck_passes(capsys):

@@ -6,6 +6,8 @@ import pytest
 from artipose import geometry as geo
 from artipose.errors import DegenerateCorrespondences, DegenerateRotation, EmptyCloud
 
+from helpers import mc_box_iou
+
 
 def random_rotation(rng):
     """Axis-angle oracle: rotations built directly from Rodrigues' formula."""
@@ -276,23 +278,51 @@ class TestRotationError:
 # box_iou
 # ---------------------------------------------------------------------------
 
+def box_from_edges(origin, edges):
+    """Parallelepiped with corner 0 at origin and edge rows (x, y, z)."""
+    bits = (geo._CORNER_SIGNS + 1.0) / 2.0
+    return geo.OrientedBox(np.asarray(origin, dtype=float) + bits @ np.asarray(edges, dtype=float))
+
+
+def shifted(box, offset):
+    return geo.OrientedBox(box.vertices + np.asarray(offset, dtype=float))
+
+
+def random_parallelepiped(rng):
+    """A rotated, non-unit-scale cuboid or a sheared parallelepiped (either
+    handedness) near the origin."""
+    if rng.random() < 0.5:
+        edges = (random_rotation(rng) * rng.uniform(0.1, 0.5, size=3)).T * rng.uniform(0.5, 3.0)
+    else:
+        edges = rng.normal(size=(3, 3)) * 0.3
+        while abs(np.linalg.det(edges)) < 0.005:
+            edges = rng.normal(size=(3, 3)) * 0.3
+    return box_from_edges(rng.normal(size=3) * 0.1 - edges.sum(axis=0) / 2, edges)
+
+
 class TestBoxIoU:
+    unit = box_from_edges([0, 0, 0], np.eye(3))
+
     def test_self_is_one(self):
         rng = np.random.default_rng(16)
-        for seed in (0, 1, 99):
+        for _ in range(3):
             box = geo.OrientedBox(
                 geo.transform_box(
                     geo.OrientedBox.from_extents(rng.uniform(0.1, 0.4, size=3)),
                     geo.SimilarityTransform(random_rotation(rng), rng.normal(size=3), 1.0),
                 ).vertices
             )
-            assert geo.box_iou(box, box, samples=10_000, seed=seed) == 1.0
+            assert geo.box_iou(box, box) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_is_zero(self):
         a = geo.OrientedBox.from_extents([0.1, 0.1, 0.1])
         pose = geo.SimilarityTransform(np.eye(3), np.array([2.0, 0, 0]), 1.0)
         b = geo.transform_box(a, pose)
-        assert geo.box_iou(a, b, samples=50_000, seed=3) == 0.0
+        assert geo.box_iou(a, b) == 0.0
+
+    def test_face_touching_is_zero(self):
+        for offset in ([1, 0, 0], [0, -1, 0], [1, 1, 0], [1, 1, 1], [0.3, 0.2, 1]):
+            assert geo.box_iou(self.unit, shifted(self.unit, offset)) == pytest.approx(0.0, abs=1e-12)
 
     def test_analytic_half_shift(self):
         # unit cube vs itself shifted 0.5 along x: overlap 0.5, union 1.5
@@ -300,19 +330,70 @@ class TestBoxIoU:
         b = geo.transform_box(
             a, geo.SimilarityTransform(np.eye(3), np.array([0.5, 0, 0]), 1.0)
         )
-        iou = geo.box_iou(a, b, samples=100_000, seed=7)
-        assert abs(iou - 1.0 / 3.0) < 0.01
+        assert geo.box_iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        # rotated and scaled, shifted by half of each own edge: the shared
+        # face planes agree only up to rounding
+        rng = np.random.default_rng(20)
+        for k in range(6):
+            pose = geo.SimilarityTransform(random_rotation(rng), rng.normal(size=3), rng.uniform(0.5, 2.0))
+            a = geo.transform_box(geo.OrientedBox.from_extents(rng.uniform(0.1, 0.4, size=3)), pose)
+            b = shifted(a, 0.5 * a.edge_vectors()[k % 3])
+            assert geo.box_iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
+            assert geo.box_iou(b, a) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
-    def test_deterministic_for_fixed_seed(self):
+    def test_corner_overlap(self):
+        # overlap 1/8, union 2 - 1/8
+        b = shifted(self.unit, [0.5, 0.5, 0.5])
+        assert geo.box_iou(self.unit, b) == pytest.approx(1.0 / 15.0, abs=1e-12)
+
+    def test_nested_is_volume_ratio(self):
         rng = np.random.default_rng(17)
-        a = geo.OrientedBox.from_extents([0.3, 0.2, 0.1])
-        b = geo.transform_box(
-            a, geo.SimilarityTransform(random_rotation(rng), np.array([0.1, 0, 0]), 1.0)
+        pose = geo.SimilarityTransform(random_rotation(rng), rng.normal(size=3), 1.7)
+        outer = geo.transform_box(geo.OrientedBox.from_extents([0.3, 0.2, 0.1]), pose)
+        # a rotated box whose circumscribed sphere fits inside the outer box
+        inner_pose = pose.compose(
+            geo.SimilarityTransform(random_rotation(rng), np.array([0.05, -0.02, 0.01]), 1.0)
         )
-        v1 = geo.box_iou(a, b, samples=20_000, seed=42)
-        v2 = geo.box_iou(a, b, samples=20_000, seed=42)
-        assert v1 == v2
-        assert v1 != geo.box_iou(a, b, samples=20_000, seed=43)
+        inner = geo.transform_box(geo.OrientedBox.from_extents([0.04, 0.03, 0.02]), inner_pose)
+        assert outer.contains(inner.vertices).all()
+        expected = inner.volume() / outer.volume()
+        assert geo.box_iou(outer, inner) == pytest.approx(expected, abs=1e-12)
+
+    def test_sheared_parallelepiped(self):
+        # x-y section: parallelogram (0,0) (1,0) (1+s,1) (s,1) against the
+        # unit square overlaps 1 - s/2; both volumes are 1
+        s = 0.5
+        b = box_from_edges([0, 0, 0], [[1, 0, 0], [s, 1, 0], [0, 0, 1]])
+        expected = (1 - s / 2) / (1 + s / 2)
+        assert geo.box_iou(self.unit, b) == pytest.approx(expected, abs=1e-12)
+
+    def test_negative_determinant(self):
+        # the unit cube with its x edge running backwards from x = 1
+        mirrored = box_from_edges([1, 0, 0], [[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert np.linalg.det(mirrored.edge_vectors()) < 0
+        assert geo.box_iou(mirrored, mirrored) == pytest.approx(1.0, abs=1e-12)
+        assert geo.box_iou(mirrored, self.unit) == pytest.approx(1.0, abs=1e-12)
+        half = shifted(mirrored, [0.5, 0, 0])
+        assert geo.box_iou(self.unit, half) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert geo.box_iou(half, self.unit) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_symmetric(self):
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            a, b = random_parallelepiped(rng), random_parallelepiped(rng)
+            assert geo.box_iou(a, b) == pytest.approx(geo.box_iou(b, a), abs=1e-12)
+
+    def test_matches_monte_carlo_oracle(self):
+        rng = np.random.default_rng(19)
+        overlapping = 0
+        for k in range(50):
+            a, b = random_parallelepiped(rng), random_parallelepiped(rng)
+            exact = geo.box_iou(a, b)
+            mc, union = mc_box_iou(a, b, samples=20_000, seed=k)
+            sigma = np.sqrt(max(mc * (1.0 - mc), 1.0 / union) / union)
+            assert abs(exact - mc) <= 4.0 * sigma, (k, exact, mc)
+            overlapping += exact > 0.05
+        assert overlapping >= 20
 
 
 # ---------------------------------------------------------------------------
