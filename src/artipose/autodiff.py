@@ -25,8 +25,6 @@ class Tape:
     def __init__(self):
         self._ops = []  # (out Var, backward fn)
         self.param_uses = []  # (store, name, var, version)
-        self.output = None  # convenience slots set by mlp_forward and friends
-        self.input = None
 
     def record(self, out: "Var", backward):
         self._ops.append((out, backward))
@@ -218,11 +216,6 @@ def _unary(a, out_data, da):
 def relu(a: Var):
     mask = a.data > 0
     return _unary(a, np.where(mask, a.data, 0), lambda g: g * mask)
-
-
-def sigmoid(a: Var):
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-    return _unary(a, out_data, lambda g: g * out_data * (1.0 - out_data))
 
 
 def exp(a: Var):

@@ -187,7 +187,7 @@ def cmd_tta(args) -> int:
                 else:
                     row[f"r_err_{tag}"] = row[f"t_err_{tag}"] = row[f"iou_{tag}"] = float("nan")
             rows.append(row)
-        if len(result.trace) >= 2 and result.trace[-1] <= result.trace[0]:
+        if len(result.trace) >= 2 and result.trace[-1] < result.trace[0]:
             improved += 1
         rows[-1]["l_adv_trace"] = ";".join(repr(v) for v in result.trace)
     fields = [

@@ -309,6 +309,26 @@ def assemble_graph(
     return out
 
 
+def layout_graph(
+    tape: ad.Tape,
+    cloud: np.ndarray,
+    labels: np.ndarray,  # (N,) class per point, HAND_CLASS or part + 1
+    nocs: ad.Var,  # (N, 3) rows aligned with cloud
+    rot6d: ad.Var,  # (P, 6)
+    half_extents: np.ndarray,  # (P, 3)
+):
+    """One scene's (P, 8, 3) posed-box layout Var, as the discriminator
+    scores it, or the reason string when the scene has no layout."""
+    sets = member_sets(labels, len(half_extents))
+    try:
+        got = assemble_graph(tape, cloud, nocs, rot6d, sets, half_extents)
+    except (DegenerateRotation, DegenerateCorrespondences) as err:
+        return str(err)
+    if any(g is None for g in got):
+        return "part lost its points"
+    return ad.stack([g["box"] for g in got], axis=0)
+
+
 def assemble_pose(
     cloud: np.ndarray,
     pred: HeadOutput,
@@ -400,7 +420,9 @@ class TrainConfig:
         return cls(**data)
 
 
-LOG_COLUMNS = ["epoch", "L_pose", "L_seg", "L_nocs", "L_rot", "L_adv", "L_diff", "L_D"]
+LOG_COLUMNS = [
+    "epoch", "L_pose", "L_seg", "L_nocs", "L_rot", "L_adv", "L_diff", "L_D", "adv_scenes",
+]
 
 
 def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
@@ -408,6 +430,10 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
 
     Writes `checkpoint` and a per-epoch `loss_log` CSV under out_dir and
     returns the checkpoint path. Deterministic in (scenes, config).
+
+    Each log row holds batch means. L_adv and L_D are means over the batches
+    where at least one scene's layout could be assembled, and 0.0 when none
+    could; adv_scenes counts the scenes whose layout fed L_adv that epoch.
     """
     from . import priors  # local import: priors depends on nn only
 
@@ -453,8 +479,8 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
         for epoch in range(config.epochs):
             order = rng.permutation(n)
             lr_now = config.lr_at(epoch)
-            sums = dict.fromkeys(LOG_COLUMNS[1:], 0.0)
-            batches = 0
+            sums = dict.fromkeys(LOG_COLUMNS[1:-1], 0.0)
+            batches = adv_batches = adv_scenes = 0
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
                 B = len(idx)
@@ -480,25 +506,17 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
                 if use_adv:
                     fake_vars = []
                     for bi, si in enumerate(idx):
-                        labels = np.argmax(
-                            seg.data[bi * n_pts : (bi + 1) * n_pts], axis=1
+                        scene_rows = np.arange(bi * n_pts, (bi + 1) * n_pts)
+                        layout = layout_graph(
+                            tape,
+                            clouds[si],
+                            np.argmax(seg.data[scene_rows], axis=1),
+                            ad.take(nocs, scene_rows, axis=0),
+                            ad.reshape(ad.take(rot, np.array([bi]), axis=0), (part_count, 6)),
+                            extents[si],
                         )
-                        sets = member_sets(labels, part_count)
-                        nocs_b = ad.take(
-                            nocs, np.arange(bi * n_pts, (bi + 1) * n_pts), axis=0
-                        )
-                        rot_b = ad.reshape(
-                            ad.take(rot, np.array([bi]), axis=0), (part_count, 6)
-                        )
-                        try:
-                            got = assemble_graph(
-                                tape, clouds[si], nocs_b, rot_b, sets, extents[si]
-                            )
-                        except (DegenerateRotation, DegenerateCorrespondences):
-                            continue
-                        if any(g is None for g in got):
-                            continue
-                        fake_vars.append(ad.stack([g["box"] for g in got], axis=0))
+                        if not isinstance(layout, str):
+                            fake_vars.append(layout)
                     if fake_vars:
                         adv_var = priors.g_adv_loss_graph(disc, tape, fake_vars)
                         l_adv = float(adv_var.data)
@@ -531,10 +549,12 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
                     nn.adam_step(diffuser.store, lr=lr_now)
 
                 l_d = 0.0
-                if use_adv and fake_boxes:
+                if fake_boxes:
                     l_d = priors.d_train_step(
                         disc, real_boxes[idx], np.stack(fake_boxes), lr=config.d_lr
                     )
+                    adv_batches += 1
+                    adv_scenes += len(fake_boxes)
 
                 for key, val in (
                     ("L_pose", l_pose),
@@ -547,9 +567,11 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
                 ):
                     sums[key] += val
                 batches += 1
-            writer.writerow(
-                [epoch] + [repr(sums[c] / batches) for c in LOG_COLUMNS[1:]]
-            )
+            means = [
+                sums[c] / (max(adv_batches, 1) if c in ("L_adv", "L_D") else batches)
+                for c in LOG_COLUMNS[1:-1]
+            ]
+            writer.writerow([epoch] + [repr(m) for m in means] + [adv_scenes])
 
     ckpt = out / config.checkpoint
     stores = {"estimator": est.store}

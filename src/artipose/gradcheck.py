@@ -14,7 +14,8 @@ import numpy as np
 from . import autodiff as ad
 from . import diffgeom as dg
 from . import nn
-from .estimator import Estimator, EstimatorSpec, assemble_graph, member_sets, pose_loss_graph
+from .errors import ArtiposeError
+from .estimator import Estimator, EstimatorSpec, layout_graph, pose_loss_graph
 from .geometry import rot6d_to_matrix
 from .priors import ContactDiffuser, Discriminator, NoiseSchedule, diff_loss_graph
 from .synth.hand import default_hand_template, fk_vars
@@ -163,7 +164,6 @@ def check_end_to_end(seed=2, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
     spec = EstimatorSpec(part_count=2)
     est = _f64_estimator(spec, seed)
     cloud, labels, gt_nocs, gt_rot, extents = _scene_fixture(rng)
-    sets = member_sets(labels, spec.part_count)  # fixed member assignment
     Wbox = rng.normal(size=(spec.part_count, 8, 3))
 
     def loss(backward):
@@ -173,10 +173,11 @@ def check_end_to_end(seed=2, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
         total, _ = pose_loss_graph(
             tape, seg, nocs, rot, labels[None], gt_nocs[None], gt_rot[None], 1.0, 1.0, 10.0
         )
-        got = assemble_graph(
-            tape, cloud, nocs, ad.reshape(rot, (spec.part_count, 6)), sets, extents
+        boxes = layout_graph(
+            tape, cloud, labels, nocs, ad.reshape(rot, (spec.part_count, 6)), extents
         )
-        boxes = ad.stack([g["box"] for g in got], axis=0)
+        if isinstance(boxes, str):
+            raise ArtiposeError(f"fixture scene has no layout: {boxes}")
         total = ad.add(total, ad.vsum(ad.mul(boxes, ad.const(Wbox, tape))))
         if backward:
             tape.backward(total)

@@ -1,10 +1,10 @@
-"""Parameter storage, MLP forward/backward, Adam, time embedding, checkpoints."""
+"""Parameter storage, MLP forward passes, Adam, time embedding, checkpoints."""
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,19 +71,13 @@ class ParamStore:
             out.add(name, value.copy())
         return out
 
-    def copy_values_from(self, other: "ParamStore") -> None:
-        for name, value in other.params.items():
-            self.params[name][...] = value
-        self.version += 1
-
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Layer widths (input width first) and activations of a plain MLP."""
+    """Layer widths (input width first) of a plain MLP: ReLU after every
+    layer but the last, which is linear."""
 
     widths: tuple
-    activation: str = "relu"
-    out_activation: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
@@ -91,10 +85,6 @@ class MlpSpec:
             raise ValueError("an MLP needs at least one layer (two widths)")
         if any(w < 1 for w in self.widths):
             raise ValueError("all widths must be >= 1")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported hidden activation {self.activation!r}")
-        if self.out_activation not in (None, "sigmoid"):
-            raise ValueError(f"unsupported output activation {self.out_activation!r}")
 
     @property
     def in_width(self) -> int:
@@ -132,15 +122,13 @@ def mlp_apply(
         h = ad.add(ad.matmul(h, w), b)
         if i < last:
             h = ad.relu(h)
-        elif spec.out_activation == "sigmoid":
-            h = ad.sigmoid(h)
     return h
 
 
 def mlp_value(
     spec: MlpSpec, store: ParamStore, prefix: str, x: np.ndarray, start: int = 0
 ) -> np.ndarray:
-    """Tape-free forward pass (inference only); matches mlp_forward exactly.
+    """Tape-free forward pass (inference only); matches mlp_apply exactly.
 
     start > 0 skips the first `start` layers: x is then the activated output
     of layer start - 1, of width spec.widths[start].
@@ -161,33 +149,7 @@ def mlp_value(
         h += b
         if i < last:
             np.maximum(h, 0, out=h)
-        elif spec.out_activation == "sigmoid":
-            h = 1.0 / (1.0 + np.exp(-h))
     return h
-
-
-def mlp_forward(spec: MlpSpec, store: ParamStore, x, prefix: str = "mlp"):
-    """Fresh-tape forward pass. Returns (output array, tape)."""
-    tape = ad.Tape()
-    xin = ad.leaf(np.asarray(x), tape)
-    out = mlp_apply(spec, store, prefix, xin, dtype=xin.data.dtype)
-    tape.output = out
-    tape.input = xin
-    return out.data, tape
-
-
-def mlp_backward(tape: ad.Tape, out_grad):
-    """Reverse pass for a mlp_forward tape.
-
-    Accumulates parameter grads into the owning store(s) and returns
-    (param grads for this tape, input grad).
-    """
-    tape.backward(tape.output, out_grad)
-    stores = {id(s): s for s, *_ in tape.param_uses}
-    for store in stores.values():
-        store.flush_tape_grads(tape)
-    grads = {name: var.grad for _, name, var, _ in tape.param_uses}
-    return grads, tape.input.grad
 
 
 def adam_step(

@@ -5,7 +5,9 @@ Discriminator input: the P part boxes, 8 corners each in the fixed canonical
 order, centered on the mean of the part-box centers and divided by the RMS
 vertex norm, then flattened to P*24. The normalization makes whole-layout
 translation and uniform scale drop out exactly, so the score judges relative
-part arrangement.
+part arrangement. The least-squares GAN terms exist only as graphs: training
+steps D on d_loss_graph and the estimator on g_adv_loss_graph, which
+test-time adaptation also descends.
 
 Diffusion: binary contact labels are encoded as x0 in {-1, +1}; a linear
 beta schedule corrupts them and a shared per-point MLP denoiser conditioned
@@ -26,7 +28,6 @@ from . import autodiff as ad
 from . import diffgeom as dg
 from . import nn
 from .errors import BadTimestep, PartCountMismatch, ShapeMismatch
-from .geometry import OrientedBox
 
 TIME_EMBED_DIM = 64
 
@@ -34,19 +35,6 @@ TIME_EMBED_DIM = 64
 # ---------------------------------------------------------------------------
 # articulation discriminator
 # ---------------------------------------------------------------------------
-
-def _layout_array(boxes) -> np.ndarray:
-    """Accept [(P,8,3) array | list of OrientedBox] -> (P, 8, 3) float array."""
-    if isinstance(boxes, np.ndarray):
-        arr = boxes
-    else:
-        arr = np.stack(
-            [b.vertices if isinstance(b, OrientedBox) else np.asarray(b) for b in boxes]
-        )
-    if arr.ndim != 3 or arr.shape[1:] != (8, 3):
-        raise ShapeMismatch(f"expected (P, 8, 3) box layout, got {arr.shape}")
-    return np.asarray(arr, dtype=np.float64)
-
 
 class Discriminator:
     """MLP over the normalized flattened box layout of a fixed part count."""
@@ -64,9 +52,6 @@ class Discriminator:
         nn.init_mlp(store, "d", disc.spec, np.random.default_rng(np.random.SeedSequence([seed, 31])))
         return disc
 
-    def clone(self) -> "Discriminator":
-        return Discriminator(self.part_count, self.store.clone(), self.hidden)
-
     def score_graph(self, tape: ad.Tape, layout: ad.Var) -> ad.Var:
         """(P, 8, 3) layout Var -> scalar score Var."""
         if layout.data.shape != (self.part_count, 8, 3):
@@ -77,31 +62,10 @@ class Discriminator:
         out = nn.mlp_apply(self.spec, self.store, "d", flat, dtype=flat.data.dtype)
         return ad.reshape(out, ())
 
-    def score(self, boxes) -> float:
-        """Public scalar score of one layout (list of boxes or (P,8,3))."""
-        tape = ad.Tape()
-        return float(self.score_graph(tape, ad.const(_layout_array(boxes), tape)).data)
-
-
-def d_loss(disc: Discriminator, real_layouts, fake_layouts) -> float:
-    """Least-squares discriminator loss: E[(D(b)-1)^2] + E[D(b_hat)^2]."""
-    real = [disc.score(b) for b in real_layouts]
-    fake = [disc.score(b) for b in fake_layouts]
-    if not real or not fake:
-        raise ShapeMismatch("both batches must be nonempty")
-    return float(np.mean((np.array(real) - 1.0) ** 2) + np.mean(np.array(fake) ** 2))
-
-
-def g_adv_loss(disc: Discriminator, fake_layouts) -> float:
-    """Least-squares generator (estimator) term: E[(D(b_hat)-1)^2]."""
-    fake = [disc.score(b) for b in fake_layouts]
-    if not fake:
-        raise ShapeMismatch("batch must be nonempty")
-    return float(np.mean((np.array(fake) - 1.0) ** 2))
-
 
 def g_adv_loss_graph(disc: Discriminator, tape: ad.Tape, fake_vars: list) -> ad.Var:
-    """Graph version of the estimator's adversarial term over layout Vars."""
+    """Least-squares generator (estimator) term E[(D(b_hat) - 1)^2] over
+    layout Vars; training and test-time adaptation both descend it."""
     terms = []
     for fv in fake_vars:
         s = disc.score_graph(tape, fv)
@@ -114,7 +78,8 @@ def g_adv_loss_graph(disc: Discriminator, tape: ad.Tape, fake_vars: list) -> ad.
 
 
 def d_loss_graph(disc: Discriminator, tape: ad.Tape, real: np.ndarray, fake: np.ndarray) -> ad.Var:
-    """Graph Eq-2 loss on constant (detached) layout batches."""
+    """Least-squares discriminator loss E[(D(b) - 1)^2] + E[D(b_hat)^2] on
+    constant (detached) layout batches."""
     terms = []
     for layout in real:
         s = disc.score_graph(tape, ad.const(layout, tape))
@@ -344,68 +309,3 @@ def total_loss(
             raise ValueError("loss terms must be finite")
     return float(pose_term + lambda_adv * adv_term + lambda_diff * diff_term)
 
-
-# ---------------------------------------------------------------------------
-# corruption experiments (prior-quality training and evaluation)
-# ---------------------------------------------------------------------------
-
-def corrupt_layout(
-    layout: np.ndarray,
-    rng: np.random.Generator,
-    rot_deg: float | None = None,
-    offset: float | None = None,
-) -> tuple:
-    """Rotate or translate one random part's box; returns (layout, part).
-
-    rot_deg / offset pin magnitudes; None draws them from training ranges
-    (5-45 degrees, 0.03-0.20 m). Exactly one corruption kind is applied,
-    chosen at random unless only one magnitude is pinned.
-    """
-    layout = _layout_array(layout).copy()
-    p = int(rng.integers(layout.shape[0]))
-    use_rot = rng.random() < 0.5 if (rot_deg is None) == (offset is None) else rot_deg is not None
-    corners = layout[p]
-    if use_rot:
-        mag = rot_deg if rot_deg is not None else rng.uniform(5.0, 45.0)
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        K = np.array(
-            [
-                [0, -axis[2], axis[1]],
-                [axis[2], 0, -axis[0]],
-                [-axis[1], axis[0], 0],
-            ]
-        )
-        theta = np.radians(mag)
-        R = np.eye(3) + np.sin(theta) * K + (1 - np.cos(theta)) * K @ K
-        center = corners.mean(axis=0)
-        layout[p] = (corners - center) @ R.T + center
-    else:
-        mag = offset if offset is not None else rng.uniform(0.03, 0.20)
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        layout[p] = corners + mag * direction
-    return layout, p
-
-
-def train_discriminator_on_corruptions(
-    disc: Discriminator,
-    layouts: np.ndarray,  # (M, P, 8, 3) ground-truth layouts
-    steps: int = 400,
-    batch: int = 16,
-    lr: float = 1e-3,
-    seed: int = 0,
-) -> list:
-    """Fit D with real = gt layouts, fake = randomly corrupted gt layouts.
-
-    Stands in for estimator fakes when probing prior quality in isolation.
-    Returns the per-step loss trace.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 51]))
-    trace = []
-    for _ in range(steps):
-        idx = rng.integers(0, len(layouts), size=batch)
-        real = layouts[idx]
-        fake = np.stack([corrupt_layout(layouts[j], rng)[0] for j in rng.integers(0, len(layouts), size=batch)])
-        trace.append(d_train_step(disc, real, fake, lr=lr))
-    return trace

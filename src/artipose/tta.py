@@ -2,10 +2,14 @@
 contact-guided hand pose optimization.
 
 adapt_object clones the estimator per scene, takes a few Adam steps on the
-adversarial box-realism term with the discriminator frozen, and re-assembles
-poses. optimize_hand descends the symmetric chamfer between the FK hand
-surface and the contact point set over the 24 hand parameters (root 6D
-rotation + translation + 15 flexion angles), keeping the best iterate.
+estimator's least-squares generator term (D(layout) - 1)^2 with the
+discriminator frozen, and re-assembles poses. The layout comes from
+estimator.layout_graph and the term from priors.g_adv_loss_graph, the same
+path training uses.
+
+optimize_hand descends the symmetric chamfer between the FK hand surface and
+the contact point set over the 24 hand parameters (root 6D rotation +
+translation + 15 flexion angles), keeping the best iterate.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ import numpy as np
 from . import autodiff as ad
 from . import diffgeom as dg
 from . import nn
-from .errors import DegenerateCorrespondences, DegenerateRotation, TooFewPoints
-from .estimator import Estimator, HeadOutput, assemble_graph, assemble_pose, member_sets
+from .errors import DegenerateRotation, TooFewPoints
+from .estimator import Estimator, assemble_pose, layout_graph
 from .geometry import matrix_to_rot6d, rot6d_to_matrix
-from .priors import Discriminator
+from .priors import Discriminator, g_adv_loss_graph
 from .synth.hand import ANGLE_HI, ANGLE_LO, KinematicHand, fk_vars
 
 HEADS_ONLY = "heads_only"
@@ -32,7 +36,6 @@ class TtaConfig:
     steps: int = 10
     lr: float = 1e-4
     scope: str = HEADS_ONLY
-    reset_per_scene: bool = True
 
     def __post_init__(self):
         if self.steps < 0:
@@ -61,11 +64,6 @@ class AdaptResult:
     aborted: str = ""  # nonempty = adaptation failed, after == before
 
 
-def _scene_forward(est: Estimator, tape: ad.Tape, cloud32: np.ndarray):
-    z, pooled = est.encode_graph(tape, cloud32[None])
-    return est.heads_graph(tape, z, pooled)
-
-
 def adapt_object(
     est: Estimator,
     disc: Discriminator,
@@ -75,12 +73,13 @@ def adapt_object(
 ) -> AdaptResult:
     """Refine one scene's estimate by descending (D(boxes) - 1)^2.
 
-    The discriminator is never updated. With reset_per_scene the caller's
-    estimator is untouched; otherwise the adapted parameters persist in it.
+    Works on a clone: neither the caller's estimator nor the discriminator
+    changes. Makes steps + 1 forward passes; the last one only records the
+    final value in the trace, and may fail without aborting the run.
     """
     cloud = np.asarray(cloud, dtype=np.float64)
     cloud32 = est.prepare_input(cloud)
-    work = est.clone() if cfg.reset_per_scene else est
+    work = est.clone()
     half_extents = np.stack([b.vertices[7] for b in canonical_boxes])
 
     before = assemble_pose(cloud, work.head_output(cloud), canonical_boxes)
@@ -90,32 +89,30 @@ def adapt_object(
 
     encoder_names = [n for n in work.store.names() if n.startswith("enc")]
     trace = []
-    for step in range(cfg.steps):
+    for step in range(cfg.steps + 1):
+        final = step == cfg.steps
         tape = ad.Tape()
-        seg, nocs, rot = _scene_forward(work, tape, cloud32)
-        labels = np.argmax(seg.data, axis=1)
-        sets = member_sets(labels, work.spec.part_count)
-        try:
-            got = assemble_graph(
-                tape,
-                cloud,
-                nocs,
-                ad.reshape(rot, (work.spec.part_count, 6)),
-                sets,
-                half_extents,
-            )
-        except (DegenerateRotation, DegenerateCorrespondences) as err:
-            return AdaptResult(before, before, trace, aborted=f"step {step}: {err}")
-        if any(g is None for g in got):
-            return AdaptResult(before, before, trace, aborted=f"step {step}: part lost its points")
-        layout = ad.stack([g["box"] for g in got], axis=0)
-        score = disc.score_graph(tape, layout)
-        d = ad.sub(score, 1.0)
-        loss = ad.mul(d, d)
+        z, pooled = work.encode_graph(tape, cloud32[None])
+        seg, nocs, rot = work.heads_graph(tape, z, pooled)
+        layout = layout_graph(
+            tape,
+            cloud,
+            np.argmax(seg.data, axis=1),
+            nocs,
+            ad.reshape(rot, (work.spec.part_count, 6)),
+            half_extents,
+        )
+        if isinstance(layout, str):
+            if final:
+                break
+            return AdaptResult(before, before, trace, aborted=f"step {step}: {layout}")
+        loss = g_adv_loss_graph(disc, tape, [layout])
         value = float(loss.data)
-        if not np.isfinite(value):
+        if not (final or np.isfinite(value)):
             return AdaptResult(before, before, trace, aborted=f"step {step}: non-finite loss")
         trace.append(value)
+        if final:
+            break
 
         work.store.zero_grads()
         tape.backward(loss)
@@ -126,28 +123,7 @@ def adapt_object(
         nn.adam_step(work.store, lr=cfg.lr)
 
     after = assemble_pose(cloud, work.head_output(cloud), canonical_boxes)
-    # final objective value for the trace
-    final = _adv_value(work, disc, cloud, cloud32, half_extents)
-    if final is not None:
-        trace.append(final)
     return AdaptResult(before, after, trace)
-
-
-def _adv_value(work, disc, cloud, cloud32, half_extents):
-    tape = ad.Tape()
-    seg, nocs, rot = _scene_forward(work, tape, cloud32)
-    labels = np.argmax(seg.data, axis=1)
-    sets = member_sets(labels, work.spec.part_count)
-    try:
-        got = assemble_graph(
-            tape, cloud, nocs, ad.reshape(rot, (work.spec.part_count, 6)), sets, half_extents
-        )
-    except (DegenerateRotation, DegenerateCorrespondences):
-        return None
-    if any(g is None for g in got):
-        return None
-    layout = ad.stack([g["box"] for g in got], axis=0)
-    return float((disc.score_graph(tape, layout).data - 1.0) ** 2)
 
 
 @dataclass

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from artipose import autodiff as ad
+
 
 def rel_err(a: float, b: float, floor: float = 1e-6) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
@@ -72,3 +74,24 @@ def mc_box_iou(a, b, samples, seed):
     if union == 0:
         return 0.0, 0
     return float((in_a & in_b).sum()) / union, union
+
+
+def score(disc, layout):
+    """Scalar discriminator score of one (P, 8, 3) layout array."""
+    tape = ad.Tape()
+    return float(disc.score_graph(tape, ad.const(np.asarray(layout, dtype=np.float64), tape)).data)
+
+
+def d_loss(score_fn, real_layouts, fake_layouts):
+    """Scalar least-squares discriminator loss, E[(D(b)-1)^2] + E[D(b_hat)^2],
+    the oracle for priors.d_loss_graph; score_fn maps a layout to D."""
+    real = [score_fn(b) for b in real_layouts]
+    fake = [score_fn(b) for b in fake_layouts]
+    return float(np.mean((np.array(real) - 1.0) ** 2) + np.mean(np.array(fake) ** 2))
+
+
+def g_adv_loss(score_fn, fake_layouts):
+    """Scalar least-squares generator term E[(D(b_hat)-1)^2], the oracle for
+    priors.g_adv_loss_graph."""
+    fake = [score_fn(b) for b in fake_layouts]
+    return float(np.mean((np.array(fake) - 1.0) ** 2))

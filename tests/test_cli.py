@@ -11,6 +11,7 @@ import pytest
 
 import artipose
 from artipose import cli
+from artipose import estimator as est_mod
 from artipose import tta as tta_mod
 from artipose.errors import TooFewPoints
 from artipose.estimator import PartPoseEstimate
@@ -24,8 +25,10 @@ def read_rows(path):
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
-    """Two 512-point laptop scenes and a one-epoch checkpoint with a
-    discriminator group and a 10-step contact diffuser."""
+    """Two 512-point laptop scenes and a checkpoint with a discriminator
+    group and a 10-step contact diffuser, trained for 15 one-scene batches
+    each, so every part of both scenes' first estimates has points and the
+    real tta run reaches the Adam loop."""
     root = tmp_path_factory.mktemp("cli")
     ds = root / "ds"
     assert cli.main(
@@ -36,8 +39,9 @@ def trained(tmp_path_factory):
         json.dumps(
             {
                 "dataset": str(ds),
-                "epochs": 1,
-                "batch_size": 2,
+                "epochs": 15,
+                "batch_size": 1,
+                "lr": 3e-3,
                 "lambda_adv": 0.1,
                 "lambda_diff": 1.0,
                 "diffusion_points": 64,
@@ -135,6 +139,30 @@ class TestTta:
         assert [(r["scene"], r["part"]) for r in rows] == [
             (f"scene_{i:06d}", str(p)) for i in range(2) for p in range(2)
         ]
+
+    def test_adapted_rows_are_finite(self, trained):
+        root, ds, ckpt = trained
+        rows = self.run(root, ds, ckpt, "tta_finite.csv")
+        for row in rows:
+            assert row["aborted"] == ""
+            for name in TTA_FIELDS[2:8]:
+                assert math.isfinite(float(row[name]))
+            assert 0.0 <= float(row["iou_after"]) <= 1.0
+        traces = [row["l_adv_trace"].split(";") for row in rows if row["l_adv_trace"]]
+        assert len(traces) == 2
+        assert all(len(t) == 3 and all(math.isfinite(float(v)) for v in t) for t in traces)
+
+    @pytest.mark.parametrize("trace, reduced", [([1.0, 0.5], 2), ([1.0, 1.0], 0), ([1.0, 1.5], 0)])
+    def test_summary_counts_strictly_reduced_loss(self, trained, monkeypatch, capsys, trace, reduced):
+        root, ds, ckpt = trained
+
+        def fixed(est, disc, cloud, canonical_boxes, cfg):
+            before = est_mod.assemble_pose(cloud, est.head_output(cloud), canonical_boxes)
+            return tta_mod.AdaptResult(before, before, list(trace))
+
+        monkeypatch.setattr(tta_mod, "adapt_object", fixed)
+        self.run(root, ds, ckpt, "tta_summary.csv")
+        assert f"adversarial loss reduced on {reduced}\n" in capsys.readouterr().out
 
     def test_ground_truth_estimates_score_exactly(self, trained, monkeypatch):
         root, ds, ckpt = trained

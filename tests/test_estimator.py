@@ -7,7 +7,7 @@ import pytest
 
 from artipose import autodiff as ad
 from artipose import estimator as E
-from artipose import nn
+from artipose import nn, priors
 from artipose.geometry import matrix_to_rot6d, rot6d_to_matrix, rotation_error
 from artipose.synth import make_instance, sample_scene
 from helpers import rel_err
@@ -234,6 +234,31 @@ class TestTraining:
             assert float(rec["L_adv"]) == 0.0
             assert float(rec["L_diff"]) == 0.0
             assert float(rec["L_D"]) == 0.0
+            assert rec["adv_scenes"] == "0"
+
+    def test_adv_terms_average_over_contributing_batches(self, scene, tmp_path, monkeypatch):
+        fed = []  # g_adv_loss_graph values in call order; batch size 1, one scene each
+        original = priors.g_adv_loss_graph
+
+        def spy(disc, tape, fake_vars):
+            out = original(disc, tape, fake_vars)
+            fed.append(float(out.data))
+            return out
+
+        monkeypatch.setattr(priors, "g_adv_loss_graph", spy)
+        cfg = E.TrainConfig(epochs=5, batch_size=1, lr=3e-3, lambda_adv=0.1, seed=2)
+        E.train_estimator([scene, scene], cfg, tmp_path)
+        rows = list(csv.DictReader(open(tmp_path / "loss_log.csv")))
+        counts = [int(row["adv_scenes"]) for row in rows]
+        # epochs where neither, one and both of the two batches fed L_adv
+        assert set(counts) == {0, 1, 2}
+        assert sum(counts) == len(fed)
+        values = iter(fed)
+        for row, count in zip(rows, counts):
+            epoch_values = [next(values) for _ in range(count)]
+            expect = sum(epoch_values) / count if count else 0.0
+            assert float(row["L_adv"]) == expect
+            assert (float(row["L_D"]) > 0.0) == (count > 0)
 
     def test_fixed_seed_bit_identical_checkpoint(self, scene, tmp_path):
         cfg = E.TrainConfig(epochs=4, batch_size=1, lambda_diff=1.0, seed=3)

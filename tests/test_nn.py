@@ -1,4 +1,4 @@
-"""Differentiation substrate: MLP forward/backward, Adam, embeddings, checkpoints."""
+"""Differentiation substrate: MLP forward/backward on a tape, Adam, embeddings, checkpoints."""
 
 import numpy as np
 import pytest
@@ -15,6 +15,19 @@ def make_store(spec, seed=0, prefix="mlp"):
     return store
 
 
+def forward(spec, store, x, prefix="mlp"):
+    """mlp_apply on a fresh tape from a leaf input; returns (out, x, tape)."""
+    tape = ad.Tape()
+    xin = ad.leaf(np.asarray(x), tape)
+    return nn.mlp_apply(spec, store, prefix, xin, dtype=xin.data.dtype), xin, tape
+
+
+def backward(store, tape, out, out_grad):
+    """Reverse sweep from out, then flush the parameter grads into store."""
+    tape.backward(out, out_grad)
+    store.flush_tape_grads(tape)
+
+
 # ---------------------------------------------------------------------------
 # forward
 # ---------------------------------------------------------------------------
@@ -25,8 +38,8 @@ class TestForward:
         store = make_store(spec)
         for name in store.names():
             store.params[name][...] = 0.0
-        y, _ = nn.mlp_forward(spec, store, np.random.default_rng(0).normal(size=(6, 4)))
-        assert (y == 0).all()
+        y, _, _ = forward(spec, store, np.random.default_rng(0).normal(size=(6, 4)))
+        assert (y.data == 0).all()
 
     def test_identity_linear_layer(self):
         spec = nn.MlpSpec((3, 3))
@@ -34,33 +47,33 @@ class TestForward:
         store.params["mlp.w0"][...] = np.eye(3)
         store.params["mlp.b0"][...] = 0.0
         x = np.random.default_rng(1).normal(size=(5, 3)).astype(np.float32)
-        y, _ = nn.mlp_forward(spec, store, x)
-        assert np.allclose(y, x)
+        y, _, _ = forward(spec, store, x)
+        assert np.allclose(y.data, x)
 
     def test_matches_recomputation_oracle(self):
         spec = nn.MlpSpec((5, 7, 3))
         store = make_store(spec, seed=2)
         x = np.random.default_rng(3).normal(size=(11, 5))
-        y, _ = nn.mlp_forward(spec, store, x)
+        y, _, _ = forward(spec, store, x)
         # straightforward loop recomputation
         h = x @ store.params["mlp.w0"].astype(np.float64) + store.params["mlp.b0"]
         h = np.maximum(h, 0)
         expect = h @ store.params["mlp.w1"].astype(np.float64) + store.params["mlp.b1"]
-        assert np.allclose(y, expect, atol=1e-12)
+        assert np.allclose(y.data, expect, atol=1e-12)
 
     def test_width_mismatch_raises(self):
         spec = nn.MlpSpec((4, 2))
         store = make_store(spec)
         with pytest.raises(ShapeMismatch):
-            nn.mlp_forward(spec, store, np.zeros((3, 5)))
+            forward(spec, store, np.zeros((3, 5)))
 
     def test_deterministic(self):
-        spec = nn.MlpSpec((4, 9, 2), out_activation="sigmoid")
+        spec = nn.MlpSpec((4, 9, 2))
         store = make_store(spec, seed=5)
         x = np.random.default_rng(6).normal(size=(8, 4))
-        y1, _ = nn.mlp_forward(spec, store, x)
-        y2, _ = nn.mlp_forward(spec, store, x)
-        assert (y1 == y2).all()
+        y1, _, _ = forward(spec, store, x)
+        y2, _, _ = forward(spec, store, x)
+        assert (y1.data == y2.data).all()
 
 
 # ---------------------------------------------------------------------------
@@ -73,19 +86,19 @@ class TestBackward:
         spec = nn.MlpSpec((3, 2))
         store = make_store(spec, seed=7)
         x = np.random.default_rng(8).normal(size=(6, 3))
-        y, tape = nn.mlp_forward(spec, store, x)
-        grads, dx = nn.mlp_backward(tape, np.ones_like(y))
-        assert np.allclose(grads["mlp.w0"], np.tile(x.sum(axis=0)[:, None], (1, 2)))
-        assert np.allclose(grads["mlp.b0"], 6.0)
-        assert np.allclose(dx, np.tile(store.params["mlp.w0"].sum(axis=1), (6, 1)))
+        y, xin, tape = forward(spec, store, x)
+        backward(store, tape, y, np.ones_like(y.data))
+        assert np.allclose(store.grads["mlp.w0"], np.tile(x.sum(axis=0)[:, None], (1, 2)))
+        assert np.allclose(store.grads["mlp.b0"], 6.0)
+        assert np.allclose(xin.grad, np.tile(store.params["mlp.w0"].sum(axis=1), (6, 1)))
 
     def test_zero_output_grad_zero_param_grads(self):
         spec = nn.MlpSpec((3, 5, 2))
         store = make_store(spec, seed=9)
-        y, tape = nn.mlp_forward(spec, store, np.random.default_rng(10).normal(size=(4, 3)))
-        grads, dx = nn.mlp_backward(tape, np.zeros_like(y))
-        assert all(np.all(g == 0) for g in grads.values())
-        assert np.all(dx == 0)
+        y, xin, tape = forward(spec, store, np.random.default_rng(10).normal(size=(4, 3)))
+        backward(store, tape, y, np.zeros_like(y.data))
+        assert all(np.all(g == 0) for g in store.grads.values())
+        assert np.all(xin.grad == 0)
 
     def test_finite_difference_random_net(self):
         spec = nn.MlpSpec((4, 8, 8, 1))
@@ -96,13 +109,13 @@ class TestBackward:
         x = np.random.default_rng(12).normal(size=(10, 4))
 
         def loss():
-            y, _ = nn.mlp_forward(spec, store, x)
-            return float((y**2).sum())
+            y, _, _ = forward(spec, store, x)
+            return float((y.data**2).sum())
 
         def loss_with_grads():
-            y, tape = nn.mlp_forward(spec, store, x)
-            nn.mlp_backward(tape, 2.0 * y)
-            return float((y**2).sum())
+            y, _, tape = forward(spec, store, x)
+            backward(store, tape, y, 2.0 * y.data)
+            return float((y.data**2).sum())
 
         store.zero_grads()
         loss_with_grads()
@@ -113,10 +126,10 @@ class TestBackward:
     def test_stale_tape_rejected(self):
         spec = nn.MlpSpec((3, 2))
         store = make_store(spec, seed=14)
-        y, tape = nn.mlp_forward(spec, store, np.zeros((2, 3)))
+        y, _, tape = forward(spec, store, np.zeros((2, 3)))
         nn.adam_step(store)  # bumps version
         with pytest.raises(StaleTape):
-            nn.mlp_backward(tape, np.ones_like(y))
+            backward(store, tape, y, np.ones_like(y.data))
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +165,8 @@ class TestAdam:
             x = rng.normal(size=(6, 3))
             for _ in range(5):
                 store.zero_grads()
-                y, tape = nn.mlp_forward(spec, store, x)
-                nn.mlp_backward(tape, 2 * y)
+                y, _, tape = forward(spec, store, x)
+                backward(store, tape, y, 2 * y.data)
                 nn.adam_step(store)
             return store
 
@@ -170,10 +183,10 @@ class TestAdam:
         losses = []
         for _ in range(10):
             store.zero_grads()
-            y, tape = nn.mlp_forward(spec, store, x)
-            resid = y - target
+            y, _, tape = forward(spec, store, x)
+            resid = y.data - target
             losses.append(float((resid**2).mean()))
-            nn.mlp_backward(tape, (2.0 / resid.size) * resid.astype(y.dtype))
+            backward(store, tape, y, (2.0 / resid.size) * resid.astype(y.data.dtype))
             nn.adam_step(store, lr=1e-2)
         assert all(b < a for a, b in zip(losses, losses[1:])), losses
 

@@ -1,0 +1,116 @@
+"""Test-time adaptation: adapt_object's step loop, trace and abort reasons."""
+
+import numpy as np
+import pytest
+
+from artipose import autodiff as ad
+from artipose import estimator as E
+from artipose import priors
+from artipose import tta
+from artipose.synth import make_instance, sample_scene
+
+
+@pytest.fixture(scope="module")
+def scene():
+    inst = make_instance("laptop", 4)
+    return sample_scene(inst, np.random.SeedSequence([4, 1]), scene_id="s0")
+
+
+@pytest.fixture(scope="module")
+def est(scene, tmp_path_factory):
+    """Ten epochs on the one scene: every part of the first estimate has
+    hundreds of points, so adaptation starts."""
+    cfg = E.TrainConfig(epochs=10, batch_size=1, lr=3e-3, seed=1)
+    ckpt = E.train_estimator([scene], cfg, tmp_path_factory.mktemp("tta"))
+    return E.load_estimator(ckpt)[0]
+
+
+@pytest.fixture
+def disc():
+    return priors.Discriminator.create(2, seed=0)
+
+
+def adapt(est, disc, scene, steps):
+    return tta.adapt_object(est, disc, scene.cloud, scene.canonical_boxes, tta.TtaConfig(steps=steps))
+
+
+def snapshot(store):
+    return {name: value.copy() for name, value in store.params.items()}
+
+
+def fail_layout_at(monkeypatch, call, corrupt):
+    """Make the layout of the given pass (0-based) come from corrupted head
+    outputs; corrupt maps (labels, nocs, rot6d) to new ones."""
+    calls = []
+
+    def layout(tape, cloud, labels, nocs, rot6d, half_extents):
+        if len(calls) == call:
+            labels, nocs, rot6d = corrupt(labels, nocs, rot6d)
+        calls.append(call)
+        return E.layout_graph(tape, cloud, labels, nocs, rot6d, half_extents)
+
+    monkeypatch.setattr(tta, "layout_graph", layout)
+    return calls
+
+
+def hand_only(labels, nocs, rot6d):
+    return np.zeros_like(labels), nocs, rot6d
+
+
+def zero_rotation(labels, nocs, rot6d):
+    return labels, nocs, ad.mul(rot6d, 0.0)
+
+
+class TestAdaptObject:
+    def test_completed_run_traces_every_pass(self, est, disc, scene):
+        result = adapt(est, disc, scene, steps=3)
+        assert result.aborted == ""
+        assert len(result.trace) == 4
+        assert all(np.isfinite(result.trace))
+        assert all(p.valid for p in result.after)
+        assert result.after is not result.before
+
+    def test_caller_estimator_and_discriminator_unchanged(self, est, disc, scene):
+        est_before, disc_before = snapshot(est.store), snapshot(disc.store)
+        adapt(est, disc, scene, steps=2)
+        for name, value in est_before.items():
+            assert np.array_equal(est.store.params[name], value)
+        for name, value in disc_before.items():
+            assert np.array_equal(disc.store.params[name], value)
+
+    def test_zero_steps_one_value(self, est, disc, scene):
+        result = adapt(est, disc, scene, steps=0)
+        assert result.aborted == ""
+        assert len(result.trace) == 1
+        for b, a in zip(result.before, result.after):
+            assert np.array_equal(a.pose.R, b.pose.R)
+            assert np.array_equal(a.pose.t, b.pose.t)
+
+    @pytest.mark.parametrize(
+        "corrupt, reason",
+        [
+            (hand_only, "part lost its points"),
+            (zero_rotation, "first column near zero"),
+        ],
+    )
+    def test_failed_layout_aborts_mid_run(self, est, disc, scene, monkeypatch, corrupt, reason):
+        fail_layout_at(monkeypatch, 1, corrupt)
+        result = adapt(est, disc, scene, steps=3)
+        assert result.aborted == f"step 1: {reason}"
+        assert len(result.trace) == 1
+        assert result.after is result.before
+
+    def test_non_finite_loss_aborts(self, est, disc, scene):
+        disc.store.params["d.b2"][...] = np.nan
+        result = adapt(est, disc, scene, steps=3)
+        assert result.aborted == "step 0: non-finite loss"
+        assert result.trace == []
+        assert result.after is result.before
+
+    def test_failed_final_pass_appends_nothing(self, est, disc, scene, monkeypatch):
+        calls = fail_layout_at(monkeypatch, 2, hand_only)
+        result = adapt(est, disc, scene, steps=2)
+        assert len(calls) == 3
+        assert result.aborted == ""
+        assert len(result.trace) == 2
+        assert result.after is not result.before
