@@ -8,8 +8,6 @@ driven by --seed (or the seed inside a config file).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from pathlib import Path
 
@@ -23,9 +21,7 @@ from . import nn
 from . import priors as priors_mod
 from . import tta as tta_mod
 from .errors import ArtiposeError, TooFewPoints, UsageError
-from .geometry import box_iou, rotation_error
 from .synth import CATEGORIES, KinematicHand, generate_dataset, load_dataset
-from .synth.hand import default_hand_template
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,20 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _predict_scene(est, rec):
-    out = est.head_output(rec.cloud)
-    ests = est_mod.assemble_pose(rec.cloud, out, rec.canonical_boxes)
-    return out, ests
-
-
-def _prediction_record(rec, ests) -> metrics_mod.ScenePrediction:
-    return metrics_mod.ScenePrediction(
-        scene_id=rec.scene_id,
-        poses=[e.pose if e.valid else None for e in ests],
-        boxes=[e.box if e.valid else None for e in ests],
-    )
-
-
 def cmd_synth(args) -> int:
     generate_dataset(
         args.out,
@@ -130,9 +112,14 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     est, meta, _ = est_mod.load_estimator(args.checkpoint)
     _, scenes = load_dataset(args.dataset, limit=args.limit)
-    preds = [_prediction_record(rec, _predict_scene(est, rec)[1]) for rec in scenes]
+    preds = []
+    for rec in scenes:
+        ests = est_mod.assemble_pose(rec.cloud, est.head_output(rec.cloud), rec.canonical_boxes)
+        preds.append(metrics_mod.ScenePrediction(rec.scene_id, [e.pose for e in ests], [e.box for e in ests]))
     report = metrics_mod.eval_object(preds, scenes)
-    metrics_mod.write_report(args.out, report)
+    metrics_mod.write_rows(
+        args.out, ["metric", "value"], [{"metric": k, "value": v} for k, v in report.rows()]
+    )
     metrics_mod.write_summary_json(
         Path(args.out).with_suffix(".json"), report, extra={"checkpoint": str(args.checkpoint)}
     )
@@ -156,6 +143,12 @@ def _load_discriminator(args, stores):
     return store, part_count, hidden
 
 
+TTA_FIELDS = [
+    "scene", "part", "r_err_before", "t_err_before", "iou_before",
+    "r_err_after", "t_err_after", "iou_after", "aborted", "l_adv_trace",
+]
+
+
 def cmd_tta(args) -> int:
     est, meta, stores = est_mod.load_estimator(args.checkpoint)
     store, part_count, hidden = _load_discriminator(args, stores)
@@ -164,41 +157,31 @@ def cmd_tta(args) -> int:
     cfg = tta_mod.TtaConfig(steps=args.steps, lr=args.lr, scope=args.scope)
 
     rows = []
-    improved = 0
+    adapted = improved = 0
     for rec in scenes:
         try:
             result = tta_mod.adapt_object(est, disc, rec.cloud, rec.canonical_boxes, cfg)
         except TooFewPoints as err:
-            # The first estimate already lacks a part: record it and move on.
-            nan = float("nan")
-            for p in range(rec.part_count):
-                row = {"scene": rec.scene_id, "part": p, "aborted": str(err)}
-                for tag in ("before", "after"):
-                    row[f"r_err_{tag}"] = row[f"t_err_{tag}"] = row[f"iou_{tag}"] = nan
-                rows.append(row)
-            continue
-        for p, (pb, pa) in enumerate(zip(result.before, result.after)):
-            row = {"scene": rec.scene_id, "part": p, "aborted": result.aborted}
-            for tag, pe in (("before", pb), ("after", pa)):
-                if pe.valid:
-                    row[f"r_err_{tag}"] = rotation_error(pe.pose.R, rec.part_poses[p].R)
-                    row[f"t_err_{tag}"] = float(np.linalg.norm(pe.pose.t - rec.part_poses[p].t)) * 100
-                    row[f"iou_{tag}"] = box_iou(pe.box, rec.posed_boxes[p])
-                else:
-                    row[f"r_err_{tag}"] = row[f"t_err_{tag}"] = row[f"iou_{tag}"] = float("nan")
+            # The first estimate already lacks a part: record NaN rows and move on.
+            aborted, trace = str(err), None
+            fits = dict.fromkeys(("before", "after"), [(None, None)] * rec.part_count)
+        else:
+            aborted, trace = result.aborted, result.trace
+            stages = (("before", result.before), ("after", result.after))
+            fits = {tag: [(e.pose, e.box) for e in ests] for tag, ests in stages}
+            adapted += 1
+            if len(trace) >= 2 and trace[-1] < trace[0]:
+                improved += 1
+        for p in range(rec.part_count):
+            row = {"scene": rec.scene_id, "part": p, "aborted": aborted}
+            for tag, parts in fits.items():
+                errors = metrics_mod.part_errors(*parts[p], rec.part_poses[p], rec.posed_boxes[p])
+                row.update(zip((f"r_err_{tag}", f"t_err_{tag}", f"iou_{tag}"), errors))
             rows.append(row)
-        if len(result.trace) >= 2 and result.trace[-1] < result.trace[0]:
-            improved += 1
-        rows[-1]["l_adv_trace"] = ";".join(repr(v) for v in result.trace)
-    fields = [
-        "scene", "part", "r_err_before", "t_err_before", "iou_before",
-        "r_err_after", "t_err_after", "iou_after", "aborted", "l_adv_trace",
-    ]
-    with open(args.out, "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=fields, restval="")
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"adapted {len(scenes)} scenes; adversarial loss reduced on {improved}")
+        if trace is not None:
+            rows[-1]["l_adv_trace"] = ";".join(repr(v) for v in trace)
+    metrics_mod.write_rows(args.out, TTA_FIELDS, rows)
+    print(f"adapted {adapted} of {len(scenes)} scenes; adversarial loss reduced on {improved}")
     print(f"report: {args.out}")
     return 0
 
@@ -249,11 +232,11 @@ def cmd_hand_opt(args) -> int:
             )
             contact = contact.astype(bool) & (rec.seg > 0)
         result = tta_mod.optimize_hand(init, contact, rec.cloud, cfg)
-        mpjpe_before, mpvpe_before = metrics_mod.eval_hand(
-            [init.joints()], [rec.hand_joints], [init.surface()], [rec.hand_surface]
+        mpjpe_before, mpvpe_before = metrics_mod.hand_errors(
+            init.joints(), rec.hand_joints, init.surface(), rec.hand_surface
         )
-        mpjpe_after, mpvpe_after = metrics_mod.eval_hand(
-            [result.hand.joints()], [rec.hand_joints], [result.hand.surface()], [rec.hand_surface]
+        mpjpe_after, mpvpe_after = metrics_mod.hand_errors(
+            result.hand.joints(), rec.hand_joints, result.hand.surface(), rec.hand_surface
         )
         if mpjpe_after < mpjpe_before:
             reduced += 1
@@ -269,10 +252,7 @@ def cmd_hand_opt(args) -> int:
                 "l_cd_trace": ";".join(repr(v) for v in result.trace[:: max(1, len(result.trace) // 20)]),
             }
         )
-    with open(args.out, "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=HAND_OPT_FIELDS, restval="")
-        writer.writeheader()
-        writer.writerows(rows)
+    metrics_mod.write_rows(args.out, HAND_OPT_FIELDS, rows)
     frac = reduced / max(1, len(rows))
     print(f"MPJPE reduced on {reduced}/{len(rows)} scenes ({100*frac:.0f}%)")
     print(f"report: {args.out}")

@@ -278,35 +278,26 @@ def member_sets(labels: np.ndarray, part_count: int) -> list:
 
 def assemble_graph(
     tape: ad.Tape,
-    cloud: np.ndarray,
-    nocs: ad.Var,  # (N, 3) rows aligned with cloud
-    rot6d: ad.Var,  # (P, 6)
-    members: list,  # per-part index arrays
-    half_extents: np.ndarray,  # (P, 3)
+    points: np.ndarray,  # (M, 3) member points
+    nocs: ad.Var,  # (M, 3) their NOCS predictions
+    rot6d: ad.Var,  # (6,) the part's rotation
+    half_extents: np.ndarray,  # (3,) the part's canonical half extents
 ):
-    """Differentiable per-part pose assembly.
+    """Differentiable pose fit of one part: (R, t, s, box) Vars, where box
+    holds the (8, 3) posed corners.
 
-    Returns a list of dicts {R, t, s, box} (Vars) or None for parts with
-    fewer than 3 member points. Raises DegenerateRotation /
-    DegenerateCorrespondences if the predictions defeat the closed forms.
+    The caller keeps parts with fewer than 3 member points away. Raises
+    DegenerateRotation / DegenerateCorrespondences if the predictions defeat
+    the closed forms.
     """
     dtype = nocs.data.dtype
-    out = []
-    for p, idx in enumerate(members):
-        if len(idx) < 3:
-            out.append(None)
-            continue
-        h = half_extents[p]
-        r_p = ad.reshape(ad.take(rot6d, np.array([p]), axis=0), (6,))
-        R = dg.rot6d_to_matrix(r_p)
-        nocs_m = ad.take(nocs, idx, axis=0)
-        denorm = ad.mul(ad.sub(nocs_m, 0.5), ad.const((2.0 * h).astype(dtype), tape))
-        obs = ad.const(cloud[idx].astype(dtype), tape)
-        s, t = dg.fit_translation_scale(denorm, obs, R)
-        corners = ad.const((dg.box_vertices_from_extents(h, tape).data).astype(dtype), tape)
-        box = dg.transform_points(corners, R, t, s)
-        out.append({"R": R, "t": t, "s": s, "box": box})
-    return out
+    R = dg.rot6d_to_matrix(rot6d)
+    denorm = ad.mul(ad.sub(nocs, 0.5), ad.const((2.0 * half_extents).astype(dtype), tape))
+    obs = ad.const(np.asarray(points).astype(dtype), tape)
+    s, t = dg.fit_translation_scale(denorm, obs, R)
+    corners = ad.const((dg.box_vertices_from_extents(half_extents, tape).data).astype(dtype), tape)
+    box = dg.transform_points(corners, R, t, s)
+    return R, t, s, box
 
 
 def layout_graph(
@@ -318,43 +309,44 @@ def layout_graph(
     half_extents: np.ndarray,  # (P, 3)
 ):
     """One scene's (P, 8, 3) posed-box layout Var, as the discriminator
-    scores it, or the reason string when the scene has no layout."""
-    sets = member_sets(labels, len(half_extents))
-    try:
-        got = assemble_graph(tape, cloud, nocs, rot6d, sets, half_extents)
-    except (DegenerateRotation, DegenerateCorrespondences) as err:
-        return str(err)
-    if any(g is None for g in got):
+    scores it, or the reason string when the scene has no layout.
+
+    Runs assemble_graph on each part's argmax members. A degeneracy reason
+    from any part wins over "part lost its points" (a part with fewer than
+    3 members).
+    """
+    boxes = []
+    for p, idx in enumerate(member_sets(labels, len(half_extents))):
+        if len(idx) < 3:
+            continue
+        r_p = ad.reshape(ad.take(rot6d, np.array([p]), axis=0), (6,))
+        try:
+            *_, box = assemble_graph(tape, cloud[idx], ad.take(nocs, idx, axis=0), r_p, half_extents[p])
+        except (DegenerateRotation, DegenerateCorrespondences) as err:
+            return str(err)
+        boxes.append(box)
+    if len(boxes) < len(half_extents):
         return "part lost its points"
-    return ad.stack([g["box"] for g in got], axis=0)
+    return ad.stack(boxes, axis=0)
 
 
-def assemble_pose(
-    cloud: np.ndarray,
-    pred: HeadOutput,
-    canonical_boxes: list,
-    member_labels: np.ndarray | None = None,
-) -> list:
+def assemble_pose(cloud: np.ndarray, pred: HeadOutput, canonical_boxes: list) -> list:
     """Analytic pose + posed box per part from head outputs (numpy in/out).
 
-    Member points come from the argmax segmentation unless member_labels
-    overrides them. Parts that defeat the fit (< 3 points, degenerate
-    rotation or correspondences) are marked invalid and excluded.
+    Member points come from the argmax segmentation; each part runs
+    assemble_graph on its own tape. Parts that defeat the fit (< 3 points,
+    degenerate rotation or correspondences) are marked invalid with the
+    reason.
     """
     cloud = np.asarray(cloud, dtype=np.float64)
-    labels = (
-        np.argmax(pred.seg_logits, axis=1)
-        if member_labels is None
-        else np.asarray(member_labels)
-    )
     part_count = pred.rot6d.shape[0]
     if len(canonical_boxes) != part_count:
         raise ShapeMismatch("canonical box count != predicted part count")
-    half_extents = np.stack([b.vertices[7] for b in canonical_boxes])
-    sets = member_sets(labels, part_count)
+    nocs = np.asarray(pred.nocs, dtype=np.float64)
+    rot6d = np.asarray(pred.rot6d, dtype=np.float64)
 
     results = []
-    for p, idx in enumerate(sets):
+    for p, idx in enumerate(member_sets(np.argmax(pred.seg_logits, axis=1), part_count)):
         if len(idx) < 3:
             results.append(
                 PartPoseEstimate(p, False, None, None, idx, reason=f"{len(idx)} points")
@@ -362,22 +354,18 @@ def assemble_pose(
             continue
         tape = ad.Tape()
         try:
-            parts = assemble_graph(
+            R, t, s, box = assemble_graph(
                 tape,
                 cloud[idx],
-                ad.const(np.asarray(pred.nocs, dtype=np.float64)[idx], tape),
-                ad.const(np.asarray(pred.rot6d, dtype=np.float64), tape),
-                [np.arange(len(idx)) if q == p else np.array([], dtype=int) for q in range(part_count)],
-                half_extents,
+                ad.const(nocs[idx], tape),
+                ad.const(rot6d[p], tape),
+                canonical_boxes[p].vertices[7],
             )
         except (DegenerateRotation, DegenerateCorrespondences) as err:
             results.append(PartPoseEstimate(p, False, None, None, idx, reason=str(err)))
             continue
-        got = parts[p]
-        pose = SimilarityTransform(got["R"].data, got["t"].data, float(got["s"].data))
-        results.append(
-            PartPoseEstimate(p, True, pose, OrientedBox(got["box"].data), idx)
-        )
+        pose = SimilarityTransform(R.data, t.data, float(s.data))
+        results.append(PartPoseEstimate(p, True, pose, OrientedBox(box.data), idx))
     return results
 
 
@@ -457,7 +445,7 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
     gt_rots = np.stack([gt_rot6d(s.part_poses) for s in scenes]).astype(np.float32)
     extents = np.stack([s.half_extents() for s in scenes])
     real_boxes = np.stack([np.stack([b.vertices for b in s.posed_boxes]) for s in scenes])
-    contact_enc = np.stack([2.0 * s.contact.astype(np.float32) - 1.0 for s in scenes])
+    contact_enc = np.stack([priors.encode_contact(s.contact)[:, 0] for s in scenes])
 
     use_adv = config.lambda_adv > 0
     use_diff = config.lambda_diff > 0

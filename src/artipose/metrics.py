@@ -1,24 +1,26 @@
-"""Pose and hand metrics plus report I/O.
+"""Pose, hand and contact scorers plus the one report writer.
 
-Per part: rotation error (degrees), translation error (cm), and the exact
-box IoU of geometry.box_iou (polytope clipping, no sampling); a part scores
-the 5deg5cm metric iff R_err < 5 and T_err < 5. Category numbers average
-over parts within a scene, then over scenes. Invalid parts (too few points /
-degenerate fits) fail 5deg5cm and contribute IoU 0, and are excluded from
-the R/T error means.
+part_errors scores one part: rotation error (degrees), translation error
+(cm) and the exact box IoU of geometry.box_iou (polytope clipping, no
+sampling); a part scores the 5deg5cm metric iff R_err < 5 and T_err < 5.
+eval_object aggregates it: category numbers average over parts within a
+scene, then over scenes. Invalid parts (too few points / degenerate fits)
+fail 5deg5cm and contribute IoU 0, and are excluded from the R/T error
+means. hand_errors gives one scene's (MPJPE, MPVPE) in millimeters. Every
+CSV report goes through write_rows.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CountMismatch, IdMismatch
-from .geometry import OrientedBox, box_iou, rotation_error
+from .geometry import box_iou, rotation_error
 
 
 @dataclass
@@ -28,9 +30,6 @@ class ScenePrediction:
     scene_id: str
     poses: list  # SimilarityTransform | None per part
     boxes: list  # OrientedBox | None per part
-    hand_joints: np.ndarray | None = None  # (21, 3)
-    hand_surface: np.ndarray | None = None  # (S, 3)
-    contact_confidence: np.ndarray | None = None  # (N,)
 
 
 @dataclass
@@ -42,8 +41,6 @@ class MetricsReport:
     r_err: float  # mean degrees over valid parts
     t_err: float  # mean centimeters over valid parts
     invalid_parts: int
-    mpjpe: float = float("nan")  # mean millimeters
-    mpvpe: float = float("nan")
 
     def rows(self) -> list:
         return [
@@ -54,9 +51,18 @@ class MetricsReport:
             ["R_err_deg", repr(self.r_err)],
             ["T_err_cm", repr(self.t_err)],
             ["invalid_parts", repr(self.invalid_parts)],
-            ["MPJPE_mm", repr(self.mpjpe)],
-            ["MPVPE_mm", repr(self.mpvpe)],
         ]
+
+
+def part_errors(pose, box, gt_pose, gt_box) -> tuple:
+    """(R_err degrees, T_err cm, box IoU) of one part; NaNs for an invalid
+    part (pose or box None)."""
+    if pose is None or box is None:
+        nan = float("nan")
+        return nan, nan, nan
+    r = rotation_error(pose.R, gt_pose.R)
+    t_cm = float(np.linalg.norm(pose.t - gt_pose.t)) * 100.0
+    return r, t_cm, box_iou(box, gt_box)
 
 
 def eval_object(preds: list, gts: list) -> MetricsReport:
@@ -82,12 +88,11 @@ def eval_object(preds: list, gts: list) -> MetricsReport:
                 hits.append(0.0)
                 ious.append(0.0)
                 continue
-            r = rotation_error(pose.R, gt.part_poses[p].R)
-            t_cm = float(np.linalg.norm(pose.t - gt.part_poses[p].t)) * 100.0
+            r, t_cm, iou = part_errors(pose, box, gt.part_poses[p], gt.posed_boxes[p])
             r_all.append(r)
             t_all.append(t_cm)
             hits.append(1.0 if (r < 5.0 and t_cm < 5.0) else 0.0)
-            ious.append(box_iou(box, gt.posed_boxes[p]))
+            ious.append(iou)
         acc_scene.append(np.mean(hits))
         iou_scene.append(np.mean(ious))
     return MetricsReport(
@@ -101,25 +106,16 @@ def eval_object(preds: list, gts: list) -> MetricsReport:
     )
 
 
-def eval_hand(pred_joints, gt_joints, pred_vertices, gt_vertices) -> tuple:
-    """(MPJPE, MPVPE) in millimeters, averaged over scenes.
-
-    Inputs are aligned lists of (J, 3) / (S, 3) arrays.
-    """
-    if len(pred_joints) != len(gt_joints) or len(pred_vertices) != len(gt_vertices):
-        raise CountMismatch("scene counts disagree")
-    mpjpe, mpvpe = [], []
-    for pj, gj in zip(pred_joints, gt_joints):
-        pj, gj = np.asarray(pj), np.asarray(gj)
-        if pj.shape != gj.shape:
-            raise CountMismatch(f"joint counts {pj.shape} vs {gj.shape}")
-        mpjpe.append(np.linalg.norm(pj - gj, axis=1).mean() * 1000.0)
-    for pv, gv in zip(pred_vertices, gt_vertices):
-        pv, gv = np.asarray(pv), np.asarray(gv)
-        if pv.shape != gv.shape:
-            raise CountMismatch(f"vertex counts {pv.shape} vs {gv.shape}")
-        mpvpe.append(np.linalg.norm(pv - gv, axis=1).mean() * 1000.0)
-    return float(np.mean(mpjpe)), float(np.mean(mpvpe))
+def hand_errors(pred_joints, gt_joints, pred_surface, gt_surface) -> tuple:
+    """One scene's (MPJPE, MPVPE) in millimeters from (J, 3) joints and
+    (S, 3) surface points."""
+    out = []
+    for pred, gt, what in ((pred_joints, gt_joints, "joint"), (pred_surface, gt_surface, "vertex")):
+        pred, gt = np.asarray(pred), np.asarray(gt)
+        if pred.shape != gt.shape:
+            raise CountMismatch(f"{what} counts {pred.shape} vs {gt.shape}")
+        out.append(float(np.linalg.norm(pred - gt, axis=1).mean() * 1000.0))
+    return tuple(out)
 
 
 def contact_iou(pred_map: np.ndarray, gt_map: np.ndarray) -> float:
@@ -132,11 +128,13 @@ def contact_iou(pred_map: np.ndarray, gt_map: np.ndarray) -> float:
     return float((p & g).sum() / union)
 
 
-def write_report(path, report: MetricsReport) -> None:
+def write_rows(path, fields: list, rows: list) -> None:
+    """CSV report: a header of `fields`, then one line per row dict (a
+    missing field writes empty)."""
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["metric", "value"])
-        writer.writerows(report.rows())
+        writer = csv.DictWriter(f, fieldnames=fields, restval="")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def write_summary_json(path, report: MetricsReport, extra: dict | None = None) -> None:

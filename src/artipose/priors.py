@@ -254,16 +254,6 @@ def diff_loss_graph(
     return ad.vmean(ad.mul(resid, resid))
 
 
-def diff_loss(diffuser: ContactDiffuser, z: np.ndarray, x0: np.ndarray, rng: np.random.Generator) -> float:
-    """Training objective draw: t ~ U[1, T], eps ~ N(0, I), then the MSE."""
-    t = int(rng.integers(1, diffuser.schedule.T + 1))
-    eps = rng.standard_normal((np.asarray(x0).size, 1))
-    tape = ad.Tape()
-    return float(
-        diff_loss_graph(diffuser, tape, ad.const(np.asarray(z), tape), x0, t, eps).data
-    )
-
-
 def sample_contact_map(
     diffuser: ContactDiffuser, z: np.ndarray, generations: int = 5, seed: int = 0
 ):
@@ -294,18 +284,3 @@ def sample_contact_map(
             x = x + np.sqrt(beta) * rng.standard_normal(x.shape).astype(np.float32)
     confidence = x.reshape(generations, N).mean(axis=0).astype(np.float64)
     return (confidence > 0).astype(np.uint8), confidence
-
-
-def total_loss(
-    pose_term: float,
-    adv_term: float,
-    diff_term: float,
-    lambda_adv: float,
-    lambda_diff: float,
-) -> float:
-    """Weighted pipeline objective: pose + la * adv + ld * diff."""
-    for v in (pose_term, adv_term, diff_term):
-        if not np.isfinite(v):
-            raise ValueError("loss terms must be finite")
-    return float(pose_term + lambda_adv * adv_term + lambda_diff * diff_term)
-

@@ -102,7 +102,6 @@ def generate_dataset(
     tau: float = 0.01,
     surface_samples: int = 512,
     drawers: int | None = 3,
-    new_instance_every: int = 1,
     min_contacts: int = MIN_VISIBLE_CONTACTS,
 ) -> Path:
     """Generate `count` scenes of one category; byte-deterministic in args.
@@ -124,9 +123,7 @@ def generate_dataset(
         record = None
         for attempt in range(MAX_SCENE_ATTEMPTS):
             inst_seed = int(
-                np.random.default_rng(
-                    np.random.SeedSequence([seed, i // new_instance_every, 1])
-                ).integers(2**31)
+                np.random.default_rng(np.random.SeedSequence([seed, i, 1])).integers(2**31)
             )
             instance = make_instance(category, inst_seed, **kwargs)
             try:

@@ -56,9 +56,6 @@ class SceneRecord:
     def part_count(self) -> int:
         return len(self.part_poses)
 
-    def object_mask(self) -> np.ndarray:
-        return self.seg > 0
-
     def half_extents(self) -> np.ndarray:
         return np.stack(
             [b.vertices[7] for b in self.canonical_boxes]

@@ -118,12 +118,6 @@ class TestEval:
         assert not (root / f"rejected_{command}.csv").exists()
 
 
-TTA_FIELDS = [
-    "scene", "part", "r_err_before", "t_err_before", "iou_before",
-    "r_err_after", "t_err_after", "iou_after", "aborted", "l_adv_trace",
-]
-
-
 class TestTta:
     def run(self, root, ds, ckpt, name):
         out = root / name
@@ -135,7 +129,7 @@ class TestTta:
     def test_one_row_per_part(self, trained):
         root, ds, ckpt = trained
         rows = self.run(root, ds, ckpt, "tta.csv")
-        assert list(rows[0]) == TTA_FIELDS
+        assert list(rows[0]) == cli.TTA_FIELDS
         assert [(r["scene"], r["part"]) for r in rows] == [
             (f"scene_{i:06d}", str(p)) for i in range(2) for p in range(2)
         ]
@@ -145,7 +139,7 @@ class TestTta:
         rows = self.run(root, ds, ckpt, "tta_finite.csv")
         for row in rows:
             assert row["aborted"] == ""
-            for name in TTA_FIELDS[2:8]:
+            for name in cli.TTA_FIELDS[2:8]:
                 assert math.isfinite(float(row[name]))
             assert 0.0 <= float(row["iou_after"]) <= 1.0
         traces = [row["l_adv_trace"].split(";") for row in rows if row["l_adv_trace"]]
@@ -162,7 +156,7 @@ class TestTta:
 
         monkeypatch.setattr(tta_mod, "adapt_object", fixed)
         self.run(root, ds, ckpt, "tta_summary.csv")
-        assert f"adversarial loss reduced on {reduced}\n" in capsys.readouterr().out
+        assert f"adapted 2 of 2 scenes; adversarial loss reduced on {reduced}\n" in capsys.readouterr().out
 
     def test_ground_truth_estimates_score_exactly(self, trained, monkeypatch):
         root, ds, ckpt = trained
@@ -187,7 +181,7 @@ class TestTta:
                 assert float(row[f"iou_{tag}"]) == pytest.approx(1.0, abs=1e-12)
         assert [row["l_adv_trace"] for row in rows] == ["", "1.0;0.5", "", "1.0;0.5"]
 
-    def test_too_few_points_recorded_per_scene(self, trained, monkeypatch):
+    def test_too_few_points_recorded_per_scene(self, trained, monkeypatch, capsys):
         root, ds, ckpt = trained
 
         def starved(*args, **kwargs):
@@ -195,10 +189,11 @@ class TestTta:
 
         monkeypatch.setattr(tta_mod, "adapt_object", starved)
         rows = self.run(root, ds, ckpt, "tta_starved.csv")
+        assert "adapted 0 of 2 scenes; adversarial loss reduced on 0\n" in capsys.readouterr().out
         assert len(rows) == 4
         for row in rows:
             assert row["aborted"] == "part 1 has only 2 member points"
-            for name in TTA_FIELDS[2:8]:
+            for name in cli.TTA_FIELDS[2:8]:
                 assert math.isnan(float(row[name]))
 
 

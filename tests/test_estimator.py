@@ -188,25 +188,21 @@ class TestAssemblePose:
             assert np.allclose(s.pose.t, k * b.pose.t, atol=1e-9)
 
     def test_member_nocs_perturbation_gradient(self, scene):
-        # finite difference of t w.r.t. one member's NOCS entry
-        labels = scene.seg.copy()
-        sets = E.member_sets(labels, 2)
-        half = np.stack([b.vertices[7] for b in scene.canonical_boxes])
-        nocs0 = scene.nocs.copy()
-        rot = E.gt_rot6d(scene.part_poses)
+        # finite difference of part 0's t w.r.t. one member's NOCS entry
+        idx = E.member_sets(scene.seg, 2)[0]
+        half = scene.canonical_boxes[0].vertices[7]
+        nocs0 = scene.nocs[idx].copy()
+        rot = E.gt_rot6d(scene.part_poses)[0]
 
-        def t_of(nocs_arr, return_grad_var=False):
+        def t_of(nocs_arr):
             tape = ad.Tape()
             nv = ad.leaf(nocs_arr, tape)
-            got = E.assemble_graph(
-                tape, scene.cloud, nv, ad.const(rot, tape), sets, half
-            )
-            t_sum = ad.vsum(got[0]["t"])
-            return t_sum, nv, tape
+            _, t, _, _ = E.assemble_graph(tape, scene.cloud[idx], nv, ad.const(rot, tape), half)
+            return ad.vsum(t), nv, tape
 
         out, nv, tape = t_of(nocs0)
         tape.backward(out)
-        target = sets[0][0]  # first member of part 0
+        target = 0  # first member of part 0
         h = 1e-6
         for axis in range(3):
             np_, nm = nocs0.copy(), nocs0.copy()

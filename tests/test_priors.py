@@ -190,7 +190,11 @@ class TestDiffLoss:
         n = 4000
         z = rng.normal(size=(n, 8)).astype(np.float32)
         x0 = priors.encode_contact(rng.integers(0, 2, n))
-        loss = priors.diff_loss(diffuser, z, x0, np.random.default_rng(9))
+        draw = np.random.default_rng(9)
+        t = int(draw.integers(1, diffuser.schedule.T + 1))
+        eps = draw.standard_normal((n, 1))
+        tape = ad.Tape()
+        loss = float(priors.diff_loss_graph(diffuser, tape, ad.const(z, tape), x0, t, eps).data)
         assert abs(loss - 1.0) < 0.1  # X^2_n / n concentrates near 1
 
     def test_row_mismatch(self):
@@ -325,22 +329,3 @@ class TestSplitDenoiser:
         m, c = priors.sample_contact_map(diffuser, z, generations, seed=seed)
         assert np.array_equal(m, m_ref)
         assert np.allclose(c, c_ref, rtol=0, atol=1e-5)
-
-
-class TestTotalLoss:
-    def test_zero_weights(self):
-        assert priors.total_loss(2.5, 9.0, 7.0, 0.0, 0.0) == 2.5
-
-    def test_unit_case(self):
-        assert priors.total_loss(1.0, 1.0, 1.0, 1.0, 1.0) == 3.0
-
-    def test_matches_recomputation(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            p, a, d, la, ld = rng.normal(size=5)
-            expect = p + la * a + ld * d
-            assert priors.total_loss(p, a, d, la, ld) == pytest.approx(expect, abs=1e-12)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            priors.total_loss(np.nan, 0.0, 0.0, 1.0, 1.0)
