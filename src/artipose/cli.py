@@ -20,7 +20,7 @@ from . import metrics as metrics_mod
 from . import nn
 from . import priors as priors_mod
 from . import tta as tta_mod
-from .errors import ArtiposeError, TooFewPoints, UsageError
+from .errors import ArtiposeError, DegenerateFit, TooFewPoints, UsageError
 from .synth import CATEGORIES, KinematicHand, generate_dataset, load_dataset
 
 
@@ -161,8 +161,9 @@ def cmd_tta(args) -> int:
     for rec in scenes:
         try:
             result = tta_mod.adapt_object(est, disc, rec.cloud, rec.canonical_boxes, cfg)
-        except TooFewPoints as err:
-            # The first estimate already lacks a part: record NaN rows and move on.
+        except (TooFewPoints, DegenerateFit) as err:
+            # The first estimate already lacks a part or cannot fit one:
+            # record NaN rows with the reason and move on.
             aborted, trace = str(err), None
             fits = dict.fromkeys(("before", "after"), [(None, None)] * rec.part_count)
         else:
@@ -188,7 +189,7 @@ def cmd_tta(args) -> int:
 
 HAND_OPT_FIELDS = [
     "scene", "mpjpe_before", "mpjpe_after", "mpvpe_before", "mpvpe_after",
-    "contacts", "aborted", "l_cd_trace",
+    "contacts", "contacts_gt", "contact_iou", "aborted", "l_cd_trace",
 ]
 
 
@@ -247,7 +248,9 @@ def cmd_hand_opt(args) -> int:
                 "mpjpe_after": mpjpe_after,
                 "mpvpe_before": mpvpe_before,
                 "mpvpe_after": mpvpe_after,
-                "contacts": int(np.asarray(contact).sum()),
+                "contacts": int(contact.sum()),
+                "contacts_gt": int(rec.contact.sum()),
+                "contact_iou": metrics_mod.contact_iou(contact, rec.contact),
                 "aborted": result.aborted,
                 "l_cd_trace": ";".join(repr(v) for v in result.trace[:: max(1, len(result.trace) // 20)]),
             }

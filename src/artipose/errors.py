@@ -50,6 +50,15 @@ class TooFewPoints(ArtiposeError):
         self.count = count
 
 
+class DegenerateFit(ArtiposeError):
+    """A part has enough member points, but its pose fit is degenerate."""
+
+    def __init__(self, part: int, reason: str):
+        super().__init__(f"part {part}: {reason}")
+        self.part = part
+        self.reason = reason
+
+
 class PartCountMismatch(ArtiposeError):
     """Box layout part count differs from the discriminator's configured P."""
 

@@ -369,12 +369,23 @@ def box_iou(a: OrientedBox, b: OrientedBox) -> float:
 
 
 def compute_contact_map(obj_pts, hand_pts, tau: float = DEFAULT_CONTACT_TAU) -> np.ndarray:
-    """Binary per-object-point contact: min distance to any hand point < tau."""
+    """Binary per-object-point contact: min distance to any hand point < tau.
+
+    Accumulates the (N_obj, S) squared distances one coordinate at a time,
+    (dx^2 + dy^2) + dz^2, the sum order of the (N_obj, S, 3) broadcast it
+    replaces, so every distance and every comparison with tau is unchanged.
+    """
     if tau <= 0:
         raise ValueError("tau must be positive")
     o = as_cloud(obj_pts)
     h = as_cloud(hand_pts)
-    d2 = ((o[:, None, :] - h[None, :, :]) ** 2).sum(axis=2)
+    d2 = np.subtract.outer(o[:, 0], h[:, 0])
+    np.multiply(d2, d2, out=d2)
+    sq = np.empty_like(d2)
+    for k in (1, 2):
+        np.subtract.outer(o[:, k], h[:, k], out=sq)
+        np.multiply(sq, sq, out=sq)
+        np.add(d2, sq, out=d2)
     return (np.sqrt(d2.min(axis=1)) < tau).astype(np.uint8)
 
 

@@ -2,12 +2,14 @@
 
 21 joints (wrist + 4 per finger), 15 flexion angles (3 per finger), fixed
 bone lengths. FK is written once over the autodiff engine; generation runs
-it on constants, hand-pose optimization runs it on parameter Vars.
+it on constants, once per KinematicHand (which caches the result), and
+hand-pose optimization runs it on parameter Vars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +31,13 @@ _GOLDEN = 2.399963229728653
 def _unit(v):
     v = np.asarray(v, dtype=np.float64)
     return v / np.linalg.norm(v)
+
+
+def _frozen(a) -> np.ndarray:
+    """A read-only float64 copy."""
+    out = np.array(a, dtype=np.float64)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -132,7 +141,14 @@ def _rest_joint_positions(template: HandTemplate) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KinematicHand:
-    """A posed hand: rigid root (s = 1) + 15 flexion angles + template."""
+    """A posed hand: rigid root (s = 1) + 15 flexion angles + template.
+
+    The FK runs once per instance, on first use of joints(), surface() or
+    capsules_world, and the (joints, surface) pair is cached. Both cached
+    arrays, and the root and angle arrays they follow from, are copies
+    marked read-only, so the cache cannot go stale; `rerooted` and
+    `dataclasses.replace` build new instances with a fresh FK.
+    """
 
     root_rotation: np.ndarray  # (3, 3)
     root_position: np.ndarray  # (3,)
@@ -140,13 +156,9 @@ class KinematicHand:
     template: HandTemplate
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "root_rotation", np.asarray(self.root_rotation, dtype=np.float64)
-        )
-        object.__setattr__(
-            self, "root_position", np.asarray(self.root_position, dtype=np.float64)
-        )
-        angles = np.asarray(self.joint_angles, dtype=np.float64).reshape(N_ANGLES)
+        object.__setattr__(self, "root_rotation", _frozen(self.root_rotation))
+        object.__setattr__(self, "root_position", _frozen(self.root_position))
+        angles = _frozen(self.joint_angles).reshape(N_ANGLES)
         object.__setattr__(self, "joint_angles", angles)
         if ((angles < ANGLE_LO - 1e-9) | (angles > ANGLE_HI + 1e-9)).any():
             raise ValueError("joint angles outside [0, pi/2]")
@@ -156,14 +168,16 @@ class KinematicHand:
         return SimilarityTransform(self.root_rotation, self.root_position, 1.0)
 
     def joints(self) -> np.ndarray:
-        """(21, 3) world joint positions."""
-        return self._fk_const()[0]
+        """(21, 3) world joint positions, cached and read-only."""
+        return self._fk[0]
 
     def surface(self) -> np.ndarray:
-        """(surface_samples, 3) world capsule-surface cloud."""
-        return self._fk_const()[1]
+        """(surface_samples, 3) world capsule-surface cloud, cached and
+        read-only."""
+        return self._fk[1]
 
-    def _fk_const(self):
+    @cached_property
+    def _fk(self):
         tape = ad.Tape()
         j, s = fk_vars(
             self.template,
@@ -171,7 +185,7 @@ class KinematicHand:
             ad.const(self.root_position, tape),
             ad.const(self.joint_angles, tape),
         )
-        return j.data, s.data
+        return _frozen(j.data), _frozen(s.data)
 
     def params(self) -> np.ndarray:
         """(27,) packed root rotation (row-major 9) + position (3) + angles (15)."""

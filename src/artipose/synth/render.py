@@ -18,8 +18,10 @@ IMAGE_WIDTH = 160
 IMAGE_HEIGHT = 120
 FOCAL = 140.0
 
-# FPS on the full hit set is the cost hot spot; capping the candidate pool
-# first changes nothing observable at our point budgets.
+# FPS cost grows with the candidate pool, so the hit set is subsampled to at
+# most this many points first. The cap stays even where FPS is cheap enough
+# without it: the subsample draws from `rng`, so removing it would change
+# every scene.
 _MAX_RAW_POINTS = 8192
 
 HAND_LABEL = 0  # seg labels: 0 = hand, 1..P = parts
@@ -153,14 +155,34 @@ def ray_capsule_hits(dirs: np.ndarray, A: np.ndarray, B: np.ndarray, r: float):
 
 
 def furthest_point_sample(points: np.ndarray, n: int, rng: np.random.Generator):
-    """Classic FPS; returns selected indices. Start index drawn from rng."""
-    m = len(points)
+    """Classic FPS (PointNet++); returns selected indices. Start index drawn
+    from rng.
+
+    Works on three contiguous float64 coordinate columns and in-place
+    buffers. Each distance is sqrt((dx^2 + dy^2) + dz^2), the same sum order
+    and rounding as np.linalg.norm(points - p, axis=1), so every argmax and
+    tie falls where the row-wise form puts it.
+    """
+    x, y, z = np.array(points, dtype=np.float64).T.copy()
+    m = len(x)
     idx = np.empty(n, dtype=np.int64)
     idx[0] = rng.integers(m)
-    dist = np.linalg.norm(points - points[idx[0]], axis=1)
+    dist, d, sq = np.empty(m), np.empty(m), np.empty(m)
+
+    def distance_to(j, out):
+        np.subtract(x, x[j], out=out)
+        np.multiply(out, out, out=out)
+        for col in (y, z):
+            np.subtract(col, col[j], out=sq)
+            np.multiply(sq, sq, out=sq)
+            np.add(out, sq, out=out)
+        np.sqrt(out, out=out)
+
+    distance_to(idx[0], dist)
     for i in range(1, n):
-        idx[i] = int(dist.argmax())
-        dist = np.minimum(dist, np.linalg.norm(points - points[idx[i]], axis=1))
+        idx[i] = dist.argmax()
+        distance_to(idx[i], d)
+        np.minimum(dist, d, out=dist)
     return idx
 
 

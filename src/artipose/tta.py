@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import diffgeom as dg
 from . import nn
-from .errors import DegenerateRotation, TooFewPoints
+from .errors import DegenerateFit, DegenerateRotation, TooFewPoints
 from .estimator import Estimator, assemble_pose, layout_graph
 from .geometry import matrix_to_rot6d, rot6d_to_matrix
 from .priors import Discriminator, g_adv_loss_graph
@@ -76,6 +76,10 @@ def adapt_object(
     Works on a clone: neither the caller's estimator nor the discriminator
     changes. Makes steps + 1 forward passes; the last one only records the
     final value in the trace, and may fail without aborting the run.
+
+    Raises TooFewPoints when the first estimate leaves a part fewer than 3
+    member points, and DegenerateFit, carrying the part's reason, when a
+    part has the points but its fit is degenerate.
     """
     cloud = np.asarray(cloud, dtype=np.float64)
     cloud32 = est.prepare_input(cloud)
@@ -83,9 +87,11 @@ def adapt_object(
     half_extents = np.stack([b.vertices[7] for b in canonical_boxes])
 
     before = assemble_pose(cloud, work.head_output(cloud), canonical_boxes)
-    if not all(p.valid for p in before):
-        bad = next(p for p in before if not p.valid)
-        raise TooFewPoints(bad.part, len(bad.members))
+    bad = next((p for p in before if not p.valid), None)
+    if bad is not None:
+        if len(bad.members) < 3:
+            raise TooFewPoints(bad.part, len(bad.members))
+        raise DegenerateFit(bad.part, bad.reason)
 
     encoder_names = [n for n in work.store.names() if n.startswith("enc")]
     trace = []

@@ -95,3 +95,25 @@ def g_adv_loss(score_fn, fake_layouts):
     priors.g_adv_loss_graph."""
     fake = [score_fn(b) for b in fake_layouts]
     return float(np.mean((np.array(fake) - 1.0) ** 2))
+
+
+def fps_rowwise(points, n, rng):
+    """Furthest-point sampling with a row-wise np.linalg.norm per pick, the
+    oracle for the column-wise render.furthest_point_sample."""
+    m = len(points)
+    idx = np.empty(n, dtype=np.int64)
+    idx[0] = rng.integers(m)
+    dist = np.linalg.norm(points - points[idx[0]], axis=1)
+    for i in range(1, n):
+        idx[i] = int(dist.argmax())
+        dist = np.minimum(dist, np.linalg.norm(points - points[idx[i]], axis=1))
+    return idx
+
+
+def contact_map_broadcast(obj_pts, hand_pts, tau):
+    """Contact map through an (N_obj, S, 3) broadcast, the oracle for the
+    column-wise geometry.compute_contact_map."""
+    o = np.asarray(obj_pts, dtype=np.float64)
+    h = np.asarray(hand_pts, dtype=np.float64)
+    d2 = ((o[:, None, :] - h[None, :, :]) ** 2).sum(axis=2)
+    return (np.sqrt(d2.min(axis=1)) < tau).astype(np.uint8)

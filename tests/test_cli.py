@@ -5,6 +5,7 @@ files."""
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,6 +64,11 @@ class TestHandOpt:
         assert rows[0] == cli.HAND_OPT_FIELDS
         assert len(rows) == 3
         assert all(row[0].startswith("scene_") for row in rows[1:])
+        records = load_dataset(ds)[1]
+        for row, rec in zip(rows[1:], records):
+            row = dict(zip(rows[0], row))
+            assert row["contacts_gt"] == str(int(rec.contact.sum()))
+            assert 0.0 <= float(row["contact_iou"]) <= 1.0
 
     def test_gt_contact(self, trained):
         root, ds, _ = trained
@@ -72,6 +78,11 @@ class TestHandOpt:
         rows = read_rows(out)
         assert rows[0] == cli.HAND_OPT_FIELDS
         assert len(rows) == 3
+        records = load_dataset(ds)[1]
+        for row, rec in zip(rows[1:], records):
+            row = dict(zip(rows[0], row))
+            assert row["contact_iou"] == "1.0"
+            assert row["contacts"] == row["contacts_gt"] == str(int(rec.contact.sum()))
 
     def test_limit_zero_writes_header_only(self, trained):
         root, ds, _ = trained
@@ -193,6 +204,23 @@ class TestTta:
         assert len(rows) == 4
         for row in rows:
             assert row["aborted"] == "part 1 has only 2 member points"
+            for name in cli.TTA_FIELDS[2:8]:
+                assert math.isnan(float(row[name]))
+
+    def test_degenerate_first_estimate_recorded_per_scene(self, trained, monkeypatch, capsys):
+        root, ds, ckpt = trained
+
+        def zero_part0_rotation(cloud, pred, canonical_boxes):
+            rot6d = pred.rot6d.copy()
+            rot6d[0] = 0.0
+            return est_mod.assemble_pose(cloud, replace(pred, rot6d=rot6d), canonical_boxes)
+
+        monkeypatch.setattr(tta_mod, "assemble_pose", zero_part0_rotation)
+        rows = self.run(root, ds, ckpt, "tta_degenerate.csv")
+        assert "adapted 0 of 2 scenes; adversarial loss reduced on 0\n" in capsys.readouterr().out
+        assert len(rows) == 4
+        for row in rows:
+            assert row["aborted"] == "part 0: first column near zero"
             for name in cli.TTA_FIELDS[2:8]:
                 assert math.isnan(float(row[name]))
 

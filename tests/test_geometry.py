@@ -6,7 +6,7 @@ import pytest
 from artipose import geometry as geo
 from artipose.errors import DegenerateCorrespondences, DegenerateRotation, EmptyCloud
 
-from helpers import mc_box_iou
+from helpers import contact_map_broadcast, mc_box_iou
 
 
 def random_rotation(rng):
@@ -440,6 +440,54 @@ class TestContactMap:
             t = rng.normal(size=3)
             moved = geo.compute_contact_map(obj @ R.T + t, hand @ R.T + t, 0.04)
             assert (moved == base).all()
+
+
+class TestContactMapColumnwise:
+    """The column-wise contact map equals the (N_obj, S, 3) broadcast
+    oracle bit for bit, including points at tau and one ulp either side."""
+
+    @staticmethod
+    def assert_matches_broadcast(obj, hand, tau):
+        got = geo.compute_contact_map(obj, hand, tau)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, contact_map_broadcast(obj, hand, tau))
+        return got
+
+    def test_random_clouds(self):
+        rng = np.random.default_rng(40)
+        for n_obj, n_hand, tau in ((700, 512, 0.01), (37, 3, 0.3), (1, 1, 0.05)):
+            obj = rng.normal(size=(n_obj, 3)) * 0.1
+            hand = rng.normal(size=(n_hand, 3)) * 0.1
+            self.assert_matches_broadcast(obj, hand, tau)
+
+    def test_duplicate_points(self):
+        rng = np.random.default_rng(41)
+        obj = np.repeat(rng.normal(size=(30, 3)) * 0.05, 3, axis=0)
+        hand = np.repeat(rng.normal(size=(20, 3)) * 0.05, 4, axis=0)
+        got = self.assert_matches_broadcast(obj, hand, 0.03)
+        assert (got.reshape(30, 3) == got[::3, None]).all()
+
+    def test_regular_grid_ties(self):
+        g = np.arange(6) * 0.01
+        grid = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+        for tau in (0.01, 0.015, np.sqrt(2) * 0.01):
+            self.assert_matches_broadcast(grid, grid[::7] + 0.005, tau)
+
+    def test_points_at_tau_and_one_ulp_either_side(self):
+        tau = 0.01
+        below, above = np.nextafter(tau, 0.0), np.nextafter(tau, 1.0)
+        on_axis = np.array([[tau, 0, 0], [below, 0, 0], [above, 0, 0]])
+        assert self.assert_matches_broadcast(on_axis, np.zeros((1, 3)), tau).tolist() == [0, 1, 0]
+        # off-axis, the rounded distances scatter over a few ulps around tau,
+        # so both sides of the threshold occur and a changed sum order flips
+        # some of them
+        hand = np.array([[0.2, -0.1, 0.5]])
+        rng = np.random.default_rng(42)
+        dirs = rng.normal(size=(1000, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        for r in (below, tau, above):
+            got = self.assert_matches_broadcast(hand + r * dirs, hand, tau)
+            assert 0 < got.sum() < len(dirs)
 
 
 class TestPointBoxDistance:

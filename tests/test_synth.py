@@ -1,9 +1,13 @@
 """Procedural dataset: instances, grasps, rendering, scene annotations, I/O."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from artipose import geometry as geo
+from artipose.synth import hand as hand_mod
 from artipose.synth import (
     Camera,
     KinematicHand,
@@ -17,8 +21,9 @@ from artipose.synth import (
     sample_scene,
 )
 from artipose.synth.hand import capsules_world
+from artipose.synth.render import furthest_point_sample
 from artipose.synth.scene import nocs_denormalize
-from helpers import box_surface_points
+from helpers import box_surface_points, fps_rowwise
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +138,61 @@ class TestHand:
         )
         moved = base.rerooted(pose)
         assert np.allclose(moved.joints(), pose.apply(base.joints()), atol=1e-12)
+
+
+class TestHandFkCache:
+    @pytest.fixture
+    def fk_calls(self, monkeypatch):
+        calls = []
+        fk = hand_mod.fk_vars
+
+        def counting(*args):
+            calls.append(1)
+            return fk(*args)
+
+        monkeypatch.setattr(hand_mod, "fk_vars", counting)
+        return calls
+
+    @staticmethod
+    def hand():
+        R = geo.rot6d_to_matrix(np.array([1.0, 0.2, 0.1, -0.3, 1.0, 0.4]))
+        return KinematicHand(R, [0.1, -0.2, 0.6], np.full(15, 0.5), default_hand_template(128))
+
+    def test_one_fk_per_hand(self, fk_calls):
+        hand = self.hand()
+        joints, surface = hand.joints(), hand.surface()
+        assert len(capsules_world(hand)) == len(hand.template.bones())
+        assert hand.joints() is joints and hand.surface() is surface
+        assert len(fk_calls) == 1
+
+    def test_rerooted_and_replace_match_fresh_hands(self, fk_calls):
+        base = self.hand()
+        base.joints()
+        R = geo.rot6d_to_matrix(np.array([0.3, 1.0, 0.0, 1.0, 0.0, 0.5]))
+        pose = geo.SimilarityTransform(R, [0.0, 0.3, -0.1], 1.0)
+        for derived in (base.rerooted(pose), replace(base, joint_angles=np.full(15, 1.1))):
+            fresh = KinematicHand(
+                derived.root_rotation.copy(),
+                derived.root_position.copy(),
+                derived.joint_angles.copy(),
+                derived.template,
+            )
+            assert np.array_equal(derived.joints(), fresh.joints())
+            assert np.array_equal(derived.surface(), fresh.surface())
+            assert not np.array_equal(derived.joints(), base.joints())
+        assert len(fk_calls) == 5
+
+    def test_cached_and_parameter_arrays_read_only(self):
+        hand = self.hand()
+        for arr in (hand.joints(), hand.surface(), hand.root_rotation, hand.root_position, hand.joint_angles):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_caller_arrays_copied(self):
+        angles = np.full(15, 0.5)
+        hand = KinematicHand(np.eye(3), np.zeros(3), angles, default_hand_template(128))
+        angles[:] = 1.0
+        assert (hand.joint_angles == 0.5).all()
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +333,44 @@ class TestRender:
         assert np.allclose(np.linalg.norm(world - nearest, axis=1), 0.03, atol=1e-9)
 
 
+class TestFurthestPointSample:
+    """The column-wise FPS picks exactly what the row-wise norm picks,
+    including every tie, and draws the same start from the stream."""
+
+    @staticmethod
+    def assert_matches_rowwise(points, n, seed):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = furthest_point_sample(points, n, rng_a)
+        assert np.array_equal(got, fps_rowwise(points, n, rng_b))
+        assert rng_a.integers(2**62) == rng_b.integers(2**62)
+        return got
+
+    def test_random_clouds(self):
+        rng = np.random.default_rng(30)
+        for m, n in ((2000, 256), (513, 512), (64, 7)):
+            self.assert_matches_rowwise(rng.normal(size=(m, 3)) * rng.uniform(0.01, 2.0, 3), n, m)
+
+    def test_duplicate_points(self):
+        rng = np.random.default_rng(31)
+        base = rng.uniform(-0.2, 0.2, size=(40, 3))
+        points = base[rng.permutation(np.repeat(np.arange(40), 5))]
+        got = self.assert_matches_rowwise(points, 120, 1)
+        # past the 40 distinct points every remaining distance is 0
+        assert len(np.unique(points[got[:40]], axis=0)) == 40
+
+    def test_regular_grid_ties(self):
+        g = np.arange(9) * 0.01
+        points = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+        self.assert_matches_rowwise(points, 300, 2)
+        self.assert_matches_rowwise(points[::-1].copy(), 300, 3)
+
+    def test_n_equals_m(self):
+        rng = np.random.default_rng(32)
+        points = rng.normal(size=(300, 3))
+        got = self.assert_matches_rowwise(points, 300, 4)
+        assert sorted(got.tolist()) == list(range(300))
+
+
 # ---------------------------------------------------------------------------
 # scenes
 # ---------------------------------------------------------------------------
@@ -333,7 +431,28 @@ def tree_bytes(root):
     return out
 
 
+# sha256 over the sorted relative paths and bytes of a 256-point laptop
+# scene and a 256-point drawer scene at seed 4. The constant was computed with
+# the row-wise FPS, the broadcast contact map and the uncached hand FK, before
+# they were rewritten to be byte-identical and faster; any change to synth
+# output shows here. (It holds for one numpy build on x86-64: a platform whose
+# libm or SIMD code rounds differently can change it.)
+PINNED_TREE_SHA256 = "f3dd8a67e873f5b51d892eefdf0bdc78b5c547af8f143453254b8d67f20132bb"
+
+
+def tree_sha256(root):
+    h = hashlib.sha256()
+    for name, data in tree_bytes(root).items():
+        h.update(name.encode() + b"\0" + data)
+    return h.hexdigest()
+
+
 class TestDataset:
+    def test_pinned_bytes(self, tmp_path):
+        for cat in ("laptop", "drawer"):
+            generate_dataset(tmp_path / cat, cat, 1, seed=4, n_points=256)
+        assert tree_sha256(tmp_path) == PINNED_TREE_SHA256
+
     def test_generation_deterministic(self, tmp_path):
         a = generate_dataset(tmp_path / "a", "laptop", 3, seed=9)
         b = generate_dataset(tmp_path / "b", "laptop", 3, seed=9)

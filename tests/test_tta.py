@@ -1,5 +1,7 @@
 """Test-time adaptation: adapt_object's step loop, trace and abort reasons."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from artipose import autodiff as ad
 from artipose import estimator as E
 from artipose import priors
 from artipose import tta
+from artipose.errors import DegenerateFit, TooFewPoints
 from artipose.synth import make_instance, sample_scene
 
 
@@ -51,6 +54,16 @@ def fail_layout_at(monkeypatch, call, corrupt):
 
     monkeypatch.setattr(tta, "layout_graph", layout)
     return calls
+
+
+def fail_first_estimate(monkeypatch, corrupt):
+    """Make adapt_object's first estimate come from corrupted head outputs;
+    corrupt maps a HeadOutput to a new one."""
+
+    def assemble(cloud, pred, canonical_boxes):
+        return E.assemble_pose(cloud, corrupt(pred), canonical_boxes)
+
+    monkeypatch.setattr(tta, "assemble_pose", assemble)
 
 
 def hand_only(labels, nocs, rot6d):
@@ -114,3 +127,24 @@ class TestAdaptObject:
         assert result.aborted == ""
         assert len(result.trace) == 2
         assert result.after is not result.before
+
+    def test_degenerate_first_estimate_names_its_reason(self, est, disc, scene, monkeypatch):
+        def zero_part0_rotation(pred):
+            rot6d = pred.rot6d.copy()
+            rot6d[0] = 0.0
+            return replace(pred, rot6d=rot6d)
+
+        fail_first_estimate(monkeypatch, zero_part0_rotation)
+        with pytest.raises(DegenerateFit, match="^part 0: first column near zero$") as err:
+            adapt(est, disc, scene, steps=1)
+        assert err.value.part == 0
+
+    def test_starved_first_estimate_raises_too_few_points(self, est, disc, scene, monkeypatch):
+        def hand_labels(pred):
+            seg = np.full_like(pred.seg_logits, -1.0)
+            seg[:, E.HAND_CLASS] = 1.0
+            return replace(pred, seg_logits=seg)
+
+        fail_first_estimate(monkeypatch, hand_labels)
+        with pytest.raises(TooFewPoints, match="^part 0 has only 0 member points$"):
+            adapt(est, disc, scene, steps=1)
