@@ -3,7 +3,23 @@
 A deliberately small substrate: the fixed set of ops below is everything the
 networks and the closed-form pose/hand math in this package need. Ops append
 to a Tape in execution order, so the reverse sweep is a plain reversed loop
-(a Wengert list), no graph search.
+(a Wengert list), no graph search. A tape is swept once: a second
+`Tape.backward` raises, since it would add every intermediate's gradient in
+again.
+
+Gradient ownership. A Var keeps its first gradient without copying when that
+array already has the Var's dtype and shape: the Var borrows it, and the
+same array may also be another Var's grad, a view of one, or the caller's
+seed. A first gradient of another dtype or shape is copied. When a second
+contribution arrives, a borrowed grad is replaced by a new sum; from then on
+the Var owns its grad and adds in place. Two rules keep aliased gradients
+intact: backward functions never write into the `g` they receive, and only
+a Var that owns its grad is written in place. The sums are the ones a
+copying tape computes, in the same order. A borrowed grad can be a strided
+or broadcast (read-only) view where a copy would be packed, and numpy can
+round a later reduction differently by memory layout, so
+tests/test_autodiff.py checks whole training runs bit for bit against a
+tape that copies every first gradient.
 
 Reductions (sum/mean) accumulate in float64 and cast back to the input dtype;
 everything else stays in the dtype of its inputs (float32 for training,
@@ -25,12 +41,19 @@ class Tape:
     def __init__(self):
         self._ops = []  # (out Var, backward fn)
         self.param_uses = []  # (store, name, var, version)
+        self._swept = False
 
     def record(self, out: "Var", backward):
         self._ops.append((out, backward))
 
     def backward(self, var: "Var", seed=None):
-        """Reverse sweep from `var`; accumulates grads on every Var on the path."""
+        """Reverse sweep from `var`; accumulates grads on every Var on the path.
+
+        Runs once per tape. The seed may end up as `var.grad` without a copy.
+        """
+        if self._swept:
+            raise RuntimeError("tape already swept; build a new tape for another backward")
+        self._swept = True
         if seed is None:
             if var.data.shape != ():
                 raise ShapeMismatch("non-scalar output needs an explicit seed grad")
@@ -55,11 +78,12 @@ class Var:
     cycle and batch-sized graphs would pile up waiting for the cyclic GC.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_tape_ref", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_owns_grad", "_tape_ref", "__weakref__")
 
     def __init__(self, data, tape: Tape, requires_grad: bool):
         self.data = np.asarray(data)
         self.grad = None
+        self._owns_grad = False
         self.requires_grad = requires_grad
         self._tape_ref = weakref.ref(tape)
 
@@ -71,10 +95,21 @@ class Var:
         return tape
 
     def _add_grad(self, g):
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
-        else:
+        """Accumulate `g`, borrowing a first gradient (see the module docstring)."""
+        if self._owns_grad:
             self.grad += g
+        elif self.grad is not None:
+            self.grad = np.add(self.grad, g, out=np.empty_like(self.grad))
+            self._owns_grad = True
+        elif (
+            isinstance(g, np.ndarray)
+            and g.dtype == self.data.dtype
+            and g.shape == self.data.shape
+        ):
+            self.grad = g
+        else:
+            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            self._owns_grad = True
 
     @property
     def shape(self):
@@ -141,7 +176,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     for ax, n in enumerate(shape):
         if n == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
-    return g.astype(g.dtype, copy=False)
+    return g
 
 
 def _binary(a, b, out_data, da, db):
@@ -203,6 +238,36 @@ def matmul(a, b):
             if b.requires_grad:
                 b._add_grad((ad.T @ g2).reshape(b.data.shape))
         a.tape.record(out, back)
+    return out
+
+
+def linear(x: Var, w: Var, b: Var, relu: bool) -> Var:
+    """x @ w + b, then a ReLU when `relu`: one op for the three.
+
+    Same arithmetic and the same order of gradient contributions as
+    relu(add(matmul(x, w), b)): bias first, then x, then w. x and w are
+    2-D, and b has the dtype of x @ w (the sum is taken in place).
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeMismatch(f"linear {x.data.shape} @ {w.data.shape}")
+    out_data = x.data @ w.data
+    out_data += b.data
+    if relu:
+        mask = out_data > 0
+        out_data = np.where(mask, out_data, 0)
+    req = x.requires_grad or w.requires_grad or b.requires_grad
+    out = Var(out_data, x.tape, req)
+    if req:
+        def back(g):
+            if relu:
+                g = g * mask
+            if b.requires_grad:
+                b._add_grad(_unbroadcast(g, b.data.shape))
+            if x.requires_grad:
+                x._add_grad(g @ w.data.T)
+            if w.requires_grad:
+                w._add_grad(x.data.T @ g)
+        x.tape.record(out, back)
     return out
 
 
@@ -304,15 +369,36 @@ def permute(a: Var, axes):
 
 
 def take(a: Var, indices, axis: int = 0):
-    """Gather along an axis; backward scatter-adds (repeats accumulate)."""
+    """Gather along an axis; backward scatter-adds (repeats accumulate).
+
+    The backward is the scatter-add of `g` into zeros, bit for bit (so a
+    -0.0 lands as +0.0). It picks its path from the indices when it runs, so
+    forward-only tapes never inspect them: a contiguous range writes a slice,
+    unique indices assign, and repeated indices assign their first
+    occurrences and `np.add.at` only the later ones, in their given order.
+    """
     idx = np.asarray(indices)
     out_data = np.take(a.data, idx, axis=axis)
+    ax = axis % a.data.ndim
+
+    def at(i):
+        return (slice(None),) * ax + (i,)
 
     def da(g):
         full = np.zeros_like(a.data)
-        sl = [slice(None)] * a.data.ndim
-        sl[axis] = idx
-        np.add.at(full, tuple(sl), g)
+        if idx.ndim != 1 or idx.size == 0 or idx.min() < 0:
+            np.add.at(full, at(idx), g)
+        elif idx[-1] - idx[0] == idx.size - 1 and (np.diff(idx) == 1).all():
+            np.add(g, 0.0, out=full[at(slice(idx[0], idx[-1] + 1))])
+        else:
+            first = np.unique(idx, return_index=True)[1]
+            if first.size == idx.size:
+                full[at(idx)] = g + 0.0
+            else:
+                later = np.ones(idx.size, dtype=bool)
+                later[first] = False
+                full[at(idx[first])] = np.take(g, first, axis=ax) + 0.0
+                np.add.at(full, at(idx[later]), np.compress(later, g, axis=ax))
         return full
 
     return _unary(a, out_data, da)

@@ -127,7 +127,7 @@ class Estimator:
         for i in range(len(widths) - 1):
             w = self.store.use(f"enc{i}.w0", tape, dtype=h.data.dtype)
             b = self.store.use(f"enc{i}.b0", tape, dtype=h.data.dtype)
-            h = ad.relu(ad.add(ad.matmul(h, w), b))
+            h = ad.linear(h, w, b, relu=True)
         local = h  # (B*N, local_dim)
         stacked = ad.reshape(local, (B, N, self.spec.local_dim))
         mx = ad.vmax(stacked, axis=1)
@@ -199,38 +199,6 @@ class Estimator:
 
 def gt_rot6d(part_poses) -> np.ndarray:
     return np.stack([matrix_to_rot6d(p.R) for p in part_poses])
-
-
-def pose_loss(
-    pred: HeadOutput,
-    seg_labels: np.ndarray,
-    gt_nocs: np.ndarray,
-    gt_rot: np.ndarray,
-    lambda_seg: float = 1.0,
-    lambda_rot: float = 1.0,
-    lambda_nocs: float = 10.0,
-) -> float:
-    """Scalar pose loss: CE (mean over points) + summed per-part rotation L2
-    + NOCS L2 masked to object points (mean over masked points)."""
-    logits = np.asarray(pred.seg_logits, dtype=np.float64)
-    labels = np.asarray(seg_labels)
-    if logits.shape[0] != labels.shape[0]:
-        raise ShapeMismatch("seg logits and labels disagree on N")
-    zmax = logits.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
-    ce = (lse - logits[np.arange(len(labels)), labels]).mean()
-
-    rot_term = np.linalg.norm(
-        np.asarray(pred.rot6d, dtype=np.float64) - np.asarray(gt_rot), axis=1
-    ).sum()
-
-    mask = labels != HAND_CLASS
-    if mask.any():
-        diff = np.asarray(pred.nocs, dtype=np.float64)[mask] - np.asarray(gt_nocs)[mask]
-        nocs_term = np.linalg.norm(diff, axis=1).mean()
-    else:
-        nocs_term = 0.0
-    return float(lambda_seg * ce + lambda_rot * rot_term + lambda_nocs * nocs_term)
 
 
 def pose_loss_graph(

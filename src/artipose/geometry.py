@@ -120,12 +120,6 @@ class OrientedBox:
     def volume(self) -> float:
         return abs(float(np.linalg.det(self.edge_vectors())))
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask of points inside the box (inclusive bounds)."""
-        pts = np.asarray(points, dtype=np.float64)
-        frac = (pts - self.vertices[0]) @ np.linalg.inv(self.edge_vectors())
-        return ((frac >= 0.0) & (frac <= 1.0)).all(axis=-1)
-
 
 def rot6d_to_matrix(r) -> np.ndarray:
     """Gram-Schmidt a 6D rotation representation into a rotation matrix.

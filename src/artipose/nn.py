@@ -63,7 +63,7 @@ class ParamStore:
             if version != self.version:
                 raise StaleTape(f"parameter {name!r} changed since forward")
             if var.grad is not None:
-                self.grads[name] += var.grad.astype(np.float32)
+                self.grads[name] += var.grad.astype(np.float32, copy=False)
 
     def clone(self) -> "ParamStore":
         out = ParamStore()
@@ -119,9 +119,7 @@ def mlp_apply(
     for i in range(spec.n_layers()):
         w = store.use(f"{prefix}.w{i}", x.tape, dtype=dtype)
         b = store.use(f"{prefix}.b{i}", x.tape, dtype=dtype)
-        h = ad.add(ad.matmul(h, w), b)
-        if i < last:
-            h = ad.relu(h)
+        h = ad.linear(h, w, b, relu=i < last)
     return h
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 
 from artipose import autodiff as ad
+from artipose.errors import ShapeMismatch
+from artipose.estimator import HAND_CLASS
 
 
 def rel_err(a: float, b: float, floor: float = 1e-6) -> float:
@@ -61,6 +63,13 @@ def box_surface_points(box, n, rng):
     return np.vstack(pts)
 
 
+def box_contains(box, points):
+    """Boolean mask of points inside an OrientedBox (inclusive bounds)."""
+    pts = np.asarray(points, dtype=np.float64)
+    frac = (pts - box.vertices[0]) @ np.linalg.inv(box.edge_vectors())
+    return ((frac >= 0.0) & (frac <= 1.0)).all(axis=-1)
+
+
 def mc_box_iou(a, b, samples, seed):
     """Monte-Carlo box IoU, the oracle for the exact geometry.box_iou.
 
@@ -69,7 +78,7 @@ def mc_box_iou(a, b, samples, seed):
     """
     all_v = np.vstack([a.vertices, b.vertices])
     pts = np.random.default_rng(seed).uniform(all_v.min(axis=0), all_v.max(axis=0), size=(samples, 3))
-    in_a, in_b = a.contains(pts), b.contains(pts)
+    in_a, in_b = box_contains(a, pts), box_contains(b, pts)
     union = int((in_a | in_b).sum())
     if union == 0:
         return 0.0, 0
@@ -117,3 +126,73 @@ def contact_map_broadcast(obj_pts, hand_pts, tau):
     h = np.asarray(hand_pts, dtype=np.float64)
     d2 = ((o[:, None, :] - h[None, :, :]) ** 2).sum(axis=2)
     return (np.sqrt(d2.min(axis=1)) < tau).astype(np.uint8)
+
+
+def take_scatter(a, indices, axis=0):
+    """Gather whose backward always scatter-adds through np.add.at into
+    zeros, the oracle for the index-dependent backward of autodiff.take."""
+    idx = np.asarray(indices)
+
+    def da(g):
+        full = np.zeros_like(a.data)
+        sl = [slice(None)] * a.data.ndim
+        sl[axis] = idx
+        np.add.at(full, tuple(sl), g)
+        return full
+
+    return ad._unary(a, np.take(a.data, idx, axis=axis), da)
+
+
+def add_grad_copying(var, g):
+    """Var._add_grad that copies every first gradient, the oracle for the
+    borrowing autodiff.Var._add_grad."""
+    if var.grad is None:
+        var.grad = np.array(g, dtype=var.data.dtype, copy=True)
+    else:
+        var.grad += g
+
+
+def linear_chain(x, w, b, relu):
+    """relu(add(matmul(x, w), b)) as three taped ops, the oracle for the
+    fused autodiff.linear."""
+    h = ad.add(ad.matmul(x, w), b)
+    return ad.relu(h) if relu else h
+
+
+def bits(a):
+    """The raw bits of a float array, so equality also tells -0.0 from +0.0."""
+    a = np.asarray(a)
+    return a.view({4: np.uint32, 8: np.uint64}[a.dtype.itemsize])
+
+
+def pose_loss(
+    pred,
+    seg_labels: np.ndarray,
+    gt_nocs: np.ndarray,
+    gt_rot: np.ndarray,
+    lambda_seg: float = 1.0,
+    lambda_rot: float = 1.0,
+    lambda_nocs: float = 10.0,
+) -> float:
+    """Scalar pose loss of one scene's HeadOutput: CE (mean over points) +
+    summed per-part rotation L2 + NOCS L2 masked to object points (mean over
+    masked points), the oracle for estimator.pose_loss_graph."""
+    logits = np.asarray(pred.seg_logits, dtype=np.float64)
+    labels = np.asarray(seg_labels)
+    if logits.shape[0] != labels.shape[0]:
+        raise ShapeMismatch("seg logits and labels disagree on N")
+    zmax = logits.max(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
+    ce = (lse - logits[np.arange(len(labels)), labels]).mean()
+
+    rot_term = np.linalg.norm(
+        np.asarray(pred.rot6d, dtype=np.float64) - np.asarray(gt_rot), axis=1
+    ).sum()
+
+    mask = labels != HAND_CLASS
+    if mask.any():
+        diff = np.asarray(pred.nocs, dtype=np.float64)[mask] - np.asarray(gt_nocs)[mask]
+        nocs_term = np.linalg.norm(diff, axis=1).mean()
+    else:
+        nocs_term = 0.0
+    return float(lambda_seg * ce + lambda_rot * rot_term + lambda_nocs * nocs_term)

