@@ -21,6 +21,14 @@ round a later reduction differently by memory layout, so
 tests/test_autodiff.py checks whole training runs bit for bit against a
 tape that copies every first gradient.
 
+Forward-only passes. A tape that is never swept is built with
+`Tape(grad=False)`: leaves and parameters enter it as consts, so no op
+records anything, and `backward` on it raises. Inference, the sampler and
+the finite-difference evaluations run the training graph builders this way.
+
+The ReLU of `linear` is `np.maximum(out, 0, out=out)` in place; it builds
+the `out > 0` mask for its backward only when an input requires a gradient.
+
 Reductions (sum/mean) accumulate in float64 and cast back to the input dtype;
 everything else stays in the dtype of its inputs (float32 for training,
 float64 for gradient checks).
@@ -36,9 +44,13 @@ from .errors import ShapeMismatch
 
 
 class Tape:
-    """Execution-ordered op record plus parameter-use bookkeeping."""
+    """Execution-ordered op record plus parameter-use bookkeeping.
 
-    def __init__(self):
+    With grad=False the tape records nothing (see the module docstring).
+    """
+
+    def __init__(self, grad: bool = True):
+        self.grad = grad
         self._ops = []  # (out Var, backward fn)
         self.param_uses = []  # (store, name, var, version)
         self._swept = False
@@ -51,6 +63,8 @@ class Tape:
 
         Runs once per tape. The seed may end up as `var.grad` without a copy.
         """
+        if not self.grad:
+            raise RuntimeError("tape built with grad=False records nothing to sweep")
         if self._swept:
             raise RuntimeError("tape already swept; build a new tape for another backward")
         self._swept = True
@@ -115,37 +129,6 @@ class Var:
     def shape(self):
         return self.data.shape
 
-    # operator sugar; all routing goes through the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self.tape), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other, self.tape), self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def const(x, tape: Tape) -> Var:
     """A leaf that never receives gradient."""
@@ -153,8 +136,9 @@ def const(x, tape: Tape) -> Var:
 
 
 def leaf(x, tape: Tape) -> Var:
-    """A leaf whose gradient is wanted (parameters, probed inputs)."""
-    return Var(x, tape, requires_grad=True)
+    """A leaf whose gradient is wanted (parameters, probed inputs); a const
+    on a grad=False tape."""
+    return Var(x, tape, requires_grad=tape.grad)
 
 
 def _wrap(x, tape: Tape) -> Var:
@@ -244,18 +228,21 @@ def matmul(a, b):
 def linear(x: Var, w: Var, b: Var, relu: bool) -> Var:
     """x @ w + b, then a ReLU when `relu`: one op for the three.
 
-    Same arithmetic and the same order of gradient contributions as
-    relu(add(matmul(x, w), b)): bias first, then x, then w. x and w are
-    2-D, and b has the dtype of x @ w (the sum is taken in place).
+    Same arithmetic and the same order of gradient contributions as the
+    three ops matmul, add and a ReLU: bias first, then x, then w. x and w
+    are 2-D, and b has the dtype of x @ w (the sum and the ReLU are taken
+    in place). The in-place ReLU keeps NaN where np.where(out > 0, out, 0)
+    gives 0.
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeMismatch(f"linear {x.data.shape} @ {w.data.shape}")
     out_data = x.data @ w.data
     out_data += b.data
-    if relu:
-        mask = out_data > 0
-        out_data = np.where(mask, out_data, 0)
     req = x.requires_grad or w.requires_grad or b.requires_grad
+    if relu:
+        if req:
+            mask = out_data > 0
+        np.maximum(out_data, 0, out=out_data)
     out = Var(out_data, x.tape, req)
     if req:
         def back(g):
@@ -278,18 +265,9 @@ def _unary(a, out_data, da):
     return out
 
 
-def relu(a: Var):
-    mask = a.data > 0
-    return _unary(a, np.where(mask, a.data, 0), lambda g: g * mask)
-
-
 def exp(a: Var):
     out_data = np.exp(a.data)
     return _unary(a, out_data, lambda g: g * out_data)
-
-
-def log(a: Var):
-    return _unary(a, np.log(a.data), lambda g: g / a.data)
 
 
 def sqrt(a: Var):

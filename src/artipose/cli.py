@@ -133,14 +133,12 @@ def _load_discriminator(args, stores):
         d_stores, d_meta = nn.load_checkpoint(args.disc)
         store = d_stores["discriminator"]
         part_count = d_meta.get("part_count")
-        hidden = tuple(d_meta.get("hidden", (256, 256)))
     elif "discriminator" in stores:
         store = stores["discriminator"]
         part_count = None
-        hidden = (256, 256)
     else:
         raise UsageError("no discriminator: pass --disc or use a jointly trained checkpoint")
-    return store, part_count, hidden
+    return store, part_count
 
 
 TTA_FIELDS = [
@@ -151,8 +149,8 @@ TTA_FIELDS = [
 
 def cmd_tta(args) -> int:
     est, meta, stores = est_mod.load_estimator(args.checkpoint)
-    store, part_count, hidden = _load_discriminator(args, stores)
-    disc = priors_mod.Discriminator(part_count or meta["part_count"], store, hidden)
+    store, part_count = _load_discriminator(args, stores)
+    disc = priors_mod.Discriminator(part_count or meta["part_count"], store)
     _, scenes = load_dataset(args.dataset, limit=args.limit)
     cfg = tta_mod.TtaConfig(steps=args.steps, lr=args.lr, scope=args.scope)
 

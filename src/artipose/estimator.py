@@ -179,12 +179,12 @@ class Estimator:
         cloud = np.asarray(cloud, dtype=np.float32)
         if cloud.ndim != 2 or cloud.shape[1] != 3 or cloud.shape[0] < 8:
             raise ShapeMismatch(f"expected (N >= 8, 3) cloud, got {cloud.shape}")
-        tape = ad.Tape()
+        tape = ad.Tape(grad=False)
         z, pooled = self.encode_graph(tape, cloud[None])
         return EncoderOutput(z=z.data, global_feat=pooled.data[0])
 
     def predict(self, encoded: EncoderOutput) -> HeadOutput:
-        tape = ad.Tape()
+        tape = ad.Tape(grad=False)
         seg, nocs, rot = self.heads_graph(
             tape,
             ad.const(np.asarray(encoded.z, dtype=np.float32), tape),
@@ -320,7 +320,7 @@ def assemble_pose(cloud: np.ndarray, pred: HeadOutput, canonical_boxes: list) ->
                 PartPoseEstimate(p, False, None, None, idx, reason=f"{len(idx)} points")
             )
             continue
-        tape = ad.Tape()
+        tape = ad.Tape(grad=False)
         try:
             R, t, s, box = assemble_graph(
                 tape,

@@ -41,26 +41,33 @@ def _rel(a: float, b: float) -> float:
 
 
 def _fd_probe_store(loss_fn, store, probes, h=1e-5):
-    """Max relative error between store.grads and central differences.
+    """Max relative error between the tape gradient and central differences
+    at (name, flat index) probes of `store`.
 
+    loss_fn(tape) builds the scalar loss on `tape`. It is swept once on a
+    grad tape; every difference is evaluated on a tape that records nothing.
     h = 1e-5 keeps both the f64 rounding floor and the odds of stepping
     across a ReLU kink small.
     """
     store.zero_grads()
-    loss_fn(backward=True)
+    tape = ad.Tape()
+    tape.backward(loss_fn(tape))
+    store.flush_tape_grads(tape)
+
+    def set_param(name, idx, x):
+        store.params[name].flat[idx] = x
+        store.version += 1
+
+    def value_at(name, idx, x):
+        set_param(name, idx, x)
+        return float(loss_fn(ad.Tape(grad=False)).data)
+
     worst = 0.0
     for name, idx in probes:
         analytic = float(store.grads[name].flat[idx])
         orig = float(store.params[name].flat[idx])
-        store.params[name].flat[idx] = orig + h
-        store.version += 1
-        lp = loss_fn(backward=False)
-        store.params[name].flat[idx] = orig - h
-        store.version += 1
-        lm = loss_fn(backward=False)
-        store.params[name].flat[idx] = orig
-        store.version += 1
-        fd = (lp - lm) / (2 * h)
+        fd = (value_at(name, idx, orig + h) - value_at(name, idx, orig - h)) / (2 * h)
+        set_param(name, idx, orig)
         if abs(analytic - fd) > 1e-8:
             worst = max(worst, _rel(analytic, fd))
     return worst
@@ -75,14 +82,21 @@ def _random_probes(store, rng, count):
     return out
 
 
-def _f64_estimator(spec: EstimatorSpec, seed: int) -> Estimator:
-    est = Estimator.create(spec, seed)
-    for name in est.store.names():
-        est.store.params[name] = est.store.params[name].astype(np.float64)
-        est.store.grads[name] = est.store.grads[name].astype(np.float64)
-        est.store._m[name] = est.store._m[name].astype(np.float64)
-        est.store._v[name] = est.store._v[name].astype(np.float64)
-    return est
+def _f64(store: nn.ParamStore, **inputs) -> nn.ParamStore:
+    """Make every array of `store` float64 in place and return the store.
+
+    `inputs` are added first as parameters, so that their gradients can be
+    probed, and keep their exact float64 values (ParamStore.add rounds to
+    float32).
+    """
+    for name, value in inputs.items():
+        store.add(name, value)
+    for arrays in (store.params, store.grads, store._m, store._v):
+        for name in arrays:
+            arrays[name] = arrays[name].astype(np.float64)
+    for name, value in inputs.items():
+        store.params[name][...] = value
+    return store
 
 
 def _scene_fixture(rng, n_points=60, part_count=2):
@@ -109,18 +123,14 @@ def _scene_fixture(rng, n_points=60, part_count=2):
 def check_encoder(seed=0, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
     rng = np.random.default_rng(seed)
     spec = EstimatorSpec(part_count=2)
-    est = _f64_estimator(spec, seed)
+    est = Estimator.create(spec, seed)
+    _f64(est.store)
     cloud = rng.normal(size=(1, 40, 3))
     W = rng.normal(size=(40, spec.feature_dim))
 
-    def loss(backward):
-        tape = ad.Tape()
+    def loss(tape):
         z, _ = est.encode_graph(tape, cloud)
-        out = ad.vsum(ad.mul(z, ad.const(W, tape)))
-        if backward:
-            tape.backward(out)
-            est.store.flush_tape_grads(tape)
-        return float(out.data)
+        return ad.vsum(ad.mul(z, ad.const(W, tape)))
 
     enc_probes = [
         p for p in _random_probes(est.store, rng, probes * 4) if p[0].startswith("enc")
@@ -132,27 +142,23 @@ def check_encoder(seed=0, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
 def check_heads(seed=1, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
     rng = np.random.default_rng(seed)
     spec = EstimatorSpec(part_count=2)
-    est = _f64_estimator(spec, seed)
+    est = Estimator.create(spec, seed)
+    _f64(est.store)
     cloud = rng.normal(size=(1, 40, 3))
     Wseg = rng.normal(size=(40, spec.n_classes))
     Wnocs = rng.normal(size=(40, 3))
     Wrot = rng.normal(size=(1, spec.part_count, 6))
 
-    def loss(backward):
-        tape = ad.Tape()
+    def loss(tape):
         z, pooled = est.encode_graph(tape, cloud)
         seg, nocs, rot = est.heads_graph(tape, z, pooled)
-        out = ad.add(
+        return ad.add(
             ad.add(
                 ad.vsum(ad.mul(seg, ad.const(Wseg, tape))),
                 ad.vsum(ad.mul(nocs, ad.const(Wnocs, tape))),
             ),
             ad.vsum(ad.mul(rot, ad.const(Wrot, tape))),
         )
-        if backward:
-            tape.backward(out)
-            est.store.flush_tape_grads(tape)
-        return float(out.data)
 
     worst = _fd_probe_store(loss, est.store, _random_probes(est.store, rng, probes))
     return SuiteResult("heads", worst < tol, worst, probes)
@@ -162,12 +168,12 @@ def check_end_to_end(seed=2, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
     """Eq.-1 pose loss + assembled boxes as a function of all parameters."""
     rng = np.random.default_rng(seed)
     spec = EstimatorSpec(part_count=2)
-    est = _f64_estimator(spec, seed)
+    est = Estimator.create(spec, seed)
+    _f64(est.store)
     cloud, labels, gt_nocs, gt_rot, extents = _scene_fixture(rng)
     Wbox = rng.normal(size=(spec.part_count, 8, 3))
 
-    def loss(backward):
-        tape = ad.Tape()
+    def loss(tape):
         z, pooled = est.encode_graph(tape, cloud[None])
         seg, nocs, rot = est.heads_graph(tape, z, pooled)
         total, _ = pose_loss_graph(
@@ -178,11 +184,7 @@ def check_end_to_end(seed=2, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
         )
         if isinstance(boxes, str):
             raise ArtiposeError(f"fixture scene has no layout: {boxes}")
-        total = ad.add(total, ad.vsum(ad.mul(boxes, ad.const(Wbox, tape))))
-        if backward:
-            tape.backward(total)
-            est.store.flush_tape_grads(tape)
-        return float(total.data)
+        return ad.add(total, ad.vsum(ad.mul(boxes, ad.const(Wbox, tape))))
 
     worst = _fd_probe_store(loss, est.store, _random_probes(est.store, rng, probes))
     return SuiteResult("end_to_end_pose", worst < tol, worst, probes)
@@ -192,66 +194,31 @@ def check_discriminator(seed=3, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
     """Both parameter grads and box-vertex input grads of the LSGAN terms."""
     rng = np.random.default_rng(seed)
     disc = Discriminator.create(2, seed)
-    for name in disc.store.names():
-        disc.store.params[name] = disc.store.params[name].astype(np.float64)
-        disc.store.grads[name] = disc.store.grads[name].astype(np.float64)
-    layout = rng.normal(size=(2, 8, 3))
+    _f64(disc.store)
+    inputs = _f64(nn.ParamStore(), layout=rng.normal(size=(2, 8, 3)))
 
-    def loss(backward):
-        tape = ad.Tape()
-        s = disc.score_graph(tape, ad.const(layout, tape))
-        d = ad.sub(s, 1.0)
-        out = ad.mul(d, d)
-        if backward:
-            tape.backward(out)
-            disc.store.flush_tape_grads(tape)
-        return float(out.data)
+    def loss(tape):
+        d = ad.sub(disc.score_graph(tape, inputs.use("layout", tape)), 1.0)
+        return ad.mul(d, d)
 
     worst = _fd_probe_store(loss, disc.store, _random_probes(disc.store, rng, probes))
-
-    # input-side gradient at one box vertex
-    tape = ad.Tape()
-    lv = ad.leaf(layout, tape)
-    s = disc.score_graph(tape, lv)
-    d = ad.sub(s, 1.0)
-    tape.backward(ad.mul(d, d))
-    h = 1e-5
-    for _ in range(probes // 2):
-        i, j, k = rng.integers(2), rng.integers(8), rng.integers(3)
-        lp, lm = layout.copy(), layout.copy()
-        lp[i, j, k] += h
-        lm[i, j, k] -= h
-
-        def val(arr):
-            t2 = ad.Tape()
-            sc = disc.score_graph(t2, ad.const(arr, t2))
-            return float(((sc.data) - 1.0) ** 2)
-
-        fd = (val(lp) - val(lm)) / (2 * h)
-        analytic = float(lv.grad[i, j, k])
-        if abs(analytic - fd) > 1e-8:
-            worst = max(worst, _rel(analytic, fd))
+    corners = [(rng.integers(2), rng.integers(8), rng.integers(3)) for _ in range(probes // 2)]
+    vertex_probes = [("layout", int(np.ravel_multi_index(c, (2, 8, 3)))) for c in corners]
+    worst = max(worst, _fd_probe_store(loss, inputs, vertex_probes))
     return SuiteResult("discriminator", worst < tol, worst, probes + probes // 2)
 
 
 def check_denoiser(seed=4, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
     rng = np.random.default_rng(seed)
     diffuser = ContactDiffuser.create(32, seed, NoiseSchedule.linear(20))
-    for name in diffuser.store.names():
-        diffuser.store.params[name] = diffuser.store.params[name].astype(np.float64)
-        diffuser.store.grads[name] = diffuser.store.grads[name].astype(np.float64)
+    _f64(diffuser.store)
     z = rng.normal(size=(30, 32))
     x0 = np.sign(rng.normal(size=(30, 1)))
     eps = rng.normal(size=(30, 1))
     t = 7
 
-    def loss(backward):
-        tape = ad.Tape()
-        out = diff_loss_graph(diffuser, tape, ad.const(z, tape), x0, t, eps)
-        if backward:
-            tape.backward(out)
-            diffuser.store.flush_tape_grads(tape)
-        return float(out.data)
+    def loss(tape):
+        return diff_loss_graph(diffuser, tape, ad.const(z, tape), x0, t, eps)
 
     worst = _fd_probe_store(loss, diffuser.store, _random_probes(diffuser.store, rng, probes))
     return SuiteResult("denoiser", worst < tol, worst, probes)
@@ -265,38 +232,21 @@ def check_hand_chamfer(seed=5, probes=24, tol=DEFAULT_TOL) -> SuiteResult:
     r6_0 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0]) + 0.1 * rng.normal(size=6)
     t_0 = rng.normal(size=3) * 0.02
     ang_0 = rng.uniform(0.2, 1.0, size=15)
-    params0 = np.concatenate([r6_0, t_0, ang_0])
+    store = _f64(nn.ParamStore(), params=np.concatenate([r6_0, t_0, ang_0]))
 
-    def surfaces(params, tape):
-        r6 = ad.leaf(params[:6], tape)
-        t = ad.leaf(params[6:9], tape)
-        ang = ad.leaf(params[9:], tape)
-        R = dg.rot6d_to_matrix(r6)
-        _, surf = fk_vars(template, R, t, ang)
-        return surf, (r6, t, ang)
+    def surface(tape):
+        params = store.use("params", tape)
+        R = dg.rot6d_to_matrix(ad.take(params, np.arange(6)))
+        t, ang = ad.take(params, np.arange(6, 9)), ad.take(params, np.arange(9, 24))
+        return fk_vars(template, R, t, ang)[1]
 
-    tape = ad.Tape()
-    surf, leaves = surfaces(params0, tape)
-    assign = dg.chamfer_assignments(surf.data, C)
-    loss = dg.chamfer_fixed(surf, ad.const(C, tape), assignments=assign)
-    tape.backward(loss)
-    grad = np.concatenate([lv.grad if lv.grad is not None else np.zeros(lv.data.shape) for lv in leaves])
+    assign = dg.chamfer_assignments(surface(ad.Tape(grad=False)).data, C)
 
-    def value(params):
-        t2 = ad.Tape()
-        surf2, _ = surfaces(params, t2)
-        return float(dg.chamfer_fixed(surf2, ad.const(C, t2), assignments=assign).data)
+    def loss(tape):
+        return dg.chamfer_fixed(surface(tape), ad.const(C, tape), assignments=assign)
 
-    worst = 0.0
-    h = 1e-6
     idxs = rng.choice(24, size=min(probes, 24), replace=False)
-    for idx in idxs:
-        pp, pm = params0.copy(), params0.copy()
-        pp[idx] += h
-        pm[idx] -= h
-        fd = (value(pp) - value(pm)) / (2 * h)
-        if abs(grad[idx] - fd) > 1e-8:
-            worst = max(worst, _rel(grad[idx], fd))
+    worst = _fd_probe_store(loss, store, [("params", int(i)) for i in idxs], h=1e-6)
     return SuiteResult("hand_fk_chamfer", worst < tol, worst, len(idxs))
 
 

@@ -1,4 +1,4 @@
-"""Parameter storage, MLP forward passes, Adam, time embedding, checkpoints."""
+"""Parameter storage, the MLP graph, Adam, time embedding, checkpoints."""
 
 from __future__ import annotations
 
@@ -47,12 +47,16 @@ class ParamStore:
             g[...] = 0.0
 
     def use(self, name: str, tape: ad.Tape, dtype=None) -> ad.Var:
-        """Put a parameter on a tape; backward flushes into the grad buffer."""
+        """Put a parameter on a tape; backward flushes into the grad buffer.
+
+        On a grad=False tape the parameter is a const and is not recorded.
+        """
         data = self.params[name]
         if dtype is not None and data.dtype != dtype:
             data = data.astype(dtype)
         var = ad.leaf(data, tape)
-        tape.param_uses.append((self, name, var, self.version))
+        if tape.grad:
+            tape.param_uses.append((self, name, var, self.version))
         return var
 
     def flush_tape_grads(self, tape: ad.Tape) -> None:
@@ -63,7 +67,7 @@ class ParamStore:
             if version != self.version:
                 raise StaleTape(f"parameter {name!r} changed since forward")
             if var.grad is not None:
-                self.grads[name] += var.grad.astype(np.float32, copy=False)
+                self.grads[name] += var.grad.astype(self.grads[name].dtype, copy=False)
 
     def clone(self) -> "ParamStore":
         out = ParamStore()
@@ -86,14 +90,6 @@ class MlpSpec:
         if any(w < 1 for w in self.widths):
             raise ValueError("all widths must be >= 1")
 
-    @property
-    def in_width(self) -> int:
-        return self.widths[0]
-
-    @property
-    def out_width(self) -> int:
-        return self.widths[-1]
-
     def n_layers(self) -> int:
         return len(self.widths) - 1
 
@@ -107,46 +103,23 @@ def init_mlp(store: ParamStore, prefix: str, spec: MlpSpec, rng: np.random.Gener
 
 
 def mlp_apply(
-    spec: MlpSpec, store: ParamStore, prefix: str, x: ad.Var, dtype=None
+    spec: MlpSpec, store: ParamStore, prefix: str, x: ad.Var, dtype=None, start: int = 0
 ) -> ad.Var:
-    """Run the MLP on an existing tape (x already a Var)."""
-    if x.data.ndim != 2 or x.data.shape[1] != spec.in_width:
-        raise ShapeMismatch(
-            f"input width {x.data.shape} incompatible with spec {spec.widths}"
-        )
-    h = x
-    last = spec.n_layers() - 1
-    for i in range(spec.n_layers()):
-        w = store.use(f"{prefix}.w{i}", x.tape, dtype=dtype)
-        b = store.use(f"{prefix}.b{i}", x.tape, dtype=dtype)
-        h = ad.linear(h, w, b, relu=i < last)
-    return h
-
-
-def mlp_value(
-    spec: MlpSpec, store: ParamStore, prefix: str, x: np.ndarray, start: int = 0
-) -> np.ndarray:
-    """Tape-free forward pass (inference only); matches mlp_apply exactly.
+    """Run the MLP on x's tape (x already a Var).
 
     start > 0 skips the first `start` layers: x is then the activated output
     of layer start - 1, of width spec.widths[start].
     """
-    if x.ndim != 2 or x.shape[1] != spec.widths[start]:
+    if x.data.ndim != 2 or x.data.shape[1] != spec.widths[start]:
         raise ShapeMismatch(
-            f"input width {x.shape} incompatible with spec {spec.widths} at layer {start}"
+            f"input width {x.data.shape} incompatible with spec {spec.widths} at layer {start}"
         )
     h = x
     last = spec.n_layers() - 1
     for i in range(start, spec.n_layers()):
-        w = store.params[f"{prefix}.w{i}"]
-        b = store.params[f"{prefix}.b{i}"]
-        if h.dtype != w.dtype:
-            w = w.astype(h.dtype)
-            b = b.astype(h.dtype)
-        h = h @ w
-        h += b
-        if i < last:
-            np.maximum(h, 0, out=h)
+        w = store.use(f"{prefix}.w{i}", x.tape, dtype=dtype)
+        b = store.use(f"{prefix}.b{i}", x.tape, dtype=dtype)
+        h = ad.linear(h, w, b, relu=i < last)
     return h
 
 

@@ -15,7 +15,8 @@ on the encoder feature and a sinusoidal time embedding learns to predict the
 injected noise. Sampling runs plain ancestral reversal and averages K
 generations into a per-point confidence, thresholded at 0. The feature block
 of the denoiser's first layer is projected once per sampler call; each step
-adds only the noisy-contact and time-embedding terms to it.
+adds only the noisy-contact and time-embedding terms to it and runs the
+remaining layers through the training graph on a tape that records nothing.
 """
 
 from __future__ import annotations
@@ -39,16 +40,15 @@ TIME_EMBED_DIM = 64
 class Discriminator:
     """MLP over the normalized flattened box layout of a fixed part count."""
 
-    def __init__(self, part_count: int, store: nn.ParamStore, hidden=(256, 256)):
+    def __init__(self, part_count: int, store: nn.ParamStore):
         self.part_count = part_count
-        self.hidden = tuple(hidden)
-        self.spec = nn.MlpSpec((part_count * 24, *self.hidden, 1))
+        self.spec = nn.MlpSpec((part_count * 24, 256, 256, 1))
         self.store = store
 
     @classmethod
-    def create(cls, part_count: int, seed: int, hidden=(256, 256)) -> "Discriminator":
+    def create(cls, part_count: int, seed: int) -> "Discriminator":
         store = nn.ParamStore()
-        disc = cls(part_count, store, hidden)
+        disc = cls(part_count, store)
         nn.init_mlp(store, "d", disc.spec, np.random.default_rng(np.random.SeedSequence([seed, 31])))
         return disc
 
@@ -165,11 +165,10 @@ def q_sample(x0: np.ndarray, t: int, eps: np.ndarray, schedule: NoiseSchedule) -
 class ContactDiffuser:
     """Shared per-point denoiser MLP over concat[z, x_t, time embedding]."""
 
-    def __init__(self, feature_dim: int, store: nn.ParamStore, schedule: NoiseSchedule, hidden=(128, 128)):
+    def __init__(self, feature_dim: int, store: nn.ParamStore, schedule: NoiseSchedule):
         self.feature_dim = feature_dim
-        self.hidden = tuple(hidden)
         self.schedule = schedule
-        self.spec = nn.MlpSpec((feature_dim + 1 + TIME_EMBED_DIM, *self.hidden, 1))
+        self.spec = nn.MlpSpec((feature_dim + 1 + TIME_EMBED_DIM, 128, 128, 1))
         self.store = store
         self._temb = np.stack(
             [nn.time_embedding(t, schedule.T, TIME_EMBED_DIM) for t in range(schedule.T + 1)]
@@ -177,15 +176,11 @@ class ContactDiffuser:
 
     @classmethod
     def create(
-        cls,
-        feature_dim: int,
-        seed: int,
-        schedule: NoiseSchedule | None = None,
-        hidden=(128, 128),
+        cls, feature_dim: int, seed: int, schedule: NoiseSchedule | None = None
     ) -> "ContactDiffuser":
         schedule = schedule or NoiseSchedule.linear()
         store = nn.ParamStore()
-        diffuser = cls(feature_dim, store, schedule, hidden)
+        diffuser = cls(feature_dim, store, schedule)
         nn.init_mlp(
             store, "eps", diffuser.spec, np.random.default_rng(np.random.SeedSequence([seed, 41]))
         )
@@ -217,11 +212,12 @@ class ContactDiffuser:
         return z @ w + self.store.params["eps.b0"].astype(z.dtype, copy=False)
 
     def denoise_value(self, cond: np.ndarray, x_t: np.ndarray, t: int) -> np.ndarray:
-        """Tape-free noise estimate at step t for G stacked generations.
+        """Noise estimate at step t for G stacked generations, on a tape
+        that records nothing.
 
         cond is condition(z), (N, H); x_t is (G*N, 1), generation-major. The
         first layer adds the rank-1 x_t term and the one time-embedding row
-        to cond; the remaining layers run as in nn.mlp_value.
+        to cond in numpy; layers 1 and up run through nn.mlp_apply.
         """
         self.schedule.check_t(t)
         N, H = cond.shape
@@ -233,7 +229,9 @@ class ContactDiffuser:
         h = x_t.astype(cond.dtype).reshape(-1, N, 1) * w0[F]
         h += base
         np.maximum(h, 0, out=h)
-        return nn.mlp_value(self.spec, self.store, "eps", h.reshape(-1, H), start=1)
+        tape = ad.Tape(grad=False)
+        h = ad.const(h.reshape(-1, H), tape)
+        return nn.mlp_apply(self.spec, self.store, "eps", h, dtype=cond.dtype, start=1).data
 
 
 def diff_loss_graph(

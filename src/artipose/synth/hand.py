@@ -178,7 +178,7 @@ class KinematicHand:
 
     @cached_property
     def _fk(self):
-        tape = ad.Tape()
+        tape = ad.Tape(grad=False)
         j, s = fk_vars(
             self.template,
             ad.const(self.root_rotation, tape),

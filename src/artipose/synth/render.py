@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EmptyView
-from ..geometry import OrientedBox
 
 IMAGE_WIDTH = 160
 IMAGE_HEIGHT = 120
@@ -187,7 +186,7 @@ def furthest_point_sample(points: np.ndarray, n: int, rng: np.random.Generator):
 
 
 def render_partial_cloud(
-    boxes,  # [(OrientedBox | (R, t, half), label int >= 1), ...] camera frame
+    boxes,  # [(OrientedBox, label int >= 1), ...] camera frame
     capsules,  # [(A, B, radius), ...] camera frame, all labeled HAND_LABEL
     camera: Camera,
     n_points: int,
@@ -206,16 +205,10 @@ def render_partial_cloud(
     max_label = 0
     for box, lab in boxes:
         max_label = max(max_label, lab)
-        if isinstance(box, OrientedBox):
-            v = box.vertices
-            c = box.center
-            E = box.edge_vectors()
-            R = (E.T / np.linalg.norm(E, axis=1))  # columns = edge directions
-            half = np.linalg.norm(E, axis=1) / 2.0
-            t = c
-        else:
-            R, t, half = box
-        hits = ray_box_hits(dirs, np.asarray(R), np.asarray(t), np.asarray(half))
+        E = box.edge_vectors()
+        R = (E.T / np.linalg.norm(E, axis=1))  # columns = edge directions
+        half = np.linalg.norm(E, axis=1) / 2.0
+        hits = ray_box_hits(dirs, R, box.center, half)
         closer = hits < depth
         depth[closer] = hits[closer]
         label[closer] = lab

@@ -74,8 +74,9 @@ def adapt_object(
     """Refine one scene's estimate by descending (D(boxes) - 1)^2.
 
     Works on a clone: neither the caller's estimator nor the discriminator
-    changes. Makes steps + 1 forward passes; the last one only records the
-    final value in the trace, and may fail without aborting the run.
+    changes. Makes steps + 1 forward passes; the last one, on a tape that
+    records nothing, only adds the final value to the trace, and may fail
+    without aborting the run.
 
     Raises TooFewPoints when the first estimate leaves a part fewer than 3
     member points, and DegenerateFit, carrying the part's reason, when a
@@ -97,7 +98,7 @@ def adapt_object(
     trace = []
     for step in range(cfg.steps + 1):
         final = step == cfg.steps
-        tape = ad.Tape()
+        tape = ad.Tape(grad=not final)
         z, pooled = work.encode_graph(tape, cloud32[None])
         seg, nocs, rot = work.heads_graph(tape, z, pooled)
         layout = layout_graph(
@@ -185,7 +186,7 @@ def optimize_hand(
     trace = []
     best_loss, best_hand = np.inf, hand_init
     for it in range(cfg.iters + 1):
-        tape = ad.Tape()
+        tape = ad.Tape(grad=it < cfg.iters)
         try:
             loss = chamfer_at(tape)
         except DegenerateRotation:

@@ -152,11 +152,37 @@ def add_grad_copying(var, g):
         var.grad += g
 
 
+def where_relu(a):
+    """ReLU in the np.where form, kept apart from the in-place ReLU of
+    autodiff.linear so that the oracle below stays independent of it."""
+    mask = a.data > 0
+    return ad._unary(a, np.where(mask, a.data, 0), lambda g: g * mask)
+
+
 def linear_chain(x, w, b, relu):
     """relu(add(matmul(x, w), b)) as three taped ops, the oracle for the
     fused autodiff.linear."""
     h = ad.add(ad.matmul(x, w), b)
-    return ad.relu(h) if relu else h
+    return where_relu(h) if relu else h
+
+
+def spy_tapes(monkeypatch):
+    """Collect every Tape built and every Tape.record call while patched;
+    returns the two lists (tapes, recorded output Vars)."""
+    tapes, records = [], []
+    init, record = ad.Tape.__init__, ad.Tape.record
+
+    def spy_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tapes.append(self)
+
+    def spy_record(self, out, backward):
+        records.append(out)
+        record(self, out, backward)
+
+    monkeypatch.setattr(ad.Tape, "__init__", spy_init)
+    monkeypatch.setattr(ad.Tape, "record", spy_record)
+    return tapes, records
 
 
 def bits(a):

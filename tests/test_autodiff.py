@@ -9,6 +9,7 @@ import pytest
 
 from artipose import autodiff as ad
 from artipose import estimator as E
+from artipose import nn
 from artipose.synth.instances import make_instance
 from artipose.synth.scene import sample_scene
 from helpers import add_grad_copying, bits, linear_chain, take_scatter
@@ -106,21 +107,72 @@ class TestLinear:
         b[1::3] = -0.0
         seed = signed_seed((37, 13), dtype, rng)
         extra = rng.normal(size=(37, 11)).astype(dtype)
-        got = linear_grads(ad.linear, x, w, b, relu, x_leaf, seed, extra)
-        monkeypatch.setattr(ad.Var, "_add_grad", add_grad_copying)
-        want = linear_grads(linear_chain, x, w, b, relu, x_leaf, seed, extra)
-        for g, o in zip(got, want):
-            if o is None:
-                assert g is None
-            else:
-                assert g.dtype == o.dtype
-                assert np.array_equal(bits(g), bits(o))
+        inputs = [(x, w, b, seed, extra)]
+        # small integers: exact pre-activations, many of them 0 or negative
+        xi, wi, bi = (rng.integers(-3, 4, size=n).astype(dtype) for n in ((37, 11), (11, 13), 13))
+        pre = xi @ wi + bi
+        assert (pre == 0).any() and (pre < 0).any()
+        seed = signed_seed((37, 13), dtype, rng)
+        inputs.append((xi, wi, bi, seed, rng.normal(size=(37, 11)).astype(dtype)))
+        for x, w, b, seed, extra in inputs:
+            got = linear_grads(ad.linear, x, w, b, relu, x_leaf, seed, extra)
+            with monkeypatch.context() as m:
+                m.setattr(ad.Var, "_add_grad", add_grad_copying)
+                want = linear_grads(linear_chain, x, w, b, relu, x_leaf, seed, extra)
+            for g, o in zip(got, want):
+                if o is None:
+                    assert g is None
+                else:
+                    assert g.dtype == o.dtype
+                    assert np.array_equal(bits(g), bits(o))
 
     def test_one_record_per_layer(self):
         tape = ad.Tape()
         x = ad.const(np.ones((2, 3)), tape)
         ad.linear(x, ad.leaf(np.ones((3, 4)), tape), ad.leaf(np.zeros(4), tape), relu=True)
         assert len(tape._ops) == 1
+
+
+class TestNoGradTape:
+    def test_records_nothing(self):
+        tape = ad.Tape(grad=False)
+        x = ad.leaf(np.ones((2, 3)), tape)
+        h = ad.linear(x, ad.leaf(np.ones((3, 4)), tape), ad.leaf(np.zeros(4), tape), relu=True)
+        out = ad.vsum(ad.mul(h, h))
+        assert not x.requires_grad and not out.requires_grad
+        assert tape._ops == [] and tape.param_uses == []
+        assert float(out.data) == 72.0
+
+    def test_backward_raises(self):
+        tape = ad.Tape(grad=False)
+        out = ad.vsum(ad.mul(ad.leaf(np.ones(3), tape), 2.0))
+        with pytest.raises(RuntimeError):
+            tape.backward(out)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_mlp_apply_matches_grad_tape(self, dtype):
+        spec = nn.MlpSpec((11, 16, 16, 3))
+        store = nn.ParamStore()
+        rng = np.random.default_rng(8)
+        nn.init_mlp(store, "m", spec, rng)
+        for name in store.names():
+            if ".b" in name:  # nonzero biases, so some pre-activations are negative
+                store.params[name][...] = rng.normal(size=store.params[name].shape)
+        x = rng.normal(size=(40, 11)).astype(dtype)
+        outs = {}
+        for grad in (True, False):
+            tape = ad.Tape(grad=grad)
+            outs[grad] = nn.mlp_apply(spec, store, "m", ad.const(x, tape), dtype=dtype).data
+            assert (len(tape._ops), len(tape.param_uses)) == ((3, 6) if grad else (0, 0))
+        # starting at layer 1 from the activated output of layer 0
+        h1 = x @ store.params["m.w0"].astype(dtype)
+        h1 += store.params["m.b0"].astype(dtype)
+        np.maximum(h1, 0, out=h1)
+        tape = ad.Tape(grad=False)
+        from_1 = nn.mlp_apply(spec, store, "m", ad.const(h1, tape), dtype=dtype, start=1).data
+        assert outs[True].dtype == outs[False].dtype == from_1.dtype == dtype
+        assert np.array_equal(bits(outs[True]), bits(outs[False]))
+        assert np.array_equal(bits(outs[True]), bits(from_1))
 
 
 def grad_of(build, x):

@@ -10,7 +10,7 @@ from artipose import estimator as E
 from artipose import nn, priors
 from artipose.geometry import matrix_to_rot6d, rot6d_to_matrix, rotation_error
 from artipose.synth import make_instance, sample_scene
-from helpers import pose_loss, rel_err
+from helpers import bits, pose_loss, rel_err, spy_tapes
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +79,22 @@ class TestHeads:
         out2 = net.head_output(scene.cloud)
         assert np.array_equal(out.seg_logits, out2.seg_logits)
         assert np.array_equal(out.rot6d, out2.rot6d)
+
+
+class TestNoGradInference:
+    def test_head_output_records_nothing(self, net, scene, monkeypatch):
+        tapes, records = spy_tapes(monkeypatch)
+        net.head_output(scene.cloud)
+        assert len(tapes) == 2 and not any(t.grad for t in tapes)
+        assert records == [] and all(t.param_uses == [] for t in tapes)
+
+    def test_head_output_matches_grad_tape(self, net, scene):
+        pred = net.head_output(scene.cloud)
+        tape = ad.Tape()
+        z, pooled = net.encode_graph(tape, net.prepare_input(scene.cloud)[None])
+        seg, nocs, rot = net.heads_graph(tape, z, pooled)
+        for got, want in ((pred.seg_logits, seg.data), (pred.nocs, nocs.data), (pred.rot6d, rot.data[0])):
+            assert got.dtype == want.dtype and np.array_equal(bits(got), bits(want))
 
 
 class TestPoseLoss:

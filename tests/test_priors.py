@@ -7,7 +7,7 @@ from artipose import autodiff as ad
 from artipose import nn, priors
 from artipose.errors import BadTimestep, PartCountMismatch, ShapeMismatch
 from artipose.geometry import OrientedBox, SimilarityTransform, rot6d_to_matrix, transform_box
-from helpers import d_loss, g_adv_loss, rel_err, score
+from helpers import d_loss, g_adv_loss, rel_err, score, spy_tapes
 
 
 def random_layout(rng, parts=2):
@@ -268,7 +268,8 @@ def reference_sample(diffuser, z, generations, seed):
             [zk, x.astype(np.float32), np.broadcast_to(temb, (len(zk), priors.TIME_EMBED_DIM))],
             axis=1,
         )
-        eps_hat = nn.mlp_value(diffuser.spec, diffuser.store, "eps", inp)
+        tape = ad.Tape(grad=False)
+        eps_hat = nn.mlp_apply(diffuser.spec, diffuser.store, "eps", ad.const(inp, tape)).data
         beta = sched.betas[t - 1]
         alpha = sched.alphas[t - 1]
         x = (x - beta / np.sqrt(1.0 - ab[t - 1]) * eps_hat) / np.sqrt(alpha)
@@ -297,7 +298,7 @@ class TestSplitDenoiser:
         z = rng.normal(size=(N, 16)).astype(dtype)
         x_t = rng.normal(size=(generations * N, 1))
         cond = diffuser.condition(z)
-        assert cond.shape == (N, diffuser.hidden[0]) and cond.dtype == dtype
+        assert cond.shape == (N, diffuser.spec.widths[1]) and cond.dtype == dtype
         for t in (1, 17, 30):
             got = diffuser.denoise_value(cond, x_t, t)
             tape = ad.Tape()
@@ -306,6 +307,13 @@ class TestSplitDenoiser:
             ).data
             assert got.shape == (generations * N, 1) and got.dtype == dtype
             assert np.allclose(got, want, rtol=tol, atol=tol)
+
+    def test_denoise_value_records_nothing(self, diffuser, monkeypatch):
+        cond = diffuser.condition(np.ones((10, 16), dtype=np.float32))
+        tapes, records = spy_tapes(monkeypatch)
+        diffuser.denoise_value(cond, np.ones((30, 1)), 3)
+        assert len(tapes) == 1 and not tapes[0].grad
+        assert records == [] and tapes[0].param_uses == []
 
     def test_rows_not_multiple_of_n(self, diffuser):
         cond = diffuser.condition(np.zeros((10, 16), dtype=np.float32))
