@@ -61,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="tta_report.csv")
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--scope", choices=[tta_mod.HEADS_ONLY, tta_mod.FULL_ENCODER], default=tta_mod.HEADS_ONLY)
+    p.add_argument("--scope", choices=[tta_mod.HEADS_ONLY, tta_mod.FULL_ENCODER], default=tta_mod.HEADS_ONLY,
+                   help="adapt the heads on a frozen encoder, or the encoder too")
     p.add_argument("--limit", type=int, default=None)
 
     p = sub.add_parser("hand-opt", help="contact-guided hand optimization report")

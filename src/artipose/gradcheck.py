@@ -68,8 +68,7 @@ def _fd_probe_store(loss_fn, store, probes, h=1e-5):
         orig = float(store.params[name].flat[idx])
         fd = (value_at(name, idx, orig + h) - value_at(name, idx, orig - h)) / (2 * h)
         set_param(name, idx, orig)
-        if abs(analytic - fd) > 1e-8:
-            worst = max(worst, _rel(analytic, fd))
+        worst = max(worst, _rel(analytic, fd))
     return worst
 
 

@@ -106,9 +106,10 @@ def generate_dataset(
 ) -> Path:
     """Generate `count` scenes of one category; byte-deterministic in args.
 
-    Scene i derives its RNG from SeedSequence((seed, i, attempt)); unusable
-    draws (GraspFailure, EmptyView, nearly invisible contact region) retry
-    with the next attempt index, keeping output independent of history.
+    Scene i builds one instance and draws it with SeedSequence((seed, i,
+    attempt)); unusable draws (GraspFailure, EmptyView, nearly invisible
+    contact region) retry with the next attempt index, keeping output
+    independent of history. If all fail, GraspFailure counts each reason.
     Drawer instances default to a fixed 3 sliding parts so every scene in a
     dataset has the same part count.
     """
@@ -120,12 +121,14 @@ def generate_dataset(
     entries = []
     part_count = None
     for i in range(count):
+        inst_seed = int(
+            np.random.default_rng(np.random.SeedSequence([seed, i, 1])).integers(2**31)
+        )
+        instance = make_instance(category, inst_seed, **kwargs)
         record = None
+        grasp_failures = empty_views = 0
+        few = []  # visible-contact counts of the draws below min_contacts
         for attempt in range(MAX_SCENE_ATTEMPTS):
-            inst_seed = int(
-                np.random.default_rng(np.random.SeedSequence([seed, i, 1])).integers(2**31)
-            )
-            instance = make_instance(category, inst_seed, **kwargs)
             try:
                 record = sample_scene(
                     instance,
@@ -135,14 +138,23 @@ def generate_dataset(
                     template=template,
                     scene_id=f"scene_{i:06d}",
                 )
-            except (GraspFailure, EmptyView):
+            except GraspFailure:
+                grasp_failures += 1
                 continue
-            if int(record.contact.sum()) >= min_contacts:
+            except EmptyView:
+                empty_views += 1
+                continue
+            contacts = int(record.contact.sum())
+            if contacts >= min_contacts:
                 break
+            few.append(contacts)
             record = None
         if record is None:
             raise GraspFailure(
-                f"scene {i}: no usable draw in {MAX_SCENE_ATTEMPTS} attempts"
+                f"scene {i}: no usable draw in {MAX_SCENE_ATTEMPTS} attempts: "
+                f"{grasp_failures} grasp failures, {empty_views} empty views, "
+                f"{len(few)} draws below {min_contacts} visible contacts "
+                f"(best {max(few, default=0)})"
             )
         part_count = record.part_count
         entry = save_scene(root, record)

@@ -1,11 +1,10 @@
 """Test-time adaptation: discriminator-guided estimator refinement and
 contact-guided hand pose optimization.
 
-adapt_object clones the estimator per scene, takes a few Adam steps on the
-estimator's least-squares generator term (D(layout) - 1)^2 with the
-discriminator frozen, and re-assembles poses. The layout comes from
-estimator.layout_graph and the term from priors.g_adv_loss_graph, the same
-path training uses.
+adapt_object clones the estimator per scene and takes Adam steps on the
+generator term (D(layout) - 1)^2 from estimator.layout_graph and
+priors.g_adv_loss_graph, the training path; heads_only scope encodes once,
+off the gradient tape, and before/after come from the first and last passes.
 
 optimize_hand descends the symmetric chamfer between the FK hand surface and
 the contact point set over the 24 hand parameters (root 6D rotation +
@@ -22,7 +21,7 @@ from . import autodiff as ad
 from . import diffgeom as dg
 from . import nn
 from .errors import DegenerateFit, DegenerateRotation, TooFewPoints
-from .estimator import Estimator, assemble_pose, layout_graph
+from .estimator import Estimator, HeadOutput, assemble_pose, layout_graph
 from .geometry import matrix_to_rot6d, rot6d_to_matrix
 from .priors import Discriminator, g_adv_loss_graph
 from .synth.hand import ANGLE_HI, ANGLE_LO, KinematicHand, fk_vars
@@ -73,10 +72,10 @@ def adapt_object(
 ) -> AdaptResult:
     """Refine one scene's estimate by descending (D(boxes) - 1)^2.
 
-    Works on a clone: neither the caller's estimator nor the discriminator
-    changes. Makes steps + 1 forward passes; the last one, on a tape that
-    records nothing, only adds the final value to the trace, and may fail
-    without aborting the run.
+    Neither the caller's estimator nor the discriminator changes; heads_only
+    scope encodes once, off the gradient tape. Of steps + 1 passes the first
+    gives `before`; the last gives `after`, records nothing, only adds the
+    final value to the trace, and may fail without aborting the run.
 
     Raises TooFewPoints when the first estimate leaves a part fewer than 3
     member points, and DegenerateFit, carrying the part's reason, when a
@@ -86,21 +85,25 @@ def adapt_object(
     cloud32 = est.prepare_input(cloud)
     work = est.clone()
     half_extents = np.stack([b.vertices[7] for b in canonical_boxes])
+    frozen = work.encode(cloud32) if cfg.scope == HEADS_ONLY else None
 
-    before = assemble_pose(cloud, work.head_output(cloud), canonical_boxes)
-    bad = next((p for p in before if not p.valid), None)
-    if bad is not None:
-        if len(bad.members) < 3:
-            raise TooFewPoints(bad.part, len(bad.members))
-        raise DegenerateFit(bad.part, bad.reason)
-
-    encoder_names = [n for n in work.store.names() if n.startswith("enc")]
     trace = []
     for step in range(cfg.steps + 1):
         final = step == cfg.steps
         tape = ad.Tape(grad=not final)
-        z, pooled = work.encode_graph(tape, cloud32[None])
+        if frozen is None:
+            z, pooled = work.encode_graph(tape, cloud32[None])
+        else:
+            z, pooled = ad.const(frozen.z, tape), ad.const(frozen.global_feat[None], tape)
         seg, nocs, rot = work.heads_graph(tape, z, pooled)
+        pred = HeadOutput(seg_logits=seg.data, nocs=nocs.data, rot6d=rot.data[0])
+        if step == 0:
+            before = assemble_pose(cloud, pred, canonical_boxes)
+            bad = next((p for p in before if not p.valid), None)
+            if bad is not None:
+                if len(bad.members) < 3:
+                    raise TooFewPoints(bad.part, len(bad.members))
+                raise DegenerateFit(bad.part, bad.reason)
         layout = layout_graph(
             tape,
             cloud,
@@ -124,12 +127,9 @@ def adapt_object(
         work.store.zero_grads()
         tape.backward(loss)
         work.store.flush_tape_grads(tape)
-        if cfg.scope == HEADS_ONLY:
-            for name in encoder_names:
-                work.store.grads[name][...] = 0.0
         nn.adam_step(work.store, lr=cfg.lr)
 
-    after = assemble_pose(cloud, work.head_output(cloud), canonical_boxes)
+    after = assemble_pose(cloud, pred, canonical_boxes)
     return AdaptResult(before, after, trace)
 
 

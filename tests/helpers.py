@@ -3,8 +3,11 @@
 import numpy as np
 
 from artipose import autodiff as ad
-from artipose.errors import ShapeMismatch
-from artipose.estimator import HAND_CLASS
+from artipose import nn
+from artipose import tta
+from artipose.errors import DegenerateFit, ShapeMismatch, TooFewPoints
+from artipose.estimator import HAND_CLASS, assemble_pose, layout_graph
+from artipose.priors import g_adv_loss_graph
 
 
 def rel_err(a: float, b: float, floor: float = 1e-6) -> float:
@@ -222,3 +225,59 @@ def pose_loss(
     else:
         nocs_term = 0.0
     return float(lambda_seg * ce + lambda_rot * rot_term + lambda_nocs * nocs_term)
+
+
+def adapt_object_reencoding(est, disc, cloud, canonical_boxes, cfg):
+    """tta.adapt_object with `before` and `after` from separate head_output
+    passes, the encoder on every step's grad tape and, in heads_only scope,
+    its gradients zeroed before Adam: the oracle for the one-pass
+    tta.adapt_object with a frozen encoder."""
+    cloud = np.asarray(cloud, dtype=np.float64)
+    cloud32 = est.prepare_input(cloud)
+    work = est.clone()
+    half_extents = np.stack([b.vertices[7] for b in canonical_boxes])
+
+    before = assemble_pose(cloud, work.head_output(cloud), canonical_boxes)
+    bad = next((p for p in before if not p.valid), None)
+    if bad is not None:
+        if len(bad.members) < 3:
+            raise TooFewPoints(bad.part, len(bad.members))
+        raise DegenerateFit(bad.part, bad.reason)
+
+    encoder_names = [n for n in work.store.names() if n.startswith("enc")]
+    trace = []
+    for step in range(cfg.steps + 1):
+        final = step == cfg.steps
+        tape = ad.Tape(grad=not final)
+        z, pooled = work.encode_graph(tape, cloud32[None])
+        seg, nocs, rot = work.heads_graph(tape, z, pooled)
+        layout = layout_graph(
+            tape,
+            cloud,
+            np.argmax(seg.data, axis=1),
+            nocs,
+            ad.reshape(rot, (work.spec.part_count, 6)),
+            half_extents,
+        )
+        if isinstance(layout, str):
+            if final:
+                break
+            return tta.AdaptResult(before, before, trace, aborted=f"step {step}: {layout}")
+        loss = g_adv_loss_graph(disc, tape, [layout])
+        value = float(loss.data)
+        if not (final or np.isfinite(value)):
+            return tta.AdaptResult(before, before, trace, aborted=f"step {step}: non-finite loss")
+        trace.append(value)
+        if final:
+            break
+
+        work.store.zero_grads()
+        tape.backward(loss)
+        work.store.flush_tape_grads(tape)
+        if cfg.scope == tta.HEADS_ONLY:
+            for name in encoder_names:
+                work.store.grads[name][...] = 0.0
+        nn.adam_step(work.store, lr=cfg.lr)
+
+    after = assemble_pose(cloud, work.head_output(cloud), canonical_boxes)
+    return tta.AdaptResult(before, after, trace)

@@ -130,10 +130,10 @@ class TestEval:
 
 
 class TestTta:
-    def run(self, root, ds, ckpt, name):
+    def run(self, root, ds, ckpt, name, *extra):
         out = root / name
         argv = ["tta", "--checkpoint", str(ckpt), "--dataset", str(ds), "--steps", "2", "--out", str(out)]
-        assert cli.main(argv) == 0
+        assert cli.main(argv + list(extra)) == 0
         with open(out, newline="", encoding="utf-8") as f:
             return list(csv.DictReader(f))
 
@@ -156,6 +156,16 @@ class TestTta:
         traces = [row["l_adv_trace"].split(";") for row in rows if row["l_adv_trace"]]
         assert len(traces) == 2
         assert all(len(t) == 3 and all(math.isfinite(float(v)) for v in t) for t in traces)
+
+    def test_full_encoder_rows_are_finite(self, trained):
+        root, ds, ckpt = trained
+        rows = self.run(root, ds, ckpt, "tta_full_encoder.csv", "--scope", tta_mod.FULL_ENCODER)
+        assert all(row["aborted"] == "" for row in rows)
+        for row in rows:
+            assert all(math.isfinite(float(row[name])) for name in cli.TTA_FIELDS[2:8])
+        traces = [row["l_adv_trace"].split(";") for row in rows if row["l_adv_trace"]]
+        assert [len(t) for t in traces] == [3, 3]
+        assert all(math.isfinite(float(v)) for t in traces for v in t)
 
     @pytest.mark.parametrize("trace, reduced", [([1.0, 0.5], 2), ([1.0, 1.0], 0), ([1.0, 1.5], 0)])
     def test_summary_counts_strictly_reduced_loss(self, trained, monkeypatch, capsys, trace, reduced):

@@ -1,13 +1,16 @@
 """Procedural dataset: instances, grasps, rendering, scene annotations, I/O."""
 
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from artipose import geometry as geo
+from artipose.errors import EmptyView, GraspFailure
 from artipose.synth import hand as hand_mod
+from artipose.synth import io as synth_io
 from artipose.synth import (
     Camera,
     KinematicHand,
@@ -493,3 +496,39 @@ class TestDataset:
         root = generate_dataset(tmp_path / "ds", "laptop", 3, seed=5, min_contacts=8)
         _, scenes = load_dataset(root)
         assert all(int(r.contact.sum()) >= 8 for r in scenes)
+
+    def test_failed_scene_counts_reasons_and_builds_one_instance(self, tmp_path, monkeypatch):
+        real = sample_scene(make_instance("laptop", 4), np.random.SeedSequence([4, 1]), n_points=256)
+
+        def with_contacts(count):
+            contact = np.zeros_like(real.contact)
+            contact[:count] = 1
+            return replace(real, contact=contact)
+
+        def fake_sample_scene(instance, seed, scene_id, **kwargs):
+            # scene 0 succeeds on its second draw; scene 1 cycles through
+            # the three failure reasons for all its draws
+            attempt = seed.entropy[-1]
+            if scene_id == "scene_000000" and attempt == 1:
+                return replace(with_contacts(4), scene_id=scene_id)
+            if attempt % 4 == 0:
+                raise GraspFailure("no grasp")
+            if attempt % 4 == 1:
+                raise EmptyView("no pixels")
+            return with_contacts(attempt % 4 - 1)
+
+        instances = []
+
+        def spy_make_instance(*args, **kwargs):
+            instances.append(args)
+            return make_instance(*args, **kwargs)
+
+        monkeypatch.setattr(synth_io, "sample_scene", fake_sample_scene)
+        monkeypatch.setattr(synth_io, "make_instance", spy_make_instance)
+        reason = (
+            "scene 1: no usable draw in 40 attempts: 10 grasp failures, 10 empty views, "
+            "20 draws below 4 visible contacts (best 2)"
+        )
+        with pytest.raises(GraspFailure, match=f"^{re.escape(reason)}$"):
+            generate_dataset(tmp_path / "ds", "laptop", 2, seed=0, n_points=256)
+        assert len(instances) == 2

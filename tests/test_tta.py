@@ -7,10 +7,12 @@ import pytest
 
 from artipose import autodiff as ad
 from artipose import estimator as E
+from artipose import nn
 from artipose import priors
 from artipose import tta
 from artipose.errors import DegenerateFit, TooFewPoints
 from artipose.synth import make_instance, sample_scene
+from helpers import adapt_object_reencoding, bits
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +66,22 @@ def fail_first_estimate(monkeypatch, corrupt):
         return E.assemble_pose(cloud, corrupt(pred), canonical_boxes)
 
     monkeypatch.setattr(tta, "assemble_pose", assemble)
+
+
+def assert_same_result(got, want):
+    """Bit-for-bit equality of two AdaptResults."""
+    assert got.aborted == want.aborted
+    assert np.array_equal(bits(np.array(got.trace)), bits(np.array(want.trace)))
+    assert (got.after is got.before) == (want.after is want.before)
+    for tag in ("before", "after"):
+        for g, w in zip(getattr(got, tag), getattr(want, tag), strict=True):
+            assert (g.part, g.valid, g.reason) == (w.part, w.valid, w.reason)
+            assert np.array_equal(g.members, w.members)
+            if w.valid:
+                assert np.array_equal(bits(g.pose.R), bits(w.pose.R))
+                assert np.array_equal(bits(g.pose.t), bits(w.pose.t))
+                assert np.array_equal(bits(np.float64(g.pose.s)), bits(np.float64(w.pose.s)))
+                assert np.array_equal(bits(g.box.vertices), bits(w.box.vertices))
 
 
 def hand_only(labels, nocs, rot6d):
@@ -148,3 +166,43 @@ class TestAdaptObject:
         fail_first_estimate(monkeypatch, hand_labels)
         with pytest.raises(TooFewPoints, match="^part 0 has only 0 member points$"):
             adapt(est, disc, scene, steps=1)
+
+    @pytest.mark.parametrize("scope", [tta.HEADS_ONLY, tta.FULL_ENCODER])
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    def test_matches_reencoding_oracle(self, est, disc, scene, scope, steps):
+        cfg = tta.TtaConfig(steps=steps, lr=1e-3, scope=scope)
+        got = tta.adapt_object(est, disc, scene.cloud, scene.canonical_boxes, cfg)
+        want = adapt_object_reencoding(est, disc, scene.cloud, scene.canonical_boxes, cfg)
+        assert len(want.trace) == steps + 1
+        assert_same_result(got, want)
+
+    @pytest.mark.parametrize(
+        "scope, encode_tapes, encoder_on_grad_tape",
+        [
+            (tta.HEADS_ONLY, [False], False),
+            (tta.FULL_ENCODER, [True, True, True, False], True),
+        ],
+    )
+    def test_encoder_on_grad_tape_only_in_full_encoder_scope(
+        self, est, disc, scene, monkeypatch, scope, encode_tapes, encoder_on_grad_tape
+    ):
+        encodes, graded = [], set()
+        encode_graph, use = E.Estimator.encode_graph, nn.ParamStore.use
+
+        def spy_encode_graph(self, tape, clouds):
+            encodes.append(tape.grad)
+            return encode_graph(self, tape, clouds)
+
+        def spy_use(self, name, tape, dtype=None):
+            if tape.grad and self is not disc.store:
+                graded.add(name)
+            return use(self, name, tape, dtype)
+
+        monkeypatch.setattr(E.Estimator, "encode_graph", spy_encode_graph)
+        monkeypatch.setattr(nn.ParamStore, "use", spy_use)
+        cfg = tta.TtaConfig(steps=3, scope=scope)
+        assert tta.adapt_object(est, disc, scene.cloud, scene.canonical_boxes, cfg).aborted == ""
+        assert encodes == encode_tapes
+        names = set(est.store.names())
+        encoder = {n for n in names if n.startswith("enc")}
+        assert encoder and graded == (names if encoder_on_grad_tape else names - encoder)
