@@ -11,10 +11,11 @@ Gradient ownership. A Var keeps its first gradient without copying when that
 array already has the Var's dtype and shape: the Var borrows it, and the
 same array may also be another Var's grad, a view of one, or the caller's
 seed. A first gradient of another dtype or shape is copied. When a second
-contribution arrives, a borrowed grad is replaced by a new sum; from then on
-the Var owns its grad and adds in place. Two rules keep aliased gradients
-intact: backward functions never write into the `g` they receive, and only
-a Var that owns its grad is written in place. The sums are the ones a
+contribution arrives, a borrowed grad is replaced by a new sum, laid out
+like the borrowed array or, when that is a broadcast view, C-ordered; from
+then on the Var owns its grad and adds in place. Two rules keep aliased
+gradients intact: backward functions never write into the `g` they receive,
+and only a Var that owns its grad is written in place. The sums are the ones a
 copying tape computes, in the same order. A borrowed grad can be a strided
 or broadcast (read-only) view where a copy would be packed, and numpy can
 round a later reduction differently by memory layout, so
@@ -113,7 +114,12 @@ class Var:
         if self._owns_grad:
             self.grad += g
         elif self.grad is not None:
-            self.grad = np.add(self.grad, g, out=np.empty_like(self.grad))
+            # empty_like would lay a broadcast view's sum out transposed
+            if 0 in self.grad.strides:
+                out = np.empty(self.grad.shape, dtype=self.grad.dtype)
+            else:
+                out = np.empty_like(self.grad)
+            self.grad = np.add(self.grad, g, out=out)
             self._owns_grad = True
         elif (
             isinstance(g, np.ndarray)

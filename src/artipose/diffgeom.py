@@ -1,10 +1,11 @@
 """Differentiable (tape-based) versions of the closed-form geometry.
 
-These mirror functions in `geometry` but operate on autodiff Vars so that
-gradients flow from pose/box/chamfer losses back into network outputs and
-hand parameters. Forward values agree with the numpy versions to float
+These mirror closed-form numpy functions but operate on autodiff Vars so
+that gradients flow from pose/box/chamfer losses back into network outputs
+and hand parameters. Forward values agree with the numpy versions to float
 precision (tested), but the two implementations are kept separate on
-purpose: the numpy side stays a plain oracle.
+purpose: the numpy side stays a plain oracle (in `geometry`, or in
+tests/helpers.py where no runtime path needs it).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCorrespondences, DegenerateRotation, EmptyCloud
+from .errors import DegenerateRotation, EmptyCloud
 
 # Contact threshold in meters. The source material for this pipeline never
 # pins a value, so it is a configurable default everywhere.
@@ -55,18 +55,10 @@ class SimilarityTransform:
         if abs(np.linalg.det(R) - 1.0) > 1e-6:
             raise ValueError("det(R) != +1 within 1e-6")
 
-    @classmethod
-    def identity(cls) -> "SimilarityTransform":
-        return cls(np.eye(3), np.zeros(3), 1.0)
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Map points (..., 3) through s * R @ p + t."""
         pts = np.asarray(points, dtype=np.float64)
         return self.s * pts @ self.R.T + self.t
-
-    def inverse(self) -> "SimilarityTransform":
-        Rin = self.R.T
-        return SimilarityTransform(Rin, -Rin @ self.t / self.s, 1.0 / self.s)
 
     def compose(self, other: "SimilarityTransform") -> "SimilarityTransform":
         """Return self applied after other: x -> self(other(x))."""
@@ -149,70 +141,9 @@ def matrix_to_rot6d(R) -> np.ndarray:
     return np.concatenate([R[:, 0], R[:, 1]])
 
 
-def fit_translation_scale(nocs_pts, obs_pts, R) -> tuple[float, np.ndarray]:
-    """Least-squares (s, t) for obs ~ s * R @ nocs + t with R known.
-
-    Closed form: center both clouds; s = sum<R n~, p~> / sum|n~|^2,
-    t = p_bar - s R n_bar. s is clamped to >= 1e-6.
-    """
-    n = as_cloud(nocs_pts)
-    p = as_cloud(obs_pts)
-    if n.shape[0] != p.shape[0] or n.shape[0] < 2:
-        raise DegenerateCorrespondences(
-            f"need >= 2 index-aligned correspondences, got {n.shape[0]} vs {p.shape[0]}"
-        )
-    R = np.asarray(R, dtype=np.float64).reshape(3, 3)
-    n_bar, p_bar = n.mean(axis=0), p.mean(axis=0)
-    n_c, p_c = n - n_bar, p - p_bar
-    denom = float((n_c * n_c).sum())
-    if denom < 1e-12:
-        raise DegenerateCorrespondences("source points are (nearly) all identical")
-    s = float((n_c @ R.T * p_c).sum()) / denom
-    s = max(s, 1e-6)
-    t = p_bar - s * R @ n_bar
-    return s, t
-
-
-def umeyama_full(src, dst) -> SimilarityTransform:
-    """Full least-squares similarity (R, t, s) via SVD of the cross-covariance.
-
-    Includes the reflection correction so the recovered R is a proper
-    rotation. Used as the ground-truth generator / oracle for the fixed-R
-    variant above.
-    """
-    x = as_cloud(src)
-    y = as_cloud(dst)
-    if x.shape[0] != y.shape[0] or x.shape[0] < 3:
-        raise DegenerateCorrespondences("need >= 3 aligned correspondences")
-    mx, my = x.mean(axis=0), y.mean(axis=0)
-    xc, yc = x - mx, y - my
-    cov = yc.T @ xc / x.shape[0]
-    U, d, Vt = np.linalg.svd(cov)
-    if np.linalg.matrix_rank(cov, tol=1e-12) < 2:
-        raise DegenerateCorrespondences("rank-deficient covariance (collinear points)")
-    S = np.eye(3)
-    if np.linalg.det(U) * np.linalg.det(Vt) < 0:
-        S[2, 2] = -1.0
-    R = U @ S @ Vt
-    var_x = (xc * xc).sum() / x.shape[0]
-    s = float((d * np.diag(S)).sum()) / var_x
-    if s <= 0:
-        raise DegenerateCorrespondences("non-positive recovered scale")
-    t = my - s * R @ mx
-    return SimilarityTransform(R, t, s)
-
-
 def transform_box(canonical: OrientedBox, pose: SimilarityTransform) -> OrientedBox:
     """Map every corner through the similarity transform, order preserved."""
     return OrientedBox(pose.apply(canonical.vertices))
-
-
-def chamfer(A, B) -> float:
-    """Symmetric mean nearest-neighbor L2 distance (meters, not squared)."""
-    a = as_cloud(A)
-    b = as_cloud(B)
-    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    return float(np.sqrt(d2.min(axis=1)).mean() + np.sqrt(d2.min(axis=0)).mean())
 
 
 def rotation_error(R1, R2) -> float:

@@ -3,6 +3,20 @@
 Rays are cast through every pixel of a small pinhole image; the nearest
 primitive hit wins (exact z-buffer visibility). Hit points are backprojected
 to camera-frame 3D and furthest-point downsampled to the point budget.
+
+Cone culling. Each primitive is tested only against the rays that can reach
+it. A capsule lies inside the sphere centred at (A+B)/2 with radius
+|B-A|/2 + r, and a (rectangular) box inside the sphere centred at its centre
+with radius |half|. A ray from the camera origin can meet such a sphere only
+if its direction lies in the sphere's cone, d . c/|c| >= cos(asin(rho/|c|)),
+so the cull is conservative: every ray that hits the primitive is kept. The
+cone is widened by `_CONE_MARGIN` against rounding, and every ray is kept
+when the origin lies inside the sphere. A ray left out would have been a
+miss (inf) in the full call, and a miss never wins the strict `<` z-buffer
+update. Each ray's hit depth depends only on that ray (tests/test_synth.py
+checks the hit tests on row subsets against the full call), and the
+primitives are visited in the same order, so the image is the one an
+every-ray cast gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +38,12 @@ FOCAL = 140.0
 _MAX_RAW_POINTS = 8192
 
 HAND_LABEL = 0  # seg labels: 0 = hand, 1..P = parts
+
+# Angular slack (radians) added to each bounding cone; see the module
+# docstring. It only has to cover rounding in the cone and hit tests, which
+# is orders of magnitude smaller, and one pixel spans at least ~6e-4 rad, so
+# it keeps next to no extra rays.
+_CONE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -153,6 +173,17 @@ def ray_capsule_hits(dirs: np.ndarray, A: np.ndarray, B: np.ndarray, r: float):
     return np.minimum(t_cyl, np.minimum(sphere(A), sphere(B)))
 
 
+def cone_rows(dirs: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """Indices of the unit rays whose direction lies in the cone from the
+    origin around the sphere (center, radius), widened by `_CONE_MARGIN`;
+    every ray when the origin lies inside the sphere."""
+    dist = float(np.linalg.norm(center))
+    if dist <= radius:
+        return np.arange(len(dirs))
+    cos_lim = np.cos(np.arcsin(radius / dist) + _CONE_MARGIN)
+    return np.flatnonzero(dirs @ (center / dist) >= cos_lim)
+
+
 def furthest_point_sample(points: np.ndarray, n: int, rng: np.random.Generator):
     """Classic FPS (PointNet++); returns selected indices. Start index drawn
     from rng.
@@ -202,22 +233,26 @@ def render_partial_cloud(
     depth = np.full(len(dirs), np.inf)
     label = np.full(len(dirs), -1, dtype=np.int32)
 
+    def z_update(rows, hits, lab):
+        closer = hits < depth[rows]
+        rows = rows[closer]
+        depth[rows] = hits[closer]
+        label[rows] = lab
+
     max_label = 0
     for box, lab in boxes:
         max_label = max(max_label, lab)
         E = box.edge_vectors()
         R = (E.T / np.linalg.norm(E, axis=1))  # columns = edge directions
         half = np.linalg.norm(E, axis=1) / 2.0
-        hits = ray_box_hits(dirs, R, box.center, half)
-        closer = hits < depth
-        depth[closer] = hits[closer]
-        label[closer] = lab
+        center = box.center
+        rows = cone_rows(dirs, center, float(np.linalg.norm(half)))
+        z_update(rows, ray_box_hits(dirs[rows], R, center, half), lab)
 
     for A, B, r in capsules:
-        hits = ray_capsule_hits(dirs, np.asarray(A), np.asarray(B), float(r))
-        closer = hits < depth
-        depth[closer] = hits[closer]
-        label[closer] = HAND_LABEL
+        A, B, r = np.asarray(A), np.asarray(B), float(r)
+        rows = cone_rows(dirs, (A + B) / 2.0, float(np.linalg.norm(B - A)) / 2.0 + r)
+        z_update(rows, ray_capsule_hits(dirs[rows], A, B, r), HAND_LABEL)
 
     mask = np.isfinite(depth)
     raw_count = int(mask.sum())

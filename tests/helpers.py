@@ -5,9 +5,17 @@ import numpy as np
 from artipose import autodiff as ad
 from artipose import nn
 from artipose import tta
-from artipose.errors import DegenerateFit, ShapeMismatch, TooFewPoints
+from artipose.errors import (
+    DegenerateCorrespondences,
+    DegenerateFit,
+    EmptyView,
+    ShapeMismatch,
+    TooFewPoints,
+)
 from artipose.estimator import HAND_CLASS, assemble_pose, layout_graph
+from artipose.geometry import SimilarityTransform, as_cloud
 from artipose.priors import g_adv_loss_graph
+from artipose.synth import render
 
 
 def rel_err(a: float, b: float, floor: float = 1e-6) -> float:
@@ -44,6 +52,78 @@ def random_probes(store, rng, count=20):
         name = names[rng.integers(len(names))]
         out.append((name, int(rng.integers(store.params[name].size))))
     return out
+
+
+def similarity_identity():
+    return SimilarityTransform(np.eye(3), np.zeros(3), 1.0)
+
+
+def similarity_inverse(T):
+    Rin = T.R.T
+    return SimilarityTransform(Rin, -Rin @ T.t / T.s, 1.0 / T.s)
+
+
+def fit_translation_scale(nocs_pts, obs_pts, R):
+    """Least-squares (s, t) for obs ~ s * R @ nocs + t with R known, the
+    oracle for diffgeom.fit_translation_scale.
+
+    Closed form: center both clouds; s = sum<R n~, p~> / sum|n~|^2,
+    t = p_bar - s R n_bar. s is clamped to >= 1e-6.
+    """
+    n = as_cloud(nocs_pts)
+    p = as_cloud(obs_pts)
+    if n.shape[0] != p.shape[0] or n.shape[0] < 2:
+        raise DegenerateCorrespondences(
+            f"need >= 2 index-aligned correspondences, got {n.shape[0]} vs {p.shape[0]}"
+        )
+    R = np.asarray(R, dtype=np.float64).reshape(3, 3)
+    n_bar, p_bar = n.mean(axis=0), p.mean(axis=0)
+    n_c, p_c = n - n_bar, p - p_bar
+    denom = float((n_c * n_c).sum())
+    if denom < 1e-12:
+        raise DegenerateCorrespondences("source points are (nearly) all identical")
+    s = float((n_c @ R.T * p_c).sum()) / denom
+    s = max(s, 1e-6)
+    t = p_bar - s * R @ n_bar
+    return s, t
+
+
+def umeyama_full(src, dst):
+    """Full least-squares similarity (R, t, s) via SVD of the cross-covariance,
+    the oracle for the fixed-R fit_translation_scale.
+
+    Includes the reflection correction so the recovered R is a proper
+    rotation.
+    """
+    x = as_cloud(src)
+    y = as_cloud(dst)
+    if x.shape[0] != y.shape[0] or x.shape[0] < 3:
+        raise DegenerateCorrespondences("need >= 3 aligned correspondences")
+    mx, my = x.mean(axis=0), y.mean(axis=0)
+    xc, yc = x - mx, y - my
+    cov = yc.T @ xc / x.shape[0]
+    U, d, Vt = np.linalg.svd(cov)
+    if np.linalg.matrix_rank(cov, tol=1e-12) < 2:
+        raise DegenerateCorrespondences("rank-deficient covariance (collinear points)")
+    S = np.eye(3)
+    if np.linalg.det(U) * np.linalg.det(Vt) < 0:
+        S[2, 2] = -1.0
+    R = U @ S @ Vt
+    var_x = (xc * xc).sum() / x.shape[0]
+    s = float((d * np.diag(S)).sum()) / var_x
+    if s <= 0:
+        raise DegenerateCorrespondences("non-positive recovered scale")
+    t = my - s * R @ mx
+    return SimilarityTransform(R, t, s)
+
+
+def chamfer(A, B):
+    """Symmetric mean nearest-neighbor L2 distance (meters, not squared), the
+    oracle for diffgeom.chamfer_fixed."""
+    a = as_cloud(A)
+    b = as_cloud(B)
+    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    return float(np.sqrt(d2.min(axis=1)).mean() + np.sqrt(d2.min(axis=0)).mean())
 
 
 def box_surface_points(box, n, rng):
@@ -120,6 +200,48 @@ def fps_rowwise(points, n, rng):
         idx[i] = int(dist.argmax())
         dist = np.minimum(dist, np.linalg.norm(points - points[idx[i]], axis=1))
     return idx
+
+
+def render_every_ray(boxes, capsules, camera, n_points, rng):
+    """render.render_partial_cloud with every ray tested against every
+    primitive, the oracle for the cone-culled ray cast."""
+    dirs = camera.ray_directions()
+    depth = np.full(len(dirs), np.inf)
+    label = np.full(len(dirs), -1, dtype=np.int32)
+
+    max_label = 0
+    for box, lab in boxes:
+        max_label = max(max_label, lab)
+        E = box.edge_vectors()
+        R = (E.T / np.linalg.norm(E, axis=1))
+        half = np.linalg.norm(E, axis=1) / 2.0
+        hits = render.ray_box_hits(dirs, R, box.center, half)
+        closer = hits < depth
+        depth[closer] = hits[closer]
+        label[closer] = lab
+
+    for A, B, r in capsules:
+        hits = render.ray_capsule_hits(dirs, np.asarray(A), np.asarray(B), float(r))
+        closer = hits < depth
+        depth[closer] = hits[closer]
+        label[closer] = render.HAND_LABEL
+
+    mask = np.isfinite(depth)
+    raw_count = int(mask.sum())
+    if raw_count == 0:
+        raise EmptyView("no primitive projects into the image")
+    if raw_count < n_points:
+        raise EmptyView(f"only {raw_count} visible pixels < requested {n_points} points")
+
+    pts = depth[mask, None] * dirs[mask]
+    labs = label[mask]
+    visibility = np.array([(labs == k).sum() / raw_count for k in range(max_label + 1)])
+
+    if raw_count > render._MAX_RAW_POINTS:
+        keep = rng.choice(raw_count, size=render._MAX_RAW_POINTS, replace=False)
+        pts, labs = pts[keep], labs[keep]
+    sel = render.furthest_point_sample(pts, n_points, rng)
+    return pts[sel], labs[sel].astype(np.uint8), visibility
 
 
 def contact_map_broadcast(obj_pts, hand_pts, tau):

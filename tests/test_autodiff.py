@@ -233,6 +233,15 @@ class TestBorrowedGradients:
         assert np.array_equal(b.grad, [1.0, 1.0])
         assert np.array_equal(c.grad, [1.0, 1.0])
 
+    def test_sum_over_broadcast_first_gradient_is_c_ordered(self):
+        # encode_graph's pattern: vmean hands `stacked` a broadcast view first
+        tape = ad.Tape()
+        x = ad.leaf(np.random.default_rng(7).normal(size=(2, 5, 3)), tape)
+        out = ad.add(ad.vsum(ad.vmax(x, axis=1)), ad.vsum(ad.vmean(x, axis=1)))
+        tape.backward(out)
+        assert x.grad.flags.c_contiguous
+        assert np.allclose(x.grad.sum(axis=1), 2.0)
+
     def test_second_backward_raises(self):
         tape = ad.Tape()
         x = ad.leaf(np.ones(3), tape)

