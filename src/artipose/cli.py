@@ -256,7 +256,8 @@ def cmd_hand_opt(args) -> int:
         )
     metrics_mod.write_rows(args.out, HAND_OPT_FIELDS, rows)
     frac = reduced / max(1, len(rows))
-    print(f"MPJPE reduced on {reduced}/{len(rows)} scenes ({100*frac:.0f}%)")
+    aborted = sum(1 for row in rows if row["aborted"])
+    print(f"MPJPE reduced on {reduced}/{len(rows)} scenes ({100*frac:.0f}%); aborted on {aborted}")
     print(f"report: {args.out}")
     return 0
 

@@ -403,3 +403,25 @@ def adapt_object_reencoding(est, disc, cloud, canonical_boxes, cfg):
 
     after = assemble_pose(cloud, work.head_output(cloud), canonical_boxes)
     return tta.AdaptResult(before, after, trace)
+
+
+def sample_contact_map_serial(diffuser, z, generations=5, seed=0):
+    """priors.sample_contact_map as one serial reverse chain over all points,
+    drawing each step's noise as it goes: the bit-for-bit oracle of the
+    chunked sampler."""
+    z = np.asarray(z, dtype=np.float32)
+    N = z.shape[0]
+    sched = diffuser.schedule
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cond = diffuser.condition(z)
+    x = rng.standard_normal((generations * N, 1)).astype(np.float32)
+    ab = sched.alpha_bars
+    for t in range(sched.T, 0, -1):
+        eps_hat = diffuser.denoise_value(cond, x, t)
+        beta = sched.betas[t - 1]
+        alpha = sched.alphas[t - 1]
+        x = (x - beta / np.sqrt(1.0 - ab[t - 1]) * eps_hat) / np.sqrt(alpha)
+        if t > 1:
+            x = x + np.sqrt(beta) * rng.standard_normal(x.shape).astype(np.float32)
+    confidence = x.reshape(generations, N).mean(axis=0).astype(np.float64)
+    return (confidence > 0).astype(np.uint8), confidence

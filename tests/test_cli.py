@@ -54,8 +54,18 @@ def trained(tmp_path_factory):
     return root, ds, root / "train" / "model.ckpt"
 
 
+def check_hand_opt_summary(out, rows):
+    """The summary counts the scenes with lower MPJPE and the aborted rows."""
+    rows = [dict(zip(rows[0], row)) for row in rows[1:]]
+    reduced = sum(float(r["mpjpe_after"]) < float(r["mpjpe_before"]) for r in rows)
+    aborted = sum(1 for r in rows if r["aborted"])
+    pct = 100 * reduced / max(1, len(rows))
+    assert f"MPJPE reduced on {reduced}/{len(rows)} scenes ({pct:.0f}%); aborted on {aborted}\n" in out
+    return aborted
+
+
 class TestHandOpt:
-    def test_sampled_contacts(self, trained):
+    def test_sampled_contacts(self, trained, capsys):
         root, ds, ckpt = trained
         out = root / "sampled.csv"
         argv = ["hand-opt", "--checkpoint", str(ckpt), "--dataset", str(ds), "--iters", "5"]
@@ -69,8 +79,24 @@ class TestHandOpt:
             row = dict(zip(rows[0], row))
             assert row["contacts_gt"] == str(int(rec.contact.sum()))
             assert 0.0 <= float(row["contact_iou"]) <= 1.0
+        check_hand_opt_summary(capsys.readouterr().out, rows)
 
-    def test_gt_contact(self, trained):
+    def test_sampled_contacts_all_empty_abort(self, trained, capsys, monkeypatch):
+        root, ds, ckpt = trained
+        out = root / "sampled_empty.csv"
+
+        def no_contacts(diffuser, z, generations=5, seed=0):
+            return np.zeros(len(z), dtype=np.uint8), np.full(len(z), -1.0)
+
+        monkeypatch.setattr(cli.priors_mod, "sample_contact_map", no_contacts)
+        argv = ["hand-opt", "--checkpoint", str(ckpt), "--dataset", str(ds), "--iters", "5"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        rows = read_rows(out)
+        col = cli.HAND_OPT_FIELDS.index("aborted")
+        assert [row[col] for row in rows[1:]] == ["no contact points"] * 2
+        assert check_hand_opt_summary(capsys.readouterr().out, rows) == 2
+
+    def test_gt_contact(self, trained, capsys):
         root, ds, _ = trained
         out = root / "gt.csv"
         argv = ["hand-opt", "--gt-contact", "--dataset", str(ds), "--iters", "5", "--out", str(out)]
@@ -83,6 +109,7 @@ class TestHandOpt:
             row = dict(zip(rows[0], row))
             assert row["contact_iou"] == "1.0"
             assert row["contacts"] == row["contacts_gt"] == str(int(rec.contact.sum()))
+        assert check_hand_opt_summary(capsys.readouterr().out, rows) == 0
 
     def test_limit_zero_writes_header_only(self, trained):
         root, ds, _ = trained

@@ -1,5 +1,8 @@
 """Interaction priors: LSGAN losses, noise schedule, diffusion sampling."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from artipose import autodiff as ad
 from artipose import nn, priors
 from artipose.errors import BadTimestep, PartCountMismatch, ShapeMismatch
 from artipose.geometry import OrientedBox, SimilarityTransform, rot6d_to_matrix, transform_box
-from helpers import d_loss, g_adv_loss, rel_err, score, spy_tapes
+from helpers import d_loss, g_adv_loss, rel_err, sample_contact_map_serial, score, spy_tapes
 
 
 def random_layout(rng, parts=2):
@@ -337,3 +340,125 @@ class TestSplitDenoiser:
         m, c = priors.sample_contact_map(diffuser, z, generations, seed=seed)
         assert np.array_equal(m, m_ref)
         assert np.allclose(c, c_ref, rtol=0, atol=1e-5)
+
+
+@pytest.fixture(scope="module")
+def biased_diffuser():
+    """A 30-step diffuser whose biases are all nonzero."""
+    diffuser = priors.ContactDiffuser.create(16, 7, priors.NoiseSchedule.linear(30))
+    rng = np.random.default_rng(21)
+    for name in diffuser.store.names():
+        if ".b" in name:
+            diffuser.store.params[name][...] = rng.normal(size=diffuser.store.params[name].shape)
+    return diffuser
+
+
+def features(n):
+    return np.random.default_rng(n).normal(size=(n, 16)).astype(np.float32)
+
+
+class TestParallelChains:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("generations", [1, 2, 5])
+    @pytest.mark.parametrize("n", [8, 37, 63, 64, 100, 129, 1000, 1024])
+    def test_bytes_match_serial_chain(self, biased_diffuser, monkeypatch, cpus, generations, n):
+        monkeypatch.setattr(priors, "_usable_cpus", lambda: cpus)
+        z = features(n)
+        m_ref, c_ref = sample_contact_map_serial(biased_diffuser, z, generations, seed=n + generations)
+        m, c = priors.sample_contact_map(biased_diffuser, z, generations, seed=n + generations)
+        assert m.dtype == m_ref.dtype and c.dtype == c_ref.dtype
+        assert m.tobytes() == m_ref.tobytes()
+        assert c.tobytes() == c_ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "cpus, n, cuts",
+        [
+            (1, 1024, [0, 1024]),
+            (2, 63, [0, 63]),
+            (2, 129, [0, 64, 129]),
+            (2, 1024, [0, 512, 1024]),
+            (3, 1000, [0, 320, 640, 1000]),
+            (3, 100, [0, 100]),
+            (8, 200, [0, 64, 128, 200]),
+        ],
+    )
+    def test_cuts_on_block_multiples(self, monkeypatch, cpus, n, cuts):
+        monkeypatch.setattr(priors, "_usable_cpus", lambda: cpus)
+        assert priors._chain_cuts(n) == cuts
+
+    def test_more_chains_than_cores_under_fast_switching(self, biased_diffuser, monkeypatch):
+        monkeypatch.setattr(priors, "_usable_cpus", lambda: 8)
+        z = features(1024)
+        m_ref, c_ref = sample_contact_map_serial(biased_diffuser, z, 2, seed=5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            m, c = priors.sample_contact_map(biased_diffuser, z, 2, seed=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert c.tobytes() == c_ref.tobytes()
+
+    def test_one_chain_starts_no_thread(self, biased_diffuser, monkeypatch):
+        monkeypatch.setattr(priors, "_usable_cpus", lambda: 1)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started for one chain")
+
+        monkeypatch.setattr(priors.threading, "Thread", no_thread)
+        z = features(1024)
+        m, c = priors.sample_contact_map(biased_diffuser, z, 2, seed=3)
+        m_ref, c_ref = sample_contact_map_serial(biased_diffuser, z, 2, seed=3)
+        assert c.tobytes() == c_ref.tobytes()
+
+    def test_every_chunk_runs_every_step(self, biased_diffuser, monkeypatch):
+        monkeypatch.setattr(priors, "_usable_cpus", lambda: 3)
+        rows = []
+        denoise = priors.ContactDiffuser.denoise_value
+
+        def spy(self, cond, x_t, t):
+            rows.append(len(cond))
+            return denoise(self, cond, x_t, t)
+
+        monkeypatch.setattr(priors.ContactDiffuser, "denoise_value", spy)
+        priors.sample_contact_map(biased_diffuser, features(1000), 2, seed=0)
+        assert sorted(rows) == sorted([320] * 60 + [360] * 30)
+
+    def test_worker_error_is_raised_and_threads_end(self, biased_diffuser, monkeypatch):
+        monkeypatch.setattr(priors, "_usable_cpus", lambda: 3)
+        z = features(1024)
+        before = threading.active_count()
+        priors.sample_contact_map(biased_diffuser, z, 2, seed=1)
+        assert threading.active_count() == before
+
+        denoise = priors.ContactDiffuser.denoise_value
+
+        def fail_on_worker_slice(self, cond, x_t, t):
+            # chunk 0 starts at row 0 of the full projection; the workers' do not
+            if not np.shares_memory(cond[:1], full_cond[:1]):
+                raise FloatingPointError("worker chunk")
+            return denoise(self, cond, x_t, t)
+
+        full_cond = biased_diffuser.condition(z)
+        monkeypatch.setattr(
+            priors.ContactDiffuser, "condition", lambda self, feats: full_cond
+        )
+        monkeypatch.setattr(priors.ContactDiffuser, "denoise_value", fail_on_worker_slice)
+        with pytest.raises(FloatingPointError, match="worker chunk"):
+            priors.sample_contact_map(biased_diffuser, z, 2, seed=1)
+        assert threading.active_count() == before
+
+    def test_error_in_calling_thread_joins_workers(self, biased_diffuser, monkeypatch):
+        monkeypatch.setattr(priors, "_usable_cpus", lambda: 2)
+        before = threading.active_count()
+        denoise = priors.ContactDiffuser.denoise_value
+        caller = threading.current_thread()
+
+        def fail(self, cond, x_t, t):
+            if threading.current_thread() is caller:
+                raise BadTimestep("stop")
+            return denoise(self, cond, x_t, t)
+
+        monkeypatch.setattr(priors.ContactDiffuser, "denoise_value", fail)
+        with pytest.raises(BadTimestep):
+            priors.sample_contact_map(biased_diffuser, features(256), 1, seed=0)
+        assert threading.active_count() == before
