@@ -18,7 +18,7 @@ from .errors import ArtiposeError
 from .estimator import Estimator, EstimatorSpec, layout_graph, pose_loss_graph
 from .geometry import rot6d_to_matrix
 from .priors import ContactDiffuser, Discriminator, NoiseSchedule, diff_loss_graph
-from .synth.hand import default_hand_template, fk_vars
+from .synth.hand import default_hand_template, fk_vars, root_frame_vars
 
 DEFAULT_TOL = 1e-3
 
@@ -237,7 +237,7 @@ def check_hand_chamfer(seed=5, probes=24, tol=DEFAULT_TOL) -> SuiteResult:
         params = store.use("params", tape)
         R = dg.rot6d_to_matrix(ad.take(params, np.arange(6)))
         t, ang = ad.take(params, np.arange(6, 9)), ad.take(params, np.arange(9, 24))
-        return fk_vars(template, R, t, ang)[1]
+        return root_frame_vars(R, t, fk_vars(template, ang)[1])[0]
 
     assign = dg.chamfer_assignments(surface(ad.Tape(grad=False)).data, C)
 

@@ -34,7 +34,6 @@ N = 1024.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 
@@ -42,7 +41,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import diffgeom as dg
-from . import nn
+from . import nn, parallel
 from .errors import BadTimestep, PartCountMismatch, ShapeMismatch
 
 TIME_EMBED_DIM = 64
@@ -268,19 +267,12 @@ def diff_loss_graph(
     return ad.vmean(ad.mul(resid, resid))
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _chain_cuts(n_points: int) -> list[int]:
     """Bounds of k = min(usable CPUs, N // CHAIN_BLOCK) contiguous chunks
     (at least one): the inner cuts fall on multiples of CHAIN_BLOCK, and
     the last chunk keeps the remainder rows."""
     blocks = n_points // CHAIN_BLOCK
-    k = max(1, min(_usable_cpus(), blocks))
+    k = max(1, min(parallel.usable_cpus(), blocks))
     return [CHAIN_BLOCK * (blocks * i // k) for i in range(k)] + [n_points]
 
 

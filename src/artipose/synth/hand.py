@@ -1,9 +1,11 @@
 """Capsule-skeleton proxy hand: forward kinematics and grasp synthesis.
 
 21 joints (wrist + 4 per finger), 15 flexion angles (3 per finger), fixed
-bone lengths. FK is written once over the autodiff engine; generation runs
-it on constants, once per KinematicHand (which caches the result), and
-hand-pose optimization runs it on parameter Vars.
+bone lengths. FK is written once over the autodiff engine, as a wrist-frame
+part (`fk_vars`) and the root transform (`root_frame_vars`). Generation
+runs both on constants and a KinematicHand caches each; its `rerooted`
+copies reuse its wrist-frame part, so that part runs once per hand pose.
+Hand-pose optimization runs both on parameter Vars.
 """
 
 from __future__ import annotations
@@ -144,10 +146,12 @@ class KinematicHand:
     """A posed hand: rigid root (s = 1) + 15 flexion angles + template.
 
     The FK runs once per instance, on first use of joints(), surface() or
-    capsules_world, and the (joints, surface) pair is cached. Both cached
-    arrays, and the root and angle arrays they follow from, are copies
-    marked read-only, so the cache cannot go stale; `rerooted` and
-    `dataclasses.replace` build new instances with a fresh FK.
+    capsules_world, and the (joints, surface) pair is cached, as is its
+    wrist-frame pair. All cached arrays, and the root and angle arrays they
+    follow from, are copies marked read-only, so the caches cannot go
+    stale. `rerooted` builds a new instance that shares the wrist-frame
+    pair, which does not depend on the root, and runs only the root
+    transform; `dataclasses.replace` builds one with a fresh FK.
     """
 
     root_rotation: np.ndarray  # (3, 3)
@@ -177,13 +181,18 @@ class KinematicHand:
         return self._fk[1]
 
     @cached_property
+    def _local(self):
+        tape = ad.Tape(grad=False)
+        j, s = fk_vars(self.template, ad.const(self.joint_angles, tape))
+        return _frozen(j.data), _frozen(s.data)
+
+    @cached_property
     def _fk(self):
         tape = ad.Tape(grad=False)
-        j, s = fk_vars(
-            self.template,
+        j, s = root_frame_vars(
             ad.const(self.root_rotation, tape),
             ad.const(self.root_position, tape),
-            ad.const(self.joint_angles, tape),
+            *(ad.const(a, tape) for a in self._local),
         )
         return _frozen(j.data), _frozen(s.data)
 
@@ -201,7 +210,9 @@ class KinematicHand:
     def rerooted(self, world_to_new: SimilarityTransform) -> "KinematicHand":
         """Express the hand in another frame (e.g. object frame -> camera)."""
         pose = world_to_new.compose(self.root_pose)
-        return replace(self, root_rotation=pose.R, root_position=pose.t)
+        moved = replace(self, root_rotation=pose.R, root_position=pose.t)
+        moved.__dict__["_local"] = self._local  # same angles and template
+        return moved
 
 
 def _rodrigues_var(axis: np.ndarray, theta: ad.Var, tape: ad.Tape) -> ad.Var:
@@ -219,14 +230,15 @@ def _rodrigues_var(axis: np.ndarray, theta: ad.Var, tape: ad.Tape) -> ad.Var:
     return ad.add(eye, ad.add(ad.mul(s, ad.const(K, tape)), ad.mul(one_minus_c, ad.const(K @ K, tape))))
 
 
-def fk_vars(template: HandTemplate, root_R: ad.Var, root_t: ad.Var, angles: ad.Var):
-    """Differentiable FK: world joint positions (21, 3) and surface cloud (S, 3).
+def fk_vars(template: HandTemplate, angles: ad.Var):
+    """Differentiable wrist-frame FK: joint positions (21, 3) and surface
+    cloud (S, 3). `root_frame_vars` poses them.
 
     All per-finger rotations share the finger's fixed flexion axis, so the
     cumulative rotation at each phalanx is a single Rodrigues rotation of the
     summed angle.
     """
-    tape = root_R.tape
+    tape = angles.tape
     axes = template.flex_axes()
     joint_rows = [ad.const(np.zeros(3), tape)]  # wrist at root origin
     bone_endpoints = []  # (A, B, radius, ref_axis or None)
@@ -288,11 +300,13 @@ def fk_vars(template: HandTemplate, root_R: ad.Var, root_t: ad.Var, angles: ad.V
         )
         surf_rows.append(pts)
     surface_local = ad.concat(surf_rows, axis=0)
+    return joints_local, surface_local
 
+
+def root_frame_vars(root_R: ad.Var, root_t: ad.Var, *local: ad.Var) -> tuple:
+    """Each wrist-frame (n, 3) Var posed by the root: x @ R^T + t."""
     RT = ad.transpose(root_R)
-    joints_world = ad.add(ad.matmul(joints_local, RT), ad.reshape(root_t, (1, 3)))
-    surface_world = ad.add(ad.matmul(surface_local, RT), ad.reshape(root_t, (1, 3)))
-    return joints_world, surface_world
+    return tuple(ad.add(ad.matmul(x, RT), ad.reshape(root_t, (1, 3))) for x in local)
 
 
 def capsules_world(hand: KinematicHand) -> list:

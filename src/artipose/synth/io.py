@@ -15,15 +15,30 @@ All binary payloads are little-endian. Per scene directory:
                                       position (3), 15 flexion angles
 
 Canonical boxes are +/- the per-part half extents recorded in the manifest.
+
+Scene i depends only on (seed, i), so `generate_dataset` builds the scenes
+of one call in k = min(usable CPUs, count) processes: the calling process
+builds scenes i = 0 mod k, and k - 1 forked workers build one other residue
+each, write its binaries and send back the manifest entries. The files are
+byte-identical to those of one loop over the scenes, and so is the outcome
+of a failing call: the lowest failing scene's error, with the loop's
+message, over the tree the loop leaves. No process is started when k = 1,
+where the OS has no fork, while other Python threads are alive, or from a
+daemonic process.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
+import shutil
+import threading
 from pathlib import Path
 
 import numpy as np
 
+from .. import parallel
 from ..errors import EmptyView, GraspFailure
 from ..geometry import OrientedBox, SimilarityTransform
 from .hand import KinematicHand, default_hand_template
@@ -93,6 +108,160 @@ def save_scene(root: Path, record: SceneRecord) -> dict:
     }
 
 
+def _build_scene(
+    root: Path,
+    category: str,
+    i: int,
+    seed: int,
+    instance_kwargs: dict,
+    min_contacts: int,
+    **sample_kwargs,
+) -> tuple:
+    """Scene i of a dataset: build its instance, draw it until a draw is
+    usable and save it. Returns (manifest entry, part count); raises
+    GraspFailure naming the scene and counting each reason when every
+    attempt fails."""
+    inst_seed = int(
+        np.random.default_rng(np.random.SeedSequence([seed, i, 1])).integers(2**31)
+    )
+    instance = make_instance(category, inst_seed, **instance_kwargs)
+    record = None
+    grasp_failures = empty_views = 0
+    few = []  # visible-contact counts of the draws below min_contacts
+    for attempt in range(MAX_SCENE_ATTEMPTS):
+        try:
+            record = sample_scene(
+                instance,
+                np.random.SeedSequence([seed, i, 2, attempt]),
+                scene_id=_scene_id(i),
+                **sample_kwargs,
+            )
+        except GraspFailure:
+            grasp_failures += 1
+            continue
+        except EmptyView:
+            empty_views += 1
+            continue
+        contacts = int(record.contact.sum())
+        if contacts >= min_contacts:
+            break
+        few.append(contacts)
+        record = None
+    if record is None:
+        raise GraspFailure(
+            f"scene {i}: no usable draw in {MAX_SCENE_ATTEMPTS} attempts: "
+            f"{grasp_failures} grasp failures, {empty_views} empty views, "
+            f"{len(few)} draws below {min_contacts} visible contacts "
+            f"(best {max(few, default=0)})"
+        )
+    entry = save_scene(root, record)
+    entry["seed"] = i
+    return entry, record.part_count
+
+
+def _scene_id(i: int) -> str:
+    return f"scene_{i:06d}"
+
+
+def _run_share(scenes, build, report) -> None:
+    """Build the scenes in order, calling report(i, build(i)) for each, or
+    report(i, error) for the first that raises and stopping there."""
+    for i in scenes:
+        try:
+            built = build(i)
+        except Exception as err:
+            report(i, err)
+            return
+        report(i, built)
+
+
+def _worker(conn, scenes, build) -> None:
+    try:
+        _run_share(scenes, build, lambda i, result: conn.send(result))
+    finally:
+        conn.close()
+
+
+def _fork_context():
+    """The fork context where worker processes may be forked: the OS has
+    fork, no other Python thread could hold a lock across the fork, and the
+    caller may have children (a daemonic process may not). None otherwise."""
+    # imported here: a process that only loads datasets saves its ~0.7 MB
+    import multiprocessing
+
+    if (
+        "fork" in multiprocessing.get_all_start_methods()
+        and threading.active_count() == 1
+        and not multiprocessing.current_process().daemon
+    ):
+        return multiprocessing.get_context("fork")
+    return None
+
+
+def _build_scenes(root: Path, count: int, build) -> list:
+    """[(entry, part_count)] for scenes 0..count-1, as build(i) returns
+    them, or the error of the lowest failing scene f, after deleting the
+    scene directories above f that were written.
+
+    Workers report through one-way pipes as they go. Every process stops at
+    its first failing scene. A worker that exits without reporting all of
+    its scenes fails the first scene it did not report with a RuntimeError."""
+    k = min(parallel.usable_cpus(), count)
+    results = {}
+    failures = {}
+
+    def report(i, result):
+        (failures if isinstance(result, BaseException) else results)[i] = result
+
+    ctx = _fork_context() if k > 1 else None
+    if ctx is None:
+        _run_share(range(count), build, report)
+    else:
+        workers = []
+        drained = False
+        try:
+            for w in range(1, k):
+                recv, send = ctx.Pipe(duplex=False)
+                scenes = range(w, count, k)
+                proc = ctx.Process(target=_worker, args=(send, scenes, build), daemon=True)
+                proc.start()
+                send.close()
+                workers.append((proc, recv, scenes))
+            _run_share(range(0, count, k), build, report)
+            for proc, recv, scenes in workers:
+                for i in scenes:
+                    try:
+                        result = recv.recv()
+                    except EOFError:
+                        proc.join()
+                        failures[i] = RuntimeError(
+                            f"synth worker for scenes {scenes.start}, {scenes.start + k}, ... "
+                            f"below {count} exited with code {proc.exitcode} before "
+                            f"reporting scene {i}"
+                        )
+                        break
+                    report(i, result)
+                    if i in failures:
+                        break
+            drained = True
+        finally:
+            for proc, recv, _ in workers:
+                recv.close()
+                if not drained:  # the calling process is raising: stop, not wait
+                    proc.terminate()
+                proc.join()
+    if failures:
+        f = min(failures)
+        for i in results:
+            if i > f:
+                shutil.rmtree(scene_dir(root, _scene_id(i)))
+        if f == 0 and results:  # the serial loop makes scenes/ with scene 0
+            with contextlib.suppress(OSError):
+                (root / "scenes").rmdir()
+        raise failures[f]
+    return [results[i] for i in range(count)]
+
+
 def generate_dataset(
     out_dir,
     category: str,
@@ -112,54 +281,35 @@ def generate_dataset(
     independent of history. If all fail, GraspFailure counts each reason.
     Drawer instances default to a fixed 3 sliding parts so every scene in a
     dataset has the same part count.
+
+    Scenes depend on nothing but their index, so they are built across
+    k = min(usable CPUs, count) processes: the calling process builds the
+    scenes i = 0 mod k and each of k - 1 forked workers one other residue.
+    Every file is byte-identical to the serial loop's, and the manifest is
+    written in scene order. On failure the error of the lowest failing
+    scene is raised with the serial loop's message, and the tree on disk is
+    the one the serial loop leaves; a worker that dies unreported raises a
+    RuntimeError naming its scenes and exit code. No process is started
+    when k = 1, where the OS has no fork, while other Python threads are
+    alive, or from a daemonic process: the calling process then builds every
+    scene in order.
     """
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    template = default_hand_template(surface_samples)
-    kwargs = {"drawers": drawers} if category == "drawer" else {}
-
-    entries = []
-    part_count = None
-    for i in range(count):
-        inst_seed = int(
-            np.random.default_rng(np.random.SeedSequence([seed, i, 1])).integers(2**31)
-        )
-        instance = make_instance(category, inst_seed, **kwargs)
-        record = None
-        grasp_failures = empty_views = 0
-        few = []  # visible-contact counts of the draws below min_contacts
-        for attempt in range(MAX_SCENE_ATTEMPTS):
-            try:
-                record = sample_scene(
-                    instance,
-                    np.random.SeedSequence([seed, i, 2, attempt]),
-                    n_points=n_points,
-                    tau=tau,
-                    template=template,
-                    scene_id=f"scene_{i:06d}",
-                )
-            except GraspFailure:
-                grasp_failures += 1
-                continue
-            except EmptyView:
-                empty_views += 1
-                continue
-            contacts = int(record.contact.sum())
-            if contacts >= min_contacts:
-                break
-            few.append(contacts)
-            record = None
-        if record is None:
-            raise GraspFailure(
-                f"scene {i}: no usable draw in {MAX_SCENE_ATTEMPTS} attempts: "
-                f"{grasp_failures} grasp failures, {empty_views} empty views, "
-                f"{len(few)} draws below {min_contacts} visible contacts "
-                f"(best {max(few, default=0)})"
-            )
-        part_count = record.part_count
-        entry = save_scene(root, record)
-        entry["seed"] = i
-        entries.append(entry)
+    build = functools.partial(
+        _build_scene,
+        root,
+        category,
+        seed=seed,
+        instance_kwargs={"drawers": drawers} if category == "drawer" else {},
+        min_contacts=min_contacts,
+        n_points=n_points,
+        tau=tau,
+        template=default_hand_template(surface_samples),
+    )
+    built = _build_scenes(root, count, build)
+    entries = [entry for entry, _ in built]
+    part_count = built[-1][1] if built else None
 
     manifest = {
         "format": FORMAT_NAME,

@@ -24,7 +24,7 @@ from .errors import DegenerateFit, DegenerateRotation, TooFewPoints
 from .estimator import Estimator, HeadOutput, assemble_pose, layout_graph
 from .geometry import matrix_to_rot6d, rot6d_to_matrix
 from .priors import Discriminator, g_adv_loss_graph
-from .synth.hand import ANGLE_HI, ANGLE_LO, KinematicHand, fk_vars
+from .synth.hand import ANGLE_HI, ANGLE_LO, KinematicHand, fk_vars, root_frame_vars
 
 HEADS_ONLY = "heads_only"
 FULL_ENCODER = "full_encoder"
@@ -172,7 +172,7 @@ def optimize_hand(
         t = store.use("t", tape, dtype=np.float64)
         ang = store.use("ang", tape, dtype=np.float64)
         R = dg.rot6d_to_matrix(r6)
-        _, surface = fk_vars(template, R, t, ang)
+        (surface,) = root_frame_vars(R, t, fk_vars(template, ang)[1])
         return dg.chamfer_fixed(surface, ad.const(C, tape))
 
     def snapshot():

@@ -1,5 +1,8 @@
 """Shared test utilities."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from artipose import autodiff as ad
@@ -9,12 +12,14 @@ from artipose.errors import (
     DegenerateCorrespondences,
     DegenerateFit,
     EmptyView,
+    GraspFailure,
     ShapeMismatch,
     TooFewPoints,
 )
 from artipose.estimator import HAND_CLASS, assemble_pose, layout_graph
 from artipose.geometry import SimilarityTransform, as_cloud
 from artipose.priors import g_adv_loss_graph
+from artipose.synth import io as synth_io
 from artipose.synth import render
 
 
@@ -425,3 +430,97 @@ def sample_contact_map_serial(diffuser, z, generations=5, seed=0):
             x = x + np.sqrt(beta) * rng.standard_normal(x.shape).astype(np.float32)
     confidence = x.reshape(generations, N).mean(axis=0).astype(np.float64)
     return (confidence > 0).astype(np.uint8), confidence
+
+
+def generate_dataset_serial(
+    out_dir,
+    category,
+    count,
+    seed,
+    n_points=synth_io.DEFAULT_N_POINTS,
+    tau=0.01,
+    surface_samples=512,
+    drawers=3,
+    min_contacts=synth_io.MIN_VISIBLE_CONTACTS,
+):
+    """synth.io.generate_dataset as one loop over the scenes in the calling
+    process: the bit-for-bit oracle of the parallel generate_dataset. It calls
+    make_instance, sample_scene and save_scene through synth.io, so tests
+    that replace them there replace them here too."""
+    root = Path(out_dir)
+    root.mkdir(parents=True, exist_ok=True)
+    template = synth_io.default_hand_template(surface_samples)
+    kwargs = {"drawers": drawers} if category == "drawer" else {}
+
+    entries = []
+    part_count = None
+    for i in range(count):
+        inst_seed = int(
+            np.random.default_rng(np.random.SeedSequence([seed, i, 1])).integers(2**31)
+        )
+        instance = synth_io.make_instance(category, inst_seed, **kwargs)
+        record = None
+        grasp_failures = empty_views = 0
+        few = []
+        for attempt in range(synth_io.MAX_SCENE_ATTEMPTS):
+            try:
+                record = synth_io.sample_scene(
+                    instance,
+                    np.random.SeedSequence([seed, i, 2, attempt]),
+                    n_points=n_points,
+                    tau=tau,
+                    template=template,
+                    scene_id=f"scene_{i:06d}",
+                )
+            except GraspFailure:
+                grasp_failures += 1
+                continue
+            except EmptyView:
+                empty_views += 1
+                continue
+            contacts = int(record.contact.sum())
+            if contacts >= min_contacts:
+                break
+            few.append(contacts)
+            record = None
+        if record is None:
+            raise GraspFailure(
+                f"scene {i}: no usable draw in {synth_io.MAX_SCENE_ATTEMPTS} attempts: "
+                f"{grasp_failures} grasp failures, {empty_views} empty views, "
+                f"{len(few)} draws below {min_contacts} visible contacts "
+                f"(best {max(few, default=0)})"
+            )
+        part_count = record.part_count
+        entry = synth_io.save_scene(root, record)
+        entry["seed"] = i
+        entries.append(entry)
+
+    manifest = {
+        "format": synth_io.FORMAT_NAME,
+        "version": synth_io.FORMAT_VERSION,
+        "category": category,
+        "count": count,
+        "master_seed": seed,
+        "n_points": n_points,
+        "tau": tau,
+        "surface_samples": surface_samples,
+        "part_count": part_count,
+        "drawers": drawers if category == "drawer" else None,
+        "image_size": [synth_io.IMAGE_WIDTH, synth_io.IMAGE_HEIGHT],
+        "dtypes": {
+            "cloud": "<f4",
+            "seg": "u1",
+            "nocs": "<f4",
+            "contact": "u1",
+            "poses": "<f4",
+            "boxes": "<f4",
+            "hand_joints": "<f4",
+            "hand_surface": "<f4",
+            "hand_params": "<f4",
+        },
+        "scenes": entries,
+    }
+    (root / "manifest.json").write_text(
+        json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return root

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from artipose import autodiff as ad
-from artipose import nn, priors
+from artipose import nn, parallel, priors
 from artipose.errors import BadTimestep, PartCountMismatch, ShapeMismatch
 from artipose.geometry import OrientedBox, SimilarityTransform, rot6d_to_matrix, transform_box
 from helpers import d_loss, g_adv_loss, rel_err, sample_contact_map_serial, score, spy_tapes
@@ -362,7 +362,7 @@ class TestParallelChains:
     @pytest.mark.parametrize("generations", [1, 2, 5])
     @pytest.mark.parametrize("n", [8, 37, 63, 64, 100, 129, 1000, 1024])
     def test_bytes_match_serial_chain(self, biased_diffuser, monkeypatch, cpus, generations, n):
-        monkeypatch.setattr(priors, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         z = features(n)
         m_ref, c_ref = sample_contact_map_serial(biased_diffuser, z, generations, seed=n + generations)
         m, c = priors.sample_contact_map(biased_diffuser, z, generations, seed=n + generations)
@@ -383,11 +383,11 @@ class TestParallelChains:
         ],
     )
     def test_cuts_on_block_multiples(self, monkeypatch, cpus, n, cuts):
-        monkeypatch.setattr(priors, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         assert priors._chain_cuts(n) == cuts
 
     def test_more_chains_than_cores_under_fast_switching(self, biased_diffuser, monkeypatch):
-        monkeypatch.setattr(priors, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
         z = features(1024)
         m_ref, c_ref = sample_contact_map_serial(biased_diffuser, z, 2, seed=5)
         interval = sys.getswitchinterval()
@@ -399,7 +399,7 @@ class TestParallelChains:
         assert c.tobytes() == c_ref.tobytes()
 
     def test_one_chain_starts_no_thread(self, biased_diffuser, monkeypatch):
-        monkeypatch.setattr(priors, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
 
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread was started for one chain")
@@ -411,7 +411,7 @@ class TestParallelChains:
         assert c.tobytes() == c_ref.tobytes()
 
     def test_every_chunk_runs_every_step(self, biased_diffuser, monkeypatch):
-        monkeypatch.setattr(priors, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
         rows = []
         denoise = priors.ContactDiffuser.denoise_value
 
@@ -424,7 +424,7 @@ class TestParallelChains:
         assert sorted(rows) == sorted([320] * 60 + [360] * 30)
 
     def test_worker_error_is_raised_and_threads_end(self, biased_diffuser, monkeypatch):
-        monkeypatch.setattr(priors, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
         z = features(1024)
         before = threading.active_count()
         priors.sample_contact_map(biased_diffuser, z, 2, seed=1)
@@ -448,7 +448,7 @@ class TestParallelChains:
         assert threading.active_count() == before
 
     def test_error_in_calling_thread_joins_workers(self, biased_diffuser, monkeypatch):
-        monkeypatch.setattr(priors, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         before = threading.active_count()
         denoise = priors.ContactDiffuser.denoise_value
         caller = threading.current_thread()
