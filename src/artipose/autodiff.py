@@ -30,9 +30,15 @@ the finite-difference evaluations run the training graph builders this way.
 The ReLU of `linear` is `np.maximum(out, 0, out=out)` in place; it builds
 the `out > 0` mask for its backward only when an input requires a gradient.
 
-Reductions (sum/mean) accumulate in float64 and cast back to the input dtype;
-everything else stays in the dtype of its inputs (float32 for training,
-float64 for gradient checks).
+Dtypes. `vsum` accumulates in float64 and casts back to its input's dtype;
+every other op takes numpy's promotion of its operands. A Python scalar
+operand becomes a float64 array in `_wrap`, so it promotes a float32 Var to
+float64: `vmean` multiplies by `1.0 / n`, so the mean of a float32 Var is
+float64, and `ad.add(x, 1e-6)` does the same. A float32 training graph is therefore
+not float32 throughout: on float32 clouds `Estimator.encode_graph` returns
+`pooled` as float64 and `Estimator.heads_graph` returns `rot` as float64
+(z, seg and nocs stay float32). Gradient checks run in float64. The
+planned fix is "Dtype-honest tape" under item 5 of ROADMAP.md.
 """
 
 from __future__ import annotations

@@ -29,13 +29,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def non_negative_int(text: str) -> int:
+    """A scene count or limit: an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="artipose", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
+    p.set_defaults(run=cmd_synth)
     p.add_argument("--category", required=True, choices=CATEGORIES)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=non_negative_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--points", type=int, default=1024)
@@ -45,16 +54,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-contacts", type=int, default=4)
 
     p = sub.add_parser("train", help="train estimator (+ priors) from a JSON config")
+    p.set_defaults(run=cmd_train)
     p.add_argument("--config", required=True)
     p.add_argument("--out", default="train_out")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
+    p.set_defaults(run=cmd_eval)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", default="report.csv")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=non_negative_int, default=None)
 
     p = sub.add_parser("tta", help="test-time adaptation report (before/after)")
+    p.set_defaults(run=cmd_tta)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--disc", default=None, help="discriminator checkpoint (defaults to the group inside --checkpoint)")
     p.add_argument("--dataset", required=True)
@@ -63,9 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--scope", choices=[tta_mod.HEADS_ONLY, tta_mod.FULL_ENCODER], default=tta_mod.HEADS_ONLY,
                    help="adapt the heads on a frozen encoder, or the encoder too")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=non_negative_int, default=None)
 
     p = sub.add_parser("hand-opt", help="contact-guided hand optimization report")
+    p.set_defaults(run=cmd_hand_opt)
     p.add_argument("--checkpoint", default=None, help="checkpoint with encoder+diffuser (omit with --gt-contact)")
     p.add_argument("--dataset", required=True)
     p.add_argument("--perturb", type=float, default=0.10, help="initial root displacement (m)")
@@ -75,13 +88,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="hand_report.csv")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=non_negative_int, default=None)
 
     p = sub.add_parser("gradcheck", help="run all finite-difference suites")
+    p.set_defaults(run=cmd_gradcheck)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=gradcheck_mod.DEFAULT_TOL)
 
-    sub.add_parser("version", help="print version")
+    sub.add_parser("version", help="print version").set_defaults(run=cmd_version)
     return parser
 
 
@@ -129,17 +143,14 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _load_discriminator(args, stores):
+def _load_discriminator(args, meta, stores) -> priors_mod.Discriminator:
     if args.disc is not None:
         d_stores, d_meta = nn.load_checkpoint(args.disc)
-        store = d_stores["discriminator"]
-        part_count = d_meta.get("part_count")
-    elif "discriminator" in stores:
-        store = stores["discriminator"]
-        part_count = None
-    else:
-        raise UsageError("no discriminator: pass --disc or use a jointly trained checkpoint")
-    return store, part_count
+        part_count = d_meta.get("part_count") or meta["part_count"]
+        return priors_mod.Discriminator(part_count, d_stores["discriminator"])
+    if "discriminator" in stores:
+        return priors_mod.Discriminator(meta["part_count"], stores["discriminator"])
+    raise UsageError("no discriminator: pass --disc or use a jointly trained checkpoint")
 
 
 TTA_FIELDS = [
@@ -150,8 +161,7 @@ TTA_FIELDS = [
 
 def cmd_tta(args) -> int:
     est, meta, stores = est_mod.load_estimator(args.checkpoint)
-    store, part_count = _load_discriminator(args, stores)
-    disc = priors_mod.Discriminator(part_count or meta["part_count"], store)
+    disc = _load_discriminator(args, meta, stores)
     _, scenes = load_dataset(args.dataset, limit=args.limit)
     cfg = tta_mod.TtaConfig(steps=args.steps, lr=args.lr, scope=args.scope)
 
@@ -269,6 +279,11 @@ def cmd_gradcheck(args) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
+def cmd_version(args) -> int:
+    print(__version__)
+    return 0
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -277,22 +292,7 @@ def main(argv=None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     try:
-        if args.command == "synth":
-            return cmd_synth(args)
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "tta":
-            return cmd_tta(args)
-        if args.command == "hand-opt":
-            return cmd_hand_opt(args)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(args)
-        if args.command == "version":
-            print(__version__)
-            return 0
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

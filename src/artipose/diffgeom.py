@@ -14,7 +14,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DegenerateCorrespondences, DegenerateRotation
-from .geometry import _CORNER_SIGNS
 
 
 def normalize3(v: ad.Var) -> ad.Var:
@@ -65,12 +64,6 @@ def fit_translation_scale(nocs: ad.Var, obs: ad.Var, R: ad.Var):
 def transform_points(pts: ad.Var, R: ad.Var, t: ad.Var, s: ad.Var) -> ad.Var:
     """s * pts @ R^T + t for (N, 3) points."""
     return ad.add(ad.mul(s, ad.matmul(pts, ad.transpose(R))), ad.reshape(t, (1, 3)))
-
-
-def box_vertices_from_extents(half_extents, tape: ad.Tape) -> ad.Var:
-    """Constant (8, 3) canonical corner Var in the fixed binary corner order."""
-    h = np.asarray(half_extents, dtype=np.float64).reshape(3)
-    return ad.const(_CORNER_SIGNS * h, tape)
 
 
 def chamfer_assignments(a: np.ndarray, b: np.ndarray) -> tuple:

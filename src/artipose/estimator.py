@@ -21,31 +21,41 @@ import numpy as np
 from . import autodiff as ad
 from . import diffgeom as dg
 from . import nn
-from .errors import DegenerateCorrespondences, DegenerateRotation, ShapeMismatch, TooFewPoints
-from .geometry import OrientedBox, SimilarityTransform, matrix_to_rot6d
+from .errors import DegenerateCorrespondences, DegenerateRotation, ShapeMismatch
+from .geometry import _CORNER_SIGNS, OrientedBox, SimilarityTransform, matrix_to_rot6d
 
 HAND_CLASS = 0
+
+LOCAL_WIDTHS = (3, 64, 128)  # shared per-point MLP, input width first
+HEAD_HIDDEN = 128  # hidden width of the seg and NOCS heads
+ROT_HIDDEN = 256  # hidden width of the rotation head
+
+# The architecture as checkpoint meta records it; load_estimator rejects any
+# other. center_input: the encoder sees the cloud minus its centroid.
+ARCHITECTURE = {
+    "local_widths": list(LOCAL_WIDTHS),
+    "head_hidden": HEAD_HIDDEN,
+    "rot_hidden": ROT_HIDDEN,
+    "center_input": True,
+}
 
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """Widths and part count; per-point feature width F = 2 * local width.
+    """Part count and the widths that follow from it; per-point feature
+    width F = 2 * local width.
 
-    center_input subtracts the per-scene centroid before encoding (the
-    similarity fit still runs on raw camera-frame coordinates). The rotation
-    head reads the max+mean pooled summary plus a segmentation-weighted
-    per-part pooled feature and a one-hot part id, shared across parts.
+    The encoder sees the cloud minus its per-scene centroid (the similarity
+    fit still runs on raw camera-frame coordinates). The rotation head reads
+    the max+mean pooled summary plus a segmentation-weighted per-part pooled
+    feature and a one-hot part id, shared across parts.
     """
 
     part_count: int
-    local_widths: tuple = (3, 64, 128)
-    head_hidden: int = 128
-    rot_hidden: int = 256
-    center_input: bool = True
 
     @property
     def local_dim(self) -> int:
-        return self.local_widths[-1]
+        return LOCAL_WIDTHS[-1]
 
     @property
     def feature_dim(self) -> int:
@@ -65,9 +75,9 @@ class EstimatorSpec:
 
     def head_specs(self) -> dict:
         return {
-            "seg": nn.MlpSpec((self.feature_dim, self.head_hidden, self.n_classes)),
-            "nocs": nn.MlpSpec((self.feature_dim, self.head_hidden, 3)),
-            "rot": nn.MlpSpec((self.rot_in_dim, self.rot_hidden, 6)),
+            "seg": nn.MlpSpec((self.feature_dim, HEAD_HIDDEN, self.n_classes)),
+            "nocs": nn.MlpSpec((self.feature_dim, HEAD_HIDDEN, 3)),
+            "rot": nn.MlpSpec((self.rot_in_dim, ROT_HIDDEN, 6)),
         }
 
 
@@ -105,8 +115,7 @@ class Estimator:
     def create(cls, spec: EstimatorSpec, seed: int) -> "Estimator":
         rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
         store = nn.ParamStore()
-        widths = spec.local_widths
-        for i, (a, b) in enumerate(zip(widths[:-1], widths[1:])):
+        for i, (a, b) in enumerate(zip(LOCAL_WIDTHS[:-1], LOCAL_WIDTHS[1:])):
             nn.init_mlp(store, f"enc{i}", nn.MlpSpec((a, b)), rng)
         for name, head_spec in spec.head_specs().items():
             nn.init_mlp(store, name, head_spec, rng)
@@ -123,8 +132,7 @@ class Estimator:
             raise ShapeMismatch(f"expected (B, N, 3) clouds, got {clouds.shape}")
         B, N, _ = clouds.shape
         h = ad.const(clouds.reshape(B * N, 3), tape)
-        widths = self.spec.local_widths
-        for i in range(len(widths) - 1):
+        for i in range(len(LOCAL_WIDTHS) - 1):
             w = self.store.use(f"enc{i}.w0", tape, dtype=h.data.dtype)
             b = self.store.use(f"enc{i}.b0", tape, dtype=h.data.dtype)
             h = ad.linear(h, w, b, relu=True)
@@ -169,11 +177,9 @@ class Estimator:
     # -- public per-scene forward -------------------------------------------
 
     def prepare_input(self, cloud: np.ndarray) -> np.ndarray:
-        """Encoder input view of a cloud (centered when configured)."""
+        """Encoder input view of a cloud: float32, minus its centroid."""
         cloud = np.asarray(cloud, dtype=np.float32)
-        if self.spec.center_input:
-            cloud = cloud - cloud.mean(axis=0)
-        return cloud
+        return cloud - cloud.mean(axis=0)
 
     def encode(self, cloud: np.ndarray) -> EncoderOutput:
         cloud = np.asarray(cloud, dtype=np.float32)
@@ -263,7 +269,7 @@ def assemble_graph(
     denorm = ad.mul(ad.sub(nocs, 0.5), ad.const((2.0 * half_extents).astype(dtype), tape))
     obs = ad.const(np.asarray(points).astype(dtype), tape)
     s, t = dg.fit_translation_scale(denorm, obs, R)
-    corners = ad.const((dg.box_vertices_from_extents(half_extents, tape).data).astype(dtype), tape)
+    corners = ad.const((_CORNER_SIGNS * half_extents).astype(dtype), tape)
     box = dg.transform_points(corners, R, t, s)
     return R, t, s, box
 
@@ -405,9 +411,7 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 23]))
 
     clouds = np.stack([s.cloud for s in scenes]).astype(np.float32)
-    clouds_in = (
-        clouds - clouds.mean(axis=1, keepdims=True) if spec.center_input else clouds
-    )
+    clouds_in = clouds - clouds.mean(axis=1, keepdims=True)
     seg_labels = np.stack([s.seg for s in scenes]).astype(np.int64)
     gt_nocs = np.stack([s.nocs for s in scenes]).astype(np.float32)
     gt_rots = np.stack([gt_rot6d(s.part_poses) for s in scenes]).astype(np.float32)
@@ -535,10 +539,7 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
         "category": config.category,
         "part_count": part_count,
         "feature_dim": spec.feature_dim,
-        "local_widths": list(spec.local_widths),
-        "head_hidden": spec.head_hidden,
-        "rot_hidden": spec.rot_hidden,
-        "center_input": spec.center_input,
+        **ARCHITECTURE,
         "n_points": n_pts,
         "diffusion_steps": config.diffusion_steps,
         "config": {k: getattr(config, k) for k in config.__dataclass_fields__},
@@ -552,13 +553,16 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
 
 
 def load_estimator(path) -> tuple:
-    """Load (Estimator, meta, stores) from a checkpoint file."""
+    """Load (Estimator, meta, stores) from a checkpoint file.
+
+    Raises ValueError when the meta records another architecture than
+    ARCHITECTURE, the only one this module builds.
+    """
     stores, meta = nn.load_checkpoint(path)
-    spec = EstimatorSpec(
-        part_count=meta["part_count"],
-        local_widths=tuple(meta["local_widths"]),
-        head_hidden=meta["head_hidden"],
-        rot_hidden=meta.get("rot_hidden", 256),
-        center_input=meta.get("center_input", True),
-    )
+    for key, value in ARCHITECTURE.items():
+        if meta.get(key) != value:
+            raise ValueError(
+                f"checkpoint {key} is {meta.get(key)!r}; this estimator is built with {value!r}"
+            )
+    spec = EstimatorSpec(part_count=meta["part_count"])
     return Estimator(spec, stores["estimator"]), meta, stores

@@ -14,6 +14,10 @@ from .errors import ShapeMismatch, StaleTape
 _CKPT_MAGIC = b"APCK"
 _CKPT_VERSION = 1
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class ParamStore:
     """Named float32 parameters with paired grad buffers and Adam state.
@@ -123,28 +127,22 @@ def mlp_apply(
     return h
 
 
-def adam_step(
-    store: ParamStore,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(store: ParamStore, lr: float = 1e-3) -> None:
     """Standard bias-corrected adaptive-moment update over all parameters."""
     store.step += 1
     store.version += 1
     t = store.step
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     for name, p in store.params.items():
         g = store.grads[name]
         m = store._m[name]
         v = store._v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= (lr / c1) * m / (np.sqrt(v / c2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= (lr / c1) * m / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def time_embedding(t: int, T: int, dim: int) -> np.ndarray:
@@ -153,11 +151,7 @@ def time_embedding(t: int, T: int, dim: int) -> np.ndarray:
         raise ValueError(f"step {t} outside [0, {T}]")
     if dim < 2 or dim % 2 != 0:
         raise ValueError("dim must be even and >= 2")
-    half = dim // 2
-    if half == 1:
-        freqs = np.array([1.0])
-    else:
-        freqs = np.geomspace(1.0, 1000.0, half)
+    freqs = np.geomspace(1.0, 1000.0, dim // 2)
     phase = freqs * (t / T)
     return np.concatenate([np.sin(phase), np.cos(phase)]).astype(np.float32)
 

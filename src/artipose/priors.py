@@ -45,6 +45,7 @@ from . import nn, parallel
 from .errors import BadTimestep, PartCountMismatch, ShapeMismatch
 
 TIME_EMBED_DIM = 64
+BETA_LO, BETA_HI = 1e-4, 0.02  # the linear schedule's first and last beta
 CHAIN_BLOCK = 64  # the sampler cuts its chains on multiples of this many points
 
 
@@ -141,8 +142,8 @@ class NoiseSchedule:
             raise ValueError("betas must be strictly increasing")
 
     @classmethod
-    def linear(cls, T: int = 100, lo: float = 1e-4, hi: float = 0.02) -> "NoiseSchedule":
-        return cls(np.linspace(lo, hi, T))
+    def linear(cls, T: int) -> "NoiseSchedule":
+        return cls(np.linspace(BETA_LO, BETA_HI, T))
 
     @property
     def T(self) -> int:
@@ -190,10 +191,7 @@ class ContactDiffuser:
         )
 
     @classmethod
-    def create(
-        cls, feature_dim: int, seed: int, schedule: NoiseSchedule | None = None
-    ) -> "ContactDiffuser":
-        schedule = schedule or NoiseSchedule.linear()
+    def create(cls, feature_dim: int, seed: int, schedule: NoiseSchedule) -> "ContactDiffuser":
         store = nn.ParamStore()
         diffuser = cls(feature_dim, store, schedule)
         nn.init_mlp(

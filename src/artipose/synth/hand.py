@@ -29,6 +29,11 @@ ANGLE_HI = np.pi / 2
 
 _GOLDEN = 2.399963229728653
 
+# pose_hand_grasp resamples the flexion until this many surface points lie
+# within tau of the part cuboids, and gives up after this many draws.
+GRASP_MIN_CONTACTS = 20
+GRASP_MAX_ATTEMPTS = 50
+
 
 def _unit(v):
     v = np.asarray(v, dtype=np.float64)
@@ -202,11 +207,6 @@ class KinematicHand:
             [self.root_rotation.reshape(9), self.root_position, self.joint_angles]
         )
 
-    @classmethod
-    def from_params(cls, params, template: HandTemplate) -> "KinematicHand":
-        params = np.asarray(params, dtype=np.float64).reshape(27)
-        return cls(params[:9].reshape(3, 3), params[9:12], params[12:], template)
-
     def rerooted(self, world_to_new: SimilarityTransform) -> "KinematicHand":
         """Express the hand in another frame (e.g. object frame -> camera)."""
         pose = world_to_new.compose(self.root_pose)
@@ -340,13 +340,11 @@ def pose_hand_grasp(
     seed,
     tau: float = 0.01,
     template: HandTemplate | None = None,
-    min_contacts: int = 20,
-    max_attempts: int = 50,
 ) -> KinematicHand:
     """Place a grasping hand near the movable part's handle face (object frame).
 
     The palm faces the face center opposite the joint anchor, offset outward
-    0.02-0.05 m; finger flexion is resampled until >= min_contacts surface
+    0.02-0.05 m; finger flexion is resampled until >= GRASP_MIN_CONTACTS surface
     points land within tau of the part cuboids.
     """
     rng = np.random.default_rng(seed)
@@ -379,7 +377,7 @@ def pose_hand_grasp(
 
     palm_reach = float(np.linalg.norm(_rest_joint_positions(template)[1 + 4 * 2]))
 
-    for _ in range(max_attempts):
+    for _ in range(GRASP_MAX_ATTEMPTS):
         d = rng.uniform(0.02, 0.05)
         wrap_sign = -1.0 if rng.random() < 0.5 else 1.0
         u = wrap_sign * wrap_dir
@@ -411,8 +409,8 @@ def pose_hand_grasp(
         dists = np.min(
             np.stack([point_box_distance(surf, box) for box in boxes]), axis=0
         )
-        if int((dists < tau).sum()) >= min_contacts:
+        if int((dists < tau).sum()) >= GRASP_MIN_CONTACTS:
             return hand
     raise GraspFailure(
-        f"no flexion sample reached {min_contacts} contacts in {max_attempts} tries"
+        f"no flexion sample reached {GRASP_MIN_CONTACTS} contacts in {GRASP_MAX_ATTEMPTS} tries"
     )

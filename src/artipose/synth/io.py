@@ -43,7 +43,7 @@ from ..errors import EmptyView, GraspFailure
 from ..geometry import OrientedBox, SimilarityTransform
 from .hand import KinematicHand, default_hand_template
 from .instances import make_instance
-from .render import FOCAL, IMAGE_HEIGHT, IMAGE_WIDTH, Camera
+from .render import IMAGE_HEIGHT, IMAGE_WIDTH, Camera
 from .scene import DEFAULT_N_POINTS, SceneRecord, sample_scene
 
 FORMAT_NAME = "artipose-dataset"
@@ -270,7 +270,7 @@ def generate_dataset(
     n_points: int = DEFAULT_N_POINTS,
     tau: float = 0.01,
     surface_samples: int = 512,
-    drawers: int | None = 3,
+    drawers: int = 3,
     min_contacts: int = MIN_VISIBLE_CONTACTS,
 ) -> Path:
     """Generate `count` scenes of one category; byte-deterministic in args.
@@ -279,8 +279,9 @@ def generate_dataset(
     attempt)); unusable draws (GraspFailure, EmptyView, nearly invisible
     contact region) retry with the next attempt index, keeping output
     independent of history. If all fail, GraspFailure counts each reason.
-    Drawer instances default to a fixed 3 sliding parts so every scene in a
-    dataset has the same part count.
+    Drawer instances get a fixed `drawers` sliding parts (3 by default) so
+    every scene in a dataset has the same part count; None raises
+    ValueError before any scene is built.
 
     Scenes depend on nothing but their index, so they are built across
     k = min(usable CPUs, count) processes: the calling process builds the
@@ -294,6 +295,8 @@ def generate_dataset(
     alive, or from a daemonic process: the calling process then builds every
     scene in order.
     """
+    if category == "drawer" and drawers is None:
+        raise ValueError("the drawer category needs a fixed drawers count")
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     build = functools.partial(

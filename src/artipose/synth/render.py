@@ -29,7 +29,8 @@ from ..errors import EmptyView
 
 IMAGE_WIDTH = 160
 IMAGE_HEIGHT = 120
-FOCAL = 140.0
+# The focal length makes the scene fill this share of the image half-height.
+FILL = 0.9
 
 # FPS cost grows with the candidate pool, so the hit set is subsampled to at
 # most this many points first. The cap stays even where FPS is cheap enough
@@ -63,9 +64,6 @@ class Camera:
         object.__setattr__(self, "R", np.asarray(self.R, dtype=np.float64))
         object.__setattr__(self, "t", np.asarray(self.t, dtype=np.float64))
 
-    def to_camera(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points) @ self.R.T + self.t
-
     def ray_directions(self) -> np.ndarray:
         """(H*W, 3) unit ray directions in camera frame (z forward, y down)."""
         u, v = np.meshgrid(np.arange(self.width), np.arange(self.height))
@@ -80,18 +78,12 @@ class Camera:
         return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
-def sample_camera(
-    rng: np.random.Generator,
-    target: np.ndarray,
-    scene_radius: float | None = None,
-    fill: float = 0.9,
-) -> Camera:
+def sample_camera(rng: np.random.Generator, target: np.ndarray, scene_radius: float) -> Camera:
     """Camera on a hemisphere (radius 0.8-1.5 m, elevation 15-75 deg) looking
     at `target` with world +z up.
 
-    When scene_radius is given, the focal length is set so the scene fills
-    `fill` of the image half-height (the zoom plays the role of a 2D
-    detection crop); otherwise the fixed default focal is used.
+    The focal length is set so a scene of `scene_radius` fills FILL of the
+    image half-height (the zoom plays the role of a 2D detection crop).
     """
     radius = rng.uniform(0.8, 1.5)
     elev = np.radians(rng.uniform(15.0, 75.0))
@@ -105,12 +97,7 @@ def sample_camera(
     x_cam = _unit(np.cross(fwd, up))
     y_cam = np.cross(fwd, x_cam)  # points "down" in world
     R = np.stack([x_cam, y_cam, fwd], axis=0)
-    if scene_radius is None:
-        focal = FOCAL
-    else:
-        focal = float(
-            np.clip(fill * (IMAGE_HEIGHT / 2.0) * radius / scene_radius, 60.0, 700.0)
-        )
+    focal = float(np.clip(FILL * (IMAGE_HEIGHT / 2.0) * radius / scene_radius, 60.0, 700.0))
     return Camera(
         fx=focal,
         fy=focal,

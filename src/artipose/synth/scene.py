@@ -67,10 +67,6 @@ def nocs_normalize(local_points: np.ndarray, half_extents: np.ndarray) -> np.nda
     return local_points / (2.0 * half_extents) + 0.5
 
 
-def nocs_denormalize(nocs: np.ndarray, half_extents: np.ndarray) -> np.ndarray:
-    return (nocs - 0.5) * (2.0 * half_extents)
-
-
 def sample_scene(
     instance: ArticulatedInstance,
     seed,

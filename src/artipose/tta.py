@@ -140,13 +140,6 @@ class HandOptResult:
     aborted: str = ""
 
 
-def hand_param_vector(hand: KinematicHand) -> np.ndarray:
-    """(24,) optimization vector: root 6D rotation + translation + angles."""
-    return np.concatenate(
-        [matrix_to_rot6d(hand.root_rotation), hand.root_position, hand.joint_angles]
-    )
-
-
 def optimize_hand(
     hand_init: KinematicHand,
     contact_map: np.ndarray,
@@ -162,7 +155,7 @@ def optimize_hand(
         return HandOptResult(hand_init, [], aborted="no contact points")
 
     store = nn.ParamStore()
-    store.add("r6", hand_param_vector(hand_init)[:6])
+    store.add("r6", matrix_to_rot6d(hand_init.root_rotation))
     store.add("t", hand_init.root_position)
     store.add("ang", hand_init.joint_angles)
     template = hand_init.template

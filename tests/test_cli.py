@@ -13,6 +13,7 @@ import pytest
 import artipose
 from artipose import cli
 from artipose import estimator as est_mod
+from artipose import nn
 from artipose import tta as tta_mod
 from artipose.errors import TooFewPoints
 from artipose.estimator import PartPoseEstimate
@@ -154,6 +155,35 @@ class TestEval:
         argv = [command, "--checkpoint", str(ckpt), "--dataset", str(ds), "--iou-samples", "1000"]
         assert cli.main(argv + ["--out", str(root / f"rejected_{command}.csv")]) == 1
         assert not (root / f"rejected_{command}.csv").exists()
+
+
+    @pytest.mark.parametrize("key, value", [("head_hidden", 64), ("center_input", False)])
+    def test_other_architecture_is_runtime_error(self, trained, capsys, key, value):
+        root, ds, ckpt = trained
+        stores, meta = nn.load_checkpoint(ckpt)
+        other = root / f"other_{key}.ckpt"
+        nn.save_checkpoint(other, stores, meta={**meta, key: value})
+        out = root / f"other_{key}.csv"
+        assert cli.main(["eval", "--checkpoint", str(other), "--dataset", str(ds), "--out", str(out)]) == 2
+        assert f"error: ValueError: checkpoint {key} is {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNegativeCounts:
+    def test_synth_count(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        assert cli.main(["synth", "--category", "laptop", "--count", "-1", "--out", str(out)]) == 1
+        assert "argument --count: must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "tta", "hand-opt"])
+    def test_limit(self, trained, capsys, command):
+        root, ds, ckpt = trained
+        out = root / f"limit_{command}.csv"
+        argv = [command, "--checkpoint", str(ckpt), "--dataset", str(ds), "--limit", "-1"]
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert "argument --limit: must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTta:

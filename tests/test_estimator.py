@@ -278,6 +278,26 @@ class TestTraining:
         b = E.train_estimator([scene], cfg, tmp_path / "b")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_checkpoint_records_the_one_architecture(self, scene, tmp_path):
+        ckpt = E.train_estimator([scene], E.TrainConfig(epochs=1, seed=4), tmp_path)
+        est, meta, _ = E.load_estimator(ckpt)
+        assert {key: meta[key] for key in E.ARCHITECTURE} == {
+            "local_widths": [3, 64, 128], "head_hidden": 128, "rot_hidden": 256, "center_input": True,
+        }
+        assert est.spec.feature_dim == meta["feature_dim"] == 256
+
+    @pytest.mark.parametrize("key, value", [("head_hidden", 64), ("center_input", False), ("rot_hidden", None)])
+    def test_other_architecture_rejected(self, scene, tmp_path, key, value):
+        ckpt = E.train_estimator([scene], E.TrainConfig(epochs=1, seed=4), tmp_path)
+        stores, meta = nn.load_checkpoint(ckpt)
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        nn.save_checkpoint(ckpt, stores, meta=meta)
+        with pytest.raises(ValueError, match=f"checkpoint {key} is {value!r}"):
+            E.load_estimator(ckpt)
+
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"epochs": 3, "warp_drive": true}')

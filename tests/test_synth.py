@@ -41,7 +41,6 @@ from artipose.synth.render import (
     ray_capsule_hits,
     sample_camera,
 )
-from artipose.synth.scene import nocs_denormalize
 from helpers import bits, box_surface_points, fps_rowwise, generate_dataset_serial, render_every_ray
 
 
@@ -136,7 +135,8 @@ class TestHand:
         tmpl = default_hand_template()
         rng = np.random.default_rng(4)
         hand = KinematicHand(np.eye(3), rng.normal(size=3), rng.uniform(0, 1.2, 15), tmpl)
-        clone = KinematicHand.from_params(hand.params(), tmpl)
+        params = hand.params()
+        clone = KinematicHand(params[:9].reshape(3, 3), params[9:12], params[12:], tmpl)
         assert np.allclose(clone.joints(), hand.joints())
         assert np.allclose(clone.surface(), hand.surface())
 
@@ -359,8 +359,8 @@ class TestRender:
 
     def test_capsule_rendering_hits(self):
         cam = overhead_camera()
-        A = cam.to_camera(np.array([-0.1, 0.0, 0.2]))
-        B = cam.to_camera(np.array([0.1, 0.0, 0.2]))
+        A = np.array([-0.1, 0.0, 0.2]) @ cam.R.T + cam.t
+        B = np.array([0.1, 0.0, 0.2]) @ cam.R.T + cam.t
         pts, labs, vis = render_partial_cloud(
             [], [(A, B, 0.03)], cam, 128, np.random.default_rng(3)
         )
@@ -547,7 +547,7 @@ class TestSampleScene:
             m = rec.seg == i + 1
             if not m.any():
                 continue
-            local = nocs_denormalize(rec.nocs[m], canon.vertices[7])
+            local = (rec.nocs[m] - 0.5) * (2.0 * canon.vertices[7])
             back = pose.s * local @ pose.R.T + pose.t
             assert np.abs(back - rec.cloud[m]).max() < 1e-6
 
@@ -633,6 +633,11 @@ class TestDataset:
         expect = geo.compute_contact_map(rec.cloud[obj], rec.hand_surface, rec.tau)
         # f32 rounding can flip points that sit exactly at the threshold
         assert (rec.contact[obj] == expect).mean() > 0.999
+
+    def test_drawer_needs_fixed_count(self, tmp_path):
+        with pytest.raises(ValueError, match="fixed drawers count"):
+            generate_dataset(tmp_path / "ds", "drawer", 4, seed=0, drawers=None)
+        assert not (tmp_path / "ds").exists()
 
     def test_min_contacts_respected(self, tmp_path):
         root = generate_dataset(tmp_path / "ds", "laptop", 3, seed=5, min_contacts=8)
