@@ -20,7 +20,7 @@ from . import metrics as metrics_mod
 from . import nn
 from . import priors as priors_mod
 from . import tta as tta_mod
-from .errors import ArtiposeError, DegenerateFit, TooFewPoints, UsageError
+from .errors import ArtiposeError, UsageError
 from .synth import CATEGORIES, KinematicHand, generate_dataset, load_dataset
 
 
@@ -160,6 +160,11 @@ TTA_FIELDS = [
 
 
 def cmd_tta(args) -> int:
+    """One row per part: errors before and after adaptation, the scene's
+    abort reason, and on its last row the scene's adversarial trace. An
+    aborted scene's `after` repeats `before`, its first estimate, where a
+    part without a fit reads NaN. "adapted" counts the scenes that did not
+    abort; "reduced" those of them whose last loss is below the first."""
     est, meta, stores = est_mod.load_estimator(args.checkpoint)
     disc = _load_discriminator(args, meta, stores)
     _, scenes = load_dataset(args.dataset, limit=args.limit)
@@ -168,28 +173,19 @@ def cmd_tta(args) -> int:
     rows = []
     adapted = improved = 0
     for rec in scenes:
-        try:
-            result = tta_mod.adapt_object(est, disc, rec.cloud, rec.canonical_boxes, cfg)
-        except (TooFewPoints, DegenerateFit) as err:
-            # The first estimate already lacks a part or cannot fit one:
-            # record NaN rows with the reason and move on.
-            aborted, trace = str(err), None
-            fits = dict.fromkeys(("before", "after"), [(None, None)] * rec.part_count)
-        else:
-            aborted, trace = result.aborted, result.trace
-            stages = (("before", result.before), ("after", result.after))
-            fits = {tag: [(e.pose, e.box) for e in ests] for tag, ests in stages}
+        result = tta_mod.adapt_object(est, disc, rec.cloud, rec.canonical_boxes, cfg)
+        trace = result.trace
+        if not result.aborted:
             adapted += 1
             if len(trace) >= 2 and trace[-1] < trace[0]:
                 improved += 1
         for p in range(rec.part_count):
-            row = {"scene": rec.scene_id, "part": p, "aborted": aborted}
-            for tag, parts in fits.items():
-                errors = metrics_mod.part_errors(*parts[p], rec.part_poses[p], rec.posed_boxes[p])
+            row = {"scene": rec.scene_id, "part": p, "aborted": result.aborted}
+            for tag, e in (("before", result.before[p]), ("after", result.after[p])):
+                errors = metrics_mod.part_errors(e.pose, e.box, rec.part_poses[p], rec.posed_boxes[p])
                 row.update(zip((f"r_err_{tag}", f"t_err_{tag}", f"iou_{tag}"), errors))
             rows.append(row)
-        if trace is not None:
-            rows[-1]["l_adv_trace"] = ";".join(repr(v) for v in trace)
+        rows[-1]["l_adv_trace"] = ";".join(repr(v) for v in trace)
     metrics_mod.write_rows(args.out, TTA_FIELDS, rows)
     print(f"adapted {adapted} of {len(scenes)} scenes; adversarial loss reduced on {improved}")
     print(f"report: {args.out}")
@@ -218,7 +214,7 @@ def cmd_hand_opt(args) -> int:
         diffuser = priors_mod.ContactDiffuser(
             est.spec.feature_dim,
             stores["diffuser"],
-            priors_mod.NoiseSchedule.linear(meta.get("diffusion_steps", 100)),
+            priors_mod.NoiseSchedule.linear(meta["diffusion_steps"]),
         )
 
     cfg = tta_mod.HandOptConfig(iters=args.iters, lr=args.lr)

@@ -39,25 +39,7 @@ class StaleTape(ArtiposeError):
     """Backward was called on a tape recorded against older parameters."""
 
 
-# -- estimator / priors / tta -----------------------------------------------
-
-class TooFewPoints(ArtiposeError):
-    """A part claims fewer points than a pose fit requires."""
-
-    def __init__(self, part: int, count: int):
-        super().__init__(f"part {part} has only {count} member points")
-        self.part = part
-        self.count = count
-
-
-class DegenerateFit(ArtiposeError):
-    """A part has enough member points, but its pose fit is degenerate."""
-
-    def __init__(self, part: int, reason: str):
-        super().__init__(f"part {part}: {reason}")
-        self.part = part
-        self.reason = reason
-
+# -- priors -----------------------------------------------------------------
 
 class PartCountMismatch(ArtiposeError):
     """Box layout part count differs from the discriminator's configured P."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -274,70 +274,68 @@ def assemble_graph(
     return R, t, s, box
 
 
-def layout_graph(
+def fit_parts(
     tape: ad.Tape,
     cloud: np.ndarray,
     labels: np.ndarray,  # (N,) class per point, HAND_CLASS or part + 1
     nocs: ad.Var,  # (N, 3) rows aligned with cloud
     rot6d: ad.Var,  # (P, 6)
     half_extents: np.ndarray,  # (P, 3)
-):
-    """One scene's (P, 8, 3) posed-box layout Var, as the discriminator
-    scores it, or the reason string when the scene has no layout.
-
-    Runs assemble_graph on each part's argmax members. A degeneracy reason
-    from any part wins over "part lost its points" (a part with fewer than
-    3 members).
-    """
-    boxes = []
+) -> list:
+    """Per part p, (members, fit): the indices of the points labelled p + 1
+    and assemble_graph's (R, t, s, box) on them, or the reason the part has
+    no fit: "{n} points" below 3 members, or the degeneracy message."""
+    fits = []
     for p, idx in enumerate(member_sets(labels, len(half_extents))):
         if len(idx) < 3:
+            fits.append((idx, f"{len(idx)} points"))
             continue
         r_p = ad.reshape(ad.take(rot6d, np.array([p]), axis=0), (6,))
         try:
-            *_, box = assemble_graph(tape, cloud[idx], ad.take(nocs, idx, axis=0), r_p, half_extents[p])
+            fit = assemble_graph(tape, cloud[idx], ad.take(nocs, idx, axis=0), r_p, half_extents[p])
         except (DegenerateRotation, DegenerateCorrespondences) as err:
-            return str(err)
-        boxes.append(box)
-    if len(boxes) < len(half_extents):
-        return "part lost its points"
+            fit = str(err)
+        fits.append((idx, fit))
+    return fits
+
+
+def layout_graph(tape, cloud, labels, nocs, rot6d, half_extents):
+    """One scene's (P, 8, 3) posed-box layout Var, as the discriminator
+    scores it, or "part p: reason" for the first part that fit_parts
+    (same arguments) leaves without a fit."""
+    boxes = []
+    for p, (_, fit) in enumerate(fit_parts(tape, cloud, labels, nocs, rot6d, half_extents)):
+        if isinstance(fit, str):
+            return f"part {p}: {fit}"
+        boxes.append(fit[3])
     return ad.stack(boxes, axis=0)
 
 
 def assemble_pose(cloud: np.ndarray, pred: HeadOutput, canonical_boxes: list) -> list:
     """Analytic pose + posed box per part from head outputs (numpy in/out).
 
-    Member points come from the argmax segmentation; each part runs
-    assemble_graph on its own tape. Parts that defeat the fit (< 3 points,
-    degenerate rotation or correspondences) are marked invalid with the
+    fit_parts on the argmax segmentation, off the gradient tape and in
+    float64; a part it leaves without a fit is marked invalid with the
     reason.
     """
     cloud = np.asarray(cloud, dtype=np.float64)
-    part_count = pred.rot6d.shape[0]
-    if len(canonical_boxes) != part_count:
+    if len(canonical_boxes) != pred.rot6d.shape[0]:
         raise ShapeMismatch("canonical box count != predicted part count")
-    nocs = np.asarray(pred.nocs, dtype=np.float64)
-    rot6d = np.asarray(pred.rot6d, dtype=np.float64)
-
+    tape = ad.Tape(grad=False)
+    fits = fit_parts(
+        tape,
+        cloud,
+        np.argmax(pred.seg_logits, axis=1),
+        ad.const(np.asarray(pred.nocs, dtype=np.float64), tape),
+        ad.const(np.asarray(pred.rot6d, dtype=np.float64), tape),
+        np.stack([b.vertices[7] for b in canonical_boxes]),
+    )
     results = []
-    for p, idx in enumerate(member_sets(np.argmax(pred.seg_logits, axis=1), part_count)):
-        if len(idx) < 3:
-            results.append(
-                PartPoseEstimate(p, False, None, None, idx, reason=f"{len(idx)} points")
-            )
+    for p, (idx, fit) in enumerate(fits):
+        if isinstance(fit, str):
+            results.append(PartPoseEstimate(p, False, None, None, idx, reason=fit))
             continue
-        tape = ad.Tape(grad=False)
-        try:
-            R, t, s, box = assemble_graph(
-                tape,
-                cloud[idx],
-                ad.const(nocs[idx], tape),
-                ad.const(rot6d[p], tape),
-                canonical_boxes[p].vertices[7],
-            )
-        except (DegenerateRotation, DegenerateCorrespondences) as err:
-            results.append(PartPoseEstimate(p, False, None, None, idx, reason=str(err)))
-            continue
+        R, t, s, box = fit
         pose = SimilarityTransform(R.data, t.data, float(s.data))
         results.append(PartPoseEstimate(p, True, pose, OrientedBox(box.data), idx))
     return results
@@ -348,7 +346,7 @@ class TrainConfig:
     """Joint training configuration (JSON-serializable)."""
 
     dataset: str = ""
-    category: str = "laptop"
+    category: str = ""  # "" takes the scenes' category
     epochs: int = 60
     batch_size: int = 8
     lr: float = 1e-3
@@ -393,16 +391,24 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
     Writes `checkpoint` and a per-epoch `loss_log` CSV under out_dir and
     returns the checkpoint path. Deterministic in (scenes, config).
 
+    The checkpoint records the scenes' one category, in its meta and in
+    the config it stores. Scenes of more than one category, or a config
+    that names another, raise ValueError before anything is written.
+
     Each log row holds batch means. L_adv and L_D are means over the batches
     where at least one scene's layout could be assembled, and 0.0 when none
     could; adv_scenes counts the scenes whose layout fed L_adv that epoch.
     """
     from . import priors  # local import: priors depends on nn only
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if not scenes:
         raise ValueError("empty dataset")
+    categories = sorted({s.category for s in scenes})
+    if len(categories) > 1 or config.category not in ("", categories[0]):
+        raise ValueError(f"config category {config.category!r}, scene categories {categories}")
+    config = replace(config, category=categories[0])
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     part_count = scenes[0].part_count
     n_pts = scenes[0].cloud.shape[0]

@@ -280,8 +280,8 @@ def generate_dataset(
     contact region) retry with the next attempt index, keeping output
     independent of history. If all fail, GraspFailure counts each reason.
     Drawer instances get a fixed `drawers` sliding parts (3 by default) so
-    every scene in a dataset has the same part count; None raises
-    ValueError before any scene is built.
+    every scene in a dataset has the same part count. A negative count, or
+    drawers None, raises ValueError before anything is written.
 
     Scenes depend on nothing but their index, so they are built across
     k = min(usable CPUs, count) processes: the calling process builds the
@@ -295,6 +295,8 @@ def generate_dataset(
     alive, or from a daemonic process: the calling process then builds every
     scene in order.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     if category == "drawer" and drawers is None:
         raise ValueError("the drawer category needs a fixed drawers count")
     root = Path(out_dir)
@@ -416,7 +418,10 @@ def load_scene(root, manifest: dict, entry: dict) -> SceneRecord:
 
 
 def load_dataset(root, limit: int | None = None) -> tuple[dict, list]:
-    """Load the manifest and (up to limit) scene records."""
+    """Load the manifest and (up to limit) scene records; a negative limit
+    raises ValueError before anything is read."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     manifest = load_manifest(root)
     entries = manifest["scenes"][:limit]
     return manifest, [load_scene(root, manifest, e) for e in entries]

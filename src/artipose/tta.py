@@ -5,6 +5,8 @@ adapt_object clones the estimator per scene and takes Adam steps on the
 generator term (D(layout) - 1)^2 from estimator.layout_graph and
 priors.g_adv_loss_graph, the training path; heads_only scope encodes once,
 off the gradient tape, and before/after come from the first and last passes.
+A scene it cannot adapt, from its first estimate on, comes back as an
+AdaptResult whose `aborted` names the step and the reason.
 
 optimize_hand descends the symmetric chamfer between the FK hand surface and
 the contact point set over the 24 hand parameters (root 6D rotation +
@@ -20,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import diffgeom as dg
 from . import nn
-from .errors import DegenerateFit, DegenerateRotation, TooFewPoints
+from .errors import DegenerateRotation
 from .estimator import Estimator, HeadOutput, assemble_pose, layout_graph
 from .geometry import matrix_to_rot6d, rot6d_to_matrix
 from .priors import Discriminator, g_adv_loss_graph
@@ -60,7 +62,7 @@ class AdaptResult:
     before: list  # PartPoseEstimate per part
     after: list
     trace: list  # adversarial loss per step (step 0 = initial value)
-    aborted: str = ""  # nonempty = adaptation failed, after == before
+    aborted: str = ""  # "step k: ..." when adaptation failed; then after is before
 
 
 def adapt_object(
@@ -77,9 +79,13 @@ def adapt_object(
     gives `before`; the last gives `after`, records nothing, only adds the
     final value to the trace, and may fail without aborting the run.
 
-    Raises TooFewPoints when the first estimate leaves a part fewer than 3
-    member points, and DegenerateFit, carrying the part's reason, when a
-    part has the points but its fit is degenerate.
+    A scene it cannot adapt is returned, never raised: when an earlier pass
+    has no layout or a non-finite loss, `aborted` reads "step k: part p:
+    reason" (layout_graph's reason) or "step k: non-finite loss", `after` is
+    `before` and the trace holds the values of steps 0..k-1. An unusable
+    first estimate aborts at step 0 with an empty trace. `before` is
+    assemble_pose's float64 fit of the first pass, so a part that the
+    layout lost for too few points is invalid there with the same reason.
     """
     cloud = np.asarray(cloud, dtype=np.float64)
     cloud32 = est.prepare_input(cloud)
@@ -99,11 +105,6 @@ def adapt_object(
         pred = HeadOutput(seg_logits=seg.data, nocs=nocs.data, rot6d=rot.data[0])
         if step == 0:
             before = assemble_pose(cloud, pred, canonical_boxes)
-            bad = next((p for p in before if not p.valid), None)
-            if bad is not None:
-                if len(bad.members) < 3:
-                    raise TooFewPoints(bad.part, len(bad.members))
-                raise DegenerateFit(bad.part, bad.reason)
         layout = layout_graph(
             tape,
             cloud,

@@ -10,11 +10,9 @@ from artipose import nn
 from artipose import tta
 from artipose.errors import (
     DegenerateCorrespondences,
-    DegenerateFit,
     EmptyView,
     GraspFailure,
     ShapeMismatch,
-    TooFewPoints,
 )
 from artipose.estimator import HAND_CLASS, assemble_pose, layout_graph
 from artipose.geometry import SimilarityTransform, as_cloud
@@ -365,12 +363,6 @@ def adapt_object_reencoding(est, disc, cloud, canonical_boxes, cfg):
     half_extents = np.stack([b.vertices[7] for b in canonical_boxes])
 
     before = assemble_pose(cloud, work.head_output(cloud), canonical_boxes)
-    bad = next((p for p in before if not p.valid), None)
-    if bad is not None:
-        if len(bad.members) < 3:
-            raise TooFewPoints(bad.part, len(bad.members))
-        raise DegenerateFit(bad.part, bad.reason)
-
     encoder_names = [n for n in work.store.names() if n.startswith("enc")]
     trace = []
     for step in range(cfg.steps + 1):

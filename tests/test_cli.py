@@ -5,18 +5,17 @@ files."""
 import csv
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import artipose
+from artipose import autodiff as ad
 from artipose import cli
 from artipose import estimator as est_mod
 from artipose import nn
 from artipose import tta as tta_mod
-from artipose.errors import TooFewPoints
-from artipose.estimator import PartPoseEstimate
+from artipose.estimator import PartPoseEstimate, layout_graph
 from artipose.synth import load_dataset
 
 
@@ -122,6 +121,18 @@ class TestHandOpt:
     def test_sampled_contacts_need_checkpoint(self, trained):
         _, ds, _ = trained
         assert cli.main(["hand-opt", "--dataset", str(ds)]) == 1
+
+    def test_checkpoint_without_diffusion_steps_is_runtime_error(self, trained, capsys):
+        root, ds, ckpt = trained
+        stores, meta = nn.load_checkpoint(ckpt)
+        del meta["diffusion_steps"]
+        other = root / "no_steps.ckpt"
+        nn.save_checkpoint(other, stores, meta=meta)
+        out = root / "no_steps.csv"
+        argv = ["hand-opt", "--checkpoint", str(other), "--dataset", str(ds), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "error: KeyError: 'diffusion_steps'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_same_initial_hands_in_both_modes(self, trained):
         root, ds, ckpt = trained
@@ -259,37 +270,74 @@ class TestTta:
                 assert float(row[f"iou_{tag}"]) == pytest.approx(1.0, abs=1e-12)
         assert [row["l_adv_trace"] for row in rows] == ["", "1.0;0.5", "", "1.0;0.5"]
 
+    def check_step_0_abort(self, rows, out, bad_part, reason):
+        """Every row reads the step-0 abort; the bad part is NaN and every
+        other part keeps its finite first estimate, after equal to before."""
+        assert "adapted 0 of 2 scenes; adversarial loss reduced on 0\n" in out
+        assert len(rows) == 4
+        for row in rows:
+            assert row["aborted"] == f"step 0: part {bad_part}: {reason}"
+            assert row["l_adv_trace"] == ""
+            before = [row[f"{m}_before"] for m in ("r_err", "t_err", "iou")]
+            assert [row[f"{m}_after"] for m in ("r_err", "t_err", "iou")] == before
+            if row["part"] == str(bad_part):
+                assert all(math.isnan(float(v)) for v in before)
+            else:
+                assert all(math.isfinite(float(v)) for v in before)
+
+    def corrupt_heads(self, monkeypatch, corrupt):
+        """Every head pass goes through corrupt(seg, nocs, rot) -> Vars."""
+        heads_graph = est_mod.Estimator.heads_graph
+
+        def heads(self, tape, z, pooled):
+            return corrupt(*heads_graph(self, tape, z, pooled))
+
+        monkeypatch.setattr(est_mod.Estimator, "heads_graph", heads)
+
     def test_too_few_points_recorded_per_scene(self, trained, monkeypatch, capsys):
         root, ds, ckpt = trained
 
-        def starved(*args, **kwargs):
-            raise TooFewPoints(1, 2)
+        def two_points_on_part_1(seg, nocs, rot):
+            # every object point to part 0, except the first two to part 1
+            labels = np.argmax(seg.data, axis=1)
+            obj = np.flatnonzero(labels != est_mod.HAND_CLASS)
+            labels[obj] = 1
+            labels[obj[:2]] = 2
+            return ad.add(ad.mul(seg, 0.0), np.eye(seg.shape[1])[labels]), nocs, rot
 
-        monkeypatch.setattr(tta_mod, "adapt_object", starved)
+        self.corrupt_heads(monkeypatch, two_points_on_part_1)
         rows = self.run(root, ds, ckpt, "tta_starved.csv")
-        assert "adapted 0 of 2 scenes; adversarial loss reduced on 0\n" in capsys.readouterr().out
-        assert len(rows) == 4
-        for row in rows:
-            assert row["aborted"] == "part 1 has only 2 member points"
-            for name in cli.TTA_FIELDS[2:8]:
-                assert math.isnan(float(row[name]))
+        self.check_step_0_abort(rows, capsys.readouterr().out, 1, "2 points")
 
     def test_degenerate_first_estimate_recorded_per_scene(self, trained, monkeypatch, capsys):
         root, ds, ckpt = trained
 
-        def zero_part0_rotation(cloud, pred, canonical_boxes):
-            rot6d = pred.rot6d.copy()
-            rot6d[0] = 0.0
-            return est_mod.assemble_pose(cloud, replace(pred, rot6d=rot6d), canonical_boxes)
+        def zero_part_0_rotation(seg, nocs, rot):
+            return seg, nocs, ad.mul(rot, np.array([0.0, 1.0])[:, None])
 
-        monkeypatch.setattr(tta_mod, "assemble_pose", zero_part0_rotation)
+        self.corrupt_heads(monkeypatch, zero_part_0_rotation)
         rows = self.run(root, ds, ckpt, "tta_degenerate.csv")
+        self.check_step_0_abort(rows, capsys.readouterr().out, 0, "first column near zero")
+
+    def test_abort_at_step_1_not_counted_as_adapted(self, trained, monkeypatch, capsys):
+        root, ds, ckpt = trained
+        calls = []
+
+        def layout_lost_at_step_1(*args):
+            # --steps 2: each scene's second call is its step 1
+            calls.append(args)
+            return "part 0: 0 points" if len(calls) % 2 == 0 else layout_graph(*args)
+
+        monkeypatch.setattr(tta_mod, "layout_graph", layout_lost_at_step_1)
+        rows = self.run(root, ds, ckpt, "tta_step_1.csv")
         assert "adapted 0 of 2 scenes; adversarial loss reduced on 0\n" in capsys.readouterr().out
-        assert len(rows) == 4
+        assert len(calls) == 4
         for row in rows:
-            assert row["aborted"] == "part 0: first column near zero"
-            for name in cli.TTA_FIELDS[2:8]:
-                assert math.isnan(float(row[name]))
+            assert row["aborted"] == "step 1: part 0: 0 points"
+            for m in ("r_err", "t_err", "iou"):
+                assert row[f"{m}_after"] == row[f"{m}_before"]
+                assert math.isfinite(float(row[f"{m}_before"]))
+        assert [len(row["l_adv_trace"].split(";")) for row in rows[1::2]] == [1, 1]
 
 
 def test_version(capsys):

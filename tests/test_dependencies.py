@@ -1,6 +1,7 @@
 """Imports in src/artipose, including imports inside functions: numpy is
 the only runtime dependency (every absolute import names the standard
-library, numpy or artipose itself), and every imported name is used."""
+library, numpy or artipose itself), and every imported name is used. Every
+error type in errors.py is raised somewhere in src/artipose."""
 
 import ast
 import sys
@@ -74,3 +75,45 @@ def test_every_import_is_used():
         for name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert unused == []
+
+
+def error_types(source: str) -> list:
+    """Classes of an errors module that derive, directly or through another
+    class of the module, from ArtiposeError, in definition order."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(base, ast.Name) and base.id in {"ArtiposeError", *found} for base in node.bases
+        ):
+            found.append(node.name)
+    return found
+
+
+def raised_names(source: str) -> set:
+    """Names a module raises: `raise X`, `raise X(...)` or `raise mod.X(...)`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_finds_error_types_and_raises():
+    errors = (
+        "class ArtiposeError(Exception):\n    pass\nclass A(ArtiposeError):\n    pass\n"
+        "class B(A):\n    pass\nclass C(ValueError):\n    pass\n"
+    )
+    assert error_types(errors) == ["A", "B"]
+    source = "def f(e):\n    raise A('x')\n    raise errors.B\n    raise\n    raise e\n"
+    assert raised_names(source) == {"A", "B", "e"}
+
+
+def test_every_error_type_is_raised():
+    types = error_types((SRC / "errors.py").read_text(encoding="utf-8"))
+    assert len(types) > 5
+    raised = set().union(*(raised_names(path.read_text(encoding="utf-8")) for path in SRC.rglob("*.py")))
+    assert [name for name in types if name not in raised] == []

@@ -1,6 +1,7 @@
 """Estimator: encoder properties, loss oracle, pose assembly, training."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,6 +188,46 @@ class TestAssemblePose:
         assert not ests[1].valid
         assert len(ests[1].members) == 0
 
+    @pytest.mark.parametrize(
+        "starved, degenerate, first_failure",
+        [
+            ((), (), None),
+            ((1,), (), "part 1: 2 points"),
+            ((), (1,), "part 1: first column near zero"),
+            ((0,), (1,), "part 0: 2 points"),
+            ((1,), (0,), "part 0: first column near zero"),
+        ],
+    )
+    def test_layout_graph_agrees_with_assemble_pose(self, scene, starved, degenerate, first_failure):
+        # starved parts keep 2 member points; degenerate parts get a zero rotation
+        rng = np.random.default_rng(0)
+        labels = scene.seg.astype(np.int64)
+        for p in starved:
+            labels[np.flatnonzero(labels == p + 1)[2:]] = E.HAND_CLASS
+        rot6d = E.gt_rot6d(scene.part_poses) + rng.normal(scale=0.05, size=(2, 6))
+        rot6d[list(degenerate)] = 0.0
+        pred = E.HeadOutput(
+            seg_logits=np.eye(3)[labels] * 20.0,
+            nocs=scene.nocs + rng.normal(scale=0.01, size=scene.nocs.shape),
+            rot6d=rot6d,
+        )
+        ests = E.assemble_pose(scene.cloud, pred, scene.canonical_boxes)
+        tape = ad.Tape()
+        layout = E.layout_graph(
+            tape,
+            scene.cloud,
+            labels,
+            ad.leaf(pred.nocs, tape),
+            ad.leaf(pred.rot6d, tape),
+            np.stack([b.vertices[7] for b in scene.canonical_boxes]),
+        )
+        bad = next((e for e in ests if not e.valid), None)
+        if first_failure is None:
+            assert bad is None
+            assert np.array_equal(bits(layout.data), bits(np.stack([e.box.vertices for e in ests])))
+        else:
+            assert layout == first_failure == f"part {bad.part}: {bad.reason}"
+
     def test_scale_consistency(self, scene):
         # with a fixed HeadOutput, fitting on k-scaled points scales (s, t)
         # by k and leaves R untouched
@@ -297,6 +338,28 @@ class TestTraining:
         nn.save_checkpoint(ckpt, stores, meta=meta)
         with pytest.raises(ValueError, match=f"checkpoint {key} is {value!r}"):
             E.load_estimator(ckpt)
+
+    def test_checkpoint_records_the_scenes_category(self, scene, tmp_path):
+        drawer = replace(scene, category="drawer")
+        ckpt = E.train_estimator([drawer], E.TrainConfig(epochs=1, seed=4), tmp_path)
+        meta = E.load_estimator(ckpt)[1]
+        assert meta["category"] == meta["config"]["category"] == "drawer"
+
+    def test_naming_the_scenes_category_keeps_the_bytes(self, scene, tmp_path):
+        named = E.train_estimator([scene], E.TrainConfig(epochs=1, seed=4, category="laptop"), tmp_path / "a")
+        default = E.train_estimator([scene], E.TrainConfig(epochs=1, seed=4), tmp_path / "b")
+        assert named.read_bytes() == default.read_bytes()
+
+    @pytest.mark.parametrize(
+        "config_category, categories",
+        [("drawer", ["laptop"]), ("", ["drawer", "laptop"]), ("laptop", ["drawer", "laptop"])],
+    )
+    def test_other_category_rejected_before_writing(self, scene, tmp_path, config_category, categories):
+        scenes = [replace(scene, category=c) for c in categories]
+        cfg = E.TrainConfig(epochs=1, seed=4, category=config_category)
+        with pytest.raises(ValueError, match=f"^config category {config_category!r}, scene categories"):
+            E.train_estimator(scenes, cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -639,6 +639,16 @@ class TestDataset:
             generate_dataset(tmp_path / "ds", "drawer", 4, seed=0, drawers=None)
         assert not (tmp_path / "ds").exists()
 
+    def test_negative_count_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="^count must be >= 0, got -1$"):
+            generate_dataset(tmp_path / "ds", "laptop", -1, seed=0)
+        assert not (tmp_path / "ds").exists()
+
+    def test_negative_limit_rejected(self, tmp_path):
+        # no dataset on disk: reading it would raise FileNotFoundError
+        with pytest.raises(ValueError, match="^limit must be >= 0, got -1$"):
+            load_dataset(tmp_path / "missing", limit=-1)
+
     def test_min_contacts_respected(self, tmp_path):
         root = generate_dataset(tmp_path / "ds", "laptop", 3, seed=5, min_contacts=8)
         _, scenes = load_dataset(root)

@@ -1,7 +1,5 @@
 """Test-time adaptation: adapt_object's step loop, trace and abort reasons."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from artipose import estimator as E
 from artipose import nn
 from artipose import priors
 from artipose import tta
-from artipose.errors import DegenerateFit, TooFewPoints
 from artipose.synth import make_instance, sample_scene
 from helpers import adapt_object_reencoding, bits
 
@@ -58,14 +55,19 @@ def fail_layout_at(monkeypatch, call, corrupt):
     return calls
 
 
-def fail_first_estimate(monkeypatch, corrupt):
-    """Make adapt_object's first estimate come from corrupted head outputs;
-    corrupt maps a HeadOutput to a new one."""
+def fail_first_pass(monkeypatch, corrupt):
+    """Corrupt the head outputs of adapt_object's first pass, from which both
+    `before` and the step-0 layout come; corrupt maps the (seg, nocs, rot)
+    Vars to new ones."""
+    heads_graph = E.Estimator.heads_graph
+    calls = []
 
-    def assemble(cloud, pred, canonical_boxes):
-        return E.assemble_pose(cloud, corrupt(pred), canonical_boxes)
+    def heads(self, tape, z, pooled):
+        out = heads_graph(self, tape, z, pooled)
+        calls.append(tape)
+        return corrupt(*out) if len(calls) == 1 else out
 
-    monkeypatch.setattr(tta, "assemble_pose", assemble)
+    monkeypatch.setattr(E.Estimator, "heads_graph", heads)
 
 
 def assert_same_result(got, want):
@@ -120,14 +122,14 @@ class TestAdaptObject:
     @pytest.mark.parametrize(
         "corrupt, reason",
         [
-            (hand_only, "part lost its points"),
+            (hand_only, "0 points"),
             (zero_rotation, "first column near zero"),
         ],
     )
     def test_failed_layout_aborts_mid_run(self, est, disc, scene, monkeypatch, corrupt, reason):
         fail_layout_at(monkeypatch, 1, corrupt)
         result = adapt(est, disc, scene, steps=3)
-        assert result.aborted == f"step 1: {reason}"
+        assert result.aborted == f"step 1: part 0: {reason}"
         assert len(result.trace) == 1
         assert result.after is result.before
 
@@ -147,25 +149,24 @@ class TestAdaptObject:
         assert result.after is not result.before
 
     def test_degenerate_first_estimate_names_its_reason(self, est, disc, scene, monkeypatch):
-        def zero_part0_rotation(pred):
-            rot6d = pred.rot6d.copy()
-            rot6d[0] = 0.0
-            return replace(pred, rot6d=rot6d)
+        fail_first_pass(monkeypatch, lambda seg, nocs, rot: (seg, nocs, ad.mul(rot, 0.0)))
+        result = adapt(est, disc, scene, steps=1)
+        assert result.aborted == "step 0: part 0: first column near zero"
+        assert result.trace == []
+        assert result.after is result.before
+        assert [(p.valid, p.reason) for p in result.before] == [(False, "first column near zero")] * 2
 
-        fail_first_estimate(monkeypatch, zero_part0_rotation)
-        with pytest.raises(DegenerateFit, match="^part 0: first column near zero$") as err:
-            adapt(est, disc, scene, steps=1)
-        assert err.value.part == 0
+    def test_starved_first_estimate_aborts_at_step_0(self, est, disc, scene, monkeypatch):
+        def hand_labels(seg, nocs, rot):
+            hand = np.eye(seg.shape[1], dtype=seg.data.dtype)[E.HAND_CLASS]
+            return ad.add(ad.mul(seg, 0.0), hand), nocs, rot
 
-    def test_starved_first_estimate_raises_too_few_points(self, est, disc, scene, monkeypatch):
-        def hand_labels(pred):
-            seg = np.full_like(pred.seg_logits, -1.0)
-            seg[:, E.HAND_CLASS] = 1.0
-            return replace(pred, seg_logits=seg)
-
-        fail_first_estimate(monkeypatch, hand_labels)
-        with pytest.raises(TooFewPoints, match="^part 0 has only 0 member points$"):
-            adapt(est, disc, scene, steps=1)
+        fail_first_pass(monkeypatch, hand_labels)
+        result = adapt(est, disc, scene, steps=1)
+        assert result.aborted == "step 0: part 0: 0 points"
+        assert result.trace == []
+        assert result.after is result.before
+        assert [(p.valid, p.reason) for p in result.before] == [(False, "0 points")] * 2
 
     @pytest.mark.parametrize("scope", [tta.HEADS_ONLY, tta.FULL_ENCODER])
     @pytest.mark.parametrize("steps", [0, 1, 3])
