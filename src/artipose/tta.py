@@ -79,13 +79,13 @@ def adapt_object(
     gives `before`; the last gives `after`, records nothing, only adds the
     final value to the trace, and may fail without aborting the run.
 
-    A scene it cannot adapt is returned, never raised: when an earlier pass
-    has no layout or a non-finite loss, `aborted` reads "step k: part p:
-    reason" (layout_graph's reason) or "step k: non-finite loss", `after` is
-    `before` and the trace holds the values of steps 0..k-1. An unusable
-    first estimate aborts at step 0 with an empty trace. `before` is
-    assemble_pose's float64 fit of the first pass, so a part that the
-    layout lost for too few points is invalid there with the same reason.
+    A scene it cannot adapt is returned, never raised: `aborted` reads
+    "step k: part p: reason" or "step k: non-finite loss", `after` is
+    `before` and the trace holds the values of steps 0..k-1. A first
+    estimate with an invalid part aborts at step 0, whatever the step count,
+    naming the first invalid part of `before` and its reason; a later pass
+    that has no layout (layout_graph's reason) or a non-finite loss aborts
+    at its step.
     """
     cloud = np.asarray(cloud, dtype=np.float64)
     cloud32 = est.prepare_input(cloud)
@@ -105,6 +105,9 @@ def adapt_object(
         pred = HeadOutput(seg_logits=seg.data, nocs=nocs.data, rot6d=rot.data[0])
         if step == 0:
             before = assemble_pose(cloud, pred, canonical_boxes)
+            bad = next((p for p in before if not p.valid), None)
+            if bad is not None:
+                return AdaptResult(before, before, trace, aborted=f"step 0: part {bad.part}: {bad.reason}")
         layout = layout_graph(
             tape,
             cloud,

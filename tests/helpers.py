@@ -363,6 +363,9 @@ def adapt_object_reencoding(est, disc, cloud, canonical_boxes, cfg):
     half_extents = np.stack([b.vertices[7] for b in canonical_boxes])
 
     before = assemble_pose(cloud, work.head_output(cloud), canonical_boxes)
+    bad = next((p for p in before if not p.valid), None)
+    if bad is not None:
+        return tta.AdaptResult(before, before, [], aborted=f"step 0: part {bad.part}: {bad.reason}")
     encoder_names = [n for n in work.store.names() if n.startswith("enc")]
     trace = []
     for step in range(cfg.steps + 1):

@@ -294,19 +294,26 @@ class TestTta:
 
         monkeypatch.setattr(est_mod.Estimator, "heads_graph", heads)
 
+    @staticmethod
+    def two_points_on_part_1(seg, nocs, rot):
+        # every object point to part 0, except the first two to part 1
+        labels = np.argmax(seg.data, axis=1)
+        obj = np.flatnonzero(labels != est_mod.HAND_CLASS)
+        labels[obj] = 1
+        labels[obj[:2]] = 2
+        return ad.add(ad.mul(seg, 0.0), np.eye(seg.shape[1])[labels]), nocs, rot
+
     def test_too_few_points_recorded_per_scene(self, trained, monkeypatch, capsys):
         root, ds, ckpt = trained
-
-        def two_points_on_part_1(seg, nocs, rot):
-            # every object point to part 0, except the first two to part 1
-            labels = np.argmax(seg.data, axis=1)
-            obj = np.flatnonzero(labels != est_mod.HAND_CLASS)
-            labels[obj] = 1
-            labels[obj[:2]] = 2
-            return ad.add(ad.mul(seg, 0.0), np.eye(seg.shape[1])[labels]), nocs, rot
-
-        self.corrupt_heads(monkeypatch, two_points_on_part_1)
+        self.corrupt_heads(monkeypatch, self.two_points_on_part_1)
         rows = self.run(root, ds, ckpt, "tta_starved.csv")
+        self.check_step_0_abort(rows, capsys.readouterr().out, 1, "2 points")
+
+    def test_too_few_points_recorded_with_zero_steps(self, trained, monkeypatch, capsys):
+        # with --steps 0 the first pass is also the final one
+        root, ds, ckpt = trained
+        self.corrupt_heads(monkeypatch, self.two_points_on_part_1)
+        rows = self.run(root, ds, ckpt, "tta_starved_0.csv", "--steps", "0")
         self.check_step_0_abort(rows, capsys.readouterr().out, 1, "2 points")
 
     def test_degenerate_first_estimate_recorded_per_scene(self, trained, monkeypatch, capsys):

@@ -86,6 +86,12 @@ def assert_same_result(got, want):
                 assert np.array_equal(bits(g.box.vertices), bits(w.box.vertices))
 
 
+def hand_seg(seg, nocs, rot):
+    """Head outputs that put every point in the hand class."""
+    hand = np.eye(seg.shape[1], dtype=seg.data.dtype)[E.HAND_CLASS]
+    return ad.add(ad.mul(seg, 0.0), hand), nocs, rot
+
+
 def hand_only(labels, nocs, rot6d):
     return np.zeros_like(labels), nocs, rot6d
 
@@ -157,16 +163,43 @@ class TestAdaptObject:
         assert [(p.valid, p.reason) for p in result.before] == [(False, "first column near zero")] * 2
 
     def test_starved_first_estimate_aborts_at_step_0(self, est, disc, scene, monkeypatch):
-        def hand_labels(seg, nocs, rot):
-            hand = np.eye(seg.shape[1], dtype=seg.data.dtype)[E.HAND_CLASS]
-            return ad.add(ad.mul(seg, 0.0), hand), nocs, rot
-
-        fail_first_pass(monkeypatch, hand_labels)
+        fail_first_pass(monkeypatch, hand_seg)
         result = adapt(est, disc, scene, steps=1)
         assert result.aborted == "step 0: part 0: 0 points"
         assert result.trace == []
         assert result.after is result.before
         assert [(p.valid, p.reason) for p in result.before] == [(False, "0 points")] * 2
+
+    @pytest.mark.parametrize(
+        "corrupt, reason",
+        [
+            (hand_seg, "0 points"),
+            (lambda seg, nocs, rot: (seg, nocs, ad.mul(rot, 0.0)), "first column near zero"),
+        ],
+        ids=["starved", "degenerate"],
+    )
+    def test_zero_steps_unusable_first_estimate_aborts(self, est, disc, scene, monkeypatch, corrupt, reason):
+        # the first pass is also the final one, yet the bad estimate is recorded
+        fail_first_pass(monkeypatch, corrupt)
+        result = adapt(est, disc, scene, steps=0)
+        assert result.aborted == f"step 0: part 0: {reason}"
+        assert result.trace == []
+        assert result.after is result.before
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_invalid_first_estimate_aborts_before_any_layout(self, est, disc, scene, monkeypatch, steps):
+        # `before`, the float64 fit, alone decides the step-0 abort
+        def part_1_invalid(cloud, pred, canonical_boxes):
+            ests = E.assemble_pose(cloud, pred, canonical_boxes)
+            ests[1] = E.PartPoseEstimate(1, False, None, None, ests[1].members, reason="rank 1")
+            return ests
+
+        monkeypatch.setattr(tta, "assemble_pose", part_1_invalid)
+        monkeypatch.setattr(tta, "layout_graph", lambda *args: pytest.fail("layout_graph called"))
+        result = adapt(est, disc, scene, steps=steps)
+        assert result.aborted == "step 0: part 1: rank 1"
+        assert result.trace == []
+        assert result.after is result.before
 
     @pytest.mark.parametrize("scope", [tta.HEADS_ONLY, tta.FULL_ENCODER])
     @pytest.mark.parametrize("steps", [0, 1, 3])
