@@ -27,6 +27,17 @@ Forward-only passes. A tape that is never swept is built with
 records anything, and `backward` on it raises. Inference, the sampler and
 the finite-difference evaluations run the training graph builders this way.
 
+Views and exact values. `take` over a run of consecutive indices returns
+a view: the output aliases its input, and it is marked read-only, so no op
+can write through it into the input (or into the input's own source, such
+as a parameter array). Everything downstream reads the same numbers a copy
+would hold. `vmax` takes its values from `max` and computes the argmax only
+in the backward, where the gradient needs it. `max` and the first argmax
+agree on every value except a zero maximum, where -0.0 and +0.0 compare
+equal and `max` may return either, and a NaN maximum, whose payload `max`
+need not take from the first NaN. Those entries are read at their argmax, so
+the forward is bit for bit the value at the first argmax, as before.
+
 The ReLU of `linear` is `np.maximum(out, 0, out=out)` in place; it builds
 the `out > 0` mask for its backward only when an input requires a gradient.
 
@@ -48,6 +59,7 @@ import weakref
 import numpy as np
 
 from .errors import ShapeMismatch
+from .geometry import cross
 
 
 class Tape:
@@ -326,16 +338,27 @@ def vmean(a: Var, axis=None, keepdims=False):
 
 
 def vmax(a: Var, axis: int, keepdims=False):
-    """Max along one axis; gradient routes to the first argmax (ties broken low)."""
-    idx = np.argmax(a.data, axis=axis)
-    out_data = np.take_along_axis(a.data, np.expand_dims(idx, axis), axis=axis)
+    """Max along one axis; gradient routes to the first argmax (ties broken low).
+
+    The value is the one at the first argmax, bit for bit: `max` gives it
+    except for a zero or NaN maximum, whose sign or payload `max` may take
+    from another element, so those entries are read at their argmax. The
+    full argmax runs only in the backward.
+    """
+    out_data = a.data.max(axis=axis, keepdims=True)
+    odd = (out_data == 0) | np.isnan(out_data)
+    if odd.any():
+        cols = np.moveaxis(a.data, axis, -1)[np.moveaxis(odd, axis, -1)[..., 0]]
+        first = cols[np.arange(len(cols)), np.argmax(cols, axis=-1)]
+        out_data[odd] = first
     if not keepdims:
         out_data = np.squeeze(out_data, axis=axis)
 
     def da(g):
+        idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
         gg = g if keepdims else np.expand_dims(g, axis)
         full = np.zeros_like(a.data)
-        np.put_along_axis(full, np.expand_dims(idx, axis), gg, axis=axis)
+        np.put_along_axis(full, idx, gg, axis=axis)
         return full
 
     return _unary(a, out_data, da)
@@ -358,28 +381,48 @@ def permute(a: Var, axes):
     )
 
 
+def _run_start(idx: np.ndarray, n: int):
+    """First index of `idx` when it is a non-empty ascending run of
+    consecutive integers in [0, n), else None. Integers whose ends lie
+    size - 1 apart are consecutive exactly when they strictly increase."""
+    if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
+        return None
+    lo, hi = idx.item(0), idx.item(-1)
+    if lo < 0 or hi >= n or hi - lo != idx.size - 1:
+        return None
+    return lo if idx.size < 3 or (idx[1:] > idx[:-1]).all() else None
+
+
 def take(a: Var, indices, axis: int = 0):
     """Gather along an axis; backward scatter-adds (repeats accumulate).
 
-    The backward is the scatter-add of `g` into zeros, bit for bit (so a
-    -0.0 lands as +0.0). It picks its path from the indices when it runs, so
-    forward-only tapes never inspect them: a contiguous range writes a slice,
-    unique indices assign, and repeated indices assign their first
-    occurrences and `np.add.at` only the later ones, in their given order.
+    Indices that form a run (see `_run_start`) give a read-only view of the
+    input, the basic slice they spell; any other indices go through
+    np.take, which raises on out-of-range ones. The backward is the
+    scatter-add of `g` into zeros, bit for bit (so a -0.0 lands as +0.0): a
+    run writes a slice, unique indices assign, and repeated indices assign
+    their first occurrences and `np.add.at` only the later ones, in their
+    given order.
     """
     idx = np.asarray(indices)
-    out_data = np.take(a.data, idx, axis=axis)
     ax = axis % a.data.ndim
+    lo = _run_start(idx, a.data.shape[ax])
 
     def at(i):
         return (slice(None),) * ax + (i,)
 
+    if lo is None:
+        out_data = np.take(a.data, idx, axis=axis)
+    else:
+        out_data = a.data[at(slice(lo, lo + idx.size))]
+        out_data.flags.writeable = False
+
     def da(g):
         full = np.zeros_like(a.data)
-        if idx.ndim != 1 or idx.size == 0 or idx.min() < 0:
+        if lo is not None:
+            np.add(g, 0.0, out=full[at(slice(lo, lo + idx.size))])
+        elif idx.ndim != 1 or idx.size == 0 or idx.min() < 0:
             np.add.at(full, at(idx), g)
-        elif idx[-1] - idx[0] == idx.size - 1 and (np.diff(idx) == 1).all():
-            np.add(g, 0.0, out=full[at(slice(idx[0], idx[-1] + 1))])
         else:
             first = np.unique(idx, return_index=True)[1]
             if first.size == idx.size:
@@ -444,14 +487,14 @@ def stack(parts, axis: int = 0):
 
 
 def cross3(a, b):
-    """Cross product on (..., 3) arrays."""
+    """Cross product on (..., 3) arrays (geometry.cross, np.cross's bits)."""
     a, b = _pair(a, b)
     return _binary(
         a,
         b,
-        np.cross(a.data, b.data),
-        lambda g: np.cross(b.data, g),
-        lambda g: np.cross(g, a.data),
+        cross(a.data, b.data),
+        lambda g: cross(b.data, g),
+        lambda g: cross(g, a.data),
     )
 
 

@@ -199,6 +199,9 @@ HAND_OPT_FIELDS = [
 
 
 def cmd_hand_opt(args) -> int:
+    if not args.gt_contact and args.checkpoint is None:
+        raise UsageError("--checkpoint required unless --gt-contact is set")
+    cfg = tta_mod.HandOptConfig(iters=args.iters, lr=args.lr)
     _, scenes = load_dataset(args.dataset, limit=args.limit)
     # Separate streams, so the initial hands do not depend on whether the
     # sampler draws seeds (--gt-contact or not).
@@ -206,8 +209,6 @@ def cmd_hand_opt(args) -> int:
     sampler_rng = np.random.default_rng([args.seed, 1])
     diffuser = est = None
     if not args.gt_contact:
-        if args.checkpoint is None:
-            raise UsageError("--checkpoint required unless --gt-contact is set")
         est, meta, stores = est_mod.load_estimator(args.checkpoint)
         if "diffuser" not in stores:
             raise UsageError("checkpoint has no diffuser group; train with lambda_diff > 0")
@@ -217,7 +218,6 @@ def cmd_hand_opt(args) -> int:
             priors_mod.NoiseSchedule.linear(meta["diffusion_steps"]),
         )
 
-    cfg = tta_mod.HandOptConfig(iters=args.iters, lr=args.lr)
     rows = []
     reduced = 0
     for rec in scenes:

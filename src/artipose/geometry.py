@@ -2,6 +2,13 @@
 
 Everything here is pure and operates on plain float64 numpy arrays. Point
 clouds are (N, 3) arrays in meters, camera frame unless stated otherwise.
+
+`cross` is the package's one 3-vector cross product. It gives np.cross's
+bits without its axis shuffling: the result takes the operands' promoted
+dtype, and each component is one rounded product minus another, in
+np.cross's order (a1*b2 - a2*b1, a2*b0 - a0*b2, a0*b1 - a1*b0). Only
+`rot6d_to_matrix` keeps np.cross, so that it stays an independent oracle
+for the differentiable Gram-Schmidt in diffgeom.
 """
 
 from __future__ import annotations
@@ -22,6 +29,35 @@ DEFAULT_CONTACT_TAU = 0.01
 _CORNER_SIGNS = np.array(
     [[(k >> 2) & 1, (k >> 1) & 1, k & 1] for k in range(8)], dtype=np.float64
 ) * 2.0 - 1.0
+
+
+def cross(a, b) -> np.ndarray:
+    """Cross product of (..., 3) arrays, broadcast; bit for bit np.cross
+    (see the module docstring)."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape[-1:] != (3,) or b.shape[-1:] != (3,):
+        raise ValueError(f"cross expects (..., 3) operands, got {a.shape} and {b.shape}")
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.promote_types(a.dtype, b.dtype))
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
+def _allclose(x, y) -> bool:
+    """np.allclose(x, y, rtol=1e-5, atol=1e-6) without its per-call set-up:
+    the same elementwise test, |x - y| <= atol + rtol * |y| where y is
+    finite, or x == y."""
+    with np.errstate(invalid="ignore"):
+        close = (np.abs(x - y) <= 1e-6 + 1e-5 * np.abs(y)) & np.isfinite(y) | (x == y)
+    return bool(close.all())
+
+
+# The six box edges that must repeat ex, ex, ey, ey, ez, ez: heads minus tails.
+_EDGE_HEADS = np.array([6, 7, 3, 7, 5, 7])
+_EDGE_TAILS = np.array([2, 3, 1, 5, 4, 6])
 
 
 def as_cloud(points) -> np.ndarray:
@@ -50,7 +86,7 @@ class SimilarityTransform:
         object.__setattr__(self, "s", float(self.s))
         if self.s <= 0:
             raise ValueError(f"scale must be positive, got {self.s}")
-        if not np.allclose(R.T @ R, np.eye(3), atol=1e-6):
+        if not _allclose(R.T @ R, np.eye(3)):
             raise ValueError("R is not orthonormal within 1e-6")
         if abs(np.linalg.det(R) - 1.0) > 1e-6:
             raise ValueError("det(R) != +1 within 1e-6")
@@ -79,17 +115,13 @@ class OrientedBox:
         if not np.isfinite(v).all():
             raise ValueError("box vertices contain non-finite values")
         # Opposite edges of a parallelepiped must match (corner order: index
-        # bits select +/- per axis, x most significant).
-        ex, ey, ez = v[4] - v[0], v[2] - v[0], v[1] - v[0]
-        pairs = [
-            (v[6] - v[2], ex), (v[7] - v[3], ex),
-            (v[3] - v[1], ey), (v[7] - v[5], ey),
-            (v[5] - v[4], ez), (v[7] - v[6], ez),
-        ]
-        for a, b in pairs:
-            if not np.allclose(a, b, atol=1e-6):
-                raise ValueError("vertices do not form a parallelepiped")
-        if abs(float(np.linalg.det(np.stack([ex, ey, ez])))) <= 0.0:
+        # bits select +/- per axis, x most significant): v6 - v2 and v7 - v3
+        # match ex = v4 - v0, v3 - v1 and v7 - v5 match ey = v2 - v0, and
+        # v5 - v4 and v7 - v6 match ez = v1 - v0.
+        edges = v[[4, 2, 1]] - v[0]
+        if not _allclose(v[_EDGE_HEADS] - v[_EDGE_TAILS], edges[[0, 0, 1, 1, 2, 2]]):
+            raise ValueError("vertices do not form a parallelepiped")
+        if abs(float(np.linalg.det(edges))) <= 0.0:
             raise ValueError("box has zero volume")
 
     @classmethod
@@ -172,7 +204,7 @@ def _half_spaces(box: OrientedBox) -> list:
     outward normal. Outward is decided against the center, so any corner
     handedness (det of the edge vectors < 0 included) is fine."""
     corners = box.vertices[np.array(_BOX_FACES)]  # (6, 4, 3)
-    n = np.cross(corners[:, 1] - corners[:, 0], corners[:, 3] - corners[:, 0])
+    n = cross(corners[:, 1] - corners[:, 0], corners[:, 3] - corners[:, 0])
     n /= np.linalg.norm(n, axis=1, keepdims=True)
     inward = ((box.center - corners[:, 0]) * n).sum(axis=1) > 0
     n[inward] *= -1.0

@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..errors import GraspFailure
-from ..geometry import SimilarityTransform, point_box_distance, transform_box, OrientedBox
+from ..geometry import OrientedBox, SimilarityTransform, cross, point_box_distance, transform_box
 from .instances import ArticulatedInstance, part_poses_object
 
 N_FINGERS = 5
@@ -69,7 +69,7 @@ class HandTemplate:
         (the palm normal).
         """
         z = np.array([0.0, 0.0, 1.0])
-        return np.stack([_unit(np.cross(d, z)) for d in self.finger_dirs])
+        return np.stack([_unit(cross(d, z)) for d in self.finger_dirs])
 
     def bones(self) -> list:
         """(joint_a, joint_b, radius) index pairs into the 21-joint layout.
@@ -383,8 +383,8 @@ def pose_hand_grasp(
         u = wrap_sign * wrap_dir
         z_root = -normal  # palm normal points at the face
         y_root = u
-        x_root = _unit(np.cross(y_root, z_root))
-        y_root = np.cross(z_root, x_root)
+        x_root = _unit(cross(y_root, z_root))
+        y_root = cross(z_root, x_root)
         R_root = np.stack([x_root, y_root, z_root], axis=1)
         # the curl arc advances ~0.03-0.05 m along the finger direction
         # before reaching depth d, so the wrist sits well behind the face;

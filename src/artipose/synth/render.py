@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EmptyView
+from ..geometry import cross
 
 IMAGE_WIDTH = 160
 IMAGE_HEIGHT = 120
@@ -94,8 +95,8 @@ def sample_camera(rng: np.random.Generator, target: np.ndarray, scene_radius: fl
     position = np.asarray(target, dtype=np.float64) + offset
     fwd = _unit(np.asarray(target) - position)
     up = np.array([0.0, 0.0, 1.0])
-    x_cam = _unit(np.cross(fwd, up))
-    y_cam = np.cross(fwd, x_cam)  # points "down" in world
+    x_cam = _unit(cross(fwd, up))
+    y_cam = cross(fwd, x_cam)  # points "down" in world
     R = np.stack([x_cam, y_cam, fwd], axis=0)
     focal = float(np.clip(FILL * (IMAGE_HEIGHT / 2.0) * radius / scene_radius, 60.0, 700.0))
     return Camera(

@@ -55,6 +55,8 @@ class HandOptConfig:
     def __post_init__(self):
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
 
 
 @dataclass

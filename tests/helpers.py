@@ -271,6 +271,54 @@ def take_scatter(a, indices, axis=0):
     return ad._unary(a, np.take(a.data, idx, axis=axis), da)
 
 
+def vmax_argmax(a, axis, keepdims=False):
+    """Max whose value is read at the first argmax, the oracle for the
+    max-valued forward of autodiff.vmax."""
+    idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
+    out_data = np.take_along_axis(a.data, idx, axis=axis)
+    if not keepdims:
+        out_data = np.squeeze(out_data, axis=axis)
+
+    def da(g):
+        gg = g if keepdims else np.expand_dims(g, axis)
+        full = np.zeros_like(a.data)
+        np.put_along_axis(full, idx, gg, axis=axis)
+        return full
+
+    return ad._unary(a, out_data, da)
+
+
+def box_check_allclose(vertices):
+    """The parallelepiped check of OrientedBox as six np.allclose calls, the
+    oracle for its one vectorised check: the error message, or None."""
+    v = np.asarray(vertices, dtype=np.float64).reshape(8, 3)
+    if not np.isfinite(v).all():
+        return "box vertices contain non-finite values"
+    ex, ey, ez = v[4] - v[0], v[2] - v[0], v[1] - v[0]
+    pairs = [
+        (v[6] - v[2], ex), (v[7] - v[3], ex),
+        (v[3] - v[1], ey), (v[7] - v[5], ey),
+        (v[5] - v[4], ez), (v[7] - v[6], ez),
+    ]
+    for a, b in pairs:
+        if not np.allclose(a, b, atol=1e-6):
+            return "vertices do not form a parallelepiped"
+    if abs(float(np.linalg.det(np.stack([ex, ey, ez])))) <= 0.0:
+        return "box has zero volume"
+    return None
+
+
+def rotation_check_allclose(R):
+    """The rotation check of SimilarityTransform through np.allclose, the
+    oracle for its inlined tolerance test: the error message, or None."""
+    R = np.asarray(R, dtype=np.float64).reshape(3, 3)
+    if not np.allclose(R.T @ R, np.eye(3), atol=1e-6):
+        return "R is not orthonormal within 1e-6"
+    if abs(np.linalg.det(R) - 1.0) > 1e-6:
+        return "det(R) != +1 within 1e-6"
+    return None
+
+
 def add_grad_copying(var, g):
     """Var._add_grad that copies every first gradient, the oracle for the
     borrowing autodiff.Var._add_grad."""

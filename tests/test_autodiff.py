@@ -1,6 +1,7 @@
 """The tape's borrowed gradients, gather backward and fused linear op, checked
 bit for bit against the copying, scattering and three-op forms kept in
-helpers.py."""
+helpers.py; whole training runs also swap in the np.take, argmax and
+np.cross forward forms."""
 
 import csv
 
@@ -12,7 +13,7 @@ from artipose import estimator as E
 from artipose import nn
 from artipose.synth.instances import make_instance
 from artipose.synth.scene import sample_scene
-from helpers import add_grad_copying, bits, linear_chain, take_scatter
+from helpers import add_grad_copying, bits, linear_chain, take_scatter, vmax_argmax
 
 DTYPES = [np.float32, np.float64]
 
@@ -285,4 +286,6 @@ class TestWholeTraining:
         monkeypatch.setattr(ad.Var, "_add_grad", add_grad_copying)
         monkeypatch.setattr(ad, "take", take_scatter)
         monkeypatch.setattr(ad, "linear", linear_chain)
+        monkeypatch.setattr(ad, "vmax", vmax_argmax)
+        monkeypatch.setattr(ad, "cross", np.cross)
         assert train_bytes(tmp_path, "oracle") == (ckpt, log)

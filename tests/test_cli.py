@@ -122,6 +122,19 @@ class TestHandOpt:
         _, ds, _ = trained
         assert cli.main(["hand-opt", "--dataset", str(ds)]) == 1
 
+    def test_missing_checkpoint_is_reported_before_reading_the_dataset(self, tmp_path, capsys):
+        assert cli.main(["hand-opt", "--dataset", str(tmp_path / "no_such_dataset")]) == 1
+        assert "usage error: --checkpoint required unless --gt-contact is set" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lr", ["0", "-1.0"])
+    def test_non_positive_lr_is_runtime_error(self, trained, capsys, lr):
+        root, ds, _ = trained
+        out = root / f"lr_{lr}.csv"
+        argv = ["hand-opt", "--gt-contact", "--dataset", str(ds), "--iters", "1", "--lr", lr, "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "error: ValueError: lr must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_checkpoint_without_diffusion_steps_is_runtime_error(self, trained, capsys):
         root, ds, ckpt = trained
         stores, meta = nn.load_checkpoint(ckpt)

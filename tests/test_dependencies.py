@@ -1,7 +1,9 @@
 """Imports in src/artipose, including imports inside functions: numpy is
 the only runtime dependency (every absolute import names the standard
 library, numpy or artipose itself), and every imported name is used. Every
-error type in errors.py is raised somewhere in src/artipose."""
+error type in errors.py is raised somewhere in src/artipose. Only the
+rot6d_to_matrix oracle uses numpy's cross product; everything else goes
+through geometry.cross."""
 
 import ast
 import sys
@@ -117,3 +119,56 @@ def test_every_error_type_is_raised():
     assert len(types) > 5
     raised = set().union(*(raised_names(path.read_text(encoding="utf-8")) for path in SRC.rglob("*.py")))
     assert [name for name in types if name not in raised] == []
+
+
+def numpy_cross_uses(source: str) -> list:
+    """Qualified name of the function (or "<module>") around each use of
+    numpy's cross product: an attribute `cross` on a name bound to numpy
+    (np.cross, numpy.linalg.cross, called or not) or a name bound by
+    `from numpy import cross`."""
+    tree = ast.parse(source)
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name == "numpy"}
+        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
+            names |= {alias.asname or alias.name for alias in node.names if alias.name == "cross"}
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if where == "<module>" else f"{where}.{child.name}"
+            elif isinstance(child, ast.Attribute) and child.attr == "cross":
+                root = child.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in modules:
+                    found.append(where)
+            elif isinstance(child, ast.Name) and child.id in names:
+                found.append(where)
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_finds_numpy_cross_uses():
+    source = (
+        "import numpy as np\nimport numpy\nfrom numpy import cross as c\n"
+        "n = np.cross([1, 0, 0], [0, 1, 0])\n"
+        "class A:\n    def f(self, x):\n        return numpy.linalg.cross(x, x)\n"
+        "def g(x):\n    h = np.cross\n    return c(x, x)\n"
+        "def k(geo, x):\n    return geo.cross(x, x)\n"
+    )
+    assert numpy_cross_uses(source) == ["<module>", "A.f", "g", "g"]
+
+
+def test_numpy_cross_only_in_the_rotation_oracle():
+    uses = [
+        f"{path.relative_to(SRC)}: {where}"
+        for path in sorted(SRC.rglob("*.py"))
+        for where in numpy_cross_uses(path.read_text(encoding="utf-8"))
+    ]
+    assert uses == ["geometry.py: rot6d_to_matrix"]

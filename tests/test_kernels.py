@@ -1,0 +1,336 @@
+"""The narrow forward kernels against the general numpy forms they replace,
+kept in helpers.py: the view-taking autodiff.take against np.take, the
+max-valued autodiff.vmax against the value at the first argmax,
+geometry.cross against np.cross, and the one-shot tolerance checks of
+OrientedBox and SimilarityTransform against np.allclose. Equality is bit
+for bit, so -0.0 is told from +0.0 and NaN payloads count."""
+
+import numpy as np
+import pytest
+
+from artipose import autodiff as ad
+from artipose import geometry as geo
+from helpers import (
+    bits,
+    box_check_allclose,
+    rotation_check_allclose,
+    take_scatter,
+    vmax_argmax,
+)
+
+DTYPES = [np.float32, np.float64]
+
+
+def forward(op, data, *args, **kwargs):
+    tape = ad.Tape(grad=False)
+    return op(ad.const(data, tape), *args, **kwargs).data
+
+
+def grads(op, data, seed, *args, **kwargs):
+    tape = ad.Tape()
+    a = ad.leaf(data, tape)
+    out = op(a, *args, **kwargs)
+    tape.backward(out, seed)
+    return out.data, a.grad
+
+
+def nan(payload, negative, dtype):
+    """A quiet NaN with the given payload and sign bit."""
+    if dtype == np.float32:
+        return np.uint32(0x7FC00000 | payload | (negative << 31)).view(np.float32)
+    return np.uint64(0x7FF8000000000000 | payload | (negative << 63)).view(np.float64)
+
+
+class TestTakeView:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize(
+        "shape, idx, axis",
+        [
+            ((1024, 256), np.arange(128), -1),
+            ((10, 3), np.arange(3, 8), 0),
+            ((10, 3), np.arange(10), 0),
+            ((7, 3), np.array([2]), -1),
+            ((7, 3), np.array([6]), 0),
+            ((2, 5, 4), np.arange(1, 3, dtype=np.int32), 1),
+            ((6,), np.arange(3, 6, dtype=np.uint8), 0),
+        ],
+    )
+    def test_runs_are_read_only_views_with_np_take_values(self, shape, idx, axis, dtype):
+        data = np.random.default_rng(idx.size).normal(size=shape).astype(dtype)
+        before = data.copy()
+        out = forward(ad.take, data, idx, axis=axis)
+        want = np.take(data, idx, axis=axis)
+        assert out.dtype == want.dtype and out.shape == want.shape
+        assert np.array_equal(bits(out), bits(want))
+        assert np.shares_memory(out, data)
+        with pytest.raises(ValueError, match="read-only"):
+            out[...] = 0
+        assert np.array_equal(bits(data), bits(before))
+
+    @pytest.mark.parametrize(
+        "idx",
+        [
+            np.array([-3, -2, -1]),
+            np.array([-1, 0, 1]),
+            np.array([2, 1, 0]),
+            np.array([0, 2, 3]),
+            np.array([1, 0, 2, 3]),
+            np.array([0, 2, 1, 3]),
+            np.array([2, 4, 3, 5]),
+            np.array([3, 3]),
+            np.array([[1, 2], [3, 4]]),
+            np.array(2),
+            np.array([], dtype=np.int64),
+        ],
+    )
+    def test_other_indices_copy_like_np_take(self, idx):
+        data = np.random.default_rng(3).normal(size=(6, 4))
+        out = forward(ad.take, data, idx, axis=0)
+        want = np.take(data, idx, axis=0)
+        assert out.shape == want.shape
+        assert np.array_equal(bits(out), bits(want))
+        assert not np.shares_memory(out, data)
+
+    @pytest.mark.parametrize(
+        "idx", [np.arange(3, 7), np.array([6]), np.array([5, 6]), np.array([-7, -6]), np.arange(-8, -5)]
+    )
+    def test_out_of_range_raises_like_np_take(self, idx):
+        data = np.zeros((6, 4))
+        with pytest.raises(IndexError) as want:
+            np.take(data, idx, axis=0)
+        with pytest.raises(IndexError) as got:
+            forward(ad.take, data, idx, axis=0)
+        assert str(got.value) == str(want.value)
+
+    def test_view_backward_matches_scatter_add(self):
+        data = np.random.default_rng(5).normal(size=(9, 6))
+        seed = np.random.default_rng(6).normal(size=(9, 3))
+        seed[::2, 1] = -0.0
+        got_out, got = grads(ad.take, data, seed.copy(), np.arange(2, 5), axis=-1)
+        want_out, want = grads(take_scatter, data, seed.copy(), np.arange(2, 5), axis=1)
+        assert np.array_equal(bits(got_out), bits(want_out))
+        assert np.array_equal(bits(got), bits(want))
+
+
+def vmax_cases(rng, dtype):
+    """(data, axis) pairs: random values, integer ties, signed zeros, all-zero
+    and all-negative channels, NaNs with distinct payloads, and infinities."""
+    cases = []
+    for shape, axis in [((1, 1024, 64), 1), ((5, 7), 0), ((5, 7), 1), ((3, 4, 6), 2), ((300,), 0)]:
+        cases.append((rng.normal(size=shape).astype(dtype), axis))
+        cases.append((rng.integers(-3, 3, size=shape).astype(dtype), axis))
+        ties = rng.integers(-2, 1, size=shape).astype(dtype)
+        ties[rng.random(size=shape) < 0.5] = -0.0
+        cases.append((ties, axis))
+        zeros = np.zeros(shape, dtype=dtype)
+        zeros[rng.random(size=shape) < 0.3] = -0.0
+        cases.append((zeros, axis))
+        negative = -np.abs(rng.normal(size=shape)).astype(dtype)
+        negative[rng.random(size=shape) < 0.2] = -0.0
+        negative[rng.random(size=shape) < 0.2] = 0.0
+        cases.append((negative, axis))
+        nans = rng.normal(size=shape).astype(dtype)
+        for k, flat in enumerate(np.flatnonzero(rng.random(size=shape) < 0.05)):
+            nans.flat[flat] = nan(k % 1000 + 1, int(rng.integers(2)), dtype)
+        cases.append((nans, axis))
+        infs = rng.normal(size=shape).astype(dtype)
+        infs[rng.random(size=shape) < 0.1] = np.inf
+        infs[rng.random(size=shape) < 0.1] = -np.inf
+        cases.append((infs, axis))
+        cases.append((np.full(shape, -np.inf, dtype=dtype), axis))
+    return cases
+
+
+class TestVmaxValue:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_matches_first_argmax_value(self, dtype, keepdims):
+        for data, axis in vmax_cases(np.random.default_rng(11), dtype):
+            got = forward(ad.vmax, data, axis=axis, keepdims=keepdims)
+            want = forward(vmax_argmax, data, axis=axis, keepdims=keepdims)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_signed_zero_tie_takes_the_first(self, dtype):
+        data = np.array([[-0.0, 0.0], [0.0, -0.0], [-1.0, -0.0], [-0.0, -0.0]], dtype=dtype)
+        out = forward(ad.vmax, data, axis=1)
+        assert np.array_equal(bits(out), bits(np.array([-0.0, 0.0, -0.0, -0.0], dtype=dtype)))
+
+    def test_all_zero_channel_of_a_pooled_cloud(self):
+        data = np.abs(np.random.default_rng(2).normal(size=(2, 1024, 8)))
+        data[:, :, 3] = 0.0
+        data[1, 0, 3] = -0.0
+        out = forward(ad.vmax, data, axis=1)
+        assert np.array_equal(bits(out), bits(forward(vmax_argmax, data, axis=1)))
+        assert np.signbit(out[1, 3]) and not np.signbit(out[0, 3])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_backward_matches_argmax_form(self, dtype):
+        rng = np.random.default_rng(4)
+        for data, axis in vmax_cases(rng, dtype):
+            seed = rng.normal(size=np.delete(data.shape, axis)).astype(dtype)
+            got_out, got = grads(ad.vmax, data, seed.copy(), axis=axis)
+            want_out, want = grads(vmax_argmax, data, seed.copy(), axis=axis)
+            assert np.array_equal(bits(got_out), bits(want_out))
+            assert np.array_equal(bits(got), bits(want))
+
+
+def cross_operands(rng):
+    """(a, b) pairs covering broadcasting, dtype promotion, signed zeros,
+    NaN and inf."""
+    pairs = [
+        (rng.normal(size=3), rng.normal(size=3)),
+        (rng.normal(size=(6, 3)), rng.normal(size=(6, 3))),
+        (rng.normal(size=(6, 3)), rng.normal(size=3)),
+        (rng.normal(size=3), rng.normal(size=(6, 3))),
+        (rng.normal(size=(2, 1, 3)), rng.normal(size=(4, 3))),
+        (rng.normal(size=(5, 3)).astype(np.float32), rng.normal(size=(5, 3))),
+        (rng.normal(size=(5, 3)).astype(np.float32), rng.normal(size=(5, 3)).astype(np.float32)),
+        (rng.integers(-5, 5, size=(4, 3)), rng.normal(size=3)),
+        (rng.integers(-5, 5, size=(4, 3)), rng.integers(-5, 5, size=(4, 3))),
+        ([0.0, 0.0, 1.0], np.array([1.0, 0.0, 0.0])),
+    ]
+    zeros = rng.choice([-0.0, 0.0, 1.0, -1.0], size=(64, 3))
+    pairs.append((zeros, rng.choice([-0.0, 0.0, 2.0, -2.0], size=(64, 3))))
+    pairs.append((zeros, zeros[::-1]))
+    special = rng.normal(size=(12, 3))
+    special[rng.random(size=special.shape) < 0.2] = np.nan
+    special[rng.random(size=special.shape) < 0.2] = np.inf
+    special[rng.random(size=special.shape) < 0.2] = -np.inf
+    pairs.append((special, special[::-1]))
+    pairs.append((special, rng.normal(size=3)))
+    return pairs
+
+
+class TestCross:
+    def test_matches_np_cross(self):
+        with np.errstate(invalid="ignore"):
+            for a, b in cross_operands(np.random.default_rng(8)):
+                got, want = geo.cross(a, b), np.cross(a, b)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                if got.dtype.kind == "f":
+                    assert np.array_equal(bits(got), bits(want))
+                else:
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("a, b", [(np.zeros(2), np.zeros(3)), (np.zeros((3, 4)), np.zeros(3)), (np.zeros(()), np.zeros(3))])
+    def test_rejects_non_3_vectors(self, a, b):
+        with pytest.raises(ValueError):
+            geo.cross(a, b)
+
+    def test_cross3_matches_np_cross_forward_and_backward(self):
+        rng = np.random.default_rng(9)
+        for shape_a, shape_b in [((3,), (3,)), ((6, 3), (6, 3)), ((6, 3), (3,))]:
+            a_data, b_data = rng.normal(size=shape_a), rng.normal(size=shape_b)
+            a_data.flat[::4] = -0.0
+            g = rng.normal(size=np.broadcast_shapes(shape_a, shape_b))
+            tape = ad.Tape()
+            a, b = ad.leaf(a_data, tape), ad.leaf(b_data, tape)
+            out = ad.cross3(a, b)
+            tape.backward(out, g)
+            assert np.array_equal(bits(out.data), bits(np.cross(a_data, b_data)))
+            ga, gb = np.cross(b_data, g), np.cross(g, a_data)
+            assert np.array_equal(bits(a.grad), bits(ga.sum(axis=0) if shape_a != ga.shape else ga))
+            assert np.array_equal(bits(b.grad), bits(gb.sum(axis=0) if shape_b != gb.shape else gb))
+
+
+def outcome(build, *args):
+    try:
+        build(*args)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def box_vertices(rng):
+    R = geo.rot6d_to_matrix(rng.normal(size=6))
+    h = rng.uniform(0.05, 2.0, size=3)
+    return geo.OrientedBox.from_extents(h).vertices @ R.T + rng.normal(size=3)
+
+
+class TestBoxCheck:
+    def test_boundary_perturbations_match_allclose(self):
+        """Nudge one coordinate of one corner around the tolerance of the edge
+        it enters, atol + rtol * |edge|, and compare accept and reject."""
+        rng = np.random.default_rng(12)
+        seen = set()
+        for trial in range(40):
+            v = box_vertices(rng)
+            corner = int(rng.integers(1, 8))
+            axis = int(rng.integers(3))
+            scale = 1e-6 + 1e-5 * np.abs(v[corner, axis] - v[0, axis])
+            for factor in np.linspace(0.0, 2.5, 26):
+                for sign in (1.0, -1.0):
+                    w = v.copy()
+                    w[corner, axis] += sign * factor * scale
+                    want = box_check_allclose(w)
+                    assert outcome(geo.OrientedBox, w) == want
+                    seen.add(want)
+        assert seen == {None, "vertices do not form a parallelepiped"}
+
+    def test_exact_tolerance_edge(self):
+        """Corner 7 moved along x by exactly the tolerance of the x
+        components it is compared with, atol + rtol * 0 = 1e-6, passes; the
+        next float above it fails."""
+        base = geo.OrientedBox.from_extents([0.5, 0.5, 0.5]).vertices - [0.5, 0.0, 0.0]
+        up = np.nextafter(1e-6, 1.0)
+        for bump, accepted in [(1e-6, True), (-1e-6, True), (up, False), (-up, False), (0.0, True)]:
+            w = base.copy()
+            w[7, 0] += bump
+            want = box_check_allclose(w)
+            assert (want is None) == accepted
+            assert outcome(geo.OrientedBox, w) == want
+
+    def test_non_finite_differences_match_allclose(self):
+        """Finite corners whose x coordinates near the float64 limit make
+        edge differences overflow to +inf or -inf, in either or both of a
+        compared pair."""
+        rng = np.random.default_rng(14)
+        big = np.finfo(np.float64).max
+        grid = np.array([-big, -big / 2, 0.0, big / 2, big])
+        base = geo.OrientedBox.from_extents([1.0, 1.0, 1.0]).vertices
+        seen = set()
+        with np.errstate(all="ignore"):
+            # every x edge +inf on both sides of each compared pair
+            w = base.copy()
+            w[:, 0] = np.where(base[:, 0] > 0, big, -big)
+            assert outcome(geo.OrientedBox, w) == box_check_allclose(w) is None
+            for trial in range(3000):
+                w = base.copy()
+                w[:, 0] = rng.choice(grid, size=8)
+                want = box_check_allclose(w)
+                assert outcome(geo.OrientedBox, w) == want
+                seen.add(want)
+        assert seen >= {None, "vertices do not form a parallelepiped"}
+
+    def test_non_finite_vertices_rejected(self):
+        w = geo.OrientedBox.from_extents([1.0, 1.0, 1.0]).vertices.copy()
+        w[3, 1] = np.nan
+        assert outcome(geo.OrientedBox, w) == box_check_allclose(w) == "box vertices contain non-finite values"
+
+
+class TestRotationCheck:
+    def test_boundary_perturbations_match_allclose(self):
+        rng = np.random.default_rng(13)
+        seen = set()
+        for trial in range(40):
+            R = geo.rot6d_to_matrix(rng.normal(size=6))
+            i, j = (int(k) for k in rng.integers(3, size=2))
+            for delta in np.linspace(0.0, 1.5e-5, 31):
+                for sign in (1.0, -1.0):
+                    S = R.copy()
+                    S[i, j] += sign * delta
+                    want = rotation_check_allclose(S)
+                    assert outcome(geo.SimilarityTransform, S, np.zeros(3), 1.0) == want
+                    seen.add(want)
+        assert "R is not orthonormal within 1e-6" in seen and None in seen
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300])
+    def test_non_finite_products_match_allclose(self, value):
+        S = np.eye(3)
+        S[1, 2] = value
+        with np.errstate(all="ignore"):
+            want = rotation_check_allclose(S)
+            assert outcome(geo.SimilarityTransform, S, np.zeros(3), 1.0) == want
+        assert want == "R is not orthonormal within 1e-6"

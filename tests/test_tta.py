@@ -240,3 +240,14 @@ class TestAdaptObject:
         names = set(est.store.names())
         encoder = {n for n in names if n.startswith("enc")}
         assert encoder and graded == (names if encoder_on_grad_tape else names - encoder)
+
+
+class TestConfigs:
+    @pytest.mark.parametrize("lr", [0.0, -1.0, -1e-9])
+    @pytest.mark.parametrize("config", [tta.TtaConfig, tta.HandOptConfig])
+    def test_lr_must_be_positive(self, config, lr):
+        with pytest.raises(ValueError, match="lr must be positive"):
+            config(lr=lr)
+
+    def test_hand_opt_accepts_a_positive_lr(self):
+        assert tta.HandOptConfig(iters=5, lr=1e-9).lr == 1e-9
