@@ -22,6 +22,15 @@ round a later reduction differently by memory layout, so
 tests/test_autodiff.py checks whole training runs bit for bit against a
 tape that copies every first gradient.
 
+Gradient lifetime. `Tape.backward` pops each record as it sweeps it, in
+the same reverse order, and once a record's backward has run its output Var
+drops its grad: no later record can add to it, since every op that read it
+was recorded after it. The closure, and any forward array only it still
+holds, then go with the record, so a swept tape is empty and the graph
+behind the sweep is freed as it goes. Leaves (`leaf` inputs and the
+parameters from `ParamStore.use`) keep their grads; the grads of op outputs
+are not kept, as in PyTorch without `retain_grad`.
+
 Forward-only passes. A tape that is never swept is built with
 `Tape(grad=False)`: leaves and parameters enter it as consts, so no op
 records anything, and `backward` on it raises. Inference, the sampler and
@@ -38,8 +47,13 @@ equal and `max` may return either, and a NaN maximum, whose payload `max`
 need not take from the first NaN. Those entries are read at their argmax, so
 the forward is bit for bit the value at the first argmax, as before.
 
-The ReLU of `linear` is `np.maximum(out, 0, out=out)` in place; it builds
-the `out > 0` mask for its backward only when an input requires a gradient.
+The ReLU of `linear` is `np.maximum(out, 0, out=out)` in place, and its
+backward rebuilds the mask from that output: `x > 0` exactly when
+`max(x, 0) > 0`, for NaN and -0.0 too, so no mask is kept. When `take`'s
+input already has a gradient, its backward adds `g` into `grad + 0.0` at
+the taken indices, which is bit for bit `grad + full` for the dense `full`
+(zeros, and `g + 0.0` at those indices): `(x + 0.0) + y` equals
+`x + (y + 0.0)` for every value, ±0.0, ±inf and NaN payloads included.
 
 Dtypes. `vsum` accumulates in float64 and casts back to its input's dtype;
 every other op takes numpy's promotion of its operands. A Python scalar
@@ -78,9 +92,11 @@ class Tape:
         self._ops.append((out, backward))
 
     def backward(self, var: "Var", seed=None):
-        """Reverse sweep from `var`; accumulates grads on every Var on the path.
+        """Reverse sweep from `var`; accumulates grads on every leaf on the path.
 
-        Runs once per tape. The seed may end up as `var.grad` without a copy.
+        Runs once per tape and leaves it empty; op outputs drop their grads
+        (see the module docstring). The seed may end up as a leaf's grad
+        without a copy.
         """
         if not self.grad:
             raise RuntimeError("tape built with grad=False records nothing to sweep")
@@ -98,9 +114,13 @@ class Tape:
                     f"seed grad shape {seed.shape} != output shape {var.data.shape}"
                 )
         var._add_grad(seed)
-        for out, fn in reversed(self._ops):
-            if out.grad is not None and fn is not None:
-                fn(out.grad)
+        ops = self._ops
+        while ops:
+            out, fn = ops.pop()
+            g = out.grad
+            if g is not None:
+                out.grad, out._owns_grad = None, False
+                fn(g)
 
 
 class Var:
@@ -256,22 +276,20 @@ def linear(x: Var, w: Var, b: Var, relu: bool) -> Var:
     three ops matmul, add and a ReLU: bias first, then x, then w. x and w
     are 2-D, and b has the dtype of x @ w (the sum and the ReLU are taken
     in place). The in-place ReLU keeps NaN where np.where(out > 0, out, 0)
-    gives 0.
+    gives 0; the backward masks by `out > 0` on the activated output.
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeMismatch(f"linear {x.data.shape} @ {w.data.shape}")
     out_data = x.data @ w.data
     out_data += b.data
-    req = x.requires_grad or w.requires_grad or b.requires_grad
     if relu:
-        if req:
-            mask = out_data > 0
         np.maximum(out_data, 0, out=out_data)
+    req = x.requires_grad or w.requires_grad or b.requires_grad
     out = Var(out_data, x.tape, req)
     if req:
         def back(g):
             if relu:
-                g = g * mask
+                g = g * (out_data > 0)
             if b.requires_grad:
                 b._add_grad(_unbroadcast(g, b.data.shape))
             if x.requires_grad:
@@ -399,10 +417,12 @@ def take(a: Var, indices, axis: int = 0):
     Indices that form a run (see `_run_start`) give a read-only view of the
     input, the basic slice they spell; any other indices go through
     np.take, which raises on out-of-range ones. The backward is the
-    scatter-add of `g` into zeros, bit for bit (so a -0.0 lands as +0.0): a
-    run writes a slice, unique indices assign, and repeated indices assign
-    their first occurrences and `np.add.at` only the later ones, in their
-    given order.
+    scatter-add of `g` into zeros added to the input's gradient, bit for
+    bit (so a -0.0 lands as +0.0): a run writes a slice, unique indices
+    assign, and repeated indices assign their first occurrences and
+    `np.add.at` only the later ones, in their given order. A run or unique
+    indices meeting an existing gradient add `g` into `grad + 0.0` there
+    instead, with no dense zeros (see the module docstring).
     """
     idx = np.asarray(indices)
     ax = axis % a.data.ndim
@@ -417,24 +437,39 @@ def take(a: Var, indices, axis: int = 0):
         out_data = a.data[at(slice(lo, lo + idx.size))]
         out_data.flags.writeable = False
 
-    def da(g):
-        full = np.zeros_like(a.data)
+    def back(g):
+        full = None
         if lo is not None:
-            np.add(g, 0.0, out=full[at(slice(lo, lo + idx.size))])
+            key = at(slice(lo, lo + idx.size))
         elif idx.ndim != 1 or idx.size == 0 or idx.min() < 0:
+            full = np.zeros_like(a.data)
             np.add.at(full, at(idx), g)
         else:
+            key = at(idx)
             first = np.unique(idx, return_index=True)[1]
-            if first.size == idx.size:
-                full[at(idx)] = g + 0.0
-            else:
+            if first.size < idx.size:
                 later = np.ones(idx.size, dtype=bool)
                 later[first] = False
+                full = np.zeros_like(a.data)
                 full[at(idx[first])] = np.take(g, first, axis=ax) + 0.0
                 np.add.at(full, at(idx[later]), np.compress(later, g, axis=ax))
-        return full
+        if full is not None:
+            a._add_grad(full)
+        elif a.grad is not None:
+            a._add_grad(0.0)  # grad + 0.0 everywhere, into a grad `a` owns
+            a.grad[key] += g
+        else:
+            full = np.zeros_like(a.data)
+            if lo is not None:
+                np.add(g, 0.0, out=full[key])
+            else:
+                full[key] = g + 0.0
+            a._add_grad(full)
 
-    return _unary(a, out_data, da)
+    out = Var(out_data, a.tape, a.requires_grad)
+    if a.requires_grad:
+        a.tape.record(out, back)
+    return out
 
 
 def repeat_rows(a: Var, n: int):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -362,6 +363,32 @@ class TrainConfig:
     diffusion_steps: int = 100
     checkpoint: str = "model.ckpt"
     loss_log: str = "loss_log.csv"
+
+    def __post_init__(self):
+        """ValueError on a setting no run can train with (NaN included)."""
+        lambdas = ("lambda_seg", "lambda_rot", "lambda_nocs", "lambda_adv", "lambda_diff")
+        for name in ("epochs", "batch_size", "diffusion_points", "diffusion_steps"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+        for name in ("lr", "d_lr") + lambdas:
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a number")
+        if not self.epochs >= 0:
+            raise ValueError("epochs must be >= 0")
+        for name in lambdas:
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        for name in ("batch_size", "lr", "d_lr", "diffusion_points", "diffusion_steps"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for entry in self.lr_schedule:
+            if not (
+                isinstance(entry, (list, tuple))
+                and len(entry) == 2
+                and all(isinstance(v, numbers.Real) for v in entry)
+                and entry[1] > 0
+            ):
+                raise ValueError(f"lr_schedule entry {entry!r} is not [start_epoch, lr > 0]")
 
     def lr_at(self, epoch: int) -> float:
         lr = self.lr

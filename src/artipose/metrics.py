@@ -66,16 +66,28 @@ def part_errors(pose, box, gt_pose, gt_box) -> tuple:
 
 
 def eval_object(preds: list, gts: list) -> MetricsReport:
-    """Aggregate object pose metrics over aligned prediction/gt scene lists."""
+    """Aggregate object pose metrics over aligned prediction/gt scene lists.
+
+    Each list names every scene once, and both name the same scenes;
+    IdMismatch otherwise.
+    """
     if len(preds) != len(gts):
         raise IdMismatch(f"{len(preds)} predictions vs {len(gts)} gt scenes")
-    order = {g.scene_id: g for g in gts}
+    order = {}
+    for g in gts:
+        if g.scene_id in order:
+            raise IdMismatch(f"gt scene {g.scene_id!r} given twice")
+        order[g.scene_id] = g
+    scored = set()
     acc_scene, iou_scene = [], []
     r_all, t_all = [], []
     invalid = 0
     for pred in preds:
         if pred.scene_id not in order:
             raise IdMismatch(f"prediction for unknown scene {pred.scene_id!r}")
+        if pred.scene_id in scored:
+            raise IdMismatch(f"prediction for scene {pred.scene_id!r} given twice")
+        scored.add(pred.scene_id)
         gt = order[pred.scene_id]
         if len(pred.poses) != gt.part_count:
             raise IdMismatch(

@@ -328,6 +328,17 @@ def add_grad_copying(var, g):
         var.grad += g
 
 
+def backward_retaining(tape, var):
+    """Tape.backward from a scalar as a plain reversed loop that keeps every
+    record and every op output's grad until the tape goes, the oracle for
+    the popping sweep."""
+    tape._swept = True
+    var._add_grad(np.ones((), dtype=var.data.dtype))
+    for out, fn in reversed(tape._ops):
+        if out.grad is not None:
+            fn(out.grad)
+
+
 def where_relu(a):
     """ReLU in the np.where form, kept apart from the in-place ReLU of
     autodiff.linear so that the oracle below stays independent of it."""

@@ -1,9 +1,13 @@
 """The tape's borrowed gradients, gather backward and fused linear op, checked
 bit for bit against the copying, scattering and three-op forms kept in
 helpers.py; whole training runs also swap in the np.take, argmax and
-np.cross forward forms."""
+np.cross forward forms. The sweep's lifetimes: a swept tape is empty, op
+outputs drop their grads and leaves keep theirs, and its tracemalloc peak
+stays under half of the retaining loop's in helpers.py."""
 
 import csv
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +17,14 @@ from artipose import estimator as E
 from artipose import nn
 from artipose.synth.instances import make_instance
 from artipose.synth.scene import sample_scene
-from helpers import add_grad_copying, bits, linear_chain, take_scatter, vmax_argmax
+from helpers import (
+    add_grad_copying,
+    backward_retaining,
+    bits,
+    linear_chain,
+    take_scatter,
+    vmax_argmax,
+)
 
 DTYPES = [np.float32, np.float64]
 
@@ -201,6 +212,20 @@ ALIAS_GRAPHS = {
 }
 
 
+def wrap_last_record(tape):
+    """Have the last record's backward also append the gradient it receives
+    (the array itself, not a copy) to the returned list."""
+    out, back = tape._ops[-1]
+    received = []
+
+    def spy(g):
+        received.append(g)
+        back(g)
+
+    tape._ops[-1] = (out, spy)
+    return received
+
+
 class TestBorrowedGradients:
     @pytest.mark.parametrize("graph", sorted(ALIAS_GRAPHS))
     def test_matches_copying_tape(self, graph, monkeypatch):
@@ -228,11 +253,13 @@ class TestBorrowedGradients:
         b = ad.leaf(np.array([3.0, 4.0]), tape)
         d = ad.mul(a, 3.0)  # recorded first: a's second contribution comes last
         c = ad.add(a, b)  # a and b borrow one gradient array
+        received = wrap_last_record(tape)  # the sweep releases c.grad
         out = ad.vsum(ad.mul(ad.add(c, d), np.ones(2)))  # a writeable one
         tape.backward(out)
         assert np.array_equal(a.grad, [4.0, 4.0])
         assert np.array_equal(b.grad, [1.0, 1.0])
-        assert np.array_equal(c.grad, [1.0, 1.0])
+        assert np.array_equal(received[0], [1.0, 1.0])
+        assert c.grad is None
 
     def test_sum_over_broadcast_first_gradient_is_c_ordered(self):
         # encode_graph's pattern: vmean hands `stacked` a broadcast view first
@@ -251,6 +278,71 @@ class TestBorrowedGradients:
         with pytest.raises(RuntimeError):
             tape.backward(out)
         assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
+def linear_pair(tape):
+    """Two ReLU layers over a leaf: (leaf, w0, w1, first activation, loss)."""
+    rng = np.random.default_rng(11)
+    x = ad.leaf(rng.normal(size=(16, 5)), tape)
+    w0, w1 = ad.leaf(rng.normal(size=(5, 7)), tape), ad.leaf(rng.normal(size=(7, 3)), tape)
+    h = ad.linear(x, w0, ad.const(np.zeros(7), tape), relu=True)
+    loss = ad.vsum(ad.linear(h, w1, ad.const(np.zeros(3), tape), relu=True))
+    return x, w0, w1, h, loss
+
+
+class TestSweepLifetimes:
+    def test_tape_empty_op_grads_released_leaf_grads_kept(self):
+        tape = ad.Tape()
+        x, w0, w1, _, loss = linear_pair(tape)
+        outs = [out for out, _ in tape._ops]
+        tape.backward(loss)
+        assert tape._ops == []
+        assert len(outs) == 3 and all(out.grad is None for out in outs)
+        assert all(v.grad is not None and v.grad.shape == v.data.shape for v in (x, w0, w1))
+
+    def test_forward_array_held_only_by_closures_is_freed(self):
+        tape = ad.Tape()
+        *_, h, loss = linear_pair(tape)
+        ref = weakref.ref(h.data)  # held by h's record and the next layer's closure
+        del h
+        assert ref() is not None
+        tape.backward(loss)
+        assert ref() is None
+
+
+def two_chain_sweep_peak(sweep):
+    """tracemalloc peak (bytes) of `sweep(tape, loss)` on two 6-layer
+    mlp_apply chains over one (4096, 64) float32 leaf, with the leaf's grad
+    and the flushed param grads."""
+    spec = nn.MlpSpec((64, 128, 128, 128, 128, 128, 64))
+    store = nn.ParamStore()
+    rng = np.random.default_rng(12)
+    nn.init_mlp(store, "a", spec, rng)
+    nn.init_mlp(store, "b", spec, rng)
+    tape = ad.Tape()
+    x = ad.leaf(rng.normal(size=(4096, 64)).astype(np.float32), tape)
+    loss = ad.add(
+        ad.vsum(nn.mlp_apply(spec, store, "a", x)), ad.vsum(nn.mlp_apply(spec, store, "b", x))
+    )
+    tracemalloc.start()
+    try:
+        sweep(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    store.flush_tape_grads(tape)
+    return peak, x.grad, store.grads
+
+
+class TestSweepMemory:
+    def test_peak_at_most_half_of_retaining_sweep_same_grads(self):
+        peak, x_grad, grads = two_chain_sweep_peak(ad.Tape.backward)
+        peak_kept, x_grad_kept, grads_kept = two_chain_sweep_peak(backward_retaining)
+        assert peak <= 0.5 * peak_kept, (peak, peak_kept)
+        assert np.array_equal(bits(x_grad), bits(x_grad_kept))
+        assert grads.keys() == grads_kept.keys()
+        for name in grads:
+            assert np.array_equal(bits(grads[name]), bits(grads_kept[name])), name
 
 
 def train_bytes(tmp_path, tag):

@@ -193,6 +193,26 @@ class TestEval:
         assert not out.exists()
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"batch_size": 0}, "batch_size must be positive"),
+            ({"epochs": -1}, "epochs must be >= 0"),
+            ({"lr": -1}, "lr must be positive"),
+            ({"diffusion_points": 0, "lambda_diff": 1}, "diffusion_points must be positive"),
+        ],
+    )
+    def test_invalid_setting_is_runtime_error_before_writing(self, trained, tmp_path, capsys, setting, message):
+        _, ds, _ = trained
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"dataset": str(ds), "epochs": 1, **setting}))
+        out = tmp_path / "train"
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 2
+        assert f"error: ValueError: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestNegativeCounts:
     def test_synth_count(self, tmp_path, capsys):
         out = tmp_path / "ds"

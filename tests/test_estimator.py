@@ -361,6 +361,36 @@ class TestTraining:
             E.train_estimator(scenes, cfg, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"epochs": -1}, "epochs must be >= 0"),
+            ({"epochs": 2.5}, "epochs must be an integer"),
+            ({"batch_size": 0}, "batch_size must be positive"),
+            ({"batch_size": 8.0}, "batch_size must be an integer"),
+            ({"batch_size": -2}, "batch_size must be positive"),
+            ({"lr": -1.0}, "lr must be positive"),
+            ({"lr": float("nan")}, "lr must be positive"),
+            ({"d_lr": 0.0}, "d_lr must be positive"),
+            ({"diffusion_points": 0, "lambda_diff": 1.0}, "diffusion_points must be positive"),
+            ({"diffusion_steps": 0}, "diffusion_steps must be positive"),
+            ({"lambda_nocs": -10.0}, "lambda_nocs must be >= 0"),
+            ({"lambda_adv": -0.1}, "lambda_adv must be >= 0"),
+            ({"lr": "0.001"}, "lr must be a number"),
+            ({"lr_schedule": [[5, 1e-3], [9, -1e-3]]}, r"lr_schedule entry \[9, -0.001\] is not \[start_epoch, lr > 0\]"),
+            ({"lr_schedule": [5]}, r"lr_schedule entry 5 is not \[start_epoch, lr > 0\]"),
+        ],
+    )
+    def test_invalid_setting_rejected(self, setting, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            E.TrainConfig(**setting)
+
+    def test_boundary_settings_accepted(self):
+        cfg = E.TrainConfig(
+            epochs=np.int64(0), lambda_seg=0, lambda_rot=0.0, lambda_nocs=0.0, lr_schedule=[(3, 1e-4)]
+        )
+        assert cfg.lr_at(3) == 1e-4
+
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"epochs": 3, "warp_drive": true}')

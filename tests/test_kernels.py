@@ -1,5 +1,6 @@
-"""The narrow forward kernels against the general numpy forms they replace,
-kept in helpers.py: the view-taking autodiff.take against np.take, the
+"""The narrow kernels against the general numpy forms they replace, kept
+in helpers.py: the view-taking autodiff.take against np.take, its
+backward onto an existing gradient against the dense scatter-add, the
 max-valued autodiff.vmax against the value at the first argmax,
 geometry.cross against np.cross, and the one-shot tolerance checks of
 OrientedBox and SimilarityTransform against np.allclose. Equality is bit
@@ -109,6 +110,83 @@ class TestTakeView:
         got_out, got = grads(ad.take, data, seed.copy(), np.arange(2, 5), axis=-1)
         want_out, want = grads(take_scatter, data, seed.copy(), np.arange(2, 5), axis=1)
         assert np.array_equal(bits(got_out), bits(want_out))
+        assert np.array_equal(bits(got), bits(want))
+
+
+def special_pool(dtype):
+    """Eight values whose sums round or propagate unusually: signed zeros,
+    infinities, NaNs with distinct payloads and signs, and two normals."""
+    return np.array(
+        [-0.0, 0.0, np.inf, -np.inf, nan(0x15, 0, dtype), nan(0x2A, 1, dtype), 1.5, -2.25],
+        dtype=dtype,
+    )
+
+
+def take_onto(take_fn, kind, prior, g, idx, axis):
+    """Sweep a graph in which take's backward hands `g` to a leaf whose
+    gradient already holds `prior`: an owned array, a borrowed view of the
+    seed, or a read-only broadcast from vsum (then `prior` is constant along
+    axis 0). Returns the leaf's grad and whether the seed came out unchanged."""
+    tape = ad.Tape()
+    a = ad.leaf(np.zeros(prior.shape, dtype=prior.dtype), tape)
+    pieces, seeds = [take_fn(a, idx, axis=axis)], [g]
+    if kind == "broadcast":
+        pieces.append(ad.vsum(a, axis=0))
+        seeds.append(prior[0])
+    else:
+        pieces.append(ad.reshape(a, prior.shape))
+        seeds.append(prior)
+    if kind == "owned":  # a second contribution of -0.0 keeps every bit of prior
+        pieces.append(ad.reshape(a, prior.shape))
+        seeds.append(np.full(prior.shape, -0.0, dtype=prior.dtype))
+    take_out, take_back = tape._ops[0]
+
+    def check_prior(grad):
+        assert a._owns_grad == (kind == "owned")
+        assert (0 in a.grad.strides) == (kind == "broadcast")
+        assert np.array_equal(bits(a.grad), bits(np.broadcast_to(prior, a.grad.shape)))
+        take_back(grad)
+
+    tape._ops[0] = (take_out, check_prior)
+    seed = np.concatenate([s.reshape(-1) for s in seeds])
+    before = seed.copy()
+    tape.backward(ad.concat([ad.reshape(p, (-1,)) for p in pieces], axis=0), seed)
+    return a.grad, np.array_equal(bits(seed), bits(before))
+
+
+class TestTakeAccumulate:
+    """take's backward onto an existing gradient, bit for bit against the
+    dense form grad + full of take_scatter, full the scatter-add into zeros."""
+
+    INDICES = {
+        "run": np.array([3, 4, 5, 6]),
+        "unique": np.array([7, 0, 4, 2]),
+        "repeated": np.array([5, 1, 5, 5]),
+    }
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("kind", ["owned", "borrowed", "broadcast"])
+    @pytest.mark.parametrize("axis", [0, -1])
+    @pytest.mark.parametrize("case", sorted(INDICES))
+    def test_matches_dense_add(self, case, axis, kind, dtype):
+        idx = self.INDICES[case]
+        pool = special_pool(dtype)
+        shape = (9, 16) if axis == 0 else (16, 9)
+        out_shape = (4, 16) if axis == 0 else (16, 4)
+        # run and unique indices meet every pair of pool values in a full prior
+        g = np.repeat(pool, 8).reshape(out_shape)
+        prior = np.resize(pool[::-1], shape)
+        if kind != "broadcast":
+            sl = [slice(None)] * 2
+            sl[axis] = idx
+            prior[tuple(sl)] = np.tile(pool, 8).reshape(out_shape)
+        else:
+            prior[...] = prior[0]
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            got, seed_kept = take_onto(ad.take, kind, prior, g, idx, axis)
+            want, _ = take_onto(take_scatter, kind, prior, g, idx, axis)
+        assert seed_kept
+        assert got.dtype == want.dtype and got.strides == want.strides
         assert np.array_equal(bits(got), bits(want))
 
 

@@ -19,6 +19,12 @@ def scene():
     return sample_scene(inst, np.random.SeedSequence([4, 1]), scene_id="s0")
 
 
+@pytest.fixture(scope="module")
+def other_scene():
+    inst = make_instance("laptop", 5)
+    return sample_scene(inst, np.random.SeedSequence([5, 1]), scene_id="s1")
+
+
 def rot_z(deg):
     a = math.radians(deg)
     return np.array([[math.cos(a), -math.sin(a), 0.0], [math.sin(a), math.cos(a), 0.0], [0.0, 0.0, 1.0]])
@@ -95,6 +101,22 @@ class TestEvalObject:
     def test_length_mismatch(self, scene):
         with pytest.raises(IdMismatch):
             metrics.eval_object([ground_truth(scene)] * 2, [scene])
+
+    def test_repeated_prediction_names_the_scene(self, scene, other_scene):
+        pred = ground_truth(scene)
+        with pytest.raises(IdMismatch, match="prediction for scene 's0' given twice"):
+            metrics.eval_object([pred, pred], [scene, other_scene])
+
+    def test_repeated_ground_truth_names_the_scene(self, scene, other_scene):
+        preds = [ground_truth(scene), ground_truth(other_scene)]
+        with pytest.raises(IdMismatch, match="gt scene 's0' given twice"):
+            metrics.eval_object(preds, [scene, scene])
+
+    def test_two_scenes_in_another_order(self, scene, other_scene):
+        report = metrics.eval_object(
+            [ground_truth(other_scene), ground_truth(scene)], [scene, other_scene]
+        )
+        assert report.scene_count == 2 and report.acc_5deg5cm == 100.0
 
 
 class TestHandErrors:
