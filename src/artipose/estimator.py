@@ -23,7 +23,7 @@ from . import autodiff as ad
 from . import diffgeom as dg
 from . import nn
 from .errors import DegenerateCorrespondences, DegenerateRotation, ShapeMismatch
-from .geometry import _CORNER_SIGNS, OrientedBox, SimilarityTransform, matrix_to_rot6d
+from .geometry import _CORNER_SIGNS, OrientedBox, SimilarityTransform, box_half_extents, matrix_to_rot6d
 
 HAND_CLASS = 0
 
@@ -312,6 +312,20 @@ def layout_graph(tape, cloud, labels, nocs, rot6d, half_extents):
     return ad.stack(boxes, axis=0)
 
 
+def scene_layouts(tape, clouds, seg, nocs, rot, half_extents) -> list:
+    """layout_graph's result for each scene b of a batch of clouds (B, N, 3)
+    with half_extents (B, P, 3): its N rows of the seg and nocs heads, its
+    row of the rot head, and labels from the argmax of seg."""
+    n_pts = clouds.shape[1]
+    labels = np.argmax(seg.data, axis=1)
+    layouts = []
+    for b, (cloud, extents) in enumerate(zip(clouds, half_extents)):
+        rows = np.arange(b * n_pts, (b + 1) * n_pts)
+        rot6d = ad.reshape(ad.take(rot, np.array([b]), axis=0), (len(extents), 6))
+        layouts.append(layout_graph(tape, cloud, labels[rows], ad.take(nocs, rows, axis=0), rot6d, extents))
+    return layouts
+
+
 def assemble_pose(cloud: np.ndarray, pred: HeadOutput, canonical_boxes: list) -> list:
     """Analytic pose + posed box per part from head outputs (numpy in/out).
 
@@ -329,7 +343,7 @@ def assemble_pose(cloud: np.ndarray, pred: HeadOutput, canonical_boxes: list) ->
         np.argmax(pred.seg_logits, axis=1),
         ad.const(np.asarray(pred.nocs, dtype=np.float64), tape),
         ad.const(np.asarray(pred.rot6d, dtype=np.float64), tape),
-        np.stack([b.vertices[7] for b in canonical_boxes]),
+        box_half_extents(canonical_boxes),
     )
     results = []
     for p, (idx, fit) in enumerate(fits):
@@ -367,20 +381,23 @@ class TrainConfig:
     def __post_init__(self):
         """ValueError on a setting no run can train with (NaN included)."""
         lambdas = ("lambda_seg", "lambda_rot", "lambda_nocs", "lambda_adv", "lambda_diff")
-        for name in ("epochs", "batch_size", "diffusion_points", "diffusion_steps"):
+        for name in ("dataset", "category", "checkpoint", "loss_log"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string")
+        for name in ("epochs", "batch_size", "diffusion_points", "diffusion_steps", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
         for name in ("lr", "d_lr") + lambdas:
             if not isinstance(getattr(self, name), numbers.Real):
                 raise ValueError(f"{name} must be a number")
-        if not self.epochs >= 0:
-            raise ValueError("epochs must be >= 0")
-        for name in lambdas:
+        for name in ("epochs", "seed") + lambdas:
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("batch_size", "lr", "d_lr", "diffusion_points", "diffusion_steps"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if not isinstance(self.lr_schedule, (list, tuple)):
+            raise ValueError("lr_schedule must be a list")
         for entry in self.lr_schedule:
             if not (
                 isinstance(entry, (list, tuple))
@@ -400,6 +417,8 @@ class TrainConfig:
     @classmethod
     def from_json(cls, path) -> "TrainConfig":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -465,6 +484,7 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
         else None
     )
 
+    trained = [est.store] if diffuser is None else [est.store, diffuser.store]
     n = len(scenes)
     with open(out / config.loss_log, "w", newline="", encoding="utf-8") as logf:
         writer = csv.writer(logf)
@@ -495,26 +515,14 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
                 l_pose = float(total.data)
 
                 l_adv = 0.0
-                fake_boxes = []
+                fake_vars = []
                 if use_adv:
-                    fake_vars = []
-                    for bi, si in enumerate(idx):
-                        scene_rows = np.arange(bi * n_pts, (bi + 1) * n_pts)
-                        layout = layout_graph(
-                            tape,
-                            clouds[si],
-                            np.argmax(seg.data[scene_rows], axis=1),
-                            ad.take(nocs, scene_rows, axis=0),
-                            ad.reshape(ad.take(rot, np.array([bi]), axis=0), (part_count, 6)),
-                            extents[si],
-                        )
-                        if not isinstance(layout, str):
-                            fake_vars.append(layout)
+                    layouts = scene_layouts(tape, clouds[idx], seg, nocs, rot, extents[idx])
+                    fake_vars = [layout for layout in layouts if not isinstance(layout, str)]
                     if fake_vars:
                         adv_var = priors.g_adv_loss_graph(disc, tape, fake_vars)
                         l_adv = float(adv_var.data)
                         total = ad.add(total, ad.mul(adv_var, config.lambda_adv))
-                        fake_boxes = [fv.data.copy() for fv in fake_vars]
 
                 l_diff = 0.0
                 if use_diff:
@@ -530,24 +538,14 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
                     l_diff = float(diff_var.data)
                     total = ad.add(total, ad.mul(diff_var, config.lambda_diff))
 
-                est.store.zero_grads()
-                if use_diff:
-                    diffuser.store.zero_grads()
-                tape.backward(total)
-                est.store.flush_tape_grads(tape)
-                if use_diff:
-                    diffuser.store.flush_tape_grads(tape)
-                nn.adam_step(est.store, lr=lr_now)
-                if use_diff:
-                    nn.adam_step(diffuser.store, lr=lr_now)
+                nn.descend(tape, total, trained, lr_now)
 
                 l_d = 0.0
-                if fake_boxes:
-                    l_d = priors.d_train_step(
-                        disc, real_boxes[idx], np.stack(fake_boxes), lr=config.d_lr
-                    )
+                if fake_vars:
+                    fake = np.stack([fv.data for fv in fake_vars])
+                    l_d = priors.d_train_step(disc, real_boxes[idx], fake, lr=config.d_lr)
                     adv_batches += 1
-                    adv_scenes += len(fake_boxes)
+                    adv_scenes += len(fake_vars)
 
                 for key, val in (
                     ("L_pose", l_pose),

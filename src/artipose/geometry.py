@@ -31,6 +31,12 @@ _CORNER_SIGNS = np.array(
 ) * 2.0 - 1.0
 
 
+def box_half_extents(boxes) -> np.ndarray:
+    """(P, 3) half extents of canonical (origin-centred, axis-aligned)
+    boxes: corner 7 of each, whose signs are all +."""
+    return np.stack([b.vertices[7] for b in boxes])
+
+
 def cross(a, b) -> np.ndarray:
     """Cross product of (..., 3) arrays, broadcast; bit for bit np.cross
     (see the module docstring)."""

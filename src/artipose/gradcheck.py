@@ -49,7 +49,6 @@ def _fd_probe_store(loss_fn, store, probes, h=1e-5):
     h = 1e-5 keeps both the f64 rounding floor and the odds of stepping
     across a ReLU kink small.
     """
-    store.zero_grads()
     tape = ad.Tape()
     tape.backward(loss_fn(tape))
     store.flush_tape_grads(tape)
@@ -197,7 +196,7 @@ def check_discriminator(seed=3, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
     inputs = _f64(nn.ParamStore(), layout=rng.normal(size=(2, 8, 3)))
 
     def loss(tape):
-        d = ad.sub(disc.score_graph(tape, inputs.use("layout", tape)), 1.0)
+        d = ad.sub(disc.score_graph(inputs.use("layout", tape)), 1.0)
         return ad.mul(d, d)
 
     worst = _fd_probe_store(loss, disc.store, _random_probes(disc.store, rng, probes))

@@ -1,4 +1,10 @@
-"""Parameter storage, the MLP graph, Adam, time embedding, checkpoints."""
+"""Parameter storage, the MLP graph, Adam, time embedding, checkpoints.
+
+Every parameter update takes one path, `descend`: one reverse sweep of the
+tape from the scalar loss, then per store a flush that sets its grad
+buffers (zeroed, then each recorded use's gradient added in tape order),
+then one Adam step per store, in the order given.
+"""
 
 from __future__ import annotations
 
@@ -64,7 +70,9 @@ class ParamStore:
         return var
 
     def flush_tape_grads(self, tape: ad.Tape) -> None:
-        """Accumulate tape gradients into the store; rejects stale tapes."""
+        """Set the grad buffers from a swept tape: zeroed, then every use of
+        a parameter of this store adds its gradient; rejects stale tapes."""
+        self.zero_grads()
         for store, name, var, version in tape.param_uses:
             if store is not self:
                 continue
@@ -143,6 +151,16 @@ def adam_step(store: ParamStore, lr: float = 1e-3) -> None:
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g * g
         p -= (lr / c1) * m / (np.sqrt(v / c2) + ADAM_EPS)
+
+
+def descend(tape: ad.Tape, loss: ad.Var, stores: list, lr: float) -> None:
+    """Sweep `tape` once from the scalar `loss`, flush every store's grads,
+    then take one Adam step per store, in the order given."""
+    tape.backward(loss)
+    for store in stores:
+        store.flush_tape_grads(tape)
+    for store in stores:
+        adam_step(store, lr=lr)
 
 
 def time_embedding(t: int, T: int, dim: int) -> np.ndarray:

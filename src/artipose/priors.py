@@ -68,7 +68,7 @@ class Discriminator:
         nn.init_mlp(store, "d", disc.spec, np.random.default_rng(np.random.SeedSequence([seed, 31])))
         return disc
 
-    def score_graph(self, tape: ad.Tape, layout: ad.Var) -> ad.Var:
+    def score_graph(self, layout: ad.Var) -> ad.Var:
         """(P, 8, 3) layout Var -> scalar score Var."""
         if layout.data.shape != (self.part_count, 8, 3):
             raise PartCountMismatch(
@@ -84,7 +84,7 @@ def g_adv_loss_graph(disc: Discriminator, tape: ad.Tape, fake_vars: list) -> ad.
     layout Vars; training and test-time adaptation both descend it."""
     terms = []
     for fv in fake_vars:
-        s = disc.score_graph(tape, fv)
+        s = disc.score_graph(fv)
         d = ad.sub(s, 1.0)
         terms.append(ad.mul(d, d))
     total = terms[0]
@@ -98,11 +98,11 @@ def d_loss_graph(disc: Discriminator, tape: ad.Tape, real: np.ndarray, fake: np.
     constant (detached) layout batches."""
     terms = []
     for layout in real:
-        s = disc.score_graph(tape, ad.const(layout, tape))
+        s = disc.score_graph(ad.const(layout, tape))
         d = ad.sub(s, 1.0)
         terms.append(ad.mul(ad.mul(d, d), 1.0 / len(real)))
     for layout in fake:
-        s = disc.score_graph(tape, ad.const(layout, tape))
+        s = disc.score_graph(ad.const(layout, tape))
         terms.append(ad.mul(ad.mul(s, s), 1.0 / len(fake)))
     total = terms[0]
     for t in terms[1:]:
@@ -114,10 +114,7 @@ def d_train_step(disc: Discriminator, real: np.ndarray, fake: np.ndarray, lr: fl
     """One alternating discriminator update on detached layouts."""
     tape = ad.Tape()
     loss = d_loss_graph(disc, tape, real.astype(np.float32), fake.astype(np.float32))
-    disc.store.zero_grads()
-    tape.backward(loss)
-    disc.store.flush_tape_grads(tape)
-    nn.adam_step(disc.store, lr=lr)
+    nn.descend(tape, loss, [disc.store], lr)
     return float(loss.data)
 
 

@@ -69,8 +69,6 @@ class ArticulatedInstance:
     category: str
     parts: tuple  # (PartSpec, ...) part 0 is the base
     joints: tuple  # (JointSpec, ...) joint j moves part j+1
-    scale_jitter: np.ndarray  # multipliers actually applied to the template
-    instance_seed: int
 
     def __post_init__(self):
         if len(self.parts) < 2:
@@ -158,7 +156,6 @@ def make_instance(category: str, seed: int, drawers: int | None = None) -> Artic
                 child=1,
             ),
         )
-        jitter = np.concatenate([base_h, lid_h])
 
     elif category == "drawer":
         body_h = _jitter(rng, [0.18, 0.17, 0.16])
@@ -183,7 +180,6 @@ def make_instance(category: str, seed: int, drawers: int | None = None) -> Artic
                 )
             )
         parts, joints = tuple(parts), tuple(joints)
-        jitter = body_h
 
     elif category in ("safe", "microwave"):
         dims = [0.15, 0.14, 0.19] if category == "safe" else [0.20, 0.16, 0.12]
@@ -203,7 +199,6 @@ def make_instance(category: str, seed: int, drawers: int | None = None) -> Artic
                 child=1,
             ),
         )
-        jitter = np.concatenate([body_h, door_h])
 
     else:  # trashcan
         body_h = _jitter(rng, [0.11, 0.11, 0.19])
@@ -222,12 +217,9 @@ def make_instance(category: str, seed: int, drawers: int | None = None) -> Artic
                 child=1,
             ),
         )
-        jitter = np.concatenate([body_h, lid_h])
 
     return ArticulatedInstance(
         category=category,
         parts=parts,
         joints=joints,
-        scale_jitter=jitter,
-        instance_seed=int(seed),
     )

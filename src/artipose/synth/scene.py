@@ -11,6 +11,7 @@ from ..geometry import (
     DEFAULT_CONTACT_TAU,
     OrientedBox,
     SimilarityTransform,
+    box_half_extents,
     compute_contact_map,
     transform_box,
 )
@@ -57,9 +58,7 @@ class SceneRecord:
         return len(self.part_poses)
 
     def half_extents(self) -> np.ndarray:
-        return np.stack(
-            [b.vertices[7] for b in self.canonical_boxes]
-        )  # corner 7 = (+h, +h, +h)
+        return box_half_extents(self.canonical_boxes)
 
 
 def nocs_normalize(local_points: np.ndarray, half_extents: np.ndarray) -> np.ndarray:

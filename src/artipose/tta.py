@@ -2,7 +2,7 @@
 contact-guided hand pose optimization.
 
 adapt_object clones the estimator per scene and takes Adam steps on the
-generator term (D(layout) - 1)^2 from estimator.layout_graph and
+generator term (D(layout) - 1)^2 from estimator.scene_layouts and
 priors.g_adv_loss_graph, the training path; heads_only scope encodes once,
 off the gradient tape, and before/after come from the first and last passes.
 A scene it cannot adapt, from its first estimate on, comes back as an
@@ -23,8 +23,8 @@ from . import autodiff as ad
 from . import diffgeom as dg
 from . import nn
 from .errors import DegenerateRotation
-from .estimator import Estimator, HeadOutput, assemble_pose, layout_graph
-from .geometry import matrix_to_rot6d, rot6d_to_matrix
+from .estimator import Estimator, HeadOutput, assemble_pose, scene_layouts
+from .geometry import box_half_extents, matrix_to_rot6d, rot6d_to_matrix
 from .priors import Discriminator, g_adv_loss_graph
 from .synth.hand import ANGLE_HI, ANGLE_LO, KinematicHand, fk_vars, root_frame_vars
 
@@ -92,7 +92,7 @@ def adapt_object(
     cloud = np.asarray(cloud, dtype=np.float64)
     cloud32 = est.prepare_input(cloud)
     work = est.clone()
-    half_extents = np.stack([b.vertices[7] for b in canonical_boxes])
+    extents = box_half_extents(canonical_boxes)[None]  # a batch of one scene
     frozen = work.encode(cloud32) if cfg.scope == HEADS_ONLY else None
 
     trace = []
@@ -110,14 +110,7 @@ def adapt_object(
             bad = next((p for p in before if not p.valid), None)
             if bad is not None:
                 return AdaptResult(before, before, trace, aborted=f"step 0: part {bad.part}: {bad.reason}")
-        layout = layout_graph(
-            tape,
-            cloud,
-            np.argmax(seg.data, axis=1),
-            nocs,
-            ad.reshape(rot, (work.spec.part_count, 6)),
-            half_extents,
-        )
+        (layout,) = scene_layouts(tape, cloud[None], seg, nocs, rot, extents)
         if isinstance(layout, str):
             if final:
                 break
@@ -130,10 +123,7 @@ def adapt_object(
         if final:
             break
 
-        work.store.zero_grads()
-        tape.backward(loss)
-        work.store.flush_tape_grads(tape)
-        nn.adam_step(work.store, lr=cfg.lr)
+        nn.descend(tape, loss, [work.store], cfg.lr)
 
     after = assemble_pose(cloud, pred, canonical_boxes)
     return AdaptResult(before, after, trace)
@@ -198,10 +188,7 @@ def optimize_hand(
             best_loss, best_hand = value, snapshot()
         if it == cfg.iters:
             break
-        store.zero_grads()
-        tape.backward(loss)
-        store.flush_tape_grads(tape)
-        nn.adam_step(store, lr=cfg.lr)
+        nn.descend(tape, loss, [store], cfg.lr)
         store.params["ang"][...] = np.clip(store.params["ang"], ANGLE_LO, ANGLE_HI)
         store.version += 1
     return HandOptResult(best_hand, trace)

@@ -174,7 +174,7 @@ def mc_box_iou(a, b, samples, seed):
 def score(disc, layout):
     """Scalar discriminator score of one (P, 8, 3) layout array."""
     tape = ad.Tape()
-    return float(disc.score_graph(tape, ad.const(np.asarray(layout, dtype=np.float64), tape)).data)
+    return float(disc.score_graph(ad.const(np.asarray(layout, dtype=np.float64), tape)).data)
 
 
 def d_loss(score_fn, real_layouts, fake_layouts):
@@ -409,6 +409,22 @@ def pose_loss(
     else:
         nocs_term = 0.0
     return float(lambda_seg * ce + lambda_rot * rot_term + lambda_nocs * nocs_term)
+
+
+def descend_by_hand(tape, loss, stores, lr):
+    """nn.descend written out step by step: zero every store's grads, sweep
+    the tape, add each recorded parameter use's gradient into its buffer in
+    tape order, then one Adam step per store: the oracle for nn.descend and
+    the flush that sets the grad buffers."""
+    for store in stores:
+        store.zero_grads()
+    tape.backward(loss)
+    for store in stores:
+        for owner, name, var, _ in tape.param_uses:
+            if owner is store and var.grad is not None:
+                store.grads[name] += var.grad.astype(store.grads[name].dtype, copy=False)
+    for store in stores:
+        nn.adam_step(store, lr=lr)
 
 
 def adapt_object_reencoding(est, disc, cloud, canonical_boxes, cfg):

@@ -201,6 +201,11 @@ class TestTrainConfig:
             ({"epochs": -1}, "epochs must be >= 0"),
             ({"lr": -1}, "lr must be positive"),
             ({"diffusion_points": 0, "lambda_diff": 1}, "diffusion_points must be positive"),
+            ({"checkpoint": 3}, "checkpoint must be a string"),
+            ({"dataset": 5}, "dataset must be a string"),
+            ({"seed": "a"}, "seed must be an integer"),
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"lr_schedule": None}, "lr_schedule must be a list"),
         ],
     )
     def test_invalid_setting_is_runtime_error_before_writing(self, trained, tmp_path, capsys, setting, message):
@@ -210,6 +215,14 @@ class TestTrainConfig:
         out = tmp_path / "train"
         assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 2
         assert f"error: ValueError: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_that_is_not_an_object_is_runtime_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text("[1, 2]")
+        out = tmp_path / "train"
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: ValueError: config must be a JSON object\n"
         assert not out.exists()
 
 
@@ -368,7 +381,7 @@ class TestTta:
             calls.append(args)
             return "part 0: 0 points" if len(calls) % 2 == 0 else layout_graph(*args)
 
-        monkeypatch.setattr(tta_mod, "layout_graph", layout_lost_at_step_1)
+        monkeypatch.setattr(est_mod, "layout_graph", layout_lost_at_step_1)
         rows = self.run(root, ds, ckpt, "tta_step_1.csv")
         assert "adapted 0 of 2 scenes; adversarial loss reduced on 0\n" in capsys.readouterr().out
         assert len(calls) == 4

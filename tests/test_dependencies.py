@@ -3,9 +3,11 @@ the only runtime dependency (every absolute import names the standard
 library, numpy or artipose itself), and every imported name is used. Every
 error type in errors.py is raised somewhere in src/artipose. Only the
 rot6d_to_matrix oracle uses numpy's cross product; everything else goes
-through geometry.cross."""
+through geometry.cross. Parameter updates take one path: the steps of
+nn.descend are called nowhere else, but for gradcheck's probe."""
 
 import ast
+import shutil
 import sys
 from pathlib import Path
 
@@ -172,3 +174,85 @@ def test_numpy_cross_only_in_the_rotation_oracle():
         for where in numpy_cross_uses(path.read_text(encoding="utf-8"))
     ]
     assert uses == ["geometry.py: rot6d_to_matrix"]
+
+
+# Where each step of a parameter update may be called in src/artipose:
+# nn.descend is the one update path, gradcheck's probe sweeps and flushes
+# without an Adam step, and only the flush zeroes the grad buffers.
+UPDATE_CALLERS = {
+    "adam_step": {"nn.descend"},
+    "backward": {"nn.descend", "gradcheck._fd_probe_store"},
+    "flush_tape_grads": {"nn.descend", "gradcheck._fd_probe_store"},
+    "zero_grads": {"nn.ParamStore.flush_tape_grads"},
+}
+
+
+def update_calls(source: str) -> list:
+    """(qualified name of the function or "<module>" around it, name) for
+    each call of an UPDATE_CALLERS name: `x.backward(...)` as a method call
+    only, the others as a method call or by a bare name."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if where == "<module>" else f"{where}.{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Attribute) and func.attr in UPDATE_CALLERS:
+                    found.append((where, func.attr))
+                elif isinstance(func, ast.Name) and func.id in UPDATE_CALLERS and func.id != "backward":
+                    found.append((where, func.id))
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def misplaced_update_calls(src: Path) -> list:
+    """"module.function: name" for each update call outside its UPDATE_CALLERS."""
+    out = []
+    for path in sorted(src.rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        for where, name in update_calls(path.read_text(encoding="utf-8")):
+            if f"{module}.{where}" not in UPDATE_CALLERS[name]:
+                out.append(f"{module}.{where}: {name}")
+    return out
+
+
+def test_finds_update_calls():
+    source = (
+        "import numpy as np\nfrom . import nn\nfrom .nn import adam_step\n"
+        "class S:\n    def flush(self, tape):\n        self.zero_grads()\n"
+        "def step(tape, loss, store, backward):\n    tape.backward(loss)\n    backward(loss)\n"
+        "    store.flush_tape_grads(tape)\n    adam_step(store)\n    nn.adam_step(store, lr=1e-3)\n"
+        "    f = nn.adam_step\n"
+    )
+    assert update_calls(source) == [
+        ("S.flush", "zero_grads"),
+        ("step", "backward"),
+        ("step", "flush_tape_grads"),
+        ("step", "adam_step"),
+        ("step", "adam_step"),
+    ]
+
+
+def test_parameter_updates_take_one_path():
+    assert misplaced_update_calls(SRC) == []
+
+
+def test_hand_written_update_is_found(tmp_path):
+    shutil.copytree(SRC, tmp_path / "artipose")
+    priors = tmp_path / "artipose" / "priors.py"
+    text = priors.read_text(encoding="utf-8")
+    one_path = "    nn.descend(tape, loss, [disc.store], lr)\n"
+    assert text.count(one_path) == 1
+    by_hand = (
+        "    disc.store.zero_grads()\n    tape.backward(loss)\n"
+        "    disc.store.flush_tape_grads(tape)\n    nn.adam_step(disc.store, lr=lr)\n"
+    )
+    priors.write_text(text.replace(one_path, by_hand), encoding="utf-8")
+    assert misplaced_update_calls(tmp_path / "artipose") == [
+        f"priors.d_train_step: {name}" for name in ("zero_grads", "backward", "flush_tape_grads", "adam_step")
+    ]

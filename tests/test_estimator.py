@@ -11,7 +11,7 @@ from artipose import estimator as E
 from artipose import nn, priors
 from artipose.geometry import matrix_to_rot6d, rot6d_to_matrix, rotation_error
 from artipose.synth import make_instance, sample_scene
-from helpers import bits, pose_loss, rel_err, spy_tapes
+from helpers import bits, descend_by_hand, pose_loss, rel_err, spy_tapes
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +228,33 @@ class TestAssemblePose:
         else:
             assert layout == first_failure == f"part {bad.part}: {bad.reason}"
 
+    def test_scene_layouts_slice_each_scene(self, scene):
+        # three scenes in one batch, the middle one with part 1 starved to 2 points
+        rng = np.random.default_rng(1)
+        labels = np.stack([scene.seg.astype(np.int64)] * 3)
+        labels[1, np.flatnonzero(labels[1] == 2)[2:]] = E.HAND_CLASS
+        nocs = scene.nocs + rng.normal(scale=0.01, size=(3,) + scene.nocs.shape)
+        rot6d = E.gt_rot6d(scene.part_poses) + rng.normal(scale=0.05, size=(3, 2, 6))
+        clouds = np.stack([scene.cloud] * 3)
+        extents = np.stack([scene.half_extents()] * 3)
+        tape = ad.Tape()
+        layouts = E.scene_layouts(
+            tape,
+            clouds,
+            ad.const(np.eye(3)[labels.reshape(-1)] * 20.0, tape),
+            ad.leaf(nocs.reshape(-1, 3), tape),
+            ad.leaf(rot6d, tape),
+            extents,
+        )
+        expect = [
+            E.layout_graph(tape, clouds[b], labels[b], ad.leaf(nocs[b], tape), ad.leaf(rot6d[b], tape), extents[b])
+            for b in range(3)
+        ]
+        assert layouts[1] == expect[1] == "part 1: 2 points"
+        for b in (0, 2):
+            assert np.array_equal(bits(layouts[b].data), bits(expect[b].data))
+        assert not np.array_equal(layouts[0].data, layouts[2].data)
+
     def test_scale_consistency(self, scene):
         # with a fixed HeadOutput, fitting on k-scaled points scales (s, t)
         # by k and leaves R untouched
@@ -313,6 +340,28 @@ class TestTraining:
             assert float(row["L_adv"]) == expect
             assert (float(row["L_D"]) > 0.0) == (count > 0)
 
+    def test_descend_matches_the_hand_written_update(self, scene, tmp_path, monkeypatch):
+        cfg = E.TrainConfig(
+            epochs=3, batch_size=1, lr=3e-3, lambda_adv=0.1, lambda_diff=1.0,
+            diffusion_points=64, diffusion_steps=10, seed=2,
+        )
+        a = E.train_estimator([scene, scene], cfg, tmp_path / "a")
+        stores_per_call = []
+
+        def by_hand(tape, loss, stores, lr):
+            stores_per_call.append(len(stores))
+            descend_by_hand(tape, loss, stores, lr)
+
+        monkeypatch.setattr(nn, "descend", by_hand)
+        b = E.train_estimator([scene, scene], cfg, tmp_path / "b")
+        assert a.read_bytes() == b.read_bytes()
+        log_a, log_b = (tmp_path / side / "loss_log.csv" for side in "ab")
+        assert log_a.read_bytes() == log_b.read_bytes()
+        # estimator + diffuser on every batch, the discriminator on each batch that fed L_adv
+        adv_scenes = sum(int(row["adv_scenes"]) for row in csv.DictReader(open(log_a)))
+        assert adv_scenes > 0
+        assert sorted(stores_per_call) == [1] * adv_scenes + [2] * 6
+
     def test_fixed_seed_bit_identical_checkpoint(self, scene, tmp_path):
         cfg = E.TrainConfig(epochs=4, batch_size=1, lambda_diff=1.0, seed=3)
         a = E.train_estimator([scene], cfg, tmp_path / "a")
@@ -379,6 +428,15 @@ class TestTraining:
             ({"lr": "0.001"}, "lr must be a number"),
             ({"lr_schedule": [[5, 1e-3], [9, -1e-3]]}, r"lr_schedule entry \[9, -0.001\] is not \[start_epoch, lr > 0\]"),
             ({"lr_schedule": [5]}, r"lr_schedule entry 5 is not \[start_epoch, lr > 0\]"),
+            ({"dataset": 5}, "dataset must be a string"),
+            ({"category": None}, "category must be a string"),
+            ({"checkpoint": 3}, "checkpoint must be a string"),
+            ({"loss_log": ["log.csv"]}, "loss_log must be a string"),
+            ({"seed": "a"}, "seed must be an integer"),
+            ({"seed": 1.0}, "seed must be an integer"),
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"lr_schedule": 5}, "lr_schedule must be a list"),
+            ({"lr_schedule": None}, "lr_schedule must be a list"),
         ],
     )
     def test_invalid_setting_rejected(self, setting, message):
@@ -390,6 +448,13 @@ class TestTraining:
             epochs=np.int64(0), lambda_seg=0, lambda_rot=0.0, lambda_nocs=0.0, lr_schedule=[(3, 1e-4)]
         )
         assert cfg.lr_at(3) == 1e-4
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"epochs"', "3", "null"])
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^config must be a JSON object$"):
+            E.TrainConfig.from_json(path)
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -123,6 +123,21 @@ class TestBackward:
         for name, idx, analytic, fd in fd_vs_analytic(loss, store, probes):
             assert rel_err(analytic, fd) < 1e-3, (name, idx, analytic, fd)
 
+    def test_flush_sets_the_grads(self):
+        spec = nn.MlpSpec((3, 2))
+        store = make_store(spec, seed=21)
+        x = np.random.default_rng(22).normal(size=(2, 3))
+        for name in store.names():
+            store.grads[name][...] = np.nan  # left over from an earlier step
+        y, _, tape = forward(spec, store, x)
+        backward(store, tape, y, np.ones_like(y.data))
+        first = {k: v.copy() for k, v in store.grads.items()}
+        assert all(np.isfinite(g).all() for g in first.values())
+        y, _, tape = forward(spec, store, x)
+        backward(store, tape, y, np.ones_like(y.data))
+        for name in store.names():
+            assert store.grads[name].tobytes() == first[name].tobytes()
+
     def test_stale_tape_rejected(self):
         spec = nn.MlpSpec((3, 2))
         store = make_store(spec, seed=14)

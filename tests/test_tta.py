@@ -44,14 +44,15 @@ def fail_layout_at(monkeypatch, call, corrupt):
     """Make the layout of the given pass (0-based) come from corrupted head
     outputs; corrupt maps (labels, nocs, rot6d) to new ones."""
     calls = []
+    original = E.layout_graph
 
     def layout(tape, cloud, labels, nocs, rot6d, half_extents):
         if len(calls) == call:
             labels, nocs, rot6d = corrupt(labels, nocs, rot6d)
         calls.append(call)
-        return E.layout_graph(tape, cloud, labels, nocs, rot6d, half_extents)
+        return original(tape, cloud, labels, nocs, rot6d, half_extents)
 
-    monkeypatch.setattr(tta, "layout_graph", layout)
+    monkeypatch.setattr(E, "layout_graph", layout)
     return calls
 
 
@@ -195,7 +196,7 @@ class TestAdaptObject:
             return ests
 
         monkeypatch.setattr(tta, "assemble_pose", part_1_invalid)
-        monkeypatch.setattr(tta, "layout_graph", lambda *args: pytest.fail("layout_graph called"))
+        monkeypatch.setattr(E, "layout_graph", lambda *args: pytest.fail("layout_graph called"))
         result = adapt(est, disc, scene, steps=steps)
         assert result.aborted == "step 0: part 1: rank 1"
         assert result.trace == []
