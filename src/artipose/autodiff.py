@@ -62,8 +62,8 @@ float64: `vmean` multiplies by `1.0 / n`, so the mean of a float32 Var is
 float64, and `ad.add(x, 1e-6)` does the same. A float32 training graph is therefore
 not float32 throughout: on float32 clouds `Estimator.encode_graph` returns
 `pooled` as float64 and `Estimator.heads_graph` returns `rot` as float64
-(z, seg and nocs stay float32). Gradient checks run in float64. The
-planned fix is "Dtype-honest tape" under item 5 of ROADMAP.md.
+(local, mx, seg and nocs stay float32). Gradient checks run in float64. The
+planned fix is "Dtype-honest tape" under item 8 of ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -245,11 +245,18 @@ def div(a, b):
 
 
 def matmul(a, b):
-    """2-D matrix product; 1-D operands are promoted and squeezed back."""
+    """Matrix product of 2-D operands, or of stacks (B, m, k) @ (B, k, n),
+    one product per leading index; a 1-D operand is promoted to 2-D and
+    squeezed back."""
     a, b = _pair(a, b)
     ad = a.data[None, :] if a.data.ndim == 1 else a.data
     bd = b.data[:, None] if b.data.ndim == 1 else b.data
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+    if (
+        ad.ndim != bd.ndim
+        or ad.ndim not in (2, 3)
+        or ad.shape[:-2] != bd.shape[:-2]
+        or ad.shape[-1] != bd.shape[-2]
+    ):
         raise ShapeMismatch(f"matmul {a.data.shape} @ {b.data.shape}")
     out_data = ad @ bd
     if a.data.ndim == 1:
@@ -260,31 +267,41 @@ def matmul(a, b):
     out = Var(out_data, a.tape, req)
     if req:
         def back(g):
-            g2 = g.reshape(ad.shape[0], bd.shape[1])
+            g2 = g.reshape(ad.shape[:-1] + bd.shape[-1:])
             if a.requires_grad:
-                a._add_grad((g2 @ bd.T).reshape(a.data.shape))
+                a._add_grad((g2 @ np.swapaxes(bd, -1, -2)).reshape(a.data.shape))
             if b.requires_grad:
-                b._add_grad((ad.T @ g2).reshape(b.data.shape))
+                b._add_grad((np.swapaxes(ad, -1, -2) @ g2).reshape(b.data.shape))
         a.tape.record(out, back)
     return out
 
 
-def linear(x: Var, w: Var, b: Var, relu: bool) -> Var:
-    """x @ w + b, then a ReLU when `relu`: one op for the three.
+def linear(x: Var, w: Var, b: Var, relu: bool, shift: Var | None = None) -> Var:
+    """x @ w (+ shift) + b, then a ReLU when `relu`: one op for the chain.
 
-    Same arithmetic and the same order of gradient contributions as the
-    three ops matmul, add and a ReLU: bias first, then x, then w. x and w
-    are 2-D, and b has the dtype of x @ w (the sum and the ReLU are taken
-    in place). The in-place ReLU keeps NaN where np.where(out > 0, out, 0)
-    gives 0; the backward masks by `out > 0` on the activated output.
+    `shift` (S, H) is one row per block: x's rows fall into S blocks of
+    equal size n, and block i gets shift[i], as if `repeat_rows(shift, n)`
+    were added. Same arithmetic and the same order of gradient contributions
+    as the ops matmul, add(repeat_rows(shift)), add(b) and a ReLU: bias
+    first, then shift, then x, then w. x and w are 2-D, and b and shift have
+    the dtype of x @ w (the sums and the ReLU are taken in place). The
+    in-place ReLU keeps NaN where np.where(out > 0, out, 0) gives 0; the
+    backward masks by `out > 0` on the activated output.
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeMismatch(f"linear {x.data.shape} @ {w.data.shape}")
     out_data = x.data @ w.data
+    if shift is not None:
+        S, H = shift.data.shape
+        if H != out_data.shape[1] or S == 0 or out_data.shape[0] % S:
+            raise ShapeMismatch(f"shift {shift.data.shape} for {out_data.shape} rows")
+        blocks = out_data.reshape(S, -1, H)
+        blocks += shift.data[:, None, :]
     out_data += b.data
     if relu:
         np.maximum(out_data, 0, out=out_data)
     req = x.requires_grad or w.requires_grad or b.requires_grad
+    req = req or (shift is not None and shift.requires_grad)
     out = Var(out_data, x.tape, req)
     if req:
         def back(g):
@@ -292,6 +309,8 @@ def linear(x: Var, w: Var, b: Var, relu: bool) -> Var:
                 g = g * (out_data > 0)
             if b.requires_grad:
                 b._add_grad(_unbroadcast(g, b.data.shape))
+            if shift is not None and shift.requires_grad:
+                shift._add_grad(g.reshape(S, -1, H).sum(axis=1))
             if x.requires_grad:
                 x._add_grad(g @ w.data.T)
             if w.requires_grad:

@@ -37,6 +37,14 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    """A tolerance: a float > 0 (NaN is not)."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="artipose", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -93,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="run all finite-difference suites")
     p.set_defaults(run=cmd_gradcheck)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=gradcheck_mod.DEFAULT_TOL)
+    p.add_argument("--tol", type=positive_float, default=gradcheck_mod.DEFAULT_TOL)
 
     sub.add_parser("version", help="print version").set_defaults(run=cmd_version)
     return parser

@@ -86,15 +86,18 @@ def chamfer_fixed(A: ad.Var, B: ad.Var, assignments: tuple | None = None) -> ad.
 
 
 def normalize_layout(boxes: ad.Var) -> ad.Var:
-    """Center a (P, 8, 3) box layout and divide by the RMS vertex norm.
+    """Center each (P, 8, 3) box layout of a (..., P, 8, 3) stack and divide
+    it by its RMS vertex norm.
 
     Centering uses the mean of the per-part box centers, so whole-layout
     translation and uniform scale cancel exactly; relative arrangement and
     orientation survive.
     """
-    centers = ad.vmean(boxes, axis=1)  # (P, 3)
-    mu = ad.vmean(centers, axis=0)  # (3,)
-    centered = ad.sub(boxes, ad.reshape(mu, (1, 1, 3)))
-    ms = ad.vmean(ad.vsum(ad.mul(centered, centered), axis=2))
-    rms = ad.sqrt(ad.add(ms, 1e-12))
-    return ad.div(centered, rms)
+    lead = boxes.data.shape[:-3]
+    P = boxes.data.shape[-3]
+    centers = ad.vmean(boxes, axis=-2)  # (..., P, 3)
+    mu = ad.vmean(centers, axis=-2)  # (..., 3)
+    centered = ad.sub(boxes, ad.reshape(mu, lead + (1, 1, 3)))
+    sq = ad.reshape(ad.vsum(ad.mul(centered, centered), axis=-1), lead + (P * 8,))
+    rms = ad.sqrt(ad.add(ad.vmean(sq, axis=-1), 1e-12))
+    return ad.div(centered, ad.reshape(rms, lead + (1, 1, 1)))

@@ -1,12 +1,21 @@
 """Multi-branch object pose estimator: point encoder, three heads, pose
 assembly through the closed-form similarity fit, and the training loop.
 
-Architecture: a shared per-point MLP (3 -> 64 -> 128) max-pooled into a
-global feature that is broadcast back and concatenated, giving a per-point
-feature of width 256. Three MLP heads predict part segmentation (hand +
-P parts), a per-point NOCS 3-vector, and one 6D rotation per part (from the
-pooled feature alone). Translation and scale are recovered analytically, so
-box corners are differentiable functions of the head outputs.
+Architecture: a shared per-point MLP (3 -> 64 -> 128) gives each point a
+local feature; its per-scene max-pool, broadcast back and concatenated,
+makes the per-point feature z = [local | max-pool] of width 256. Three MLP
+heads predict part segmentation (hand + P parts), a per-point NOCS
+3-vector, and one 6D rotation per part (from the pooled feature alone).
+Translation and scale are recovered analytically, so box corners are
+differentiable functions of the head outputs.
+
+The graphs never build z. The seg and NOCS first layers split their weight
+W0 by rows into the local half W0[:L] and the pooled half W0[L:]: they
+compute local @ W0[:L] per point and max-pool @ W0[L:] once per scene, and
+the fused `linear` adds that per-scene row to the scene's N points (its
+`shift`). The rotation head's P soft-pooled part features come from one
+stacked (P, N) @ (N, L) product per scene. The diffusion loss reads z's
+rows as [local row | its scene's max-pool].
 """
 
 from __future__ import annotations
@@ -84,8 +93,23 @@ class EstimatorSpec:
 
 @dataclass
 class EncoderOutput:
-    z: np.ndarray  # (N, F) per-point features: concat(local, broadcast max-pool)
-    global_feat: np.ndarray  # (pooled_dim,) max+mean pooled summary
+    local: np.ndarray  # (N, L) per-point local features
+    global_feat: np.ndarray  # (pooled_dim,) max+mean pooled summary; max-pool first
+
+    @property
+    def z(self) -> np.ndarray:
+        """(N, F) per-point features: concat(local, broadcast max-pool)."""
+        return np.concatenate([self.local, np.repeat(self._mx(), len(self.local), axis=0)], axis=1)
+
+    def consts(self, tape: ad.Tape) -> tuple:
+        """(local, mx, pooled) as consts on `tape`, the values and dtypes
+        that encode_graph gives for a batch of one scene."""
+        return ad.const(self.local, tape), ad.const(self._mx(), tape), ad.const(self.global_feat[None], tape)
+
+    def _mx(self) -> np.ndarray:
+        """(1, L) max-pool, in the dtype of local (the pooled summary may be
+        wider; its max half holds local's values exactly)."""
+        return self.global_feat[None, : self.local.shape[1]].astype(self.local.dtype)
 
 
 @dataclass
@@ -128,7 +152,9 @@ class Estimator:
     # -- graph builders -----------------------------------------------------
 
     def encode_graph(self, tape: ad.Tape, clouds: np.ndarray):
-        """clouds (B, N, 3) -> (z (B*N, F), pooled (B, pooled_dim)) Vars."""
+        """clouds (B, N, 3) -> (local (B*N, L), mx (B, L), pooled (B,
+        pooled_dim)) Vars: per-point local features, their per-scene
+        max-pool, and the max+mean pooled summary."""
         if clouds.ndim != 3 or clouds.shape[2] != 3:
             raise ShapeMismatch(f"expected (B, N, 3) clouds, got {clouds.shape}")
         B, N, _ = clouds.shape
@@ -141,39 +167,45 @@ class Estimator:
         stacked = ad.reshape(local, (B, N, self.spec.local_dim))
         mx = ad.vmax(stacked, axis=1)
         pooled = ad.concat([mx, ad.vmean(stacked, axis=1)], axis=1)
-        z = ad.concat([local, ad.repeat_rows(mx, N)], axis=1)
-        return z, pooled
+        return local, mx, pooled
 
-    def heads_graph(self, tape: ad.Tape, z: ad.Var, pooled: ad.Var):
-        """-> (seg_logits (B*N, P+1), nocs (B*N, 3), rot6d (B, P, 6)) Vars."""
-        dtype = z.data.dtype
-        P = self.spec.part_count
+    def _point_head(self, name: str, local: ad.Var, mx: ad.Var) -> ad.Var:
+        """The seg or NOCS head on z = [local | mx per scene] without z: its
+        first layer multiplies the pooled half of W0 once per scene and adds
+        it to the scene's rows as linear's shift."""
+        L = self.spec.local_dim
+        dtype = local.data.dtype
+        w0 = self.store.use(f"{name}.w0", local.tape, dtype=dtype)
+        b0 = self.store.use(f"{name}.b0", local.tape, dtype=dtype)
+        shift = ad.matmul(mx, ad.take(w0, np.arange(L, 2 * L), axis=0))
+        h = ad.linear(local, ad.take(w0, np.arange(L), axis=0), b0, relu=True, shift=shift)
+        return nn.mlp_apply(self.spec.head_specs()[name], self.store, name, h, dtype=dtype, start=1)
+
+    def heads_graph(self, tape: ad.Tape, local: ad.Var, mx: ad.Var, pooled: ad.Var):
+        """encode_graph's outputs -> (seg_logits (B*N, P+1), nocs (B*N, 3),
+        rot6d (B, P, 6)) Vars."""
+        dtype = local.data.dtype
+        P, L = self.spec.part_count, self.spec.local_dim
         B = pooled.data.shape[0]
-        N = z.data.shape[0] // B
-        specs = self.spec.head_specs()
-        seg = nn.mlp_apply(specs["seg"], self.store, "seg", z, dtype=dtype)
-        nocs = nn.mlp_apply(specs["nocs"], self.store, "nocs", z, dtype=dtype)
+        N = local.data.shape[0] // B
+        seg = self._point_head("seg", local, mx)
+        nocs = self._point_head("nocs", local, mx)
 
-        # soft per-part pooled feature from the segmentation weights
-        local = ad.take(z, np.arange(self.spec.local_dim), axis=-1)
-        shift = ad.const(seg.data.max(axis=1, keepdims=True), tape)
-        expd = ad.exp(ad.sub(seg, shift))
+        # soft per-part pooled features from the segmentation weights:
+        # one (P, N) @ (N, L) product per scene
+        top = ad.const(seg.data.max(axis=1, keepdims=True), tape)
+        expd = ad.exp(ad.sub(seg, top))
         weights = ad.div(expd, ad.vsum(expd, axis=1, keepdims=True))
-        rows = []
-        eye = np.eye(P, dtype=dtype)
-        for p in range(P):
-            w_p = ad.reshape(ad.take(weights, np.array([p + 1]), axis=-1), (B, N, 1))
-            num = ad.vsum(
-                ad.mul(ad.reshape(local, (B, N, self.spec.local_dim)), w_p), axis=1
-            )
-            den = ad.add(ad.vsum(w_p, axis=1), 1e-6)
-            part_feat = ad.div(num, den)
-            onehot = ad.const(np.tile(eye[p], (B, 1)), tape)
-            rows.append(ad.concat([pooled, part_feat, onehot], axis=1))
-        rot_in = ad.concat(rows, axis=0)  # (P*B, rot_in_dim), part-major
-        rot_flat = nn.mlp_apply(specs["rot"], self.store, "rot", rot_in, dtype=dtype)
-        rot = ad.permute(ad.reshape(rot_flat, (P, B, 6)), (1, 0, 2))
-        return seg, nocs, rot
+        w_parts = ad.reshape(ad.take(weights, np.arange(1, P + 1), axis=1), (B, N, P))
+        num = ad.matmul(ad.permute(w_parts, (0, 2, 1)), ad.reshape(local, (B, N, L)))
+        den = ad.add(ad.vsum(w_parts, axis=1), 1e-6)
+        part_feat = ad.div(num, ad.reshape(den, (B, P, 1)))  # (B, P, L)
+        onehot = ad.const(np.tile(np.eye(P, dtype=dtype), (B, 1)), tape)
+        rot_in = ad.concat(
+            [ad.repeat_rows(pooled, P), ad.reshape(part_feat, (B * P, L)), onehot], axis=1
+        )  # (B*P, rot_in_dim), scene-major
+        rot_flat = nn.mlp_apply(self.spec.head_specs()["rot"], self.store, "rot", rot_in, dtype=dtype)
+        return seg, nocs, ad.reshape(rot_flat, (B, P, 6))
 
     # -- public per-scene forward -------------------------------------------
 
@@ -187,16 +219,12 @@ class Estimator:
         if cloud.ndim != 2 or cloud.shape[1] != 3 or cloud.shape[0] < 8:
             raise ShapeMismatch(f"expected (N >= 8, 3) cloud, got {cloud.shape}")
         tape = ad.Tape(grad=False)
-        z, pooled = self.encode_graph(tape, cloud[None])
-        return EncoderOutput(z=z.data, global_feat=pooled.data[0])
+        local, _, pooled = self.encode_graph(tape, cloud[None])
+        return EncoderOutput(local=local.data, global_feat=pooled.data[0])
 
     def predict(self, encoded: EncoderOutput) -> HeadOutput:
         tape = ad.Tape(grad=False)
-        seg, nocs, rot = self.heads_graph(
-            tape,
-            ad.const(np.asarray(encoded.z, dtype=np.float32), tape),
-            ad.const(np.asarray(encoded.global_feat, dtype=np.float32)[None], tape),
-        )
+        seg, nocs, rot = self.heads_graph(tape, *encoded.consts(tape))
         return HeadOutput(seg_logits=seg.data, nocs=nocs.data, rot6d=rot.data[0])
 
     def head_output(self, cloud: np.ndarray) -> HeadOutput:
@@ -498,8 +526,8 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
                 idx = order[start : start + config.batch_size]
                 B = len(idx)
                 tape = ad.Tape()
-                z, pooled = est.encode_graph(tape, clouds_in[idx])
-                seg, nocs, rot = est.heads_graph(tape, z, pooled)
+                local, mx, pooled = est.encode_graph(tape, clouds_in[idx])
+                seg, nocs, rot = est.heads_graph(tape, local, mx, pooled)
                 total, parts = pose_loss_graph(
                     tape,
                     seg,
@@ -528,7 +556,10 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
                 if use_diff:
                     sub = rng.integers(0, n_pts, size=(B, config.diffusion_points))
                     rows = (np.arange(B)[:, None] * n_pts + sub).reshape(-1)
-                    z_sub = ad.take(z, rows, axis=0)
+                    # z's rows: the point's local feature and its scene's max-pool
+                    z_sub = ad.concat(
+                        [ad.take(local, rows, axis=0), ad.repeat_rows(mx, config.diffusion_points)], axis=1
+                    )
                     x0 = np.stack(
                         [contact_enc[si][sub[bi]] for bi, si in enumerate(idx)]
                     ).reshape(-1, 1)

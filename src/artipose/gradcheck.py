@@ -17,7 +17,7 @@ from . import nn
 from .errors import ArtiposeError
 from .estimator import Estimator, EstimatorSpec, layout_graph, pose_loss_graph
 from .geometry import rot6d_to_matrix
-from .priors import ContactDiffuser, Discriminator, NoiseSchedule, diff_loss_graph
+from .priors import ContactDiffuser, Discriminator, NoiseSchedule, d_loss_graph, diff_loss_graph, g_adv_loss_graph
 from .synth.hand import default_hand_template, fk_vars, root_frame_vars
 
 DEFAULT_TOL = 1e-3
@@ -124,11 +124,12 @@ def check_encoder(seed=0, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
     est = Estimator.create(spec, seed)
     _f64(est.store)
     cloud = rng.normal(size=(1, 40, 3))
-    W = rng.normal(size=(40, spec.feature_dim))
+    W = rng.normal(size=(40, spec.local_dim))
+    Wp = rng.normal(size=(1, spec.pooled_dim))
 
     def loss(tape):
-        z, _ = est.encode_graph(tape, cloud)
-        return ad.vsum(ad.mul(z, ad.const(W, tape)))
+        local, _, pooled = est.encode_graph(tape, cloud)
+        return ad.add(ad.vsum(ad.mul(local, ad.const(W, tape))), ad.vsum(ad.mul(pooled, ad.const(Wp, tape))))
 
     enc_probes = [
         p for p in _random_probes(est.store, rng, probes * 4) if p[0].startswith("enc")
@@ -148,8 +149,7 @@ def check_heads(seed=1, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
     Wrot = rng.normal(size=(1, spec.part_count, 6))
 
     def loss(tape):
-        z, pooled = est.encode_graph(tape, cloud)
-        seg, nocs, rot = est.heads_graph(tape, z, pooled)
+        seg, nocs, rot = est.heads_graph(tape, *est.encode_graph(tape, cloud))
         return ad.add(
             ad.add(
                 ad.vsum(ad.mul(seg, ad.const(Wseg, tape))),
@@ -172,8 +172,7 @@ def check_end_to_end(seed=2, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
     Wbox = rng.normal(size=(spec.part_count, 8, 3))
 
     def loss(tape):
-        z, pooled = est.encode_graph(tape, cloud[None])
-        seg, nocs, rot = est.heads_graph(tape, z, pooled)
+        seg, nocs, rot = est.heads_graph(tape, *est.encode_graph(tape, cloud[None]))
         total, _ = pose_loss_graph(
             tape, seg, nocs, rot, labels[None], gt_nocs[None], gt_rot[None], 1.0, 1.0, 10.0
         )
@@ -189,19 +188,22 @@ def check_end_to_end(seed=2, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
 
 
 def check_discriminator(seed=3, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
-    """Both parameter grads and box-vertex input grads of the LSGAN terms."""
+    """Parameter grads of both LSGAN terms and box-vertex input grads of the
+    generator term, each scoring a batch of layouts."""
     rng = np.random.default_rng(seed)
     disc = Discriminator.create(2, seed)
     _f64(disc.store)
-    inputs = _f64(nn.ParamStore(), layout=rng.normal(size=(2, 8, 3)))
+    inputs = _f64(nn.ParamStore(), layouts=rng.normal(size=(3, 2, 8, 3)))
+    real, fake = rng.normal(size=(2, 2, 8, 3)), rng.normal(size=(3, 2, 8, 3))
 
     def loss(tape):
-        d = ad.sub(disc.score_graph(inputs.use("layout", tape)), 1.0)
-        return ad.mul(d, d)
+        layouts = inputs.use("layouts", tape)
+        fake_vars = [ad.reshape(ad.take(layouts, np.array([i])), (2, 8, 3)) for i in range(3)]
+        return ad.add(g_adv_loss_graph(disc, tape, fake_vars), d_loss_graph(disc, tape, real, fake))
 
     worst = _fd_probe_store(loss, disc.store, _random_probes(disc.store, rng, probes))
-    corners = [(rng.integers(2), rng.integers(8), rng.integers(3)) for _ in range(probes // 2)]
-    vertex_probes = [("layout", int(np.ravel_multi_index(c, (2, 8, 3)))) for c in corners]
+    corners = [tuple(rng.integers((3, 2, 8, 3))) for _ in range(probes // 2)]
+    vertex_probes = [("layouts", int(np.ravel_multi_index(c, (3, 2, 8, 3)))) for c in corners]
     worst = max(worst, _fd_probe_store(loss, inputs, vertex_probes))
     return SuiteResult("discriminator", worst < tol, worst, probes + probes // 2)
 

@@ -135,7 +135,7 @@ def mlp_apply(
     return h
 
 
-def adam_step(store: ParamStore, lr: float = 1e-3) -> None:
+def adam_step(store: ParamStore, lr: float) -> None:
     """Standard bias-corrected adaptive-moment update over all parameters."""
     store.step += 1
     store.version += 1

@@ -5,8 +5,10 @@ Discriminator input: the P part boxes, 8 corners each in the fixed canonical
 order, centered on the mean of the part-box centers and divided by the RMS
 vertex norm, then flattened to P*24. The normalization makes whole-layout
 translation and uniform scale drop out exactly, so the score judges relative
-part arrangement. The least-squares GAN terms exist only as graphs: training
-steps D on d_loss_graph and the estimator on g_adv_loss_graph, which
+part arrangement. The discriminator scores a batch of n layouts, (n, P, 8, 3),
+as one (n, P*24) pass through its MLP. The least-squares GAN terms exist only
+as graphs, and each scores one batch: training steps D on d_loss_graph (real
+and fake layouts in one batch) and the estimator on g_adv_loss_graph, which
 test-time adaptation also descends.
 
 Diffusion: binary contact labels are encoded as x0 in {-1, +1}; a linear
@@ -68,49 +70,37 @@ class Discriminator:
         nn.init_mlp(store, "d", disc.spec, np.random.default_rng(np.random.SeedSequence([seed, 31])))
         return disc
 
-    def score_graph(self, layout: ad.Var) -> ad.Var:
-        """(P, 8, 3) layout Var -> scalar score Var."""
-        if layout.data.shape != (self.part_count, 8, 3):
-            raise PartCountMismatch(
-                f"layout {layout.data.shape} vs configured P = {self.part_count}"
-            )
-        flat = ad.reshape(dg.normalize_layout(layout), (1, self.part_count * 24))
+    def score_graph(self, layouts: ad.Var) -> ad.Var:
+        """(n, P, 8, 3) layouts Var -> (n,) scores Var, one MLP pass."""
+        shape = layouts.data.shape
+        if len(shape) != 4 or shape[2:] != (8, 3):
+            raise ShapeMismatch(f"expected (n, P, 8, 3) layouts, got {shape}")
+        if shape[1] != self.part_count:
+            raise PartCountMismatch(f"layouts {shape} vs configured P = {self.part_count}")
+        flat = ad.reshape(dg.normalize_layout(layouts), (shape[0], self.part_count * 24))
         out = nn.mlp_apply(self.spec, self.store, "d", flat, dtype=flat.data.dtype)
-        return ad.reshape(out, ())
+        return ad.reshape(out, (shape[0],))
 
 
 def g_adv_loss_graph(disc: Discriminator, tape: ad.Tape, fake_vars: list) -> ad.Var:
     """Least-squares generator (estimator) term E[(D(b_hat) - 1)^2] over
-    layout Vars; training and test-time adaptation both descend it."""
-    terms = []
-    for fv in fake_vars:
-        s = disc.score_graph(fv)
-        d = ad.sub(s, 1.0)
-        terms.append(ad.mul(d, d))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.mul(total, 1.0 / len(terms))
+    layout Vars, scored as one batch; training and test-time adaptation
+    both descend it."""
+    d = ad.sub(disc.score_graph(ad.stack(fake_vars, axis=0)), 1.0)
+    return ad.vmean(ad.mul(d, d))
 
 
 def d_loss_graph(disc: Discriminator, tape: ad.Tape, real: np.ndarray, fake: np.ndarray) -> ad.Var:
     """Least-squares discriminator loss E[(D(b) - 1)^2] + E[D(b_hat)^2] on
-    constant (detached) layout batches."""
-    terms = []
-    for layout in real:
-        s = disc.score_graph(ad.const(layout, tape))
-        d = ad.sub(s, 1.0)
-        terms.append(ad.mul(ad.mul(d, d), 1.0 / len(real)))
-    for layout in fake:
-        s = disc.score_graph(ad.const(layout, tape))
-        terms.append(ad.mul(ad.mul(s, s), 1.0 / len(fake)))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return total
+    constant (detached) layout batches, scored as one batch."""
+    n_real = len(real)
+    scores = disc.score_graph(ad.const(np.concatenate([real, fake]), tape))
+    d_real = ad.sub(ad.take(scores, np.arange(n_real)), 1.0)
+    s_fake = ad.take(scores, np.arange(n_real, n_real + len(fake)))
+    return ad.add(ad.vmean(ad.mul(d_real, d_real)), ad.vmean(ad.mul(s_fake, s_fake)))
 
 
-def d_train_step(disc: Discriminator, real: np.ndarray, fake: np.ndarray, lr: float = 1e-3) -> float:
+def d_train_step(disc: Discriminator, real: np.ndarray, fake: np.ndarray, lr: float) -> float:
     """One alternating discriminator update on detached layouts."""
     tape = ad.Tape()
     loss = d_loss_graph(disc, tape, real.astype(np.float32), fake.astype(np.float32))

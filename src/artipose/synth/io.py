@@ -32,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import math
 import shutil
 import threading
 from pathlib import Path
@@ -53,6 +54,7 @@ FORMAT_VERSION = 1
 # grasp or the view fails, or when too little of the contact region is
 # visible to supervise the contact prior.
 MIN_VISIBLE_CONTACTS = 4
+MIN_N_POINTS = 8  # the smallest cloud the estimator's encoder takes
 MAX_SCENE_ATTEMPTS = 40
 
 
@@ -281,7 +283,9 @@ def generate_dataset(
     independent of history. If all fail, GraspFailure counts each reason.
     Drawer instances get a fixed `drawers` sliding parts (3 by default) so
     every scene in a dataset has the same part count. A negative count, or
-    drawers None, raises ValueError before anything is written.
+    drawers None, raises ValueError before anything is written, as do
+    n_points below MIN_N_POINTS, surface_samples below 1, a tau that is not
+    positive and finite, and a negative min_contacts.
 
     Scenes depend on nothing but their index, so they are built across
     k = min(usable CPUs, count) processes: the calling process builds the
@@ -297,6 +301,14 @@ def generate_dataset(
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    if n_points < MIN_N_POINTS:
+        raise ValueError(f"n_points must be >= {MIN_N_POINTS}, got {n_points}")
+    if surface_samples < 1:
+        raise ValueError(f"surface_samples must be >= 1, got {surface_samples}")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    if min_contacts < 0:
+        raise ValueError(f"min_contacts must be >= 0, got {min_contacts}")
     if category == "drawer" and drawers is None:
         raise ValueError("the drawer category needs a fixed drawers count")
     root = Path(out_dir)

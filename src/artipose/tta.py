@@ -100,10 +100,10 @@ def adapt_object(
         final = step == cfg.steps
         tape = ad.Tape(grad=not final)
         if frozen is None:
-            z, pooled = work.encode_graph(tape, cloud32[None])
+            features = work.encode_graph(tape, cloud32[None])
         else:
-            z, pooled = ad.const(frozen.z, tape), ad.const(frozen.global_feat[None], tape)
-        seg, nocs, rot = work.heads_graph(tape, z, pooled)
+            features = frozen.consts(tape)
+        seg, nocs, rot = work.heads_graph(tape, *features)
         pred = HeadOutput(seg_logits=seg.data, nocs=nocs.data, rot6d=rot.data[0])
         if step == 0:
             before = assemble_pose(cloud, pred, canonical_boxes)

@@ -172,9 +172,10 @@ def mc_box_iou(a, b, samples, seed):
 
 
 def score(disc, layout):
-    """Scalar discriminator score of one (P, 8, 3) layout array."""
+    """Scalar discriminator score of one (P, 8, 3) layout array, scored as a
+    batch of one."""
     tape = ad.Tape()
-    return float(disc.score_graph(ad.const(np.asarray(layout, dtype=np.float64), tape)).data)
+    return float(disc.score_graph(ad.const(np.asarray(layout, dtype=np.float64)[None], tape)).data[0])
 
 
 def d_loss(score_fn, real_layouts, fake_layouts):
@@ -346,10 +347,14 @@ def where_relu(a):
     return ad._unary(a, np.where(mask, a.data, 0), lambda g: g * mask)
 
 
-def linear_chain(x, w, b, relu):
-    """relu(add(matmul(x, w), b)) as three taped ops, the oracle for the
-    fused autodiff.linear."""
-    h = ad.add(ad.matmul(x, w), b)
+def linear_chain(x, w, b, relu, shift=None):
+    """relu(add(matmul(x, w), b)) as three taped ops, with
+    add(..., repeat_rows(shift, n)) before the bias when a per-block shift
+    is given: the oracle for the fused autodiff.linear."""
+    h = ad.matmul(x, w)
+    if shift is not None:
+        h = ad.add(h, ad.repeat_rows(shift, x.data.shape[0] // shift.data.shape[0]))
+    h = ad.add(h, b)
     return where_relu(h) if relu else h
 
 
@@ -446,8 +451,7 @@ def adapt_object_reencoding(est, disc, cloud, canonical_boxes, cfg):
     for step in range(cfg.steps + 1):
         final = step == cfg.steps
         tape = ad.Tape(grad=not final)
-        z, pooled = work.encode_graph(tape, cloud32[None])
-        seg, nocs, rot = work.heads_graph(tape, z, pooled)
+        seg, nocs, rot = work.heads_graph(tape, *work.encode_graph(tape, cloud32[None]))
         layout = layout_graph(
             tape,
             cloud,

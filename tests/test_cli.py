@@ -233,6 +233,22 @@ class TestNegativeCounts:
         assert "argument --count: must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--points", "0", "n_points must be >= 8, got 0"),
+            ("--surface-samples", "0", "surface_samples must be >= 1, got 0"),
+            ("--tau", "nan", "tau must be positive and finite, got nan"),
+            ("--min-contacts", "-1", "min_contacts must be >= 0, got -1"),
+        ],
+    )
+    def test_synth_settings(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "ds"
+        argv = ["synth", "--category", "laptop", "--count", "1", "--out", str(out), flag, value]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval", "tta", "hand-opt"])
     def test_limit(self, trained, capsys, command):
         root, ds, ckpt = trained
@@ -335,8 +351,8 @@ class TestTta:
         """Every head pass goes through corrupt(seg, nocs, rot) -> Vars."""
         heads_graph = est_mod.Estimator.heads_graph
 
-        def heads(self, tape, z, pooled):
-            return corrupt(*heads_graph(self, tape, z, pooled))
+        def heads(self, tape, *features):
+            return corrupt(*heads_graph(self, tape, *features))
 
         monkeypatch.setattr(est_mod.Estimator, "heads_graph", heads)
 
@@ -396,6 +412,14 @@ class TestTta:
 def test_version(capsys):
     assert cli.main(["version"]) == 0
     assert capsys.readouterr().out.strip() == artipose.__version__
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_gradcheck_tolerance_must_be_positive(capsys, tol):
+    assert cli.main(["gradcheck", "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --tol: must be > 0" in captured.err
 
 
 def test_gradcheck_passes(capsys):

@@ -125,6 +125,14 @@ class TestGradients:
             fd = (float(val(Ap)[0].data) - float(val(Am)[0].data)) / (2 * h)
             assert rel_err(float(Av.grad.flat[idx]), fd, floor=1e-7) < 1e-3
 
+    def test_layout_normalization_of_a_stack_matches_each_layout(self):
+        rng = np.random.default_rng(8)
+        stack = rng.normal(size=(4, 3, 8, 3)) * rng.uniform(0.5, 2.0, size=(4, 1, 1, 1))
+        tape = ad.Tape(grad=False)
+        got = dg.normalize_layout(ad.const(stack, tape)).data
+        for g, boxes in zip(got, stack):
+            assert np.allclose(g, dg.normalize_layout(ad.const(boxes, tape)).data, rtol=1e-12, atol=0)
+
     def test_layout_normalization_invariance_and_grad(self):
         rng = np.random.default_rng(7)
         boxes = rng.normal(size=(3, 8, 3))

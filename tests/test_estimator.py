@@ -60,6 +60,15 @@ class TestEncoder:
         # broadcast copy of the max-pool rides along in z
         assert np.allclose(enc.z[:, local_dim:], h.max(axis=0), atol=1e-6)
 
+    def test_z_is_float32_local_beside_its_max_pool(self, net):
+        rng = np.random.default_rng(3)
+        enc = net.encode(rng.normal(size=(40, 3)).astype(np.float32))
+        L = net.spec.local_dim
+        assert enc.z.dtype == np.float32 and enc.z.shape == (40, 2 * L)
+        assert np.array_equal(bits(enc.z[:, :L]), bits(enc.local))
+        pooled_max = enc.global_feat[:L].astype(np.float32)
+        assert np.array_equal(bits(enc.z[:, L:]), bits(np.broadcast_to(pooled_max, (40, L))))
+
     def test_too_small_cloud_rejected(self, net):
         with pytest.raises(E.ShapeMismatch):
             net.encode(np.zeros((4, 3), dtype=np.float32))
@@ -92,8 +101,7 @@ class TestNoGradInference:
     def test_head_output_matches_grad_tape(self, net, scene):
         pred = net.head_output(scene.cloud)
         tape = ad.Tape()
-        z, pooled = net.encode_graph(tape, net.prepare_input(scene.cloud)[None])
-        seg, nocs, rot = net.heads_graph(tape, z, pooled)
+        seg, nocs, rot = net.heads_graph(tape, *net.encode_graph(tape, net.prepare_input(scene.cloud)[None]))
         for got, want in ((pred.seg_logits, seg.data), (pred.nocs, nocs.data), (pred.rot6d, rot.data[0])):
             assert got.dtype == want.dtype and np.array_equal(bits(got), bits(want))
 
@@ -146,8 +154,7 @@ class TestPoseLoss:
         gt_rot = E.gt_rot6d(scene.part_poses).astype(np.float32)
         cloud32 = net.prepare_input(scene.cloud)
         tape = ad.Tape()
-        z, pooled = net.encode_graph(tape, cloud32[None])
-        seg, nocs, rot = net.heads_graph(tape, z, pooled)
+        seg, nocs, rot = net.heads_graph(tape, *net.encode_graph(tape, cloud32[None]))
         total, _ = E.pose_loss_graph(
             tape, seg, nocs, rot, scene.seg[None], scene.nocs[None].astype(np.float32),
             gt_rot[None], 1.0, 1.0, 10.0,

@@ -6,6 +6,7 @@ import pytest
 
 from artipose import autodiff as ad
 from artipose import gradcheck
+from artipose.priors import Discriminator
 
 NETWORK_SUITES = [s for s in gradcheck.ALL_SUITES if s is not gradcheck.check_hand_chamfer]
 
@@ -40,3 +41,41 @@ def test_skewed_sin_gradient_fails_hand_suite(monkeypatch):
 def test_suite_reports_its_margin(suite):
     result = suite()
     assert 0.0 < result.max_rel_err < gradcheck.DEFAULT_TOL, result.line()
+
+
+@pytest.mark.parametrize(
+    "suite, paths",
+    [
+        (gradcheck.check_heads, {"shift", "stacked"}),
+        (gradcheck.check_end_to_end, {"shift", "stacked"}),
+        (gradcheck.check_discriminator, {"batch"}),
+    ],
+    ids=lambda v: getattr(v, "__name__", ""),
+)
+def test_network_suites_check_the_factored_and_batched_paths(suite, paths, monkeypatch):
+    """The suites probe the per-scene shift of the seg and NOCS first
+    layers, the stacked part soft-pool product and the batched D."""
+    seen = set()
+    linear, matmul, score_graph = ad.linear, ad.matmul, Discriminator.score_graph
+
+    def spy_linear(x, w, b, relu, shift=None):
+        if shift is not None:
+            seen.add("shift")
+        return linear(x, w, b, relu, shift=shift)
+
+    def spy_matmul(a, b):
+        if a.data.ndim == 3:
+            seen.add("stacked")
+        return matmul(a, b)
+
+    def spy_score_graph(self, layouts):
+        if layouts.data.shape[0] > 1:
+            seen.add("batch")
+        return score_graph(self, layouts)
+
+    monkeypatch.setattr(ad, "linear", spy_linear)
+    monkeypatch.setattr(ad, "matmul", spy_matmul)
+    monkeypatch.setattr(Discriminator, "score_graph", spy_score_graph)
+    result = suite()
+    assert result.passed, result.line()
+    assert seen == paths

@@ -2,18 +2,24 @@
 in helpers.py: the view-taking autodiff.take against np.take, its
 backward onto an existing gradient against the dense scatter-add, the
 max-valued autodiff.vmax against the value at the first argmax,
-geometry.cross against np.cross, and the one-shot tolerance checks of
-OrientedBox and SimilarityTransform against np.allclose. Equality is bit
-for bit, so -0.0 is told from +0.0 and NaN payloads count."""
+geometry.cross against np.cross, the one-shot tolerance checks of
+OrientedBox and SimilarityTransform against np.allclose, and the per-block
+shift of autodiff.linear against matmul, a repeat_rows add, the bias and a
+ReLU as separate taped ops. Equality is bit for bit, so -0.0 is told from
++0.0 and NaN payloads count. The stacked autodiff.matmul is checked
+against per-slice products and central differences."""
 
 import numpy as np
 import pytest
 
 from artipose import autodiff as ad
 from artipose import geometry as geo
+from artipose.errors import ShapeMismatch
 from helpers import (
     bits,
     box_check_allclose,
+    linear_chain,
+    rel_err,
     rotation_check_allclose,
     take_scatter,
     vmax_argmax,
@@ -412,3 +418,116 @@ class TestRotationCheck:
             want = rotation_check_allclose(S)
             assert outcome(geo.SimilarityTransform, S, np.zeros(3), 1.0) == want
         assert want == "R is not orthonormal within 1e-6"
+
+
+def signed(rng, shape, dtype):
+    """Random values with exact +0.0 and -0.0 mixed in."""
+    a = rng.normal(size=shape).astype(dtype)
+    a.reshape(-1)[::5] = -0.0
+    a.reshape(-1)[1::7] = 0.0
+    return a
+
+
+class TestLinearShift:
+    S, N, K, H = 3, 7, 5, 6
+
+    def run(self, linear_fn, relu, arrays, grad_of):
+        """Forward and grads of sum(out * seed) + sum(x * ex) + sum(shift *
+        es): x and shift also feed a later op, so the order of their two
+        contributions matters. grad_of names the inputs that are leaves."""
+        x, w, b, shift, seed, ex, es = arrays
+        tape = ad.Tape()
+        vs = [
+            (ad.leaf if name in grad_of else ad.const)(v, tape)
+            for name, v in zip("xwbs", (x, w, b, shift))
+        ]
+        out = linear_fn(vs[0], vs[1], vs[2], relu=relu, shift=vs[3])
+        total = ad.add(
+            ad.vsum(ad.mul(out, ad.const(seed, tape))),
+            ad.add(ad.vsum(ad.mul(vs[0], ad.const(ex, tape))), ad.vsum(ad.mul(vs[3], ad.const(es, tape)))),
+        )
+        tape.backward(total)
+        return [out.data] + [v.grad for v in vs]
+
+    def arrays(self, dtype):
+        rng = np.random.default_rng(21)
+        S, N, K, H = self.S, self.N, self.K, self.H
+        x = rng.normal(size=(S * N, K)).astype(dtype)
+        x[::4] = 0.0  # those rows come out as shift + b exactly
+        w = rng.normal(size=(K, H)).astype(dtype)
+        b = signed(rng, H, dtype)
+        shift = signed(rng, (S, H), dtype)
+        shift[1] = -b  # a block whose zero-x rows cancel to a signed zero
+        return [x, w, b, shift, signed(rng, (S * N, H), dtype), signed(rng, (S * N, K), dtype), signed(rng, (S, H), dtype)]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("grad_of", ["xwbs", "wbs", "xw", "s"])
+    def test_matches_matmul_repeat_rows_bias_relu_chain(self, dtype, relu, grad_of):
+        arrays = self.arrays(dtype)
+        got = self.run(ad.linear, relu, arrays, grad_of)
+        want = self.run(linear_chain, relu, arrays, grad_of)
+        for g, e in zip(got, want):
+            assert (g is None) == (e is None)
+            if g is not None:
+                assert g.dtype == e.dtype and np.array_equal(bits(g), bits(e))
+
+    def test_infinities_match_the_chain(self):
+        # NaN is left out: the fused ReLU keeps it where np.where gives 0
+        arrays = self.arrays(np.float32)
+        arrays[3][2, 1] = np.inf
+        arrays[0][3, 0] = -np.inf
+        with np.errstate(invalid="ignore"):  # inf * 0 in the products
+            got = self.run(ad.linear, True, arrays, "xwbs")
+            want = self.run(linear_chain, True, arrays, "xwbs")
+        for g, e in zip(got, want):
+            assert np.array_equal(bits(g), bits(e))
+
+    @pytest.mark.parametrize("shape", [(2, 6), (4, 5), (0, 6)])
+    def test_rejects_a_shift_that_does_not_tile_the_rows(self, shape):
+        tape = ad.Tape()
+        x, w, b = ad.const(np.ones((21, 5)), tape), ad.leaf(np.ones((5, 6)), tape), ad.const(np.zeros(6), tape)
+        with pytest.raises(ShapeMismatch):
+            ad.linear(x, w, b, relu=True, shift=ad.const(np.zeros(shape), tape))
+
+
+class TestStackedMatmul:
+    def test_matches_per_slice_products(self):
+        rng = np.random.default_rng(22)
+        a, b = rng.normal(size=(3, 4, 5)).astype(np.float32), rng.normal(size=(3, 5, 2)).astype(np.float32)
+        out = forward(lambda v: ad.matmul(v, b), a)
+        for got, ai, bi in zip(out, a, b):
+            assert np.array_equal(got, ai @ bi)
+
+    def test_finite_differences_float64(self):
+        rng = np.random.default_rng(23)
+        a0, b0 = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 5, 2))
+        W = rng.normal(size=(3, 4, 2))
+
+        def loss(a, b, tape):
+            return ad.vsum(ad.mul(ad.matmul(a, b), ad.const(W, tape)))
+
+        tape = ad.Tape()
+        av, bv = ad.leaf(a0, tape), ad.leaf(b0, tape)
+        tape.backward(loss(av, bv, tape))
+        h = 1e-6
+        for x0, grad, which in ((a0, av.grad, 0), (b0, bv.grad, 1)):
+            for i in range(x0.size):
+                plus, minus = x0.copy(), x0.copy()
+                plus.flat[i] += h
+                minus.flat[i] -= h
+
+                def value(x):
+                    t = ad.Tape(grad=False)
+                    args = [ad.const(a0, t), ad.const(b0, t)]
+                    args[which] = ad.const(x, t)
+                    return float(loss(*args, t).data)
+
+                fd = (value(plus) - value(minus)) / (2 * h)
+                assert rel_err(float(grad.flat[i]), fd) < 1e-6
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((3, 4, 5), (2, 5, 2)), ((3, 4, 5), (3, 4, 2)), ((3, 4, 5), (5, 2)), ((4, 5), (3, 5, 2))])
+    def test_rejects_mismatched_stacks(self, a_shape, b_shape):
+        tape = ad.Tape()
+        with pytest.raises(ShapeMismatch):
+            ad.matmul(ad.leaf(np.ones(a_shape), tape), ad.const(np.ones(b_shape), tape))

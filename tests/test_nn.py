@@ -142,7 +142,7 @@ class TestBackward:
         spec = nn.MlpSpec((3, 2))
         store = make_store(spec, seed=14)
         y, _, tape = forward(spec, store, np.zeros((2, 3)))
-        nn.adam_step(store)  # bumps version
+        nn.adam_step(store, lr=1e-3)  # bumps version
         with pytest.raises(StaleTape):
             backward(store, tape, y, np.ones_like(y.data))
 
@@ -182,7 +182,7 @@ class TestAdam:
                 store.zero_grads()
                 y, _, tape = forward(spec, store, x)
                 backward(store, tape, y, 2 * y.data)
-                nn.adam_step(store)
+                nn.adam_step(store, lr=1e-3)
             return store
 
         a, b = run(), run()

@@ -58,6 +58,28 @@ class TestDiscriminator:
         with pytest.raises(PartCountMismatch):
             score(disc, random_layout(rng, parts=3))
 
+    def test_batch_matches_per_layout_scores(self):
+        rng = np.random.default_rng(6)
+        disc = priors.Discriminator.create(2, seed=3)
+        for name in disc.store.names():
+            disc.store.params[name] = disc.store.params[name].astype(np.float64)
+        layouts = np.stack([random_layout(rng) for _ in range(5)])
+        tape = ad.Tape(grad=False)
+        batch = disc.score_graph(ad.const(layouts, tape)).data
+        assert batch.shape == (5,) and batch.dtype == np.float64
+        for got, layout in zip(batch, layouts):
+            assert rel_err(float(got), score(disc, layout), floor=1e-300) < 1e-12
+
+    def test_batch_part_count_and_shape_checked(self):
+        rng = np.random.default_rng(7)
+        disc = priors.Discriminator.create(2, seed=1)
+        tape = ad.Tape(grad=False)
+        wrong_p = np.stack([random_layout(rng, parts=3) for _ in range(2)])
+        with pytest.raises(PartCountMismatch):
+            disc.score_graph(ad.const(wrong_p, tape))
+        with pytest.raises(ShapeMismatch):
+            disc.score_graph(ad.const(random_layout(rng), tape))  # not a batch
+
 
 class TestGanLosses:
     def test_perfect_discriminator_zero_loss(self):

@@ -644,6 +644,24 @@ class TestDataset:
             generate_dataset(tmp_path / "ds", "laptop", -1, seed=0)
         assert not (tmp_path / "ds").exists()
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_points": 7}, "n_points must be >= 8, got 7"),
+            ({"n_points": 0}, "n_points must be >= 8, got 0"),
+            ({"surface_samples": 0}, "surface_samples must be >= 1, got 0"),
+            ({"tau": 0.0}, "tau must be positive and finite, got 0.0"),
+            ({"tau": -0.01}, "tau must be positive and finite, got -0.01"),
+            ({"tau": float("nan")}, "tau must be positive and finite, got nan"),
+            ({"tau": float("inf")}, "tau must be positive and finite, got inf"),
+            ({"min_contacts": -1}, "min_contacts must be >= 0, got -1"),
+        ],
+    )
+    def test_unusable_settings_rejected_before_writing(self, tmp_path, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate_dataset(tmp_path / "ds", "laptop", 1, seed=0, **kwargs)
+        assert not (tmp_path / "ds").exists()
+
     def test_negative_limit_rejected(self, tmp_path):
         # no dataset on disk: reading it would raise FileNotFoundError
         with pytest.raises(ValueError, match="^limit must be >= 0, got -1$"):

@@ -63,8 +63,8 @@ def fail_first_pass(monkeypatch, corrupt):
     heads_graph = E.Estimator.heads_graph
     calls = []
 
-    def heads(self, tape, z, pooled):
-        out = heads_graph(self, tape, z, pooled)
+    def heads(self, tape, *features):
+        out = heads_graph(self, tape, *features)
         calls.append(tape)
         return corrupt(*out) if len(calls) == 1 else out
 
