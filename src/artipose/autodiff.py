@@ -405,12 +405,6 @@ def reshape(a: Var, shape):
     return _unary(a, a.data.reshape(shape), lambda g: g.reshape(a.data.shape))
 
 
-def transpose(a: Var):
-    if a.data.ndim != 2:
-        raise ShapeMismatch("transpose expects a 2-D array")
-    return _unary(a, a.data.T, lambda g: g.T)
-
-
 def permute(a: Var, axes):
     inverse = np.argsort(axes)
     return _unary(

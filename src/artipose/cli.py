@@ -133,6 +133,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """Metric rows as CSV to --out, the summary to --out with suffix .json."""
+    summary = Path(args.out).with_suffix(".json")
+    if summary == Path(args.out):
+        raise UsageError(f"--out {args.out} is where the JSON summary goes; name the CSV report otherwise")
     est, meta, _ = est_mod.load_estimator(args.checkpoint)
     _, scenes = load_dataset(args.dataset, limit=args.limit)
     preds = []
@@ -143,21 +147,27 @@ def cmd_eval(args) -> int:
     metrics_mod.write_rows(
         args.out, ["metric", "value"], [{"metric": k, "value": v} for k, v in report.rows()]
     )
-    metrics_mod.write_summary_json(
-        Path(args.out).with_suffix(".json"), report, extra={"checkpoint": str(args.checkpoint)}
-    )
+    metrics_mod.write_summary_json(summary, report, extra={"checkpoint": str(args.checkpoint)})
     for name, value in report.rows():
         print(f"{name}: {value}")
     return 0
 
 
 def _load_discriminator(args, meta, stores) -> priors_mod.Discriminator:
+    """--disc's discriminator, else --checkpoint's; it must score the
+    estimator's part count."""
+    part_count = meta["part_count"]
     if args.disc is not None:
-        d_stores, d_meta = nn.load_checkpoint(args.disc)
-        part_count = d_meta.get("part_count") or meta["part_count"]
-        return priors_mod.Discriminator(part_count, d_stores["discriminator"])
+        d_stores, _ = nn.load_checkpoint(args.disc)
+        if "discriminator" not in d_stores:
+            raise UsageError(f"--disc {args.disc} has no discriminator group")
+        store = d_stores["discriminator"]
+        width = store.params["d.w0"].shape[0]  # 24 per part
+        if width != 24 * part_count:
+            raise UsageError(f"--disc {args.disc} scores {width // 24} parts; the estimator predicts {part_count}")
+        return priors_mod.Discriminator(part_count, store)
     if "discriminator" in stores:
-        return priors_mod.Discriminator(meta["part_count"], stores["discriminator"])
+        return priors_mod.Discriminator(part_count, stores["discriminator"])
     raise UsageError("no discriminator: pass --disc or use a jointly trained checkpoint")
 
 

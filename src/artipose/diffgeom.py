@@ -5,7 +5,9 @@ that gradients flow from pose/box/chamfer losses back into network outputs
 and hand parameters. Forward values agree with the numpy versions to float
 precision (tested), but the two implementations are kept separate on
 purpose: the numpy side stays a plain oracle (in `geometry`, or in
-tests/helpers.py where no runtime path needs it).
+tests/helpers.py where no runtime path needs it). The Gram-Schmidt and the
+similarity fit run batched over stacked rows, and name each degenerate row's
+reason instead of raising.
 """
 
 from __future__ import annotations
@@ -13,57 +15,60 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DegenerateCorrespondences, DegenerateRotation
 
 
-def normalize3(v: ad.Var) -> ad.Var:
-    """Unit vector of a length-3 Var."""
-    n = ad.sqrt(ad.vsum(ad.mul(v, v)))
-    return ad.div(v, n)
+def _unit_rows(v: ad.Var):
+    """(..., 3) rows over their norms, and where a norm is below 1e-8. A
+    short row is divided by its norm + 1 instead, so no 0/0 reaches the tape."""
+    n = ad.sqrt(ad.vsum(ad.mul(v, v), axis=-1, keepdims=True))
+    short = n.data < 1e-8
+    return ad.div(v, ad.add(n, short.astype(n.data.dtype))), short[..., 0]
 
 
-def rot6d_to_matrix(r: ad.Var) -> ad.Var:
-    """Gram-Schmidt of a (6,) Var into a (3, 3) rotation, columns stacked."""
-    a1 = ad.take(r, np.arange(3), axis=0)
-    a2 = ad.take(r, np.arange(3, 6), axis=0)
-    n1 = float(np.linalg.norm(a1.data))
-    if n1 < 1e-8:
-        raise DegenerateRotation("first column near zero")
-    b1 = normalize3(a1)
-    dot = ad.vsum(ad.mul(a2, b1))
-    a2_orth = ad.sub(a2, ad.mul(dot, b1))
-    if float(np.linalg.norm(a2_orth.data)) < 1e-8:
-        raise DegenerateRotation("columns near parallel or second column near zero")
-    b2 = normalize3(a2_orth)
-    b3 = ad.cross3(b1, b2)
-    return ad.stack([b1, b2, b3], axis=1)
+def rot6d_to_matrix(r: ad.Var):
+    """Batched Gram-Schmidt of (..., 6) rows into (..., 3, 3) rotations,
+    columns stacked, and a (...) array of reasons: "" where the row has a
+    rotation, else why not (first column near zero, then columns near
+    parallel). A row with a reason gets a finite stand-in rotation."""
+    b1, first = _unit_rows(ad.take(r, np.arange(3), axis=-1))
+    a2 = ad.take(r, np.arange(3, 6), axis=-1)
+    a2_orth = ad.sub(a2, ad.mul(ad.vsum(ad.mul(a2, b1), axis=-1, keepdims=True), b1))
+    b2, second = _unit_rows(a2_orth)
+    R = ad.stack([b1, b2, ad.cross3(b1, b2)], axis=-1)
+    reasons = ["first column near zero", "columns near parallel or second column near zero"]
+    return R, np.select([first, second], reasons, "")
 
 
-def fit_translation_scale(nocs: ad.Var, obs: ad.Var, R: ad.Var):
-    """Differentiable least-squares (s, t) with R given; s clamped >= 1e-6.
+def fit_translation_scale(nocs: ad.Var, obs: np.ndarray, R: ad.Var, members: np.ndarray):
+    """Differentiable least-squares (s, t) with R given, s clamped >= 1e-6,
+    for K stacked parts: nocs (K, N, 3) Var, obs (K, N, 3), R (K, 3, 3) and
+    the (K, N) bool `members`, the rows each part fits. Returns s (K,), t
+    (K, 3) and (K,) reasons: "" or that the member NOCS are (nearly) all
+    identical (centred sum of squares below 1e-12). Means divide by
+    max(count, 1) and a flagged scale by that sum + 1: no 0/0 on the tape."""
+    K = members.shape[0]
+    dtype = nocs.data.dtype
+    mask = members.astype(dtype)
+    weights = (mask / np.maximum(mask.sum(axis=1), 1.0)[:, None])[:, None, :]  # (K, 1, N)
+    p_bar = weights @ obs  # (K, 1, 3)
+    p_c = (obs - p_bar) * mask[..., None]
+    n_bar = ad.matmul(ad.const(weights, nocs.tape), nocs)
+    n_c = ad.mul(ad.sub(nocs, n_bar), ad.const(mask[..., None], nocs.tape))
+    denom = ad.vsum(ad.mul(n_c, n_c), axis=(1, 2))
+    flat = denom.data < 1e-12
+    cov = ad.matmul(ad.const(np.swapaxes(p_c, 1, 2), nocs.tape), n_c)  # sum of p_c n_c^T
+    s = ad.clamp_min(ad.div(ad.vsum(ad.mul(R, cov), axis=(1, 2)), ad.add(denom, flat.astype(dtype))), 1e-6)
+    rotated = ad.reshape(ad.matmul(R, ad.reshape(n_bar, (K, 3, 1))), (K, 3))
+    t = ad.sub(ad.const(p_bar[:, 0], nocs.tape), ad.mul(ad.reshape(s, (K, 1)), rotated))
+    return s, t, np.where(flat, "source points are (nearly) all identical", "")
 
-    nocs and obs are (N, 3) Vars (obs is usually a constant cloud); returns
-    scalar Var s and (3,) Var t.
-    """
-    n_pts = nocs.data.shape[0]
-    if n_pts < 2 or obs.data.shape[0] != n_pts:
-        raise DegenerateCorrespondences("need >= 2 aligned correspondences")
-    n_bar = ad.vmean(nocs, axis=0)
-    p_bar = ad.vmean(obs, axis=0)
-    n_c = ad.sub(nocs, ad.reshape(n_bar, (1, 3)))
-    p_c = ad.sub(obs, ad.reshape(p_bar, (1, 3)))
-    denom = ad.vsum(ad.mul(n_c, n_c))
-    if float(denom.data) < 1e-12:
-        raise DegenerateCorrespondences("source points are (nearly) all identical")
-    rotated = ad.matmul(n_c, ad.transpose(R))
-    s = ad.clamp_min(ad.div(ad.vsum(ad.mul(rotated, p_c)), denom), 1e-6)
-    t = ad.sub(p_bar, ad.mul(s, ad.matmul(R, n_bar)))
-    return s, t
 
-
-def transform_points(pts: ad.Var, R: ad.Var, t: ad.Var, s: ad.Var) -> ad.Var:
-    """s * pts @ R^T + t for (N, 3) points."""
-    return ad.add(ad.mul(s, ad.matmul(pts, ad.transpose(R))), ad.reshape(t, (1, 3)))
+def transform_points(pts, R: ad.Var, t: ad.Var, s: ad.Var) -> ad.Var:
+    """s * pts @ R^T + t for K stacked point sets: pts (K, M, 3), R
+    (K, 3, 3), t (K, 3), s (K,)."""
+    K = R.data.shape[0]
+    rotated = ad.matmul(pts, ad.permute(R, (0, 2, 1)))
+    return ad.add(ad.mul(ad.reshape(s, (K, 1, 1)), rotated), ad.reshape(t, (K, 1, 3)))
 
 
 def chamfer_assignments(a: np.ndarray, b: np.ndarray) -> tuple:

@@ -11,10 +11,6 @@ class DegenerateRotation(ArtiposeError):
     """6D rotation input has a near-zero or near-parallel column pair."""
 
 
-class DegenerateCorrespondences(ArtiposeError):
-    """Point correspondences carry no usable spread (rank-deficient fit)."""
-
-
 class EmptyCloud(ArtiposeError):
     """An operation received a point cloud with zero points."""
 

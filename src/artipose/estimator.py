@@ -9,13 +9,13 @@ heads predict part segmentation (hand + P parts), a per-point NOCS
 Translation and scale are recovered analytically, so box corners are
 differentiable functions of the head outputs.
 
-The graphs never build z. The seg and NOCS first layers split their weight
-W0 by rows into the local half W0[:L] and the pooled half W0[L:]: they
-compute local @ W0[:L] per point and max-pool @ W0[L:] once per scene, and
-the fused `linear` adds that per-scene row to the scene's N points (its
-`shift`). The rotation head's P soft-pooled part features come from one
-stacked (P, N) @ (N, L) product per scene. The diffusion loss reads z's
-rows as [local row | its scene's max-pool].
+The graphs never build z. The seg and NOCS first layers compute local @
+W0[:L] per point and add max-pool @ W0[L:] once per scene as the fused
+`linear`'s shift; the rotation head's P soft-pooled part features come from
+one stacked (P, N) @ (N, L) product per scene. The pose fit (assemble_graph)
+is one batched pass over every part of a batch, with no per-part loop: the
+member masks, Gram-Schmidt, closed forms and posed corners are stacked ops,
+and each part's reason for having no fit is computed alongside.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from . import diffgeom as dg
 from . import nn
-from .errors import DegenerateCorrespondences, DegenerateRotation, ShapeMismatch
+from .errors import ShapeMismatch
 from .geometry import _CORNER_SIGNS, OrientedBox, SimilarityTransform, box_half_extents, matrix_to_rot6d
 
 HAND_CLASS = 0
@@ -275,112 +275,87 @@ def pose_loss_graph(
     return total, parts
 
 
-def member_sets(labels: np.ndarray, part_count: int) -> list:
-    return [np.flatnonzero(labels == p + 1) for p in range(part_count)]
-
-
 def assemble_graph(
     tape: ad.Tape,
-    points: np.ndarray,  # (M, 3) member points
-    nocs: ad.Var,  # (M, 3) their NOCS predictions
-    rot6d: ad.Var,  # (6,) the part's rotation
-    half_extents: np.ndarray,  # (3,) the part's canonical half extents
+    clouds: np.ndarray,  # (B, N, 3)
+    labels: np.ndarray,  # (B, N) class per point, HAND_CLASS or part + 1
+    nocs: ad.Var,  # (B*N, 3) rows aligned with clouds
+    rot: ad.Var,  # (B, P, 6)
+    half_extents: np.ndarray,  # (B, P, 3)
 ):
-    """Differentiable pose fit of one part: (R, t, s, box) Vars, where box
-    holds the (8, 3) posed corners.
+    """Differentiable pose fit of every part of a batch at once: (R, t, s,
+    boxes) Vars of shapes (B, P, 3, 3), (B, P, 3), (B, P) and (B, P, 8, 3),
+    the posed corners, and a (B, P) array of reasons.
 
-    The caller keeps parts with fewer than 3 member points away. Raises
-    DegenerateRotation / DegenerateCorrespondences if the predictions defeat
-    the closed forms.
+    Part p of scene b fits the points labelled p + 1. Its reason is "" when
+    it has a fit, else, in this precedence: "{n} points" below 3 members,
+    the rotation's degeneracy, the correspondences'. A part without a fit
+    gets finite stand-in values, so when its outputs feed no loss it adds
+    exactly zero to every gradient.
     """
+    B, N, _ = clouds.shape
+    P = half_extents.shape[1]
+    K = B * P
     dtype = nocs.data.dtype
-    R = dg.rot6d_to_matrix(rot6d)
-    denorm = ad.mul(ad.sub(nocs, 0.5), ad.const((2.0 * half_extents).astype(dtype), tape))
-    obs = ad.const(np.asarray(points).astype(dtype), tape)
-    s, t = dg.fit_translation_scale(denorm, obs, R)
-    corners = ad.const((_CORNER_SIGNS * half_extents).astype(dtype), tape)
-    box = dg.transform_points(corners, R, t, s)
-    return R, t, s, box
+    members = labels[:, None, :] == np.arange(1, P + 1)[:, None]  # (B, P, N)
+    counts = members.sum(axis=2)
+    R, rot_reasons = dg.rot6d_to_matrix(ad.reshape(rot, (K, 6)))
+    scale = ad.const((2.0 * half_extents).astype(dtype)[:, :, None, :], tape)
+    denorm = ad.mul(ad.reshape(ad.sub(nocs, 0.5), (B, 1, N, 3)), scale)  # (B, P, N, 3)
+    obs = np.broadcast_to(clouds.astype(dtype)[:, None], (B, P, N, 3)).reshape(K, N, 3)
+    s, t, fit_reasons = dg.fit_translation_scale(ad.reshape(denorm, (K, N, 3)), obs, R, members.reshape(K, N))
+    corners = (_CORNER_SIGNS * half_extents[:, :, None, :]).astype(dtype).reshape(K, 8, 3)
+    boxes = dg.transform_points(corners, R, t, s)
+    reasons = np.select(
+        [counts < 3, rot_reasons.reshape(B, P) != ""],
+        [np.char.add(counts.astype(str), " points"), rot_reasons.reshape(B, P)],
+        fit_reasons.reshape(B, P),
+    )
+    return (*(ad.reshape(v, (B, P) + v.data.shape[1:]) for v in (R, t, s, boxes)), reasons)
 
 
-def fit_parts(
-    tape: ad.Tape,
-    cloud: np.ndarray,
-    labels: np.ndarray,  # (N,) class per point, HAND_CLASS or part + 1
-    nocs: ad.Var,  # (N, 3) rows aligned with cloud
-    rot6d: ad.Var,  # (P, 6)
-    half_extents: np.ndarray,  # (P, 3)
-) -> list:
-    """Per part p, (members, fit): the indices of the points labelled p + 1
-    and assemble_graph's (R, t, s, box) on them, or the reason the part has
-    no fit: "{n} points" below 3 members, or the degeneracy message."""
-    fits = []
-    for p, idx in enumerate(member_sets(labels, len(half_extents))):
-        if len(idx) < 3:
-            fits.append((idx, f"{len(idx)} points"))
-            continue
-        r_p = ad.reshape(ad.take(rot6d, np.array([p]), axis=0), (6,))
-        try:
-            fit = assemble_graph(tape, cloud[idx], ad.take(nocs, idx, axis=0), r_p, half_extents[p])
-        except (DegenerateRotation, DegenerateCorrespondences) as err:
-            fit = str(err)
-        fits.append((idx, fit))
-    return fits
-
-
-def layout_graph(tape, cloud, labels, nocs, rot6d, half_extents):
-    """One scene's (P, 8, 3) posed-box layout Var, as the discriminator
-    scores it, or "part p: reason" for the first part that fit_parts
-    (same arguments) leaves without a fit."""
-    boxes = []
-    for p, (_, fit) in enumerate(fit_parts(tape, cloud, labels, nocs, rot6d, half_extents)):
-        if isinstance(fit, str):
-            return f"part {p}: {fit}"
-        boxes.append(fit[3])
-    return ad.stack(boxes, axis=0)
-
-
-def scene_layouts(tape, clouds, seg, nocs, rot, half_extents) -> list:
-    """layout_graph's result for each scene b of a batch of clouds (B, N, 3)
-    with half_extents (B, P, 3): its N rows of the seg and nocs heads, its
-    row of the rot head, and labels from the argmax of seg."""
-    n_pts = clouds.shape[1]
-    labels = np.argmax(seg.data, axis=1)
+def scene_layouts(boxes: ad.Var, reasons: np.ndarray) -> list:
+    """Per scene of assemble_graph's boxes and reasons: its (P, 8, 3)
+    layout Var, as the discriminator scores it, or "part p: reason" for its
+    first part without a fit."""
     layouts = []
-    for b, (cloud, extents) in enumerate(zip(clouds, half_extents)):
-        rows = np.arange(b * n_pts, (b + 1) * n_pts)
-        rot6d = ad.reshape(ad.take(rot, np.array([b]), axis=0), (len(extents), 6))
-        layouts.append(layout_graph(tape, cloud, labels[rows], ad.take(nocs, rows, axis=0), rot6d, extents))
+    for b, scene_reasons in enumerate(reasons):
+        bad = np.flatnonzero(scene_reasons != "")
+        if bad.size:
+            layouts.append(f"part {bad[0]}: {scene_reasons[bad[0]]}")
+        else:
+            layouts.append(ad.reshape(ad.take(boxes, np.array([b])), boxes.data.shape[1:]))
     return layouts
 
 
 def assemble_pose(cloud: np.ndarray, pred: HeadOutput, canonical_boxes: list) -> list:
     """Analytic pose + posed box per part from head outputs (numpy in/out).
 
-    fit_parts on the argmax segmentation, off the gradient tape and in
-    float64; a part it leaves without a fit is marked invalid with the
-    reason.
+    assemble_graph on the argmax segmentation, as a batch of one, off the
+    gradient tape and in float64; a part without a fit is marked invalid
+    with the reason.
     """
     cloud = np.asarray(cloud, dtype=np.float64)
     if len(canonical_boxes) != pred.rot6d.shape[0]:
         raise ShapeMismatch("canonical box count != predicted part count")
     tape = ad.Tape(grad=False)
-    fits = fit_parts(
+    labels = np.argmax(pred.seg_logits, axis=1)
+    R, t, s, boxes, reasons = assemble_graph(
         tape,
-        cloud,
-        np.argmax(pred.seg_logits, axis=1),
+        cloud[None],
+        labels[None],
         ad.const(np.asarray(pred.nocs, dtype=np.float64), tape),
-        ad.const(np.asarray(pred.rot6d, dtype=np.float64), tape),
-        box_half_extents(canonical_boxes),
+        ad.const(np.asarray(pred.rot6d, dtype=np.float64)[None], tape),
+        box_half_extents(canonical_boxes)[None],
     )
     results = []
-    for p, (idx, fit) in enumerate(fits):
-        if isinstance(fit, str):
-            results.append(PartPoseEstimate(p, False, None, None, idx, reason=fit))
+    for p, reason in enumerate(reasons[0]):
+        members = np.flatnonzero(labels == p + 1)
+        if reason:
+            results.append(PartPoseEstimate(p, False, None, None, members, reason=str(reason)))
             continue
-        R, t, s, box = fit
-        pose = SimilarityTransform(R.data, t.data, float(s.data))
-        results.append(PartPoseEstimate(p, True, pose, OrientedBox(box.data), idx))
+        pose = SimilarityTransform(R.data[0, p], t.data[0, p], float(s.data[0, p]))
+        results.append(PartPoseEstimate(p, True, pose, OrientedBox(boxes.data[0, p]), members))
     return results
 
 
@@ -545,7 +520,9 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
                 l_adv = 0.0
                 fake_vars = []
                 if use_adv:
-                    layouts = scene_layouts(tape, clouds[idx], seg, nocs, rot, extents[idx])
+                    labels = np.argmax(seg.data, axis=1).reshape(B, n_pts)
+                    *_, boxes, reasons = assemble_graph(tape, clouds[idx], labels, nocs, rot, extents[idx])
+                    layouts = scene_layouts(boxes, reasons)
                     fake_vars = [layout for layout in layouts if not isinstance(layout, str)]
                     if fake_vars:
                         adv_var = priors.g_adv_loss_graph(disc, tape, fake_vars)
@@ -556,16 +533,14 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
                 if use_diff:
                     sub = rng.integers(0, n_pts, size=(B, config.diffusion_points))
                     rows = (np.arange(B)[:, None] * n_pts + sub).reshape(-1)
-                    # z's rows: the point's local feature and its scene's max-pool
-                    z_sub = ad.concat(
-                        [ad.take(local, rows, axis=0), ad.repeat_rows(mx, config.diffusion_points)], axis=1
-                    )
                     x0 = np.stack(
                         [contact_enc[si][sub[bi]] for bi, si in enumerate(idx)]
                     ).reshape(-1, 1)
                     t_step = int(rng.integers(1, diffuser.schedule.T + 1))
                     eps = rng.standard_normal(x0.shape).astype(np.float32)
-                    diff_var = priors.diff_loss_graph(diffuser, tape, z_sub, x0, t_step, eps)
+                    diff_var = priors.diff_loss_graph(
+                        diffuser, tape, ad.take(local, rows, axis=0), mx, x0, t_step, eps
+                    )
                     l_diff = float(diff_var.data)
                     total = ad.add(total, ad.mul(diff_var, config.lambda_diff))
 

@@ -15,7 +15,7 @@ from . import autodiff as ad
 from . import diffgeom as dg
 from . import nn
 from .errors import ArtiposeError
-from .estimator import Estimator, EstimatorSpec, layout_graph, pose_loss_graph
+from .estimator import Estimator, EstimatorSpec, assemble_graph, pose_loss_graph
 from .geometry import rot6d_to_matrix
 from .priors import ContactDiffuser, Discriminator, NoiseSchedule, d_loss_graph, diff_loss_graph, g_adv_loss_graph
 from .synth.hand import default_hand_template, fk_vars, root_frame_vars
@@ -163,24 +163,22 @@ def check_heads(seed=1, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
 
 
 def check_end_to_end(seed=2, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
-    """Eq.-1 pose loss + assembled boxes as a function of all parameters."""
+    """Eq.-1 pose loss + the assembled boxes of a batch of two scenes as a
+    function of all parameters."""
     rng = np.random.default_rng(seed)
     spec = EstimatorSpec(part_count=2)
     est = Estimator.create(spec, seed)
     _f64(est.store)
-    cloud, labels, gt_nocs, gt_rot, extents = _scene_fixture(rng)
-    Wbox = rng.normal(size=(spec.part_count, 8, 3))
+    scenes = [_scene_fixture(rng) for _ in range(2)]
+    clouds, labels, gt_nocs, gt_rot, extents = (np.stack(a) for a in zip(*scenes))
+    Wbox = rng.normal(size=(2, spec.part_count, 8, 3))
 
     def loss(tape):
-        seg, nocs, rot = est.heads_graph(tape, *est.encode_graph(tape, cloud[None]))
-        total, _ = pose_loss_graph(
-            tape, seg, nocs, rot, labels[None], gt_nocs[None], gt_rot[None], 1.0, 1.0, 10.0
-        )
-        boxes = layout_graph(
-            tape, cloud, labels, nocs, ad.reshape(rot, (spec.part_count, 6)), extents
-        )
-        if isinstance(boxes, str):
-            raise ArtiposeError(f"fixture scene has no layout: {boxes}")
+        seg, nocs, rot = est.heads_graph(tape, *est.encode_graph(tape, clouds))
+        total, _ = pose_loss_graph(tape, seg, nocs, rot, labels, gt_nocs, gt_rot, 1.0, 1.0, 10.0)
+        *_, boxes, reasons = assemble_graph(tape, clouds, labels, nocs, rot, extents)
+        if (reasons != "").any():
+            raise ArtiposeError(f"fixture scenes have parts without a fit: {reasons.tolist()}")
         return ad.add(total, ad.vsum(ad.mul(boxes, ad.const(Wbox, tape))))
 
     worst = _fd_probe_store(loss, est.store, _random_probes(est.store, rng, probes))
@@ -209,16 +207,18 @@ def check_discriminator(seed=3, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
 
 
 def check_denoiser(seed=4, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
+    """The diffusion loss over three blocks of ten rows, z = [local | the
+    block's max-pool row]."""
     rng = np.random.default_rng(seed)
     diffuser = ContactDiffuser.create(32, seed, NoiseSchedule.linear(20))
     _f64(diffuser.store)
-    z = rng.normal(size=(30, 32))
+    local, mx = rng.normal(size=(30, 16)), rng.normal(size=(3, 16))
     x0 = np.sign(rng.normal(size=(30, 1)))
     eps = rng.normal(size=(30, 1))
     t = 7
 
     def loss(tape):
-        return diff_loss_graph(diffuser, tape, ad.const(z, tape), x0, t, eps)
+        return diff_loss_graph(diffuser, tape, ad.const(local, tape), ad.const(mx, tape), x0, t, eps)
 
     worst = _fd_probe_store(loss, diffuser.store, _random_probes(diffuser.store, rng, probes))
     return SuiteResult("denoiser", worst < tol, worst, probes)
@@ -236,7 +236,7 @@ def check_hand_chamfer(seed=5, probes=24, tol=DEFAULT_TOL) -> SuiteResult:
 
     def surface(tape):
         params = store.use("params", tape)
-        R = dg.rot6d_to_matrix(ad.take(params, np.arange(6)))
+        R = dg.rot6d_to_matrix(ad.take(params, np.arange(6)))[0]
         t, ang = ad.take(params, np.arange(6, 9)), ad.take(params, np.arange(9, 24))
         return root_frame_vars(R, t, fk_vars(template, ang)[1])[0]
 

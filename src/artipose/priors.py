@@ -19,6 +19,9 @@ generations into a per-point confidence, thresholded at 0. The feature block
 of the denoiser's first layer is projected once per sampler call; each step
 adds only the noisy-contact and time-embedding terms to it and runs the
 remaining layers through the training graph on a tape that records nothing.
+The training loss factors that layer the same way: one linear over each
+row's local feature and x_t, plus a per-scene shift from the max-pool and
+the time embedding, so it builds neither z nor the constant columns.
 
 The sampler runs its reverse chains in parallel over the points, one chain
 per usable CPU, and its output is byte-identical to one serial chain:
@@ -186,18 +189,29 @@ class ContactDiffuser:
         )
         return diffuser
 
-    def denoise_graph(self, tape: ad.Tape, z: ad.Var, x_t: np.ndarray, t: int) -> ad.Var:
-        """Noise estimate for (M, F) features + (M, 1) noisy contact at step t."""
+    def denoise_graph(self, tape: ad.Tape, local: ad.Var, mx: ad.Var, x_t: np.ndarray, t: int) -> ad.Var:
+        """Noise estimate at step t for M rows z = [local row | its block's
+        mx row], local (M, L) and mx (S, L), and (M, 1) noisy contact. The
+        first layer is one linear over [local | x_t] with the per-block shift
+        mx @ W0[L:F] + temb_t @ W0[F+1:], factored like denoise_value's."""
         self.schedule.check_t(t)
-        M = z.data.shape[0]
+        M, L = local.data.shape
+        F = self.feature_dim
         if x_t.shape != (M, 1):
             raise ShapeMismatch(f"x_t shape {x_t.shape} != ({M}, 1)")
-        dtype = z.data.dtype
-        temb = np.broadcast_to(self._temb[t].astype(dtype), (M, TIME_EMBED_DIM))
-        inp = ad.concat(
-            [z, ad.const(x_t.astype(dtype), tape), ad.const(temb, tape)], axis=1
+        if 2 * L != F or mx.data.shape[1] != L:
+            raise ShapeMismatch(f"local {local.data.shape} and mx {mx.data.shape} do not make {F} features")
+        dtype = local.data.dtype
+        w0 = self.store.use("eps.w0", tape, dtype=dtype)
+        b0 = self.store.use("eps.b0", tape, dtype=dtype)
+        temb = ad.const(self._temb[t][None].astype(dtype), tape)
+        shift = ad.add(
+            ad.matmul(mx, ad.take(w0, np.arange(L, F), axis=0)),
+            ad.matmul(temb, ad.take(w0, np.arange(F + 1, F + 1 + TIME_EMBED_DIM), axis=0)),
         )
-        return nn.mlp_apply(self.spec, self.store, "eps", inp, dtype=dtype)
+        x = ad.concat([local, ad.const(x_t.astype(dtype), tape)], axis=1)
+        h = ad.linear(x, ad.take(w0, np.r_[:L, F], axis=0), b0, relu=True, shift=shift)
+        return nn.mlp_apply(self.spec, self.store, "eps", h, dtype=dtype, start=1)
 
     def condition(self, z: np.ndarray) -> np.ndarray:
         """First-layer projection of (N, F) features: z @ W0[:F] + b0, (N, H).
@@ -237,17 +251,19 @@ class ContactDiffuser:
 def diff_loss_graph(
     diffuser: ContactDiffuser,
     tape: ad.Tape,
-    z: ad.Var,
+    local: ad.Var,
+    mx: ad.Var,
     x0: np.ndarray,
     t: int,
     eps: np.ndarray,
 ) -> ad.Var:
-    """Noise-prediction MSE at a fixed (t, eps): mean |eps - eps_hat|^2."""
+    """Noise-prediction MSE at a fixed (t, eps): mean |eps - eps_hat|^2 over
+    the rows z = [local row | its block's mx row] (see denoise_graph)."""
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1, 1)
-    if z.data.shape[0] != x0.shape[0]:
-        raise ShapeMismatch("z rows != x0 rows")
+    if local.data.shape[0] != x0.shape[0]:
+        raise ShapeMismatch("feature rows != x0 rows")
     x_t = q_sample(x0, t, eps.reshape(x0.shape), diffuser.schedule)
-    eps_hat = diffuser.denoise_graph(tape, z, x_t, t)
+    eps_hat = diffuser.denoise_graph(tape, local, mx, x_t, t)
     resid = ad.sub(eps_hat, ad.const(eps.reshape(x0.shape).astype(eps_hat.data.dtype), tape))
     return ad.vmean(ad.mul(resid, resid))
 

@@ -305,7 +305,7 @@ def fk_vars(template: HandTemplate, angles: ad.Var):
 
 def root_frame_vars(root_R: ad.Var, root_t: ad.Var, *local: ad.Var) -> tuple:
     """Each wrist-frame (n, 3) Var posed by the root: x @ R^T + t."""
-    RT = ad.transpose(root_R)
+    RT = ad.permute(root_R, (1, 0))
     return tuple(ad.add(ad.matmul(x, RT), ad.reshape(root_t, (1, 3))) for x in local)
 
 

@@ -2,9 +2,10 @@
 contact-guided hand pose optimization.
 
 adapt_object clones the estimator per scene and takes Adam steps on the
-generator term (D(layout) - 1)^2 from estimator.scene_layouts and
-priors.g_adv_loss_graph, the training path; heads_only scope encodes once,
-off the gradient tape, and before/after come from the first and last passes.
+generator term (D(layout) - 1)^2 from estimator.assemble_graph (a batch of
+one), scene_layouts and priors.g_adv_loss_graph, the training path;
+heads_only scope encodes once, off the gradient tape, and before/after come
+from the first and last passes.
 A scene it cannot adapt, from its first estimate on, comes back as an
 AdaptResult whose `aborted` names the step and the reason.
 
@@ -22,8 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import diffgeom as dg
 from . import nn
-from .errors import DegenerateRotation
-from .estimator import Estimator, HeadOutput, assemble_pose, scene_layouts
+from .estimator import Estimator, HeadOutput, assemble_graph, assemble_pose, scene_layouts
 from .geometry import box_half_extents, matrix_to_rot6d, rot6d_to_matrix
 from .priors import Discriminator, g_adv_loss_graph
 from .synth.hand import ANGLE_HI, ANGLE_LO, KinematicHand, fk_vars, root_frame_vars
@@ -86,7 +86,7 @@ def adapt_object(
     `before` and the trace holds the values of steps 0..k-1. A first
     estimate with an invalid part aborts at step 0, whatever the step count,
     naming the first invalid part of `before` and its reason; a later pass
-    that has no layout (layout_graph's reason) or a non-finite loss aborts
+    that has no layout (scene_layouts's reason) or a non-finite loss aborts
     at its step.
     """
     cloud = np.asarray(cloud, dtype=np.float64)
@@ -110,7 +110,9 @@ def adapt_object(
             bad = next((p for p in before if not p.valid), None)
             if bad is not None:
                 return AdaptResult(before, before, trace, aborted=f"step 0: part {bad.part}: {bad.reason}")
-        (layout,) = scene_layouts(tape, cloud[None], seg, nocs, rot, extents)
+        labels = np.argmax(seg.data, axis=1)[None]
+        *_, boxes, reasons = assemble_graph(tape, cloud[None], labels, nocs, rot, extents)
+        (layout,) = scene_layouts(boxes, reasons)
         if isinstance(layout, str):
             if final:
                 break
@@ -160,9 +162,9 @@ def optimize_hand(
         r6 = store.use("r6", tape, dtype=np.float64)
         t = store.use("t", tape, dtype=np.float64)
         ang = store.use("ang", tape, dtype=np.float64)
-        R = dg.rot6d_to_matrix(r6)
+        R, degenerate = dg.rot6d_to_matrix(r6)
         (surface,) = root_frame_vars(R, t, fk_vars(template, ang)[1])
-        return dg.chamfer_fixed(surface, ad.const(C, tape))
+        return dg.chamfer_fixed(surface, ad.const(C, tape)), degenerate
 
     def snapshot():
         return KinematicHand(
@@ -176,9 +178,8 @@ def optimize_hand(
     best_loss, best_hand = np.inf, hand_init
     for it in range(cfg.iters + 1):
         tape = ad.Tape(grad=it < cfg.iters)
-        try:
-            loss = chamfer_at(tape)
-        except DegenerateRotation:
+        loss, degenerate = chamfer_at(tape)
+        if degenerate:
             return HandOptResult(best_hand, trace, aborted=f"iter {it}: degenerate root rotation")
         value = float(loss.data)
         if not np.isfinite(value):

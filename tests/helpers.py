@@ -7,18 +7,24 @@ import numpy as np
 
 from artipose import autodiff as ad
 from artipose import nn
+from artipose import priors
 from artipose import tta
 from artipose.errors import (
-    DegenerateCorrespondences,
+    DegenerateRotation,
     EmptyView,
     GraspFailure,
     ShapeMismatch,
 )
-from artipose.estimator import HAND_CLASS, assemble_pose, layout_graph
-from artipose.geometry import SimilarityTransform, as_cloud
+from artipose.estimator import HAND_CLASS, assemble_graph, assemble_pose, scene_layouts
+from artipose.geometry import _CORNER_SIGNS, SimilarityTransform, as_cloud
 from artipose.priors import g_adv_loss_graph
 from artipose.synth import io as synth_io
 from artipose.synth import render
+
+
+class DegenerateCorrespondences(ValueError):
+    """Raised by the numpy fit oracles below when the correspondences carry
+    no usable spread."""
 
 
 def rel_err(a: float, b: float, floor: float = 1e-6) -> float:
@@ -118,6 +124,84 @@ def umeyama_full(src, dst):
         raise DegenerateCorrespondences("non-positive recovered scale")
     t = my - s * R @ mx
     return SimilarityTransform(R, t, s)
+
+
+def _unit3(v):
+    return ad.div(v, ad.sqrt(ad.vsum(ad.mul(v, v))))
+
+
+def rot6d_graph_one(r):
+    """Gram-Schmidt of one (6,) Var into a (3, 3) rotation, columns stacked,
+    raising DegenerateRotation: the per-part oracle of the batched
+    diffgeom.rot6d_to_matrix."""
+    a1 = ad.take(r, np.arange(3), axis=0)
+    a2 = ad.take(r, np.arange(3, 6), axis=0)
+    if float(np.linalg.norm(a1.data)) < 1e-8:
+        raise DegenerateRotation("first column near zero")
+    b1 = _unit3(a1)
+    a2_orth = ad.sub(a2, ad.mul(ad.vsum(ad.mul(a2, b1)), b1))
+    if float(np.linalg.norm(a2_orth.data)) < 1e-8:
+        raise DegenerateRotation("columns near parallel or second column near zero")
+    b2 = _unit3(a2_orth)
+    return ad.stack([b1, b2, ad.cross3(b1, b2)], axis=1)
+
+
+def fit_translation_scale_graph_one(nocs, obs, R):
+    """Least-squares (s, t) of one part's (M, 3) NOCS Var and observed
+    points with R given, on the tape: the per-part oracle of the batched
+    diffgeom.fit_translation_scale."""
+    n_bar = ad.vmean(nocs, axis=0)
+    p_bar = ad.vmean(obs, axis=0)
+    n_c = ad.sub(nocs, ad.reshape(n_bar, (1, 3)))
+    p_c = ad.sub(obs, ad.reshape(p_bar, (1, 3)))
+    denom = ad.vsum(ad.mul(n_c, n_c))
+    if float(denom.data) < 1e-12:
+        raise DegenerateCorrespondences("source points are (nearly) all identical")
+    rotated = ad.matmul(n_c, ad.permute(R, (1, 0)))
+    s = ad.clamp_min(ad.div(ad.vsum(ad.mul(rotated, p_c)), denom), 1e-6)
+    t = ad.sub(p_bar, ad.mul(s, ad.matmul(R, n_bar)))
+    return s, t
+
+
+def fit_parts_one_by_one(tape, cloud, labels, nocs, rot6d, half_extents):
+    """The pose fit of one scene part by part: per part p, (members, fit),
+    fit being the (R, t, s, box) Vars of the points labelled p + 1, or the
+    reason it has none ("{n} points" below 3 members, else the degeneracy
+    message). nocs is the scene's (N, 3) Var, rot6d its (P, 6) Var. The
+    oracle of the batched estimator.assemble_graph."""
+    dtype = nocs.data.dtype
+    fits = []
+    for p, half in enumerate(half_extents):
+        idx = np.flatnonzero(labels == p + 1)
+        if len(idx) < 3:
+            fits.append((idx, f"{len(idx)} points"))
+            continue
+        try:
+            R = rot6d_graph_one(ad.reshape(ad.take(rot6d, np.array([p]), axis=0), (6,)))
+            denorm = ad.mul(ad.sub(ad.take(nocs, idx, axis=0), 0.5), ad.const((2.0 * half).astype(dtype), tape))
+            obs = ad.const(np.asarray(cloud)[idx].astype(dtype), tape)
+            s, t = fit_translation_scale_graph_one(denorm, obs, R)
+        except (DegenerateRotation, DegenerateCorrespondences) as err:
+            fits.append((idx, str(err)))
+            continue
+        corners = ad.const((_CORNER_SIGNS * half).astype(dtype), tape)
+        box = ad.add(ad.mul(s, ad.matmul(corners, ad.permute(R, (1, 0)))), ad.reshape(t, (1, 3)))
+        fits.append((idx, (R, t, s, box)))
+    return fits
+
+
+def diff_loss_concat(diffuser, tape, z, x0, t, eps):
+    """priors.diff_loss_graph with the denoiser's first layer over the
+    concatenated (M, F + 1 + TIME_EMBED_DIM) input [z | x_t | temb_t]: the
+    oracle for the factored first layer."""
+    x0 = np.asarray(x0, dtype=np.float64).reshape(-1, 1)
+    x_t = priors.q_sample(x0, t, eps.reshape(x0.shape), diffuser.schedule)
+    dtype = z.data.dtype
+    temb = np.broadcast_to(diffuser._temb[t].astype(dtype), (len(x0), priors.TIME_EMBED_DIM))
+    inp = ad.concat([z, ad.const(x_t.astype(dtype), tape), ad.const(temb, tape)], axis=1)
+    eps_hat = nn.mlp_apply(diffuser.spec, diffuser.store, "eps", inp, dtype=dtype)
+    resid = ad.sub(eps_hat, ad.const(eps.reshape(x0.shape).astype(dtype), tape))
+    return ad.vmean(ad.mul(resid, resid))
 
 
 def chamfer(A, B):
@@ -452,14 +536,9 @@ def adapt_object_reencoding(est, disc, cloud, canonical_boxes, cfg):
         final = step == cfg.steps
         tape = ad.Tape(grad=not final)
         seg, nocs, rot = work.heads_graph(tape, *work.encode_graph(tape, cloud32[None]))
-        layout = layout_graph(
-            tape,
-            cloud,
-            np.argmax(seg.data, axis=1),
-            nocs,
-            ad.reshape(rot, (work.spec.part_count, 6)),
-            half_extents,
-        )
+        labels = np.argmax(seg.data, axis=1)[None]
+        *_, boxes, reasons = assemble_graph(tape, cloud[None], labels, nocs, rot, half_extents[None])
+        (layout,) = scene_layouts(boxes, reasons)
         if isinstance(layout, str):
             if final:
                 break

@@ -14,8 +14,9 @@ from artipose import autodiff as ad
 from artipose import cli
 from artipose import estimator as est_mod
 from artipose import nn
+from artipose import priors
 from artipose import tta as tta_mod
-from artipose.estimator import PartPoseEstimate, layout_graph
+from artipose.estimator import PartPoseEstimate, assemble_graph
 from artipose.synth import load_dataset
 
 
@@ -173,6 +174,15 @@ class TestEval:
         assert summary["checkpoint"] == str(ckpt)
         assert "mIoU: " in capsys.readouterr().out
 
+    def test_json_out_is_usage_error_before_loading(self, trained, tmp_path, capsys, monkeypatch):
+        # the summary would take the CSV's place
+        _, ds, ckpt = trained
+        monkeypatch.setattr(cli.est_mod, "load_estimator", lambda path: pytest.fail("checkpoint loaded"))
+        out = tmp_path / "r.json"
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--dataset", str(ds), "--out", str(out)]) == 1
+        assert f"usage error: --out {out} is where the JSON summary goes" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["eval", "tta"])
     def test_iou_samples_flag_rejected(self, trained, command):
         root, ds, ckpt = trained
@@ -297,6 +307,50 @@ class TestTta:
         assert [len(t) for t in traces] == [3, 3]
         assert all(math.isfinite(float(v)) for t in traces for v in t)
 
+    def test_disc_without_discriminator_group_is_usage_error(self, trained, tmp_path, capsys, monkeypatch):
+        root, ds, ckpt = trained
+        stores, meta = nn.load_checkpoint(ckpt)
+        bare = tmp_path / "estimator_only.ckpt"
+        nn.save_checkpoint(bare, {"estimator": stores["estimator"]}, meta=meta)
+        monkeypatch.setattr(tta_mod, "adapt_object", lambda *args: pytest.fail("a scene ran"))
+        out = tmp_path / "tta.csv"
+        argv = ["tta", "--checkpoint", str(ckpt), "--disc", str(bare), "--dataset", str(ds), "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert f"usage error: --disc {bare} has no discriminator group" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("meta_parts", [3, None])
+    def test_disc_of_another_part_count_is_usage_error(self, trained, tmp_path, capsys, monkeypatch, meta_parts):
+        # a 3-part discriminator, with or without part_count in its meta
+        root, ds, ckpt = trained
+        other = tmp_path / "disc3.ckpt"
+        meta = {} if meta_parts is None else {"part_count": meta_parts}
+        nn.save_checkpoint(other, {"discriminator": priors.Discriminator.create(3, seed=0).store}, meta=meta)
+        monkeypatch.setattr(tta_mod, "adapt_object", lambda *args: pytest.fail("a scene ran"))
+        out = tmp_path / "tta.csv"
+        argv = ["tta", "--checkpoint", str(ckpt), "--disc", str(other), "--dataset", str(ds), "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert f"usage error: --disc {other} scores 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_disc_of_the_same_part_count_is_used(self, trained, tmp_path, monkeypatch):
+        root, ds, ckpt = trained
+        stores, meta = nn.load_checkpoint(ckpt)
+        own = tmp_path / "disc2.ckpt"
+        nn.save_checkpoint(own, {"discriminator": stores["discriminator"]}, meta={})
+        seen = []
+        adapt = tta_mod.adapt_object
+
+        def spy(est, disc, *args):
+            seen.append(disc.store.params["d.w0"].shape)
+            return adapt(est, disc, *args)
+
+        monkeypatch.setattr(tta_mod, "adapt_object", spy)
+        out = tmp_path / "tta.csv"
+        argv = ["tta", "--checkpoint", str(ckpt), "--disc", str(own), "--dataset", str(ds), "--steps", "1"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert seen == [(48, 256)] * 2
+
     @pytest.mark.parametrize("trace, reduced", [([1.0, 0.5], 2), ([1.0, 1.0], 0), ([1.0, 1.5], 0)])
     def test_summary_counts_strictly_reduced_loss(self, trained, monkeypatch, capsys, trace, reduced):
         root, ds, ckpt = trained
@@ -392,12 +446,15 @@ class TestTta:
         root, ds, ckpt = trained
         calls = []
 
-        def layout_lost_at_step_1(*args):
+        def fit_lost_at_step_1(*args):
             # --steps 2: each scene's second call is its step 1
             calls.append(args)
-            return "part 0: 0 points" if len(calls) % 2 == 0 else layout_graph(*args)
+            *fit, reasons = assemble_graph(*args)
+            if len(calls) % 2 == 0:
+                reasons = np.array([["0 points"] * reasons.shape[1]])
+            return (*fit, reasons)
 
-        monkeypatch.setattr(est_mod, "layout_graph", layout_lost_at_step_1)
+        monkeypatch.setattr(tta_mod, "assemble_graph", fit_lost_at_step_1)
         rows = self.run(root, ds, ckpt, "tta_step_1.csv")
         assert "adapted 0 of 2 scenes; adversarial loss reduced on 0\n" in capsys.readouterr().out
         assert len(calls) == 4

@@ -6,6 +6,7 @@ import pytest
 from artipose import autodiff as ad
 from artipose import diffgeom as dg
 from artipose import geometry as geo
+from artipose.errors import DegenerateRotation
 from helpers import chamfer, fit_translation_scale, rel_err
 
 
@@ -16,38 +17,87 @@ def rand_rot(rng):
 class TestForwardAgreement:
     def test_rot6d(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            r = rng.normal(size=6)
-            tape = ad.Tape()
-            out = dg.rot6d_to_matrix(ad.leaf(r, tape))
-            assert np.allclose(out.data, geo.rot6d_to_matrix(r), atol=1e-12)
+        r = rng.normal(size=(4, 5, 6))
+        tape = ad.Tape()
+        out, reasons = dg.rot6d_to_matrix(ad.leaf(r, tape))
+        assert out.data.shape == (4, 5, 3, 3) and reasons.shape == (4, 5)
+        assert (reasons == "").all()
+        for got, row in zip(out.data.reshape(-1, 3, 3), r.reshape(-1, 6)):
+            assert np.allclose(got, geo.rot6d_to_matrix(row), atol=1e-12)
+
+    def test_rot6d_reasons_and_finite_stand_ins(self):
+        r = np.array([
+            [1.0, 0.2, 0.1, -0.3, 1.0, 0.4],
+            [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],  # first column zero
+            [1.0, 0.0, 0.0, 2.0, 0.0, 0.0],  # parallel columns
+            [1e-9, 0.0, 0.0, 1.0, 0.0, 0.0],  # first column below 1e-8
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # second column zero
+        ])
+        tape = ad.Tape()
+        rv = ad.leaf(r, tape)
+        R, reasons = dg.rot6d_to_matrix(rv)
+        assert reasons.tolist() == [
+            "",
+            "first column near zero",
+            "columns near parallel or second column near zero",
+            "first column near zero",
+            "columns near parallel or second column near zero",
+        ]
+        for row, reason in zip(r[1:], reasons[1:]):  # the numpy oracle's messages
+            with pytest.raises(DegenerateRotation, match=f"^{reason}$"):
+                geo.rot6d_to_matrix(row)
+        assert np.isfinite(R.data).all()
+        # only the first row feeds the loss: the others get exactly zero gradient
+        weights = np.zeros((5, 3, 3))
+        weights[0] = 1.0
+        tape.backward(ad.vsum(ad.mul(R, ad.const(weights, tape))))
+        assert np.isfinite(rv.grad).all() and (rv.grad[1:] == 0).all() and (rv.grad[0] != 0).any()
 
     def test_fit_translation_scale(self):
         rng = np.random.default_rng(1)
-        for _ in range(10):
-            n = rng.normal(size=(30, 3))
-            R = rand_rot(rng)
-            p = 1.4 * n @ R.T + rng.normal(size=3)
-            tape = ad.Tape()
-            s, t = dg.fit_translation_scale(
-                ad.leaf(n, tape), ad.const(p, tape), ad.const(R, tape)
-            )
-            s_np, t_np = fit_translation_scale(n, p, R)
-            assert float(s.data) == pytest.approx(s_np, abs=1e-12)
-            assert np.allclose(t.data, t_np, atol=1e-12)
+        K, N = 6, 30
+        n = rng.normal(size=(K, N, 3))
+        Rs = np.stack([rand_rot(rng) for _ in range(K)])
+        p = 1.4 * n @ np.swapaxes(Rs, 1, 2) + rng.normal(size=(K, 1, 3))
+        members = rng.random((K, N)) < 0.6
+        p[~members] = 1e3  # rows outside a part's members must not count
+        tape = ad.Tape()
+        s, t, reasons = dg.fit_translation_scale(ad.leaf(n, tape), p, ad.const(Rs, tape), members)
+        assert (reasons == "").all()
+        for k in range(K):
+            s_np, t_np = fit_translation_scale(n[k][members[k]], p[k][members[k]], Rs[k])
+            assert float(s.data[k]) == pytest.approx(s_np, abs=1e-12)
+            assert np.allclose(t.data[k], t_np, atol=1e-12)
+
+    def test_fit_translation_scale_flags_identical_nocs(self):
+        rng = np.random.default_rng(9)
+        n = rng.normal(size=(3, 10, 3))
+        n[1, :4] = n[1, 0]  # part 1's four members share one NOCS
+        members = np.zeros((3, 10), dtype=bool)
+        members[:, :4] = True
+        members[2] = False  # part 2 has no members
+        tape = ad.Tape()
+        nv = ad.leaf(n, tape)
+        Rs = ad.const(np.stack([np.eye(3)] * 3), tape)
+        s, t, reasons = dg.fit_translation_scale(nv, rng.normal(size=(3, 10, 3)), Rs, members)
+        assert reasons.tolist() == ["", "source points are (nearly) all identical", "source points are (nearly) all identical"]
+        tape.backward(ad.add(ad.vsum(ad.take(s, np.array([0]))), ad.vsum(ad.take(t, np.array([0])))))
+        assert np.isfinite(s.data).all() and np.isfinite(t.data).all()
+        assert np.isfinite(nv.grad).all() and (nv.grad[1:] == 0).all()
 
     def test_transform_points_matches_box_transform(self):
         rng = np.random.default_rng(2)
         box = geo.OrientedBox.from_extents([0.1, 0.2, 0.3])
-        pose = geo.SimilarityTransform(rand_rot(rng), rng.normal(size=3), 1.7)
+        poses = [geo.SimilarityTransform(rand_rot(rng), rng.normal(size=3), s) for s in (1.7, 0.4)]
         tape = ad.Tape()
         out = dg.transform_points(
-            ad.const(box.vertices, tape),
-            ad.const(pose.R, tape),
-            ad.const(pose.t, tape),
-            ad.const(np.float64(pose.s), tape),
+            np.stack([box.vertices] * 2),
+            ad.const(np.stack([pose.R for pose in poses]), tape),
+            ad.const(np.stack([pose.t for pose in poses]), tape),
+            ad.const(np.array([pose.s for pose in poses]), tape),
         )
-        assert np.allclose(out.data, geo.transform_box(box, pose).vertices, atol=1e-12)
+        for got, pose in zip(out.data, poses):
+            assert np.allclose(got, geo.transform_box(box, pose).vertices, atol=1e-12)
 
     def test_chamfer_fixed(self):
         rng = np.random.default_rng(3)
@@ -67,7 +117,7 @@ class TestGradients:
         def val(r):
             tape = ad.Tape()
             rv = ad.leaf(r, tape)
-            M = dg.rot6d_to_matrix(rv)
+            M = dg.rot6d_to_matrix(rv)[0]
             loss = ad.vsum(ad.mul(M, ad.const(W, tape)))
             return loss, rv, tape
 
@@ -83,15 +133,16 @@ class TestGradients:
 
     def test_umeyama_st_fd(self):
         rng = np.random.default_rng(5)
-        n0 = rng.normal(size=(12, 3))
-        R = rand_rot(rng)
-        p = 1.2 * n0 @ R.T + rng.normal(size=3)
+        n0 = rng.normal(size=(2, 12, 3))
+        R = np.stack([rand_rot(rng), rand_rot(rng)])
+        p = 1.2 * n0 @ np.swapaxes(R, 1, 2) + rng.normal(size=(2, 1, 3))
+        members = rng.random((2, 12)) < 0.7
 
         def val(n):
             tape = ad.Tape()
             nv = ad.leaf(n, tape)
-            s, t = dg.fit_translation_scale(nv, ad.const(p, tape), ad.const(R, tape))
-            loss = ad.add(ad.mul(s, 2.0), ad.vsum(ad.mul(t, t)))
+            s, t, _ = dg.fit_translation_scale(nv, p, ad.const(R, tape), members)
+            loss = ad.add(ad.vsum(ad.mul(s, np.array([2.0, -1.0]))), ad.vsum(ad.mul(t, t)))
             return loss, nv, tape
 
         loss, nv, tape = val(n0)

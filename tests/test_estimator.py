@@ -11,7 +11,7 @@ from artipose import estimator as E
 from artipose import nn, priors
 from artipose.geometry import matrix_to_rot6d, rot6d_to_matrix, rotation_error
 from artipose.synth import make_instance, sample_scene
-from helpers import bits, descend_by_hand, pose_loss, rel_err, spy_tapes
+from helpers import bits, descend_by_hand, fit_parts_one_by_one, pose_loss, rel_err, spy_tapes
 
 
 @pytest.fixture(scope="module")
@@ -205,7 +205,7 @@ class TestAssemblePose:
             ((1,), (0,), "part 0: first column near zero"),
         ],
     )
-    def test_layout_graph_agrees_with_assemble_pose(self, scene, starved, degenerate, first_failure):
+    def test_on_tape_layout_agrees_with_assemble_pose(self, scene, starved, degenerate, first_failure):
         # starved parts keep 2 member points; degenerate parts get a zero rotation
         rng = np.random.default_rng(0)
         labels = scene.seg.astype(np.int64)
@@ -220,14 +220,16 @@ class TestAssemblePose:
         )
         ests = E.assemble_pose(scene.cloud, pred, scene.canonical_boxes)
         tape = ad.Tape()
-        layout = E.layout_graph(
+        *_, boxes, reasons = E.assemble_graph(
             tape,
-            scene.cloud,
-            labels,
+            scene.cloud[None],
+            labels[None],
             ad.leaf(pred.nocs, tape),
-            ad.leaf(pred.rot6d, tape),
-            np.stack([b.vertices[7] for b in scene.canonical_boxes]),
+            ad.leaf(pred.rot6d[None], tape),
+            np.stack([b.vertices[7] for b in scene.canonical_boxes])[None],
         )
+        (layout,) = E.scene_layouts(boxes, reasons)
+        assert reasons[0].tolist() == [e.reason for e in ests]
         bad = next((e for e in ests if not e.valid), None)
         if first_failure is None:
             assert bad is None
@@ -244,23 +246,113 @@ class TestAssemblePose:
         rot6d = E.gt_rot6d(scene.part_poses) + rng.normal(scale=0.05, size=(3, 2, 6))
         clouds = np.stack([scene.cloud] * 3)
         extents = np.stack([scene.half_extents()] * 3)
-        tape = ad.Tape()
-        layouts = E.scene_layouts(
-            tape,
-            clouds,
-            ad.const(np.eye(3)[labels.reshape(-1)] * 20.0, tape),
-            ad.leaf(nocs.reshape(-1, 3), tape),
-            ad.leaf(rot6d, tape),
-            extents,
-        )
-        expect = [
-            E.layout_graph(tape, clouds[b], labels[b], ad.leaf(nocs[b], tape), ad.leaf(rot6d[b], tape), extents[b])
-            for b in range(3)
-        ]
-        assert layouts[1] == expect[1] == "part 1: 2 points"
+
+        def layouts(b):
+            tape = ad.Tape()
+            fit = E.assemble_graph(
+                tape, clouds[b], labels[b], ad.leaf(nocs[b].reshape(-1, 3), tape), ad.leaf(rot6d[b], tape), extents[b]
+            )
+            return E.scene_layouts(fit[3], fit[4])
+
+        batch = layouts(slice(None))
+        alone = [layouts(slice(b, b + 1))[0] for b in range(3)]
+        assert batch[1] == alone[1] == "part 1: 2 points"
         for b in (0, 2):
-            assert np.array_equal(bits(layouts[b].data), bits(expect[b].data))
-        assert not np.array_equal(layouts[0].data, layouts[2].data)
+            assert np.array_equal(bits(batch[b].data), bits(alone[b].data))
+        assert not np.array_equal(batch[0].data, batch[2].data)
+
+    @pytest.mark.parametrize("part_count", [2, 3])
+    def test_batched_fit_matches_the_per_part_fit(self, part_count):
+        """Values, reasons and gradients against fit_parts_one_by_one, in a
+        batch of three scenes with starved and degenerate parts; the loss
+        weighs the boxes of the parts that have a fit."""
+        B, P, N = 3, part_count, 60
+        rng = np.random.default_rng(20 + P)
+        clouds = rng.normal(size=(B, N, 3)) * 0.2
+        labels = rng.integers(0, P + 1, size=(B, N))
+        nocs = rng.uniform(0.1, 0.9, size=(B, N, 3))
+        rot = rng.normal(size=(B, P, 6))
+        extents = rng.uniform(0.05, 0.3, size=(B, P, 3))
+        labels[1, np.flatnonzero(labels[1] == 1)[2:]] = E.HAND_CLASS  # scene 1 part 0: 2 points
+        rot[1, P - 1, :3] = 0.0  # scene 1, last part: first column zero
+        rot[2, 0, 3:] = 2.0 * rot[2, 0, :3]  # scene 2 part 0: parallel columns
+        nocs[2, labels[2] == P] = 0.5  # scene 2, last part: identical NOCS
+        weights = rng.normal(size=(B, P, 8, 3))
+
+        tape = ad.Tape()
+        nocs_v, rot_v = ad.leaf(nocs.reshape(B * N, 3), tape), ad.leaf(rot, tape)
+        R, t, s, boxes, reasons = E.assemble_graph(tape, clouds, labels, nocs_v, rot_v, extents)
+        valid = reasons == ""
+        tape.backward(ad.vsum(ad.mul(boxes, ad.const(weights * valid[..., None, None], tape))))
+
+        for b in range(B):
+            tape_b = ad.Tape()
+            nocs_b, rot_b = ad.leaf(nocs[b], tape_b), ad.leaf(rot[b], tape_b)
+            fits = fit_parts_one_by_one(tape_b, clouds[b], labels[b], nocs_b, rot_b, extents[b])
+            terms = []
+            for p, (_, fit) in enumerate(fits):
+                if isinstance(fit, str):
+                    assert reasons[b, p] == fit
+                    continue
+                assert reasons[b, p] == ""
+                for got, want in zip((R, t, s, boxes), fit):
+                    assert np.allclose(got.data[b, p], want.data, rtol=0, atol=1e-10)
+                terms.append(ad.vsum(ad.mul(fit[3], ad.const(weights[b, p], tape_b))))
+            if terms:
+                tape_b.backward(ad.vsum(ad.stack(terms)))
+            for got, leaf in ((nocs_v.grad[b * N : (b + 1) * N], nocs_b), (rot_v.grad[b], rot_b)):
+                want = np.zeros_like(got) if leaf.grad is None else leaf.grad
+                assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
+        assert sorted(set(reasons[~valid])) == [
+            "2 points",
+            "columns near parallel or second column near zero",
+            "first column near zero",
+            "source points are (nearly) all identical",
+        ]
+
+    def test_part_without_fit_adds_exactly_zero(self):
+        # scene 0 has a part with no members and one with a zero rotation;
+        # only scene 1's boxes feed the loss
+        rng = np.random.default_rng(5)
+        B, P, N = 2, 3, 50
+        labels = rng.integers(0, P, size=(B, N))  # no point labelled part 2
+        rot = rng.normal(size=(B, P, 6))
+        rot[0, 0] = 0.0
+        labels[1, :3 * P] = np.repeat(np.arange(1, P + 1), 3)  # scene 1: every part fits
+        tape = ad.Tape()
+        nocs_v = ad.leaf(rng.uniform(size=(B * N, 3)), tape)
+        rot_v = ad.leaf(rot, tape)
+        R, t, s, boxes, reasons = E.assemble_graph(
+            tape, rng.normal(size=(B, N, 3)), labels, nocs_v, rot_v, rng.uniform(0.1, 0.3, size=(B, P, 3))
+        )
+        assert reasons[0, 0] == "first column near zero" and reasons[0, 2] == "0 points"
+        assert (reasons[1] == "").all()
+        for v in (R, t, s, boxes):
+            assert np.isfinite(v.data).all()
+        layouts = E.scene_layouts(boxes, reasons)
+        assert layouts[0] == "part 0: first column near zero"
+        tape.backward(ad.vsum(ad.mul(layouts[1], layouts[1])))
+        assert np.isfinite(nocs_v.grad).all() and np.isfinite(rot_v.grad).all()
+        assert (nocs_v.grad[:N] == 0).all() and (rot_v.grad[0] == 0).all()
+        assert (nocs_v.grad[N:] != 0).any() and (rot_v.grad[1] != 0).all()
+
+    def test_records_do_not_grow_with_batch_or_part_count(self):
+        records = set()
+        for B, P in [(1, 2), (4, 2), (1, 3), (4, 3)]:
+            rng = np.random.default_rng(B * 10 + P)
+            N = 40
+            labels = np.tile(np.arange(N) % (P + 1), (B, 1))
+            tape = ad.Tape()
+            E.assemble_graph(
+                tape,
+                rng.normal(size=(B, N, 3)),
+                labels,
+                ad.leaf(rng.uniform(size=(B * N, 3)), tape),
+                ad.leaf(rng.normal(size=(B, P, 6)), tape),
+                rng.uniform(0.1, 0.3, size=(B, P, 3)),
+            )
+            records.add(len(tape._ops))
+        assert len(records) == 1
 
     def test_scale_consistency(self, scene):
         # with a fixed HeadOutput, fitting on k-scaled points scales (s, t)
@@ -280,20 +372,19 @@ class TestAssemblePose:
 
     def test_member_nocs_perturbation_gradient(self, scene):
         # finite difference of part 0's t w.r.t. one member's NOCS entry
-        idx = E.member_sets(scene.seg, 2)[0]
-        half = scene.canonical_boxes[0].vertices[7]
-        nocs0 = scene.nocs[idx].copy()
-        rot = E.gt_rot6d(scene.part_poses)[0]
+        target = np.flatnonzero(scene.seg == 1)[0]  # first member of part 0
+        extents = scene.half_extents()[None]
+        rot = E.gt_rot6d(scene.part_poses)[None]
+        nocs0 = scene.nocs.astype(np.float64)
 
         def t_of(nocs_arr):
             tape = ad.Tape()
             nv = ad.leaf(nocs_arr, tape)
-            _, t, _, _ = E.assemble_graph(tape, scene.cloud[idx], nv, ad.const(rot, tape), half)
-            return ad.vsum(t), nv, tape
+            _, t, _, _, _ = E.assemble_graph(tape, scene.cloud[None], scene.seg[None], nv, ad.const(rot, tape), extents)
+            return ad.vsum(ad.take(t, np.array([0]), axis=1)), nv, tape
 
         out, nv, tape = t_of(nocs0)
         tape.backward(out)
-        target = 0  # first member of part 0
         h = 1e-6
         for axis in range(3):
             np_, nm = nocs0.copy(), nocs0.copy()

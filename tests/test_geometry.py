@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from artipose import geometry as geo
-from artipose.errors import DegenerateCorrespondences, DegenerateRotation, EmptyCloud
+from artipose.errors import DegenerateRotation, EmptyCloud
 
 from helpers import (
+    DegenerateCorrespondences,
     box_contains,
     chamfer,
     contact_map_broadcast,

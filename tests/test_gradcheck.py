@@ -47,16 +47,18 @@ def test_suite_reports_its_margin(suite):
     "suite, paths",
     [
         (gradcheck.check_heads, {"shift", "stacked"}),
-        (gradcheck.check_end_to_end, {"shift", "stacked"}),
+        (gradcheck.check_end_to_end, {"shift", "stacked", "fit batch"}),
         (gradcheck.check_discriminator, {"batch"}),
     ],
     ids=lambda v: getattr(v, "__name__", ""),
 )
 def test_network_suites_check_the_factored_and_batched_paths(suite, paths, monkeypatch):
     """The suites probe the per-scene shift of the seg and NOCS first
-    layers, the stacked part soft-pool product and the batched D."""
+    layers, the stacked part soft-pool product, the pose fit of a batch of
+    B >= 2 scenes with P >= 2 parts, and the batched D."""
     seen = set()
     linear, matmul, score_graph = ad.linear, ad.matmul, Discriminator.score_graph
+    assemble_graph = gradcheck.assemble_graph
 
     def spy_linear(x, w, b, relu, shift=None):
         if shift is not None:
@@ -73,6 +75,12 @@ def test_network_suites_check_the_factored_and_batched_paths(suite, paths, monke
             seen.add("batch")
         return score_graph(self, layouts)
 
+    def spy_assemble_graph(tape, clouds, labels, nocs, rot, half_extents):
+        if min(half_extents.shape[:2]) >= 2:
+            seen.add("fit batch")
+        return assemble_graph(tape, clouds, labels, nocs, rot, half_extents)
+
+    monkeypatch.setattr(gradcheck, "assemble_graph", spy_assemble_graph)
     monkeypatch.setattr(ad, "linear", spy_linear)
     monkeypatch.setattr(ad, "matmul", spy_matmul)
     monkeypatch.setattr(Discriminator, "score_graph", spy_score_graph)

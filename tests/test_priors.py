@@ -10,7 +10,7 @@ from artipose import autodiff as ad
 from artipose import nn, parallel, priors
 from artipose.errors import BadTimestep, PartCountMismatch, ShapeMismatch
 from artipose.geometry import OrientedBox, SimilarityTransform, rot6d_to_matrix, transform_box
-from helpers import d_loss, g_adv_loss, rel_err, sample_contact_map_serial, score, spy_tapes
+from helpers import d_loss, diff_loss_concat, g_adv_loss, rel_err, sample_contact_map_serial, score, spy_tapes
 
 
 def random_layout(rng, parts=2):
@@ -194,17 +194,17 @@ class TestDiffLoss:
         # denoiser that reproduces the drawn noise exactly -> loss 0
         diffuser = priors.ContactDiffuser.create(4, 0, priors.NoiseSchedule.linear(10))
         rng = np.random.default_rng(2)
-        z = rng.normal(size=(20, 4))
+        local, mx = rng.normal(size=(20, 2)), rng.normal(size=(2, 2))
         x0 = priors.encode_contact(rng.integers(0, 2, 20))
         eps = rng.standard_normal((20, 1))
 
         class Stub(priors.ContactDiffuser):
-            def denoise_graph(self, tape, zv, x_t, t):
+            def denoise_graph(self, tape, local, mx, x_t, t):
                 return ad.const(eps, tape)
 
         stub = Stub(4, diffuser.store, diffuser.schedule)
         tape = ad.Tape()
-        out = priors.diff_loss_graph(stub, tape, ad.const(z, tape), x0, 5, eps)
+        out = priors.diff_loss_graph(stub, tape, ad.const(local, tape), ad.const(mx, tape), x0, 5, eps)
         assert float(out.data) == 0.0
 
     def test_zero_denoiser_loss_near_one(self):
@@ -213,21 +213,59 @@ class TestDiffLoss:
             diffuser.store.params[name][...] = 0.0
         rng = np.random.default_rng(3)
         n = 4000
-        z = rng.normal(size=(n, 8)).astype(np.float32)
+        local, mx = rng.normal(size=(n, 4)).astype(np.float32), rng.normal(size=(4, 4)).astype(np.float32)
         x0 = priors.encode_contact(rng.integers(0, 2, n))
         draw = np.random.default_rng(9)
         t = int(draw.integers(1, diffuser.schedule.T + 1))
         eps = draw.standard_normal((n, 1))
         tape = ad.Tape()
-        loss = float(priors.diff_loss_graph(diffuser, tape, ad.const(z, tape), x0, t, eps).data)
+        loss = float(priors.diff_loss_graph(diffuser, tape, ad.const(local, tape), ad.const(mx, tape), x0, t, eps).data)
         assert abs(loss - 1.0) < 0.1  # X^2_n / n concentrates near 1
+
+    def test_factored_first_layer_matches_the_concatenated_input(self):
+        # float64, three blocks of 20 rows; every parameter, local and mx get a gradient
+        dtype, tol = np.float64, 1e-12
+        diffuser = priors.ContactDiffuser.create(8, 3, priors.NoiseSchedule.linear(10))
+        rng = np.random.default_rng(13)
+        for name in diffuser.store.names():
+            diffuser.store.params[name][...] = rng.normal(size=diffuser.store.params[name].shape)
+        local0, mx0 = rng.normal(size=(60, 4)).astype(dtype), rng.normal(size=(3, 4)).astype(dtype)
+        x0 = priors.encode_contact(rng.integers(0, 2, 60))
+        eps = rng.standard_normal((60, 1)).astype(np.float32)
+
+        def run(loss_of):
+            tape = ad.Tape()
+            local, mx = ad.leaf(local0, tape), ad.leaf(mx0, tape)
+            loss = loss_of(tape, local, mx)
+            tape.backward(loss)
+            diffuser.store.flush_tape_grads(tape)
+            grads = {name: g.copy() for name, g in diffuser.store.grads.items()}
+            return float(loss.data), local.grad, mx.grad, grads
+
+        got = run(lambda tape, local, mx: priors.diff_loss_graph(diffuser, tape, local, mx, x0, 4, eps))
+        want = run(
+            lambda tape, local, mx: diff_loss_concat(
+                diffuser, tape, ad.concat([local, ad.repeat_rows(mx, 20)], axis=1), x0, 4, eps
+            )
+        )
+        assert got[0] == pytest.approx(want[0], rel=tol)
+        for g, w in zip(got[1:3], want[1:3]):
+            assert np.allclose(g, w, rtol=tol, atol=tol)
+        for name in want[3]:
+            assert np.allclose(got[3][name], want[3][name], rtol=tol, atol=tol * 10), name
 
     def test_row_mismatch(self):
         diffuser = priors.ContactDiffuser.create(4, 0, priors.NoiseSchedule.linear(10))
         tape = ad.Tape()
-        with pytest.raises(ShapeMismatch):
+        mx = ad.const(np.zeros((1, 2)), tape)
+        with pytest.raises(ShapeMismatch, match="feature rows != x0 rows"):
             priors.diff_loss_graph(
-                diffuser, tape, ad.const(np.zeros((5, 4)), tape), np.zeros((6, 1)), 3,
+                diffuser, tape, ad.const(np.zeros((5, 2)), tape), mx, np.zeros((6, 1)), 3,
+                np.zeros((6, 1)),
+            )
+        with pytest.raises(ShapeMismatch, match="do not make 4 features"):
+            priors.diff_loss_graph(
+                diffuser, tape, ad.const(np.zeros((6, 4)), tape), mx, np.zeros((6, 1)), 3,
                 np.zeros((6, 1)),
             )
 
@@ -318,9 +356,11 @@ class TestSplitDenoiser:
     @pytest.mark.parametrize("generations", [1, 3])
     @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     def test_matches_denoise_graph(self, diffuser, generations, dtype, tol):
+        # z = [local | one max-pool row], the form the training loss sees
         rng = np.random.default_rng(12)
         N = 40
-        z = rng.normal(size=(N, 16)).astype(dtype)
+        local, mx = rng.normal(size=(N, 8)).astype(dtype), rng.normal(size=(1, 8)).astype(dtype)
+        z = np.concatenate([local, np.repeat(mx, N, axis=0)], axis=1)
         x_t = rng.normal(size=(generations * N, 1))
         cond = diffuser.condition(z)
         assert cond.shape == (N, diffuser.spec.widths[1]) and cond.dtype == dtype
@@ -328,7 +368,7 @@ class TestSplitDenoiser:
             got = diffuser.denoise_value(cond, x_t, t)
             tape = ad.Tape()
             want = diffuser.denoise_graph(
-                tape, ad.const(np.tile(z, (generations, 1)), tape), x_t, t
+                tape, ad.const(np.tile(local, (generations, 1)), tape), ad.const(mx, tape), x_t, t
             ).data
             assert got.shape == (generations * N, 1) and got.dtype == dtype
             assert np.allclose(got, want, rtol=tol, atol=tol)

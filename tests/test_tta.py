@@ -9,6 +9,7 @@ from artipose import nn
 from artipose import priors
 from artipose import tta
 from artipose.synth import make_instance, sample_scene
+from artipose.synth.hand import KinematicHand, default_hand_template
 from helpers import adapt_object_reencoding, bits
 
 
@@ -42,17 +43,17 @@ def snapshot(store):
 
 def fail_layout_at(monkeypatch, call, corrupt):
     """Make the layout of the given pass (0-based) come from corrupted head
-    outputs; corrupt maps (labels, nocs, rot6d) to new ones."""
+    outputs; corrupt maps (labels, nocs, rot) to new ones."""
     calls = []
-    original = E.layout_graph
+    original = tta.assemble_graph
 
-    def layout(tape, cloud, labels, nocs, rot6d, half_extents):
+    def fit(tape, clouds, labels, nocs, rot, half_extents):
         if len(calls) == call:
-            labels, nocs, rot6d = corrupt(labels, nocs, rot6d)
+            labels, nocs, rot = corrupt(labels, nocs, rot)
         calls.append(call)
-        return original(tape, cloud, labels, nocs, rot6d, half_extents)
+        return original(tape, clouds, labels, nocs, rot, half_extents)
 
-    monkeypatch.setattr(E, "layout_graph", layout)
+    monkeypatch.setattr(tta, "assemble_graph", fit)
     return calls
 
 
@@ -93,12 +94,12 @@ def hand_seg(seg, nocs, rot):
     return ad.add(ad.mul(seg, 0.0), hand), nocs, rot
 
 
-def hand_only(labels, nocs, rot6d):
-    return np.zeros_like(labels), nocs, rot6d
+def hand_only(labels, nocs, rot):
+    return np.zeros_like(labels), nocs, rot
 
 
-def zero_rotation(labels, nocs, rot6d):
-    return labels, nocs, ad.mul(rot6d, 0.0)
+def zero_rotation(labels, nocs, rot):
+    return labels, nocs, ad.mul(rot, 0.0)
 
 
 class TestAdaptObject:
@@ -196,7 +197,7 @@ class TestAdaptObject:
             return ests
 
         monkeypatch.setattr(tta, "assemble_pose", part_1_invalid)
-        monkeypatch.setattr(E, "layout_graph", lambda *args: pytest.fail("layout_graph called"))
+        monkeypatch.setattr(tta, "assemble_graph", lambda *args: pytest.fail("on-tape fit called"))
         result = adapt(est, disc, scene, steps=steps)
         assert result.aborted == "step 0: part 1: rank 1"
         assert result.trace == []
@@ -252,3 +253,23 @@ class TestConfigs:
 
     def test_hand_opt_accepts_a_positive_lr(self):
         assert tta.HandOptConfig(iters=5, lr=1e-9).lr == 1e-9
+
+
+class TestOptimizeHand:
+    def test_degenerate_root_rotation_aborts(self, monkeypatch):
+        # a zero 6D root rotation has no Gram-Schmidt frame
+        hand = KinematicHand(np.eye(3), np.zeros(3), np.full(15, 0.3), default_hand_template(64))
+        monkeypatch.setattr(tta, "matrix_to_rot6d", lambda R: np.zeros(6))
+        cloud = np.random.default_rng(0).normal(size=(20, 3)) * 0.05
+        result = tta.optimize_hand(hand, np.ones(20, dtype=bool), cloud, tta.HandOptConfig(iters=3))
+        assert result.aborted == "iter 0: degenerate root rotation"
+        assert result.trace == [] and result.hand is hand
+
+    def test_chamfer_falls_from_a_displaced_root(self):
+        tmpl = default_hand_template(64)
+        hand = KinematicHand(np.eye(3), np.zeros(3), np.full(15, 0.3), tmpl)
+        target = hand.surface()[::4]
+        moved = KinematicHand(np.eye(3), np.array([0.01, -0.01, 0.0]), hand.joint_angles, tmpl)
+        result = tta.optimize_hand(moved, np.ones(len(target), dtype=bool), target, tta.HandOptConfig(iters=20, lr=1e-3))
+        assert result.aborted == ""
+        assert len(result.trace) == 21 and min(result.trace) < result.trace[0]
