@@ -8,6 +8,7 @@ driven by --seed (or the seed inside a config file).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -29,20 +30,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def non_negative_int(text: str) -> int:
-    """A scene count or limit: an int >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _bounded(name: str, cast, rule: str, ok):
+    """An argparse type `name`: `cast` of the text, which must pass `ok`."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    parse.__name__ = name  # argparse's "invalid <name> value" message
+    return parse
 
 
-def positive_float(text: str) -> float:
-    """A tolerance: a float > 0 (NaN is not)."""
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
+# counts and limits; iterations and draws; tolerances and learning rates
+# (NaN is not > 0); distances
+non_negative_int = _bounded("non_negative_int", int, ">= 0", lambda v: v >= 0)
+positive_int = _bounded("positive_int", int, ">= 1", lambda v: v >= 1)
+positive_float = _bounded("positive_float", float, "> 0", lambda v: v > 0)
+non_negative_float = _bounded("non_negative_float", float, "finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--disc", default=None, help="discriminator checkpoint (defaults to the group inside --checkpoint)")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", default="tta_report.csv")
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--lr", type=float, default=1e-4)
+    p.add_argument("--steps", type=non_negative_int, default=10)
+    p.add_argument("--lr", type=positive_float, default=1e-4)
     p.add_argument("--scope", choices=[tta_mod.HEADS_ONLY, tta_mod.FULL_ENCODER], default=tta_mod.HEADS_ONLY,
                    help="adapt the heads on a frozen encoder, or the encoder too")
     p.add_argument("--limit", type=non_negative_int, default=None)
@@ -89,11 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_hand_opt)
     p.add_argument("--checkpoint", default=None, help="checkpoint with encoder+diffuser (omit with --gt-contact)")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--perturb", type=float, default=0.10, help="initial root displacement (m)")
+    p.add_argument("--perturb", type=non_negative_float, default=0.10, help="initial root displacement (m)")
     p.add_argument("--gt-contact", action="store_true", help="use ground-truth contact maps")
-    p.add_argument("--generations", type=int, default=5)
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--lr", type=float, default=1e-2)
+    p.add_argument("--generations", type=positive_int, default=5)
+    p.add_argument("--iters", type=positive_int, default=200)
+    p.add_argument("--lr", type=positive_float, default=1e-2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="hand_report.csv")
     p.add_argument("--limit", type=non_negative_int, default=None)

@@ -289,9 +289,11 @@ def assemble_graph(
 
     Part p of scene b fits the points labelled p + 1. Its reason is "" when
     it has a fit, else, in this precedence: "{n} points" below 3 members,
-    the rotation's degeneracy, the correspondences'. A part without a fit
-    gets finite stand-in values, so when its outputs feed no loss it adds
-    exactly zero to every gradient.
+    the rotation's degeneracy, the correspondences', then "non-finite fit"
+    where R, t, s or a corner is not finite (NaN or inf inputs). On finite
+    inputs a part with one of the first three reasons gets finite stand-in
+    values, so when its outputs feed no loss it adds exactly zero to every
+    gradient.
     """
     B, N, _ = clouds.shape
     P = half_extents.shape[1]
@@ -311,6 +313,8 @@ def assemble_graph(
         [np.char.add(counts.astype(str), " points"), rot_reasons.reshape(B, P)],
         fit_reasons.reshape(B, P),
     )
+    finite = np.logical_and.reduce([np.isfinite(v.data).reshape(K, -1).all(axis=1) for v in (R, t, s, boxes)])
+    reasons = np.where((reasons == "") & ~finite.reshape(B, P), "non-finite fit", reasons)
     return (*(ad.reshape(v, (B, P) + v.data.shape[1:]) for v in (R, t, s, boxes)), reasons)
 
 

@@ -2,16 +2,20 @@
 
 21 joints (wrist + 4 per finger), 15 flexion angles (3 per finger), fixed
 bone lengths. FK is written once over the autodiff engine, as a wrist-frame
-part (`fk_vars`) and the root transform (`root_frame_vars`). Generation
-runs both on constants and a KinematicHand caches each; its `rerooted`
-copies reuse its wrist-frame part, so that part runs once per hand pose.
-Hand-pose optimization runs both on parameter Vars.
+part (`fk_vars`) and the root transform (`root_frame_vars`). `fk_vars` is
+one fixed sequence of stacked ops: one batched Rodrigues for the 15 phalanx
+rotations, the joint chain as three (5, 3) adds, and the 20 capsule surfaces
+gathered with a per-sample bone index. Everything that depends only on the
+template is built once per HandTemplate. Generation runs FK on constants,
+and a KinematicHand caches its result; hand-pose optimization runs it on
+parameter Vars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +32,7 @@ ANGLE_LO = 0.0
 ANGLE_HI = np.pi / 2
 
 _GOLDEN = 2.399963229728653
+_PALM_NORMAL = np.array([0.0, 0.0, 1.0])
 
 # pose_hand_grasp resamples the flexion until this many surface points lie
 # within tau of the part cuboids, and gives up after this many draws.
@@ -47,12 +52,37 @@ def _frozen(a) -> np.ndarray:
     return out
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """(n, 1) Euclidean norms of (n, 3) rows, each bit for bit
+    np.linalg.norm of its row (one BLAS dot per row)."""
+    return np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0]
+
+
+class FkTables(NamedTuple):
+    """The template-only inputs of fk_vars. Phalanx rows run finger-major
+    (3 f + k); bones follow HandTemplate.bones(); S = surface_samples."""
+
+    K: np.ndarray  # (15, 3, 3) skew matrix of each phalanx's flexion axis
+    KK: np.ndarray  # (15, 3, 3) K @ K
+    rest_steps: np.ndarray  # (15, 3, 1) bone length x finger direction
+    mcp: np.ndarray  # (5, 1, 3) MCP offsets
+    bone_a: np.ndarray  # (20,) joint index of each bone's start
+    bone_b: np.ndarray  # (20,) and of its end
+    refs: np.ndarray  # (20, 3) axis that each capsule's circle frame leans on
+    sample_bone: np.ndarray  # (S,) bone of each surface sample
+    frac: np.ndarray  # (S, 1) position along the bone, in (0, 1)
+    ring_cos: np.ndarray  # (S, 1) radius x cos(golden-angle phase)
+    ring_sin: np.ndarray  # (S, 1) radius x sin(golden-angle phase)
+
+
 @dataclass(frozen=True)
 class HandTemplate:
     """Fixed skeleton: wrist-local MCP offsets, finger directions, bone sizes.
 
     The palm plane is z = 0 in the wrist frame, fingers extend along +y-ish
-    directions, and flexion curls toward +z (the palm normal).
+    directions, and flexion curls toward +z (the palm normal). The arrays
+    are read-only copies, so `fk_tables`, built on first use, cannot go
+    stale.
     """
 
     mcp_offsets: np.ndarray  # (5, 3)
@@ -62,14 +92,9 @@ class HandTemplate:
     palm_radius: float
     surface_samples: int
 
-    def flex_axes(self) -> np.ndarray:
-        """Per-finger flexion axis: cross(finger dir, palm normal), unit.
-
-        Rotating the finger direction about this axis curls it toward +z
-        (the palm normal).
-        """
-        z = np.array([0.0, 0.0, 1.0])
-        return np.stack([_unit(cross(d, z)) for d in self.finger_dirs])
+    def __post_init__(self):
+        for name in ("mcp_offsets", "finger_dirs", "bone_lengths", "finger_radii"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     def bones(self) -> list:
         """(joint_a, joint_b, radius) index pairs into the 21-joint layout.
@@ -86,22 +111,45 @@ class HandTemplate:
             out.append((base + 2, base + 3, r * 0.9))
         return out
 
-    def sample_allocation(self) -> list:
-        """Deterministic per-bone surface sample counts summing to surface_samples."""
-        bones = self.bones()
-        lengths = []
-        joints = _rest_joint_positions(self)
-        for a, b, r in bones:
-            lengths.append(np.linalg.norm(joints[b] - joints[a]) * r)
-        weights = np.asarray(lengths) / np.sum(lengths)
-        raw = weights * self.surface_samples
+    @cached_property
+    def fk_tables(self) -> FkTables:
+        """fk_vars's template-only inputs, built once per template.
+
+        Each finger flexes about cross(finger dir, palm normal), unit: that
+        rotation curls the finger toward +z. Surface samples go to the bones
+        by capsule length x radius at rest, largest remainder first, so they
+        sum to surface_samples; a bone's n samples sit at fractions
+        (j + 0.5) / n along it and at golden-angle phases j x 2.39996.
+        """
+        axes = np.stack([_unit(cross(d, _PALM_NORMAL)) for d in self.finger_dirs])
+        x, y, z = axes.T
+        zero = np.zeros(N_FINGERS)
+        K = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(N_FINGERS, 3, 3)
+        rest_steps = self.bone_lengths[:, :, None] * self.finger_dirs[:, None, :]
+        bone_a, bone_b, radii = (np.array(c) for c in zip(*self.bones()))
+        refs = np.repeat(axes, 4, axis=0)
+        refs[::4] = _PALM_NORMAL  # palm bones lie in the z = 0 plane
+        rest = _rest_joint_positions(self)
+        weights = _row_norms(rest[bone_b] - rest[bone_a])[:, 0] * radii
+        raw = weights / np.sum(weights) * self.surface_samples
         counts = np.floor(raw).astype(int)
-        # largest remainder keeps the exact total
-        remainder = raw - counts
-        missing = self.surface_samples - counts.sum()
-        for idx in np.argsort(-remainder)[:missing]:
-            counts[idx] += 1
-        return counts.tolist()
+        counts[np.argsort(-(raw - counts))[: self.surface_samples - counts.sum()]] += 1
+        sample_bone = np.repeat(np.arange(len(counts)), counts)
+        j = np.arange(self.surface_samples) - np.repeat(np.cumsum(counts) - counts, counts)
+        phi = j * _GOLDEN
+        return FkTables(
+            K=np.repeat(K, 3, axis=0),
+            KK=np.repeat(K @ K, 3, axis=0),
+            rest_steps=rest_steps.reshape(N_ANGLES, 3, 1),
+            mcp=self.mcp_offsets[:, None, :],
+            bone_a=bone_a,
+            bone_b=bone_b,
+            refs=refs,
+            sample_bone=sample_bone,
+            frac=((j + 0.5) / counts[sample_bone])[:, None],
+            ring_cos=(radii[sample_bone] * np.cos(phi))[:, None],
+            ring_sin=(radii[sample_bone] * np.sin(phi))[:, None],
+        )
 
 
 def default_hand_template(surface_samples: int = 512) -> HandTemplate:
@@ -135,15 +183,9 @@ def default_hand_template(surface_samples: int = 512) -> HandTemplate:
 
 def _rest_joint_positions(template: HandTemplate) -> np.ndarray:
     """Wrist-frame joint positions at zero flexion (all bones straight)."""
-    joints = np.zeros((N_JOINTS, 3))
-    for f in range(N_FINGERS):
-        base = 1 + 4 * f
-        p = template.mcp_offsets[f].copy()
-        joints[base] = p
-        for seg in range(3):
-            p = p + template.bone_lengths[f, seg] * template.finger_dirs[f]
-            joints[base + 1 + seg] = p
-    return joints
+    rest_steps = template.bone_lengths[:, :, None] * template.finger_dirs[:, None, :]
+    chain = np.cumsum(np.concatenate([template.mcp_offsets[:, None, :], rest_steps], axis=1), axis=1)
+    return np.concatenate([np.zeros((1, 3)), chain.reshape(N_JOINTS - 1, 3)])
 
 
 @dataclass(frozen=True)
@@ -151,12 +193,10 @@ class KinematicHand:
     """A posed hand: rigid root (s = 1) + 15 flexion angles + template.
 
     The FK runs once per instance, on first use of joints(), surface() or
-    capsules_world, and the (joints, surface) pair is cached, as is its
-    wrist-frame pair. All cached arrays, and the root and angle arrays they
-    follow from, are copies marked read-only, so the caches cannot go
-    stale. `rerooted` builds a new instance that shares the wrist-frame
-    pair, which does not depend on the root, and runs only the root
-    transform; `dataclasses.replace` builds one with a fresh FK.
+    capsules_world, and the (joints, surface) pair is its one cache. All
+    cached arrays, and the root and angle arrays they follow from, are
+    copies marked read-only, so the cache cannot go stale. `rerooted` and
+    `dataclasses.replace` build new instances, each with its own FK.
     """
 
     root_rotation: np.ndarray  # (3, 3)
@@ -186,18 +226,12 @@ class KinematicHand:
         return self._fk[1]
 
     @cached_property
-    def _local(self):
-        tape = ad.Tape(grad=False)
-        j, s = fk_vars(self.template, ad.const(self.joint_angles, tape))
-        return _frozen(j.data), _frozen(s.data)
-
-    @cached_property
     def _fk(self):
         tape = ad.Tape(grad=False)
         j, s = root_frame_vars(
             ad.const(self.root_rotation, tape),
             ad.const(self.root_position, tape),
-            *(ad.const(a, tape) for a in self._local),
+            *fk_vars(self.template, ad.const(self.joint_angles, tape)),
         )
         return _frozen(j.data), _frozen(s.data)
 
@@ -210,97 +244,47 @@ class KinematicHand:
     def rerooted(self, world_to_new: SimilarityTransform) -> "KinematicHand":
         """Express the hand in another frame (e.g. object frame -> camera)."""
         pose = world_to_new.compose(self.root_pose)
-        moved = replace(self, root_rotation=pose.R, root_position=pose.t)
-        moved.__dict__["_local"] = self._local  # same angles and template
-        return moved
-
-
-def _rodrigues_var(axis: np.ndarray, theta: ad.Var, tape: ad.Tape) -> ad.Var:
-    K = np.array(
-        [
-            [0, -axis[2], axis[1]],
-            [axis[2], 0, -axis[0]],
-            [-axis[1], axis[0], 0],
-        ]
-    )
-    eye = ad.const(np.eye(3), tape)
-    s = ad.sin(theta)
-    c = ad.cos(theta)
-    one_minus_c = ad.sub(ad.const(np.ones(()), tape), c)
-    return ad.add(eye, ad.add(ad.mul(s, ad.const(K, tape)), ad.mul(one_minus_c, ad.const(K @ K, tape))))
+        return replace(self, root_rotation=pose.R, root_position=pose.t)
 
 
 def fk_vars(template: HandTemplate, angles: ad.Var):
     """Differentiable wrist-frame FK: joint positions (21, 3) and surface
     cloud (S, 3). `root_frame_vars` poses them.
 
-    All per-finger rotations share the finger's fixed flexion axis, so the
-    cumulative rotation at each phalanx is a single Rodrigues rotation of the
-    summed angle.
+    All phalanges of a finger share its fixed flexion axis, so the
+    cumulative rotation at each phalanx is a single Rodrigues rotation of
+    the summed angle: I + sin(theta) K + (1 - cos(theta)) K @ K. A capsule's
+    samples are A + frac * length * vhat + radius (cos(phi) n1 + sin(phi)
+    n2), with vhat its unit axis, n1 = cross(vhat, ref) over its norm and
+    n2 = cross(vhat, n1); the lengths and norms are taken off the tape.
     """
-    tape = angles.tape
-    axes = template.flex_axes()
-    joint_rows = [ad.const(np.zeros(3), tape)]  # wrist at root origin
-    bone_endpoints = []  # (A, B, radius, ref_axis or None)
+    c = template.fk_tables
+    fingers = ad.reshape(angles, (N_FINGERS, 3))
+    th1, th2, th3 = (ad.take(fingers, np.array([k]), axis=1) for k in range(3))
+    cum12 = ad.add(th1, th2)
+    theta = ad.reshape(ad.concat([th1, cum12, ad.add(cum12, th3)], axis=1), (N_ANGLES, 1, 1))
+    rot = ad.add(
+        np.eye(3),
+        ad.add(ad.mul(ad.sin(theta), c.K), ad.mul(ad.sub(1.0, ad.cos(theta)), c.KK)),
+    )
+    steps = ad.reshape(ad.matmul(rot, c.rest_steps), (N_FINGERS, 3, 3))
+    chain = [c.mcp]  # MCP, then PIP, DIP and TIP of every finger at once
+    for k in range(3):
+        chain.append(ad.add(chain[-1], ad.take(steps, np.array([k]), axis=1)))
+    finger_joints = ad.reshape(ad.concat(chain, axis=1), (N_JOINTS - 1, 3))
+    joints = ad.concat([np.zeros((1, 3)), finger_joints], axis=0)
 
-    for f in range(N_FINGERS):
-        mcp = ad.const(template.mcp_offsets[f], tape)
-        u = template.finger_dirs[f]
-        a_f = axes[f]
-        th1 = ad.take(angles, np.array([3 * f]), axis=0)
-        th2 = ad.take(angles, np.array([3 * f + 1]), axis=0)
-        th3 = ad.take(angles, np.array([3 * f + 2]), axis=0)
-        cum12 = ad.add(th1, th2)
-        cum123 = ad.add(cum12, th3)
-        prev = mcp
-        joint_rows.append(mcp)
-        bone_endpoints.append((joint_rows[0], mcp, template.palm_radius, None))
-        for seg, theta in enumerate((th1, cum12, cum123)):
-            R_seg = _rodrigues_var(a_f, ad.reshape(theta, ()), tape)
-            step = ad.matmul(R_seg, ad.const(template.bone_lengths[f, seg] * u, tape))
-            nxt = ad.add(prev, step)
-            joint_rows.append(nxt)
-            radius = template.finger_radii[f] * (0.9 if seg == 2 else 1.0)
-            bone_endpoints.append((prev, nxt, radius, a_f))
-            prev = nxt
-
-    joints_local = ad.stack(joint_rows, axis=0)  # (21, 3)
-
-    counts = template.sample_allocation()
-    surf_rows = []
-    for (A, B, radius, ref), n_b in zip(bone_endpoints, counts):
-        if n_b == 0:
-            continue
-        frac = (np.arange(n_b) + 0.5) / n_b
-        phi = np.arange(n_b) * _GOLDEN
-        seg = ad.sub(B, A)
-        length = float(np.linalg.norm(seg.data))
-        vhat = ad.div(seg, length)
-        if ref is None:
-            # palm bones lie in the z = 0 plane; palm normal is a valid ref
-            ref = np.array([0.0, 0.0, 1.0])
-        n1 = ad.cross3(vhat, ad.const(ref, tape))
-        n1 = ad.div(n1, float(np.linalg.norm(n1.data)))
-        n2 = ad.cross3(vhat, n1)
-        pts = ad.add(
-            ad.reshape(A, (1, 3)),
-            ad.add(
-                ad.mul(ad.const((frac * length)[:, None], tape), ad.reshape(vhat, (1, 3))),
-                ad.add(
-                    ad.mul(
-                        ad.const((radius * np.cos(phi))[:, None], tape),
-                        ad.reshape(n1, (1, 3)),
-                    ),
-                    ad.mul(
-                        ad.const((radius * np.sin(phi))[:, None], tape),
-                        ad.reshape(n2, (1, 3)),
-                    ),
-                ),
-            ),
-        )
-        surf_rows.append(pts)
-    surface_local = ad.concat(surf_rows, axis=0)
-    return joints_local, surface_local
+    seg = ad.sub(ad.take(joints, c.bone_b), ad.take(joints, c.bone_a))
+    lengths = _row_norms(seg.data)
+    vhat = ad.div(seg, lengths)
+    n1 = ad.cross3(vhat, c.refs)
+    n1 = ad.div(n1, _row_norms(n1.data))
+    n2 = ad.cross3(vhat, n1)
+    b = c.sample_bone
+    axial = ad.mul(c.frac * lengths[b], ad.take(vhat, b))
+    ring = ad.add(ad.mul(c.ring_cos, ad.take(n1, b)), ad.mul(c.ring_sin, ad.take(n2, b)))
+    surface = ad.add(ad.take(joints, c.bone_a[b]), ad.add(axial, ring))
+    return joints, surface
 
 
 def root_frame_vars(root_R: ad.Var, root_t: ad.Var, *local: ad.Var) -> tuple:

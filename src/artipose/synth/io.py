@@ -283,9 +283,10 @@ def generate_dataset(
     independent of history. If all fail, GraspFailure counts each reason.
     Drawer instances get a fixed `drawers` sliding parts (3 by default) so
     every scene in a dataset has the same part count. A negative count, or
-    drawers None, raises ValueError before anything is written, as do
-    n_points below MIN_N_POINTS, surface_samples below 1, a tau that is not
-    positive and finite, and a negative min_contacts.
+    for the drawer category drawers None or outside 1..3, raises ValueError
+    before anything is written, as do n_points below MIN_N_POINTS,
+    surface_samples below 1, a tau that is not positive and finite, and a
+    negative min_contacts.
 
     Scenes depend on nothing but their index, so they are built across
     k = min(usable CPUs, count) processes: the calling process builds the
@@ -311,6 +312,8 @@ def generate_dataset(
         raise ValueError(f"min_contacts must be >= 0, got {min_contacts}")
     if category == "drawer" and drawers is None:
         raise ValueError("the drawer category needs a fixed drawers count")
+    if category == "drawer" and not 1 <= drawers <= 3:
+        raise ValueError(f"drawers must be in 1..3, got {drawers}")
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     build = functools.partial(

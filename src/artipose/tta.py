@@ -24,7 +24,7 @@ from . import autodiff as ad
 from . import diffgeom as dg
 from . import nn
 from .estimator import Estimator, HeadOutput, assemble_graph, assemble_pose, scene_layouts
-from .geometry import box_half_extents, matrix_to_rot6d, rot6d_to_matrix
+from .geometry import box_half_extents, matrix_to_rot6d
 from .priors import Discriminator, g_adv_loss_graph
 from .synth.hand import ANGLE_HI, ANGLE_LO, KinematicHand, fk_vars, root_frame_vars
 
@@ -164,11 +164,11 @@ def optimize_hand(
         ang = store.use("ang", tape, dtype=np.float64)
         R, degenerate = dg.rot6d_to_matrix(r6)
         (surface,) = root_frame_vars(R, t, fk_vars(template, ang)[1])
-        return dg.chamfer_fixed(surface, ad.const(C, tape)), degenerate
+        return dg.chamfer_fixed(surface, ad.const(C, tape)), R, degenerate
 
-    def snapshot():
+    def snapshot(R):
         return KinematicHand(
-            rot6d_to_matrix(store.params["r6"]),
+            R.data,
             store.params["t"].astype(np.float64),
             np.clip(store.params["ang"].astype(np.float64), ANGLE_LO, ANGLE_HI),
             template,
@@ -178,7 +178,7 @@ def optimize_hand(
     best_loss, best_hand = np.inf, hand_init
     for it in range(cfg.iters + 1):
         tape = ad.Tape(grad=it < cfg.iters)
-        loss, degenerate = chamfer_at(tape)
+        loss, R, degenerate = chamfer_at(tape)
         if degenerate:
             return HandOptResult(best_hand, trace, aborted=f"iter {it}: degenerate root rotation")
         value = float(loss.data)
@@ -186,7 +186,7 @@ def optimize_hand(
             return HandOptResult(best_hand, trace, aborted=f"iter {it}: non-finite loss")
         trace.append(value)
         if value < best_loss:
-            best_loss, best_hand = value, snapshot()
+            best_loss, best_hand = value, snapshot(R)
         if it == cfg.iters:
             break
         nn.descend(tape, loss, [store], cfg.lr)

@@ -677,3 +677,77 @@ def generate_dataset_serial(
         json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8"
     )
     return root
+
+
+_GOLDEN_ANGLE = 2.399963229728653
+
+
+def _rodrigues_one(axis, theta, tape):
+    K = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
+    s = ad.sin(theta)
+    one_minus_c = ad.sub(ad.const(np.ones(()), tape), ad.cos(theta))
+    return ad.add(ad.const(np.eye(3), tape), ad.add(ad.mul(s, ad.const(K, tape)), ad.mul(one_minus_c, ad.const(K @ K, tape))))
+
+
+def _sample_counts(template):
+    """Per-bone surface sample counts by capsule length x radius at rest,
+    largest remainder to the exact total."""
+    joints = np.zeros((21, 3))
+    for f in range(5):
+        p = template.mcp_offsets[f].copy()
+        joints[1 + 4 * f] = p
+        for seg in range(3):
+            p = p + template.bone_lengths[f, seg] * template.finger_dirs[f]
+            joints[2 + 4 * f + seg] = p
+    weights = np.array([np.linalg.norm(joints[b] - joints[a]) * r for a, b, r in template.bones()])
+    raw = weights / np.sum(weights) * template.surface_samples
+    counts = np.floor(raw).astype(int)
+    for idx in np.argsort(-(raw - counts))[: template.surface_samples - counts.sum()]:
+        counts[idx] += 1
+    return counts
+
+
+def fk_vars_per_finger(template, angles):
+    """Wrist-frame hand FK one finger and one phalanx at a time, then one
+    capsule at a time: joints (21, 3) and surface (S, 3) Vars. The oracle
+    of the batched synth.hand.fk_vars."""
+    tape = angles.tape
+    z = np.array([0.0, 0.0, 1.0])
+    joint_rows = [ad.const(np.zeros(3), tape)]
+    bone_endpoints = []  # (A, B, radius, ref axis)
+    for f in range(5):
+        mcp = ad.const(template.mcp_offsets[f], tape)
+        u = template.finger_dirs[f]
+        axis = np.cross(u, z)
+        axis = axis / np.linalg.norm(axis)
+        th1, th2, th3 = (ad.take(angles, np.array([3 * f + k]), axis=0) for k in range(3))
+        cum12 = ad.add(th1, th2)
+        prev = mcp
+        joint_rows.append(mcp)
+        bone_endpoints.append((joint_rows[0], mcp, template.palm_radius, z))
+        for seg, theta in enumerate((th1, cum12, ad.add(cum12, th3))):
+            R = _rodrigues_one(axis, ad.reshape(theta, ()), tape)
+            nxt = ad.add(prev, ad.matmul(R, ad.const(template.bone_lengths[f, seg] * u, tape)))
+            joint_rows.append(nxt)
+            bone_endpoints.append((prev, nxt, template.finger_radii[f] * (0.9 if seg == 2 else 1.0), axis))
+            prev = nxt
+
+    surf_rows = []
+    for (A, B, radius, ref), n_b in zip(bone_endpoints, _sample_counts(template)):
+        if n_b == 0:
+            continue
+        frac = (np.arange(n_b) + 0.5) / n_b
+        phi = np.arange(n_b) * _GOLDEN_ANGLE
+        seg = ad.sub(B, A)
+        length = float(np.linalg.norm(seg.data))
+        vhat = ad.div(seg, length)
+        n1 = ad.cross3(vhat, ad.const(ref, tape))
+        n1 = ad.div(n1, float(np.linalg.norm(n1.data)))
+        n2 = ad.cross3(vhat, n1)
+        circle = ad.add(
+            ad.mul(ad.const((radius * np.cos(phi))[:, None], tape), ad.reshape(n1, (1, 3))),
+            ad.mul(ad.const((radius * np.sin(phi))[:, None], tape), ad.reshape(n2, (1, 3))),
+        )
+        axial = ad.mul(ad.const((frac * length)[:, None], tape), ad.reshape(vhat, (1, 3)))
+        surf_rows.append(ad.add(ad.reshape(A, (1, 3)), ad.add(axial, circle)))
+    return ad.stack(joint_rows, axis=0), ad.concat(surf_rows, axis=0)

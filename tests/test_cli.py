@@ -127,15 +127,6 @@ class TestHandOpt:
         assert cli.main(["hand-opt", "--dataset", str(tmp_path / "no_such_dataset")]) == 1
         assert "usage error: --checkpoint required unless --gt-contact is set" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lr", ["0", "-1.0"])
-    def test_non_positive_lr_is_runtime_error(self, trained, capsys, lr):
-        root, ds, _ = trained
-        out = root / f"lr_{lr}.csv"
-        argv = ["hand-opt", "--gt-contact", "--dataset", str(ds), "--iters", "1", "--lr", lr, "--out", str(out)]
-        assert cli.main(argv) == 2
-        assert "error: ValueError: lr must be positive" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_checkpoint_without_diffusion_steps_is_runtime_error(self, trained, capsys):
         root, ds, ckpt = trained
         stores, meta = nn.load_checkpoint(ckpt)
@@ -190,6 +181,25 @@ class TestEval:
         assert cli.main(argv + ["--out", str(root / f"rejected_{command}.csv")]) == 1
         assert not (root / f"rejected_{command}.csv").exists()
 
+
+    @pytest.mark.parametrize("prefix", ["rot.", "nocs.", ""])
+    def test_nan_weights_give_invalid_parts(self, trained, capsys, prefix):
+        # NaN rot or NOCS heads leave the segmentation intact: every part has
+        # points and its fit is recorded as non-finite; NaN everywhere
+        # starves the parts instead
+        root, ds, ckpt = trained
+        stores, meta = nn.load_checkpoint(ckpt)
+        for name, value in stores["estimator"].params.items():
+            if name.startswith(prefix):
+                value[...] = np.nan
+        bad = root / f"nan_{prefix or 'all'}.ckpt"
+        nn.save_checkpoint(bad, stores, meta=meta)
+        out = root / f"nan_{prefix or 'all'}.csv"
+        assert cli.main(["eval", "--checkpoint", str(bad), "--dataset", str(ds), "--out", str(out)]) == 0
+        rows = dict(read_rows(out))
+        assert rows["invalid_parts"] == "4"
+        assert rows["mIoU"] == "0.0"
+        assert "invalid_parts: 4" in capsys.readouterr().out
 
     @pytest.mark.parametrize("key, value", [("head_hidden", 64), ("center_input", False)])
     def test_other_architecture_is_runtime_error(self, trained, capsys, key, value):
@@ -258,6 +268,29 @@ class TestNegativeCounts:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: ValueError: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("tta", "--steps", "-1", "must be >= 0, got -1"),
+            ("tta", "--lr", "0", "must be > 0, got 0.0"),
+            ("tta", "--lr", "nan", "must be > 0, got nan"),
+            ("hand-opt", "--iters", "0", "must be >= 1, got 0"),
+            ("hand-opt", "--generations", "0", "must be >= 1, got 0"),
+            ("hand-opt", "--lr", "-1", "must be > 0, got -1.0"),
+            ("hand-opt", "--lr", "0", "must be > 0, got 0.0"),
+            ("hand-opt", "--perturb", "nan", "must be finite and >= 0, got nan"),
+            ("hand-opt", "--perturb", "-0.1", "must be finite and >= 0, got -0.1"),
+        ],
+    )
+    def test_numbers_checked_before_loading(self, tmp_path, capsys, monkeypatch, command, flag, value, message):
+        monkeypatch.setattr(cli, "load_dataset", lambda *args, **kwargs: pytest.fail("dataset loaded"))
+        monkeypatch.setattr(cli.est_mod, "load_estimator", lambda path: pytest.fail("checkpoint loaded"))
+        out = tmp_path / "report.csv"
+        argv = [command, "--checkpoint", str(tmp_path / "m.ckpt"), "--dataset", str(tmp_path / "ds")]
+        assert cli.main(argv + ["--out", str(out), flag, value]) == 1
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["eval", "tta", "hand-opt"])
     def test_limit(self, trained, capsys, command):

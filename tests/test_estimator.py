@@ -195,6 +195,17 @@ class TestAssemblePose:
         assert not ests[1].valid
         assert len(ests[1].members) == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["nocs", "rot6d"])
+    def test_non_finite_inputs_are_a_reason(self, scene, field, bad):
+        # today's reasons come first: part 1 is starved to 2 points
+        labels = scene.seg.astype(np.int64)
+        labels[np.flatnonzero(labels == 2)[2:]] = E.HAND_CLASS
+        pred = E.HeadOutput(np.eye(3)[labels] * 20.0, scene.nocs.copy(), E.gt_rot6d(scene.part_poses))
+        getattr(pred, field)[0] = bad
+        ests = E.assemble_pose(scene.cloud, pred, scene.canonical_boxes)
+        assert [(e.valid, e.reason) for e in ests] == [(False, "non-finite fit"), (False, "2 points")]
+
     @pytest.mark.parametrize(
         "starved, degenerate, first_failure",
         [

@@ -41,7 +41,14 @@ from artipose.synth.render import (
     ray_capsule_hits,
     sample_camera,
 )
-from helpers import bits, box_surface_points, fps_rowwise, generate_dataset_serial, render_every_ray
+from helpers import (
+    bits,
+    box_surface_points,
+    fk_vars_per_finger,
+    fps_rowwise,
+    generate_dataset_serial,
+    render_every_ray,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +206,9 @@ class TestHandFkCache:
             assert np.array_equal(derived.joints(), fresh.joints())
             assert np.array_equal(derived.surface(), fresh.surface())
             assert not np.array_equal(derived.joints(), base.joints())
-        # base, the replaced hand and the two fresh hands run the wrist-frame
-        # FK; the rerooted hand reuses base's
-        assert len(fk_calls) == 4
+        # every hand runs its own FK: base, the rerooted and the replaced
+        # hand, and the two fresh hands
+        assert len(fk_calls) == 5
 
     def test_cached_fk_matches_one_tape_fk(self):
         rng = np.random.default_rng(8)
@@ -221,6 +228,13 @@ class TestHandFkCache:
                 assert np.array_equal(bits(h.joints()), bits(joints.data))
                 assert np.array_equal(bits(h.surface()), bits(surface.data))
 
+    def test_template_arrays_read_only(self):
+        tmpl = default_hand_template(128)
+        for arr in (tmpl.mcp_offsets, tmpl.finger_dirs, tmpl.bone_lengths, tmpl.finger_radii):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert tmpl.fk_tables is tmpl.fk_tables
+
     def test_cached_and_parameter_arrays_read_only(self):
         hand = self.hand()
         for arr in (hand.joints(), hand.surface(), hand.root_rotation, hand.root_position, hand.joint_angles):
@@ -232,6 +246,59 @@ class TestHandFkCache:
         hand = KinematicHand(np.eye(3), np.zeros(3), angles, default_hand_template(128))
         angles[:] = 1.0
         assert (hand.joint_angles == 0.5).all()
+
+
+class TestBatchedFk:
+    """fk_vars against the per-finger, per-capsule FK it replaced
+    (helpers.fk_vars_per_finger): the same bits, the same gradients, and a
+    fixed, small op count."""
+
+    SIZES = (128, 200, 512)
+
+    @staticmethod
+    def angle_sets(rng, n):
+        sets = [np.zeros(15), np.full(15, np.pi / 2)]
+        while len(sets) < n:
+            a = rng.uniform(0, np.pi / 2, 15)
+            pick = rng.random(15)
+            if len(sets) % 2:  # exact limits mixed in
+                a[pick < 0.25] = 0.0
+                a[pick > 0.75] = np.pi / 2
+            sets.append(a)
+        return sets
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_joints_and_surface_bit_for_bit(self, size):
+        tmpl = default_hand_template(size)
+        for angles in self.angle_sets(np.random.default_rng(size), 300):
+            tape = ad.Tape(grad=False)
+            joints, surface = hand_mod.fk_vars(tmpl, ad.const(angles, tape))
+            want_joints, want_surface = fk_vars_per_finger(tmpl, ad.const(angles, tape))
+            assert np.array_equal(bits(joints.data), bits(want_joints.data))
+            assert np.array_equal(bits(surface.data), bits(want_surface.data))
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_angle_gradients_match(self, size):
+        tmpl = default_hand_template(size)
+        rng = np.random.default_rng(size + 1)
+        for angles in self.angle_sets(rng, 20):
+            g_joints, g_surface = rng.normal(size=(21, 3)), rng.normal(size=(size, 3))
+            grads = []
+            for fk in (hand_mod.fk_vars, fk_vars_per_finger):
+                tape = ad.Tape()
+                leaf = ad.leaf(angles, tape)
+                joints, surface = fk(tmpl, leaf)
+                tape.backward(ad.add(ad.vsum(ad.mul(joints, g_joints)), ad.vsum(ad.mul(surface, g_surface))))
+                grads.append(leaf.grad)
+            assert np.max(np.abs(grads[0] - grads[1])) <= 1e-12 * np.max(np.abs(grads[1]))
+
+    def test_few_records_whatever_the_size(self):
+        counts = set()
+        for size in self.SIZES:
+            tape = ad.Tape()
+            hand_mod.fk_vars(default_hand_template(size), ad.leaf(np.full(15, 0.4), tape))
+            counts.add(len(tape._ops))
+        assert len(counts) == 1 and counts.pop() <= 60
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +704,12 @@ class TestDataset:
     def test_drawer_needs_fixed_count(self, tmp_path):
         with pytest.raises(ValueError, match="fixed drawers count"):
             generate_dataset(tmp_path / "ds", "drawer", 4, seed=0, drawers=None)
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("drawers", [0, 4])
+    def test_drawer_count_outside_1_to_3_rejected_before_writing(self, tmp_path, drawers):
+        with pytest.raises(ValueError, match=f"^drawers must be in 1..3, got {drawers}$"):
+            generate_dataset(tmp_path / "ds", "drawer", 1, seed=0, drawers=drawers)
         assert not (tmp_path / "ds").exists()
 
     def test_negative_count_rejected(self, tmp_path):

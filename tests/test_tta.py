@@ -164,6 +164,23 @@ class TestAdaptObject:
         assert result.after is result.before
         assert [(p.valid, p.reason) for p in result.before] == [(False, "first column near zero")] * 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_first_estimate_aborts_at_step_0(self, est, disc, scene, monkeypatch, bad):
+        fail_first_pass(monkeypatch, lambda seg, nocs, rot: (seg, nocs, ad.mul(rot, bad)))
+        result = adapt(est, disc, scene, steps=2)
+        assert result.aborted == "step 0: part 0: non-finite fit"
+        assert result.trace == []
+        assert result.after is result.before
+        assert [(p.valid, p.reason) for p in result.before] == [(False, "non-finite fit")] * 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_layout_aborts_mid_run(self, est, disc, scene, monkeypatch, bad):
+        fail_layout_at(monkeypatch, 1, lambda labels, nocs, rot: (labels, ad.mul(nocs, bad), rot))
+        result = adapt(est, disc, scene, steps=3)
+        assert result.aborted == "step 1: part 0: non-finite fit"
+        assert len(result.trace) == 1
+        assert result.after is result.before
+
     def test_starved_first_estimate_aborts_at_step_0(self, est, disc, scene, monkeypatch):
         fail_first_pass(monkeypatch, hand_seg)
         result = adapt(est, disc, scene, steps=1)
