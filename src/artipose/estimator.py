@@ -210,9 +210,10 @@ class Estimator:
     # -- public per-scene forward -------------------------------------------
 
     def prepare_input(self, cloud: np.ndarray) -> np.ndarray:
-        """Encoder input view of a cloud: float32, minus its centroid."""
+        """Encoder input view of one (N, 3) cloud or a (..., N, 3) batch:
+        float32, each cloud minus its centroid."""
         cloud = np.asarray(cloud, dtype=np.float32)
-        return cloud - cloud.mean(axis=0)
+        return cloud - cloud.mean(axis=-2, keepdims=True)
 
     def encode(self, cloud: np.ndarray) -> EncoderOutput:
         cloud = np.asarray(cloud, dtype=np.float32)
@@ -470,7 +471,7 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 23]))
 
     clouds = np.stack([s.cloud for s in scenes]).astype(np.float32)
-    clouds_in = clouds - clouds.mean(axis=1, keepdims=True)
+    clouds_in = est.prepare_input(clouds)
     seg_labels = np.stack([s.seg for s in scenes]).astype(np.int64)
     gt_nocs = np.stack([s.nocs for s in scenes]).astype(np.float32)
     gt_rots = np.stack([gt_rot6d(s.part_poses) for s in scenes]).astype(np.float32)
@@ -478,16 +479,12 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
     real_boxes = np.stack([np.stack([b.vertices for b in s.posed_boxes]) for s in scenes])
     contact_enc = np.stack([priors.encode_contact(s.contact)[:, 0] for s in scenes])
 
-    use_adv = config.lambda_adv > 0
-    use_diff = config.lambda_diff > 0
-    disc = (
-        priors.Discriminator.create(part_count, config.seed + 1) if use_adv else None
-    )
+    disc = priors.Discriminator.create(part_count, config.seed + 1) if config.lambda_adv > 0 else None
     diffuser = (
         priors.ContactDiffuser.create(
             spec.feature_dim, config.seed + 2, priors.NoiseSchedule.linear(config.diffusion_steps)
         )
-        if use_diff
+        if config.lambda_diff > 0
         else None
     )
 
@@ -499,7 +496,7 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
         for epoch in range(config.epochs):
             order = rng.permutation(n)
             lr_now = config.lr_at(epoch)
-            sums = dict.fromkeys(LOG_COLUMNS[1:-1], 0.0)
+            sums = np.zeros(len(LOG_COLUMNS) - 2)
             batches = adv_batches = adv_scenes = 0
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
@@ -523,7 +520,7 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
 
                 l_adv = 0.0
                 fake_vars = []
-                if use_adv:
+                if disc is not None:
                     labels = np.argmax(seg.data, axis=1).reshape(B, n_pts)
                     *_, boxes, reasons = assemble_graph(tape, clouds[idx], labels, nocs, rot, extents[idx])
                     layouts = scene_layouts(boxes, reasons)
@@ -534,12 +531,10 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
                         total = ad.add(total, ad.mul(adv_var, config.lambda_adv))
 
                 l_diff = 0.0
-                if use_diff:
+                if diffuser is not None:
                     sub = rng.integers(0, n_pts, size=(B, config.diffusion_points))
                     rows = (np.arange(B)[:, None] * n_pts + sub).reshape(-1)
-                    x0 = np.stack(
-                        [contact_enc[si][sub[bi]] for bi, si in enumerate(idx)]
-                    ).reshape(-1, 1)
+                    x0 = contact_enc[idx[:, None], sub].reshape(-1, 1)
                     t_step = int(rng.integers(1, diffuser.schedule.T + 1))
                     eps = rng.standard_normal(x0.shape).astype(np.float32)
                     diff_var = priors.diff_loss_graph(
@@ -557,22 +552,11 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
                     adv_batches += 1
                     adv_scenes += len(fake_vars)
 
-                for key, val in (
-                    ("L_pose", l_pose),
-                    ("L_seg", float(parts["seg"].data)),
-                    ("L_nocs", float(parts["nocs"].data)),
-                    ("L_rot", float(parts["rot"].data)),
-                    ("L_adv", l_adv),
-                    ("L_diff", l_diff),
-                    ("L_D", l_d),
-                ):
-                    sums[key] += val
+                sums += [l_pose, parts["seg"].data, parts["nocs"].data, parts["rot"].data, l_adv, l_diff, l_d]
                 batches += 1
-            means = [
-                sums[c] / (max(adv_batches, 1) if c in ("L_adv", "L_D") else batches)
-                for c in LOG_COLUMNS[1:-1]
-            ]
-            writer.writerow([epoch] + [repr(m) for m in means] + [adv_scenes])
+            a = max(adv_batches, 1)  # L_adv and L_D average over the batches that fed D
+            means = sums / [batches, batches, batches, batches, a, batches, a]
+            writer.writerow([epoch] + [repr(float(m)) for m in means] + [adv_scenes])
 
     ckpt = out / config.checkpoint
     stores = {"estimator": est.store}
@@ -585,9 +569,9 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
         "diffusion_steps": config.diffusion_steps,
         "config": {k: getattr(config, k) for k in config.__dataclass_fields__},
     }
-    if use_adv:
+    if disc is not None:
         stores["discriminator"] = disc.store
-    if use_diff:
+    if diffuser is not None:
         stores["diffuser"] = diffuser.store
     nn.save_checkpoint(ckpt, stores, meta=meta)
     return ckpt

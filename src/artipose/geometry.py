@@ -52,6 +52,11 @@ def cross(a, b) -> np.ndarray:
     return out
 
 
+def unit(v) -> np.ndarray:
+    """v / |v| for one vector."""
+    return v / np.linalg.norm(v)
+
+
 def _allclose(x, y) -> bool:
     """np.allclose(x, y, rtol=1e-5, atol=1e-6) without its per-call set-up:
     the same elementwise test, |x - y| <= atol + rtol * |y| where y is

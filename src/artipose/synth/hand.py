@@ -21,7 +21,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..errors import GraspFailure
-from ..geometry import OrientedBox, SimilarityTransform, cross, point_box_distance, transform_box
+from ..geometry import OrientedBox, SimilarityTransform, cross, point_box_distance, transform_box, unit
 from .instances import ArticulatedInstance, part_poses_object
 
 N_FINGERS = 5
@@ -38,11 +38,6 @@ _PALM_NORMAL = np.array([0.0, 0.0, 1.0])
 # within tau of the part cuboids, and gives up after this many draws.
 GRASP_MIN_CONTACTS = 20
 GRASP_MAX_ATTEMPTS = 50
-
-
-def _unit(v):
-    v = np.asarray(v, dtype=np.float64)
-    return v / np.linalg.norm(v)
 
 
 def _frozen(a) -> np.ndarray:
@@ -121,7 +116,7 @@ class HandTemplate:
         sum to surface_samples; a bone's n samples sit at fractions
         (j + 0.5) / n along it and at golden-angle phases j x 2.39996.
         """
-        axes = np.stack([_unit(cross(d, _PALM_NORMAL)) for d in self.finger_dirs])
+        axes = np.stack([unit(cross(d, _PALM_NORMAL)) for d in self.finger_dirs])
         x, y, z = axes.T
         zero = np.zeros(N_FINGERS)
         K = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(N_FINGERS, 3, 3)
@@ -303,19 +298,15 @@ def _grasp_face(instance: ArticulatedInstance, joint_index: int):
     """Pick the movable part's face opposite its joint anchor (local frame).
 
     "Opposite" = the face whose outward normal points most directly away
-    from the anchor, i.e. minimizes anchor . normal.
+    from the anchor, i.e. minimizes anchor . normal: the axis of the
+    anchor's largest |component| (the first on a tie), with the sign
+    against that component (-1 when it is zero).
     """
     joint = instance.joints[joint_index]
     part = instance.parts[joint.child]
     a_local = part.rest_rotation.T @ (joint.anchor - part.rest_position)
-    best, best_score = None, np.inf
-    for axis in range(3):
-        for sign in (-1.0, 1.0):
-            score = sign * a_local[axis]
-            if score < best_score:
-                best_score = score
-                best = (axis, sign)
-    return best
+    axis = int(np.argmax(np.abs(a_local)))
+    return axis, 1.0 if a_local[axis] < 0 else -1.0
 
 
 def pose_hand_grasp(
@@ -367,7 +358,7 @@ def pose_hand_grasp(
         u = wrap_sign * wrap_dir
         z_root = -normal  # palm normal points at the face
         y_root = u
-        x_root = _unit(cross(y_root, z_root))
+        x_root = unit(cross(y_root, z_root))
         y_root = cross(z_root, x_root)
         R_root = np.stack([x_root, y_root, z_root], axis=1)
         # the curl arc advances ~0.03-0.05 m along the finger direction

@@ -1,20 +1,8 @@
 """Dataset directory layout: manifest.json + per-scene flat binary files.
 
-All binary payloads are little-endian. Per scene directory:
-
-    cloud.f32         N x 3 float32   camera-frame points, meters
-    seg.u8            N   uint8       0 = hand, p+1 = part p
-    nocs.f32          N x 3 float32   valid only at object points
-    contact.u8        N   uint8
-    poses.f32         P x 13 float32  per part: rotation row-major (9),
-                                      translation (3), scale (1)
-    boxes.f32         P x 8 x 3       posed box corners (canonical bit order)
-    hand_joints.f32   21 x 3
-    hand_surface.f32  S x 3
-    hand_params.f32   27              root rotation row-major (9), root
-                                      position (3), 15 flexion angles
-
-Canonical boxes are +/- the per-part half extents recorded in the manifest.
+Each scene directory holds one little-endian file per entry of
+SCENE_FILES, which gives its dtype and shape. Canonical boxes are +/- the
+per-part half extents recorded in the manifest.
 
 Scene i depends only on (seed, i), so `generate_dataset` builds the scenes
 of one call in k = min(usable CPUs, count) processes: the calling process
@@ -35,6 +23,7 @@ import json
 import math
 import shutil
 import threading
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -57,14 +46,26 @@ MIN_VISIBLE_CONTACTS = 4
 MIN_N_POINTS = 8  # the smallest cloud the estimator's encoder takes
 MAX_SCENE_ATTEMPTS = 40
 
+# The files of one scene directory: name -> (dtype, shape), in write order.
+# The manifest names the leading sizes: N = n_points, P = the entry's part
+# count (its half_extents rows) and S = surface_samples.
+SCENE_FILES = {
+    "cloud.f32": ("<f4", ("N", 3)),  # camera-frame points, meters
+    "seg.u8": ("u1", ("N",)),  # 0 = hand, p+1 = part p
+    "nocs.f32": ("<f4", ("N", 3)),  # valid only at object points
+    "contact.u8": ("u1", ("N",)),
+    "poses.f32": ("<f4", ("P", 13)),  # rotation row-major (9), translation (3), scale (1)
+    "boxes.f32": ("<f4", ("P", 8, 3)),  # posed box corners, canonical bit order
+    "hand_joints.f32": ("<f4", (21, 3)),
+    "hand_surface.f32": ("<f4", ("S", 3)),
+    "hand_params.f32": ("<f4", (27,)),  # root rotation row-major (9), root position (3), 15 angles
+}
 
-def _write_array(path: Path, arr: np.ndarray, dtype: str) -> None:
-    path.write_bytes(np.ascontiguousarray(arr, dtype=dtype).tobytes())
 
-
-def _read_array(path: Path, dtype: str, shape) -> np.ndarray:
-    data = np.frombuffer(path.read_bytes(), dtype=dtype)
-    return data.reshape(shape)
+def _stem(name: str) -> str:
+    """"cloud" for "cloud.f32": a SCENE_FILES name's key in the manifest's
+    dtypes and in the arrays of save_scene and load_scene."""
+    return name.split(".")[0]
 
 
 def scene_dir(root: Path, scene_id: str) -> Path:
@@ -75,38 +76,26 @@ def save_scene(root: Path, record: SceneRecord) -> dict:
     """Write one scene's binaries; returns its manifest entry."""
     d = scene_dir(root, record.scene_id)
     d.mkdir(parents=True, exist_ok=True)
-    _write_array(d / "cloud.f32", record.cloud, "<f4")
-    _write_array(d / "seg.u8", record.seg, "u1")
-    _write_array(d / "nocs.f32", record.nocs, "<f4")
-    _write_array(d / "contact.u8", record.contact, "u1")
-    poses = np.stack(
-        [
-            np.concatenate([p.R.reshape(9), p.t, [p.s]])
-            for p in record.part_poses
-        ]
-    )
-    _write_array(d / "poses.f32", poses, "<f4")
-    boxes = np.stack([b.vertices for b in record.posed_boxes])
-    _write_array(d / "boxes.f32", boxes, "<f4")
-    _write_array(d / "hand_joints.f32", record.hand_joints, "<f4")
-    _write_array(d / "hand_surface.f32", record.hand_surface, "<f4")
-    _write_array(d / "hand_params.f32", record.hand.params(), "<f4")
-    cam = record.camera
+    arrays = {
+        "cloud": record.cloud,
+        "seg": record.seg,
+        "nocs": record.nocs,
+        "contact": record.contact,
+        "poses": np.stack([np.concatenate([p.R.reshape(9), p.t, [p.s]]) for p in record.part_poses]),
+        "boxes": np.stack([b.vertices for b in record.posed_boxes]),
+        "hand_joints": record.hand_joints,
+        "hand_surface": record.hand_surface,
+        "hand_params": record.hand.params(),
+    }
+    for name, (dtype, _) in SCENE_FILES.items():
+        (d / name).write_bytes(np.ascontiguousarray(arrays[_stem(name)], dtype=dtype).tobytes())
+    camera = {f.name: getattr(record.camera, f.name) for f in fields(Camera)}
     return {
         "id": record.scene_id,
         "seed": record.scene_seed,
         "joint_state": [float(v) for v in record.joint_state],
         "half_extents": [[float(v) for v in h] for h in record.half_extents()],
-        "camera": {
-            "fx": cam.fx,
-            "fy": cam.fy,
-            "cx": cam.cx,
-            "cy": cam.cy,
-            "width": cam.width,
-            "height": cam.height,
-            "R": [float(v) for v in cam.R.reshape(9)],
-            "t": [float(v) for v in cam.t],
-        },
+        "camera": {k: v.ravel().tolist() if isinstance(v, np.ndarray) else v for k, v in camera.items()},
     }
 
 
@@ -343,17 +332,7 @@ def generate_dataset(
         "part_count": part_count,
         "drawers": drawers if category == "drawer" else None,
         "image_size": [IMAGE_WIDTH, IMAGE_HEIGHT],
-        "dtypes": {
-            "cloud": "<f4",
-            "seg": "u1",
-            "nocs": "<f4",
-            "contact": "u1",
-            "poses": "<f4",
-            "boxes": "<f4",
-            "hand_joints": "<f4",
-            "hand_surface": "<f4",
-            "hand_params": "<f4",
-        },
+        "dtypes": {_stem(name): dtype for name, (dtype, _) in SCENE_FILES.items()},
         "scenes": entries,
     }
     (root / "manifest.json").write_text(
@@ -363,69 +342,57 @@ def generate_dataset(
 
 
 def load_manifest(root) -> dict:
+    """The manifest of a dataset directory; ValueError when it is not an
+    artipose dataset of this FORMAT_VERSION."""
     manifest = json.loads((Path(root) / "manifest.json").read_text(encoding="utf-8"))
     if manifest.get("format") != FORMAT_NAME:
         raise ValueError(f"{root} is not an {FORMAT_NAME} directory")
+    if manifest.get("version") != FORMAT_VERSION:
+        raise ValueError(f"{root} is {FORMAT_NAME} version {manifest.get('version')!r}, not {FORMAT_VERSION}")
     return manifest
 
 
 def load_scene(root, manifest: dict, entry: dict) -> SceneRecord:
-    """Rebuild a SceneRecord (float64 in memory) from one manifest entry."""
+    """Rebuild a SceneRecord (float64 in memory) from one manifest entry.
+
+    A file whose size is not that of its SCENE_FILES shape raises
+    ValueError naming the scene and the file."""
     d = scene_dir(Path(root), entry["id"])
-    n = manifest["n_points"]
-    s = manifest["surface_samples"]
     half_extents = np.asarray(entry["half_extents"], dtype=np.float64)
-    p = len(half_extents)
+    sizes = {"N": manifest["n_points"], "P": len(half_extents), "S": manifest["surface_samples"]}
+    arrays = {}
+    for name, (dtype, dims) in SCENE_FILES.items():
+        shape = tuple(sizes.get(k, k) for k in dims)
+        data = (d / name).read_bytes()
+        if len(data) != np.dtype(dtype).itemsize * math.prod(shape):
+            raise ValueError(f"scene {entry['id']}: {name} has {len(data)} bytes, not a {shape} {dtype} array")
+        # float files load as float64, byte files as writable uint8 copies
+        arr = np.frombuffer(data, dtype=dtype).reshape(shape)
+        arrays[_stem(name)] = arr.astype(np.float64 if arr.dtype.kind == "f" else arr.dtype)
 
-    cloud = _read_array(d / "cloud.f32", "<f4", (n, 3)).astype(np.float64)
-    seg = _read_array(d / "seg.u8", "u1", (n,)).copy()
-    nocs = _read_array(d / "nocs.f32", "<f4", (n, 3)).astype(np.float64)
-    contact = _read_array(d / "contact.u8", "u1", (n,)).copy()
-    poses_raw = _read_array(d / "poses.f32", "<f4", (p, 13)).astype(np.float64)
-    boxes_raw = _read_array(d / "boxes.f32", "<f4", (p, 8, 3)).astype(np.float64)
-    hand_joints = _read_array(d / "hand_joints.f32", "<f4", (21, 3)).astype(np.float64)
-    hand_surface = _read_array(d / "hand_surface.f32", "<f4", (s, 3)).astype(np.float64)
-    hand_params = _read_array(d / "hand_params.f32", "<f4", (27,)).astype(np.float64)
-
-    template = default_hand_template(s)
-    # re-orthonormalize the float32 root rotation before the strict ctor
-    root_R = hand_params[:9].reshape(3, 3)
-    u, _, vt = np.linalg.svd(root_R)
-    root_R = u @ vt
-    hand = KinematicHand(root_R, hand_params[9:12], np.clip(hand_params[12:], 0, np.pi / 2), template)
-
+    # re-orthonormalize the float32 rotations before the strict ctors
+    params = arrays["hand_params"]
+    u, _, vt = np.linalg.svd(params[:9].reshape(3, 3))
+    hand = KinematicHand(u @ vt, params[9:12], np.clip(params[12:], 0, np.pi / 2), default_hand_template(sizes["S"]))
     part_poses = []
-    for row in poses_raw:
-        R = row[:9].reshape(3, 3)
-        u, _, vt = np.linalg.svd(R)
+    for row in arrays["poses"]:
+        u, _, vt = np.linalg.svd(row[:9].reshape(3, 3))
         part_poses.append(SimilarityTransform(u @ vt, row[9:12], float(row[12])))
-
-    cam = entry["camera"]
-    camera = Camera(
-        fx=cam["fx"],
-        fy=cam["fy"],
-        cx=cam["cx"],
-        cy=cam["cy"],
-        width=cam["width"],
-        height=cam["height"],
-        R=np.asarray(cam["R"]).reshape(3, 3),
-        t=np.asarray(cam["t"]),
-    )
 
     return SceneRecord(
         scene_id=entry["id"],
         category=manifest["category"],
-        cloud=cloud,
-        seg=seg,
-        nocs=nocs,
-        contact=contact,
+        cloud=arrays["cloud"],
+        seg=arrays["seg"],
+        nocs=arrays["nocs"],
+        contact=arrays["contact"],
         part_poses=part_poses,
         canonical_boxes=[OrientedBox.from_extents(h) for h in half_extents],
-        posed_boxes=[OrientedBox(b) for b in boxes_raw],
+        posed_boxes=[OrientedBox(b) for b in arrays["boxes"]],
         hand=hand,
-        hand_joints=hand_joints,
-        hand_surface=hand_surface,
-        camera=camera,
+        hand_joints=arrays["hand_joints"],
+        hand_surface=arrays["hand_surface"],
+        camera=Camera(**entry["camera"]),
         joint_state=np.asarray(entry["joint_state"], dtype=np.float64),
         tau=manifest["tau"],
         scene_seed=entry["seed"],

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EmptyView
-from ..geometry import cross
+from ..geometry import cross, unit
 
 IMAGE_WIDTH = 160
 IMAGE_HEIGHT = 120
@@ -62,8 +62,9 @@ class Camera:
     t: np.ndarray  # (3,) world -> camera translation
 
     def __post_init__(self):
-        object.__setattr__(self, "R", np.asarray(self.R, dtype=np.float64))
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=np.float64))
+        # a manifest entry stores R as its 9 row-major values
+        object.__setattr__(self, "R", np.asarray(self.R, dtype=np.float64).reshape(3, 3))
+        object.__setattr__(self, "t", np.asarray(self.t, dtype=np.float64).reshape(3))
 
     def ray_directions(self) -> np.ndarray:
         """(H*W, 3) unit ray directions in camera frame (z forward, y down)."""
@@ -93,9 +94,9 @@ def sample_camera(rng: np.random.Generator, target: np.ndarray, scene_radius: fl
         [np.cos(elev) * np.cos(azim), np.cos(elev) * np.sin(azim), np.sin(elev)]
     )
     position = np.asarray(target, dtype=np.float64) + offset
-    fwd = _unit(np.asarray(target) - position)
+    fwd = unit(np.asarray(target) - position)
     up = np.array([0.0, 0.0, 1.0])
-    x_cam = _unit(cross(fwd, up))
+    x_cam = unit(cross(fwd, up))
     y_cam = cross(fwd, x_cam)  # points "down" in world
     R = np.stack([x_cam, y_cam, fwd], axis=0)
     focal = float(np.clip(FILL * (IMAGE_HEIGHT / 2.0) * radius / scene_radius, 60.0, 700.0))
@@ -109,10 +110,6 @@ def sample_camera(rng: np.random.Generator, target: np.ndarray, scene_radius: fl
         R=R,
         t=-R @ position,
     )
-
-
-def _unit(v):
-    return v / np.linalg.norm(v)
 
 
 def ray_box_hits(dirs: np.ndarray, R: np.ndarray, t: np.ndarray, half: np.ndarray):

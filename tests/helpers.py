@@ -660,17 +660,7 @@ def generate_dataset_serial(
         "part_count": part_count,
         "drawers": drawers if category == "drawer" else None,
         "image_size": [synth_io.IMAGE_WIDTH, synth_io.IMAGE_HEIGHT],
-        "dtypes": {
-            "cloud": "<f4",
-            "seg": "u1",
-            "nocs": "<f4",
-            "contact": "u1",
-            "poses": "<f4",
-            "boxes": "<f4",
-            "hand_joints": "<f4",
-            "hand_surface": "<f4",
-            "hand_params": "<f4",
-        },
+        "dtypes": {name.split(".")[0]: dtype for name, (dtype, _) in synth_io.SCENE_FILES.items()},
         "scenes": entries,
     }
     (root / "manifest.json").write_text(

@@ -5,6 +5,7 @@ files."""
 import csv
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -200,6 +201,17 @@ class TestEval:
         assert rows["invalid_parts"] == "4"
         assert rows["mIoU"] == "0.0"
         assert "invalid_parts: 4" in capsys.readouterr().out
+
+    def test_truncated_scene_file_is_runtime_error(self, trained, tmp_path, capsys):
+        root, ds, ckpt = trained
+        bad = shutil.copytree(ds, tmp_path / "ds")
+        cloud = bad / "scenes" / "scene_000001" / "cloud.f32"
+        cloud.write_bytes(cloud.read_bytes()[:12])
+        out = tmp_path / "report.csv"
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--dataset", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: ValueError: scene scene_000001: cloud.f32 has 12 bytes, not a (512, 3) <f4 array\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("head_hidden", 64), ("center_input", False)])
     def test_other_architecture_is_runtime_error(self, trained, capsys, key, value):

@@ -4,12 +4,15 @@ library, numpy or artipose itself), and every imported name is used. Every
 error type in errors.py is raised somewhere in src/artipose. Only the
 rot6d_to_matrix oracle uses numpy's cross product; everything else goes
 through geometry.cross. Parameter updates take one path: the steps of
-nn.descend are called nowhere else, but for gradcheck's probe."""
+nn.descend are called nowhere else, but for gradcheck's probe. The names of
+a scene's dataset files are written only in synth.io.SCENE_FILES."""
 
 import ast
 import shutil
 import sys
 from pathlib import Path
+
+from artipose.synth.io import SCENE_FILES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "artipose"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "artipose"}
@@ -256,3 +259,57 @@ def test_hand_written_update_is_found(tmp_path):
     assert misplaced_update_calls(tmp_path / "artipose") == [
         f"priors.d_train_step: {name}" for name in ("zero_grads", "backward", "flush_tape_grads", "adam_step")
     ]
+
+
+def scene_file_names(source: str) -> list:
+    """"line: name" for each string constant that names a scene file (ends
+    in .f32 or .u8), in source order, with "SCENE_FILES" for the line of a
+    key of a SCENE_FILES dict. Docstrings are left out: they may point at
+    a file."""
+    tree = ast.parse(source)
+    docstrings, table_keys = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                docstrings.add(node.body[0].value)
+        elif (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "SCENE_FILES" for t in node.targets)
+            and isinstance(node.value, ast.Dict)
+        ):
+            table_keys |= set(node.value.keys)
+    found = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.endswith((".f32", ".u8"))
+        and node not in docstrings
+    ]
+    return [
+        f"{'SCENE_FILES' if node in table_keys else node.lineno}: {node.value}"
+        for node in sorted(found, key=lambda node: (node.lineno, node.col_offset))
+    ]
+
+
+def test_finds_scene_file_names():
+    source = (
+        '"""Scene files: cloud.f32 and seg.u8."""\n'
+        'SCENE_FILES = {"cloud.f32": ("<f4", ("N", 3)), "seg.u8": ("u1", ("N",))}\n'
+        "def save(d, name):\n"
+        '    """Writes nocs.f32 too."""\n'
+        '    (d / "nocs.f32").write_bytes(b"")\n'
+        '    return f"{d}/{name}.u8", "nocs.f32x", {"seg.u8": 1}\n'
+    )
+    assert scene_file_names(source) == [
+        "SCENE_FILES: cloud.f32", "SCENE_FILES: seg.u8", "5: nocs.f32", "6: .u8", "6: seg.u8",
+    ]
+
+
+def test_scene_files_named_only_in_their_table():
+    found = [
+        f"{path.relative_to(SRC)}: {where}"
+        for path in sorted(SRC.rglob("*.py"))
+        for where in scene_file_names(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [f"synth/io.py: SCENE_FILES: {name}" for name in SCENE_FILES]

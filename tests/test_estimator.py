@@ -73,6 +73,16 @@ class TestEncoder:
         with pytest.raises(E.ShapeMismatch):
             net.encode(np.zeros((4, 3), dtype=np.float32))
 
+    @pytest.mark.parametrize("shape", [(1, 8, 3), (4, 256, 3), (2, 3, 17, 3)])
+    def test_prepare_input_batch_is_each_cloud(self, net, shape):
+        # training centres its whole batch in one call; eval and TTA one cloud
+        rng = np.random.default_rng(5)
+        clouds = rng.normal(0.3, 0.2, size=shape)
+        batch = net.prepare_input(clouds)
+        assert batch.dtype == np.float32 and batch.shape == shape
+        for index in np.ndindex(shape[:-2]):
+            assert np.array_equal(bits(batch[index]), bits(net.prepare_input(clouds[index])))
+
 
 class TestHeads:
     def test_output_shapes(self, net, scene):

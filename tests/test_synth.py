@@ -3,9 +3,11 @@
 import contextlib
 import copy
 import hashlib
+import json
 import multiprocessing
 import os
 import re
+import shutil
 import signal
 import threading
 from dataclasses import replace
@@ -700,6 +702,79 @@ class TestDataset:
         expect = geo.compute_contact_map(rec.cloud[obj], rec.hand_surface, rec.tau)
         # f32 rounding can flip points that sit exactly at the threshold
         assert (rec.contact[obj] == expect).mean() > 0.999
+
+    def test_load_is_the_saved_record_through_its_file_dtypes(self, tmp_path, monkeypatch):
+        # every loaded array is the saved one cast to its file's dtype and
+        # back, bit for bit; only the rotations are re-orthonormalized
+        saved = []
+        save = synth_io.save_scene
+        monkeypatch.setattr(synth_io, "save_scene", lambda root, rec: saved.append(rec) or save(root, rec))
+        root = generate_dataset_serial(tmp_path / "ds", "drawer", 2, seed=0, n_points=256)
+        _, loaded = load_dataset(root)
+        assert len(saved) == len(loaded) == 2
+
+        def f32(a):
+            return np.asarray(a, dtype=np.float32).astype(np.float64)
+
+        for i, (rec, got) in enumerate(zip(saved, loaded)):
+            for name in ("cloud", "nocs", "hand_joints", "hand_surface"):
+                assert np.array_equal(bits(getattr(got, name)), bits(f32(getattr(rec, name)))), name
+            for name in ("seg", "contact"):
+                assert getattr(got, name).dtype == np.uint8
+                assert np.array_equal(getattr(got, name), getattr(rec, name)), name
+            assert len(got.part_poses) == len(rec.part_poses) == 4
+            for g, r in zip(got.part_poses, rec.part_poses):
+                assert np.array_equal(bits(g.t), bits(f32(r.t))) and g.s == f32(r.s)
+                assert np.allclose(g.R, r.R, atol=1e-6)
+            for g, r in zip(got.posed_boxes, rec.posed_boxes):
+                assert np.array_equal(bits(g.vertices), bits(f32(r.vertices)))
+            for g, r in zip(got.canonical_boxes, rec.canonical_boxes):
+                assert np.array_equal(bits(g.vertices), bits(r.vertices))
+            params = f32(rec.hand.params())
+            assert np.array_equal(bits(got.hand.root_position), bits(params[9:12]))
+            assert np.array_equal(bits(got.hand.joint_angles), bits(np.clip(params[12:], 0, np.pi / 2)))
+            assert np.allclose(got.hand.root_rotation, rec.hand.root_rotation, atol=1e-6)
+            assert np.array_equal(bits(got.joint_state), bits(rec.joint_state))
+            for field in ("fx", "fy", "cx", "cy", "width", "height"):
+                assert getattr(got.camera, field) == getattr(rec.camera, field), field
+            assert np.array_equal(bits(got.camera.R), bits(rec.camera.R))
+            assert np.array_equal(bits(got.camera.t), bits(rec.camera.t))
+            # the manifest records the scene's index as its seed
+            assert (got.scene_id, got.category, got.tau, got.scene_seed) == (rec.scene_id, rec.category, rec.tau, i)
+
+    def test_manifest_dtypes_come_from_the_scene_files(self, tmp_path):
+        root = generate_dataset(tmp_path / "ds", "laptop", 1, seed=0, n_points=256)
+        manifest = json.loads((root / "manifest.json").read_text())
+        files = sorted(p.name for p in (root / "scenes" / "scene_000000").iterdir())
+        assert files == sorted(synth_io.SCENE_FILES)
+        assert manifest["dtypes"] == {
+            name.split(".")[0]: dtype for name, (dtype, _) in synth_io.SCENE_FILES.items()
+        }
+
+    @pytest.mark.parametrize("version", [0, 2, None])
+    def test_other_format_version_rejected(self, tmp_path, version):
+        root = generate_dataset(tmp_path / "ds", "laptop", 1, seed=0, n_points=256)
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["version"] = version
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"artipose-dataset version {version!r}, not 1$"):
+            load_dataset(root)
+
+    @pytest.fixture(scope="class")
+    def one_scene(self, tmp_path_factory):
+        return generate_dataset(tmp_path_factory.mktemp("one") / "ds", "laptop", 1, seed=0, n_points=256)
+
+    @pytest.mark.parametrize("name", list(synth_io.SCENE_FILES))
+    @pytest.mark.parametrize("change", ["short", "long"])
+    def test_file_of_another_size_names_scene_and_file(self, one_scene, tmp_path, name, change):
+        root = shutil.copytree(one_scene, tmp_path / "ds")
+        path = root / "scenes" / "scene_000000" / name
+        data = path.read_bytes()
+        item = np.dtype(synth_io.SCENE_FILES[name][0]).itemsize
+        path.write_bytes(data[:-item] if change == "short" else data + data[:item])
+        size = len(data) - item if change == "short" else len(data) + item
+        with pytest.raises(ValueError, match=re.escape(f"scene scene_000000: {name} has {size} bytes, not a (")):
+            load_dataset(root)
 
     def test_drawer_needs_fixed_count(self, tmp_path):
         with pytest.raises(ValueError, match="fixed drawers count"):
