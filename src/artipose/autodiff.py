@@ -169,10 +169,6 @@ class Var:
             self.grad = np.array(g, dtype=self.data.dtype, copy=True)
             self._owns_grad = True
 
-    @property
-    def shape(self):
-        return self.data.shape
-
 
 def const(x, tape: Tape) -> Var:
     """A leaf that never receives gradient."""

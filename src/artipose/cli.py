@@ -18,7 +18,6 @@ from . import __version__
 from . import estimator as est_mod
 from . import gradcheck as gradcheck_mod
 from . import metrics as metrics_mod
-from . import nn
 from . import priors as priors_mod
 from . import tta as tta_mod
 from .errors import ArtiposeError, UsageError
@@ -143,7 +142,7 @@ def cmd_eval(args) -> int:
     summary = Path(args.out).with_suffix(".json")
     if summary == Path(args.out):
         raise UsageError(f"--out {args.out} is where the JSON summary goes; name the CSV report otherwise")
-    est, meta, _ = est_mod.load_estimator(args.checkpoint)
+    est = est_mod.Models.load(args.checkpoint).est
     _, scenes = load_dataset(args.dataset, limit=args.limit)
     preds = []
     for rec in scenes:
@@ -159,24 +158,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _load_discriminator(args, meta, stores) -> priors_mod.Discriminator:
-    """--disc's discriminator, else --checkpoint's; it must score the
-    estimator's part count."""
-    part_count = meta["part_count"]
-    if args.disc is not None:
-        d_stores, _ = nn.load_checkpoint(args.disc)
-        if "discriminator" not in d_stores:
-            raise UsageError(f"--disc {args.disc} has no discriminator group")
-        store = d_stores["discriminator"]
-        width = store.params["d.w0"].shape[0]  # 24 per part
-        if width != 24 * part_count:
-            raise UsageError(f"--disc {args.disc} scores {width // 24} parts; the estimator predicts {part_count}")
-        return priors_mod.Discriminator(part_count, store)
-    if "discriminator" in stores:
-        return priors_mod.Discriminator(part_count, stores["discriminator"])
-    raise UsageError("no discriminator: pass --disc or use a jointly trained checkpoint")
-
-
 TTA_FIELDS = [
     "scene", "part", "r_err_before", "t_err_before", "iou_before",
     "r_err_after", "t_err_after", "iou_after", "aborted", "l_adv_trace",
@@ -189,15 +170,16 @@ def cmd_tta(args) -> int:
     aborted scene's `after` repeats `before`, its first estimate, where a
     part without a fit reads NaN. "adapted" counts the scenes that did not
     abort; "reduced" those of them whose last loss is below the first."""
-    est, meta, stores = est_mod.load_estimator(args.checkpoint)
-    disc = _load_discriminator(args, meta, stores)
+    models = est_mod.Models.load(args.checkpoint, disc=args.disc)
+    if models.disc is None:
+        raise UsageError("no discriminator: pass --disc or use a jointly trained checkpoint")
     _, scenes = load_dataset(args.dataset, limit=args.limit)
     cfg = tta_mod.TtaConfig(steps=args.steps, lr=args.lr, scope=args.scope)
 
     rows = []
     adapted = improved = 0
     for rec in scenes:
-        result = tta_mod.adapt_object(est, disc, rec.cloud, rec.canonical_boxes, cfg)
+        result = tta_mod.adapt_object(models.est, models.disc, rec.cloud, rec.canonical_boxes, cfg)
         trace = result.trace
         if not result.aborted:
             adapted += 1
@@ -231,16 +213,11 @@ def cmd_hand_opt(args) -> int:
     # sampler draws seeds (--gt-contact or not).
     perturb_rng = np.random.default_rng([args.seed, 0])
     sampler_rng = np.random.default_rng([args.seed, 1])
-    diffuser = est = None
+    models = None
     if not args.gt_contact:
-        est, meta, stores = est_mod.load_estimator(args.checkpoint)
-        if "diffuser" not in stores:
+        models = est_mod.Models.load(args.checkpoint)
+        if models.diffuser is None:
             raise UsageError("checkpoint has no diffuser group; train with lambda_diff > 0")
-        diffuser = priors_mod.ContactDiffuser(
-            est.spec.feature_dim,
-            stores["diffuser"],
-            priors_mod.NoiseSchedule.linear(meta["diffusion_steps"]),
-        )
 
     rows = []
     reduced = 0
@@ -256,9 +233,9 @@ def cmd_hand_opt(args) -> int:
         if args.gt_contact:
             contact = rec.contact.astype(bool)
         else:
-            enc = est.encode(est.prepare_input(rec.cloud))
+            enc = models.est.encode(models.est.prepare_input(rec.cloud))
             contact, _ = priors_mod.sample_contact_map(
-                diffuser, enc.z, generations=args.generations, seed=int(sampler_rng.integers(2**31))
+                models.diffuser, enc.z, generations=args.generations, seed=int(sampler_rng.integers(2**31))
             )
             contact = contact.astype(bool) & (rec.seg > 0)
         result = tta_mod.optimize_hand(init, contact, rec.cloud, cfg)

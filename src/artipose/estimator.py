@@ -1,5 +1,6 @@
 """Multi-branch object pose estimator: point encoder, three heads, pose
-assembly through the closed-form similarity fit, and the training loop.
+assembly through the closed-form similarity fit, the training loop, and
+`Models`, the one reader and writer of a checkpoint's networks.
 
 Architecture: a shared per-point MLP (3 -> 64 -> 128) gives each point a
 local feature; its per-scene max-pool, broadcast back and concatenated,
@@ -30,8 +31,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import diffgeom as dg
-from . import nn
-from .errors import ShapeMismatch
+from . import nn, priors
+from .errors import ShapeMismatch, UsageError
 from .geometry import _CORNER_SIGNS, OrientedBox, SimilarityTransform, box_half_extents, matrix_to_rot6d
 
 HAND_CLASS = 0
@@ -276,10 +277,16 @@ def pose_loss_graph(
     return total, parts
 
 
+def point_labels(logits: np.ndarray) -> np.ndarray:
+    """(..., C) segmentation logits -> (...) class per point: the argmax, or
+    -1 where a logit is not finite."""
+    return np.where(np.isfinite(logits).all(axis=-1), np.argmax(logits, axis=-1), -1)
+
+
 def assemble_graph(
     tape: ad.Tape,
     clouds: np.ndarray,  # (B, N, 3)
-    labels: np.ndarray,  # (B, N) class per point, HAND_CLASS or part + 1
+    labels: np.ndarray,  # (B, N) point_labels: HAND_CLASS, part + 1 or -1
     nocs: ad.Var,  # (B*N, 3) rows aligned with clouds
     rot: ad.Var,  # (B, P, 6)
     half_extents: np.ndarray,  # (B, P, 3)
@@ -289,9 +296,10 @@ def assemble_graph(
     the posed corners, and a (B, P) array of reasons.
 
     Part p of scene b fits the points labelled p + 1. Its reason is "" when
-    it has a fit, else, in this precedence: "{n} points" below 3 members,
-    the rotation's degeneracy, the correspondences', then "non-finite fit"
-    where R, t, s or a corner is not finite (NaN or inf inputs). On finite
+    it has a fit, else, in this precedence: "non-finite segmentation" for
+    every part of a scene with a point labelled -1, "{n} points" below 3
+    members, the rotation's degeneracy, the correspondences', then
+    "non-finite fit" where R, t, s or a corner is not finite. On finite
     inputs a part with one of the first three reasons gets finite stand-in
     values, so when its outputs feed no loss it adds exactly zero to every
     gradient.
@@ -316,6 +324,7 @@ def assemble_graph(
     )
     finite = np.logical_and.reduce([np.isfinite(v.data).reshape(K, -1).all(axis=1) for v in (R, t, s, boxes)])
     reasons = np.where((reasons == "") & ~finite.reshape(B, P), "non-finite fit", reasons)
+    reasons = np.where((labels < 0).any(axis=1)[:, None], "non-finite segmentation", reasons)
     return (*(ad.reshape(v, (B, P) + v.data.shape[1:]) for v in (R, t, s, boxes)), reasons)
 
 
@@ -336,7 +345,7 @@ def scene_layouts(boxes: ad.Var, reasons: np.ndarray) -> list:
 def assemble_pose(cloud: np.ndarray, pred: HeadOutput, canonical_boxes: list) -> list:
     """Analytic pose + posed box per part from head outputs (numpy in/out).
 
-    assemble_graph on the argmax segmentation, as a batch of one, off the
+    assemble_graph on the point_labels segmentation, as a batch of one, off the
     gradient tape and in float64; a part without a fit is marked invalid
     with the reason.
     """
@@ -344,7 +353,7 @@ def assemble_pose(cloud: np.ndarray, pred: HeadOutput, canonical_boxes: list) ->
     if len(canonical_boxes) != pred.rot6d.shape[0]:
         raise ShapeMismatch("canonical box count != predicted part count")
     tape = ad.Tape(grad=False)
-    labels = np.argmax(pred.seg_logits, axis=1)
+    labels = point_labels(pred.seg_logits)
     R, t, s, boxes, reasons = assemble_graph(
         tape,
         cloud[None],
@@ -453,8 +462,6 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
     where at least one scene's layout could be assembled, and 0.0 when none
     could; adv_scenes counts the scenes whose layout fed L_adv that epoch.
     """
-    from . import priors  # local import: priors depends on nn only
-
     if not scenes:
         raise ValueError("empty dataset")
     categories = sorted({s.category for s in scenes})
@@ -521,7 +528,7 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
                 l_adv = 0.0
                 fake_vars = []
                 if disc is not None:
-                    labels = np.argmax(seg.data, axis=1).reshape(B, n_pts)
+                    labels = point_labels(seg.data).reshape(B, n_pts)
                     *_, boxes, reasons = assemble_graph(tape, clouds[idx], labels, nocs, rot, extents[idx])
                     layouts = scene_layouts(boxes, reasons)
                     fake_vars = [layout for layout in layouts if not isinstance(layout, str)]
@@ -559,21 +566,13 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
             writer.writerow([epoch] + [repr(float(m)) for m in means] + [adv_scenes])
 
     ckpt = out / config.checkpoint
-    stores = {"estimator": est.store}
-    meta = {
-        "category": config.category,
-        "part_count": part_count,
-        "feature_dim": spec.feature_dim,
-        **ARCHITECTURE,
-        "n_points": n_pts,
-        "diffusion_steps": config.diffusion_steps,
-        "config": {k: getattr(config, k) for k in config.__dataclass_fields__},
-    }
-    if disc is not None:
-        stores["discriminator"] = disc.store
-    if diffuser is not None:
-        stores["diffuser"] = diffuser.store
-    nn.save_checkpoint(ckpt, stores, meta=meta)
+    Models(est, disc, diffuser).save(
+        ckpt,
+        category=config.category,
+        n_points=n_pts,
+        diffusion_steps=config.diffusion_steps,
+        config={k: getattr(config, k) for k in config.__dataclass_fields__},
+    )
     return ckpt
 
 
@@ -591,3 +590,50 @@ def load_estimator(path) -> tuple:
             )
     spec = EstimatorSpec(part_count=meta["part_count"])
     return Estimator(spec, stores["estimator"]), meta, stores
+
+
+@dataclass
+class Models:
+    """The networks one checkpoint holds: the estimator, and the layout
+    discriminator and contact diffuser when they were trained (else None).
+
+    Each network is one checkpoint group: "estimator", "discriminator" and
+    "diffuser". Of the meta, save writes the keys that rebuild them:
+    part_count, feature_dim and ARCHITECTURE's keys. The caller's keys go
+    in beside them; training passes category, n_points, diffusion_steps
+    (the diffuser's schedule length, which load reads) and config.
+    """
+
+    est: Estimator
+    disc: priors.Discriminator | None = None
+    diffuser: priors.ContactDiffuser | None = None
+
+    def save(self, path, **meta) -> None:
+        nets = {"estimator": self.est, "discriminator": self.disc, "diffuser": self.diffuser}
+        spec = self.est.spec
+        nn.save_checkpoint(
+            path,
+            {group: net.store for group, net in nets.items() if net is not None},
+            meta={"part_count": spec.part_count, "feature_dim": spec.feature_dim, **ARCHITECTURE, **meta},
+        )
+
+    @classmethod
+    def load(cls, path, disc=None) -> "Models":
+        """Every network `path` holds; with `disc`, the discriminator comes
+        from that checkpoint instead, which must hold one of the estimator's
+        part count (UsageError otherwise)."""
+        est, meta, stores = load_estimator(path)
+        P = est.spec.part_count
+        d_store = stores.get("discriminator")
+        if disc is not None:
+            d_store = nn.load_checkpoint(disc)[0].get("discriminator")
+            if d_store is None:
+                raise UsageError(f"--disc {disc} has no discriminator group")
+            width = d_store.params["d.w0"].shape[0]  # 24 per part
+            if width != 24 * P:
+                raise UsageError(f"--disc {disc} scores {width // 24} parts; the estimator predicts {P}")
+        diffuser = None
+        if "diffuser" in stores:
+            schedule = priors.NoiseSchedule.linear(meta["diffusion_steps"])
+            diffuser = priors.ContactDiffuser(est.spec.feature_dim, stores["diffuser"], schedule)
+        return cls(est, None if d_store is None else priors.Discriminator(P, d_store), diffuser)

@@ -4,12 +4,17 @@ Every parameter update takes one path, `descend`: one reverse sweep of the
 tape from the scalar loss, then per store a flush that sets its grad
 buffers (zeroed, then each recorded use's gradient added in tape order),
 then one Adam step per store, in the order given.
+
+A checkpoint is an uncompressed numpy `.npz` archive, version 2: one
+little-endian float32 array per `group/name` parameter, plus a `header`
+string array holding the JSON `{"version": 2, "meta": ...}`. It loads
+without pickle; any other file is refused with a ValueError naming it.
 """
 
 from __future__ import annotations
 
 import json
-import struct
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ShapeMismatch, StaleTape
 
-_CKPT_MAGIC = b"APCK"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
+_CKPT_HEADER = "header"  # the one archive member without a group/ prefix
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -177,51 +182,35 @@ def time_embedding(t: int, T: int, dim: int) -> np.ndarray:
 def save_checkpoint(path, stores: dict[str, ParamStore], meta: dict | None = None):
     """Write named float32 tensors for one or more stores.
 
-    Layout: magic 'APCK', u32 version, u32 header length, JSON header
-    (tensor table name/shape/offset plus user meta), then raw little-endian
-    float32 payloads in table order.
+    Layout: an uncompressed `.npz` (written to `path` as given, no suffix
+    added) of one `<f4` array per `group/name`, groups and names in sorted
+    order, then the `header` string array: JSON `{"meta": ..., "version":
+    2}` with sorted keys. The same stores and meta give the same bytes.
     """
-    table = []
-    payloads = []
-    offset = 0
-    for group in sorted(stores):
-        store = stores[group]
-        for name in sorted(store.params):
-            arr = np.ascontiguousarray(store.params[name], dtype="<f4")
-            table.append(
-                {"name": f"{group}/{name}", "shape": list(arr.shape), "offset": offset}
-            )
-            payloads.append(arr.tobytes())
-            offset += arr.nbytes
-    header = json.dumps(
-        {"tensors": table, "meta": meta or {}}, sort_keys=True
-    ).encode("utf-8")
+    arrays = {
+        f"{group}/{name}": np.asarray(stores[group].params[name], dtype="<f4")
+        for group in sorted(stores)
+        for name in sorted(stores[group].params)
+    }
+    header = json.dumps({"version": _CKPT_VERSION, "meta": meta or {}}, sort_keys=True)
     with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<II", _CKPT_VERSION, len(header)))
-        f.write(header)
-        for blob in payloads:
-            f.write(blob)
+        np.savez(f, **arrays, **{_CKPT_HEADER: np.array(header)})
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns ({group: ParamStore}, meta)."""
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _CKPT_MAGIC:
-            raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-        version, hlen = struct.unpack("<II", f.read(8))
-        if version != _CKPT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        blob = f.read()
+    """Read a checkpoint; returns ({group: ParamStore}, meta). ValueError,
+    naming the file, for anything but a version-2 checkpoint."""
     stores: dict[str, ParamStore] = {}
-    for entry in header["tensors"]:
-        group, name = entry["name"].split("/", 1)
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(
-            blob, dtype="<f4", count=count, offset=entry["offset"]
-        ).reshape(shape)
-        stores.setdefault(group, ParamStore()).add(name, arr.copy())
-    return stores, header["meta"]
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            header = json.loads(str(archive[_CKPT_HEADER]))
+            if header["version"] != _CKPT_VERSION:
+                raise ValueError(f"header version {header['version']!r}")
+            for key in archive.files:
+                if key != _CKPT_HEADER:
+                    group, name = key.split("/", 1)
+                    stores.setdefault(group, ParamStore()).add(name, archive[key])
+            meta = header["meta"]
+    except (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as err:
+        raise ValueError(f"{path} is not a version-{_CKPT_VERSION} checkpoint: {err}") from err
+    return stores, meta

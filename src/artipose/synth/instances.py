@@ -76,10 +76,6 @@ class ArticulatedInstance:
         if len(self.joints) != len(self.parts) - 1:
             raise ValueError("expected one joint per movable part")
 
-    @property
-    def part_count(self) -> int:
-        return len(self.parts)
-
     def joint_limits(self) -> np.ndarray:
         return np.array([j.limits for j in self.joints])
 

@@ -92,7 +92,6 @@ def save_scene(root: Path, record: SceneRecord) -> dict:
     camera = {f.name: getattr(record.camera, f.name) for f in fields(Camera)}
     return {
         "id": record.scene_id,
-        "seed": record.scene_seed,
         "joint_state": [float(v) for v in record.joint_state],
         "half_extents": [[float(v) for v in h] for h in record.half_extents()],
         "camera": {k: v.ravel().tolist() if isinstance(v, np.ndarray) else v for k, v in camera.items()},
@@ -146,7 +145,7 @@ def _build_scene(
             f"(best {max(few, default=0)})"
         )
     entry = save_scene(root, record)
-    entry["seed"] = i
+    entry["seed"] = i  # the manifest's "seed" is the scene index
     return entry, record.part_count
 
 
@@ -395,7 +394,6 @@ def load_scene(root, manifest: dict, entry: dict) -> SceneRecord:
         camera=Camera(**entry["camera"]),
         joint_state=np.asarray(entry["joint_state"], dtype=np.float64),
         tau=manifest["tau"],
-        scene_seed=entry["seed"],
     )
 
 

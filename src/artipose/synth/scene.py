@@ -51,7 +51,6 @@ class SceneRecord:
     camera: Camera
     joint_state: np.ndarray
     tau: float
-    scene_seed: int
 
     @property
     def part_count(self) -> int:
@@ -152,5 +151,4 @@ def sample_scene(
         camera=camera,
         joint_state=joint_state,
         tau=tau,
-        scene_seed=int(seed) if isinstance(seed, (int, np.integer)) else -1,
     )

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import diffgeom as dg
 from . import nn
-from .estimator import Estimator, HeadOutput, assemble_graph, assemble_pose, scene_layouts
+from .estimator import Estimator, HeadOutput, assemble_graph, assemble_pose, point_labels, scene_layouts
 from .geometry import box_half_extents, matrix_to_rot6d
 from .priors import Discriminator, g_adv_loss_graph
 from .synth.hand import ANGLE_HI, ANGLE_LO, KinematicHand, fk_vars, root_frame_vars
@@ -110,7 +110,7 @@ def adapt_object(
             bad = next((p for p in before if not p.valid), None)
             if bad is not None:
                 return AdaptResult(before, before, trace, aborted=f"step 0: part {bad.part}: {bad.reason}")
-        labels = np.argmax(seg.data, axis=1)[None]
+        labels = point_labels(seg.data)[None]
         *_, boxes, reasons = assemble_graph(tape, cloud[None], labels, nocs, rot, extents)
         (layout,) = scene_layouts(boxes, reasons)
         if isinstance(layout, str):

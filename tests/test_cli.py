@@ -1,11 +1,16 @@
 """CLI smoke runs on a tiny dataset: synth, train, eval, tta, hand-opt,
 gradcheck and version through cli.main, checking exit codes and output
-files."""
+files; and the entry point, run as `python -m artipose.cli`."""
 
 import csv
+import importlib
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,8 @@ from artipose import priors
 from artipose import tta as tta_mod
 from artipose.estimator import PartPoseEstimate, assemble_graph
 from artipose.synth import load_dataset
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def read_rows(path):
@@ -201,6 +208,25 @@ class TestEval:
         assert rows["invalid_parts"] == "4"
         assert rows["mIoU"] == "0.0"
         assert "invalid_parts: 4" in capsys.readouterr().out
+
+    def test_nan_weights_are_a_non_finite_segmentation(self, trained, tmp_path, monkeypatch):
+        root, ds, ckpt = trained
+        stores, meta = nn.load_checkpoint(ckpt)
+        for value in stores["estimator"].params.values():
+            value[...] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        nn.save_checkpoint(bad, stores, meta=meta)
+        reasons = []
+        assemble = est_mod.assemble_pose
+
+        def spy(*args):
+            ests = assemble(*args)
+            reasons.append([e.reason for e in ests])
+            return ests
+
+        monkeypatch.setattr(est_mod, "assemble_pose", spy)
+        assert cli.main(["eval", "--checkpoint", str(bad), "--dataset", str(ds), "--out", str(tmp_path / "r.csv")]) == 0
+        assert reasons == [["non-finite segmentation"] * 2] * 2
 
     def test_truncated_scene_file_is_runtime_error(self, trained, tmp_path, capsys):
         root, ds, ckpt = trained
@@ -462,7 +488,7 @@ class TestTta:
         obj = np.flatnonzero(labels != est_mod.HAND_CLASS)
         labels[obj] = 1
         labels[obj[:2]] = 2
-        return ad.add(ad.mul(seg, 0.0), np.eye(seg.shape[1])[labels]), nocs, rot
+        return ad.add(ad.mul(seg, 0.0), np.eye(seg.data.shape[1])[labels]), nocs, rot
 
     def test_too_few_points_recorded_per_scene(self, trained, monkeypatch, capsys):
         root, ds, ckpt = trained
@@ -514,6 +540,36 @@ class TestTta:
 def test_version(capsys):
     assert cli.main(["version"]) == 0
     assert capsys.readouterr().out.strip() == artipose.__version__
+
+
+class TestEntryPoint:
+    """The module run as a program, and the script that pyproject.toml
+    installs."""
+
+    @staticmethod
+    def run_module(*argv):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        return subprocess.run(
+            [sys.executable, "-m", "artipose.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    def test_version_exits_0(self):
+        done = self.run_module("version")
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"{artipose.__version__}\n", "")
+
+    def test_missing_arguments_exit_1(self):
+        done = self.run_module("eval")
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("usage error: ")
+
+    def test_script_is_cli_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as f:
+            target = tomllib.load(f)["project"]["scripts"]["artipose"]
+        assert target == "artipose.cli:entry"
+        module, name = target.split(":")
+        assert callable(getattr(importlib.import_module(module), name))
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])

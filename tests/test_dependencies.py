@@ -5,7 +5,9 @@ error type in errors.py is raised somewhere in src/artipose. Only the
 rot6d_to_matrix oracle uses numpy's cross product; everything else goes
 through geometry.cross. Parameter updates take one path: the steps of
 nn.descend are called nowhere else, but for gradcheck's probe. The names of
-a scene's dataset files are written only in synth.io.SCENE_FILES."""
+a scene's dataset files are written only in synth.io.SCENE_FILES. A
+checkpoint's group names and the meta key that rebuilds the diffuser are
+read and written only by estimator.Models and estimator.load_estimator."""
 
 import ast
 import shutil
@@ -313,3 +315,82 @@ def test_scene_files_named_only_in_their_table():
         for where in scene_file_names(path.read_text(encoding="utf-8"))
     ]
     assert found == [f"synth/io.py: SCENE_FILES: {name}" for name in SCENE_FILES]
+
+
+# A checkpoint's groups, and the meta key the diffuser's schedule comes from;
+# used as keys only by their owners.
+CHECKPOINT_KEYS = {"estimator", "discriminator", "diffuser", "diffusion_steps"}
+CHECKPOINT_OWNERS = ("estimator.Models", "estimator.load_estimator")
+
+
+def checkpoint_key_uses(source: str) -> list:
+    """(qualified name of the function or class around it, or "<module>",
+    key) for each CHECKPOINT_KEYS string used as a subscript, as a key of a
+    dict display, or as the left operand of `in` / `not in`, in source order."""
+    found = []
+
+    def key(node):
+        return node.value if isinstance(node, ast.Constant) and node.value in CHECKPOINT_KEYS else None
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if where == "<module>" else f"{where}.{child.name}"
+            elif isinstance(child, ast.Subscript) and key(child.slice):
+                found.append((where, key(child.slice)))
+            elif isinstance(child, ast.Dict):
+                found.extend((where, key(k)) for k in child.keys if key(k))
+            elif isinstance(child, ast.Compare) and key(child.left) and isinstance(child.ops[0], (ast.In, ast.NotIn)):
+                found.append((where, key(child.left)))
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def checkpoint_key_uses_by_owner(src: Path) -> dict:
+    """{"owned" or "elsewhere": ["module.where: key"]} over a source tree."""
+    out = {"owned": [], "elsewhere": []}
+    for path in sorted(src.rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        for where, key in checkpoint_key_uses(path.read_text(encoding="utf-8")):
+            name = f"{module}.{where}"
+            owned = any(name == o or name.startswith(o + ".") for o in CHECKPOINT_OWNERS)
+            out["owned" if owned else "elsewhere"].append(f"{name}: {key}")
+    return out
+
+
+def test_finds_checkpoint_key_uses():
+    source = (
+        'SUITES = ("discriminator", "diffusion_steps")\n'
+        'meta = {"diffusion_steps": 10, **other}\n'
+        "class Models:\n    def load(self, stores, meta):\n"
+        '        if "diffuser" not in stores and "estimator" in stores:\n'
+        '            return meta["diffusion_steps"], stores.get("discriminator")\n'
+        "def train(stores):\n"
+        '    print("estimator", f"{stores}")\n    return stores["discriminator"], "diffuser" == stores\n'
+    )
+    assert checkpoint_key_uses(source) == [
+        ("<module>", "diffusion_steps"),
+        ("Models.load", "diffuser"),
+        ("Models.load", "estimator"),
+        ("Models.load", "diffusion_steps"),
+        ("train", "discriminator"),
+    ]
+
+
+def test_checkpoint_keys_have_one_owner():
+    uses = checkpoint_key_uses_by_owner(SRC)
+    assert uses["elsewhere"] == []
+    assert {use.rsplit(": ", 1)[1] for use in uses["owned"]} == CHECKPOINT_KEYS
+
+
+def test_checkpoint_key_outside_its_owner_is_found(tmp_path):
+    shutil.copytree(SRC, tmp_path / "artipose")
+    cli = tmp_path / "artipose" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    owned = "        if models.diffuser is None:\n"
+    assert text.count(owned) == 1
+    cli.write_text(text.replace(owned, '        if "diffuser" not in est_mod.nn.load_checkpoint(args.checkpoint)[0]:\n'))
+    assert checkpoint_key_uses_by_owner(tmp_path / "artipose")["elsewhere"] == ["cli.cmd_hand_opt: diffuser"]

@@ -216,6 +216,39 @@ class TestAssemblePose:
         ests = E.assemble_pose(scene.cloud, pred, scene.canonical_boxes)
         assert [(e.valid, e.reason) for e in ests] == [(False, "non-finite fit"), (False, "2 points")]
 
+    def test_point_labels_are_the_argmax_of_finite_rows(self):
+        logits = np.random.default_rng(5).normal(size=(50, 3))
+        logits[7] = [1.0, 1.0, 0.0]  # a tie goes to the first class
+        want = np.argmax(logits, axis=1)
+        labels = E.point_labels(logits)
+        assert labels.dtype == want.dtype and np.array_equal(labels, want)
+        logits[[3, 9, 11], [1, 2, 0]] = [np.nan, np.inf, -np.inf]
+        assert np.flatnonzero(E.point_labels(logits) == -1).tolist() == [3, 9, 11]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_segmentation_comes_first(self, scene, bad):
+        # over part 1 starved to 2 points; every part of the scene gets it
+        labels = scene.seg.astype(np.int64)
+        labels[np.flatnonzero(labels == 2)[2:]] = E.HAND_CLASS
+        pred = E.HeadOutput(np.eye(3)[labels] * 20.0, scene.nocs.copy(), E.gt_rot6d(scene.part_poses))
+        pred.seg_logits[5, 0] = bad
+        ests = E.assemble_pose(scene.cloud, pred, scene.canonical_boxes)
+        assert [(e.valid, e.reason) for e in ests] == [(False, "non-finite segmentation")] * 2
+
+    def test_non_finite_segmentation_marks_only_its_scene(self, scene):
+        labels = np.stack([scene.seg, scene.seg]).astype(np.int64)
+        labels[1, 0] = -1
+        tape = ad.Tape(grad=False)
+        *_, reasons = E.assemble_graph(
+            tape,
+            np.stack([scene.cloud] * 2),
+            labels,
+            ad.const(np.concatenate([scene.nocs] * 2), tape),
+            ad.const(np.stack([E.gt_rot6d(scene.part_poses)] * 2), tape),
+            np.stack([scene.half_extents()] * 2),
+        )
+        assert reasons.tolist() == [["", ""], ["non-finite segmentation"] * 2]
+
     @pytest.mark.parametrize(
         "starved, degenerate, first_failure",
         [
@@ -512,6 +545,30 @@ class TestTraining:
         ckpt = E.train_estimator([drawer], E.TrainConfig(epochs=1, seed=4), tmp_path)
         meta = E.load_estimator(ckpt)[1]
         assert meta["category"] == meta["config"]["category"] == "drawer"
+
+    def test_models_load_builds_every_trained_network(self, scene, tmp_path):
+        cfg = E.TrainConfig(epochs=1, lambda_adv=0.1, lambda_diff=1.0, diffusion_steps=7, seed=4)
+        ckpt = E.train_estimator([scene], cfg, tmp_path)
+        stores, meta = nn.load_checkpoint(ckpt)
+        assert sorted(meta) == sorted(
+            ["category", "config", "diffusion_steps", "feature_dim", "n_points", "part_count", *E.ARCHITECTURE]
+        )
+        models = E.Models.load(ckpt)
+        assert models.est.spec.part_count == models.disc.part_count == 2
+        assert (models.diffuser.feature_dim, models.diffuser.schedule.T) == (256, 7)
+        for net, group in ((models.est, "estimator"), (models.disc, "discriminator"), (models.diffuser, "diffuser")):
+            assert net.store.names() == stores[group].names()
+
+    def test_models_save_writes_the_groups_present(self, net, tmp_path):
+        path = tmp_path / "est.ckpt"
+        E.Models(net).save(path, category="laptop")
+        stores, meta = nn.load_checkpoint(path)
+        assert list(stores) == ["estimator"]
+        assert meta == {"category": "laptop", "part_count": 2, "feature_dim": 256, **E.ARCHITECTURE}
+        loaded = E.Models.load(path)
+        assert (loaded.disc, loaded.diffuser) == (None, None)
+        for name, value in net.store.params.items():
+            assert np.array_equal(bits(loaded.est.store.params[name]), bits(value))
 
     def test_naming_the_scenes_category_keeps_the_bytes(self, scene, tmp_path):
         named = E.train_estimator([scene], E.TrainConfig(epochs=1, seed=4, category="laptop"), tmp_path / "a")

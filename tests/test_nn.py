@@ -1,5 +1,10 @@
 """Differentiation substrate: MLP forward/backward on a tape, Adam, embeddings, checkpoints."""
 
+import json
+import re
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -255,6 +260,65 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOP!rest")
         with pytest.raises(ValueError):
+            nn.load_checkpoint(path)
+
+    def test_is_an_uncompressed_npz_of_f4_arrays_and_a_header(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(path, {"m": make_store(nn.MlpSpec((3, 2)), seed=25)}, meta={"x": 1})
+        assert not (tmp_path / "model.ckpt.npz").exists()
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(path, allow_pickle=False) as archive:
+            assert archive.files == ["m/mlp.b0", "m/mlp.w0", "header"]
+            assert [archive[key].dtype.str for key in archive.files[:2]] == ["<f4", "<f4"]
+            assert json.loads(str(archive["header"])) == {"version": 2, "meta": {"x": 1}}
+
+    def test_round_trip_is_bit_for_bit(self, tmp_path):
+        # negative zero, a NaN with a payload and two denormals keep their bits
+        special = np.array([0x80000000, 0x7FC00123, 0x00000001, 0x007FFFFF], dtype=np.uint32).view(np.float32)
+        store = nn.ParamStore()
+        store.add("special", special.reshape(2, 2))
+        store.add("scalar", np.float32(-0.0))
+        path = tmp_path / "special.ckpt"
+        nn.save_checkpoint(path, {"g": store})
+        stores, meta = nn.load_checkpoint(path)
+        assert meta == {}
+        for name, value in store.params.items():
+            got = stores["g"].params[name]
+            assert got.dtype == np.float32 and got.shape == value.shape
+            assert np.array_equal(got.view(np.uint32), value.view(np.uint32)), name
+
+    @staticmethod
+    def apck_file(path):
+        """A checkpoint in the earlier hand-written layout: magic, version 1,
+        header length, JSON header, raw float32 payloads."""
+        header = json.dumps({"meta": {}, "tensors": [{"name": "m/w", "offset": 0, "shape": [2]}]}).encode()
+        path.write_bytes(b"APCK" + struct.pack("<II", 1, len(header)) + header + np.ones(2, "<f4").tobytes())
+
+    @pytest.mark.parametrize("kind", ["apck", "junk", "empty", "truncated", "single_array"])
+    def test_other_files_name_themselves(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.ckpt"
+        if kind == "apck":
+            self.apck_file(path)
+        elif kind == "junk":
+            path.write_bytes(b"NOP!rest")
+        elif kind == "empty":
+            path.write_bytes(b"")
+        elif kind == "truncated":
+            nn.save_checkpoint(path, {"m": make_store(nn.MlpSpec((3, 2)), seed=26)}, meta={"x": 1})
+            path.write_bytes(path.read_bytes()[:-40])
+        else:
+            with open(path, "wb") as f:
+                np.save(f, np.ones(3, dtype=np.float32))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not a version-2 checkpoint"):
+            nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [{"version": 1, "meta": {}}, {"meta": {}}, {"version": 2}, [2]])
+    def test_other_headers_rejected(self, tmp_path, header):
+        path = tmp_path / "old.ckpt"
+        with open(path, "wb") as f:
+            np.savez(f, **{"m/w": np.ones(2, "<f4"), "header": np.array(json.dumps(header))})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not a version-2 checkpoint"):
             nn.load_checkpoint(path)
 
     def test_save_is_byte_deterministic(self, tmp_path):

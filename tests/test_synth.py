@@ -60,7 +60,7 @@ from helpers import (
 class TestMakeInstance:
     def test_laptop_template(self):
         inst = make_instance("laptop", 3)
-        assert inst.part_count == 2
+        assert len(inst.parts) == 2
         assert len(inst.joints) == 1
         assert inst.joints[0].kind == "revolute"
         lo, hi = inst.joints[0].limits
@@ -68,7 +68,7 @@ class TestMakeInstance:
 
     def test_three_drawer_template(self):
         inst = make_instance("drawer", 5, drawers=3)
-        assert inst.part_count == 4
+        assert len(inst.parts) == 4
         assert all(j.kind == "prismatic" for j in inst.joints)
         axes = np.stack([j.axis for j in inst.joints])
         assert np.allclose(axes, axes[0])  # parallel slide axes
@@ -710,7 +710,7 @@ class TestDataset:
         save = synth_io.save_scene
         monkeypatch.setattr(synth_io, "save_scene", lambda root, rec: saved.append(rec) or save(root, rec))
         root = generate_dataset_serial(tmp_path / "ds", "drawer", 2, seed=0, n_points=256)
-        _, loaded = load_dataset(root)
+        manifest, loaded = load_dataset(root)
         assert len(saved) == len(loaded) == 2
 
         def f32(a):
@@ -740,7 +740,8 @@ class TestDataset:
             assert np.array_equal(bits(got.camera.R), bits(rec.camera.R))
             assert np.array_equal(bits(got.camera.t), bits(rec.camera.t))
             # the manifest records the scene's index as its seed
-            assert (got.scene_id, got.category, got.tau, got.scene_seed) == (rec.scene_id, rec.category, rec.tau, i)
+            assert (got.scene_id, got.category, got.tau) == (rec.scene_id, rec.category, rec.tau)
+            assert manifest["scenes"][i]["seed"] == i
 
     def test_manifest_dtypes_come_from_the_scene_files(self, tmp_path):
         root = generate_dataset(tmp_path / "ds", "laptop", 1, seed=0, n_points=256)

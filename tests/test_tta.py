@@ -90,7 +90,7 @@ def assert_same_result(got, want):
 
 def hand_seg(seg, nocs, rot):
     """Head outputs that put every point in the hand class."""
-    hand = np.eye(seg.shape[1], dtype=seg.data.dtype)[E.HAND_CLASS]
+    hand = np.eye(seg.data.shape[1], dtype=seg.data.dtype)[E.HAND_CLASS]
     return ad.add(ad.mul(seg, 0.0), hand), nocs, rot
 
 
@@ -180,6 +180,16 @@ class TestAdaptObject:
         assert result.aborted == "step 1: part 0: non-finite fit"
         assert len(result.trace) == 1
         assert result.after is result.before
+
+    def test_non_finite_point_aborts_as_a_non_finite_segmentation(self, est, disc, scene):
+        # the encoder's max-pool spreads one NaN point to every row's logits
+        cloud = scene.cloud.copy()
+        cloud[0] = np.nan
+        result = tta.adapt_object(est, disc, cloud, scene.canonical_boxes, tta.TtaConfig(steps=2))
+        assert result.aborted == "step 0: part 0: non-finite segmentation"
+        assert result.trace == []
+        assert result.after is result.before
+        assert [(p.valid, p.reason) for p in result.before] == [(False, "non-finite segmentation")] * 2
 
     def test_starved_first_estimate_aborts_at_step_0(self, est, disc, scene, monkeypatch):
         fail_first_pass(monkeypatch, hand_seg)
