@@ -63,7 +63,7 @@ float64, and `ad.add(x, 1e-6)` does the same. A float32 training graph is theref
 not float32 throughout: on float32 clouds `Estimator.encode_graph` returns
 `pooled` as float64 and `Estimator.heads_graph` returns `rot` as float64
 (local, mx, seg and nocs stay float32). Gradient checks run in float64. The
-planned fix is "Dtype-honest tape" under item 8 of ROADMAP.md.
+planned fix is "Dtype-honest tape" under item 9 of ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -308,7 +308,14 @@ def linear(x: Var, w: Var, b: Var, relu: bool, shift: Var | None = None) -> Var:
             if shift is not None and shift.requires_grad:
                 shift._add_grad(g.reshape(S, -1, H).sum(axis=1))
             if x.requires_grad:
-                x._add_grad(g @ w.data.T)
+                if w.data.shape[1] == 1:
+                    # the outer product without matmul's slow narrow path;
+                    # + 0.0 turns -0.0 into the +0.0 BLAS gives
+                    gx = g * w.data.T
+                    gx += 0.0
+                else:
+                    gx = g @ w.data.T
+                x._add_grad(gx)
             if w.requires_grad:
                 w._add_grad(x.data.T @ g)
         x.tape.record(out, back)

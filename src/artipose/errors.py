@@ -25,6 +25,11 @@ class EmptyView(ArtiposeError):
     """The camera view covers too few (or zero) scene pixels."""
 
 
+class FewContacts(ArtiposeError):
+    """A view's candidate points hold fewer hand contacts than required, so
+    the cloud sampled from them would too."""
+
+
 # -- nn ---------------------------------------------------------------------
 
 class ShapeMismatch(ArtiposeError):

@@ -339,22 +339,38 @@ def box_iou(a: OrientedBox, b: OrientedBox) -> float:
 def compute_contact_map(obj_pts, hand_pts, tau: float = DEFAULT_CONTACT_TAU) -> np.ndarray:
     """Binary per-object-point contact: min distance to any hand point < tau.
 
-    Accumulates the (N_obj, S) squared distances one coordinate at a time,
-    (dx^2 + dy^2) + dz^2, the sum order of the (N_obj, S, 3) broadcast it
-    replaces, so every distance and every comparison with tau is unchanged.
+    Only the object points inside the hand points' bounding box, widened
+    by pad = tau * (1 + 1e-9) + 4 eps max|h|, get distances; the rest are
+    0. That is exact. Along one axis, a point outside the box is farther
+    from every hand point than pad less the rounding of the box bound (eps/2
+    of |h| + pad), so farther than tau * (1 + 1e-9) * (1 - eps). Rounding
+    the difference, the squares, the sums and the sqrt loses a factor of at
+    most (1 - eps/2) each, so its computed distance stays above tau, as in
+    the full map (for any tau whose square is a normal float). For the
+    points inside, the squared distances accumulate one coordinate at a
+    time, (dx^2 + dy^2) + dz^2, the sum order of the (N_obj, S, 3) broadcast
+    this replaced, so every distance and every comparison with tau is
+    unchanged.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     o = as_cloud(obj_pts)
     h = as_cloud(hand_pts)
-    d2 = np.subtract.outer(o[:, 0], h[:, 0])
-    np.multiply(d2, d2, out=d2)
-    sq = np.empty_like(d2)
-    for k in (1, 2):
-        np.subtract.outer(o[:, k], h[:, k], out=sq)
-        np.multiply(sq, sq, out=sq)
-        np.add(d2, sq, out=d2)
-    return (np.sqrt(d2.min(axis=1)) < tau).astype(np.uint8)
+    pad = tau * (1 + 1e-9) + 4 * np.finfo(np.float64).eps * np.abs(h).max()
+    near = np.flatnonzero(
+        ((o >= h.min(axis=0) - pad) & (o <= h.max(axis=0) + pad)).all(axis=1)
+    )
+    contact = np.zeros(len(o), dtype=np.uint8)
+    if len(near):
+        d2 = np.subtract.outer(o[near, 0], h[:, 0])
+        np.multiply(d2, d2, out=d2)
+        sq = np.empty_like(d2)
+        for k in (1, 2):
+            np.subtract.outer(o[near, k], h[:, k], out=sq)
+            np.multiply(sq, sq, out=sq)
+            np.add(d2, sq, out=d2)
+        contact[near] = np.sqrt(d2.min(axis=1)) < tau
+    return contact
 
 
 def point_box_distance(points, box: OrientedBox) -> np.ndarray:

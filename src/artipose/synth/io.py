@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import parallel
-from ..errors import EmptyView, GraspFailure
+from ..errors import EmptyView, FewContacts, GraspFailure
 from ..geometry import OrientedBox, SimilarityTransform
 from .hand import KinematicHand, default_hand_template
 from .instances import make_instance
@@ -115,22 +115,31 @@ def _build_scene(
         np.random.default_rng(np.random.SeedSequence([seed, i, 1])).integers(2**31)
     )
     instance = make_instance(category, inst_seed, **instance_kwargs)
+
+    def draw(attempt, min_contacts):
+        return sample_scene(
+            instance,
+            np.random.SeedSequence([seed, i, 2, attempt]),
+            scene_id=_scene_id(i),
+            min_contacts=min_contacts,
+            **sample_kwargs,
+        )
+
     record = None
     grasp_failures = empty_views = 0
     few = []  # visible-contact counts of the draws below min_contacts
+    early = []  # the attempts rejected on their candidate pool, before FPS
     for attempt in range(MAX_SCENE_ATTEMPTS):
         try:
-            record = sample_scene(
-                instance,
-                np.random.SeedSequence([seed, i, 2, attempt]),
-                scene_id=_scene_id(i),
-                **sample_kwargs,
-            )
+            record = draw(attempt, min_contacts)
         except GraspFailure:
             grasp_failures += 1
             continue
         except EmptyView:
             empty_views += 1
+            continue
+        except FewContacts:
+            early.append(attempt)
             continue
         contacts = int(record.contact.sum())
         if contacts >= min_contacts:
@@ -138,6 +147,9 @@ def _build_scene(
         few.append(contacts)
         record = None
     if record is None:
+        # the message counts the contacts of each draw's cloud, so the
+        # early-rejected draws are drawn again in full
+        few += [int(draw(attempt, 0).contact.sum()) for attempt in early]
         raise GraspFailure(
             f"scene {i}: no usable draw in {MAX_SCENE_ATTEMPTS} attempts: "
             f"{grasp_failures} grasp failures, {empty_views} empty views, "
@@ -266,9 +278,15 @@ def generate_dataset(
     """Generate `count` scenes of one category; byte-deterministic in args.
 
     Scene i builds one instance and draws it with SeedSequence((seed, i,
-    attempt)); unusable draws (GraspFailure, EmptyView, nearly invisible
-    contact region) retry with the next attempt index, keeping output
-    independent of history. If all fail, GraspFailure counts each reason.
+    attempt)); unusable draws (GraspFailure, EmptyView, fewer than
+    min_contacts visible contacts) retry with the next attempt index,
+    keeping output independent of history. A draw whose candidate pool
+    holds fewer than min_contacts contacts is rejected before its
+    furthest-point sampling, since its cloud cannot hold more; that skips
+    most of the cost of a draw that would be thrown away and changes no
+    output. If all fail, GraspFailure counts each reason, and "(best N)"
+    is the largest contact count of a rejected draw's cloud, the
+    early-rejected draws being drawn again in full for it.
     Drawer instances get a fixed `drawers` sliding parts (3 by default) so
     every scene in a dataset has the same part count. A negative count, or
     for the drawer category drawers None or outside 1..3, raises ValueError

@@ -2,7 +2,11 @@
 
 Rays are cast through every pixel of a small pinhole image; the nearest
 primitive hit wins (exact z-buffer visibility). Hit points are backprojected
-to camera-frame 3D and furthest-point downsampled to the point budget.
+to camera-frame 3D and subsampled to at most `_MAX_RAW_POINTS`: that is the
+candidate pool the ray cast returns. `scene.sample_scene` labels the pool's
+contacts and furthest-point downsamples it to the point budget with
+`furthest_point_sample`, so a draw with too few contacts in the pool is
+rejected before it pays for FPS.
 
 Cone culling. Each primitive is tested only against the rays that can reach
 it. A capsule lies inside the sphere centred at (A+B)/2 with radius
@@ -208,11 +212,13 @@ def render_partial_cloud(
     n_points: int,
     rng: np.random.Generator,
 ):
-    """Visible-surface point cloud with per-point labels.
+    """The FPS candidate pool of the visible surface, with per-point labels.
 
-    Returns (points (n, 3) camera frame, labels (n,), visibility) where
-    visibility[k] is the fraction of raw hit pixels showing label k
-    (index 0 = hand, 1.. = parts).
+    Returns (points (m, 3) camera frame, labels (m,) uint8, visibility):
+    the hit points, subsampled to m = _MAX_RAW_POINTS with one rng draw when
+    there are more, and visibility[k], the fraction of raw hit pixels
+    showing label k (index 0 = hand, 1.. = parts). Raises EmptyView, before
+    drawing from rng, when fewer than n_points pixels are hit.
     """
     dirs = camera.ray_directions()
     depth = np.full(len(dirs), np.inf)
@@ -255,5 +261,4 @@ def render_partial_cloud(
     if raw_count > _MAX_RAW_POINTS:
         keep = rng.choice(raw_count, size=_MAX_RAW_POINTS, replace=False)
         pts, labs = pts[keep], labs[keep]
-    sel = furthest_point_sample(pts, n_points, rng)
-    return pts[sel], labs[sel].astype(np.uint8), visibility
+    return pts, labs.astype(np.uint8), visibility

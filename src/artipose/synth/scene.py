@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import EmptyView
+from ..errors import EmptyView, FewContacts
 from ..geometry import (
     DEFAULT_CONTACT_TAU,
     OrientedBox,
@@ -23,7 +23,13 @@ from .hand import (
     pose_hand_grasp,
 )
 from .instances import ArticulatedInstance, part_poses_object
-from .render import HAND_LABEL, Camera, render_partial_cloud, sample_camera
+from .render import (
+    HAND_LABEL,
+    Camera,
+    furthest_point_sample,
+    render_partial_cloud,
+    sample_camera,
+)
 
 DEFAULT_N_POINTS = 1024
 
@@ -72,12 +78,23 @@ def sample_scene(
     tau: float = DEFAULT_CONTACT_TAU,
     template: HandTemplate | None = None,
     scene_id: str = "",
+    min_contacts: int = 0,
 ) -> SceneRecord:
     """Sample joint state, grasp, and camera; render and annotate.
 
     Deterministic in (instance, seed). Raises GraspFailure / EmptyView when
     the draw is unusable; callers that need a fixed scene count retry with
     fresh sub-seeds.
+
+    The ray cast returns the candidate pool of up to _MAX_RAW_POINTS visible
+    points. The contact flag of every object point in it is computed once,
+    and when fewer than `min_contacts` of them are in contact the draw
+    raises FewContacts before furthest-point sampling: the cloud is a subset
+    of the pool, so it could not hold more. Otherwise the cloud's points,
+    labels and contacts are the pool's at the FPS indices; compute_contact_map
+    flags each point on its own, so these are the cloud's own flags. The
+    check draws nothing from rng, so a kept draw is the same record for
+    every `min_contacts`.
     """
     rng = np.random.default_rng(seed)
     template = template or default_hand_template()
@@ -109,7 +126,7 @@ def sample_scene(
     for zoom in (1.0, 1.5, 2.2):
         camera = replace(base_camera, fx=base_camera.fx * zoom, fy=base_camera.fy * zoom)
         try:
-            cloud, seg, _vis = render_partial_cloud(
+            pool, pool_seg, _vis = render_partial_cloud(
                 [(box, i + 1) for i, box in enumerate(boxes_cam)],
                 capsules_world(hand_cam),
                 camera,
@@ -121,6 +138,17 @@ def sample_scene(
             if zoom == 2.2:
                 raise
 
+    hand_surface = hand_cam.surface()
+    pool_contact = np.zeros(len(pool), dtype=np.uint8)
+    obj_mask = pool_seg != HAND_LABEL
+    if obj_mask.any():
+        pool_contact[obj_mask] = compute_contact_map(pool[obj_mask], hand_surface, tau)
+    visible = int(pool_contact.sum())
+    if visible < min_contacts:
+        raise FewContacts(f"{visible} contacts among {len(pool)} candidate points < {min_contacts}")
+    sel = furthest_point_sample(pool, n_points, rng)
+    cloud, seg, contact = pool[sel], pool_seg[sel], pool_contact[sel]
+
     nocs = np.zeros_like(cloud)
     for i, (pose, part) in enumerate(zip(poses_cam, instance.parts)):
         members = seg == i + 1
@@ -128,12 +156,6 @@ def sample_scene(
             continue
         local = (cloud[members] - pose.t) @ pose.R / pose.s
         nocs[members] = nocs_normalize(local, part.half_extents)
-
-    contact = np.zeros(n_points, dtype=np.uint8)
-    obj_mask = seg != HAND_LABEL
-    hand_surface = hand_cam.surface()
-    if obj_mask.any():
-        contact[obj_mask] = compute_contact_map(cloud[obj_mask], hand_surface, tau)
 
     return SceneRecord(
         scene_id=scene_id,

@@ -292,7 +292,8 @@ def fps_rowwise(points, n, rng):
 
 def render_every_ray(boxes, capsules, camera, n_points, rng):
     """render.render_partial_cloud with every ray tested against every
-    primitive, the oracle for the cone-culled ray cast."""
+    primitive, the oracle for the cone-culled ray cast: the same candidate
+    pool, labels and visibility, after the same rng draws."""
     dirs = camera.ray_directions()
     depth = np.full(len(dirs), np.inf)
     label = np.full(len(dirs), -1, dtype=np.int32)
@@ -328,8 +329,7 @@ def render_every_ray(boxes, capsules, camera, n_points, rng):
     if raw_count > render._MAX_RAW_POINTS:
         keep = rng.choice(raw_count, size=render._MAX_RAW_POINTS, replace=False)
         pts, labs = pts[keep], labs[keep]
-    sel = render.furthest_point_sample(pts, n_points, rng)
-    return pts[sel], labs[sel].astype(np.uint8), visibility
+    return pts, labs.astype(np.uint8), visibility
 
 
 def contact_map_broadcast(obj_pts, hand_pts, tau):

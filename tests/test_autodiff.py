@@ -138,6 +138,29 @@ class TestLinear:
                     assert g.dtype == o.dtype
                     assert np.array_equal(bits(g), bits(o))
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_width_one_x_gradient_is_the_matmul(self, dtype):
+        # one output column: x's gradient is the outer product g w^T, taken
+        # without matmul; bit for bit the matmul's, signed zeros included
+        rng = np.random.default_rng(6)
+        w = rng.normal(size=(9, 1)).astype(dtype)
+        w[1], w[2], w[3] = 0.0, -0.0, np.inf
+        g = rng.normal(size=(12, 1)).astype(dtype)
+        g[0], g[1], g[2], g[3] = 0.0, -0.0, np.inf, -np.inf
+        g[4], g[5] = np.nan, -np.nan
+        tape = ad.Tape()
+        x = ad.leaf(rng.normal(size=(12, 9)).astype(dtype), tape)
+        with np.errstate(invalid="ignore"):  # inf * 0
+            out = ad.linear(x, ad.const(w, tape), ad.const(np.zeros(1, dtype=dtype), tape), relu=False)
+            tape.backward(ad.vsum(ad.mul(out, ad.const(g, tape))))
+            want, product = g @ w.T, g * w.T
+        assert np.isnan(want).any() and np.isinf(want).any()
+        # BLAS gives +0.0 where the plain product is -0.0
+        zero = want == 0
+        assert np.signbit(product[zero]).any() and not np.signbit(want[zero]).any()
+        assert x.grad.dtype == want.dtype
+        assert np.array_equal(bits(x.grad), bits(want))
+
     def test_one_record_per_layer(self):
         tape = ad.Tape()
         x = ad.const(np.ones((2, 3)), tape)

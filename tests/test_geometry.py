@@ -453,8 +453,10 @@ class TestContactMap:
 
 
 class TestContactMapColumnwise:
-    """The column-wise contact map equals the (N_obj, S, 3) broadcast
-    oracle bit for bit, including points at tau and one ulp either side."""
+    """The column-wise contact map, which computes distances only inside the
+    hand's bounding box widened by about tau, equals the (N_obj, S, 3)
+    broadcast oracle bit for bit, including points at tau and one ulp
+    either side and points on the faces of the widened box."""
 
     @staticmethod
     def assert_matches_broadcast(obj, hand, tau):
@@ -498,6 +500,70 @@ class TestContactMapColumnwise:
         for r in (below, tau, above):
             got = self.assert_matches_broadcast(hand + r * dirs, hand, tau)
             assert 0 < got.sum() < len(dirs)
+
+    @staticmethod
+    def hand_cloud(rng, n, offset=0.0):
+        return rng.normal(size=(n, 3)) * [0.03, 0.05, 0.02] + offset
+
+    def test_points_at_tau_and_one_ulp_beyond_each_extreme(self):
+        # points at tau, and one ulp of tau either side, from the hand's
+        # extreme point along each axis, in directions that leave the box:
+        # the rounded distances scatter around tau, so both flags occur
+        rng = np.random.default_rng(43)
+        dirs = rng.normal(size=(200, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        for offset in (0.0, 0.7, -3.0, 1e4):
+            hand = self.hand_cloud(rng, 50, offset)
+            for tau in (0.01, 0.003):
+                for k in range(3):
+                    for extreme, sign in ((hand[:, k].argmax(), 1.0), (hand[:, k].argmin(), -1.0)):
+                        out = dirs.copy()
+                        out[:, k] = sign * np.abs(out[:, k])
+                        for r in (np.nextafter(tau, 0.0), tau, np.nextafter(tau, 1.0)):
+                            got = self.assert_matches_broadcast(hand[extreme] + r * out, hand, tau)
+                            assert 0 < got.sum() < len(out)
+
+    def test_points_on_the_faces_of_the_widened_box(self):
+        # points on a face of the box widened by tau * (1 + 1e-9), up to two
+        # ulps either side of it, and its corners and one ulp outside them
+        rng = np.random.default_rng(44)
+        n = 600
+        k = np.arange(n) % 3
+        for offset in (0.0, 0.5, 200.0):
+            hand = self.hand_cloud(rng, 30, offset)
+            for tau in (0.01, 0.05):
+                pad = tau * (1 + 1e-9)
+                lo, hi = hand.min(axis=0) - pad, hand.max(axis=0) + pad
+                obj = rng.uniform(lo, hi, size=(n, 3))
+                face = np.where(rng.integers(2, size=n) == 1, hi[k], lo[k])
+                shift = rng.integers(-2, 3, size=n)
+                toward = np.where(shift > 0, np.inf, -np.inf)
+                for step in (1, 2):
+                    face = np.where(np.abs(shift) >= step, np.nextafter(face, toward), face)
+                obj[np.arange(n), k] = face
+                corners = np.stack(np.meshgrid(*zip(lo, hi), indexing="ij"), axis=-1).reshape(-1, 3)
+                beyond = np.nextafter(corners, np.where(corners == hi, np.inf, -np.inf))
+                self.assert_matches_broadcast(np.concatenate([obj, corners, beyond]), hand, tau)
+
+    def test_one_point_hand(self):
+        rng = np.random.default_rng(45)
+        hand = rng.normal(size=(1, 3))
+        dirs = rng.normal(size=(500, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        obj = hand + dirs * rng.uniform(0.0, 0.03, size=(500, 1))
+        got = self.assert_matches_broadcast(obj, hand, 0.02)
+        assert 0 < got.sum() < len(obj)
+        assert self.assert_matches_broadcast(hand, hand, 0.02).tolist() == [1]
+
+    def test_tau_larger_than_the_scene(self):
+        rng = np.random.default_rng(46)
+        obj = rng.normal(size=(300, 3)) * 0.1
+        hand = self.hand_cloud(rng, 40)
+        assert self.assert_matches_broadcast(obj, hand, 5.0).all()
+        # a tau that reaches some but not all of a spread-out scene
+        obj = rng.normal(size=(300, 3)) * 2.0
+        got = self.assert_matches_broadcast(obj, hand, 1.5)
+        assert 0 < got.sum() < len(obj)
 
 
 class TestPointBoxDistance:

@@ -18,7 +18,7 @@ import pytest
 from artipose import autodiff as ad
 from artipose import geometry as geo
 from artipose import parallel
-from artipose.errors import EmptyView, GraspFailure
+from artipose.errors import EmptyView, FewContacts, GraspFailure
 from artipose.synth import hand as hand_mod
 from artipose.synth import io as synth_io
 from artipose.synth import render as render_mod
@@ -384,13 +384,17 @@ class TestRender:
         assert (labs == 1).all()
 
     def test_exact_point_budget(self):
+        # the ray cast returns every hit point up to the pool cap; FPS then
+        # picks exactly the budget, all distinct
         cam = overhead_camera()
         box = geo.OrientedBox.from_extents([0.2, 0.2, 0.1])
         extr = geo.SimilarityTransform(cam.R, cam.t, 1.0)
-        pts, labs, _ = render_partial_cloud(
-            [(geo.transform_box(box, extr), 1)], [], cam, 512, np.random.default_rng(1)
-        )
-        assert pts.shape == (512, 3) and labs.shape == (512,)
+        rng = np.random.default_rng(1)
+        pts, labs, _ = render_partial_cloud([(geo.transform_box(box, extr), 1)], [], cam, 512, rng)
+        assert 512 < len(pts) < render_mod._MAX_RAW_POINTS
+        assert pts.shape == (len(pts), 3) and labs.shape == (len(pts),) and labs.dtype == np.uint8
+        sel = furthest_point_sample(pts, 512, rng)
+        assert sel.shape == (512,) and len(np.unique(sel)) == 512
 
     def test_occlusion_reduces_base_visibility(self):
         # an open laptop seen from straight above vs. from a low angle:
@@ -446,13 +450,15 @@ CATEGORIES = ("laptop", "drawer", "safe", "microwave", "trashcan")
 
 def render_outcome(fn, args, rng):
     """(fn's result or the EmptyView it raised, a comparable key of its
-    output bits and of the rng state it leaves)."""
+    output bits, of the FPS indices drawn from its candidate pool next and
+    of the rng state it leaves)."""
     try:
         result = fn(*args, rng)
     except EmptyView as e:
         return e, ("EmptyView", str(e))
     pts, labs, vis = result
-    key = (bits(pts).tobytes(), labs.dtype.str, labs.tobytes(), bits(vis).tobytes())
+    sel = furthest_point_sample(pts, args[3], copy.deepcopy(rng))
+    key = (bits(pts).tobytes(), labs.dtype.str, labs.tobytes(), bits(vis).tobytes(), sel.tobytes())
     return result, key + (repr(rng.bit_generator.state),)
 
 
@@ -631,6 +637,99 @@ class TestSampleScene:
         rec = laptop_scene
         assert np.allclose(rec.hand_joints, rec.hand.joints())
         assert np.allclose(rec.hand_surface, rec.hand.surface())
+
+
+def draw_key(instance, seed, n_points, **kwargs):
+    """(sample_scene's record or None, a comparable key of the call: the
+    type and message of the error it raised, or the dtype, shape and bytes
+    of every value of its record)."""
+    try:
+        rec = sample_scene(instance, seed, n_points=n_points, **kwargs)
+    except (GraspFailure, EmptyView, FewContacts) as err:
+        return None, (type(err), str(err))
+    arrays = [rec.cloud, rec.seg, rec.nocs, rec.contact, rec.hand.params(), rec.hand_joints,
+              rec.hand_surface, rec.joint_state, rec.camera.R, rec.camera.t]
+    arrays += [np.concatenate([p.R.ravel(), p.t, [p.s]]) for p in rec.part_poses]
+    arrays += [b.vertices for b in rec.posed_boxes + rec.canonical_boxes]
+    camera = (rec.camera.fx, rec.camera.fy, rec.camera.cx, rec.camera.cy, rec.camera.width, rec.camera.height)
+    key = [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+    return rec, (key, camera, rec.scene_id, rec.category, rec.tau)
+
+
+@pytest.fixture
+def fps_memo(monkeypatch):
+    """Replaces sample_scene's furthest_point_sample with one that returns
+    the indices and rng state of an earlier call on the same points, count
+    and rng state. FPS is deterministic in those, so a draw that reaches FPS
+    with the inputs of an earlier draw gets its output without paying for it
+    again, and any other input is sampled afresh."""
+    seen = {}
+
+    def memo(points, n, rng):
+        key = (points.tobytes(), n, repr(rng.bit_generator.state))
+        if key not in seen:
+            sel = furthest_point_sample(points, n, rng)
+            seen[key] = sel, rng.bit_generator.state
+        sel, state = seen[key]
+        rng.bit_generator.state = state
+        return sel.copy()
+
+    monkeypatch.setattr(scene_mod, "furthest_point_sample", memo)
+
+
+class TestEarlyRejection:
+    """sample_scene(min_contacts=4) rejects a draw before FPS only when the
+    full draw's cloud holds fewer than 4 contacts, and keeps every other
+    draw byte for byte."""
+
+    @pytest.mark.parametrize("n_points", [256, 512, 1024])
+    @pytest.mark.parametrize("category", CATEGORIES)
+    def test_rejects_only_draws_below_min_contacts(self, category, n_points, fps_memo):
+        kept = 0
+        for s in range(20):
+            instance = make_instance(category, s)
+            seed = np.random.SeedSequence([n_points, s])
+            full, full_key = draw_key(instance, seed, n_points)
+            got, key = draw_key(instance, seed, n_points, min_contacts=4)
+            if key[0] is FewContacts:
+                assert full is not None and full.contact.sum() < 4
+            else:
+                kept += got is not None
+                assert key == full_key
+        assert kept > 0
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_scene_rejected_before_fps_on_every_draw_keeps_message(self, tmp_path, monkeypatch, forks, cpus):
+        # no candidate pool holds 10**6 contacts, so every draw that renders
+        # is rejected before FPS and drawn again in full for "(best N)"
+        monkeypatch.setattr(synth_io, "MAX_SCENE_ATTEMPTS", MATRIX_ATTEMPTS)
+        args = ("laptop", 3, MATRIX_SEEDS["laptop"])
+        kwargs = {"n_points": 256, "min_contacts": 10**6}
+        ref = outcome(generate_dataset_serial, tmp_path / "serial", *args, **kwargs)
+        assert ref[0][0] is GraspFailure
+        best = re.fullmatch(
+            r"scene 0: no usable draw in 4 attempts: 0 grasp failures, 0 empty views, "
+            r"4 draws below 1000000 visible contacts \(best (\d+)\)",
+            ref[0][1],
+        )
+        assert best and int(best[1]) > 0
+        early = []
+        sample = synth_io.sample_scene
+
+        def spy(*a, **kw):
+            try:
+                return sample(*a, **kw)
+            except FewContacts:
+                early.append(kw["scene_id"])
+                raise
+
+        monkeypatch.setattr(synth_io, "sample_scene", spy)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        assert outcome(generate_dataset, tmp_path / "ds", *args, **kwargs) == ref
+        # scene 0 is the calling process's share for any worker count
+        assert early == ["scene_000000"] * MATRIX_ATTEMPTS
+        assert len(forks) == cpus - 1
+        assert not multiprocessing.active_children()
 
 
 # ---------------------------------------------------------------------------
