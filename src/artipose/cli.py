@@ -22,6 +22,7 @@ from . import priors as priors_mod
 from . import tta as tta_mod
 from .errors import ArtiposeError, UsageError
 from .synth import CATEGORIES, KinematicHand, generate_dataset, load_dataset
+from .synth.io import DEFAULT_DRAWERS, DEFAULT_N_POINTS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,11 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=non_negative_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--points", type=int, default=1024)
-    p.add_argument("--tau", type=float, default=0.01)
-    p.add_argument("--drawers", type=int, default=3, help="sliding parts for the drawer category")
-    p.add_argument("--surface-samples", type=int, default=512)
-    p.add_argument("--min-contacts", type=int, default=4)
+    p.add_argument("--points", type=int, default=DEFAULT_N_POINTS)
+    p.add_argument("--drawers", type=int, default=DEFAULT_DRAWERS, help="sliding parts for the drawer category")
 
     p = sub.add_parser("train", help="train estimator (+ priors) from a JSON config")
     p.set_defaults(run=cmd_train)
@@ -84,9 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--disc", default=None, help="discriminator checkpoint (defaults to the group inside --checkpoint)")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", default="tta_report.csv")
-    p.add_argument("--steps", type=non_negative_int, default=10)
-    p.add_argument("--lr", type=positive_float, default=1e-4)
-    p.add_argument("--scope", choices=[tta_mod.HEADS_ONLY, tta_mod.FULL_ENCODER], default=tta_mod.HEADS_ONLY,
+    p.add_argument("--steps", type=non_negative_int, default=tta_mod.TtaConfig.steps)
+    p.add_argument("--lr", type=positive_float, default=tta_mod.TtaConfig.lr)
+    p.add_argument("--scope", choices=[tta_mod.HEADS_ONLY, tta_mod.FULL_ENCODER], default=tta_mod.TtaConfig.scope,
                    help="adapt the heads on a frozen encoder, or the encoder too")
     p.add_argument("--limit", type=non_negative_int, default=None)
 
@@ -96,9 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--perturb", type=non_negative_float, default=0.10, help="initial root displacement (m)")
     p.add_argument("--gt-contact", action="store_true", help="use ground-truth contact maps")
-    p.add_argument("--generations", type=positive_int, default=5)
-    p.add_argument("--iters", type=positive_int, default=200)
-    p.add_argument("--lr", type=positive_float, default=1e-2)
+    p.add_argument("--generations", type=positive_int, default=priors_mod.DEFAULT_GENERATIONS)
+    p.add_argument("--iters", type=positive_int, default=tta_mod.HandOptConfig.iters)
+    p.add_argument("--lr", type=positive_float, default=tta_mod.HandOptConfig.lr)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="hand_report.csv")
     p.add_argument("--limit", type=non_negative_int, default=None)
@@ -119,10 +117,7 @@ def cmd_synth(args) -> int:
         args.count,
         seed=args.seed,
         n_points=args.points,
-        tau=args.tau,
-        surface_samples=args.surface_samples,
         drawers=args.drawers,
-        min_contacts=args.min_contacts,
     )
     print(f"wrote {args.count} {args.category} scenes to {args.out}")
     return 0

@@ -34,8 +34,8 @@ from . import diffgeom as dg
 from . import nn, priors
 from .errors import ShapeMismatch, UsageError
 from .geometry import _CORNER_SIGNS, OrientedBox, SimilarityTransform, box_half_extents, matrix_to_rot6d
-
-HAND_CLASS = 0
+from .synth.io import MIN_N_POINTS
+from .synth.render import HAND_LABEL
 
 LOCAL_WIDTHS = (3, 64, 128)  # shared per-point MLP, input width first
 HEAD_HIDDEN = 128  # hidden width of the seg and NOCS heads
@@ -218,8 +218,8 @@ class Estimator:
 
     def encode(self, cloud: np.ndarray) -> EncoderOutput:
         cloud = np.asarray(cloud, dtype=np.float32)
-        if cloud.ndim != 2 or cloud.shape[1] != 3 or cloud.shape[0] < 8:
-            raise ShapeMismatch(f"expected (N >= 8, 3) cloud, got {cloud.shape}")
+        if cloud.ndim != 2 or cloud.shape[1] != 3 or cloud.shape[0] < MIN_N_POINTS:
+            raise ShapeMismatch(f"expected (N >= {MIN_N_POINTS}, 3) cloud, got {cloud.shape}")
         tape = ad.Tape(grad=False)
         local, _, pooled = self.encode_graph(tape, cloud[None])
         return EncoderOutput(local=local.data, global_feat=pooled.data[0])
@@ -260,7 +260,7 @@ def pose_loss_graph(
     rot_diff = ad.sub(ad.reshape(rot, (B * P, 6)), ad.const(gt_rot.reshape(B * P, 6).astype(dtype), tape))
     rot_term = ad.mul(ad.vsum(ad.norm_rows(rot_diff)), 1.0 / B)
 
-    mask = (seg_labels.reshape(-1) != HAND_CLASS).astype(dtype)
+    mask = (seg_labels.reshape(-1) != HAND_LABEL).astype(dtype)
     per_scene_counts = mask.reshape(B, N).sum(axis=1)
     weights = np.where(
         per_scene_counts > 0, 1.0 / (B * np.maximum(per_scene_counts, 1.0)), 0.0
@@ -286,7 +286,7 @@ def point_labels(logits: np.ndarray) -> np.ndarray:
 def assemble_graph(
     tape: ad.Tape,
     clouds: np.ndarray,  # (B, N, 3)
-    labels: np.ndarray,  # (B, N) point_labels: HAND_CLASS, part + 1 or -1
+    labels: np.ndarray,  # (B, N) point_labels: HAND_LABEL, part + 1 or -1
     nocs: ad.Var,  # (B*N, 3) rows aligned with clouds
     rot: ad.Var,  # (B, P, 6)
     half_extents: np.ndarray,  # (B, P, 3)

@@ -20,9 +20,8 @@ import numpy as np
 
 from .errors import DegenerateRotation, EmptyCloud
 
-# Contact threshold in meters. The source material for this pipeline never
-# pins a value, so it is a configurable default everywhere.
-DEFAULT_CONTACT_TAU = 0.01
+# Contact threshold in meters: the paper does not pin tau; change it here.
+CONTACT_TAU = 0.01
 
 # Corner k of a box has sign pattern given by the bits of k, x most
 # significant: k = 4*bx + 2*by + bz, bit 0 -> -h, bit 1 -> +h.
@@ -336,7 +335,7 @@ def box_iou(a: OrientedBox, b: OrientedBox) -> float:
     return inter / (vol_a + vol_b - inter)
 
 
-def compute_contact_map(obj_pts, hand_pts, tau: float = DEFAULT_CONTACT_TAU) -> np.ndarray:
+def compute_contact_map(obj_pts, hand_pts, tau: float = CONTACT_TAU) -> np.ndarray:
     """Binary per-object-point contact: min distance to any hand point < tau.
 
     Only the object points inside the hand points' bounding box, widened

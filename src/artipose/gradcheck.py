@@ -21,6 +21,7 @@ from .priors import ContactDiffuser, Discriminator, NoiseSchedule, d_loss_graph,
 from .synth.hand import default_hand_template, fk_vars, root_frame_vars
 
 DEFAULT_TOL = 1e-3
+PROBES = 20  # parameter probes per network suite
 
 
 @dataclass
@@ -97,28 +98,20 @@ def _f64(store: nn.ParamStore, **inputs) -> nn.ParamStore:
     return store
 
 
-def _scene_fixture(rng, n_points=60, part_count=2):
-    cloud = rng.normal(size=(n_points, 3)) * 0.2
-    labels = np.concatenate(
-        [np.full(n_points - 2 * (n_points // 3), 0)]
-        + [np.full(n_points // 3, p + 1) for p in range(part_count)]
-    )
+def _scene_fixture(rng):
+    """A random 60-point scene of two parts, 20 points per class."""
+    cloud = rng.normal(size=(60, 3)) * 0.2
+    labels = np.repeat(np.arange(3), 20)
     rng.shuffle(labels)
-    # ensure every class keeps enough members after the shuffle
-    for cls in range(part_count + 1):
-        assert (labels == cls).sum() >= 8
-    gt_nocs = rng.uniform(0.1, 0.9, size=(n_points, 3))
+    gt_nocs = rng.uniform(0.1, 0.9, size=(60, 3))
     gt_rot = np.stack(
-        [
-            np.concatenate([M[:, 0], M[:, 1]])
-            for M in (rot6d_to_matrix(rng.normal(size=6)) for _ in range(part_count))
-        ]
+        [np.concatenate([M[:, 0], M[:, 1]]) for M in (rot6d_to_matrix(rng.normal(size=6)) for _ in range(2))]
     )
-    extents = rng.uniform(0.05, 0.3, size=(part_count, 3))
+    extents = rng.uniform(0.05, 0.3, size=(2, 3))
     return cloud, labels, gt_nocs, gt_rot, extents
 
 
-def check_encoder(seed=0, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
+def check_encoder(seed=0, tol=DEFAULT_TOL) -> SuiteResult:
     rng = np.random.default_rng(seed)
     spec = EstimatorSpec(part_count=2)
     est = Estimator.create(spec, seed)
@@ -132,13 +125,13 @@ def check_encoder(seed=0, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
         return ad.add(ad.vsum(ad.mul(local, ad.const(W, tape))), ad.vsum(ad.mul(pooled, ad.const(Wp, tape))))
 
     enc_probes = [
-        p for p in _random_probes(est.store, rng, probes * 4) if p[0].startswith("enc")
-    ][:probes]
+        p for p in _random_probes(est.store, rng, PROBES * 4) if p[0].startswith("enc")
+    ][:PROBES]
     worst = _fd_probe_store(loss, est.store, enc_probes)
     return SuiteResult("encoder", worst < tol, worst, len(enc_probes))
 
 
-def check_heads(seed=1, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
+def check_heads(seed=1, tol=DEFAULT_TOL) -> SuiteResult:
     rng = np.random.default_rng(seed)
     spec = EstimatorSpec(part_count=2)
     est = Estimator.create(spec, seed)
@@ -158,11 +151,11 @@ def check_heads(seed=1, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
             ad.vsum(ad.mul(rot, ad.const(Wrot, tape))),
         )
 
-    worst = _fd_probe_store(loss, est.store, _random_probes(est.store, rng, probes))
-    return SuiteResult("heads", worst < tol, worst, probes)
+    worst = _fd_probe_store(loss, est.store, _random_probes(est.store, rng, PROBES))
+    return SuiteResult("heads", worst < tol, worst, PROBES)
 
 
-def check_end_to_end(seed=2, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
+def check_end_to_end(seed=2, tol=DEFAULT_TOL) -> SuiteResult:
     """Eq.-1 pose loss + the assembled boxes of a batch of two scenes as a
     function of all parameters."""
     rng = np.random.default_rng(seed)
@@ -181,11 +174,11 @@ def check_end_to_end(seed=2, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
             raise ArtiposeError(f"fixture scenes have parts without a fit: {reasons.tolist()}")
         return ad.add(total, ad.vsum(ad.mul(boxes, ad.const(Wbox, tape))))
 
-    worst = _fd_probe_store(loss, est.store, _random_probes(est.store, rng, probes))
-    return SuiteResult("end_to_end_pose", worst < tol, worst, probes)
+    worst = _fd_probe_store(loss, est.store, _random_probes(est.store, rng, PROBES))
+    return SuiteResult("end_to_end_pose", worst < tol, worst, PROBES)
 
 
-def check_discriminator(seed=3, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
+def check_discriminator(seed=3, tol=DEFAULT_TOL) -> SuiteResult:
     """Parameter grads of both LSGAN terms and box-vertex input grads of the
     generator term, each scoring a batch of layouts."""
     rng = np.random.default_rng(seed)
@@ -199,14 +192,14 @@ def check_discriminator(seed=3, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
         fake_vars = [ad.reshape(ad.take(layouts, np.array([i])), (2, 8, 3)) for i in range(3)]
         return ad.add(g_adv_loss_graph(disc, tape, fake_vars), d_loss_graph(disc, tape, real, fake))
 
-    worst = _fd_probe_store(loss, disc.store, _random_probes(disc.store, rng, probes))
-    corners = [tuple(rng.integers((3, 2, 8, 3))) for _ in range(probes // 2)]
+    worst = _fd_probe_store(loss, disc.store, _random_probes(disc.store, rng, PROBES))
+    corners = [tuple(rng.integers((3, 2, 8, 3))) for _ in range(PROBES // 2)]
     vertex_probes = [("layouts", int(np.ravel_multi_index(c, (3, 2, 8, 3)))) for c in corners]
     worst = max(worst, _fd_probe_store(loss, inputs, vertex_probes))
-    return SuiteResult("discriminator", worst < tol, worst, probes + probes // 2)
+    return SuiteResult("discriminator", worst < tol, worst, PROBES + PROBES // 2)
 
 
-def check_denoiser(seed=4, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
+def check_denoiser(seed=4, tol=DEFAULT_TOL) -> SuiteResult:
     """The diffusion loss over three blocks of ten rows, z = [local | the
     block's max-pool row]."""
     rng = np.random.default_rng(seed)
@@ -220,11 +213,11 @@ def check_denoiser(seed=4, probes=20, tol=DEFAULT_TOL) -> SuiteResult:
     def loss(tape):
         return diff_loss_graph(diffuser, tape, ad.const(local, tape), ad.const(mx, tape), x0, t, eps)
 
-    worst = _fd_probe_store(loss, diffuser.store, _random_probes(diffuser.store, rng, probes))
-    return SuiteResult("denoiser", worst < tol, worst, probes)
+    worst = _fd_probe_store(loss, diffuser.store, _random_probes(diffuser.store, rng, PROBES))
+    return SuiteResult("denoiser", worst < tol, worst, PROBES)
 
 
-def check_hand_chamfer(seed=5, probes=24, tol=DEFAULT_TOL) -> SuiteResult:
+def check_hand_chamfer(seed=5, tol=DEFAULT_TOL) -> SuiteResult:
     """Chamfer(FK surface, contact points) vs FD over the 24 hand params."""
     rng = np.random.default_rng(seed)
     template = default_hand_template(128)
@@ -245,9 +238,8 @@ def check_hand_chamfer(seed=5, probes=24, tol=DEFAULT_TOL) -> SuiteResult:
     def loss(tape):
         return dg.chamfer_fixed(surface(tape), ad.const(C, tape), assignments=assign)
 
-    idxs = rng.choice(24, size=min(probes, 24), replace=False)
-    worst = _fd_probe_store(loss, store, [("params", int(i)) for i in idxs], h=1e-6)
-    return SuiteResult("hand_fk_chamfer", worst < tol, worst, len(idxs))
+    worst = _fd_probe_store(loss, store, [("params", i) for i in range(24)], h=1e-6)
+    return SuiteResult("hand_fk_chamfer", worst < tol, worst, 24)
 
 
 ALL_SUITES = (

@@ -39,7 +39,6 @@ N = 1024.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +51,7 @@ from .errors import BadTimestep, PartCountMismatch, ShapeMismatch
 TIME_EMBED_DIM = 64
 BETA_LO, BETA_HI = 1e-4, 0.02  # the linear schedule's first and last beta
 CHAIN_BLOCK = 64  # the sampler cuts its chains on multiples of this many points
+DEFAULT_GENERATIONS = 5  # K sampled contact maps averaged per call
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,7 @@ def _reverse_chain(
 
 
 def sample_contact_map(
-    diffuser: ContactDiffuser, z: np.ndarray, generations: int = 5, seed: int = 0
+    diffuser: ContactDiffuser, z: np.ndarray, generations: int = DEFAULT_GENERATIONS, seed: int = 0
 ):
     """Ancestral reverse sampling, K generations averaged into confidence.
 
@@ -314,10 +314,11 @@ def sample_contact_map(
     N = 1024). The points are then cut into k = min(usable CPUs,
     N // CHAIN_BLOCK) contiguous chunks with every inner cut on a multiple
     of CHAIN_BLOCK. Each chunk runs all T steps for all K generations of its
-    points: the calling thread runs chunk 0 and one thread each runs the
-    others. The rows are independent and every chunk sees the same noise
-    values as the serial loop, so the output is byte-identical to it. With
-    k = 1 no thread is started.
+    points: the calling thread runs chunk 0 and a pool of k - 1 threads the
+    others, and a chunk's error is raised in the calling thread. The rows
+    are independent and every chunk sees the same noise values as the
+    serial loop, so the output is byte-identical to it. With k = 1 no thread
+    is started.
     """
     if generations < 1:
         raise ValueError("need at least one generation")
@@ -332,28 +333,16 @@ def sample_contact_map(
         step_noise[...] = rng.standard_normal((generations, N))
 
     cuts = _chain_cuts(N)
-    finals = [None] * (len(cuts) - 1)
-    errors = [None] * len(finals)
 
-    def run(i):
-        lo, hi = cuts[i], cuts[i + 1]
-        try:
-            finals[i] = _reverse_chain(diffuser, cond[lo:hi], x[:, lo:hi], noise[:, :, lo:hi])
-        except BaseException as err:  # re-raised by the calling thread
-            errors[i] = err
+    def run(lo, hi):
+        return _reverse_chain(diffuser, cond[lo:hi], x[:, lo:hi], noise[:, :, lo:hi])
 
-    workers = []
-    try:
-        for i in range(1, len(finals)):
-            worker = threading.Thread(target=run, args=(i,), daemon=True)
-            worker.start()
-            workers.append(worker)
-        run(0)
-    finally:
-        for worker in workers:
-            worker.join()
-    for err in errors:
-        if err is not None:
-            raise err
+    # imported here: a process that never samples saves its ~0.3 MB
+    from concurrent.futures import ThreadPoolExecutor
+
+    # a pool starts its threads on submit, so one chunk starts none
+    with ThreadPoolExecutor(max(1, len(cuts) - 2)) as pool:
+        others = [pool.submit(run, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        finals = [run(0, cuts[1])] + [future.result() for future in others]
     confidence = np.concatenate(finals, axis=1).mean(axis=0).astype(np.float64)
     return (confidence > 0).astype(np.uint8), confidence

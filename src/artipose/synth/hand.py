@@ -6,7 +6,8 @@ part (`fk_vars`) and the root transform (`root_frame_vars`). `fk_vars` is
 one fixed sequence of stacked ops: one batched Rodrigues for the 15 phalanx
 rotations, the joint chain as three (5, 3) adds, and the 20 capsule surfaces
 gathered with a per-sample bone index. Everything that depends only on the
-template is built once per HandTemplate. Generation runs FK on constants,
+template is built once per HandTemplate, and default_hand_template builds
+one template per surface size. Generation runs FK on constants,
 and a KinematicHand caches its result; hand-pose optimization runs it on
 parameter Vars.
 """
@@ -14,14 +15,14 @@ parameter Vars.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .. import autodiff as ad
 from ..errors import GraspFailure
-from ..geometry import OrientedBox, SimilarityTransform, cross, point_box_distance, transform_box, unit
+from ..geometry import CONTACT_TAU, OrientedBox, SimilarityTransform, cross, point_box_distance, transform_box, unit
 from .instances import ArticulatedInstance, part_poses_object
 
 N_FINGERS = 5
@@ -35,9 +36,10 @@ _GOLDEN = 2.399963229728653
 _PALM_NORMAL = np.array([0.0, 0.0, 1.0])
 
 # pose_hand_grasp resamples the flexion until this many surface points lie
-# within tau of the part cuboids, and gives up after this many draws.
+# within CONTACT_TAU of the part cuboids, and gives up after this many draws.
 GRASP_MIN_CONTACTS = 20
 GRASP_MAX_ATTEMPTS = 50
+SURFACE_SAMPLES = 512  # points on the hand surface of every dataset scene
 
 
 def _frozen(a) -> np.ndarray:
@@ -147,7 +149,14 @@ class HandTemplate:
         )
 
 
-def default_hand_template(surface_samples: int = 512) -> HandTemplate:
+def default_hand_template(surface_samples: int = SURFACE_SAMPLES) -> HandTemplate:
+    """The one template of each surface size, shared by every caller: it is
+    read-only, so its fk_tables are built once per process."""
+    return _hand_template(int(surface_samples))
+
+
+@cache
+def _hand_template(surface_samples: int) -> HandTemplate:
     splay = np.radians([48.0, 10.0, 0.0, -10.0, -22.0])
     dirs = np.stack([np.array([np.sin(a), np.cos(a), 0.0]) for a in splay])
     return HandTemplate(
@@ -172,7 +181,7 @@ def default_hand_template(surface_samples: int = 512) -> HandTemplate:
         ),
         finger_radii=np.array([0.010, 0.008, 0.008, 0.008, 0.007]),
         palm_radius=0.013,
-        surface_samples=int(surface_samples),
+        surface_samples=surface_samples,
     )
 
 
@@ -309,21 +318,15 @@ def _grasp_face(instance: ArticulatedInstance, joint_index: int):
     return axis, 1.0 if a_local[axis] < 0 else -1.0
 
 
-def pose_hand_grasp(
-    instance: ArticulatedInstance,
-    joint_state,
-    seed,
-    tau: float = 0.01,
-    template: HandTemplate | None = None,
-) -> KinematicHand:
+def pose_hand_grasp(instance: ArticulatedInstance, joint_state, seed) -> KinematicHand:
     """Place a grasping hand near the movable part's handle face (object frame).
 
     The palm faces the face center opposite the joint anchor, offset outward
     0.02-0.05 m; finger flexion is resampled until >= GRASP_MIN_CONTACTS surface
-    points land within tau of the part cuboids.
+    points land within CONTACT_TAU of the part cuboids.
     """
     rng = np.random.default_rng(seed)
-    template = template or default_hand_template()
+    template = default_hand_template()
     joint_index = int(rng.integers(len(instance.joints)))
     axis_idx, sign = _grasp_face(instance, joint_index)
     joint = instance.joints[joint_index]
@@ -384,7 +387,7 @@ def pose_hand_grasp(
         dists = np.min(
             np.stack([point_box_distance(surf, box) for box in boxes]), axis=0
         )
-        if int((dists < tau).sum()) >= GRASP_MIN_CONTACTS:
+        if int((dists < CONTACT_TAU).sum()) >= GRASP_MIN_CONTACTS:
             return hand
     raise GraspFailure(
         f"no flexion sample reached {GRASP_MIN_CONTACTS} contacts in {GRASP_MAX_ATTEMPTS} tries"

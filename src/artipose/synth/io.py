@@ -4,6 +4,12 @@ Each scene directory holds one little-endian file per entry of
 SCENE_FILES, which gives its dtype and shape. Canonical boxes are +/- the
 per-part half extents recorded in the manifest.
 
+A dataset's settings are its category, count, seed, point count and, for
+drawers, part count. The rest are module constants: the contact
+threshold geometry.CONTACT_TAU and the hand's hand.SURFACE_SAMPLES surface
+points, which the manifest records, and MIN_VISIBLE_CONTACTS, the fewest
+contact points a kept scene's cloud holds.
+
 Scene i depends only on (seed, i), so `generate_dataset` builds the scenes
 of one call in k = min(usable CPUs, count) processes: the calling process
 builds scenes i = 0 mod k, and k - 1 forked workers build one other residue
@@ -30,8 +36,8 @@ import numpy as np
 
 from .. import parallel
 from ..errors import EmptyView, FewContacts, GraspFailure
-from ..geometry import OrientedBox, SimilarityTransform
-from .hand import KinematicHand, default_hand_template
+from ..geometry import CONTACT_TAU, OrientedBox, SimilarityTransform
+from .hand import SURFACE_SAMPLES, KinematicHand, default_hand_template
 from .instances import make_instance
 from .render import IMAGE_HEIGHT, IMAGE_WIDTH, Camera
 from .scene import DEFAULT_N_POINTS, SceneRecord, sample_scene
@@ -40,10 +46,11 @@ FORMAT_NAME = "artipose-dataset"
 FORMAT_VERSION = 1
 
 # A scene draw is retried under a fresh deterministic sub-seed when the
-# grasp or the view fails, or when too little of the contact region is
-# visible to supervise the contact prior.
+# grasp or the view fails, or when fewer than this many cloud points are in
+# contact, too few to supervise the contact prior.
 MIN_VISIBLE_CONTACTS = 4
 MIN_N_POINTS = 8  # the smallest cloud the estimator's encoder takes
+DEFAULT_DRAWERS = 3  # sliding parts of each drawer-category scene
 MAX_SCENE_ATTEMPTS = 40
 
 # The files of one scene directory: name -> (dtype, shape), in write order.
@@ -104,8 +111,7 @@ def _build_scene(
     i: int,
     seed: int,
     instance_kwargs: dict,
-    min_contacts: int,
-    **sample_kwargs,
+    n_points: int,
 ) -> tuple:
     """Scene i of a dataset: build its instance, draw it until a draw is
     usable and save it. Returns (manifest entry, part count); raises
@@ -120,18 +126,18 @@ def _build_scene(
         return sample_scene(
             instance,
             np.random.SeedSequence([seed, i, 2, attempt]),
+            n_points=n_points,
             scene_id=_scene_id(i),
             min_contacts=min_contacts,
-            **sample_kwargs,
         )
 
     record = None
     grasp_failures = empty_views = 0
-    few = []  # visible-contact counts of the draws below min_contacts
+    few = []  # visible-contact counts of the draws below the floor
     early = []  # the attempts rejected on their candidate pool, before FPS
     for attempt in range(MAX_SCENE_ATTEMPTS):
         try:
-            record = draw(attempt, min_contacts)
+            record = draw(attempt, MIN_VISIBLE_CONTACTS)
         except GraspFailure:
             grasp_failures += 1
             continue
@@ -142,7 +148,7 @@ def _build_scene(
             early.append(attempt)
             continue
         contacts = int(record.contact.sum())
-        if contacts >= min_contacts:
+        if contacts >= MIN_VISIBLE_CONTACTS:
             break
         few.append(contacts)
         record = None
@@ -153,7 +159,7 @@ def _build_scene(
         raise GraspFailure(
             f"scene {i}: no usable draw in {MAX_SCENE_ATTEMPTS} attempts: "
             f"{grasp_failures} grasp failures, {empty_views} empty views, "
-            f"{len(few)} draws below {min_contacts} visible contacts "
+            f"{len(few)} draws below {MIN_VISIBLE_CONTACTS} visible contacts "
             f"(best {max(few, default=0)})"
         )
     entry = save_scene(root, record)
@@ -270,29 +276,26 @@ def generate_dataset(
     count: int,
     seed: int,
     n_points: int = DEFAULT_N_POINTS,
-    tau: float = 0.01,
-    surface_samples: int = 512,
-    drawers: int = 3,
-    min_contacts: int = MIN_VISIBLE_CONTACTS,
+    drawers: int = DEFAULT_DRAWERS,
 ) -> Path:
     """Generate `count` scenes of one category; byte-deterministic in args.
 
     Scene i builds one instance and draws it with SeedSequence((seed, i,
     attempt)); unusable draws (GraspFailure, EmptyView, fewer than
-    min_contacts visible contacts) retry with the next attempt index,
-    keeping output independent of history. A draw whose candidate pool
-    holds fewer than min_contacts contacts is rejected before its
+    MIN_VISIBLE_CONTACTS visible contacts) retry with the next attempt
+    index, keeping output independent of history. A contact is a point
+    within geometry.CONTACT_TAU of the hand's hand.SURFACE_SAMPLES surface
+    points; the manifest records both. A draw whose candidate pool
+    holds fewer than MIN_VISIBLE_CONTACTS contacts is rejected before its
     furthest-point sampling, since its cloud cannot hold more; that skips
     most of the cost of a draw that would be thrown away and changes no
     output. If all fail, GraspFailure counts each reason, and "(best N)"
     is the largest contact count of a rejected draw's cloud, the
     early-rejected draws being drawn again in full for it.
-    Drawer instances get a fixed `drawers` sliding parts (3 by default) so
-    every scene in a dataset has the same part count. A negative count, or
-    for the drawer category drawers None or outside 1..3, raises ValueError
-    before anything is written, as do n_points below MIN_N_POINTS,
-    surface_samples below 1, a tau that is not positive and finite, and a
-    negative min_contacts.
+    Drawer instances get a fixed `drawers` sliding parts (DEFAULT_DRAWERS) so
+    every scene in a dataset has the same part count. A negative count,
+    n_points below MIN_N_POINTS, or for the drawer category drawers None or
+    outside 1..3, raises ValueError before anything is written.
 
     Scenes depend on nothing but their index, so they are built across
     k = min(usable CPUs, count) processes: the calling process builds the
@@ -310,12 +313,6 @@ def generate_dataset(
         raise ValueError(f"count must be >= 0, got {count}")
     if n_points < MIN_N_POINTS:
         raise ValueError(f"n_points must be >= {MIN_N_POINTS}, got {n_points}")
-    if surface_samples < 1:
-        raise ValueError(f"surface_samples must be >= 1, got {surface_samples}")
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-    if min_contacts < 0:
-        raise ValueError(f"min_contacts must be >= 0, got {min_contacts}")
     if category == "drawer" and drawers is None:
         raise ValueError("the drawer category needs a fixed drawers count")
     if category == "drawer" and not 1 <= drawers <= 3:
@@ -328,10 +325,7 @@ def generate_dataset(
         category,
         seed=seed,
         instance_kwargs={"drawers": drawers} if category == "drawer" else {},
-        min_contacts=min_contacts,
         n_points=n_points,
-        tau=tau,
-        template=default_hand_template(surface_samples),
     )
     built = _build_scenes(root, count, build)
     entries = [entry for entry, _ in built]
@@ -344,8 +338,8 @@ def generate_dataset(
         "count": count,
         "master_seed": seed,
         "n_points": n_points,
-        "tau": tau,
-        "surface_samples": surface_samples,
+        "tau": CONTACT_TAU,
+        "surface_samples": SURFACE_SAMPLES,
         "part_count": part_count,
         "drawers": drawers if category == "drawer" else None,
         "image_size": [IMAGE_WIDTH, IMAGE_HEIGHT],
@@ -411,7 +405,6 @@ def load_scene(root, manifest: dict, entry: dict) -> SceneRecord:
         hand_surface=arrays["hand_surface"],
         camera=Camera(**entry["camera"]),
         joint_state=np.asarray(entry["joint_state"], dtype=np.float64),
-        tau=manifest["tau"],
     )
 
 

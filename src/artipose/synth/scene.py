@@ -8,20 +8,13 @@ import numpy as np
 
 from ..errors import EmptyView, FewContacts
 from ..geometry import (
-    DEFAULT_CONTACT_TAU,
     OrientedBox,
     SimilarityTransform,
     box_half_extents,
     compute_contact_map,
     transform_box,
 )
-from .hand import (
-    HandTemplate,
-    KinematicHand,
-    capsules_world,
-    default_hand_template,
-    pose_hand_grasp,
-)
+from .hand import KinematicHand, capsules_world, pose_hand_grasp
 from .instances import ArticulatedInstance, part_poses_object
 from .render import (
     HAND_LABEL,
@@ -56,7 +49,6 @@ class SceneRecord:
     hand_surface: np.ndarray  # (S, 3)
     camera: Camera
     joint_state: np.ndarray
-    tau: float
 
     @property
     def part_count(self) -> int:
@@ -75,8 +67,6 @@ def sample_scene(
     instance: ArticulatedInstance,
     seed,
     n_points: int = DEFAULT_N_POINTS,
-    tau: float = DEFAULT_CONTACT_TAU,
-    template: HandTemplate | None = None,
     scene_id: str = "",
     min_contacts: int = 0,
 ) -> SceneRecord:
@@ -84,7 +74,9 @@ def sample_scene(
 
     Deterministic in (instance, seed). Raises GraspFailure / EmptyView when
     the draw is unusable; callers that need a fixed scene count retry with
-    fresh sub-seeds.
+    fresh sub-seeds. An object point is in contact when it lies within
+    geometry.CONTACT_TAU of one of the hand's hand.SURFACE_SAMPLES surface
+    points, the same threshold the grasp is drawn to.
 
     The ray cast returns the candidate pool of up to _MAX_RAW_POINTS visible
     points. The contact flag of every object point in it is computed once,
@@ -97,13 +89,10 @@ def sample_scene(
     every `min_contacts`.
     """
     rng = np.random.default_rng(seed)
-    template = template or default_hand_template()
     limits = instance.joint_limits()
     joint_state = rng.uniform(limits[:, 0], limits[:, 1])
 
-    hand_obj = pose_hand_grasp(
-        instance, joint_state, rng.integers(2**63), tau=tau, template=template
-    )
+    hand_obj = pose_hand_grasp(instance, joint_state, rng.integers(2**63))
 
     poses_obj = part_poses_object(instance, joint_state)
     canonical = [OrientedBox.from_extents(p.half_extents) for p in instance.parts]
@@ -142,7 +131,7 @@ def sample_scene(
     pool_contact = np.zeros(len(pool), dtype=np.uint8)
     obj_mask = pool_seg != HAND_LABEL
     if obj_mask.any():
-        pool_contact[obj_mask] = compute_contact_map(pool[obj_mask], hand_surface, tau)
+        pool_contact[obj_mask] = compute_contact_map(pool[obj_mask], hand_surface)
     visible = int(pool_contact.sum())
     if visible < min_contacts:
         raise FewContacts(f"{visible} contacts among {len(pool)} candidate points < {min_contacts}")
@@ -172,5 +161,4 @@ def sample_scene(
         hand_surface=hand_surface,
         camera=camera,
         joint_state=joint_state,
-        tau=tau,
     )

@@ -15,7 +15,7 @@ from artipose.errors import (
     GraspFailure,
     ShapeMismatch,
 )
-from artipose.estimator import HAND_CLASS, assemble_graph, assemble_pose, scene_layouts
+from artipose.estimator import assemble_graph, assemble_pose, scene_layouts
 from artipose.geometry import _CORNER_SIGNS, SimilarityTransform, as_cloud
 from artipose.priors import g_adv_loss_graph
 from artipose.synth import io as synth_io
@@ -491,7 +491,7 @@ def pose_loss(
         np.asarray(pred.rot6d, dtype=np.float64) - np.asarray(gt_rot), axis=1
     ).sum()
 
-    mask = labels != HAND_CLASS
+    mask = labels != render.HAND_LABEL
     if mask.any():
         diff = np.asarray(pred.nocs, dtype=np.float64)[mask] - np.asarray(gt_nocs)[mask]
         nocs_term = np.linalg.norm(diff, axis=1).mean()
@@ -591,18 +591,16 @@ def generate_dataset_serial(
     count,
     seed,
     n_points=synth_io.DEFAULT_N_POINTS,
-    tau=0.01,
-    surface_samples=512,
     drawers=3,
-    min_contacts=synth_io.MIN_VISIBLE_CONTACTS,
 ):
     """synth.io.generate_dataset as one loop over the scenes in the calling
     process: the bit-for-bit oracle of the parallel generate_dataset. It calls
-    make_instance, sample_scene and save_scene through synth.io, so tests
-    that replace them there replace them here too."""
+    make_instance, sample_scene and save_scene through synth.io, and reads
+    its MIN_VISIBLE_CONTACTS there, so tests that replace them there replace
+    them here too."""
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    template = synth_io.default_hand_template(surface_samples)
+    min_contacts = synth_io.MIN_VISIBLE_CONTACTS
     kwargs = {"drawers": drawers} if category == "drawer" else {}
 
     entries = []
@@ -621,8 +619,6 @@ def generate_dataset_serial(
                     instance,
                     np.random.SeedSequence([seed, i, 2, attempt]),
                     n_points=n_points,
-                    tau=tau,
-                    template=template,
                     scene_id=f"scene_{i:06d}",
                 )
             except GraspFailure:
@@ -655,8 +651,8 @@ def generate_dataset_serial(
         "count": count,
         "master_seed": seed,
         "n_points": n_points,
-        "tau": tau,
-        "surface_samples": surface_samples,
+        "tau": synth_io.CONTACT_TAU,
+        "surface_samples": synth_io.SURFACE_SAMPLES,
         "part_count": part_count,
         "drawers": drawers if category == "drawer" else None,
         "image_size": [synth_io.IMAGE_WIDTH, synth_io.IMAGE_HEIGHT],

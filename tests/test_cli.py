@@ -4,6 +4,7 @@ files; and the entry point, run as `python -m artipose.cli`."""
 
 import csv
 import importlib
+import inspect
 import json
 import math
 import os
@@ -23,7 +24,8 @@ from artipose import nn
 from artipose import priors
 from artipose import tta as tta_mod
 from artipose.estimator import PartPoseEstimate, assemble_graph
-from artipose.synth import load_dataset
+from artipose.synth import generate_dataset, load_dataset
+from artipose.synth.render import HAND_LABEL
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -295,9 +297,6 @@ class TestNegativeCounts:
         "flag, value, message",
         [
             ("--points", "0", "n_points must be >= 8, got 0"),
-            ("--surface-samples", "0", "surface_samples must be >= 1, got 0"),
-            ("--tau", "nan", "tau must be positive and finite, got nan"),
-            ("--min-contacts", "-1", "min_contacts must be >= 0, got -1"),
         ],
     )
     def test_synth_settings(self, tmp_path, capsys, flag, value, message):
@@ -305,6 +304,16 @@ class TestNegativeCounts:
         argv = ["synth", "--category", "laptop", "--count", "1", "--out", str(out), flag, value]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--tau", "0.02"), ("--min-contacts", "2"), ("--surface-samples", "256")])
+    def test_fixed_synth_settings_are_not_flags(self, tmp_path, capsys, flag, value):
+        # the contact threshold, the contact floor and the hand's surface
+        # samples are library constants
+        out = tmp_path / "ds"
+        argv = ["synth", "--category", "laptop", "--count", "1", "--out", str(out), flag, value]
+        assert cli.main(argv) == 1
+        assert f"usage error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -338,6 +347,20 @@ class TestNegativeCounts:
         assert cli.main(argv + ["--out", str(out)]) == 1
         assert "argument --limit: must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    synth = parser.parse_args(["synth", "--category", "drawer", "--count", "1", "--out", "ds"])
+    dataset = inspect.signature(generate_dataset).parameters
+    assert (synth.points, synth.drawers) == (dataset["n_points"].default, dataset["drawers"].default)
+    adapt = parser.parse_args(["tta", "--checkpoint", "m.ckpt", "--dataset", "ds"])
+    tta_cfg = tta_mod.TtaConfig()
+    assert (adapt.steps, adapt.lr, adapt.scope) == (tta_cfg.steps, tta_cfg.lr, tta_cfg.scope)
+    hand = parser.parse_args(["hand-opt", "--dataset", "ds"])
+    hand_cfg = tta_mod.HandOptConfig()
+    generations = inspect.signature(priors.sample_contact_map).parameters["generations"].default
+    assert (hand.iters, hand.lr, hand.generations) == (hand_cfg.iters, hand_cfg.lr, generations)
 
 
 class TestTta:
@@ -485,7 +508,7 @@ class TestTta:
     def two_points_on_part_1(seg, nocs, rot):
         # every object point to part 0, except the first two to part 1
         labels = np.argmax(seg.data, axis=1)
-        obj = np.flatnonzero(labels != est_mod.HAND_CLASS)
+        obj = np.flatnonzero(labels != HAND_LABEL)
         labels[obj] = 1
         labels[obj[:2]] = 2
         return ad.add(ad.mul(seg, 0.0), np.eye(seg.data.shape[1])[labels]), nocs, rot
@@ -562,6 +585,13 @@ class TestEntryPoint:
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr.startswith("usage error: ")
+
+    def test_numpy_floor_is_2(self):
+        # the autodiff dtypes, PINNED_TREE_SHA256 and the bench digests rest
+        # on NumPy 2's promotion rules (NEP 50)
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as f:
+            assert tomllib.load(f)["project"]["dependencies"] == ["numpy>=2"]
 
     def test_script_is_cli_entry(self):
         tomllib = pytest.importorskip("tomllib")

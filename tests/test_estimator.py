@@ -11,6 +11,7 @@ from artipose import estimator as E
 from artipose import nn, priors
 from artipose.geometry import matrix_to_rot6d, rot6d_to_matrix, rotation_error
 from artipose.synth import make_instance, sample_scene
+from artipose.synth.render import HAND_LABEL
 from helpers import bits, descend_by_hand, fit_parts_one_by_one, pose_loss, rel_err, spy_tapes
 
 
@@ -210,7 +211,7 @@ class TestAssemblePose:
     def test_non_finite_inputs_are_a_reason(self, scene, field, bad):
         # today's reasons come first: part 1 is starved to 2 points
         labels = scene.seg.astype(np.int64)
-        labels[np.flatnonzero(labels == 2)[2:]] = E.HAND_CLASS
+        labels[np.flatnonzero(labels == 2)[2:]] = HAND_LABEL
         pred = E.HeadOutput(np.eye(3)[labels] * 20.0, scene.nocs.copy(), E.gt_rot6d(scene.part_poses))
         getattr(pred, field)[0] = bad
         ests = E.assemble_pose(scene.cloud, pred, scene.canonical_boxes)
@@ -229,7 +230,7 @@ class TestAssemblePose:
     def test_non_finite_segmentation_comes_first(self, scene, bad):
         # over part 1 starved to 2 points; every part of the scene gets it
         labels = scene.seg.astype(np.int64)
-        labels[np.flatnonzero(labels == 2)[2:]] = E.HAND_CLASS
+        labels[np.flatnonzero(labels == 2)[2:]] = HAND_LABEL
         pred = E.HeadOutput(np.eye(3)[labels] * 20.0, scene.nocs.copy(), E.gt_rot6d(scene.part_poses))
         pred.seg_logits[5, 0] = bad
         ests = E.assemble_pose(scene.cloud, pred, scene.canonical_boxes)
@@ -264,7 +265,7 @@ class TestAssemblePose:
         rng = np.random.default_rng(0)
         labels = scene.seg.astype(np.int64)
         for p in starved:
-            labels[np.flatnonzero(labels == p + 1)[2:]] = E.HAND_CLASS
+            labels[np.flatnonzero(labels == p + 1)[2:]] = HAND_LABEL
         rot6d = E.gt_rot6d(scene.part_poses) + rng.normal(scale=0.05, size=(2, 6))
         rot6d[list(degenerate)] = 0.0
         pred = E.HeadOutput(
@@ -295,7 +296,7 @@ class TestAssemblePose:
         # three scenes in one batch, the middle one with part 1 starved to 2 points
         rng = np.random.default_rng(1)
         labels = np.stack([scene.seg.astype(np.int64)] * 3)
-        labels[1, np.flatnonzero(labels[1] == 2)[2:]] = E.HAND_CLASS
+        labels[1, np.flatnonzero(labels[1] == 2)[2:]] = HAND_LABEL
         nocs = scene.nocs + rng.normal(scale=0.01, size=(3,) + scene.nocs.shape)
         rot6d = E.gt_rot6d(scene.part_poses) + rng.normal(scale=0.05, size=(3, 2, 6))
         clouds = np.stack([scene.cloud] * 3)
@@ -327,7 +328,7 @@ class TestAssemblePose:
         nocs = rng.uniform(0.1, 0.9, size=(B, N, 3))
         rot = rng.normal(size=(B, P, 6))
         extents = rng.uniform(0.05, 0.3, size=(B, P, 3))
-        labels[1, np.flatnonzero(labels[1] == 1)[2:]] = E.HAND_CLASS  # scene 1 part 0: 2 points
+        labels[1, np.flatnonzero(labels[1] == 1)[2:]] = HAND_LABEL  # scene 1 part 0: 2 points
         rot[1, P - 1, :3] = 0.0  # scene 1, last part: first column zero
         rot[2, 0, 3:] = 2.0 * rot[2, 0, :3]  # scene 2 part 0: parallel columns
         nocs[2, labels[2] == P] = 0.5  # scene 2, last part: identical NOCS

@@ -466,7 +466,7 @@ class TestParallelChains:
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread was started for one chain")
 
-        monkeypatch.setattr(priors.threading, "Thread", no_thread)
+        monkeypatch.setattr(threading, "Thread", no_thread)
         z = features(1024)
         m, c = priors.sample_contact_map(biased_diffuser, z, 2, seed=3)
         m_ref, c_ref = sample_contact_map_serial(biased_diffuser, z, 2, seed=3)

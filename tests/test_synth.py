@@ -6,6 +6,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import pickle
 import re
 import shutil
 import signal
@@ -134,6 +135,12 @@ class TestHand:
         tmpl = default_hand_template(200)
         hand = KinematicHand(np.eye(3), np.zeros(3), np.full(15, 0.3), tmpl)
         assert hand.surface().shape == (200, 3)
+
+    def test_one_read_only_template_per_size(self):
+        tmpl = default_hand_template()
+        assert tmpl is default_hand_template(hand_mod.SURFACE_SAMPLES) is default_hand_template(512)
+        assert tmpl.surface_samples == 512 and default_hand_template(128) is not tmpl
+        assert not tmpl.finger_dirs.flags.writeable
 
     def test_angle_limits_enforced(self):
         tmpl = default_hand_template()
@@ -629,7 +636,7 @@ class TestSampleScene:
     def test_contact_matches_geometry_oracle(self, laptop_scene):
         rec = laptop_scene
         obj = rec.seg > 0
-        expect = geo.compute_contact_map(rec.cloud[obj], rec.hand_surface, rec.tau)
+        expect = geo.compute_contact_map(rec.cloud[obj], rec.hand_surface, geo.CONTACT_TAU)
         assert (rec.contact[obj] == expect).all()
         assert (rec.contact[~obj] == 0).all()
 
@@ -653,28 +660,45 @@ def draw_key(instance, seed, n_points, **kwargs):
     arrays += [b.vertices for b in rec.posed_boxes + rec.canonical_boxes]
     camera = (rec.camera.fx, rec.camera.fy, rec.camera.cx, rec.camera.cy, rec.camera.width, rec.camera.height)
     key = [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
-    return rec, (key, camera, rec.scene_id, rec.category, rec.tau)
+    return rec, (key, camera, rec.scene_id, rec.category)
+
+
+def replay(fn, seen):
+    """fn memoised in `seen` on the pickled bytes of its arguments, which
+    hold the state of every Generator among them. A call with the arguments
+    of an earlier call returns that call's value, or raises its synth error
+    again, and leaves each Generator argument in the state that call left
+    it. The synth steps are deterministic in their arguments and Generator
+    states, so that is the call's own outcome, without its cost; any other
+    call runs fn."""
+
+    def call(*args, **kwargs):
+        rngs = [a for a in args if isinstance(a, np.random.Generator)]
+        key = (fn.__name__, pickle.dumps((args, sorted(kwargs.items()))))
+        if key not in seen:
+            try:
+                done = fn(*args, **kwargs), None
+            except (GraspFailure, EmptyView, FewContacts) as err:
+                done = None, err
+            seen[key] = done, [rng.bit_generator.state for rng in rngs]
+        (value, err), states = seen[key]
+        for rng, state in zip(rngs, states):
+            rng.bit_generator.state = state
+        if err is not None:
+            raise type(err)(*err.args)
+        return value
+
+    return call
 
 
 @pytest.fixture
-def fps_memo(monkeypatch):
-    """Replaces sample_scene's furthest_point_sample with one that returns
-    the indices and rng state of an earlier call on the same points, count
-    and rng state. FPS is deterministic in those, so a draw that reaches FPS
-    with the inputs of an earlier draw gets its output without paying for it
-    again, and any other input is sampled afresh."""
+def draw_memo(monkeypatch):
+    """Replays sample_scene's grasp, ray cast and furthest-point sampling,
+    so that a second draw of the same instance and seed pays only for the
+    work of sample_scene around them."""
     seen = {}
-
-    def memo(points, n, rng):
-        key = (points.tobytes(), n, repr(rng.bit_generator.state))
-        if key not in seen:
-            sel = furthest_point_sample(points, n, rng)
-            seen[key] = sel, rng.bit_generator.state
-        sel, state = seen[key]
-        rng.bit_generator.state = state
-        return sel.copy()
-
-    monkeypatch.setattr(scene_mod, "furthest_point_sample", memo)
+    for name in ("pose_hand_grasp", "render_partial_cloud", "furthest_point_sample"):
+        monkeypatch.setattr(scene_mod, name, replay(getattr(scene_mod, name), seen))
 
 
 class TestEarlyRejection:
@@ -684,7 +708,7 @@ class TestEarlyRejection:
 
     @pytest.mark.parametrize("n_points", [256, 512, 1024])
     @pytest.mark.parametrize("category", CATEGORIES)
-    def test_rejects_only_draws_below_min_contacts(self, category, n_points, fps_memo):
+    def test_rejects_only_draws_below_min_contacts(self, category, n_points, draw_memo):
         kept = 0
         for s in range(20):
             instance = make_instance(category, s)
@@ -699,13 +723,16 @@ class TestEarlyRejection:
         assert kept > 0
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_scene_rejected_before_fps_on_every_draw_keeps_message(self, tmp_path, monkeypatch, forks, cpus):
+    def test_scene_rejected_before_fps_on_every_draw_keeps_message(
+        self, tmp_path, monkeypatch, forks, serial_oracle, cpus
+    ):
         # no candidate pool holds 10**6 contacts, so every draw that renders
         # is rejected before FPS and drawn again in full for "(best N)"
         monkeypatch.setattr(synth_io, "MAX_SCENE_ATTEMPTS", MATRIX_ATTEMPTS)
+        monkeypatch.setattr(synth_io, "MIN_VISIBLE_CONTACTS", 10**6)
         args = ("laptop", 3, MATRIX_SEEDS["laptop"])
-        kwargs = {"n_points": 256, "min_contacts": 10**6}
-        ref = outcome(generate_dataset_serial, tmp_path / "serial", *args, **kwargs)
+        kwargs = {"n_points": 256}
+        ref = serial_oracle(tmp_path / "serial", *args, **kwargs)
         assert ref[0][0] is GraspFailure
         best = re.fullmatch(
             r"scene 0: no usable draw in 4 attempts: 0 grasp failures, 0 empty views, "
@@ -798,7 +825,7 @@ class TestDataset:
                 geo.transform_box(canon, pose).vertices, posed.vertices, atol=1e-5
             )
         obj = rec.seg > 0
-        expect = geo.compute_contact_map(rec.cloud[obj], rec.hand_surface, rec.tau)
+        expect = geo.compute_contact_map(rec.cloud[obj], rec.hand_surface, geo.CONTACT_TAU)
         # f32 rounding can flip points that sit exactly at the threshold
         assert (rec.contact[obj] == expect).mean() > 0.999
 
@@ -833,13 +860,14 @@ class TestDataset:
             assert np.array_equal(bits(got.hand.root_position), bits(params[9:12]))
             assert np.array_equal(bits(got.hand.joint_angles), bits(np.clip(params[12:], 0, np.pi / 2)))
             assert np.allclose(got.hand.root_rotation, rec.hand.root_rotation, atol=1e-6)
+            assert got.hand.template is rec.hand.template is default_hand_template()
             assert np.array_equal(bits(got.joint_state), bits(rec.joint_state))
             for field in ("fx", "fy", "cx", "cy", "width", "height"):
                 assert getattr(got.camera, field) == getattr(rec.camera, field), field
             assert np.array_equal(bits(got.camera.R), bits(rec.camera.R))
             assert np.array_equal(bits(got.camera.t), bits(rec.camera.t))
             # the manifest records the scene's index as its seed
-            assert (got.scene_id, got.category, got.tau) == (rec.scene_id, rec.category, rec.tau)
+            assert (got.scene_id, got.category) == (rec.scene_id, rec.category)
             assert manifest["scenes"][i]["seed"] == i
 
     def test_manifest_dtypes_come_from_the_scene_files(self, tmp_path):
@@ -897,12 +925,6 @@ class TestDataset:
         [
             ({"n_points": 7}, "n_points must be >= 8, got 7"),
             ({"n_points": 0}, "n_points must be >= 8, got 0"),
-            ({"surface_samples": 0}, "surface_samples must be >= 1, got 0"),
-            ({"tau": 0.0}, "tau must be positive and finite, got 0.0"),
-            ({"tau": -0.01}, "tau must be positive and finite, got -0.01"),
-            ({"tau": float("nan")}, "tau must be positive and finite, got nan"),
-            ({"tau": float("inf")}, "tau must be positive and finite, got inf"),
-            ({"min_contacts": -1}, "min_contacts must be >= 0, got -1"),
         ],
     )
     def test_unusable_settings_rejected_before_writing(self, tmp_path, kwargs, message):
@@ -910,13 +932,22 @@ class TestDataset:
             generate_dataset(tmp_path / "ds", "laptop", 1, seed=0, **kwargs)
         assert not (tmp_path / "ds").exists()
 
+    @pytest.mark.parametrize("name, value", [("surface_samples", 256), ("tau", 0.02), ("min_contacts", 2)])
+    def test_fixed_settings_are_not_parameters(self, tmp_path, name, value):
+        # the hand's surface samples, the contact threshold and the contact
+        # floor are library constants
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            generate_dataset(tmp_path / "ds", "laptop", 1, seed=0, **{name: value})
+        assert not (tmp_path / "ds").exists()
+
     def test_negative_limit_rejected(self, tmp_path):
         # no dataset on disk: reading it would raise FileNotFoundError
         with pytest.raises(ValueError, match="^limit must be >= 0, got -1$"):
             load_dataset(tmp_path / "missing", limit=-1)
 
-    def test_min_contacts_respected(self, tmp_path):
-        root = generate_dataset(tmp_path / "ds", "laptop", 3, seed=5, min_contacts=8)
+    def test_min_contacts_respected(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(synth_io, "MIN_VISIBLE_CONTACTS", 8)
+        root = generate_dataset(tmp_path / "ds", "laptop", 3, seed=5)
         _, scenes = load_dataset(root)
         assert all(int(r.contact.sum()) >= 8 for r in scenes)
 
@@ -1030,6 +1061,26 @@ def outcome(generate, root, *args, **kwargs):
     return error, tree_listing(root)
 
 
+@pytest.fixture(scope="module")
+def serial_oracle():
+    """outcome(generate_dataset_serial, ...) with its sample_scene calls
+    replayed across the module: the parallel-scene tests check one seed's
+    scenes at several counts and the same laptop set several times, so each
+    oracle draw is made once. Tests that replace synth_io.sample_scene call
+    the oracle themselves."""
+    draws = {}
+
+    def serial(root, *args, **kwargs):
+        real = synth_io.sample_scene
+        synth_io.sample_scene = replay(real, draws)
+        try:
+            return outcome(generate_dataset_serial, root, *args, **kwargs)
+        finally:
+            synth_io.sample_scene = real
+
+    return serial
+
+
 # 256-point seeds whose scenes take few draws. Under MATRIX_ATTEMPTS four
 # of them raise GraspFailure within five scenes, at the scene given in
 # FAILING_SCENE: in the calling process's share for some worker counts and
@@ -1044,10 +1095,10 @@ FAILING_SCENE = {"drawer": 1, "safe": 0, "microwave": 1, "trashcan": 4}
 class TestParallelScenes:
     @pytest.mark.parametrize("count", [1, 2, 3, 5])
     @pytest.mark.parametrize("category", CATEGORIES)
-    def test_trees_match_serial_loop(self, tmp_path, monkeypatch, forks, category, count):
+    def test_trees_match_serial_loop(self, tmp_path, monkeypatch, forks, serial_oracle, category, count):
         monkeypatch.setattr(synth_io, "MAX_SCENE_ATTEMPTS", MATRIX_ATTEMPTS)
         seed = MATRIX_SEEDS[category]
-        ref = outcome(generate_dataset_serial, tmp_path / "serial", category, count, seed, n_points=256)
+        ref = serial_oracle(tmp_path / "serial", category, count, seed, n_points=256)
         f = FAILING_SCENE.get(category, count)
         assert (ref[0] is None) == (f >= count)
         if f < count:
@@ -1061,9 +1112,9 @@ class TestParallelScenes:
             assert len(forks) == min(cpus, count) - 1
             assert not multiprocessing.active_children()
 
-    def test_usable_cpus_decide_the_workers(self, tmp_path, forks):
+    def test_usable_cpus_decide_the_workers(self, tmp_path, forks, serial_oracle):
         # under an affinity set of one CPU this takes the serial path
-        ref = outcome(generate_dataset_serial, tmp_path / "serial", "laptop", 4, 10, n_points=256)
+        ref = serial_oracle(tmp_path / "serial", "laptop", 4, 10, n_points=256)
         assert outcome(generate_dataset, tmp_path / "ds", "laptop", 4, 10, n_points=256) == ref
         assert len(forks) == min(parallel.usable_cpus(), 4) - 1
         assert not multiprocessing.active_children()
@@ -1126,27 +1177,27 @@ class TestParallelScenes:
             generate_dataset(tmp_path / "ds", "laptop", 5, seed=0, n_points=256)
         assert not multiprocessing.active_children()
 
-    def test_one_cpu_starts_no_process(self, tmp_path, monkeypatch, forks):
+    def test_one_cpu_starts_no_process(self, tmp_path, monkeypatch, forks, serial_oracle):
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
-        self.check_serial(tmp_path, forks)
+        self.check_serial(tmp_path, forks, serial_oracle)
 
-    def test_no_fork_method_starts_no_process(self, tmp_path, monkeypatch, forks):
+    def test_no_fork_method_starts_no_process(self, tmp_path, monkeypatch, forks, serial_oracle):
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        self.check_serial(tmp_path, forks)
+        self.check_serial(tmp_path, forks, serial_oracle)
 
-    def test_other_thread_starts_no_process(self, tmp_path, monkeypatch, forks):
+    def test_other_thread_starts_no_process(self, tmp_path, monkeypatch, forks, serial_oracle):
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            self.check_serial(tmp_path, forks)
+            self.check_serial(tmp_path, forks, serial_oracle)
         finally:
             release.set()
             other.join()
 
-    def test_daemonic_caller_starts_no_process(self, tmp_path, monkeypatch, forks):
+    def test_daemonic_caller_starts_no_process(self, tmp_path, monkeypatch, forks, serial_oracle):
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         ctx = multiprocessing.get_context("fork")
         recv, send = ctx.Pipe(duplex=False)
@@ -1169,11 +1220,10 @@ class TestParallelScenes:
             proc.join(60)
         assert not proc.is_alive()
         assert forked_in_daemon == 0
-        ref = generate_dataset_serial(tmp_path / "serial", "laptop", 3, seed=10, n_points=256)
-        assert tree_listing(tmp_path / "ds") == tree_listing(ref)
+        assert serial_oracle(tmp_path / "serial", "laptop", 3, 10, n_points=256) == (None, tree_listing(tmp_path / "ds"))
 
     @staticmethod
-    def check_serial(tmp_path, forks):
-        ref = outcome(generate_dataset_serial, tmp_path / "serial", "laptop", 3, 10, n_points=256)
+    def check_serial(tmp_path, forks, serial_oracle):
+        ref = serial_oracle(tmp_path / "serial", "laptop", 3, 10, n_points=256)
         assert outcome(generate_dataset, tmp_path / "ds", "laptop", 3, 10, n_points=256) == ref
         assert forks == []

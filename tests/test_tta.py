@@ -10,6 +10,7 @@ from artipose import priors
 from artipose import tta
 from artipose.synth import make_instance, sample_scene
 from artipose.synth.hand import KinematicHand, default_hand_template
+from artipose.synth.render import HAND_LABEL
 from helpers import adapt_object_reencoding, bits
 
 
@@ -90,7 +91,7 @@ def assert_same_result(got, want):
 
 def hand_seg(seg, nocs, rot):
     """Head outputs that put every point in the hand class."""
-    hand = np.eye(seg.data.shape[1], dtype=seg.data.dtype)[E.HAND_CLASS]
+    hand = np.eye(seg.data.shape[1], dtype=seg.data.dtype)[HAND_LABEL]
     return ad.add(ad.mul(seg, 0.0), hand), nocs, rot
 
 
