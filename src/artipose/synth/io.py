@@ -294,8 +294,9 @@ def generate_dataset(
     early-rejected draws being drawn again in full for it.
     Drawer instances get a fixed `drawers` sliding parts (DEFAULT_DRAWERS) so
     every scene in a dataset has the same part count. A negative count,
-    n_points below MIN_N_POINTS, or for the drawer category drawers None or
-    outside 1..3, raises ValueError before anything is written.
+    n_points below MIN_N_POINTS, a CONTACT_TAU edited to a value that is not
+    positive and finite, or for the drawer category drawers None or outside
+    1..3, raises ValueError before anything is written.
 
     Scenes depend on nothing but their index, so they are built across
     k = min(usable CPUs, count) processes: the calling process builds the
@@ -313,6 +314,8 @@ def generate_dataset(
         raise ValueError(f"count must be >= 0, got {count}")
     if n_points < MIN_N_POINTS:
         raise ValueError(f"n_points must be >= {MIN_N_POINTS}, got {n_points}")
+    if not (math.isfinite(CONTACT_TAU) and CONTACT_TAU > 0):
+        raise ValueError(f"tau must be positive and finite, got {CONTACT_TAU}")
     if category == "drawer" and drawers is None:
         raise ValueError("the drawer category needs a fixed drawers count")
     if category == "drawer" and not 1 <= drawers <= 3:

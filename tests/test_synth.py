@@ -925,9 +925,19 @@ class TestDataset:
         [
             ({"n_points": 7}, "n_points must be >= 8, got 7"),
             ({"n_points": 0}, "n_points must be >= 8, got 0"),
+            ({"n_points": -1}, "n_points must be >= 8, got -1"),
+            ({"tau": 0.0}, "tau must be positive and finite, got 0.0"),
+            ({"tau": -0.01}, "tau must be positive and finite, got -0.01"),
+            ({"tau": float("nan")}, "tau must be positive and finite, got nan"),
+            ({"tau": float("inf")}, "tau must be positive and finite, got inf"),
         ],
     )
-    def test_unusable_settings_rejected_before_writing(self, tmp_path, kwargs, message):
+    def test_unusable_settings_rejected_before_writing(self, tmp_path, monkeypatch, kwargs, message):
+        # tau is not a parameter: it stands for an edit of the library
+        # constant, which generate_dataset checks before writing
+        kwargs = dict(kwargs)
+        if "tau" in kwargs:
+            monkeypatch.setattr(synth_io, "CONTACT_TAU", kwargs.pop("tau"))
         with pytest.raises(ValueError, match=f"^{message}$"):
             generate_dataset(tmp_path / "ds", "laptop", 1, seed=0, **kwargs)
         assert not (tmp_path / "ds").exists()
