@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from . import metrics as metrics_mod
 from . import priors as priors_mod
 from . import tta as tta_mod
 from .errors import ArtiposeError, UsageError
-from .synth import CATEGORIES, KinematicHand, generate_dataset, load_dataset
+from .synth import CATEGORIES, generate_dataset, load_dataset
 from .synth.io import DEFAULT_DRAWERS, DEFAULT_N_POINTS
 
 
@@ -219,12 +220,7 @@ def cmd_hand_opt(args) -> int:
     for rec in scenes:
         direction = perturb_rng.normal(size=3)
         direction /= np.linalg.norm(direction)
-        init = KinematicHand(
-            rec.hand.root_rotation,
-            rec.hand.root_position + args.perturb * direction,
-            rec.hand.joint_angles,
-            rec.hand.template,
-        )
+        init = replace(rec.hand, root_position=rec.hand.root_position + args.perturb * direction)
         if args.gt_contact:
             contact = rec.contact.astype(bool)
         else:

@@ -41,6 +41,12 @@ LOCAL_WIDTHS = (3, 64, 128)  # shared per-point MLP, input width first
 HEAD_HIDDEN = 128  # hidden width of the seg and NOCS heads
 ROT_HIDDEN = 256  # hidden width of the rotation head
 
+# Weights of the pose loss terms, and the discriminator's learning rate
+LAMBDA_SEG = 1.0
+LAMBDA_ROT = 1.0
+LAMBDA_NOCS = 10.0
+D_LR = 1e-3
+
 # The architecture as checkpoint meta records it; load_estimator rejects any
 # other. center_input: the encoder sees the cloud minus its centroid.
 ARCHITECTURE = {
@@ -94,23 +100,20 @@ class EstimatorSpec:
 
 @dataclass
 class EncoderOutput:
+    """encode_graph's values for a batch of one scene."""
+
     local: np.ndarray  # (N, L) per-point local features
-    global_feat: np.ndarray  # (pooled_dim,) max+mean pooled summary; max-pool first
+    mx: np.ndarray  # (1, L) their max-pool
+    pooled: np.ndarray  # (1, pooled_dim) max+mean pooled summary; max-pool first
 
     @property
     def z(self) -> np.ndarray:
         """(N, F) per-point features: concat(local, broadcast max-pool)."""
-        return np.concatenate([self.local, np.repeat(self._mx(), len(self.local), axis=0)], axis=1)
+        return np.concatenate([self.local, np.repeat(self.mx, len(self.local), axis=0)], axis=1)
 
     def consts(self, tape: ad.Tape) -> tuple:
-        """(local, mx, pooled) as consts on `tape`, the values and dtypes
-        that encode_graph gives for a batch of one scene."""
-        return ad.const(self.local, tape), ad.const(self._mx(), tape), ad.const(self.global_feat[None], tape)
-
-    def _mx(self) -> np.ndarray:
-        """(1, L) max-pool, in the dtype of local (the pooled summary may be
-        wider; its max half holds local's values exactly)."""
-        return self.global_feat[None, : self.local.shape[1]].astype(self.local.dtype)
+        """(local, mx, pooled) as consts on `tape`."""
+        return ad.const(self.local, tape), ad.const(self.mx, tape), ad.const(self.pooled, tape)
 
 
 @dataclass
@@ -221,8 +224,7 @@ class Estimator:
         if cloud.ndim != 2 or cloud.shape[1] != 3 or cloud.shape[0] < MIN_N_POINTS:
             raise ShapeMismatch(f"expected (N >= {MIN_N_POINTS}, 3) cloud, got {cloud.shape}")
         tape = ad.Tape(grad=False)
-        local, _, pooled = self.encode_graph(tape, cloud[None])
-        return EncoderOutput(local=local.data, global_feat=pooled.data[0])
+        return EncoderOutput(*(v.data for v in self.encode_graph(tape, cloud[None])))
 
     def predict(self, encoded: EncoderOutput) -> HeadOutput:
         tape = ad.Tape(grad=False)
@@ -246,11 +248,9 @@ def pose_loss_graph(
     seg_labels: np.ndarray,  # (B, N)
     gt_nocs: np.ndarray,  # (B, N, 3)
     gt_rot: np.ndarray,  # (B, P, 6)
-    lambda_seg: float,
-    lambda_rot: float,
-    lambda_nocs: float,
 ):
-    """Batch-mean of the per-scene pose loss; returns (total, parts dict)."""
+    """Batch-mean of the per-scene pose loss, its terms weighted by
+    LAMBDA_SEG, LAMBDA_ROT and LAMBDA_NOCS; returns (total, parts dict)."""
     B, N = seg_labels.shape
     P = gt_rot.shape[1]
     dtype = seg.data.dtype
@@ -270,8 +270,8 @@ def pose_loss_graph(
     nocs_term = ad.vsum(ad.mul(ad.norm_rows(diff), ad.const(point_w.astype(dtype), tape)))
 
     total = ad.add(
-        ad.add(ad.mul(ce, lambda_seg), ad.mul(rot_term, lambda_rot)),
-        ad.mul(nocs_term, lambda_nocs),
+        ad.add(ad.mul(ce, LAMBDA_SEG), ad.mul(rot_term, LAMBDA_ROT)),
+        ad.mul(nocs_term, LAMBDA_NOCS),
     )
     parts = {"seg": ce, "rot": rot_term, "nocs": nocs_term}
     return total, parts
@@ -382,10 +382,6 @@ class TrainConfig:
     epochs: int = 60
     batch_size: int = 8
     lr: float = 1e-3
-    d_lr: float = 1e-3
-    lambda_seg: float = 1.0
-    lambda_rot: float = 1.0
-    lambda_nocs: float = 10.0
     lambda_adv: float = 0.0
     lambda_diff: float = 0.0
     seed: int = 0
@@ -397,20 +393,20 @@ class TrainConfig:
 
     def __post_init__(self):
         """ValueError on a setting no run can train with (NaN included)."""
-        lambdas = ("lambda_seg", "lambda_rot", "lambda_nocs", "lambda_adv", "lambda_diff")
+        lambdas = ("lambda_adv", "lambda_diff")
         for name in ("dataset", "category", "checkpoint", "loss_log"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string")
         for name in ("epochs", "batch_size", "diffusion_points", "diffusion_steps", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
-        for name in ("lr", "d_lr") + lambdas:
+        for name in ("lr",) + lambdas:
             if not isinstance(getattr(self, name), numbers.Real):
                 raise ValueError(f"{name} must be a number")
         for name in ("epochs", "seed") + lambdas:
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
-        for name in ("batch_size", "lr", "d_lr", "diffusion_points", "diffusion_steps"):
+        for name in ("batch_size", "lr", "diffusion_points", "diffusion_steps"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not isinstance(self.lr_schedule, (list, tuple)):
@@ -511,18 +507,7 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
                 tape = ad.Tape()
                 local, mx, pooled = est.encode_graph(tape, clouds_in[idx])
                 seg, nocs, rot = est.heads_graph(tape, local, mx, pooled)
-                total, parts = pose_loss_graph(
-                    tape,
-                    seg,
-                    nocs,
-                    rot,
-                    seg_labels[idx],
-                    gt_nocs[idx],
-                    gt_rots[idx],
-                    config.lambda_seg,
-                    config.lambda_rot,
-                    config.lambda_nocs,
-                )
+                total, parts = pose_loss_graph(tape, seg, nocs, rot, seg_labels[idx], gt_nocs[idx], gt_rots[idx])
                 l_pose = float(total.data)
 
                 l_adv = 0.0
@@ -555,7 +540,7 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
                 l_d = 0.0
                 if fake_vars:
                     fake = np.stack([fv.data for fv in fake_vars])
-                    l_d = priors.d_train_step(disc, real_boxes[idx], fake, lr=config.d_lr)
+                    l_d = priors.d_train_step(disc, real_boxes[idx], fake, lr=D_LR)
                     adv_batches += 1
                     adv_scenes += len(fake_vars)
 

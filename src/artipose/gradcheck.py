@@ -18,7 +18,7 @@ from .errors import ArtiposeError
 from .estimator import Estimator, EstimatorSpec, assemble_graph, pose_loss_graph
 from .geometry import rot6d_to_matrix
 from .priors import ContactDiffuser, Discriminator, NoiseSchedule, d_loss_graph, diff_loss_graph, g_adv_loss_graph
-from .synth.hand import default_hand_template, fk_vars, root_frame_vars
+from .synth.hand import fk_tables, fk_vars, root_frame_vars
 
 DEFAULT_TOL = 1e-3
 PROBES = 20  # parameter probes per network suite
@@ -168,7 +168,7 @@ def check_end_to_end(seed=2, tol=DEFAULT_TOL) -> SuiteResult:
 
     def loss(tape):
         seg, nocs, rot = est.heads_graph(tape, *est.encode_graph(tape, clouds))
-        total, _ = pose_loss_graph(tape, seg, nocs, rot, labels, gt_nocs, gt_rot, 1.0, 1.0, 10.0)
+        total, _ = pose_loss_graph(tape, seg, nocs, rot, labels, gt_nocs, gt_rot)
         *_, boxes, reasons = assemble_graph(tape, clouds, labels, nocs, rot, extents)
         if (reasons != "").any():
             raise ArtiposeError(f"fixture scenes have parts without a fit: {reasons.tolist()}")
@@ -220,7 +220,7 @@ def check_denoiser(seed=4, tol=DEFAULT_TOL) -> SuiteResult:
 def check_hand_chamfer(seed=5, tol=DEFAULT_TOL) -> SuiteResult:
     """Chamfer(FK surface, contact points) vs FD over the 24 hand params."""
     rng = np.random.default_rng(seed)
-    template = default_hand_template(128)
+    tables = fk_tables(128)
     C = rng.normal(size=(40, 3)) * 0.05 + np.array([0.0, 0.1, 0.05])
     r6_0 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0]) + 0.1 * rng.normal(size=6)
     t_0 = rng.normal(size=3) * 0.02
@@ -231,7 +231,7 @@ def check_hand_chamfer(seed=5, tol=DEFAULT_TOL) -> SuiteResult:
         params = store.use("params", tape)
         R = dg.rot6d_to_matrix(ad.take(params, np.arange(6)))[0]
         t, ang = ad.take(params, np.arange(6, 9)), ad.take(params, np.arange(9, 24))
-        return root_frame_vars(R, t, fk_vars(template, ang)[1])[0]
+        return root_frame_vars(R, t, fk_vars(tables, ang)[1])[0]
 
     assign = dg.chamfer_assignments(surface(ad.Tape(grad=False)).data, C)
 

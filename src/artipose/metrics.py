@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,14 +44,16 @@ class MetricsReport:
     invalid_parts: int
 
     def rows(self) -> list:
+        """[name, value] pairs in report order; str(value) is the repr of
+        an int or a float, as the CSV and the printed lines show it."""
         return [
             ["category", self.category],
-            ["scenes", repr(self.scene_count)],
-            ["acc_5deg5cm", repr(self.acc_5deg5cm)],
-            ["mIoU", repr(self.miou)],
-            ["R_err_deg", repr(self.r_err)],
-            ["T_err_cm", repr(self.t_err)],
-            ["invalid_parts", repr(self.invalid_parts)],
+            ["scenes", self.scene_count],
+            ["acc_5deg5cm", self.acc_5deg5cm],
+            ["mIoU", self.miou],
+            ["R_err_deg", self.r_err],
+            ["T_err_cm", self.t_err],
+            ["invalid_parts", self.invalid_parts],
         ]
 
 
@@ -150,6 +153,8 @@ def write_rows(path, fields: list, rows: list) -> None:
 
 
 def write_summary_json(path, report: MetricsReport, extra: dict | None = None) -> None:
-    data = {k: v for k, v in report.rows()}
+    """The report's rows as one JSON object of numbers, a non-finite value
+    written as null, plus `extra`."""
+    data = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in report.rows()}
     data.update(extra or {})
     Path(path).write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -8,7 +8,7 @@ from .instances import (
     make_instance,
     part_poses_object,
 )
-from .hand import HandTemplate, KinematicHand, default_hand_template, pose_hand_grasp
+from .hand import KinematicHand, pose_hand_grasp
 from .render import Camera, render_partial_cloud, sample_camera
 from .scene import SceneRecord, sample_scene
 from .io import generate_dataset, load_dataset, load_manifest
@@ -20,9 +20,7 @@ __all__ = [
     "PartSpec",
     "make_instance",
     "part_poses_object",
-    "HandTemplate",
     "KinematicHand",
-    "default_hand_template",
     "pose_hand_grasp",
     "Camera",
     "sample_camera",

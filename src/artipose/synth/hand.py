@@ -5,10 +5,11 @@ bone lengths. FK is written once over the autodiff engine, as a wrist-frame
 part (`fk_vars`) and the root transform (`root_frame_vars`). `fk_vars` is
 one fixed sequence of stacked ops: one batched Rodrigues for the 15 phalanx
 rotations, the joint chain as three (5, 3) adds, and the 20 capsule surfaces
-gathered with a per-sample bone index. Everything that depends only on the
-template is built once per HandTemplate, and default_hand_template builds
-one template per surface size. Generation runs FK on constants,
-and a KinematicHand caches its result; hand-pose optimization runs it on
+gathered with a per-sample bone index. The skeleton is one set of
+read-only module constants, and everything that depends only on it and the
+surface size is built once per size by fk_tables. Every KinematicHand has
+SURFACE_SAMPLES surface points. Generation runs FK on constants, and a
+KinematicHand caches its result; hand-pose optimization runs it on
 parameter Vars.
 """
 
@@ -39,7 +40,7 @@ _PALM_NORMAL = np.array([0.0, 0.0, 1.0])
 # within CONTACT_TAU of the part cuboids, and gives up after this many draws.
 GRASP_MIN_CONTACTS = 20
 GRASP_MAX_ATTEMPTS = 50
-SURFACE_SAMPLES = 512  # points on the hand surface of every dataset scene
+SURFACE_SAMPLES = 512  # points on the surface of every KinematicHand
 
 
 def _frozen(a) -> np.ndarray:
@@ -55,9 +56,53 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0]
 
 
+# The one skeleton, in the wrist frame: the palm plane is z = 0, fingers
+# extend along +y-ish directions, and flexion curls toward +z (the palm
+# normal). Joint order: wrist, then per finger MCP/PIP/DIP/TIP. Read-only.
+MCP_OFFSETS = _frozen(
+    [
+        [0.033, 0.030, 0.0],  # thumb
+        [0.024, 0.088, 0.0],  # index
+        [0.000, 0.092, 0.0],  # middle
+        [-0.023, 0.086, 0.0],  # ring
+        [-0.043, 0.074, 0.0],  # pinky
+    ]
+)
+FINGER_DIRS = _frozen(  # (5, 3) unit, in the palm plane
+    [[np.sin(a), np.cos(a), 0.0] for a in np.radians([48.0, 10.0, 0.0, -10.0, -22.0])]
+)
+BONE_LENGTHS = _frozen(  # (5, 3) proximal/middle/distal
+    [
+        [0.046, 0.033, 0.026],
+        [0.042, 0.026, 0.021],
+        [0.046, 0.030, 0.022],
+        [0.042, 0.028, 0.021],
+        [0.032, 0.022, 0.018],
+    ]
+)
+FINGER_RADII = _frozen([0.010, 0.008, 0.008, 0.008, 0.007])
+PALM_RADIUS = 0.013
+# (joint_a, joint_b, radius) of the 20 capsules, finger by finger: wrist ->
+# MCP, then the three phalanges, the distal one 0.9 as thick
+BONES = tuple(
+    bone
+    for f, r in enumerate(FINGER_RADII.tolist())
+    for bone in (
+        (0, 1 + 4 * f, PALM_RADIUS),
+        (1 + 4 * f, 2 + 4 * f, r),
+        (2 + 4 * f, 3 + 4 * f, r),
+        (3 + 4 * f, 4 + 4 * f, r * 0.9),
+    )
+)
+_REST_STEPS = _frozen(BONE_LENGTHS[:, :, None] * FINGER_DIRS[:, None, :])  # (5, 3, 3)
+# wrist-frame joint positions at zero flexion (all bones straight)
+_chain = np.cumsum(np.concatenate([MCP_OFFSETS[:, None, :], _REST_STEPS], axis=1), axis=1)
+REST_JOINTS = _frozen(np.concatenate([np.zeros((1, 3)), _chain.reshape(N_JOINTS - 1, 3)]))
+
+
 class FkTables(NamedTuple):
-    """The template-only inputs of fk_vars. Phalanx rows run finger-major
-    (3 f + k); bones follow HandTemplate.bones(); S = surface_samples."""
+    """The skeleton-only inputs of fk_vars. Phalanx rows run finger-major
+    (3 f + k); bones follow BONES; S = surface samples."""
 
     K: np.ndarray  # (15, 3, 3) skew matrix of each phalanx's flexion axis
     KK: np.ndarray  # (15, 3, 3) K @ K
@@ -72,129 +117,53 @@ class FkTables(NamedTuple):
     ring_sin: np.ndarray  # (S, 1) radius x sin(golden-angle phase)
 
 
-@dataclass(frozen=True)
-class HandTemplate:
-    """Fixed skeleton: wrist-local MCP offsets, finger directions, bone sizes.
-
-    The palm plane is z = 0 in the wrist frame, fingers extend along +y-ish
-    directions, and flexion curls toward +z (the palm normal). The arrays
-    are read-only copies, so `fk_tables`, built on first use, cannot go
-    stale.
-    """
-
-    mcp_offsets: np.ndarray  # (5, 3)
-    finger_dirs: np.ndarray  # (5, 3) unit, in the palm plane
-    bone_lengths: np.ndarray  # (5, 3) proximal/middle/distal
-    finger_radii: np.ndarray  # (5,)
-    palm_radius: float
-    surface_samples: int
-
-    def __post_init__(self):
-        for name in ("mcp_offsets", "finger_dirs", "bone_lengths", "finger_radii"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
-
-    def bones(self) -> list:
-        """(joint_a, joint_b, radius) index pairs into the 21-joint layout.
-
-        Joint order: wrist, then per finger MCP/PIP/DIP/TIP.
-        """
-        out = []
-        for f in range(N_FINGERS):
-            base = 1 + 4 * f
-            r = float(self.finger_radii[f])
-            out.append((0, base, self.palm_radius))  # wrist -> MCP
-            out.append((base, base + 1, r))
-            out.append((base + 1, base + 2, r))
-            out.append((base + 2, base + 3, r * 0.9))
-        return out
-
-    @cached_property
-    def fk_tables(self) -> FkTables:
-        """fk_vars's template-only inputs, built once per template.
-
-        Each finger flexes about cross(finger dir, palm normal), unit: that
-        rotation curls the finger toward +z. Surface samples go to the bones
-        by capsule length x radius at rest, largest remainder first, so they
-        sum to surface_samples; a bone's n samples sit at fractions
-        (j + 0.5) / n along it and at golden-angle phases j x 2.39996.
-        """
-        axes = np.stack([unit(cross(d, _PALM_NORMAL)) for d in self.finger_dirs])
-        x, y, z = axes.T
-        zero = np.zeros(N_FINGERS)
-        K = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(N_FINGERS, 3, 3)
-        rest_steps = self.bone_lengths[:, :, None] * self.finger_dirs[:, None, :]
-        bone_a, bone_b, radii = (np.array(c) for c in zip(*self.bones()))
-        refs = np.repeat(axes, 4, axis=0)
-        refs[::4] = _PALM_NORMAL  # palm bones lie in the z = 0 plane
-        rest = _rest_joint_positions(self)
-        weights = _row_norms(rest[bone_b] - rest[bone_a])[:, 0] * radii
-        raw = weights / np.sum(weights) * self.surface_samples
-        counts = np.floor(raw).astype(int)
-        counts[np.argsort(-(raw - counts))[: self.surface_samples - counts.sum()]] += 1
-        sample_bone = np.repeat(np.arange(len(counts)), counts)
-        j = np.arange(self.surface_samples) - np.repeat(np.cumsum(counts) - counts, counts)
-        phi = j * _GOLDEN
-        return FkTables(
-            K=np.repeat(K, 3, axis=0),
-            KK=np.repeat(K @ K, 3, axis=0),
-            rest_steps=rest_steps.reshape(N_ANGLES, 3, 1),
-            mcp=self.mcp_offsets[:, None, :],
-            bone_a=bone_a,
-            bone_b=bone_b,
-            refs=refs,
-            sample_bone=sample_bone,
-            frac=((j + 0.5) / counts[sample_bone])[:, None],
-            ring_cos=(radii[sample_bone] * np.cos(phi))[:, None],
-            ring_sin=(radii[sample_bone] * np.sin(phi))[:, None],
-        )
-
-
-def default_hand_template(surface_samples: int = SURFACE_SAMPLES) -> HandTemplate:
-    """The one template of each surface size, shared by every caller: it is
-    read-only, so its fk_tables are built once per process."""
-    return _hand_template(int(surface_samples))
-
-
 @cache
-def _hand_template(surface_samples: int) -> HandTemplate:
-    splay = np.radians([48.0, 10.0, 0.0, -10.0, -22.0])
-    dirs = np.stack([np.array([np.sin(a), np.cos(a), 0.0]) for a in splay])
-    return HandTemplate(
-        mcp_offsets=np.array(
-            [
-                [0.033, 0.030, 0.0],  # thumb
-                [0.024, 0.088, 0.0],  # index
-                [0.000, 0.092, 0.0],  # middle
-                [-0.023, 0.086, 0.0],  # ring
-                [-0.043, 0.074, 0.0],  # pinky
-            ]
-        ),
-        finger_dirs=dirs,
-        bone_lengths=np.array(
-            [
-                [0.046, 0.033, 0.026],
-                [0.042, 0.026, 0.021],
-                [0.046, 0.030, 0.022],
-                [0.042, 0.028, 0.021],
-                [0.032, 0.022, 0.018],
-            ]
-        ),
-        finger_radii=np.array([0.010, 0.008, 0.008, 0.008, 0.007]),
-        palm_radius=0.013,
-        surface_samples=surface_samples,
+def fk_tables(surface_samples: int) -> FkTables:
+    """fk_vars's inputs for a surface of `surface_samples` points, built
+    once per size and read-only.
+
+    Each finger flexes about cross(finger dir, palm normal), unit: that
+    rotation curls the finger toward +z. Surface samples go to the bones
+    by capsule length x radius at rest, largest remainder first, so they
+    sum to surface_samples; a bone's n samples sit at fractions
+    (j + 0.5) / n along it and at golden-angle phases j x 2.39996.
+    """
+    axes = np.stack([unit(cross(d, _PALM_NORMAL)) for d in FINGER_DIRS])
+    x, y, z = axes.T
+    zero = np.zeros(N_FINGERS)
+    K = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(N_FINGERS, 3, 3)
+    bone_a, bone_b, radii = (np.array(c) for c in zip(*BONES))
+    refs = np.repeat(axes, 4, axis=0)
+    refs[::4] = _PALM_NORMAL  # palm bones lie in the z = 0 plane
+    weights = _row_norms(REST_JOINTS[bone_b] - REST_JOINTS[bone_a])[:, 0] * radii
+    raw = weights / np.sum(weights) * surface_samples
+    counts = np.floor(raw).astype(int)
+    counts[np.argsort(-(raw - counts))[: surface_samples - counts.sum()]] += 1
+    sample_bone = np.repeat(np.arange(len(counts)), counts)
+    j = np.arange(surface_samples) - np.repeat(np.cumsum(counts) - counts, counts)
+    phi = j * _GOLDEN
+    tables = FkTables(
+        K=np.repeat(K, 3, axis=0),
+        KK=np.repeat(K @ K, 3, axis=0),
+        rest_steps=_REST_STEPS.reshape(N_ANGLES, 3, 1),
+        mcp=MCP_OFFSETS[:, None, :],
+        bone_a=bone_a,
+        bone_b=bone_b,
+        refs=refs,
+        sample_bone=sample_bone,
+        frac=((j + 0.5) / counts[sample_bone])[:, None],
+        ring_cos=(radii[sample_bone] * np.cos(phi))[:, None],
+        ring_sin=(radii[sample_bone] * np.sin(phi))[:, None],
     )
-
-
-def _rest_joint_positions(template: HandTemplate) -> np.ndarray:
-    """Wrist-frame joint positions at zero flexion (all bones straight)."""
-    rest_steps = template.bone_lengths[:, :, None] * template.finger_dirs[:, None, :]
-    chain = np.cumsum(np.concatenate([template.mcp_offsets[:, None, :], rest_steps], axis=1), axis=1)
-    return np.concatenate([np.zeros((1, 3)), chain.reshape(N_JOINTS - 1, 3)])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 @dataclass(frozen=True)
 class KinematicHand:
-    """A posed hand: rigid root (s = 1) + 15 flexion angles + template.
+    """A posed hand: rigid root (s = 1) + 15 flexion angles on the one
+    skeleton, with SURFACE_SAMPLES surface points.
 
     The FK runs once per instance, on first use of joints(), surface() or
     capsules_world, and the (joints, surface) pair is its one cache. All
@@ -206,7 +175,6 @@ class KinematicHand:
     root_rotation: np.ndarray  # (3, 3)
     root_position: np.ndarray  # (3,)
     joint_angles: np.ndarray  # (15,) radians in [0, pi/2]
-    template: HandTemplate
 
     def __post_init__(self):
         object.__setattr__(self, "root_rotation", _frozen(self.root_rotation))
@@ -225,7 +193,7 @@ class KinematicHand:
         return self._fk[0]
 
     def surface(self) -> np.ndarray:
-        """(surface_samples, 3) world capsule-surface cloud, cached and
+        """(SURFACE_SAMPLES, 3) world capsule-surface cloud, cached and
         read-only."""
         return self._fk[1]
 
@@ -235,7 +203,7 @@ class KinematicHand:
         j, s = root_frame_vars(
             ad.const(self.root_rotation, tape),
             ad.const(self.root_position, tape),
-            *fk_vars(self.template, ad.const(self.joint_angles, tape)),
+            *fk_vars(fk_tables(SURFACE_SAMPLES), ad.const(self.joint_angles, tape)),
         )
         return _frozen(j.data), _frozen(s.data)
 
@@ -251,9 +219,10 @@ class KinematicHand:
         return replace(self, root_rotation=pose.R, root_position=pose.t)
 
 
-def fk_vars(template: HandTemplate, angles: ad.Var):
+def fk_vars(c: FkTables, angles: ad.Var):
     """Differentiable wrist-frame FK: joint positions (21, 3) and surface
-    cloud (S, 3). `root_frame_vars` poses them.
+    cloud (S, 3), for the tables of fk_tables(S). `root_frame_vars` poses
+    them.
 
     All phalanges of a finger share its fixed flexion axis, so the
     cumulative rotation at each phalanx is a single Rodrigues rotation of
@@ -262,7 +231,6 @@ def fk_vars(template: HandTemplate, angles: ad.Var):
     n2), with vhat its unit axis, n1 = cross(vhat, ref) over its norm and
     n2 = cross(vhat, n1); the lengths and norms are taken off the tape.
     """
-    c = template.fk_tables
     fingers = ad.reshape(angles, (N_FINGERS, 3))
     th1, th2, th3 = (ad.take(fingers, np.array([k]), axis=1) for k in range(3))
     cum12 = ad.add(th1, th2)
@@ -300,7 +268,7 @@ def root_frame_vars(root_R: ad.Var, root_t: ad.Var, *local: ad.Var) -> tuple:
 def capsules_world(hand: KinematicHand) -> list:
     """(A, B, radius) world-frame capsule segments for rendering."""
     joints = hand.joints()
-    return [(joints[a], joints[b], r) for a, b, r in hand.template.bones()]
+    return [(joints[a], joints[b], r) for a, b, r in BONES]
 
 
 def _grasp_face(instance: ArticulatedInstance, joint_index: int):
@@ -326,7 +294,6 @@ def pose_hand_grasp(instance: ArticulatedInstance, joint_state, seed) -> Kinemat
     points land within CONTACT_TAU of the part cuboids.
     """
     rng = np.random.default_rng(seed)
-    template = default_hand_template()
     joint_index = int(rng.integers(len(instance.joints)))
     axis_idx, sign = _grasp_face(instance, joint_index)
     joint = instance.joints[joint_index]
@@ -353,7 +320,7 @@ def pose_hand_grasp(instance: ArticulatedInstance, joint_state, seed) -> Kinemat
         for p, pp in zip(instance.parts, part_poses_object(instance, joint_state))
     ]
 
-    palm_reach = float(np.linalg.norm(_rest_joint_positions(template)[1 + 4 * 2]))
+    palm_reach = float(np.linalg.norm(REST_JOINTS[1 + 4 * 2]))
 
     for _ in range(GRASP_MAX_ATTEMPTS):
         d = rng.uniform(0.02, 0.05)
@@ -382,7 +349,7 @@ def pose_hand_grasp(instance: ArticulatedInstance, joint_state, seed) -> Kinemat
                 for _ in range(N_FINGERS)
             ]
         )
-        hand = KinematicHand(R_root, wrist, np.clip(angles, ANGLE_LO, ANGLE_HI), template)
+        hand = KinematicHand(R_root, wrist, np.clip(angles, ANGLE_LO, ANGLE_HI))
         surf = hand.surface()
         dists = np.min(
             np.stack([point_box_distance(surf, box) for box in boxes]), axis=0

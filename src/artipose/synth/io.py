@@ -7,8 +7,9 @@ per-part half extents recorded in the manifest.
 A dataset's settings are its category, count, seed, point count and, for
 drawers, part count. The rest are module constants: the contact
 threshold geometry.CONTACT_TAU and the hand's hand.SURFACE_SAMPLES surface
-points, which the manifest records, and MIN_VISIBLE_CONTACTS, the fewest
-contact points a kept scene's cloud holds.
+points, which the manifest records and load_manifest checks against the
+library's, and MIN_VISIBLE_CONTACTS, the fewest contact points a kept
+scene's cloud holds.
 
 Scene i depends only on (seed, i), so `generate_dataset` builds the scenes
 of one call in k = min(usable CPUs, count) processes: the calling process
@@ -37,7 +38,7 @@ import numpy as np
 from .. import parallel
 from ..errors import EmptyView, FewContacts, GraspFailure
 from ..geometry import CONTACT_TAU, OrientedBox, SimilarityTransform
-from .hand import SURFACE_SAMPLES, KinematicHand, default_hand_template
+from .hand import SURFACE_SAMPLES, KinematicHand
 from .instances import make_instance
 from .render import IMAGE_HEIGHT, IMAGE_WIDTH, Camera
 from .scene import DEFAULT_N_POINTS, SceneRecord, sample_scene
@@ -54,8 +55,8 @@ DEFAULT_DRAWERS = 3  # sliding parts of each drawer-category scene
 MAX_SCENE_ATTEMPTS = 40
 
 # The files of one scene directory: name -> (dtype, shape), in write order.
-# The manifest names the leading sizes: N = n_points, P = the entry's part
-# count (its half_extents rows) and S = surface_samples.
+# The leading sizes: N = the manifest's n_points, P = the entry's part count
+# (its half_extents rows) and S = SURFACE_SAMPLES.
 SCENE_FILES = {
     "cloud.f32": ("<f4", ("N", 3)),  # camera-frame points, meters
     "seg.u8": ("u1", ("N",)),  # 0 = hand, p+1 = part p
@@ -357,12 +358,16 @@ def generate_dataset(
 
 def load_manifest(root) -> dict:
     """The manifest of a dataset directory; ValueError when it is not an
-    artipose dataset of this FORMAT_VERSION."""
+    artipose dataset of this FORMAT_VERSION, or when its surface_samples or
+    tau is not the library's (the contact labels follow both)."""
     manifest = json.loads((Path(root) / "manifest.json").read_text(encoding="utf-8"))
     if manifest.get("format") != FORMAT_NAME:
         raise ValueError(f"{root} is not an {FORMAT_NAME} directory")
     if manifest.get("version") != FORMAT_VERSION:
         raise ValueError(f"{root} is {FORMAT_NAME} version {manifest.get('version')!r}, not {FORMAT_VERSION}")
+    for key, value in (("surface_samples", SURFACE_SAMPLES), ("tau", CONTACT_TAU)):
+        if manifest.get(key) != value:
+            raise ValueError(f"{root} has {key} {manifest.get(key)!r}; this library uses {value!r}")
     return manifest
 
 
@@ -373,7 +378,7 @@ def load_scene(root, manifest: dict, entry: dict) -> SceneRecord:
     ValueError naming the scene and the file."""
     d = scene_dir(Path(root), entry["id"])
     half_extents = np.asarray(entry["half_extents"], dtype=np.float64)
-    sizes = {"N": manifest["n_points"], "P": len(half_extents), "S": manifest["surface_samples"]}
+    sizes = {"N": manifest["n_points"], "P": len(half_extents), "S": SURFACE_SAMPLES}
     arrays = {}
     for name, (dtype, dims) in SCENE_FILES.items():
         shape = tuple(sizes.get(k, k) for k in dims)
@@ -387,7 +392,7 @@ def load_scene(root, manifest: dict, entry: dict) -> SceneRecord:
     # re-orthonormalize the float32 rotations before the strict ctors
     params = arrays["hand_params"]
     u, _, vt = np.linalg.svd(params[:9].reshape(3, 3))
-    hand = KinematicHand(u @ vt, params[9:12], np.clip(params[12:], 0, np.pi / 2), default_hand_template(sizes["S"]))
+    hand = KinematicHand(u @ vt, params[9:12], np.clip(params[12:], 0, np.pi / 2))
     part_poses = []
     for row in arrays["poses"]:
         u, _, vt = np.linalg.svd(row[:9].reshape(3, 3))

@@ -214,11 +214,10 @@ def render_partial_cloud(
 ):
     """The FPS candidate pool of the visible surface, with per-point labels.
 
-    Returns (points (m, 3) camera frame, labels (m,) uint8, visibility):
-    the hit points, subsampled to m = _MAX_RAW_POINTS with one rng draw when
-    there are more, and visibility[k], the fraction of raw hit pixels
-    showing label k (index 0 = hand, 1.. = parts). Raises EmptyView, before
-    drawing from rng, when fewer than n_points pixels are hit.
+    Returns (points (m, 3) camera frame, labels (m,) uint8): the hit
+    points, subsampled to m = _MAX_RAW_POINTS with one rng draw when there
+    are more. Raises EmptyView, before drawing from rng, when fewer than
+    n_points pixels are hit.
     """
     dirs = camera.ray_directions()
     depth = np.full(len(dirs), np.inf)
@@ -230,9 +229,7 @@ def render_partial_cloud(
         depth[rows] = hits[closer]
         label[rows] = lab
 
-    max_label = 0
     for box, lab in boxes:
-        max_label = max(max_label, lab)
         E = box.edge_vectors()
         R = (E.T / np.linalg.norm(E, axis=1))  # columns = edge directions
         half = np.linalg.norm(E, axis=1) / 2.0
@@ -254,11 +251,7 @@ def render_partial_cloud(
 
     pts = depth[mask, None] * dirs[mask]
     labs = label[mask]
-    visibility = np.array(
-        [(labs == k).sum() / raw_count for k in range(max_label + 1)]
-    )
-
     if raw_count > _MAX_RAW_POINTS:
         keep = rng.choice(raw_count, size=_MAX_RAW_POINTS, replace=False)
         pts, labs = pts[keep], labs[keep]
-    return pts, labs.astype(np.uint8), visibility
+    return pts, labs.astype(np.uint8)

@@ -115,7 +115,7 @@ def sample_scene(
     for zoom in (1.0, 1.5, 2.2):
         camera = replace(base_camera, fx=base_camera.fx * zoom, fy=base_camera.fy * zoom)
         try:
-            pool, pool_seg, _vis = render_partial_cloud(
+            pool, pool_seg = render_partial_cloud(
                 [(box, i + 1) for i, box in enumerate(boxes_cam)],
                 capsules_world(hand_cam),
                 camera,

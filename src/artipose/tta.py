@@ -26,7 +26,7 @@ from . import nn
 from .estimator import Estimator, HeadOutput, assemble_graph, assemble_pose, point_labels, scene_layouts
 from .geometry import box_half_extents, matrix_to_rot6d
 from .priors import Discriminator, g_adv_loss_graph
-from .synth.hand import ANGLE_HI, ANGLE_LO, KinematicHand, fk_vars, root_frame_vars
+from .synth.hand import ANGLE_HI, ANGLE_LO, SURFACE_SAMPLES, KinematicHand, fk_tables, fk_vars, root_frame_vars
 
 HEADS_ONLY = "heads_only"
 FULL_ENCODER = "full_encoder"
@@ -156,14 +156,13 @@ def optimize_hand(
     store.add("r6", matrix_to_rot6d(hand_init.root_rotation))
     store.add("t", hand_init.root_position)
     store.add("ang", hand_init.joint_angles)
-    template = hand_init.template
 
     def chamfer_at(tape):
         r6 = store.use("r6", tape, dtype=np.float64)
         t = store.use("t", tape, dtype=np.float64)
         ang = store.use("ang", tape, dtype=np.float64)
         R, degenerate = dg.rot6d_to_matrix(r6)
-        (surface,) = root_frame_vars(R, t, fk_vars(template, ang)[1])
+        (surface,) = root_frame_vars(R, t, fk_vars(fk_tables(SURFACE_SAMPLES), ang)[1])
         return dg.chamfer_fixed(surface, ad.const(C, tape)), R, degenerate
 
     def snapshot(R):
@@ -171,7 +170,6 @@ def optimize_hand(
             R.data,
             store.params["t"].astype(np.float64),
             np.clip(store.params["ang"].astype(np.float64), ANGLE_LO, ANGLE_HI),
-            template,
         )
 
     trace = []

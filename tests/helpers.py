@@ -15,9 +15,10 @@ from artipose.errors import (
     GraspFailure,
     ShapeMismatch,
 )
-from artipose.estimator import assemble_graph, assemble_pose, scene_layouts
+from artipose.estimator import LAMBDA_NOCS, LAMBDA_ROT, LAMBDA_SEG, assemble_graph, assemble_pose, scene_layouts
 from artipose.geometry import _CORNER_SIGNS, SimilarityTransform, as_cloud
 from artipose.priors import g_adv_loss_graph
+from artipose.synth import hand
 from artipose.synth import io as synth_io
 from artipose.synth import render
 
@@ -293,14 +294,12 @@ def fps_rowwise(points, n, rng):
 def render_every_ray(boxes, capsules, camera, n_points, rng):
     """render.render_partial_cloud with every ray tested against every
     primitive, the oracle for the cone-culled ray cast: the same candidate
-    pool, labels and visibility, after the same rng draws."""
+    pool and labels, after the same rng draws."""
     dirs = camera.ray_directions()
     depth = np.full(len(dirs), np.inf)
     label = np.full(len(dirs), -1, dtype=np.int32)
 
-    max_label = 0
     for box, lab in boxes:
-        max_label = max(max_label, lab)
         E = box.edge_vectors()
         R = (E.T / np.linalg.norm(E, axis=1))
         half = np.linalg.norm(E, axis=1) / 2.0
@@ -324,12 +323,10 @@ def render_every_ray(boxes, capsules, camera, n_points, rng):
 
     pts = depth[mask, None] * dirs[mask]
     labs = label[mask]
-    visibility = np.array([(labs == k).sum() / raw_count for k in range(max_label + 1)])
-
     if raw_count > render._MAX_RAW_POINTS:
         keep = rng.choice(raw_count, size=render._MAX_RAW_POINTS, replace=False)
         pts, labs = pts[keep], labs[keep]
-    return pts, labs.astype(np.uint8), visibility
+    return pts, labs.astype(np.uint8)
 
 
 def contact_map_broadcast(obj_pts, hand_pts, tau):
@@ -472,9 +469,9 @@ def pose_loss(
     seg_labels: np.ndarray,
     gt_nocs: np.ndarray,
     gt_rot: np.ndarray,
-    lambda_seg: float = 1.0,
-    lambda_rot: float = 1.0,
-    lambda_nocs: float = 10.0,
+    lambda_seg: float = LAMBDA_SEG,
+    lambda_rot: float = LAMBDA_ROT,
+    lambda_nocs: float = LAMBDA_NOCS,
 ) -> float:
     """Scalar pose loss of one scene's HeadOutput: CE (mean over points) +
     summed per-part rotation L2 + NOCS L2 masked to object points (mean over
@@ -675,51 +672,51 @@ def _rodrigues_one(axis, theta, tape):
     return ad.add(ad.const(np.eye(3), tape), ad.add(ad.mul(s, ad.const(K, tape)), ad.mul(one_minus_c, ad.const(K @ K, tape))))
 
 
-def _sample_counts(template):
+def _sample_counts(surface_samples):
     """Per-bone surface sample counts by capsule length x radius at rest,
     largest remainder to the exact total."""
     joints = np.zeros((21, 3))
     for f in range(5):
-        p = template.mcp_offsets[f].copy()
+        p = hand.MCP_OFFSETS[f].copy()
         joints[1 + 4 * f] = p
         for seg in range(3):
-            p = p + template.bone_lengths[f, seg] * template.finger_dirs[f]
+            p = p + hand.BONE_LENGTHS[f, seg] * hand.FINGER_DIRS[f]
             joints[2 + 4 * f + seg] = p
-    weights = np.array([np.linalg.norm(joints[b] - joints[a]) * r for a, b, r in template.bones()])
-    raw = weights / np.sum(weights) * template.surface_samples
+    weights = np.array([np.linalg.norm(joints[b] - joints[a]) * r for a, b, r in hand.BONES])
+    raw = weights / np.sum(weights) * surface_samples
     counts = np.floor(raw).astype(int)
-    for idx in np.argsort(-(raw - counts))[: template.surface_samples - counts.sum()]:
+    for idx in np.argsort(-(raw - counts))[: surface_samples - counts.sum()]:
         counts[idx] += 1
     return counts
 
 
-def fk_vars_per_finger(template, angles):
+def fk_vars_per_finger(surface_samples, angles):
     """Wrist-frame hand FK one finger and one phalanx at a time, then one
-    capsule at a time: joints (21, 3) and surface (S, 3) Vars. The oracle
-    of the batched synth.hand.fk_vars."""
+    capsule at a time: joints (21, 3) and surface (surface_samples, 3)
+    Vars. The oracle of the batched synth.hand.fk_vars."""
     tape = angles.tape
     z = np.array([0.0, 0.0, 1.0])
     joint_rows = [ad.const(np.zeros(3), tape)]
     bone_endpoints = []  # (A, B, radius, ref axis)
     for f in range(5):
-        mcp = ad.const(template.mcp_offsets[f], tape)
-        u = template.finger_dirs[f]
+        mcp = ad.const(hand.MCP_OFFSETS[f], tape)
+        u = hand.FINGER_DIRS[f]
         axis = np.cross(u, z)
         axis = axis / np.linalg.norm(axis)
         th1, th2, th3 = (ad.take(angles, np.array([3 * f + k]), axis=0) for k in range(3))
         cum12 = ad.add(th1, th2)
         prev = mcp
         joint_rows.append(mcp)
-        bone_endpoints.append((joint_rows[0], mcp, template.palm_radius, z))
+        bone_endpoints.append((joint_rows[0], mcp, hand.PALM_RADIUS, z))
         for seg, theta in enumerate((th1, cum12, ad.add(cum12, th3))):
             R = _rodrigues_one(axis, ad.reshape(theta, ()), tape)
-            nxt = ad.add(prev, ad.matmul(R, ad.const(template.bone_lengths[f, seg] * u, tape)))
+            nxt = ad.add(prev, ad.matmul(R, ad.const(hand.BONE_LENGTHS[f, seg] * u, tape)))
             joint_rows.append(nxt)
-            bone_endpoints.append((prev, nxt, template.finger_radii[f] * (0.9 if seg == 2 else 1.0), axis))
+            bone_endpoints.append((prev, nxt, hand.FINGER_RADII[f] * (0.9 if seg == 2 else 1.0), axis))
             prev = nxt
 
     surf_rows = []
-    for (A, B, radius, ref), n_b in zip(bone_endpoints, _sample_counts(template)):
+    for (A, B, radius, ref), n_b in zip(bone_endpoints, _sample_counts(surface_samples)):
         if n_b == 0:
             continue
         frac = (np.arange(n_b) + 0.5) / n_b

@@ -171,7 +171,7 @@ class TestEval:
         assert rows["scenes"] == "2"
         assert 0.0 <= float(rows["mIoU"]) <= 100.0
         summary = json.loads(out.with_suffix(".json").read_text())
-        assert summary["mIoU"] == rows["mIoU"]
+        assert summary["mIoU"] == float(rows["mIoU"]) and summary["scenes"] == 2
         assert summary["checkpoint"] == str(ckpt)
         assert "mIoU: " in capsys.readouterr().out
 

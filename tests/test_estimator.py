@@ -1,6 +1,8 @@
 """Estimator: encoder properties, loss oracle, pose assembly, training."""
 
 import csv
+import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -35,7 +37,7 @@ class TestEncoder:
             perm = rng.permutation(len(cloud))
             enc_p = net.encode(cloud[perm])
             assert np.array_equal(enc.z[perm], enc_p.z)
-            assert np.array_equal(enc.global_feat, enc_p.global_feat)
+            assert np.array_equal(enc.pooled, enc_p.pooled)
 
     def test_duplicated_point_duplicated_row(self, net):
         rng = np.random.default_rng(1)
@@ -56,8 +58,8 @@ class TestEncoder:
             h = np.maximum(h @ w + b, 0)
         local_dim = net.spec.local_dim
         assert np.allclose(enc.z[:, :local_dim], h, atol=1e-6)
-        assert np.allclose(enc.global_feat[:local_dim], h.max(axis=0), atol=1e-6)
-        assert np.allclose(enc.global_feat[local_dim:], h.mean(axis=0), atol=1e-5)
+        assert np.allclose(enc.pooled[0, :local_dim], h.max(axis=0), atol=1e-6)
+        assert np.allclose(enc.pooled[0, local_dim:], h.mean(axis=0), atol=1e-5)
         # broadcast copy of the max-pool rides along in z
         assert np.allclose(enc.z[:, local_dim:], h.max(axis=0), atol=1e-6)
 
@@ -67,8 +69,9 @@ class TestEncoder:
         L = net.spec.local_dim
         assert enc.z.dtype == np.float32 and enc.z.shape == (40, 2 * L)
         assert np.array_equal(bits(enc.z[:, :L]), bits(enc.local))
-        pooled_max = enc.global_feat[:L].astype(np.float32)
-        assert np.array_equal(bits(enc.z[:, L:]), bits(np.broadcast_to(pooled_max, (40, L))))
+        assert enc.mx.dtype == np.float32
+        assert np.array_equal(bits(enc.mx), bits(enc.pooled[:, :L].astype(np.float32)))
+        assert np.array_equal(bits(enc.z[:, L:]), bits(np.broadcast_to(enc.mx, (40, L))))
 
     def test_too_small_cloud_rejected(self, net):
         with pytest.raises(E.ShapeMismatch):
@@ -167,8 +170,7 @@ class TestPoseLoss:
         tape = ad.Tape()
         seg, nocs, rot = net.heads_graph(tape, *net.encode_graph(tape, cloud32[None]))
         total, _ = E.pose_loss_graph(
-            tape, seg, nocs, rot, scene.seg[None], scene.nocs[None].astype(np.float32),
-            gt_rot[None], 1.0, 1.0, 10.0,
+            tape, seg, nocs, rot, scene.seg[None], scene.nocs[None].astype(np.float32), gt_rot[None]
         )
         out = E.HeadOutput(seg.data, nocs.data, rot.data[0])
         scalar = pose_loss(out, scene.seg, scene.nocs, gt_rot)
@@ -597,10 +599,10 @@ class TestTraining:
             ({"batch_size": -2}, "batch_size must be positive"),
             ({"lr": -1.0}, "lr must be positive"),
             ({"lr": float("nan")}, "lr must be positive"),
-            ({"d_lr": 0.0}, "d_lr must be positive"),
+            ({"lambda_diff": -1.0}, "lambda_diff must be >= 0"),
             ({"diffusion_points": 0, "lambda_diff": 1.0}, "diffusion_points must be positive"),
             ({"diffusion_steps": 0}, "diffusion_steps must be positive"),
-            ({"lambda_nocs": -10.0}, "lambda_nocs must be >= 0"),
+            ({"lambda_adv": float("nan")}, "lambda_adv must be >= 0"),
             ({"lambda_adv": -0.1}, "lambda_adv must be >= 0"),
             ({"lr": "0.001"}, "lr must be a number"),
             ({"lr_schedule": [[5, 1e-3], [9, -1e-3]]}, r"lr_schedule entry \[9, -0.001\] is not \[start_epoch, lr > 0\]"),
@@ -622,7 +624,7 @@ class TestTraining:
 
     def test_boundary_settings_accepted(self):
         cfg = E.TrainConfig(
-            epochs=np.int64(0), lambda_seg=0, lambda_rot=0.0, lambda_nocs=0.0, lr_schedule=[(3, 1e-4)]
+            epochs=np.int64(0), lambda_adv=0, lambda_diff=0.0, lr_schedule=[(3, 1e-4)]
         )
         assert cfg.lr_at(3) == 1e-4
 
@@ -631,6 +633,14 @@ class TestTraining:
         path = tmp_path / "cfg.json"
         path.write_text(text)
         with pytest.raises(ValueError, match="^config must be a JSON object$"):
+            E.TrainConfig.from_json(path)
+
+    @pytest.mark.parametrize("key", ["d_lr", "lambda_seg", "lambda_rot", "lambda_nocs"])
+    def test_fixed_loss_settings_are_unknown_keys(self, tmp_path, key):
+        # estimator.D_LR and the LAMBDA_* weights are constants
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"epochs": 3, key: 1.0}))
+        with pytest.raises(ValueError, match=re.escape(f"unknown config keys: {[key]}")):
             E.TrainConfig.from_json(path)
 
     def test_unknown_config_key_rejected(self, tmp_path):

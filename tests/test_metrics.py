@@ -2,6 +2,7 @@
 hand scorer and the report writer."""
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -140,3 +141,29 @@ def test_write_rows(tmp_path):
     metrics.write_rows(out, ["a", "b"], [{"a": 1, "b": 0.5}, {"a": "x"}])
     with open(out, newline="", encoding="utf-8") as f:
         assert list(csv.reader(f)) == [["a", "b"], ["1", "0.5"], ["x", ""]]
+
+
+def test_summary_json_holds_numbers(tmp_path, scene):
+    # every part invalid: the R and T means are NaN, which JSON writes as null
+    pred = metrics.ScenePrediction(scene.scene_id, [None, None], [None, None])
+    report = metrics.eval_object([pred], [scene])
+    out = tmp_path / "report.json"
+    metrics.write_summary_json(out, report, extra={"checkpoint": "m.ckpt"})
+    assert json.loads(out.read_text()) == {
+        "category": "laptop",
+        "scenes": 1,
+        "acc_5deg5cm": 0.0,
+        "mIoU": 0.0,
+        "R_err_deg": None,
+        "T_err_cm": None,
+        "invalid_parts": 2,
+        "checkpoint": "m.ckpt",
+    }
+    assert "NaN" not in out.read_text()
+
+
+def test_rows_print_as_their_repr(scene):
+    # the CSV and the printed lines show str(value), the repr of each number
+    report = metrics.eval_object([ground_truth(scene)], [scene])
+    for name, value in report.rows()[1:]:
+        assert type(value) in (int, float) and str(value) == repr(value), name

@@ -27,7 +27,6 @@ from artipose.synth import scene as scene_mod
 from artipose.synth import (
     Camera,
     KinematicHand,
-    default_hand_template,
     generate_dataset,
     load_dataset,
     make_instance,
@@ -126,48 +125,44 @@ class TestMakeInstance:
 
 class TestHand:
     def test_joint_and_surface_counts(self):
-        tmpl = default_hand_template(512)
-        hand = KinematicHand(np.eye(3), np.zeros(3), np.zeros(15), tmpl)
+        hand = KinematicHand(np.eye(3), np.zeros(3), np.zeros(15))
         assert hand.joints().shape == (21, 3)
-        assert hand.surface().shape == (512, 3)
+        assert hand.surface().shape == (hand_mod.SURFACE_SAMPLES, 3) == (512, 3)
 
     def test_surface_count_follows_template(self):
-        tmpl = default_hand_template(200)
-        hand = KinematicHand(np.eye(3), np.zeros(3), np.full(15, 0.3), tmpl)
-        assert hand.surface().shape == (200, 3)
+        # the template of a size is its fk_tables
+        tape = ad.Tape(grad=False)
+        joints, surface = hand_mod.fk_vars(hand_mod.fk_tables(200), ad.const(np.full(15, 0.3), tape))
+        assert joints.data.shape == (21, 3) and surface.data.shape == (200, 3)
 
     def test_one_read_only_template_per_size(self):
-        tmpl = default_hand_template()
-        assert tmpl is default_hand_template(hand_mod.SURFACE_SAMPLES) is default_hand_template(512)
-        assert tmpl.surface_samples == 512 and default_hand_template(128) is not tmpl
-        assert not tmpl.finger_dirs.flags.writeable
+        tables = hand_mod.fk_tables(hand_mod.SURFACE_SAMPLES)
+        assert tables is hand_mod.fk_tables(512) and hand_mod.fk_tables(128) is not tables
+        for arr in tables:
+            assert not arr.flags.writeable
 
     def test_angle_limits_enforced(self):
-        tmpl = default_hand_template()
         with pytest.raises(ValueError):
-            KinematicHand(np.eye(3), np.zeros(3), np.full(15, 2.0), tmpl)
+            KinematicHand(np.eye(3), np.zeros(3), np.full(15, 2.0))
 
     def test_params_round_trip(self):
-        tmpl = default_hand_template()
         rng = np.random.default_rng(4)
-        hand = KinematicHand(np.eye(3), rng.normal(size=3), rng.uniform(0, 1.2, 15), tmpl)
+        hand = KinematicHand(np.eye(3), rng.normal(size=3), rng.uniform(0, 1.2, 15))
         params = hand.params()
-        clone = KinematicHand(params[:9].reshape(3, 3), params[9:12], params[12:], tmpl)
+        clone = KinematicHand(params[:9].reshape(3, 3), params[9:12], params[12:])
         assert np.allclose(clone.joints(), hand.joints())
         assert np.allclose(clone.surface(), hand.surface())
 
     def test_flexion_curls_toward_palm_normal(self):
-        tmpl = default_hand_template()
-        flat = KinematicHand(np.eye(3), np.zeros(3), np.zeros(15), tmpl)
-        bent = KinematicHand(np.eye(3), np.zeros(3), np.full(15, 0.8), tmpl)
+        flat = KinematicHand(np.eye(3), np.zeros(3), np.zeros(15))
+        bent = KinematicHand(np.eye(3), np.zeros(3), np.full(15, 0.8))
         # palm normal is +z in the root frame: tips must move to z > 0
         assert (bent.joints()[4::4, 2] > flat.joints()[4::4, 2] + 0.01).all()
 
     def test_root_transform_equivariance(self):
-        tmpl = default_hand_template()
         rng = np.random.default_rng(5)
         angles = rng.uniform(0, 1.0, 15)
-        base = KinematicHand(np.eye(3), np.zeros(3), angles, tmpl)
+        base = KinematicHand(np.eye(3), np.zeros(3), angles)
         pose = geo.SimilarityTransform(
             geo.rot6d_to_matrix(rng.normal(size=6)), rng.normal(size=3), 1.0
         )
@@ -191,12 +186,12 @@ class TestHandFkCache:
     @staticmethod
     def hand():
         R = geo.rot6d_to_matrix(np.array([1.0, 0.2, 0.1, -0.3, 1.0, 0.4]))
-        return KinematicHand(R, [0.1, -0.2, 0.6], np.full(15, 0.5), default_hand_template(128))
+        return KinematicHand(R, [0.1, -0.2, 0.6], np.full(15, 0.5))
 
     def test_one_fk_per_hand(self, fk_calls):
         hand = self.hand()
         joints, surface = hand.joints(), hand.surface()
-        assert len(capsules_world(hand)) == len(hand.template.bones())
+        assert len(capsules_world(hand)) == len(hand_mod.BONES)
         assert hand.joints() is joints and hand.surface() is surface
         assert len(fk_calls) == 1
 
@@ -207,10 +202,7 @@ class TestHandFkCache:
         pose = geo.SimilarityTransform(R, [0.0, 0.3, -0.1], 1.0)
         for derived in (base.rerooted(pose), replace(base, joint_angles=np.full(15, 1.1))):
             fresh = KinematicHand(
-                derived.root_rotation.copy(),
-                derived.root_position.copy(),
-                derived.joint_angles.copy(),
-                derived.template,
+                derived.root_rotation.copy(), derived.root_position.copy(), derived.joint_angles.copy()
             )
             assert np.array_equal(derived.joints(), fresh.joints())
             assert np.array_equal(derived.surface(), fresh.surface())
@@ -221,10 +213,10 @@ class TestHandFkCache:
 
     def test_cached_fk_matches_one_tape_fk(self):
         rng = np.random.default_rng(8)
-        tmpl = default_hand_template(256)
+        tables = hand_mod.fk_tables(hand_mod.SURFACE_SAMPLES)
         for _ in range(50):
             hand = KinematicHand(
-                geo.rot6d_to_matrix(rng.normal(size=6)), rng.normal(size=3), rng.uniform(0, 1.5, 15), tmpl
+                geo.rot6d_to_matrix(rng.normal(size=6)), rng.normal(size=3), rng.uniform(0, 1.5, 15)
             )
             pose = geo.SimilarityTransform(geo.rot6d_to_matrix(rng.normal(size=6)), rng.normal(size=3), 1.0)
             for h in (hand, hand.rerooted(pose)):
@@ -232,17 +224,23 @@ class TestHandFkCache:
                 joints, surface = hand_mod.root_frame_vars(
                     ad.leaf(h.root_rotation, tape),
                     ad.leaf(h.root_position, tape),
-                    *hand_mod.fk_vars(tmpl, ad.leaf(h.joint_angles, tape)),
+                    *hand_mod.fk_vars(tables, ad.leaf(h.joint_angles, tape)),
                 )
                 assert np.array_equal(bits(h.joints()), bits(joints.data))
                 assert np.array_equal(bits(h.surface()), bits(surface.data))
 
     def test_template_arrays_read_only(self):
-        tmpl = default_hand_template(128)
-        for arr in (tmpl.mcp_offsets, tmpl.finger_dirs, tmpl.bone_lengths, tmpl.finger_radii):
+        # the skeleton is module constants
+        for arr in (
+            hand_mod.MCP_OFFSETS,
+            hand_mod.FINGER_DIRS,
+            hand_mod.BONE_LENGTHS,
+            hand_mod.FINGER_RADII,
+            hand_mod.REST_JOINTS,
+        ):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-        assert tmpl.fk_tables is tmpl.fk_tables
+        assert isinstance(hand_mod.BONES, tuple) and len(hand_mod.BONES) == 20
 
     def test_cached_and_parameter_arrays_read_only(self):
         hand = self.hand()
@@ -252,7 +250,7 @@ class TestHandFkCache:
 
     def test_caller_arrays_copied(self):
         angles = np.full(15, 0.5)
-        hand = KinematicHand(np.eye(3), np.zeros(3), angles, default_hand_template(128))
+        hand = KinematicHand(np.eye(3), np.zeros(3), angles)
         angles[:] = 1.0
         assert (hand.joint_angles == 0.5).all()
 
@@ -278,25 +276,24 @@ class TestBatchedFk:
 
     @pytest.mark.parametrize("size", SIZES)
     def test_joints_and_surface_bit_for_bit(self, size):
-        tmpl = default_hand_template(size)
+        tables = hand_mod.fk_tables(size)
         for angles in self.angle_sets(np.random.default_rng(size), 300):
             tape = ad.Tape(grad=False)
-            joints, surface = hand_mod.fk_vars(tmpl, ad.const(angles, tape))
-            want_joints, want_surface = fk_vars_per_finger(tmpl, ad.const(angles, tape))
+            joints, surface = hand_mod.fk_vars(tables, ad.const(angles, tape))
+            want_joints, want_surface = fk_vars_per_finger(size, ad.const(angles, tape))
             assert np.array_equal(bits(joints.data), bits(want_joints.data))
             assert np.array_equal(bits(surface.data), bits(want_surface.data))
 
     @pytest.mark.parametrize("size", SIZES)
     def test_angle_gradients_match(self, size):
-        tmpl = default_hand_template(size)
         rng = np.random.default_rng(size + 1)
         for angles in self.angle_sets(rng, 20):
             g_joints, g_surface = rng.normal(size=(21, 3)), rng.normal(size=(size, 3))
             grads = []
-            for fk in (hand_mod.fk_vars, fk_vars_per_finger):
+            for fk, first in ((hand_mod.fk_vars, hand_mod.fk_tables(size)), (fk_vars_per_finger, size)):
                 tape = ad.Tape()
                 leaf = ad.leaf(angles, tape)
-                joints, surface = fk(tmpl, leaf)
+                joints, surface = fk(first, leaf)
                 tape.backward(ad.add(ad.vsum(ad.mul(joints, g_joints)), ad.vsum(ad.mul(surface, g_surface))))
                 grads.append(leaf.grad)
             assert np.max(np.abs(grads[0] - grads[1])) <= 1e-12 * np.max(np.abs(grads[1]))
@@ -305,7 +302,7 @@ class TestBatchedFk:
         counts = set()
         for size in self.SIZES:
             tape = ad.Tape()
-            hand_mod.fk_vars(default_hand_template(size), ad.leaf(np.full(15, 0.4), tape))
+            hand_mod.fk_vars(hand_mod.fk_tables(size), ad.leaf(np.full(15, 0.4), tape))
             counts.add(len(tape._ops))
         assert len(counts) == 1 and counts.pop() <= 60
 
@@ -382,9 +379,7 @@ class TestRender:
         box = geo.OrientedBox.from_extents([0.2, 0.2, 0.1])
         rng = np.random.default_rng(0)
         extr = geo.SimilarityTransform(cam.R, cam.t, 1.0)
-        pts, labs, vis = render_partial_cloud(
-            [(geo.transform_box(box, extr), 1)], [], cam, 512, rng
-        )
+        pts, labs = render_partial_cloud([(geo.transform_box(box, extr), 1)], [], cam, 512, rng)
         # back to world: all points must lie on the top face z = +0.1
         world = (pts - cam.t) @ cam.R
         assert np.allclose(world[:, 2], 0.1, atol=1e-9)
@@ -397,7 +392,7 @@ class TestRender:
         box = geo.OrientedBox.from_extents([0.2, 0.2, 0.1])
         extr = geo.SimilarityTransform(cam.R, cam.t, 1.0)
         rng = np.random.default_rng(1)
-        pts, labs, _ = render_partial_cloud([(geo.transform_box(box, extr), 1)], [], cam, 512, rng)
+        pts, labs = render_partial_cloud([(geo.transform_box(box, extr), 1)], [], cam, 512, rng)
         assert 512 < len(pts) < render_mod._MAX_RAW_POINTS
         assert pts.shape == (len(pts), 3) and labs.shape == (len(pts),) and labs.dtype == np.uint8
         sel = furthest_point_sample(pts, 512, rng)
@@ -405,7 +400,8 @@ class TestRender:
 
     def test_occlusion_reduces_base_visibility(self):
         # an open laptop seen from straight above vs. from a low angle:
-        # the lid occludes part of the base at the grazing view
+        # the lid occludes part of the base at the grazing view, so fewer
+        # base points reach the candidate pool
         inst = make_instance("laptop", 2)
         q = [np.radians(120.0)]
         poses = part_poses_object(inst, q)
@@ -414,7 +410,7 @@ class TestRender:
             for p, pp in zip(inst.parts, poses)
         ]
 
-        def vis_from(pos):
+        def base_points_from(pos):
             fwd = -pos / np.linalg.norm(pos)
             up = np.array([0.0, 0.0, 1.0])
             x = np.cross(fwd, up)
@@ -423,27 +419,25 @@ class TestRender:
             R = np.stack([x, y, fwd], axis=0)
             cam = Camera(250.0, 250.0, 79.5, 59.5, 160, 120, R, -R @ pos)
             extr = geo.SimilarityTransform(cam.R, cam.t, 1.0)
-            _, _, vis = render_partial_cloud(
+            _, labs = render_partial_cloud(
                 [(geo.transform_box(b, extr), i + 1) for i, b in enumerate(boxes)],
                 [],
                 cam,
                 256,
                 np.random.default_rng(2),
             )
-            return vis
+            return int((labs == 1).sum())
 
-        top = vis_from(np.array([1e-3, 0.3, 1.2]))
+        top = base_points_from(np.array([1e-3, 0.3, 1.2]))
         # behind the lid, low: the lid blocks the base
-        grazing = vis_from(np.array([1e-3, 0.9, 0.15]))
-        assert grazing[1] < top[1]
+        grazing = base_points_from(np.array([1e-3, 0.9, 0.15]))
+        assert grazing < top
 
     def test_capsule_rendering_hits(self):
         cam = overhead_camera()
         A = np.array([-0.1, 0.0, 0.2]) @ cam.R.T + cam.t
         B = np.array([0.1, 0.0, 0.2]) @ cam.R.T + cam.t
-        pts, labs, vis = render_partial_cloud(
-            [], [(A, B, 0.03)], cam, 128, np.random.default_rng(3)
-        )
+        pts, labs = render_partial_cloud([], [(A, B, 0.03)], cam, 128, np.random.default_rng(3))
         assert (labs == 0).all()
         world = (pts - cam.t) @ cam.R
         # every point on the capsule surface: distance to segment == radius
@@ -463,9 +457,9 @@ def render_outcome(fn, args, rng):
         result = fn(*args, rng)
     except EmptyView as e:
         return e, ("EmptyView", str(e))
-    pts, labs, vis = result
+    pts, labs = result
     sel = furthest_point_sample(pts, args[3], copy.deepcopy(rng))
-    key = (bits(pts).tobytes(), labs.dtype.str, labs.tobytes(), bits(vis).tobytes(), sel.tobytes())
+    key = (bits(pts).tobytes(), labs.dtype.str, labs.tobytes(), sel.tobytes())
     return result, key + (repr(rng.bit_generator.state),)
 
 
@@ -860,7 +854,6 @@ class TestDataset:
             assert np.array_equal(bits(got.hand.root_position), bits(params[9:12]))
             assert np.array_equal(bits(got.hand.joint_angles), bits(np.clip(params[12:], 0, np.pi / 2)))
             assert np.allclose(got.hand.root_rotation, rec.hand.root_rotation, atol=1e-6)
-            assert got.hand.template is rec.hand.template is default_hand_template()
             assert np.array_equal(bits(got.joint_state), bits(rec.joint_state))
             for field in ("fx", "fy", "cx", "cy", "width", "height"):
                 assert getattr(got.camera, field) == getattr(rec.camera, field), field
@@ -886,6 +879,16 @@ class TestDataset:
         manifest["version"] = version
         (root / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=f"artipose-dataset version {version!r}, not 1$"):
+            load_dataset(root)
+
+    @pytest.mark.parametrize("key, value, library", [("tau", 0.02, "0.01"), ("surface_samples", 256, "512")])
+    def test_manifest_of_other_fixed_settings_rejected(self, tmp_path, key, value, library):
+        # the contact labels and the hand_surface files follow both
+        root = generate_dataset(tmp_path / "ds", "laptop", 1, seed=0, n_points=256)
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest[key] = value
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"has {key} {value!r}; this library uses {library}$"):
             load_dataset(root)
 
     @pytest.fixture(scope="class")

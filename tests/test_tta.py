@@ -9,7 +9,7 @@ from artipose import nn
 from artipose import priors
 from artipose import tta
 from artipose.synth import make_instance, sample_scene
-from artipose.synth.hand import KinematicHand, default_hand_template
+from artipose.synth.hand import KinematicHand
 from artipose.synth.render import HAND_LABEL
 from helpers import adapt_object_reencoding, bits
 
@@ -286,7 +286,7 @@ class TestConfigs:
 class TestOptimizeHand:
     def test_degenerate_root_rotation_aborts(self, monkeypatch):
         # a zero 6D root rotation has no Gram-Schmidt frame
-        hand = KinematicHand(np.eye(3), np.zeros(3), np.full(15, 0.3), default_hand_template(64))
+        hand = KinematicHand(np.eye(3), np.zeros(3), np.full(15, 0.3))
         monkeypatch.setattr(tta, "matrix_to_rot6d", lambda R: np.zeros(6))
         cloud = np.random.default_rng(0).normal(size=(20, 3)) * 0.05
         result = tta.optimize_hand(hand, np.ones(20, dtype=bool), cloud, tta.HandOptConfig(iters=3))
@@ -294,10 +294,9 @@ class TestOptimizeHand:
         assert result.trace == [] and result.hand is hand
 
     def test_chamfer_falls_from_a_displaced_root(self):
-        tmpl = default_hand_template(64)
-        hand = KinematicHand(np.eye(3), np.zeros(3), np.full(15, 0.3), tmpl)
+        hand = KinematicHand(np.eye(3), np.zeros(3), np.full(15, 0.3))
         target = hand.surface()[::4]
-        moved = KinematicHand(np.eye(3), np.array([0.01, -0.01, 0.0]), hand.joint_angles, tmpl)
+        moved = KinematicHand(np.eye(3), np.array([0.01, -0.01, 0.0]), hand.joint_angles)
         result = tta.optimize_hand(moved, np.ones(len(target), dtype=bool), target, tta.HandOptConfig(iters=20, lr=1e-3))
         assert result.aborted == ""
         assert len(result.trace) == 21 and min(result.trace) < result.trace[0]
