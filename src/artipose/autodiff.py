@@ -63,7 +63,8 @@ float64, and `ad.add(x, 1e-6)` does the same. A float32 training graph is theref
 not float32 throughout: on float32 clouds `Estimator.encode_graph` returns
 `pooled` as float64 and `Estimator.heads_graph` returns `rot` as float64
 (local, mx, seg and nocs stay float32). Gradient checks run in float64. The
-planned fix is "Dtype-honest tape" under item 9 of ROADMAP.md.
+planned fix is the dtype-honest tape of the ROADMAP.md item "Training speed:
+a train unit is bound by BLAS".
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 Subcommands: synth, train, eval, tta, hand-opt, gradcheck, version.
 Exit status: 0 success, 1 usage error, 2 runtime failure. All randomness is
-driven by --seed (or the seed inside a config file).
+driven by --seed (or the seed inside a config file); gradcheck's suites have
+fixed seeds.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ def _bounded(name: str, cast, rule: str, ok):
     return parse
 
 
-# counts and limits; iterations and draws; tolerances and learning rates
-# (NaN is not > 0); distances
+# counts and limits; iterations and draws; learning rates (NaN is not > 0);
+# distances
 non_negative_int = _bounded("non_negative_int", int, ">= 0", lambda v: v >= 0)
 positive_int = _bounded("positive_int", int, ">= 1", lambda v: v >= 1)
 positive_float = _bounded("positive_float", float, "> 0", lambda v: v > 0)
@@ -85,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="tta_report.csv")
     p.add_argument("--steps", type=non_negative_int, default=tta_mod.TtaConfig.steps)
     p.add_argument("--lr", type=positive_float, default=tta_mod.TtaConfig.lr)
-    p.add_argument("--scope", choices=[tta_mod.HEADS_ONLY, tta_mod.FULL_ENCODER], default=tta_mod.TtaConfig.scope,
-                   help="adapt the heads on a frozen encoder, or the encoder too")
     p.add_argument("--limit", type=non_negative_int, default=None)
 
     p = sub.add_parser("hand-opt", help="contact-guided hand optimization report")
@@ -104,8 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="run all finite-difference suites")
     p.set_defaults(run=cmd_gradcheck)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=positive_float, default=gradcheck_mod.DEFAULT_TOL)
 
     sub.add_parser("version", help="print version").set_defaults(run=cmd_version)
     return parser
@@ -170,7 +167,7 @@ def cmd_tta(args) -> int:
     if models.disc is None:
         raise UsageError("no discriminator: pass --disc or use a jointly trained checkpoint")
     _, scenes = load_dataset(args.dataset, limit=args.limit)
-    cfg = tta_mod.TtaConfig(steps=args.steps, lr=args.lr, scope=args.scope)
+    cfg = tta_mod.TtaConfig(steps=args.steps, lr=args.lr)
 
     rows = []
     adapted = improved = 0
@@ -261,7 +258,7 @@ def cmd_hand_opt(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = gradcheck_mod.run_all(seed=args.seed, tol=args.tol)
+    results = gradcheck_mod.run_all()
     for r in results:
         print(r.line())
     return 0 if all(r.passed for r in results) else 2

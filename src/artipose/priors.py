@@ -297,9 +297,7 @@ def _reverse_chain(
     return x.reshape(G, n)
 
 
-def sample_contact_map(
-    diffuser: ContactDiffuser, z: np.ndarray, generations: int = DEFAULT_GENERATIONS, seed: int = 0
-):
+def sample_contact_map(diffuser: ContactDiffuser, z: np.ndarray, generations: int, seed: int):
     """Ancestral reverse sampling, K generations averaged into confidence.
 
     x_T ~ N(0, I); x_{t-1} = (x_t - beta_t/sqrt(1-ab_t) eps_hat)/sqrt(alpha_t)

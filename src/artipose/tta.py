@@ -3,9 +3,9 @@ contact-guided hand pose optimization.
 
 adapt_object clones the estimator per scene and takes Adam steps on the
 generator term (D(layout) - 1)^2 from estimator.assemble_graph (a batch of
-one), scene_layouts and priors.g_adv_loss_graph, the training path;
-heads_only scope encodes once, off the gradient tape, and before/after come
-from the first and last passes.
+one), scene_layouts and priors.g_adv_loss_graph, the training path. It adapts
+the heads on a frozen encoder: the cloud is encoded once, off the gradient
+tape, and before/after come from the first and last passes.
 A scene it cannot adapt, from its first estimate on, comes back as an
 AdaptResult whose `aborted` names the step and the reason.
 
@@ -29,22 +29,21 @@ from .priors import Discriminator, g_adv_loss_graph
 from .synth.hand import ANGLE_HI, ANGLE_LO, SURFACE_SAMPLES, KinematicHand, fk_tables, fk_vars, root_frame_vars
 
 HEADS_ONLY = "heads_only"
-FULL_ENCODER = "full_encoder"
 
 
 @dataclass(frozen=True)
 class TtaConfig:
     steps: int = 10
     lr: float = 1e-4
-    scope: str = HEADS_ONLY
+    scope: str = HEADS_ONLY  # the one scope, which perfbench names; adapt_object does not read it
 
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if self.scope not in (HEADS_ONLY, FULL_ENCODER):
-            raise ValueError(f"unknown scope {self.scope!r}")
+        if self.scope != HEADS_ONLY:
+            raise ValueError(f"unknown scope {self.scope!r}; the one scope is {HEADS_ONLY!r}")
 
 
 @dataclass(frozen=True)
@@ -72,14 +71,15 @@ def adapt_object(
     disc: Discriminator,
     cloud: np.ndarray,
     canonical_boxes: list,
-    cfg: TtaConfig = TtaConfig(),
+    cfg: TtaConfig,
 ) -> AdaptResult:
     """Refine one scene's estimate by descending (D(boxes) - 1)^2.
 
-    Neither the caller's estimator nor the discriminator changes; heads_only
-    scope encodes once, off the gradient tape. Of steps + 1 passes the first
-    gives `before`; the last gives `after`, records nothing, only adds the
-    final value to the trace, and may fail without aborting the run.
+    Neither the caller's estimator nor the discriminator changes; the cloud
+    is encoded once, off the gradient tape, and only the heads descend. Of
+    steps + 1 passes the first gives `before`; the last gives `after`,
+    records nothing, only adds the final value to the trace, and may fail
+    without aborting the run.
 
     A scene it cannot adapt is returned, never raised: `aborted` reads
     "step k: part p: reason" or "step k: non-finite loss", `after` is
@@ -93,17 +93,13 @@ def adapt_object(
     cloud32 = est.prepare_input(cloud)
     work = est.clone()
     extents = box_half_extents(canonical_boxes)[None]  # a batch of one scene
-    frozen = work.encode(cloud32) if cfg.scope == HEADS_ONLY else None
+    frozen = work.encode(cloud32)
 
     trace = []
     for step in range(cfg.steps + 1):
         final = step == cfg.steps
         tape = ad.Tape(grad=not final)
-        if frozen is None:
-            features = work.encode_graph(tape, cloud32[None])
-        else:
-            features = frozen.consts(tape)
-        seg, nocs, rot = work.heads_graph(tape, *features)
+        seg, nocs, rot = work.heads_graph(tape, *frozen.consts(tape))
         pred = HeadOutput(seg_logits=seg.data, nocs=nocs.data, rot6d=rot.data[0])
         if step == 0:
             before = assemble_pose(cloud, pred, canonical_boxes)
@@ -142,7 +138,7 @@ def optimize_hand(
     hand_init: KinematicHand,
     contact_map: np.ndarray,
     obj_cloud: np.ndarray,
-    cfg: HandOptConfig = HandOptConfig(),
+    cfg: HandOptConfig,
 ) -> HandOptResult:
     """Minimize the symmetric chamfer between the hand surface and the
     contact point set; returns the best iterate."""

@@ -515,9 +515,9 @@ def descend_by_hand(tape, loss, stores, lr):
 
 def adapt_object_reencoding(est, disc, cloud, canonical_boxes, cfg):
     """tta.adapt_object with `before` and `after` from separate head_output
-    passes, the encoder on every step's grad tape and, in heads_only scope,
-    its gradients zeroed before Adam: the oracle for the one-pass
-    tta.adapt_object with a frozen encoder."""
+    passes, the encoder on every step's grad tape and its gradients zeroed
+    before Adam: the oracle for the one-pass tta.adapt_object with a frozen
+    encoder."""
     cloud = np.asarray(cloud, dtype=np.float64)
     cloud32 = est.prepare_input(cloud)
     work = est.clone()
@@ -551,9 +551,8 @@ def adapt_object_reencoding(est, disc, cloud, canonical_boxes, cfg):
         work.store.zero_grads()
         tape.backward(loss)
         work.store.flush_tape_grads(tape)
-        if cfg.scope == tta.HEADS_ONLY:
-            for name in encoder_names:
-                work.store.grads[name][...] = 0.0
+        for name in encoder_names:
+            work.store.grads[name][...] = 0.0
         nn.adam_step(work.store, lr=cfg.lr)
 
     after = assemble_pose(cloud, work.head_output(cloud), canonical_boxes)

@@ -7,11 +7,14 @@ through geometry.cross. Parameter updates take one path: the steps of
 nn.descend are called nowhere else, but for gradcheck's probe. The names of
 a scene's dataset files are written only in synth.io.SCENE_FILES. A
 checkpoint's group names and the meta key that rebuilds the diffuser are
-read and written only by estimator.Models and estimator.load_estimator."""
+read and written only by estimator.Models and estimator.load_estimator. The
+settable values (defaulted parameters, dataclass fields and CLI arguments)
+stay within SETTABLE_BOUND."""
 
 import ast
 import shutil
 import sys
+from collections import Counter
 from pathlib import Path
 
 from artipose.synth.io import SCENE_FILES
@@ -394,3 +397,50 @@ def test_checkpoint_key_outside_its_owner_is_found(tmp_path):
     assert text.count(owned) == 1
     cli.write_text(text.replace(owned, '        if "diffuser" not in est_mod.nn.load_checkpoint(args.checkpoint)[0]:\n'))
     assert checkpoint_key_uses_by_owner(tmp_path / "artipose")["elsewhere"] == ["cli.cmd_hand_opt: diffuser"]
+
+
+# The settable values under src/artipose, at most: a change that adds an
+# option raises this bound and says why.
+SETTABLE_BOUND = 154
+
+
+def settable_values(source: str) -> dict:
+    """Counts of the values a caller or user can set: defaulted positional
+    and keyword-only parameters (of functions and lambdas), fields of a
+    class decorated with `dataclass` or `dataclass(...)`, and
+    `add_argument` calls."""
+    counts = {"defaults": 0, "fields": 0, "arguments": 0}
+
+    def is_dataclass(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return (isinstance(target, ast.Name) and target.id == "dataclass") or (
+            isinstance(target, ast.Attribute) and target.attr == "dataclass"
+        )
+
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            counts["defaults"] += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list)):
+            counts["fields"] += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "add_argument":
+            counts["arguments"] += 1
+    return counts
+
+
+def test_counts_settable_values():
+    source = (
+        "import dataclasses\nfrom dataclasses import dataclass\n"
+        "def f(a, b=1, *args, c, d=2, **kw):\n    g = lambda x, y=0: x + y\n"
+        "    p.add_argument('--b', default=1)\n    p.add_argument('--flag', action='store_true')\n"
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: float = 0.5\n    def m(self, z=3):\n        pass\n"
+        "@dataclasses.dataclass\nclass B:\n    u: str = ''\n"
+        "class C:\n    v: int = 1\n"
+    )
+    assert settable_values(source) == {"defaults": 4, "fields": 3, "arguments": 2}
+
+
+def test_settable_values_within_bound():
+    counts = Counter()
+    for path in sorted(SRC.rglob("*.py")):
+        counts.update(settable_values(path.read_text(encoding="utf-8")))
+    assert counts.total() <= SETTABLE_BOUND, counts

@@ -40,7 +40,7 @@ def test_skewed_sin_gradient_fails_hand_suite(monkeypatch):
 @pytest.mark.parametrize("suite", gradcheck.ALL_SUITES, ids=lambda s: s.__name__)
 def test_suite_reports_its_margin(suite):
     result = suite()
-    assert 0.0 < result.max_rel_err < gradcheck.DEFAULT_TOL, result.line()
+    assert 0.0 < result.max_rel_err < gradcheck.TOL, result.line()
 
 
 @pytest.mark.parametrize(

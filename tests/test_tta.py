@@ -231,25 +231,15 @@ class TestAdaptObject:
         assert result.trace == []
         assert result.after is result.before
 
-    @pytest.mark.parametrize("scope", [tta.HEADS_ONLY, tta.FULL_ENCODER])
     @pytest.mark.parametrize("steps", [0, 1, 3])
-    def test_matches_reencoding_oracle(self, est, disc, scene, scope, steps):
-        cfg = tta.TtaConfig(steps=steps, lr=1e-3, scope=scope)
+    def test_matches_reencoding_oracle(self, est, disc, scene, steps):
+        cfg = tta.TtaConfig(steps=steps, lr=1e-3)
         got = tta.adapt_object(est, disc, scene.cloud, scene.canonical_boxes, cfg)
         want = adapt_object_reencoding(est, disc, scene.cloud, scene.canonical_boxes, cfg)
         assert len(want.trace) == steps + 1
         assert_same_result(got, want)
 
-    @pytest.mark.parametrize(
-        "scope, encode_tapes, encoder_on_grad_tape",
-        [
-            (tta.HEADS_ONLY, [False], False),
-            (tta.FULL_ENCODER, [True, True, True, False], True),
-        ],
-    )
-    def test_encoder_on_grad_tape_only_in_full_encoder_scope(
-        self, est, disc, scene, monkeypatch, scope, encode_tapes, encoder_on_grad_tape
-    ):
+    def test_encoder_runs_once_off_the_grad_tape(self, est, disc, scene, monkeypatch):
         encodes, graded = [], set()
         encode_graph, use = E.Estimator.encode_graph, nn.ParamStore.use
 
@@ -264,12 +254,12 @@ class TestAdaptObject:
 
         monkeypatch.setattr(E.Estimator, "encode_graph", spy_encode_graph)
         monkeypatch.setattr(nn.ParamStore, "use", spy_use)
-        cfg = tta.TtaConfig(steps=3, scope=scope)
+        cfg = tta.TtaConfig(steps=3)
         assert tta.adapt_object(est, disc, scene.cloud, scene.canonical_boxes, cfg).aborted == ""
-        assert encodes == encode_tapes
+        assert encodes == [False]
         names = set(est.store.names())
         encoder = {n for n in names if n.startswith("enc")}
-        assert encoder and graded == (names if encoder_on_grad_tape else names - encoder)
+        assert encoder and graded == names - encoder
 
 
 class TestConfigs:
@@ -281,6 +271,11 @@ class TestConfigs:
 
     def test_hand_opt_accepts_a_positive_lr(self):
         assert tta.HandOptConfig(iters=5, lr=1e-9).lr == 1e-9
+
+    def test_heads_only_is_the_one_scope(self):
+        assert tta.TtaConfig(steps=10, scope=tta.HEADS_ONLY).scope == "heads_only"
+        with pytest.raises(ValueError, match="the one scope is 'heads_only'"):
+            tta.TtaConfig(scope="full_encoder")
 
 
 class TestOptimizeHand:
