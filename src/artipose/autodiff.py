@@ -355,6 +355,15 @@ def clamp_min(a: Var, lo: float):
     return _unary(a, np.maximum(a.data, lo), lambda g: g * mask)
 
 
+def select(a: Var, keep: np.ndarray):
+    """a where the bool `keep` (broadcast to a's shape) holds, 0 elsewhere,
+    with 0 gradient there. Unlike a product with a 0/1 mask (0 * NaN is
+    NaN), a non-finite entry outside `keep` reaches neither the value nor
+    the gradient."""
+    keep = np.broadcast_to(keep, a.data.shape)
+    return _unary(a, np.where(keep, a.data, 0), lambda g: np.where(keep, g, 0))
+
+
 def vsum(a: Var, axis=None, keepdims=False):
     """Sum with float64 accumulation, cast back to the input dtype."""
     out_data = a.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64).astype(

@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generations", type=positive_int, default=priors_mod.DEFAULT_GENERATIONS)
     p.add_argument("--iters", type=positive_int, default=tta_mod.HandOptConfig.iters)
     p.add_argument("--lr", type=positive_float, default=tta_mod.HandOptConfig.lr)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", default="hand_report.csv")
     p.add_argument("--limit", type=non_negative_int, default=None)
 

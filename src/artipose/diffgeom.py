@@ -42,12 +42,15 @@ def rot6d_to_matrix(r: ad.Var):
 def fit_translation_scale(nocs: ad.Var, obs: np.ndarray, R: ad.Var, members: np.ndarray):
     """Differentiable least-squares (s, t) with R given, s clamped >= 1e-6,
     for K stacked parts: nocs (K, N, 3) Var, obs (K, N, 3), R (K, 3, 3) and
-    the (K, N) bool `members`, the rows each part fits. Returns s (K,), t
+    the (K, N) bool `members`, the rows each part fits. A part's fit reads
+    only its member NOCS rows, so a non-finite NOCS value in another row
+    reaches neither its (s, t) nor their gradients. Returns s (K,), t
     (K, 3) and (K,) reasons: "" or that the member NOCS are (nearly) all
     identical (centred sum of squares below 1e-12). Means divide by
     max(count, 1) and a flagged scale by that sum + 1: no 0/0 on the tape."""
     K = members.shape[0]
     dtype = nocs.data.dtype
+    nocs = ad.select(nocs, members[..., None])
     mask = members.astype(dtype)
     weights = (mask / np.maximum(mask.sum(axis=1), 1.0)[:, None])[:, None, :]  # (K, 1, N)
     p_bar = weights @ obs  # (K, 1, 3)

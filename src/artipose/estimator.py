@@ -295,14 +295,15 @@ def assemble_graph(
     boxes) Vars of shapes (B, P, 3, 3), (B, P, 3), (B, P) and (B, P, 8, 3),
     the posed corners, and a (B, P) array of reasons.
 
-    Part p of scene b fits the points labelled p + 1. Its reason is "" when
-    it has a fit, else, in this precedence: "non-finite segmentation" for
-    every part of a scene with a point labelled -1, "{n} points" below 3
-    members, the rotation's degeneracy, the correspondences', then
-    "non-finite fit" where R, t, s or a corner is not finite. On finite
-    inputs a part with one of the first three reasons gets finite stand-in
-    values, so when its outputs feed no loss it adds exactly zero to every
-    gradient.
+    Part p of scene b fits the points labelled p + 1 and reads no other
+    NOCS row, so a non-finite NOCS value outside its members leaves its fit
+    alone. Its reason is "" when it has a fit, else, in this precedence:
+    "non-finite segmentation" for every part of a scene with a point
+    labelled -1, "{n} points" below 3 members, the rotation's degeneracy,
+    the correspondences', then "non-finite fit" where R, t, s or a corner
+    is not finite. On finite inputs a part with one of the first three
+    reasons gets finite stand-in values, so when its outputs feed no loss
+    it adds exactly zero to every gradient.
     """
     B, N, _ = clouds.shape
     P = half_extents.shape[1]

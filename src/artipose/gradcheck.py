@@ -5,6 +5,11 @@ tape gradients, on fresh random weights and inputs. Each suite has its own
 fixed seed, 0 to 5 in ALL_SUITES order, and passes when its largest relative
 error is below TOL. Used by the `gradcheck` CLI command and by the
 acceptance tests.
+
+`fd_pairs` is the one central-difference checker. The suites take the
+worst relative error of its pairs; the gradient tests under tests/ read
+the same pairs, each with its own step, error floor and tolerance, and
+probe their inputs as parameters of an `f64_store`.
 """
 
 from __future__ import annotations
@@ -29,9 +34,12 @@ PROBES = 20  # parameter probes per network suite
 @dataclass
 class SuiteResult:
     name: str
-    passed: bool
     max_rel_err: float
     probes: int
+
+    @property
+    def passed(self) -> bool:
+        return self.max_rel_err < TOL
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -43,9 +51,9 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / denom
 
 
-def _fd_probe_store(loss_fn, store, probes, h=1e-5):
-    """Max relative error between the tape gradient and central differences
-    at (name, flat index) probes of `store`.
+def fd_pairs(loss_fn, store, probes, h=1e-5):
+    """(tape gradient, central difference) at each (name, flat index) probe
+    of `store`, in probe order.
 
     loss_fn(tape) builds the scalar loss on `tape`. It is swept once on a
     grad tape; every difference is evaluated on a tape that records nothing.
@@ -64,17 +72,21 @@ def _fd_probe_store(loss_fn, store, probes, h=1e-5):
         set_param(name, idx, x)
         return float(loss_fn(ad.Tape(grad=False)).data)
 
-    worst = 0.0
+    pairs = []
     for name, idx in probes:
-        analytic = float(store.grads[name].flat[idx])
         orig = float(store.params[name].flat[idx])
         fd = (value_at(name, idx, orig + h) - value_at(name, idx, orig - h)) / (2 * h)
         set_param(name, idx, orig)
-        worst = max(worst, _rel(analytic, fd))
-    return worst
+        pairs.append((float(store.grads[name].flat[idx]), fd))
+    return pairs
 
 
-def _random_probes(store, rng, count):
+def _worst(pairs) -> float:
+    return max(_rel(analytic, fd) for analytic, fd in pairs)
+
+
+def random_probes(store, rng, count):
+    """`count` (name, flat index) probes drawn uniformly across a store."""
     out = []
     names = store.names()
     for _ in range(count):
@@ -83,7 +95,7 @@ def _random_probes(store, rng, count):
     return out
 
 
-def _f64(store: nn.ParamStore, **inputs) -> nn.ParamStore:
+def f64_store(store: nn.ParamStore, **inputs) -> nn.ParamStore:
     """Make every array of `store` float64 in place and return the store.
 
     `inputs` are added first as parameters, so that their gradients can be
@@ -117,7 +129,7 @@ def check_encoder() -> SuiteResult:
     rng = np.random.default_rng(0)
     spec = EstimatorSpec(part_count=2)
     est = Estimator.create(spec, seed=0)
-    _f64(est.store)
+    f64_store(est.store)
     cloud = rng.normal(size=(1, 40, 3))
     W = rng.normal(size=(40, spec.local_dim))
     Wp = rng.normal(size=(1, spec.pooled_dim))
@@ -127,17 +139,17 @@ def check_encoder() -> SuiteResult:
         return ad.add(ad.vsum(ad.mul(local, ad.const(W, tape))), ad.vsum(ad.mul(pooled, ad.const(Wp, tape))))
 
     enc_probes = [
-        p for p in _random_probes(est.store, rng, PROBES * 4) if p[0].startswith("enc")
+        p for p in random_probes(est.store, rng, PROBES * 4) if p[0].startswith("enc")
     ][:PROBES]
-    worst = _fd_probe_store(loss, est.store, enc_probes)
-    return SuiteResult("encoder", worst < TOL, worst, len(enc_probes))
+    worst = _worst(fd_pairs(loss, est.store, enc_probes))
+    return SuiteResult("encoder", worst, len(enc_probes))
 
 
 def check_heads() -> SuiteResult:
     rng = np.random.default_rng(1)
     spec = EstimatorSpec(part_count=2)
     est = Estimator.create(spec, seed=1)
-    _f64(est.store)
+    f64_store(est.store)
     cloud = rng.normal(size=(1, 40, 3))
     Wseg = rng.normal(size=(40, spec.n_classes))
     Wnocs = rng.normal(size=(40, 3))
@@ -153,8 +165,8 @@ def check_heads() -> SuiteResult:
             ad.vsum(ad.mul(rot, ad.const(Wrot, tape))),
         )
 
-    worst = _fd_probe_store(loss, est.store, _random_probes(est.store, rng, PROBES))
-    return SuiteResult("heads", worst < TOL, worst, PROBES)
+    worst = _worst(fd_pairs(loss, est.store, random_probes(est.store, rng, PROBES)))
+    return SuiteResult("heads", worst, PROBES)
 
 
 def check_end_to_end() -> SuiteResult:
@@ -163,7 +175,7 @@ def check_end_to_end() -> SuiteResult:
     rng = np.random.default_rng(2)
     spec = EstimatorSpec(part_count=2)
     est = Estimator.create(spec, seed=2)
-    _f64(est.store)
+    f64_store(est.store)
     scenes = [_scene_fixture(rng) for _ in range(2)]
     clouds, labels, gt_nocs, gt_rot, extents = (np.stack(a) for a in zip(*scenes))
     Wbox = rng.normal(size=(2, spec.part_count, 8, 3))
@@ -176,8 +188,8 @@ def check_end_to_end() -> SuiteResult:
             raise ArtiposeError(f"fixture scenes have parts without a fit: {reasons.tolist()}")
         return ad.add(total, ad.vsum(ad.mul(boxes, ad.const(Wbox, tape))))
 
-    worst = _fd_probe_store(loss, est.store, _random_probes(est.store, rng, PROBES))
-    return SuiteResult("end_to_end_pose", worst < TOL, worst, PROBES)
+    worst = _worst(fd_pairs(loss, est.store, random_probes(est.store, rng, PROBES)))
+    return SuiteResult("end_to_end_pose", worst, PROBES)
 
 
 def check_discriminator() -> SuiteResult:
@@ -185,8 +197,8 @@ def check_discriminator() -> SuiteResult:
     generator term, each scoring a batch of layouts."""
     rng = np.random.default_rng(3)
     disc = Discriminator.create(2, seed=3)
-    _f64(disc.store)
-    inputs = _f64(nn.ParamStore(), layouts=rng.normal(size=(3, 2, 8, 3)))
+    f64_store(disc.store)
+    inputs = f64_store(nn.ParamStore(), layouts=rng.normal(size=(3, 2, 8, 3)))
     real, fake = rng.normal(size=(2, 2, 8, 3)), rng.normal(size=(3, 2, 8, 3))
 
     def loss(tape):
@@ -194,11 +206,11 @@ def check_discriminator() -> SuiteResult:
         fake_vars = [ad.reshape(ad.take(layouts, np.array([i])), (2, 8, 3)) for i in range(3)]
         return ad.add(g_adv_loss_graph(disc, tape, fake_vars), d_loss_graph(disc, tape, real, fake))
 
-    worst = _fd_probe_store(loss, disc.store, _random_probes(disc.store, rng, PROBES))
+    worst = _worst(fd_pairs(loss, disc.store, random_probes(disc.store, rng, PROBES)))
     corners = [tuple(rng.integers((3, 2, 8, 3))) for _ in range(PROBES // 2)]
     vertex_probes = [("layouts", int(np.ravel_multi_index(c, (3, 2, 8, 3)))) for c in corners]
-    worst = max(worst, _fd_probe_store(loss, inputs, vertex_probes))
-    return SuiteResult("discriminator", worst < TOL, worst, PROBES + PROBES // 2)
+    worst = max(worst, _worst(fd_pairs(loss, inputs, vertex_probes)))
+    return SuiteResult("discriminator", worst, PROBES + PROBES // 2)
 
 
 def check_denoiser() -> SuiteResult:
@@ -206,7 +218,7 @@ def check_denoiser() -> SuiteResult:
     block's max-pool row]."""
     rng = np.random.default_rng(4)
     diffuser = ContactDiffuser.create(32, seed=4, schedule=NoiseSchedule.linear(20))
-    _f64(diffuser.store)
+    f64_store(diffuser.store)
     local, mx = rng.normal(size=(30, 16)), rng.normal(size=(3, 16))
     x0 = np.sign(rng.normal(size=(30, 1)))
     eps = rng.normal(size=(30, 1))
@@ -215,8 +227,8 @@ def check_denoiser() -> SuiteResult:
     def loss(tape):
         return diff_loss_graph(diffuser, tape, ad.const(local, tape), ad.const(mx, tape), x0, t, eps)
 
-    worst = _fd_probe_store(loss, diffuser.store, _random_probes(diffuser.store, rng, PROBES))
-    return SuiteResult("denoiser", worst < TOL, worst, PROBES)
+    worst = _worst(fd_pairs(loss, diffuser.store, random_probes(diffuser.store, rng, PROBES)))
+    return SuiteResult("denoiser", worst, PROBES)
 
 
 def check_hand_chamfer() -> SuiteResult:
@@ -227,7 +239,7 @@ def check_hand_chamfer() -> SuiteResult:
     r6_0 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0]) + 0.1 * rng.normal(size=6)
     t_0 = rng.normal(size=3) * 0.02
     ang_0 = rng.uniform(0.2, 1.0, size=15)
-    store = _f64(nn.ParamStore(), params=np.concatenate([r6_0, t_0, ang_0]))
+    store = f64_store(nn.ParamStore(), params=np.concatenate([r6_0, t_0, ang_0]))
 
     def surface(tape):
         params = store.use("params", tape)
@@ -240,8 +252,8 @@ def check_hand_chamfer() -> SuiteResult:
     def loss(tape):
         return dg.chamfer_fixed(surface(tape), ad.const(C, tape), assignments=assign)
 
-    worst = _fd_probe_store(loss, store, [("params", i) for i in range(24)], h=1e-6)
-    return SuiteResult("hand_fk_chamfer", worst < TOL, worst, 24)
+    worst = _worst(fd_pairs(loss, store, [("params", i) for i in range(24)], h=1e-6))
+    return SuiteResult("hand_fk_chamfer", worst, 24)
 
 
 ALL_SUITES = (

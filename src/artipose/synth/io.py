@@ -294,10 +294,10 @@ def generate_dataset(
     is the largest contact count of a rejected draw's cloud, the
     early-rejected draws being drawn again in full for it.
     Drawer instances get a fixed `drawers` sliding parts (DEFAULT_DRAWERS) so
-    every scene in a dataset has the same part count. A negative count,
-    n_points below MIN_N_POINTS, a CONTACT_TAU edited to a value that is not
-    positive and finite, or for the drawer category drawers None or outside
-    1..3, raises ValueError before anything is written.
+    every scene in a dataset has the same part count. A negative count or
+    seed, n_points below MIN_N_POINTS, a CONTACT_TAU edited to a value that
+    is not positive and finite, or for the drawer category drawers None or
+    outside 1..3, raises ValueError before anything is written.
 
     Scenes depend on nothing but their index, so they are built across
     k = min(usable CPUs, count) processes: the calling process builds the
@@ -313,6 +313,8 @@ def generate_dataset(
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if n_points < MIN_N_POINTS:
         raise ValueError(f"n_points must be >= {MIN_N_POINTS}, got {n_points}")
     if not (math.isfinite(CONTACT_TAU) and CONTACT_TAU > 0):

@@ -32,38 +32,6 @@ def rel_err(a: float, b: float, floor: float = 1e-6) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
-def fd_vs_analytic(loss_fn, store, probes, h=1e-4):
-    """Central finite differences against grads already in `store.grads`.
-
-    loss_fn() evaluates the scalar loss (forward only) at the store's
-    current values. Returns [(name, idx, analytic, fd), ...].
-    """
-    results = []
-    for name, idx in probes:
-        orig = float(store.params[name].flat[idx])
-        store.params[name].flat[idx] = orig + h
-        store.version += 1
-        lp = loss_fn()
-        store.params[name].flat[idx] = orig - h
-        store.version += 1
-        lm = loss_fn()
-        store.params[name].flat[idx] = orig
-        store.version += 1
-        fd = (lp - lm) / (2.0 * h)
-        results.append((name, idx, float(store.grads[name].flat[idx]), fd))
-    return results
-
-
-def random_probes(store, rng, count=20):
-    """Uniformly sample (name, flat index) pairs across a ParamStore."""
-    names = store.names()
-    out = []
-    for _ in range(count):
-        name = names[rng.integers(len(names))]
-        out.append((name, int(rng.integers(store.params[name].size))))
-    return out
-
-
 def similarity_identity():
     return SimilarityTransform(np.eye(3), np.zeros(3), 1.0)
 

@@ -297,6 +297,7 @@ class TestNegativeCounts:
         "flag, value, message",
         [
             ("--points", "0", "n_points must be >= 8, got 0"),
+            ("--seed", "-3", "seed must be >= 0, got -3"),
         ],
     )
     def test_synth_settings(self, tmp_path, capsys, flag, value, message):
@@ -328,6 +329,7 @@ class TestNegativeCounts:
             ("hand-opt", "--lr", "0", "must be > 0, got 0.0"),
             ("hand-opt", "--perturb", "nan", "must be finite and >= 0, got nan"),
             ("hand-opt", "--perturb", "-0.1", "must be finite and >= 0, got -0.1"),
+            ("hand-opt", "--seed", "-1", "must be >= 0, got -1"),
         ],
     )
     def test_numbers_checked_before_loading(self, tmp_path, capsys, monkeypatch, command, flag, value, message):

@@ -6,7 +6,9 @@ import pytest
 from artipose import autodiff as ad
 from artipose import diffgeom as dg
 from artipose import geometry as geo
+from artipose import nn
 from artipose.errors import DegenerateRotation
+from artipose.gradcheck import f64_store, fd_pairs
 from helpers import chamfer, fit_translation_scale, rel_err
 
 
@@ -111,25 +113,14 @@ class TestForwardAgreement:
 class TestGradients:
     def test_rot6d_fd(self):
         rng = np.random.default_rng(4)
-        r0 = rng.normal(size=6)
+        store = f64_store(nn.ParamStore(), r=rng.normal(size=6))
         W = rng.normal(size=(3, 3))
 
-        def val(r):
-            tape = ad.Tape()
-            rv = ad.leaf(r, tape)
-            M = dg.rot6d_to_matrix(rv)[0]
-            loss = ad.vsum(ad.mul(M, ad.const(W, tape)))
-            return loss, rv, tape
+        def loss(tape):
+            return ad.vsum(ad.mul(dg.rot6d_to_matrix(store.use("r", tape))[0], ad.const(W, tape)))
 
-        loss, rv, tape = val(r0)
-        tape.backward(loss)
-        h = 1e-6
-        for i in range(6):
-            rp, rm = r0.copy(), r0.copy()
-            rp[i] += h
-            rm[i] -= h
-            fd = (float(val(rp)[0].data) - float(val(rm)[0].data)) / (2 * h)
-            assert rel_err(float(rv.grad[i]), fd) < 1e-4
+        for analytic, fd in fd_pairs(loss, store, [("r", i) for i in range(6)], h=1e-6):
+            assert rel_err(analytic, fd) < 1e-4
 
     def test_umeyama_st_fd(self):
         rng = np.random.default_rng(5)
@@ -137,44 +128,27 @@ class TestGradients:
         R = np.stack([rand_rot(rng), rand_rot(rng)])
         p = 1.2 * n0 @ np.swapaxes(R, 1, 2) + rng.normal(size=(2, 1, 3))
         members = rng.random((2, 12)) < 0.7
+        store = f64_store(nn.ParamStore(), n=n0)
 
-        def val(n):
-            tape = ad.Tape()
-            nv = ad.leaf(n, tape)
-            s, t, _ = dg.fit_translation_scale(nv, p, ad.const(R, tape), members)
-            loss = ad.add(ad.vsum(ad.mul(s, np.array([2.0, -1.0]))), ad.vsum(ad.mul(t, t)))
-            return loss, nv, tape
+        def loss(tape):
+            s, t, _ = dg.fit_translation_scale(store.use("n", tape), p, ad.const(R, tape), members)
+            return ad.add(ad.vsum(ad.mul(s, np.array([2.0, -1.0]))), ad.vsum(ad.mul(t, t)))
 
-        loss, nv, tape = val(n0)
-        tape.backward(loss)
-        h = 1e-6
-        for idx in rng.choice(n0.size, 12, replace=False):
-            np_, nm = n0.copy(), n0.copy()
-            np_.flat[idx] += h
-            nm.flat[idx] -= h
-            fd = (float(val(np_)[0].data) - float(val(nm)[0].data)) / (2 * h)
-            assert rel_err(float(nv.grad.flat[idx]), fd) < 1e-4
+        probes = [("n", idx) for idx in rng.choice(n0.size, 12, replace=False)]
+        for analytic, fd in fd_pairs(loss, store, probes, h=1e-6):
+            assert rel_err(analytic, fd) < 1e-4
 
     def test_chamfer_fd(self):
         rng = np.random.default_rng(6)
-        A0 = rng.normal(size=(10, 3))
+        store = f64_store(nn.ParamStore(), A=rng.normal(size=(10, 3)))
         B = rng.normal(size=(14, 3))
 
-        def val(A, fixed_from=None):
-            tape = ad.Tape()
-            Av = ad.leaf(A, tape)
-            out = dg.chamfer_fixed(Av, ad.const(B, tape))
-            return out, Av, tape
+        def loss(tape):
+            return dg.chamfer_fixed(store.use("A", tape), ad.const(B, tape))
 
-        out, Av, tape = val(A0)
-        tape.backward(out)
-        h = 1e-7
-        for idx in rng.choice(A0.size, 10, replace=False):
-            Ap, Am = A0.copy(), A0.copy()
-            Ap.flat[idx] += h
-            Am.flat[idx] -= h
-            fd = (float(val(Ap)[0].data) - float(val(Am)[0].data)) / (2 * h)
-            assert rel_err(float(Av.grad.flat[idx]), fd, floor=1e-7) < 1e-3
+        probes = [("A", idx) for idx in rng.choice(30, 10, replace=False)]
+        for analytic, fd in fd_pairs(loss, store, probes, h=1e-7):
+            assert rel_err(analytic, fd, floor=1e-7) < 1e-3
 
     def test_layout_normalization_of_a_stack_matches_each_layout(self):
         rng = np.random.default_rng(8)

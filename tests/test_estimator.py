@@ -12,6 +12,7 @@ from artipose import autodiff as ad
 from artipose import estimator as E
 from artipose import nn, priors
 from artipose.geometry import matrix_to_rot6d, rot6d_to_matrix, rotation_error
+from artipose.gradcheck import f64_store, fd_pairs
 from artipose.synth import make_instance, sample_scene
 from artipose.synth.render import HAND_LABEL
 from helpers import bits, descend_by_hand, fit_parts_one_by_one, pose_loss, rel_err, spy_tapes
@@ -211,13 +212,24 @@ class TestAssemblePose:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["nocs", "rot6d"])
     def test_non_finite_inputs_are_a_reason(self, scene, field, bad):
-        # today's reasons come first: part 1 is starved to 2 points
+        # today's reasons come first: part 1 is starved to 2 points; the bad
+        # value is part 0's rotation or the NOCS of its first member
         labels = scene.seg.astype(np.int64)
         labels[np.flatnonzero(labels == 2)[2:]] = HAND_LABEL
         pred = E.HeadOutput(np.eye(3)[labels] * 20.0, scene.nocs.copy(), E.gt_rot6d(scene.part_poses))
-        getattr(pred, field)[0] = bad
+        getattr(pred, field)[np.flatnonzero(labels == 1)[0] if field == "nocs" else 0] = bad
         ests = E.assemble_pose(scene.cloud, pred, scene.canonical_boxes)
         assert [(e.valid, e.reason) for e in ests] == [(False, "non-finite fit"), (False, "2 points")]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_nocs_marks_only_its_part(self, scene, bad):
+        # a part's fit reads only its member rows
+        pred = E.HeadOutput(np.eye(3)[scene.seg] * 20.0, scene.nocs.copy(), E.gt_rot6d(scene.part_poses))
+        pred.nocs[np.flatnonzero(scene.seg == 2)[0]] = bad
+        ests = E.assemble_pose(scene.cloud, pred, scene.canonical_boxes)
+        assert [(e.valid, e.reason) for e in ests] == [(True, ""), (False, "non-finite fit")]
+        want = E.assemble_pose(scene.cloud, replace(pred, nocs=scene.nocs.copy()), scene.canonical_boxes)[0]
+        assert np.array_equal(ests[0].box.vertices, want.box.vertices)
 
     def test_point_labels_are_the_argmax_of_finite_rows(self):
         logits = np.random.default_rng(5).normal(size=(50, 3))
@@ -432,23 +444,15 @@ class TestAssemblePose:
         target = np.flatnonzero(scene.seg == 1)[0]  # first member of part 0
         extents = scene.half_extents()[None]
         rot = E.gt_rot6d(scene.part_poses)[None]
-        nocs0 = scene.nocs.astype(np.float64)
+        store = f64_store(nn.ParamStore(), nocs=scene.nocs.astype(np.float64))
 
-        def t_of(nocs_arr):
-            tape = ad.Tape()
-            nv = ad.leaf(nocs_arr, tape)
-            _, t, _, _, _ = E.assemble_graph(tape, scene.cloud[None], scene.seg[None], nv, ad.const(rot, tape), extents)
-            return ad.vsum(ad.take(t, np.array([0]), axis=1)), nv, tape
+        def loss(tape):
+            nocs = store.use("nocs", tape)
+            _, t, _, _, _ = E.assemble_graph(tape, scene.cloud[None], scene.seg[None], nocs, ad.const(rot, tape), extents)
+            return ad.vsum(ad.take(t, np.array([0]), axis=1))
 
-        out, nv, tape = t_of(nocs0)
-        tape.backward(out)
-        h = 1e-6
-        for axis in range(3):
-            np_, nm = nocs0.copy(), nocs0.copy()
-            np_[target, axis] += h
-            nm[target, axis] -= h
-            fd = (float(t_of(np_)[0].data) - float(t_of(nm)[0].data)) / (2 * h)
-            assert rel_err(float(nv.grad[target, axis]), fd, floor=1e-8) < 1e-3
+        for analytic, fd in fd_pairs(loss, store, [("nocs", 3 * target + axis) for axis in range(3)], h=1e-6):
+            assert rel_err(analytic, fd, floor=1e-8) < 1e-3
 
 
 class TestTraining:

@@ -14,7 +14,9 @@ import pytest
 
 from artipose import autodiff as ad
 from artipose import geometry as geo
+from artipose import nn
 from artipose.errors import ShapeMismatch
+from artipose.gradcheck import f64_store, fd_pairs
 from helpers import (
     bits,
     box_check_allclose,
@@ -501,30 +503,15 @@ class TestStackedMatmul:
 
     def test_finite_differences_float64(self):
         rng = np.random.default_rng(23)
-        a0, b0 = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 5, 2))
+        store = f64_store(nn.ParamStore(), a=rng.normal(size=(3, 4, 5)), b=rng.normal(size=(3, 5, 2)))
         W = rng.normal(size=(3, 4, 2))
 
-        def loss(a, b, tape):
-            return ad.vsum(ad.mul(ad.matmul(a, b), ad.const(W, tape)))
+        def loss(tape):
+            return ad.vsum(ad.mul(ad.matmul(store.use("a", tape), store.use("b", tape)), ad.const(W, tape)))
 
-        tape = ad.Tape()
-        av, bv = ad.leaf(a0, tape), ad.leaf(b0, tape)
-        tape.backward(loss(av, bv, tape))
-        h = 1e-6
-        for x0, grad, which in ((a0, av.grad, 0), (b0, bv.grad, 1)):
-            for i in range(x0.size):
-                plus, minus = x0.copy(), x0.copy()
-                plus.flat[i] += h
-                minus.flat[i] -= h
-
-                def value(x):
-                    t = ad.Tape(grad=False)
-                    args = [ad.const(a0, t), ad.const(b0, t)]
-                    args[which] = ad.const(x, t)
-                    return float(loss(*args, t).data)
-
-                fd = (value(plus) - value(minus)) / (2 * h)
-                assert rel_err(float(grad.flat[i]), fd) < 1e-6
+        probes = [(name, i) for name in "ab" for i in range(store.params[name].size)]
+        for analytic, fd in fd_pairs(loss, store, probes, h=1e-6):
+            assert rel_err(analytic, fd) < 1e-6
 
     @pytest.mark.parametrize("a_shape, b_shape", [((3, 4, 5), (2, 5, 2)), ((3, 4, 5), (3, 4, 2)), ((3, 4, 5), (5, 2)), ((4, 5), (3, 5, 2))])
     def test_rejects_mismatched_stacks(self, a_shape, b_shape):

@@ -11,7 +11,8 @@ import pytest
 from artipose import autodiff as ad
 from artipose import nn
 from artipose.errors import ShapeMismatch, StaleTape
-from helpers import fd_vs_analytic, random_probes, rel_err
+from artipose.gradcheck import f64_store, fd_pairs, random_probes
+from helpers import rel_err
 
 
 def make_store(spec, seed=0, prefix="mlp"):
@@ -107,26 +108,16 @@ class TestBackward:
 
     def test_finite_difference_random_net(self):
         spec = nn.MlpSpec((4, 8, 8, 1))
-        store = make_store(spec, seed=11)
-        # probe in float64 for a clean FD signal
-        for name in store.names():
-            store.params[name] = store.params[name].astype(np.float64)
+        store = f64_store(make_store(spec, seed=11))  # probe in float64 for a clean FD signal
         x = np.random.default_rng(12).normal(size=(10, 4))
 
-        def loss():
-            y, _, _ = forward(spec, store, x)
-            return float((y.data**2).sum())
+        def loss(tape):
+            y = nn.mlp_apply(spec, store, "mlp", ad.const(x, tape), dtype=np.float64)
+            return ad.vsum(ad.mul(y, y))
 
-        def loss_with_grads():
-            y, _, tape = forward(spec, store, x)
-            backward(store, tape, y, 2.0 * y.data)
-            return float((y.data**2).sum())
-
-        store.zero_grads()
-        loss_with_grads()
         probes = random_probes(store, np.random.default_rng(13), 20)
-        for name, idx, analytic, fd in fd_vs_analytic(loss, store, probes):
-            assert rel_err(analytic, fd) < 1e-3, (name, idx, analytic, fd)
+        for analytic, fd in fd_pairs(loss, store, probes, h=1e-4):
+            assert rel_err(analytic, fd) < 1e-3
 
     def test_flush_sets_the_grads(self):
         spec = nn.MlpSpec((3, 2))
@@ -345,52 +336,42 @@ class TestCheckpoint:
         lambda t, x: ad.vsum(ad.concat([ad.sin(x), ad.cos(x)], axis=1)),
         lambda t, x: ad.vsum(ad.div(x, ad.add(ad.sqrt(ad.vsum(ad.mul(x, x))), 0.1))),
         lambda t, x: ad.vsum(ad.stack([ad.exp(ad.vmean(x, axis=0)), ad.vmean(x, axis=0)], axis=0)),
+        lambda t, x: ad.vsum(ad.exp(ad.select(x, np.array([True, False, True, True])[:, None]))),
     ],
 )
 def test_op_gradients_match_fd(build):
-    rng = np.random.default_rng(24)
-    x0 = rng.normal(size=(4, 3))
+    store = f64_store(nn.ParamStore(), x=np.random.default_rng(24).normal(size=(4, 3)))
+    pairs = fd_pairs(lambda tape: build(tape, store.use("x", tape)), store, [("x", i) for i in range(12)], h=1e-6)
+    for analytic, fd in pairs:
+        assert rel_err(analytic, fd, floor=1e-9) < 1e-4 or abs(analytic - fd) < 1e-6
 
-    def value(arr):
-        tape = ad.Tape()
-        x = ad.leaf(arr, tape)
-        return build(tape, x), tape, x
 
-    out, tape, x = value(x0)
+def test_select_keeps_non_finite_rows_out():
+    x = np.random.default_rng(26).normal(size=(4, 3))
+    x[1] = [np.nan, np.inf, -np.inf]
+    keep = np.array([True, False, True, True])[:, None]
+    tape = ad.Tape()
+    xv = ad.leaf(x, tape)
+    out = ad.vsum(ad.select(xv, keep))
     tape.backward(out)
-    h = 1e-6
-    for idx in range(x0.size):
-        xp, xm = x0.copy(), x0.copy()
-        xp.flat[idx] += h
-        xm.flat[idx] -= h
-        fd = (float(value(xp)[0].data) - float(value(xm)[0].data)) / (2 * h)
-        assert rel_err(float(x.grad.flat[idx]), fd, floor=1e-9) < 1e-4 or abs(
-            float(x.grad.flat[idx]) - fd
-        ) < 1e-6
+    assert float(out.data) == pytest.approx(x[keep[:, 0]].sum(), abs=1e-12)
+    assert np.array_equal(xv.grad, np.broadcast_to(keep, x.shape).astype(np.float64))
 
 
 def test_softmax_cross_entropy_grad_and_value():
     rng = np.random.default_rng(25)
     z0 = rng.normal(size=(6, 4))
     labels = rng.integers(0, 4, size=6)
+    store = f64_store(nn.ParamStore(), z=z0)
 
-    def value(z):
-        tape = ad.Tape()
-        zv = ad.leaf(z, tape)
-        loss = ad.vmean(ad.softmax_cross_entropy(zv, labels))
-        return loss, zv, tape
+    def loss(tape):
+        return ad.vmean(ad.softmax_cross_entropy(store.use("z", tape), labels))
 
-    loss, zv, tape = value(z0)
     # value oracle
     p = np.exp(z0 - z0.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
     expect = -np.log(p[np.arange(6), labels]).mean()
-    assert float(loss.data) == pytest.approx(expect, abs=1e-12)
-    tape.backward(loss)
-    h = 1e-6
-    for idx in rng.choice(z0.size, size=10, replace=False):
-        zp, zm = z0.copy(), z0.copy()
-        zp.flat[idx] += h
-        zm.flat[idx] -= h
-        fd = (float(value(zp)[0].data) - float(value(zm)[0].data)) / (2 * h)
-        assert rel_err(float(zv.grad.flat[idx]), fd, floor=1e-9) < 1e-4
+    assert float(loss(ad.Tape(grad=False)).data) == pytest.approx(expect, abs=1e-12)
+    probes = [("z", idx) for idx in rng.choice(z0.size, size=10, replace=False)]
+    for analytic, fd in fd_pairs(loss, store, probes, h=1e-6):
+        assert rel_err(analytic, fd, floor=1e-9) < 1e-4

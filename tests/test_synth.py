@@ -933,6 +933,7 @@ class TestDataset:
             ({"tau": -0.01}, "tau must be positive and finite, got -0.01"),
             ({"tau": float("nan")}, "tau must be positive and finite, got nan"),
             ({"tau": float("inf")}, "tau must be positive and finite, got inf"),
+            ({"seed": -3}, "seed must be >= 0, got -3"),
         ],
     )
     def test_unusable_settings_rejected_before_writing(self, tmp_path, monkeypatch, kwargs, message):
@@ -942,7 +943,7 @@ class TestDataset:
         if "tau" in kwargs:
             monkeypatch.setattr(synth_io, "CONTACT_TAU", kwargs.pop("tau"))
         with pytest.raises(ValueError, match=f"^{message}$"):
-            generate_dataset(tmp_path / "ds", "laptop", 1, seed=0, **kwargs)
+            generate_dataset(tmp_path / "ds", "laptop", 1, **{"seed": 0, **kwargs})
         assert not (tmp_path / "ds").exists()
 
     @pytest.mark.parametrize("name, value", [("surface_samples", 256), ("tau", 0.02), ("min_contacts", 2)])
