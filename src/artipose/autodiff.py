@@ -387,7 +387,7 @@ def vmean(a: Var, axis=None, keepdims=False):
     return mul(vsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
-def vmax(a: Var, axis: int, keepdims=False):
+def vmax(a: Var, axis: int):
     """Max along one axis; gradient routes to the first argmax (ties broken low).
 
     The value is the one at the first argmax, bit for bit: `max` gives it
@@ -401,14 +401,12 @@ def vmax(a: Var, axis: int, keepdims=False):
         cols = np.moveaxis(a.data, axis, -1)[np.moveaxis(odd, axis, -1)[..., 0]]
         first = cols[np.arange(len(cols)), np.argmax(cols, axis=-1)]
         out_data[odd] = first
-    if not keepdims:
-        out_data = np.squeeze(out_data, axis=axis)
+    out_data = np.squeeze(out_data, axis=axis)
 
     def da(g):
         idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
-        gg = g if keepdims else np.expand_dims(g, axis)
         full = np.zeros_like(a.data)
-        np.put_along_axis(full, idx, gg, axis=axis)
+        np.put_along_axis(full, idx, np.expand_dims(g, axis), axis=axis)
         return full
 
     return _unary(a, out_data, da)

@@ -24,7 +24,7 @@ from . import priors as priors_mod
 from . import tta as tta_mod
 from .errors import ArtiposeError, UsageError
 from .synth import CATEGORIES, generate_dataset, load_dataset
-from .synth.io import DEFAULT_DRAWERS, DEFAULT_N_POINTS
+from .synth.io import DEFAULT_N_POINTS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--points", type=int, default=DEFAULT_N_POINTS)
-    p.add_argument("--drawers", type=int, default=DEFAULT_DRAWERS, help="sliding parts for the drawer category")
 
     p = sub.add_parser("train", help="train estimator (+ priors) from a JSON config")
     p.set_defaults(run=cmd_train)
@@ -81,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tta", help="test-time adaptation report (before/after)")
     p.set_defaults(run=cmd_tta)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--disc", default=None, help="discriminator checkpoint (defaults to the group inside --checkpoint)")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", default="tta_report.csv")
     p.add_argument("--steps", type=non_negative_int, default=tta_mod.TtaConfig.steps)
@@ -115,7 +113,6 @@ def cmd_synth(args) -> int:
         args.count,
         seed=args.seed,
         n_points=args.points,
-        drawers=args.drawers,
     )
     print(f"wrote {args.count} {args.category} scenes to {args.out}")
     return 0
@@ -163,9 +160,9 @@ def cmd_tta(args) -> int:
     aborted scene's `after` repeats `before`, its first estimate, where a
     part without a fit reads NaN. "adapted" counts the scenes that did not
     abort; "reduced" those of them whose last loss is below the first."""
-    models = est_mod.Models.load(args.checkpoint, disc=args.disc)
+    models = est_mod.Models.load(args.checkpoint)
     if models.disc is None:
-        raise UsageError("no discriminator: pass --disc or use a jointly trained checkpoint")
+        raise UsageError("checkpoint has no discriminator group; train with lambda_adv > 0")
     _, scenes = load_dataset(args.dataset, limit=args.limit)
     cfg = tta_mod.TtaConfig(steps=args.steps, lr=args.lr)
 
@@ -270,13 +267,8 @@ def cmd_version(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -32,7 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from . import diffgeom as dg
 from . import nn, priors
-from .errors import ShapeMismatch, UsageError
+from .errors import ShapeMismatch
 from .geometry import _CORNER_SIGNS, OrientedBox, SimilarityTransform, box_half_extents, matrix_to_rot6d
 from .synth.io import MIN_N_POINTS
 from .synth.render import HAND_LABEL
@@ -604,22 +604,13 @@ class Models:
         )
 
     @classmethod
-    def load(cls, path, disc=None) -> "Models":
-        """Every network `path` holds; with `disc`, the discriminator comes
-        from that checkpoint instead, which must hold one of the estimator's
-        part count (UsageError otherwise)."""
+    def load(cls, path) -> "Models":
+        """Every network `path` holds."""
         est, meta, stores = load_estimator(path)
-        P = est.spec.part_count
-        d_store = stores.get("discriminator")
-        if disc is not None:
-            d_store = nn.load_checkpoint(disc)[0].get("discriminator")
-            if d_store is None:
-                raise UsageError(f"--disc {disc} has no discriminator group")
-            width = d_store.params["d.w0"].shape[0]  # 24 per part
-            if width != 24 * P:
-                raise UsageError(f"--disc {disc} scores {width // 24} parts; the estimator predicts {P}")
-        diffuser = None
+        disc = diffuser = None
+        if "discriminator" in stores:
+            disc = priors.Discriminator(est.spec.part_count, stores["discriminator"])
         if "diffuser" in stores:
             schedule = priors.NoiseSchedule.linear(meta["diffusion_steps"])
             diffuser = priors.ContactDiffuser(est.spec.feature_dim, stores["diffuser"], schedule)
-        return cls(est, None if d_store is None else priors.Discriminator(P, d_store), diffuser)
+        return cls(est, disc, diffuser)

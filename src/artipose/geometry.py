@@ -82,7 +82,7 @@ def as_cloud(points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimilarityTransform:
-    """Rigid rotation + translation + uniform positive scale."""
+    """Rigid rotation + finite translation + uniform positive finite scale."""
 
     R: np.ndarray  # (3, 3)
     t: np.ndarray  # (3,)
@@ -94,8 +94,10 @@ class SimilarityTransform:
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "s", float(self.s))
-        if self.s <= 0:
-            raise ValueError(f"scale must be positive, got {self.s}")
+        if not (math.isfinite(self.s) and self.s > 0):
+            raise ValueError(f"scale must be positive and finite, got {self.s}")
+        if not np.isfinite(t).all():
+            raise ValueError(f"translation must be finite, got {t}")
         if not _allclose(R.T @ R, np.eye(3)):
             raise ValueError("R is not orthonormal within 1e-6")
         if abs(np.linalg.det(R) - 1.0) > 1e-6:
@@ -351,8 +353,8 @@ def compute_contact_map(obj_pts, hand_pts, tau: float = CONTACT_TAU) -> np.ndarr
     this replaced, so every distance and every comparison with tau is
     unchanged.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     o = as_cloud(obj_pts)
     h = as_cloud(hand_pts)
     pad = tau * (1 + 1e-9) + 4 * np.finfo(np.float64).eps * np.abs(h).max()

@@ -181,8 +181,10 @@ class KinematicHand:
         object.__setattr__(self, "root_position", _frozen(self.root_position))
         angles = _frozen(self.joint_angles).reshape(N_ANGLES)
         object.__setattr__(self, "joint_angles", angles)
-        if ((angles < ANGLE_LO - 1e-9) | (angles > ANGLE_HI + 1e-9)).any():
+        if not ((angles >= ANGLE_LO - 1e-9) & (angles <= ANGLE_HI + 1e-9)).all():
             raise ValueError("joint angles outside [0, pi/2]")
+        if not np.isfinite(self.root_position).all():
+            raise ValueError("root position must be finite")
 
     @property
     def root_pose(self) -> SimilarityTransform:
@@ -298,7 +300,8 @@ def pose_hand_grasp(instance: ArticulatedInstance, joint_state, seed) -> Kinemat
     axis_idx, sign = _grasp_face(instance, joint_index)
     joint = instance.joints[joint_index]
     part = instance.parts[joint.child]
-    pose = part_poses_object(instance, joint_state)[joint.child]
+    poses = part_poses_object(instance, joint_state)
+    pose = poses[joint.child]
 
     h = part.half_extents
     face_center_local = np.zeros(3)
@@ -317,7 +320,7 @@ def pose_hand_grasp(instance: ArticulatedInstance, joint_state, seed) -> Kinemat
 
     boxes = [
         transform_box(OrientedBox.from_extents(p.half_extents), pp)
-        for p, pp in zip(instance.parts, part_poses_object(instance, joint_state))
+        for p, pp in zip(instance.parts, poses)
     ]
 
     palm_reach = float(np.linalg.norm(REST_JOINTS[1 + 4 * 2]))

@@ -1,9 +1,10 @@
 """Procedural cuboid templates for the five articulated categories.
 
-Every instance is a base cuboid plus 1..3 movable cuboids, each driven by a
-single revolute or prismatic joint relative to the base. Objects live in a
-z-up frame and sit on the z = 0 plane; dimensions are meters at desk scale
-and each template dimension is jittered +/-25% per instance seed.
+Every instance is a base cuboid plus one movable cuboid (DRAWERS for the
+drawer category), each driven by a single revolute or prismatic joint
+relative to the base. Objects live in a z-up frame and sit on the z = 0
+plane; dimensions are meters at desk scale and each template dimension is
+jittered +/-25% per instance seed.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ CATEGORIES = ("laptop", "drawer", "safe", "microwave", "trashcan")
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
+
+DRAWERS = 3  # sliding parts of every drawer-category instance
 
 
 @dataclass(frozen=True)
@@ -120,12 +123,8 @@ def _jitter(rng: np.random.Generator, dims) -> np.ndarray:
     return dims * rng.uniform(0.75, 1.25, size=dims.shape)
 
 
-def make_instance(category: str, seed: int, drawers: int | None = None) -> ArticulatedInstance:
-    """Deterministically build an instance of a category from a seed.
-
-    drawers pins the sliding-part count for the drawer category (1..3);
-    None samples it from the seed. Other categories ignore it.
-    """
+def make_instance(category: str, seed: int) -> ArticulatedInstance:
+    """Deterministically build an instance of a category from a seed."""
     if category not in CATEGORIES:
         raise ValueError(f"unknown category {category!r}; expected one of {CATEGORIES}")
     rng = np.random.default_rng(
@@ -155,13 +154,10 @@ def make_instance(category: str, seed: int, drawers: int | None = None) -> Artic
 
     elif category == "drawer":
         body_h = _jitter(rng, [0.18, 0.17, 0.16])
-        k = int(rng.integers(1, 4)) if drawers is None else int(drawers)
-        if not 1 <= k <= 3:
-            raise ValueError("drawer count must be in 1..3")
-        slot = 2 * body_h[2] / k
+        slot = 2 * body_h[2] / DRAWERS
         parts = [PartSpec(body_h, eye, [0.0, 0.0, body_h[2]])]
         joints = []
-        for i in range(k):
+        for i in range(DRAWERS):
             d_h = np.array([body_h[0] * 0.85, body_h[1] * 0.90, slot * 0.42])
             center_y = body_h[1] + 0.005 - d_h[1]  # front face slightly proud
             center = np.array([0.0, center_y, slot * (i + 0.5)])

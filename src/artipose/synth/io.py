@@ -4,12 +4,13 @@ Each scene directory holds one little-endian file per entry of
 SCENE_FILES, which gives its dtype and shape. Canonical boxes are +/- the
 per-part half extents recorded in the manifest.
 
-A dataset's settings are its category, count, seed, point count and, for
-drawers, part count. The rest are module constants: the contact
-threshold geometry.CONTACT_TAU and the hand's hand.SURFACE_SAMPLES surface
-points, which the manifest records and load_manifest checks against the
-library's, and MIN_VISIBLE_CONTACTS, the fewest contact points a kept
-scene's cloud holds.
+A dataset's settings are its category, count, seed and point count. The
+rest are module constants: the contact threshold geometry.CONTACT_TAU and
+the hand's hand.SURFACE_SAMPLES surface points, which the manifest records
+and load_manifest checks against the library's, MIN_VISIBLE_CONTACTS, the
+fewest contact points a kept scene's cloud holds, and instances.DRAWERS,
+the sliding parts of a drawer, which the manifest records as "drawers"
+(null for the other categories).
 
 Scene i depends only on (seed, i), so `generate_dataset` builds the scenes
 of one call in k = min(usable CPUs, count) processes: the calling process
@@ -38,8 +39,8 @@ import numpy as np
 from .. import parallel
 from ..errors import EmptyView, FewContacts, GraspFailure
 from ..geometry import CONTACT_TAU, OrientedBox, SimilarityTransform
-from .hand import SURFACE_SAMPLES, KinematicHand
-from .instances import make_instance
+from .hand import ANGLE_HI, ANGLE_LO, SURFACE_SAMPLES, KinematicHand
+from .instances import DRAWERS, make_instance
 from .render import IMAGE_HEIGHT, IMAGE_WIDTH, Camera
 from .scene import DEFAULT_N_POINTS, SceneRecord, sample_scene
 
@@ -51,7 +52,6 @@ FORMAT_VERSION = 1
 # contact, too few to supervise the contact prior.
 MIN_VISIBLE_CONTACTS = 4
 MIN_N_POINTS = 8  # the smallest cloud the estimator's encoder takes
-DEFAULT_DRAWERS = 3  # sliding parts of each drawer-category scene
 MAX_SCENE_ATTEMPTS = 40
 
 # The files of one scene directory: name -> (dtype, shape), in write order.
@@ -111,7 +111,6 @@ def _build_scene(
     category: str,
     i: int,
     seed: int,
-    instance_kwargs: dict,
     n_points: int,
 ) -> tuple:
     """Scene i of a dataset: build its instance, draw it until a draw is
@@ -121,7 +120,7 @@ def _build_scene(
     inst_seed = int(
         np.random.default_rng(np.random.SeedSequence([seed, i, 1])).integers(2**31)
     )
-    instance = make_instance(category, inst_seed, **instance_kwargs)
+    instance = make_instance(category, inst_seed)
 
     def draw(attempt, min_contacts):
         return sample_scene(
@@ -277,7 +276,6 @@ def generate_dataset(
     count: int,
     seed: int,
     n_points: int = DEFAULT_N_POINTS,
-    drawers: int = DEFAULT_DRAWERS,
 ) -> Path:
     """Generate `count` scenes of one category; byte-deterministic in args.
 
@@ -293,11 +291,10 @@ def generate_dataset(
     output. If all fail, GraspFailure counts each reason, and "(best N)"
     is the largest contact count of a rejected draw's cloud, the
     early-rejected draws being drawn again in full for it.
-    Drawer instances get a fixed `drawers` sliding parts (DEFAULT_DRAWERS) so
-    every scene in a dataset has the same part count. A negative count or
-    seed, n_points below MIN_N_POINTS, a CONTACT_TAU edited to a value that
-    is not positive and finite, or for the drawer category drawers None or
-    outside 1..3, raises ValueError before anything is written.
+    Every scene of a category has the same part count: a drawer has
+    instances.DRAWERS sliding parts. A negative count or seed, n_points
+    below MIN_N_POINTS, or a CONTACT_TAU edited to a value that is not
+    positive and finite raises ValueError before anything is written.
 
     Scenes depend on nothing but their index, so they are built across
     k = min(usable CPUs, count) processes: the calling process builds the
@@ -319,10 +316,6 @@ def generate_dataset(
         raise ValueError(f"n_points must be >= {MIN_N_POINTS}, got {n_points}")
     if not (math.isfinite(CONTACT_TAU) and CONTACT_TAU > 0):
         raise ValueError(f"tau must be positive and finite, got {CONTACT_TAU}")
-    if category == "drawer" and drawers is None:
-        raise ValueError("the drawer category needs a fixed drawers count")
-    if category == "drawer" and not 1 <= drawers <= 3:
-        raise ValueError(f"drawers must be in 1..3, got {drawers}")
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     build = functools.partial(
@@ -330,7 +323,6 @@ def generate_dataset(
         root,
         category,
         seed=seed,
-        instance_kwargs={"drawers": drawers} if category == "drawer" else {},
         n_points=n_points,
     )
     built = _build_scenes(root, count, build)
@@ -347,7 +339,7 @@ def generate_dataset(
         "tau": CONTACT_TAU,
         "surface_samples": SURFACE_SAMPLES,
         "part_count": part_count,
-        "drawers": drawers if category == "drawer" else None,
+        "drawers": DRAWERS if category == "drawer" else None,
         "image_size": [IMAGE_WIDTH, IMAGE_HEIGHT],
         "dtypes": {_stem(name): dtype for name, (dtype, _) in SCENE_FILES.items()},
         "scenes": entries,
@@ -377,7 +369,9 @@ def load_scene(root, manifest: dict, entry: dict) -> SceneRecord:
     """Rebuild a SceneRecord (float64 in memory) from one manifest entry.
 
     A file whose size is not that of its SCENE_FILES shape raises
-    ValueError naming the scene and the file."""
+    ValueError naming the scene and the file. A non-finite value in a pose
+    or hand file raises ValueError too, from the SimilarityTransform and
+    KinematicHand checks or from the rotation's SVD."""
     d = scene_dir(Path(root), entry["id"])
     half_extents = np.asarray(entry["half_extents"], dtype=np.float64)
     sizes = {"N": manifest["n_points"], "P": len(half_extents), "S": SURFACE_SAMPLES}
@@ -394,7 +388,7 @@ def load_scene(root, manifest: dict, entry: dict) -> SceneRecord:
     # re-orthonormalize the float32 rotations before the strict ctors
     params = arrays["hand_params"]
     u, _, vt = np.linalg.svd(params[:9].reshape(3, 3))
-    hand = KinematicHand(u @ vt, params[9:12], np.clip(params[12:], 0, np.pi / 2))
+    hand = KinematicHand(u @ vt, params[9:12], np.clip(params[12:], ANGLE_LO, ANGLE_HI))
     part_poses = []
     for row in arrays["poses"]:
         u, _, vt = np.linalg.svd(row[:9].reshape(3, 3))

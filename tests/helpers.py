@@ -321,18 +321,15 @@ def take_scatter(a, indices, axis=0):
     return ad._unary(a, np.take(a.data, idx, axis=axis), da)
 
 
-def vmax_argmax(a, axis, keepdims=False):
+def vmax_argmax(a, axis):
     """Max whose value is read at the first argmax, the oracle for the
     max-valued forward of autodiff.vmax."""
     idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
-    out_data = np.take_along_axis(a.data, idx, axis=axis)
-    if not keepdims:
-        out_data = np.squeeze(out_data, axis=axis)
+    out_data = np.squeeze(np.take_along_axis(a.data, idx, axis=axis), axis=axis)
 
     def da(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
         full = np.zeros_like(a.data)
-        np.put_along_axis(full, idx, gg, axis=axis)
+        np.put_along_axis(full, idx, np.expand_dims(g, axis), axis=axis)
         return full
 
     return ad._unary(a, out_data, da)
@@ -555,7 +552,6 @@ def generate_dataset_serial(
     count,
     seed,
     n_points=synth_io.DEFAULT_N_POINTS,
-    drawers=3,
 ):
     """synth.io.generate_dataset as one loop over the scenes in the calling
     process: the bit-for-bit oracle of the parallel generate_dataset. It calls
@@ -565,7 +561,6 @@ def generate_dataset_serial(
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     min_contacts = synth_io.MIN_VISIBLE_CONTACTS
-    kwargs = {"drawers": drawers} if category == "drawer" else {}
 
     entries = []
     part_count = None
@@ -573,7 +568,7 @@ def generate_dataset_serial(
         inst_seed = int(
             np.random.default_rng(np.random.SeedSequence([seed, i, 1])).integers(2**31)
         )
-        instance = synth_io.make_instance(category, inst_seed, **kwargs)
+        instance = synth_io.make_instance(category, inst_seed)
         record = None
         grasp_failures = empty_views = 0
         few = []
@@ -618,7 +613,7 @@ def generate_dataset_serial(
         "tau": synth_io.CONTACT_TAU,
         "surface_samples": synth_io.SURFACE_SAMPLES,
         "part_count": part_count,
-        "drawers": drawers if category == "drawer" else None,
+        "drawers": synth_io.DRAWERS if category == "drawer" else None,
         "image_size": [synth_io.IMAGE_WIDTH, synth_io.IMAGE_HEIGHT],
         "dtypes": {name.split(".")[0]: dtype for name, (dtype, _) in synth_io.SCENE_FILES.items()},
         "scenes": entries,

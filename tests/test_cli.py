@@ -355,7 +355,7 @@ def test_defaults_are_the_library_defaults():
     parser = cli.build_parser()
     synth = parser.parse_args(["synth", "--category", "drawer", "--count", "1", "--out", "ds"])
     dataset = inspect.signature(generate_dataset).parameters
-    assert (synth.points, synth.drawers) == (dataset["n_points"].default, dataset["drawers"].default)
+    assert synth.points == dataset["n_points"].default
     adapt = parser.parse_args(["tta", "--checkpoint", "m.ckpt", "--dataset", "ds"])
     tta_cfg = tta_mod.TtaConfig()
     assert (adapt.steps, adapt.lr) == (tta_cfg.steps, tta_cfg.lr)
@@ -391,50 +391,6 @@ class TestTta:
         traces = [row["l_adv_trace"].split(";") for row in rows if row["l_adv_trace"]]
         assert len(traces) == 2
         assert all(len(t) == 3 and all(math.isfinite(float(v)) for v in t) for t in traces)
-
-    def test_disc_without_discriminator_group_is_usage_error(self, trained, tmp_path, capsys, monkeypatch):
-        root, ds, ckpt = trained
-        stores, meta = nn.load_checkpoint(ckpt)
-        bare = tmp_path / "estimator_only.ckpt"
-        nn.save_checkpoint(bare, {"estimator": stores["estimator"]}, meta=meta)
-        monkeypatch.setattr(tta_mod, "adapt_object", lambda *args: pytest.fail("a scene ran"))
-        out = tmp_path / "tta.csv"
-        argv = ["tta", "--checkpoint", str(ckpt), "--disc", str(bare), "--dataset", str(ds), "--out", str(out)]
-        assert cli.main(argv) == 1
-        assert f"usage error: --disc {bare} has no discriminator group" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("meta_parts", [3, None])
-    def test_disc_of_another_part_count_is_usage_error(self, trained, tmp_path, capsys, monkeypatch, meta_parts):
-        # a 3-part discriminator, with or without part_count in its meta
-        root, ds, ckpt = trained
-        other = tmp_path / "disc3.ckpt"
-        meta = {} if meta_parts is None else {"part_count": meta_parts}
-        nn.save_checkpoint(other, {"discriminator": priors.Discriminator.create(3, seed=0).store}, meta=meta)
-        monkeypatch.setattr(tta_mod, "adapt_object", lambda *args: pytest.fail("a scene ran"))
-        out = tmp_path / "tta.csv"
-        argv = ["tta", "--checkpoint", str(ckpt), "--disc", str(other), "--dataset", str(ds), "--out", str(out)]
-        assert cli.main(argv) == 1
-        assert f"usage error: --disc {other} scores 3" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_disc_of_the_same_part_count_is_used(self, trained, tmp_path, monkeypatch):
-        root, ds, ckpt = trained
-        stores, meta = nn.load_checkpoint(ckpt)
-        own = tmp_path / "disc2.ckpt"
-        nn.save_checkpoint(own, {"discriminator": stores["discriminator"]}, meta={})
-        seen = []
-        adapt = tta_mod.adapt_object
-
-        def spy(est, disc, *args):
-            seen.append(disc.store.params["d.w0"].shape)
-            return adapt(est, disc, *args)
-
-        monkeypatch.setattr(tta_mod, "adapt_object", spy)
-        out = tmp_path / "tta.csv"
-        argv = ["tta", "--checkpoint", str(ckpt), "--disc", str(own), "--dataset", str(ds), "--steps", "1"]
-        assert cli.main(argv + ["--out", str(out)]) == 0
-        assert seen == [(48, 256)] * 2
 
     @pytest.mark.parametrize("trace, reduced", [([1.0, 0.5], 2), ([1.0, 1.0], 0), ([1.0, 1.5], 0)])
     def test_summary_counts_strictly_reduced_loss(self, trained, monkeypatch, capsys, trace, reduced):
@@ -584,6 +540,13 @@ class TestEntryPoint:
         with open(ROOT / "pyproject.toml", "rb") as f:
             assert tomllib.load(f)["project"]["dependencies"] == ["numpy>=2"]
 
+    def test_version_is_read_from_the_package(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as f:
+            config = tomllib.load(f)
+        assert "version" not in config["project"] and config["project"]["dynamic"] == ["version"]
+        assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "artipose.__version__"}
+
     def test_script_is_cli_entry(self):
         tomllib = pytest.importorskip("tomllib")
         with open(ROOT / "pyproject.toml", "rb") as f:
@@ -599,16 +562,40 @@ class TestEntryPoint:
         ["tta", "--checkpoint", "m.ckpt", "--dataset", "ds", "--scope", "heads_only"],
         ["gradcheck", "--seed", "7"],
         ["gradcheck", "--tol", "1e-3"],
+        ["synth", "--category", "drawer", "--count", "1", "--out", "ds", "--drawers", "2"],
+        ["tta", "--checkpoint", "m.ckpt", "--dataset", "ds", "--disc", "x"],
     ],
-    ids=["tta-scope", "gradcheck-seed", "gradcheck-tol"],
+    ids=["tta-scope", "gradcheck-seed", "gradcheck-tol", "synth-drawers", "tta-disc"],
 )
 def test_removed_options_are_not_flags(capsys, argv):
-    # TTA adapts the heads only; gradcheck runs each suite at its own seed
-    # against gradcheck.TOL
+    # TTA adapts the heads only, against the checkpoint's own discriminator;
+    # gradcheck runs each suite at its own seed against gradcheck.TOL; a
+    # drawer has synth.instances.DRAWERS sliding parts
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"usage error: unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, group, message",
+    [
+        ("tta", "discriminator", "checkpoint has no discriminator group; train with lambda_adv > 0"),
+        ("hand-opt", "diffuser", "checkpoint has no diffuser group; train with lambda_diff > 0"),
+    ],
+    ids=["tta", "hand-opt"],
+)
+def test_checkpoint_without_the_prior_is_usage_error(trained, tmp_path, capsys, command, group, message):
+    # what training writes with that prior's weight at 0
+    root, ds, ckpt = trained
+    stores, meta = nn.load_checkpoint(ckpt)
+    del stores[group]
+    other = tmp_path / "other.ckpt"
+    nn.save_checkpoint(other, stores, meta=meta)
+    out = tmp_path / "report.csv"
+    assert cli.main([command, "--checkpoint", str(other), "--dataset", str(ds), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
 
 
 def test_gradcheck_passes(capsys):

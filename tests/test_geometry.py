@@ -209,6 +209,23 @@ class TestBoxes:
             geo.OrientedBox(v)
 
 
+class TestSimilarityTransform:
+    @pytest.mark.parametrize(
+        "t, s, message",
+        [
+            ([0.0, 0.0, 0.0], 0.0, "scale must be positive and finite, got 0.0"),
+            ([0.0, 0.0, 0.0], float("nan"), "scale must be positive and finite, got nan"),
+            ([0.0, 0.0, 0.0], float("inf"), "scale must be positive and finite, got inf"),
+            ([float("nan"), 0.0, 0.0], 1.0, "translation must be finite"),
+            ([0.0, float("-inf"), 0.0], 1.0, "translation must be finite"),
+        ],
+        ids=["zero-scale", "nan-scale", "inf-scale", "nan-translation", "inf-translation"],
+    )
+    def test_non_finite_or_non_positive_rejected(self, t, s, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            geo.SimilarityTransform(np.eye(3), t, s)
+
+
 # ---------------------------------------------------------------------------
 # chamfer (a numpy oracle kept in helpers)
 # ---------------------------------------------------------------------------
@@ -425,6 +442,11 @@ class TestContactMap:
         obj = np.array([[0, 0, 0], [1, 1, 1]], dtype=float)
         hand = np.array([[0, 0, 0]], dtype=float)
         assert geo.compute_contact_map(obj, hand, 0.01).tolist() == [1, 0]
+
+    @pytest.mark.parametrize("tau", [0.0, -0.01, float("nan"), float("inf")])
+    def test_tau_not_positive_and_finite_rejected(self, tau):
+        with pytest.raises(ValueError, match=f"^tau must be positive and finite, got {tau}$"):
+            geo.compute_contact_map(np.zeros((2, 3)), np.zeros((1, 3)), tau)
 
     def test_huge_tau_all_ones(self):
         rng = np.random.default_rng(18)

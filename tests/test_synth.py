@@ -67,7 +67,7 @@ class TestMakeInstance:
         assert lo == 0.0 and hi == pytest.approx(np.radians(135))
 
     def test_three_drawer_template(self):
-        inst = make_instance("drawer", 5, drawers=3)
+        inst = make_instance("drawer", 5)
         assert len(inst.parts) == 4
         assert all(j.kind == "prismatic" for j in inst.joints)
         axes = np.stack([j.axis for j in inst.joints])
@@ -99,7 +99,7 @@ class TestMakeInstance:
 
     def test_drawer_boxes_parallel_edges(self):
         # the structural regularity the articulation prior must learn
-        inst = make_instance("drawer", 11, drawers=3)
+        inst = make_instance("drawer", 11)
         rng = np.random.default_rng(0)
         limits = inst.joint_limits()
         q = rng.uniform(limits[:, 0], limits[:, 1])
@@ -144,6 +144,21 @@ class TestHand:
     def test_angle_limits_enforced(self):
         with pytest.raises(ValueError):
             KinematicHand(np.eye(3), np.zeros(3), np.full(15, 2.0))
+
+    @pytest.mark.parametrize(
+        "position, angle, message",
+        [
+            ([0.0, 0.0, 0.0], float("nan"), "joint angles outside"),
+            ([float("nan"), 0.0, 0.0], 0.5, "root position must be finite"),
+            ([0.0, float("inf"), 0.0], 0.5, "root position must be finite"),
+        ],
+        ids=["nan-angle", "nan-root", "inf-root"],
+    )
+    def test_nan_angle_or_non_finite_root_rejected(self, position, angle, message):
+        angles = np.full(15, 0.5)
+        angles[4] = angle
+        with pytest.raises(ValueError, match=f"^{message}"):
+            KinematicHand(np.eye(3), position, angles)
 
     def test_params_round_trip(self):
         rng = np.random.default_rng(4)
@@ -336,8 +351,9 @@ class TestGrasp:
         assert (h1.params() == h1b.params()).all()
 
     def test_drawer_contacts_near_front_face(self):
-        inst = make_instance("drawer", 7, drawers=1)
-        q = [0.2]
+        # every drawer opened as far, so the drawers' front faces share a plane
+        inst = make_instance("drawer", 7)
+        q = [0.2] * 3
         hand = pose_hand_grasp(inst, q, 3)
         pose = part_poses_object(inst, q)[1]
         part = inst.parts[1]
@@ -483,8 +499,10 @@ def scene_render_pairs(monkeypatch):
 
     monkeypatch.setattr(scene_mod, "render_partial_cloud", spy)
     for cat in CATEGORIES:
+        # the drawer's [1, 0] view shows no hand
+        seed = np.random.SeedSequence([1, 1 if cat == "drawer" else 0])
         with contextlib.suppress(EmptyView):
-            sample_scene(make_instance(cat, 1), np.random.SeedSequence([1, 0]), n_points=256)
+            sample_scene(make_instance(cat, 1), seed, n_points=256)
     return pairs, with_hand
 
 
@@ -804,13 +822,13 @@ class TestDataset:
         )
 
     def test_load_round_trip(self, tmp_path):
-        root = generate_dataset(tmp_path / "ds", "drawer", 2, seed=3, drawers=2)
+        root = generate_dataset(tmp_path / "ds", "drawer", 2, seed=3)
         manifest, scenes = load_dataset(root)
-        assert manifest["part_count"] == 3
+        assert manifest["part_count"] == 4
         assert len(scenes) == 2
         rec = scenes[0]
         assert rec.cloud.shape == (manifest["n_points"], 3)
-        assert rec.part_count == 3
+        assert rec.part_count == 4
         # loaded annotations stay mutually consistent at float32 precision
         for canon, pose, posed in zip(
             rec.canonical_boxes, rec.part_poses, rec.posed_boxes
@@ -907,16 +925,24 @@ class TestDataset:
         with pytest.raises(ValueError, match=re.escape(f"scene scene_000000: {name} has {size} bytes, not a (")):
             load_dataset(root)
 
-    def test_drawer_needs_fixed_count(self, tmp_path):
-        with pytest.raises(ValueError, match="fixed drawers count"):
-            generate_dataset(tmp_path / "ds", "drawer", 4, seed=0, drawers=None)
-        assert not (tmp_path / "ds").exists()
-
-    @pytest.mark.parametrize("drawers", [0, 4])
-    def test_drawer_count_outside_1_to_3_rejected_before_writing(self, tmp_path, drawers):
-        with pytest.raises(ValueError, match=f"^drawers must be in 1..3, got {drawers}$"):
-            generate_dataset(tmp_path / "ds", "drawer", 1, seed=0, drawers=drawers)
-        assert not (tmp_path / "ds").exists()
+    @pytest.mark.parametrize(
+        "name, index, message",
+        [
+            ("poses.f32", 9, "translation must be finite"),  # part 0's t[0]
+            ("poses.f32", 25, "scale must be positive and finite, got nan"),  # part 1's s
+            ("hand_params.f32", 10, "root position must be finite"),
+            ("hand_params.f32", 20, "joint angles outside"),
+        ],
+        ids=["pose-translation", "pose-scale", "hand-root", "hand-angle"],
+    )
+    def test_nan_in_pose_or_hand_file_rejected(self, one_scene, tmp_path, name, index, message):
+        root = shutil.copytree(one_scene, tmp_path / "ds")
+        path = root / "scenes" / "scene_000000" / name
+        data = np.frombuffer(path.read_bytes(), dtype="<f4").copy()
+        data[index] = np.nan
+        path.write_bytes(data.tobytes())
+        with pytest.raises(ValueError, match=f"^{message}"):
+            load_dataset(root)
 
     def test_negative_count_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="^count must be >= 0, got -1$"):
