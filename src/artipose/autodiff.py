@@ -7,18 +7,30 @@ to a Tape in execution order, so the reverse sweep is a plain reversed loop
 `Tape.backward` raises, since it would add every intermediate's gradient in
 again.
 
-Gradient ownership. A Var keeps its first gradient without copying when that
-array already has the Var's dtype and shape: the Var borrows it, and the
-same array may also be another Var's grad, a view of one, or the caller's
-seed. A first gradient of another dtype or shape is copied. When a second
-contribution arrives, a borrowed grad is replaced by a new sum, laid out
-like the borrowed array or, when that is a broadcast view, C-ordered; from
-then on the Var owns its grad and adds in place. Two rules keep aliased
-gradients intact: backward functions never write into the `g` they receive,
-and only a Var that owns its grad is written in place. The sums are the ones a
-copying tape computes, in the same order. A borrowed grad can be a strided
-or broadcast (read-only) view where a copy would be packed, and numpy can
-round a later reduction differently by memory layout, so
+Gradient ownership. A Var's grad is either owned, an array nothing else
+holds, or borrowed, one that may also be another Var's grad, a view of one,
+or the caller's seed; only an owned grad is ever written in place. A
+backward function hands a gradient over in one of two ways:
+- `Var._own_grad` for an array the backward allocated: the products of
+  `matmul` and `linear`, linear's shift sum, the dense scatters of `take`
+  and `vmax`, and `softmax_cross_entropy`'s. A first such gradient of the
+  Var's dtype and shape becomes the Var's own, without a copy.
+- `Var._add_grad` for every other gradient, among them the arrays that
+  may alias another: the identity partials of `add` and `sub`, `vsum`'s
+  broadcast views, `concat` and `stack` slices and the seed. A first such
+  gradient of the Var's dtype and shape is borrowed; one of another dtype
+  or shape is copied, and the copy is owned.
+An owned grad takes every later contribution in place. A borrowed grad that
+meets a second contribution is replaced by a new sum, laid out like the
+borrowed array or, when that is a broadcast view, C-ordered, and the Var
+owns the sum. The sweep calls each backward as `fn(g, owned)`, `owned`
+telling whether its output Var owned `g`: `reshape` passes an owned `g` on
+as owned, and `linear` applies its ReLU mask to an owned C-ordered `g` in
+place. No backward writes into a borrowed `g`. A grad always has its Var's
+dtype, so `g` has the dtype of the output it belongs to. Every sum is the
+one a copying tape computes, in the same order. A borrowed grad can be a
+strided or broadcast (read-only) view where a copy would be packed, and
+numpy can round a later reduction differently by memory layout, so
 tests/test_autodiff.py checks whole training runs bit for bit against a
 tape that copies every first gradient.
 
@@ -54,6 +66,10 @@ input already has a gradient, its backward adds `g` into `grad + 0.0` at
 the taken indices, which is bit for bit `grad + full` for the dense `full`
 (zeros, and `g + 0.0` at those indices): `(x + 0.0) + y` equals
 `x + (y + 0.0)` for every value, ±0.0, ±inf and NaN payloads included.
+`vmax`'s `full` holds `g` itself at the argmax, and `-0.0 + -0.0` is -0.0
+where `(-0.0 + 0.0) + -0.0` is +0.0, so its backward onto an existing
+gradient sums the argmax entries `grad + g` first, then takes `grad + 0.0`
+in place and writes those sums back.
 
 Dtypes. `vsum` accumulates in float64 and casts back to its input's dtype;
 every other op takes numpy's promotion of its operands. A Python scalar
@@ -85,7 +101,7 @@ class Tape:
 
     def __init__(self, grad: bool = True):
         self.grad = grad
-        self._ops = []  # (out Var, backward fn)
+        self._ops = []  # (out Var, backward fn(g, owned))
         self.param_uses = []  # (store, name, var, version)
         self._swept = False
 
@@ -120,8 +136,9 @@ class Tape:
             out, fn = ops.pop()
             g = out.grad
             if g is not None:
+                owned = out._owns_grad
                 out.grad, out._owns_grad = None, False
-                fn(g)
+                fn(g, owned)
 
 
 class Var:
@@ -170,6 +187,13 @@ class Var:
             self.grad = np.array(g, dtype=self.data.dtype, copy=True)
             self._owns_grad = True
 
+    def _own_grad(self, g):
+        """Accumulate `g`, a new array that nothing else holds: a first
+        gradient kept without a copy becomes the Var's own."""
+        self._add_grad(g)
+        if self.grad is g:
+            self._owns_grad = True
+
 
 def const(x, tape: Tape) -> Var:
     """A leaf that never receives gradient."""
@@ -209,7 +233,7 @@ def _binary(a, b, out_data, da, db):
     req = a.requires_grad or b.requires_grad
     out = Var(out_data, a.tape, req)
     if req:
-        def back(g):
+        def back(g, owned):
             if a.requires_grad:
                 a._add_grad(_unbroadcast(da(g), a.data.shape))
             if b.requires_grad:
@@ -263,12 +287,12 @@ def matmul(a, b):
     req = a.requires_grad or b.requires_grad
     out = Var(out_data, a.tape, req)
     if req:
-        def back(g):
+        def back(g, owned):
             g2 = g.reshape(ad.shape[:-1] + bd.shape[-1:])
             if a.requires_grad:
-                a._add_grad((g2 @ np.swapaxes(bd, -1, -2)).reshape(a.data.shape))
+                a._own_grad((g2 @ np.swapaxes(bd, -1, -2)).reshape(a.data.shape))
             if b.requires_grad:
-                b._add_grad((np.swapaxes(ad, -1, -2) @ g2).reshape(b.data.shape))
+                b._own_grad((np.swapaxes(ad, -1, -2) @ g2).reshape(b.data.shape))
         a.tape.record(out, back)
     return out
 
@@ -301,13 +325,15 @@ def linear(x: Var, w: Var, b: Var, relu: bool, shift: Var | None = None) -> Var:
     req = req or (shift is not None and shift.requires_grad)
     out = Var(out_data, x.tape, req)
     if req:
-        def back(g):
-            if relu:
+        def back(g, owned):
+            if relu and owned and g.flags.c_contiguous:
+                g *= out_data > 0
+            elif relu:
                 g = g * (out_data > 0)
             if b.requires_grad:
                 b._add_grad(_unbroadcast(g, b.data.shape))
             if shift is not None and shift.requires_grad:
-                shift._add_grad(g.reshape(S, -1, H).sum(axis=1))
+                shift._own_grad(g.reshape(S, -1, H).sum(axis=1))
             if x.requires_grad:
                 if w.data.shape[1] == 1:
                     # the outer product without matmul's slow narrow path;
@@ -316,9 +342,9 @@ def linear(x: Var, w: Var, b: Var, relu: bool, shift: Var | None = None) -> Var:
                     gx += 0.0
                 else:
                     gx = g @ w.data.T
-                x._add_grad(gx)
+                x._own_grad(gx)
             if w.requires_grad:
-                w._add_grad(x.data.T @ g)
+                w._own_grad(x.data.T @ g)
         x.tape.record(out, back)
     return out
 
@@ -326,7 +352,7 @@ def linear(x: Var, w: Var, b: Var, relu: bool, shift: Var | None = None) -> Var:
 def _unary(a, out_data, da):
     out = Var(out_data, a.tape, a.requires_grad)
     if a.requires_grad:
-        a.tape.record(out, lambda g: a._add_grad(da(g)))
+        a.tape.record(out, lambda g, owned: a._add_grad(da(g)))
     return out
 
 
@@ -403,17 +429,37 @@ def vmax(a: Var, axis: int):
         out_data[odd] = first
     out_data = np.squeeze(out_data, axis=axis)
 
-    def da(g):
+    def back(g, owned):
         idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
-        full = np.zeros_like(a.data)
-        np.put_along_axis(full, idx, np.expand_dims(g, axis), axis=axis)
-        return full
+        g = np.expand_dims(g, axis)
+        if a.grad is None:
+            full = np.zeros_like(a.data)
+            np.put_along_axis(full, idx, g, axis=axis)
+            a._own_grad(full)
+        else:
+            # grad + full for the dense full (zeros, g at the argmax): the
+            # argmax entries are summed from the old grad before it takes
+            # its + 0.0 in place
+            at = np.take_along_axis(a.grad, idx, axis=axis) + g
+            a._add_grad(0.0)
+            np.put_along_axis(a.grad, idx, at, axis=axis)
 
-    return _unary(a, out_data, da)
+    out = Var(out_data, a.tape, a.requires_grad)
+    if a.requires_grad:
+        a.tape.record(out, back)
+    return out
 
 
 def reshape(a: Var, shape):
-    return _unary(a, a.data.reshape(shape), lambda g: g.reshape(a.data.shape))
+    """A view of `a` in another shape; an owned gradient passes back through."""
+    out = Var(a.data.reshape(shape), a.tape, a.requires_grad)
+    if a.requires_grad:
+        def back(g, owned):
+            ga = g.reshape(a.data.shape)
+            (a._own_grad if owned else a._add_grad)(ga)
+
+        a.tape.record(out, back)
+    return out
 
 
 def permute(a: Var, axes):
@@ -461,7 +507,7 @@ def take(a: Var, indices, axis: int = 0):
         out_data = a.data[at(slice(lo, lo + idx.size))]
         out_data.flags.writeable = False
 
-    def back(g):
+    def back(g, owned):
         full = None
         if lo is not None:
             key = at(slice(lo, lo + idx.size))
@@ -478,7 +524,7 @@ def take(a: Var, indices, axis: int = 0):
                 full[at(idx[first])] = np.take(g, first, axis=ax) + 0.0
                 np.add.at(full, at(idx[later]), np.compress(later, g, axis=ax))
         if full is not None:
-            a._add_grad(full)
+            a._own_grad(full)
         elif a.grad is not None:
             a._add_grad(0.0)  # grad + 0.0 everywhere, into a grad `a` owns
             a.grad[key] += g
@@ -488,7 +534,7 @@ def take(a: Var, indices, axis: int = 0):
                 np.add(g, 0.0, out=full[key])
             else:
                 full[key] = g + 0.0
-            a._add_grad(full)
+            a._own_grad(full)
 
     out = Var(out_data, a.tape, a.requires_grad)
     if a.requires_grad:
@@ -516,7 +562,7 @@ def concat(parts, axis: int = -1):
         sizes = [p.data.shape[axis] for p in parts]
         offsets = np.cumsum([0] + sizes)
 
-        def back(g):
+        def back(g, owned):
             for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
                 if p.requires_grad:
                     sl = [slice(None)] * g.ndim
@@ -535,7 +581,7 @@ def stack(parts, axis: int = 0):
     req = any(p.requires_grad for p in parts)
     out = Var(out_data, tape, req)
     if req:
-        def back(g):
+        def back(g, owned):
             slices = np.moveaxis(g, axis, 0)
             for p, gs in zip(parts, slices):
                 if p.requires_grad:
@@ -572,10 +618,11 @@ def softmax_cross_entropy(logits: Var, labels) -> Var:
     out_data = -logp[np.arange(z.shape[0]), lab]
     out = Var(out_data, logits.tape, logits.requires_grad)
     if logits.requires_grad:
-        def back(g):
+        def back(g, owned):
             p = ez / sez
             p[np.arange(z.shape[0]), lab] -= 1.0
-            logits._add_grad(p * g[:, None])
+            p *= g[:, None]
+            logits._own_grad(p)
 
         logits.tape.record(out, back)
     return out

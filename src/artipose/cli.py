@@ -198,16 +198,16 @@ def cmd_hand_opt(args) -> int:
     if not args.gt_contact and args.checkpoint is None:
         raise UsageError("--checkpoint required unless --gt-contact is set")
     cfg = tta_mod.HandOptConfig(iters=args.iters, lr=args.lr)
-    _, scenes = load_dataset(args.dataset, limit=args.limit)
-    # Separate streams, so the initial hands do not depend on whether the
-    # sampler draws seeds (--gt-contact or not).
-    perturb_rng = np.random.default_rng([args.seed, 0])
-    sampler_rng = np.random.default_rng([args.seed, 1])
     models = None
     if not args.gt_contact:
         models = est_mod.Models.load(args.checkpoint)
         if models.diffuser is None:
             raise UsageError("checkpoint has no diffuser group; train with lambda_diff > 0")
+    _, scenes = load_dataset(args.dataset, limit=args.limit)
+    # Separate streams, so the initial hands do not depend on whether the
+    # sampler draws seeds (--gt-contact or not).
+    perturb_rng = np.random.default_rng([args.seed, 0])
+    sampler_rng = np.random.default_rng([args.seed, 1])
 
     rows = []
     reduced = 0

@@ -202,7 +202,8 @@ def load_checkpoint(path):
     naming the file, for anything but a version-2 checkpoint."""
     stores: dict[str, ParamStore] = {}
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        # np.load leaves a file it opened itself open when the zip is bad
+        with open(path, "rb") as f, np.load(f, allow_pickle=False) as archive:
             header = json.loads(str(archive[_CKPT_HEADER]))
             if header["version"] != _CKPT_VERSION:
                 raise ValueError(f"header version {header['version']!r}")

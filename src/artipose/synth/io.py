@@ -365,13 +365,22 @@ def load_manifest(root) -> dict:
     return manifest
 
 
+def _orthonormal(entries: np.ndarray) -> np.ndarray:
+    """The rotation nearest nine float32-rounded matrix entries, by SVD,
+    for the strict SimilarityTransform and KinematicHand checks."""
+    if not np.isfinite(entries).all():
+        raise ValueError(f"rotation entries must be finite, got {entries}")
+    u, _, vt = np.linalg.svd(entries.reshape(3, 3))
+    return u @ vt
+
+
 def load_scene(root, manifest: dict, entry: dict) -> SceneRecord:
     """Rebuild a SceneRecord (float64 in memory) from one manifest entry.
 
     A file whose size is not that of its SCENE_FILES shape raises
-    ValueError naming the scene and the file. A non-finite value in a pose
-    or hand file raises ValueError too, from the SimilarityTransform and
-    KinematicHand checks or from the rotation's SVD."""
+    ValueError naming the scene and the file. So does a non-finite value
+    in a pose or hand file: a rotation entry is checked before its SVD,
+    the rest by the SimilarityTransform and KinematicHand checks."""
     d = scene_dir(Path(root), entry["id"])
     half_extents = np.asarray(entry["half_extents"], dtype=np.float64)
     sizes = {"N": manifest["n_points"], "P": len(half_extents), "S": SURFACE_SAMPLES}
@@ -385,14 +394,23 @@ def load_scene(root, manifest: dict, entry: dict) -> SceneRecord:
         arr = np.frombuffer(data, dtype=dtype).reshape(shape)
         arrays[_stem(name)] = arr.astype(np.float64 if arr.dtype.kind == "f" else arr.dtype)
 
-    # re-orthonormalize the float32 rotations before the strict ctors
-    params = arrays["hand_params"]
-    u, _, vt = np.linalg.svd(params[:9].reshape(3, 3))
-    hand = KinematicHand(u @ vt, params[9:12], np.clip(params[12:], ANGLE_LO, ANGLE_HI))
-    part_poses = []
-    for row in arrays["poses"]:
-        u, _, vt = np.linalg.svd(row[:9].reshape(3, 3))
-        part_poses.append(SimilarityTransform(u @ vt, row[9:12], float(row[12])))
+    def parse(stem, build):
+        """build(array) of the file named by `stem`; its ValueError names the
+        scene and the file."""
+        try:
+            return build(arrays[stem])
+        except ValueError as err:
+            name = next(n for n in SCENE_FILES if _stem(n) == stem)
+            raise ValueError(f"scene {entry['id']}: {name}: {err}") from err
+
+    hand = parse(
+        "hand_params",
+        lambda p: KinematicHand(_orthonormal(p[:9]), p[9:12], np.clip(p[12:], ANGLE_LO, ANGLE_HI)),
+    )
+    part_poses = parse(
+        "poses",
+        lambda rows: [SimilarityTransform(_orthonormal(r[:9]), r[9:12], float(r[12])) for r in rows],
+    )
 
     return SceneRecord(
         scene_id=entry["id"],

@@ -375,6 +375,57 @@ def add_grad_copying(var, g):
         var.grad += g
 
 
+def nan(payload, negative, dtype):
+    """A quiet NaN with the given payload and sign bit."""
+    if dtype == np.float32:
+        return np.uint32(0x7FC00000 | payload | (negative << 31)).view(np.float32)
+    return np.uint64(0x7FF8000000000000 | payload | (negative << 63)).view(np.float64)
+
+
+def special_pool(dtype):
+    """Eight values whose sums round or propagate unusually: signed zeros,
+    infinities, NaNs with distinct payloads and signs, and two normals."""
+    return np.array(
+        [-0.0, 0.0, np.inf, -np.inf, nan(0x15, 0, dtype), nan(0x2A, 1, dtype), 1.5, -2.25],
+        dtype=dtype,
+    )
+
+
+def grad_onto(op, kind, data, prior, g):
+    """Sweep a graph in which the backward of `op` (one record) hands `g` to
+    a leaf over `data` whose gradient already holds `prior`: an owned array,
+    a borrowed view of the seed, or a read-only broadcast from vsum (then
+    `prior` is constant along axis 0). Returns the leaf's grad, whether the
+    seed came out unchanged, and what the backward met: a list of one (the
+    leaf owned its grad, that grad was a broadcast, it held `prior` bit for
+    bit)."""
+    tape = ad.Tape()
+    a = ad.leaf(data, tape)
+    pieces, seeds = [op(a)], [g]
+    if kind == "broadcast":
+        pieces.append(ad.vsum(a, axis=0))
+        seeds.append(prior[0])
+    else:
+        pieces.append(ad.reshape(a, prior.shape))
+        seeds.append(prior)
+    if kind == "owned":  # a second contribution of -0.0 keeps every bit of prior
+        pieces.append(ad.reshape(a, prior.shape))
+        seeds.append(np.full(prior.shape, -0.0, dtype=prior.dtype))
+    op_out, op_back = tape._ops[0]
+    met = []
+
+    def spy(grad, owned):
+        prior_kept = np.array_equal(bits(a.grad), bits(np.broadcast_to(prior, a.grad.shape)))
+        met.append((a._owns_grad, 0 in a.grad.strides, prior_kept))
+        op_back(grad, owned)
+
+    tape._ops[0] = (op_out, spy)
+    seed = np.concatenate([s.reshape(-1) for s in seeds])
+    before = seed.copy()
+    tape.backward(ad.concat([ad.reshape(p, (-1,)) for p in pieces], axis=0), seed)
+    return a.grad, np.array_equal(bits(seed), bits(before)), met
+
+
 def backward_retaining(tape, var):
     """Tape.backward from a scalar as a plain reversed loop that keeps every
     record and every op output's grad until the tape goes, the oracle for
@@ -383,7 +434,7 @@ def backward_retaining(tape, var):
     var._add_grad(np.ones((), dtype=var.data.dtype))
     for out, fn in reversed(tape._ops):
         if out.grad is not None:
-            fn(out.grad)
+            fn(out.grad, False)
 
 
 def where_relu(a):

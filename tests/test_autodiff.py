@@ -1,9 +1,10 @@
-"""The tape's borrowed gradients, gather backward and fused linear op, checked
-bit for bit against the copying, scattering and three-op forms kept in
-helpers.py; whole training runs also swap in the np.take, argmax and
-np.cross forward forms. The sweep's lifetimes: a swept tape is empty, op
-outputs drop their grads and leaves keep theirs, and its tracemalloc peak
-stays under half of the retaining loop's in helpers.py."""
+"""The tape's borrowed and owned gradients, gather backward and fused linear
+op, checked bit for bit against the copying, scattering and three-op forms
+kept in helpers.py; whole training runs also swap in the np.take, argmax
+and np.cross forward forms. The sweep's lifetimes: a swept tape is empty,
+op outputs drop their grads and leaves keep theirs, its tracemalloc peak
+stays under half of the retaining loop's in helpers.py, and a one-step
+training run stays under TRAIN_PEAK_BOUND."""
 
 import csv
 import tracemalloc
@@ -21,7 +22,10 @@ from helpers import (
     add_grad_copying,
     backward_retaining,
     bits,
+    grad_onto,
     linear_chain,
+    nan,
+    special_pool,
     take_scatter,
     vmax_argmax,
 )
@@ -241,9 +245,9 @@ def wrap_last_record(tape):
     out, back = tape._ops[-1]
     received = []
 
-    def spy(g):
+    def spy(g, owned):
         received.append(g)
-        back(g)
+        back(g, owned)
 
     tape._ops[-1] = (out, spy)
     return received
@@ -303,6 +307,168 @@ class TestBorrowedGradients:
         assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
 
 
+def owned_consts(dtype):
+    """The constant operands of OWNED_GRAPHS, whose leaf x is (4, 6)."""
+    rng = np.random.default_rng(14)
+    return {
+        "w": rng.normal(size=(6, 5)).astype(dtype),
+        "w3": rng.normal(size=(3, 5)).astype(dtype),
+        "left": rng.normal(size=(2, 4)).astype(dtype),
+        "b": np.array([0.5, -0.0, 0.0, -1.0, 2.0], dtype=dtype),
+    }
+
+
+# Graphs whose outputs hand x (4, 6) a gradient array their backward
+# allocated (matmul's products, linear's x gradient, take's dense scatter,
+# softmax_cross_entropy's, vmax's scatter, or one passed on by reshape),
+# before or after a borrowed or owned second contribution. An op recorded
+# later is swept earlier; x itself, as an output, borrows a view of the seed.
+OWNED_GRAPHS = {
+    "matmul_then_copy": lambda x, k: [ad.matmul(x, k["w"]), ad.mul(x, 3.0)],
+    "copy_then_matmul": lambda x, k: [ad.mul(x, 3.0), ad.matmul(x, k["w"])],
+    "matmul_then_seed_view": lambda x, k: [ad.matmul(x, k["w"]), x],
+    "seed_view_then_matmul": lambda x, k: [ad.reshape(x, (24,)), ad.matmul(x, k["w"])],
+    "right_operand": lambda x, k: [ad.mul(x, 3.0), ad.matmul(k["left"], x)],
+    "both_operands": lambda x, k: [ad.matmul(ad.reshape(x, (6, 4)), x)],
+    "linear_twice": lambda x, k: [
+        ad.linear(x, ad.const(k["w"], x.tape), ad.const(k["b"], x.tape), relu=True),
+        ad.linear(x, ad.const(k["w"], x.tape), ad.const(k["b"], x.tape), relu=False),
+    ],
+    "softmax_cross_entropy": lambda x, k: [
+        ad.mul(x, 3.0), ad.softmax_cross_entropy(x, np.array([0, 5, 2, 5]))
+    ],
+    "take_repeated": lambda x, k: [ad.mul(x, 3.0), ad.take(x, np.array([2, 0, 2]), axis=0)],
+    "take_onto_matmul": lambda x, k: [ad.take(x, np.arange(1, 3), axis=0), ad.matmul(x, k["w"])],
+    "vmax_then_copy": lambda x, k: [ad.mul(x, 3.0), ad.vmax(x, axis=1)],
+    "vmax_onto_matmul": lambda x, k: [ad.vmax(x, axis=0), ad.matmul(x, k["w"])],
+    "reshape_then_copy": lambda x, k: [ad.mul(x, 3.0), ad.matmul(ad.reshape(x, (8, 3)), k["w3"])],
+}
+
+
+def owned_sweep(graph, x, dtype):
+    """x's gradient, and whether the seed came out unchanged, after sweeping
+    the flattened outputs of graph from a seed with signed zeros."""
+    tape = ad.Tape()
+    xv = ad.leaf(x, tape)
+    out = ad.concat([ad.reshape(o, (-1,)) for o in graph(xv, owned_consts(dtype))], axis=0)
+    seed = signed_seed(out.data.shape, dtype, np.random.default_rng(15))
+    before = seed.copy()
+    tape.backward(out, seed)
+    return xv.grad, np.array_equal(bits(seed), bits(before))
+
+
+class TestOwnedGradients:
+    """Gradients a backward allocates go to their Var without a copy and take
+    later contributions in place: bit for bit the copying tape's."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("graph", sorted(OWNED_GRAPHS))
+    def test_matches_copying_tape(self, graph, dtype, monkeypatch):
+        x = np.random.default_rng(16).normal(size=(4, 6)).astype(dtype)
+        x[0, :3] = [0.0, -0.0, 0.0]  # a max tie of signed zeros
+        got, seed_kept = owned_sweep(OWNED_GRAPHS[graph], x, dtype)
+        monkeypatch.setattr(ad.Var, "_add_grad", add_grad_copying)
+        want, _ = owned_sweep(OWNED_GRAPHS[graph], x, dtype)
+        assert seed_kept
+        assert got.dtype == want.dtype
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("owned", [True, False], ids=["owned", "borrowed"])
+    def test_relu_mask_in_place_only_on_an_owned_gradient(self, owned, dtype, monkeypatch):
+        rng = np.random.default_rng(17)
+        # small integers: exact pre-activations, many of them 0 or negative
+        x = rng.integers(-3, 4, size=(9, 6)).astype(dtype)
+        w = rng.integers(-3, 4, size=(6, 5)).astype(dtype)
+        b = np.array([0.0, -0.0, 1.0, -1.0, 0.0], dtype=dtype)
+        top_w = rng.normal(size=(5, 4)).astype(dtype)
+        seed = np.resize(special_pool(dtype), (9, 4) if owned else (9, 5))
+
+        def run():
+            """x's gradient, and (owned, g before, g after) of linear's backward."""
+            tape = ad.Tape()
+            xv = ad.leaf(x, tape)
+            h = ad.linear(xv, ad.const(w, tape), ad.const(b, tape), relu=True)
+            out, back = tape._ops[-1]
+            met = []
+
+            def spy(g, g_owned):
+                before = g.copy()
+                back(g, g_owned)
+                met.append((g_owned, before, g))
+
+            tape._ops[-1] = (out, spy)
+            # a product hands h a gradient h owns; as the output, h borrows the seed
+            top = ad.matmul(h, top_w) if owned else h
+            with np.errstate(invalid="ignore"):  # inf * 0 in the mask
+                tape.backward(top, seed.copy())
+            return xv.grad, h.data, met
+
+        got, h_data, [(g_owned, before, after)] = run()
+        assert g_owned == owned
+        with np.errstate(invalid="ignore"):
+            masked = before * (h_data > 0)
+        assert np.array_equal(bits(after), bits(masked if owned else before))
+        monkeypatch.setattr(ad.Var, "_add_grad", add_grad_copying)
+        want, _, [(oracle_owned, _, _)] = run()
+        assert not oracle_owned  # the copying tape always takes the copying mask
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("kind", ["owned", "borrowed", "broadcast"])
+    def test_vmax_adds_into_an_existing_gradient(self, kind, dtype, monkeypatch):
+        # 8 scenes x 8 channels, one argmax per channel in every scene:
+        # g[b, l] = pool[b] meets prior pool[l] there, so every pair of
+        # special values is summed once, also onto a broadcast prior
+        pool = special_pool(dtype)
+        slab = np.random.default_rng(18).normal(size=(5, 8)).astype(dtype)
+        slab[:, 0] = 0.0
+        slab[0, 0] = -0.0  # a -0.0 maximum, tied with +0.0 at later points
+        slab[:, 1] = -np.abs(slab[:, 1])
+        slab[2, 1] = 0.0  # a +0.0 maximum
+        slab[3, 2], slab[1, 2] = nan(0x11, 1, dtype), nan(0x22, 0, dtype)  # a NaN maximum
+        data = np.broadcast_to(slab, (8, 5, 8)).copy()
+        g = np.repeat(pool, 8).reshape(8, 8)
+        prior = np.resize(pool[::-1], data.shape)
+        if kind == "broadcast":
+            prior[...] = prior[0]
+        prior[:, np.argmax(slab, axis=0), np.arange(8)] = pool
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            got, seed_kept, met = grad_onto(lambda a: ad.vmax(a, axis=1), kind, data, prior, g)
+            monkeypatch.setattr(ad.Var, "_add_grad", add_grad_copying)
+            want, _, _ = grad_onto(lambda a: vmax_argmax(a, axis=1), kind, data, prior, g)
+        assert seed_kept and met == [(kind == "owned", kind == "broadcast", True)]
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_reshape_passes_ownership_through(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        x = rng.normal(size=(4, 6))
+        w = rng.normal(size=(3, 5))
+        seed = rng.normal(size=(8, 5))
+
+        def run(second):
+            tape = ad.Tape()
+            xv = ad.leaf(x, tape)
+            m = ad.mul(xv, 3.0)  # recorded first: added last, into x's own grad
+            top = ad.matmul(ad.reshape(xv, (8, 3)), w)
+            tape.backward(ad.add(top, ad.vsum(m)) if second else top, seed)
+            return xv
+
+        # the product's gradient reaches x through reshape as x's own
+        assert run(second=False)._owns_grad
+        got = run(second=True)
+        monkeypatch.setattr(ad.Var, "_add_grad", add_grad_copying)
+        assert np.array_equal(bits(got.grad), bits(run(second=True).grad))
+
+    def test_reshape_of_a_borrowed_gradient_stays_borrowed(self):
+        seed = np.arange(24.0)
+        tape = ad.Tape()
+        x = ad.leaf(np.ones((4, 6)), tape)
+        tape.backward(ad.reshape(x, (24,)), seed)
+        assert not x._owns_grad and np.shares_memory(x.grad, seed)
+
+
 def linear_pair(tape):
     """Two ReLU layers over a leaf: (leaf, w0, w1, first activation, loss)."""
     rng = np.random.default_rng(11)
@@ -357,7 +523,31 @@ def two_chain_sweep_peak(sweep):
     return peak, x.grad, store.grads
 
 
+# The tracemalloc peak of train_step_peak(), at most. Set from a measured
+# 14.23-14.49 MB (numpy 2.4.6, Python 3.11); a train step that keeps one
+# more (2048, 128) float32 gradient buffer alive, as a tape whose new
+# gradients stay borrowed does (15.28-15.54 MB), exceeds it.
+TRAIN_PEAK_BOUND = 14_600_000
+
+
+def train_step_peak(tmp_path):
+    """tracemalloc peak (bytes) of a one-step train_estimator run: one
+    2048-point scene, both priors on."""
+    scene = sample_scene(make_instance("laptop", 4), np.random.SeedSequence([4, 1]), n_points=2048, scene_id="s0")
+    cfg = E.TrainConfig(epochs=1, batch_size=1, lr=3e-3, lambda_adv=0.1, lambda_diff=1.0, seed=9)
+    tracemalloc.start()
+    try:
+        E.train_estimator([scene], cfg, tmp_path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSweepMemory:
+    def test_train_step_peak_within_bound(self, tmp_path):
+        peak = train_step_peak(tmp_path)
+        assert peak <= TRAIN_PEAK_BOUND, peak
+
     def test_peak_at_most_half_of_retaining_sweep_same_grads(self):
         peak, x_grad, grads = two_chain_sweep_peak(ad.Tape.backward)
         peak_kept, x_grad_kept, grads_kept = two_chain_sweep_peak(backward_retaining)

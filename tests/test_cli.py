@@ -585,7 +585,7 @@ def test_removed_options_are_not_flags(capsys, argv):
     ],
     ids=["tta", "hand-opt"],
 )
-def test_checkpoint_without_the_prior_is_usage_error(trained, tmp_path, capsys, command, group, message):
+def test_checkpoint_without_the_prior_is_usage_error(trained, tmp_path, capsys, monkeypatch, command, group, message):
     # what training writes with that prior's weight at 0
     root, ds, ckpt = trained
     stores, meta = nn.load_checkpoint(ckpt)
@@ -593,6 +593,12 @@ def test_checkpoint_without_the_prior_is_usage_error(trained, tmp_path, capsys, 
     other = tmp_path / "other.ckpt"
     nn.save_checkpoint(other, stores, meta=meta)
     out = tmp_path / "report.csv"
+
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("the dataset was read before the checkpoint was checked")
+
+    # the checkpoint is checked before any scene is read
+    monkeypatch.setattr(cli, "load_dataset", no_dataset)
     assert cli.main([command, "--checkpoint", str(other), "--dataset", str(ds), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()

@@ -459,14 +459,14 @@ class TestTraining:
     def test_single_scene_overfit(self, scene, tmp_path):
         cfg = E.TrainConfig(epochs=60, batch_size=1, lr=3e-3, seed=1)
         E.train_estimator([scene], cfg, tmp_path)
-        rows = list(csv.reader(open(tmp_path / "loss_log.csv")))
+        rows = list(csv.reader((tmp_path / "loss_log.csv").read_text().splitlines()))
         first, last = float(rows[1][1]), float(rows[-1][1])
         assert last < 0.3 * first
 
     def test_pose_only_config_logs_zero_prior_terms(self, scene, tmp_path):
         cfg = E.TrainConfig(epochs=3, batch_size=1, seed=2)
         E.train_estimator([scene], cfg, tmp_path)
-        rows = list(csv.reader(open(tmp_path / "loss_log.csv")))
+        rows = list(csv.reader((tmp_path / "loss_log.csv").read_text().splitlines()))
         head = rows[0]
         for row in rows[1:]:
             rec = dict(zip(head, row))
@@ -487,7 +487,7 @@ class TestTraining:
         monkeypatch.setattr(priors, "g_adv_loss_graph", spy)
         cfg = E.TrainConfig(epochs=5, batch_size=1, lr=3e-3, lambda_adv=0.1, seed=2)
         E.train_estimator([scene, scene], cfg, tmp_path)
-        rows = list(csv.DictReader(open(tmp_path / "loss_log.csv")))
+        rows = list(csv.DictReader((tmp_path / "loss_log.csv").read_text().splitlines()))
         counts = [int(row["adv_scenes"]) for row in rows]
         # epochs where neither, one and both of the two batches fed L_adv
         assert set(counts) == {0, 1, 2}
@@ -517,7 +517,7 @@ class TestTraining:
         log_a, log_b = (tmp_path / side / "loss_log.csv" for side in "ab")
         assert log_a.read_bytes() == log_b.read_bytes()
         # estimator + diffuser on every batch, the discriminator on each batch that fed L_adv
-        adv_scenes = sum(int(row["adv_scenes"]) for row in csv.DictReader(open(log_a)))
+        adv_scenes = sum(int(row["adv_scenes"]) for row in csv.DictReader(log_a.read_text().splitlines()))
         assert adv_scenes > 0
         assert sorted(stores_per_call) == [1] * adv_scenes + [2] * 6
 

@@ -20,9 +20,12 @@ from artipose.gradcheck import f64_store, fd_pairs
 from helpers import (
     bits,
     box_check_allclose,
+    grad_onto,
     linear_chain,
+    nan,
     rel_err,
     rotation_check_allclose,
+    special_pool,
     take_scatter,
     vmax_argmax,
 )
@@ -41,13 +44,6 @@ def grads(op, data, seed, *args, **kwargs):
     out = op(a, *args, **kwargs)
     tape.backward(out, seed)
     return out.data, a.grad
-
-
-def nan(payload, negative, dtype):
-    """A quiet NaN with the given payload and sign bit."""
-    if dtype == np.float32:
-        return np.uint32(0x7FC00000 | payload | (negative << 31)).view(np.float32)
-    return np.uint64(0x7FF8000000000000 | payload | (negative << 63)).view(np.float64)
 
 
 class TestTakeView:
@@ -121,47 +117,6 @@ class TestTakeView:
         assert np.array_equal(bits(got), bits(want))
 
 
-def special_pool(dtype):
-    """Eight values whose sums round or propagate unusually: signed zeros,
-    infinities, NaNs with distinct payloads and signs, and two normals."""
-    return np.array(
-        [-0.0, 0.0, np.inf, -np.inf, nan(0x15, 0, dtype), nan(0x2A, 1, dtype), 1.5, -2.25],
-        dtype=dtype,
-    )
-
-
-def take_onto(take_fn, kind, prior, g, idx, axis):
-    """Sweep a graph in which take's backward hands `g` to a leaf whose
-    gradient already holds `prior`: an owned array, a borrowed view of the
-    seed, or a read-only broadcast from vsum (then `prior` is constant along
-    axis 0). Returns the leaf's grad and whether the seed came out unchanged."""
-    tape = ad.Tape()
-    a = ad.leaf(np.zeros(prior.shape, dtype=prior.dtype), tape)
-    pieces, seeds = [take_fn(a, idx, axis=axis)], [g]
-    if kind == "broadcast":
-        pieces.append(ad.vsum(a, axis=0))
-        seeds.append(prior[0])
-    else:
-        pieces.append(ad.reshape(a, prior.shape))
-        seeds.append(prior)
-    if kind == "owned":  # a second contribution of -0.0 keeps every bit of prior
-        pieces.append(ad.reshape(a, prior.shape))
-        seeds.append(np.full(prior.shape, -0.0, dtype=prior.dtype))
-    take_out, take_back = tape._ops[0]
-
-    def check_prior(grad):
-        assert a._owns_grad == (kind == "owned")
-        assert (0 in a.grad.strides) == (kind == "broadcast")
-        assert np.array_equal(bits(a.grad), bits(np.broadcast_to(prior, a.grad.shape)))
-        take_back(grad)
-
-    tape._ops[0] = (take_out, check_prior)
-    seed = np.concatenate([s.reshape(-1) for s in seeds])
-    before = seed.copy()
-    tape.backward(ad.concat([ad.reshape(p, (-1,)) for p in pieces], axis=0), seed)
-    return a.grad, np.array_equal(bits(seed), bits(before))
-
-
 class TestTakeAccumulate:
     """take's backward onto an existing gradient, bit for bit against the
     dense form grad + full of take_scatter, full the scatter-add into zeros."""
@@ -190,10 +145,11 @@ class TestTakeAccumulate:
             prior[tuple(sl)] = np.tile(pool, 8).reshape(out_shape)
         else:
             prior[...] = prior[0]
+        data = np.zeros(shape, dtype=dtype)
         with np.errstate(invalid="ignore"):  # inf + -inf
-            got, seed_kept = take_onto(ad.take, kind, prior, g, idx, axis)
-            want, _ = take_onto(take_scatter, kind, prior, g, idx, axis)
-        assert seed_kept
+            got, seed_kept, met = grad_onto(lambda a: ad.take(a, idx, axis=axis), kind, data, prior, g)
+            want, _, _ = grad_onto(lambda a: take_scatter(a, idx, axis=axis), kind, data, prior, g)
+        assert seed_kept and met == [(kind == "owned", kind == "broadcast", True)]
         assert got.dtype == want.dtype and got.strides == want.strides
         assert np.array_equal(bits(got), bits(want))
 

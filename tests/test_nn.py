@@ -1,8 +1,10 @@
 """Differentiation substrate: MLP forward/backward on a tape, Adam, embeddings, checkpoints."""
 
+import gc
 import json
 import re
 import struct
+import warnings
 import zipfile
 
 import numpy as np
@@ -303,6 +305,17 @@ class TestCheckpoint:
                 np.save(f, np.ones(3, dtype=np.float32))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not a version-2 checkpoint"):
             nn.load_checkpoint(path)
+
+    def test_truncated_file_is_closed(self, tmp_path):
+        path = tmp_path / "truncated.ckpt"
+        nn.save_checkpoint(path, {"m": make_store(nn.MlpSpec((3, 2)), seed=26)})
+        path.write_bytes(path.read_bytes()[:-40])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="is not a version-2 checkpoint"):
+                nn.load_checkpoint(path)
+            gc.collect()  # a file left open warns when it is collected
+        assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     @pytest.mark.parametrize("header", [{"version": 1, "meta": {}}, {"meta": {}}, {"version": 2}, [2]])
     def test_other_headers_rejected(self, tmp_path, header):

@@ -928,12 +928,14 @@ class TestDataset:
     @pytest.mark.parametrize(
         "name, index, message",
         [
+            ("poses.f32", 4, "rotation entries must be finite"),  # part 0's R[1, 1]
             ("poses.f32", 9, "translation must be finite"),  # part 0's t[0]
             ("poses.f32", 25, "scale must be positive and finite, got nan"),  # part 1's s
+            ("hand_params.f32", 0, "rotation entries must be finite"),
             ("hand_params.f32", 10, "root position must be finite"),
             ("hand_params.f32", 20, "joint angles outside"),
         ],
-        ids=["pose-translation", "pose-scale", "hand-root", "hand-angle"],
+        ids=["pose-rotation", "pose-translation", "pose-scale", "hand-rotation", "hand-root", "hand-angle"],
     )
     def test_nan_in_pose_or_hand_file_rejected(self, one_scene, tmp_path, name, index, message):
         root = shutil.copytree(one_scene, tmp_path / "ds")
@@ -941,7 +943,7 @@ class TestDataset:
         data = np.frombuffer(path.read_bytes(), dtype="<f4").copy()
         data[index] = np.nan
         path.write_bytes(data.tobytes())
-        with pytest.raises(ValueError, match=f"^{message}"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"scene scene_000000: {name}: {message}")):
             load_dataset(root)
 
     def test_negative_count_rejected(self, tmp_path):
