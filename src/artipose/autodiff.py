@@ -34,6 +34,23 @@ numpy can round a later reduction differently by memory layout, so
 tests/test_autodiff.py checks whole training runs bit for bit against a
 tape that copies every first gradient.
 
+Row blocks. When `g` spans two or more ROW_BLOCK = 1024 row blocks,
+`linear`'s backward masks an owned `g` by its ReLU one block at a time, and
+when its input x already owns a C-ordered gradient it adds `g[lo:hi] @ w.T`
+into `x.grad[lo:hi]` block by block, so it holds no full-size mask or
+product. The cuts come from `row_cuts`: inner cuts on multiples of
+ROW_BLOCK, and the last block keeps the remainder, so no block is shorter
+than ROW_BLOCK. The blocked sum is the single product's bit for bit only
+because the BLAS computes each output row the same way in every product of
+at least ROW_BLOCK rows; a short block (37 rows, or blocks of 64) rounds
+some rows differently on OpenBLAS 0.3.31. A first or borrowed gradient,
+and any `g` of one block (TTA's 1024-row tapes, the gradient checks), take
+the single product.
+tests/test_autodiff.py's TestRowBlocks checks the blocked sum against the
+single product and the copying tape, a training run on a 2048-point scene
+against one with a single block, and that a 37-row last block changes the
+bits; the one-BLAS-thread CI step runs it again.
+
 Gradient lifetime. `Tape.backward` pops each record as it sweeps it, in
 the same reverse order, and once a record's backward has run its output Var
 drops its grad: no later record can add to it, since every op that read it
@@ -91,6 +108,19 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .geometry import cross
+
+
+ROW_BLOCK = 1024  # linear's backward adds x's gradient in blocks of at least this many rows
+
+
+def row_cuts(n: int, multiple: int, parts: int) -> list[int]:
+    """Bounds of k = min(parts, n // multiple) contiguous row blocks (at
+    least one): the inner cuts fall on multiples of `multiple`, and the
+    last block keeps the remainder rows, so no block of two or more is
+    shorter than `multiple`."""
+    blocks = n // multiple
+    k = max(1, min(parts, blocks))
+    return [multiple * (blocks * i // k) for i in range(k)] + [n]
 
 
 class Tape:
@@ -307,7 +337,10 @@ def linear(x: Var, w: Var, b: Var, relu: bool, shift: Var | None = None) -> Var:
     first, then shift, then x, then w. x and w are 2-D, and b and shift have
     the dtype of x @ w (the sums and the ReLU are taken in place). The
     in-place ReLU keeps NaN where np.where(out > 0, out, 0) gives 0; the
-    backward masks by `out > 0` on the activated output.
+    backward masks by `out > 0` on the activated output. A backward over
+    two or more ROW_BLOCK row blocks masks an owned `g`, and adds into a
+    gradient x owns, block by block (see "Row blocks" in the module
+    docstring).
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeMismatch(f"linear {x.data.shape} @ {w.data.shape}")
@@ -325,9 +358,22 @@ def linear(x: Var, w: Var, b: Var, relu: bool, shift: Var | None = None) -> Var:
     req = req or (shift is not None and shift.requires_grad)
     out = Var(out_data, x.tape, req)
     if req:
+        def x_grad(gb):
+            if w.data.shape[1] == 1:
+                # the outer product without matmul's slow narrow path;
+                # + 0.0 turns -0.0 into the +0.0 BLAS gives
+                gx = gb * w.data.T
+                gx += 0.0
+                return gx
+            return gb @ w.data.T
+
         def back(g, owned):
+            n = g.shape[0]
+            cuts = row_cuts(n, ROW_BLOCK, n // ROW_BLOCK)
+            spans = list(zip(cuts[:-1], cuts[1:]))
             if relu and owned and g.flags.c_contiguous:
-                g *= out_data > 0
+                for lo, hi in spans:
+                    g[lo:hi] *= out_data[lo:hi] > 0
             elif relu:
                 g = g * (out_data > 0)
             if b.requires_grad:
@@ -335,14 +381,12 @@ def linear(x: Var, w: Var, b: Var, relu: bool, shift: Var | None = None) -> Var:
             if shift is not None and shift.requires_grad:
                 shift._own_grad(g.reshape(S, -1, H).sum(axis=1))
             if x.requires_grad:
-                if w.data.shape[1] == 1:
-                    # the outer product without matmul's slow narrow path;
-                    # + 0.0 turns -0.0 into the +0.0 BLAS gives
-                    gx = g * w.data.T
-                    gx += 0.0
+                if len(spans) > 1 and x._owns_grad and x.grad.flags.c_contiguous:
+                    # one block's product at a time (see "Row blocks")
+                    for lo, hi in spans:
+                        x.grad[lo:hi] += x_grad(g[lo:hi])
                 else:
-                    gx = g @ w.data.T
-                x._own_grad(gx)
+                    x._own_grad(x_grad(g))
             if w.requires_grad:
                 w._own_grad(x.data.T @ g)
         x.tape.record(out, back)

@@ -24,7 +24,7 @@ from . import priors as priors_mod
 from . import tta as tta_mod
 from .errors import ArtiposeError, UsageError
 from .synth import CATEGORIES, generate_dataset, load_dataset
-from .synth.io import DEFAULT_N_POINTS
+from .synth.io import DEFAULT_N_POINTS, MIN_N_POINTS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,10 +45,11 @@ def _bounded(name: str, cast, rule: str, ok):
     return parse
 
 
-# counts and limits; iterations and draws; learning rates (NaN is not > 0);
-# distances
+# counts, limits and seeds; iterations and draws; cloud sizes; learning
+# rates (NaN is not > 0); distances
 non_negative_int = _bounded("non_negative_int", int, ">= 0", lambda v: v >= 0)
 positive_int = _bounded("positive_int", int, ">= 1", lambda v: v >= 1)
+cloud_size = _bounded("cloud_size", int, f">= {MIN_N_POINTS}", lambda v: v >= MIN_N_POINTS)
 positive_float = _bounded("positive_float", float, "> 0", lambda v: v > 0)
 non_negative_float = _bounded("non_negative_float", float, "finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
 
@@ -61,9 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_synth)
     p.add_argument("--category", required=True, choices=CATEGORIES)
     p.add_argument("--count", type=non_negative_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--points", type=int, default=DEFAULT_N_POINTS)
+    p.add_argument("--points", type=cloud_size, default=DEFAULT_N_POINTS)
 
     p = sub.add_parser("train", help="train estimator (+ priors) from a JSON config")
     p.set_defaults(run=cmd_train)

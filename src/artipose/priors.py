@@ -272,9 +272,7 @@ def _chain_cuts(n_points: int) -> list[int]:
     """Bounds of k = min(usable CPUs, N // CHAIN_BLOCK) contiguous chunks
     (at least one): the inner cuts fall on multiples of CHAIN_BLOCK, and
     the last chunk keeps the remainder rows."""
-    blocks = n_points // CHAIN_BLOCK
-    k = max(1, min(parallel.usable_cpus(), blocks))
-    return [CHAIN_BLOCK * (blocks * i // k) for i in range(k)] + [n_points]
+    return ad.row_cuts(n_points, CHAIN_BLOCK, parallel.usable_cpus())
 
 
 def _reverse_chain(

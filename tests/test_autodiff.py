@@ -1,7 +1,8 @@
 """The tape's borrowed and owned gradients, gather backward and fused linear
 op, checked bit for bit against the copying, scattering and three-op forms
 kept in helpers.py; whole training runs also swap in the np.take, argmax
-and np.cross forward forms. The sweep's lifetimes: a swept tape is empty,
+and np.cross forward forms. linear's row-blocked input gradient is checked
+against one product. The sweep's lifetimes: a swept tape is empty,
 op outputs drop their grads and leaves keep theirs, its tracemalloc peak
 stays under half of the retaining loop's in helpers.py, and a one-step
 training run stays under TRAIN_PEAK_BOUND."""
@@ -469,6 +470,115 @@ class TestOwnedGradients:
         assert not x._owns_grad and np.shares_memory(x.grad, seed)
 
 
+def row_block_case(n, width, dtype):
+    """Inputs of row_block_sweep: a (n, k) x, linear's (k, h) w and b, the
+    later ops' weights and a seed with signed zeros (`width` = (k, h))."""
+    k, h = width
+    rng = np.random.default_rng(n + k + h)
+    x, w, b = (rng.normal(size=shape).astype(dtype) for shape in ((n, k), (k, h), h))
+    top_w, side_w = rng.normal(size=(h, h)).astype(dtype), rng.normal(size=(k, 4)).astype(dtype)
+    return x, w, b, top_w, side_w, signed_seed((n, h + 4), dtype, rng)
+
+
+def row_block_sweep(case, relu, kind):
+    """x's gradient and the cuts linear's backward took, for a leaf x that
+    already owns a gradient (a later matmul's product) when the backward of
+    linear(x) adds into it. Linear's output gets an owned gradient from a
+    later matmul ("owned"), or borrows a slice of the seed ("borrowed") or
+    a strided column slice of it ("strided")."""
+    x, w, b, top_w, side_w, seed = case
+    cuts, row_cuts = [], ad.row_cuts
+
+    def spy(*args):
+        cuts.append(row_cuts(*args))
+        return cuts[-1]
+
+    tape = ad.Tape()
+    xv = ad.leaf(x, tape)
+    out = ad.linear(xv, ad.const(w, tape), ad.const(b, tape), relu=relu)
+    top = ad.matmul(out, top_w) if kind == "owned" else out
+    side = ad.matmul(xv, side_w)  # recorded last: x owns its product first
+    if kind == "strided":
+        total = ad.concat([top, side], axis=1)
+    else:
+        total = ad.concat([ad.reshape(top, (-1,)), ad.reshape(side, (-1,))], axis=0)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ad, "row_cuts", spy)
+        tape.backward(total, seed.reshape(total.data.shape))
+    return xv.grad, cuts
+
+
+ROW_WIDTHS = [(3, 128), (64, 64), (128, 3), (128, 1)]  # (x's width, linear's width)
+# (linear's output gradient, ReLU); a strided g is masked into a packed one
+ROW_GRADS = [("owned", True), ("owned", False), ("borrowed", True), ("borrowed", False), ("strided", False)]
+
+
+class TestRowBlocks:
+    """linear's backward adds its x gradient into an owned one row block at a
+    time, bit for bit the one product the copying tape adds."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("width", ROW_WIDTHS, ids=lambda kh: "%d-%d" % kh)
+    @pytest.mark.parametrize("n", [2048, 2085, 8193, 9092])
+    def test_blocked_sum_is_the_one_product(self, n, width, dtype, monkeypatch):
+        case = row_block_case(n, width, dtype)
+        for kind, relu in ROW_GRADS:
+            got, [cuts] = row_block_sweep(case, relu, kind)
+            assert len(cuts) - 1 == n // ad.ROW_BLOCK >= 2
+            with monkeypatch.context() as m:
+                m.setattr(ad, "ROW_BLOCK", n + 1)  # one block: one product, added in place
+                one, [whole] = row_block_sweep(case, relu, kind)
+                assert whole == [0, n]
+                m.setattr(ad.Var, "_add_grad", add_grad_copying)
+                want, _ = row_block_sweep(case, relu, kind)
+            assert got.dtype == want.dtype == one.dtype
+            assert np.array_equal(bits(got), bits(one)), (kind, relu)
+            assert np.array_equal(bits(got), bits(want)), (kind, relu)
+
+    @pytest.mark.parametrize("multiple", [1, 64, 1024])
+    def test_row_cuts_on_multiples_no_block_short(self, multiple):
+        for n in (0, 1, 63, 64, 65, 127, 128, 1000, 1024, 2047, 2048, 2085, 9092):
+            for parts in (0, 1, 2, 3, 8, 10**6):
+                cuts = ad.row_cuts(n, multiple, parts)
+                assert cuts[0] == 0 and cuts[-1] == n
+                assert len(cuts) - 1 == max(1, min(parts, n // multiple))
+                assert all(c % multiple == 0 for c in cuts[:-1])
+                # only a lone block may be shorter than the multiple
+                assert all(hi - lo >= min(n, multiple) for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+    def test_training_bytes_as_with_one_block(self, tmp_path, monkeypatch):
+        # one 2048-point scene: the shared features' gradient takes two blocks
+        cuts, row_cuts = [], ad.row_cuts
+
+        def spy(*args):
+            cuts.append(row_cuts(*args))
+            return cuts[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(ad, "row_cuts", spy)
+            blocked = train_bytes(tmp_path, "blocked", n_points=2048, epochs=1)
+        assert [0, 1024, 2048] in cuts
+        monkeypatch.setattr(ad, "ROW_BLOCK", 2049)
+        assert train_bytes(tmp_path, "one", n_points=2048, epochs=1) == blocked
+
+    def test_a_short_last_block_changes_the_bits(self, monkeypatch):
+        # the rule matters: with a 37-row last block, the product of the
+        # short block rounds differently from the same rows of one product
+        def short_last(n, multiple, parts):
+            return list(range(0, n - 37, multiple)) + [n - 37, n]
+
+        differs = []
+        for n in (2085, 9092):
+            for dtype in DTYPES:
+                case = row_block_case(n, (3, 128), dtype)
+                want, _ = row_block_sweep(case, False, "owned")
+                with monkeypatch.context() as m:
+                    m.setattr(ad, "row_cuts", short_last)
+                    got, _ = row_block_sweep(case, False, "owned")
+                differs.append(not np.array_equal(bits(got), bits(want)))
+        assert any(differs), differs
+
+
 def linear_pair(tape):
     """Two ReLU layers over a leaf: (leaf, w0, w1, first activation, loss)."""
     rng = np.random.default_rng(11)
@@ -524,10 +634,10 @@ def two_chain_sweep_peak(sweep):
 
 
 # The tracemalloc peak of train_step_peak(), at most. Set from a measured
-# 14.23-14.49 MB (numpy 2.4.6, Python 3.11); a train step that keeps one
-# more (2048, 128) float32 gradient buffer alive, as a tape whose new
-# gradients stay borrowed does (15.28-15.54 MB), exceeds it.
-TRAIN_PEAK_BOUND = 14_600_000
+# 13.64-13.90 MB (numpy 2.4.6, Python 3.11) plus 0.1 MB; a train step that
+# adds linear's full (2048, 128) float32 input-gradient product at once,
+# instead of one row block at a time, exceeds it (14.23-14.48 MB).
+TRAIN_PEAK_BOUND = 14_000_000
 
 
 def train_step_peak(tmp_path):
@@ -558,9 +668,9 @@ class TestSweepMemory:
             assert np.array_equal(bits(grads[name]), bits(grads_kept[name])), name
 
 
-def train_bytes(tmp_path, tag):
-    scene = sample_scene(make_instance("laptop", 4), np.random.SeedSequence([4, 1]), n_points=512, scene_id="s0")
-    cfg = E.TrainConfig(epochs=3, batch_size=1, lr=3e-3, lambda_adv=0.1, lambda_diff=1.0, seed=9)
+def train_bytes(tmp_path, tag, n_points=512, epochs=3):
+    scene = sample_scene(make_instance("laptop", 4), np.random.SeedSequence([4, 1]), n_points=n_points, scene_id="s0")
+    cfg = E.TrainConfig(epochs=epochs, batch_size=1, lr=3e-3, lambda_adv=0.1, lambda_diff=1.0, seed=9)
     ckpt = E.train_estimator([scene], cfg, tmp_path / tag)
     return ckpt.read_bytes(), (tmp_path / tag / cfg.loss_log).read_bytes()
 
