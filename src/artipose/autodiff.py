@@ -62,8 +62,10 @@ are not kept, as in PyTorch without `retain_grad`.
 
 Forward-only passes. A tape that is never swept is built with
 `Tape(grad=False)`: leaves and parameters enter it as consts, so no op
-records anything, and `backward` on it raises. Inference, the sampler and
-the finite-difference evaluations run the training graph builders this way.
+records anything, and `backward` on it raises. Inference and the
+finite-difference evaluations run the training graph builders this way.
+The contact sampler builds no tape at all: `ContactDiffuser.denoise_value`
+is plain numpy with the ops of `linear` in their order.
 
 Views and exact values. `take` over a run of consecutive indices returns
 a view: the output aliases its input, and it is marked read-only, so no op

@@ -5,6 +5,13 @@ tape from the scalar loss, then per store a flush that sets its grad
 buffers (zeroed, then each recorded use's gradient added in tape order),
 then one Adam step per store, in the order given.
 
+A store holds training state only once training reads it: a parameter's
+grad buffer and Adam moments are created as zeros of its shape and dtype
+the first time they are read, so a store that is only loaded and run
+forward (eval, the sampler, a TTA clone before its first step) holds its
+parameters alone. Loading the bench's 20-epoch checkpoint holds 1.33 MB
+(tracemalloc) where zero-filled state for every parameter held 5.09 MB.
+
 A checkpoint is an uncompressed numpy `.npz` archive, version 2: one
 little-endian float32 array per `group/name` parameter, plus a `header`
 string array holding the JSON `{"version": 2, "meta": ...}`. It loads
@@ -30,8 +37,23 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+class _ZeroState(dict):
+    """Per-parameter state by name: an array read before it was stored is
+    created as zeros of the parameter's current shape and dtype, and kept."""
+
+    def __init__(self, params: dict):
+        super().__init__()
+        self._params = params
+
+    def __missing__(self, name: str) -> np.ndarray:
+        param = self._params[name]
+        state = self[name] = np.zeros(param.shape, param.dtype)
+        return state
+
+
 class ParamStore:
-    """Named float32 parameters with paired grad buffers and Adam state.
+    """Named float32 parameters with grad buffers and Adam state created on
+    first use (see the module docstring).
 
     Single-writer: one training loop mutates a store. `version` bumps on
     every mutation so stale tapes can be rejected.
@@ -39,20 +61,16 @@ class ParamStore:
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self.grads = _ZeroState(self.params)
+        self._m = _ZeroState(self.params)
+        self._v = _ZeroState(self.params)
         self.step = 0
         self.version = 0
 
     def add(self, name: str, value: np.ndarray) -> None:
         if name in self.params:
             raise ValueError(f"duplicate parameter {name!r}")
-        arr = np.ascontiguousarray(value, dtype=np.float32)
-        self.params[name] = arr
-        self.grads[name] = np.zeros_like(arr)
-        self._m[name] = np.zeros_like(arr)
-        self._v[name] = np.zeros_like(arr)
+        self.params[name] = np.ascontiguousarray(value, dtype=np.float32)
 
     def names(self) -> list[str]:
         return list(self.params)

@@ -8,6 +8,7 @@ nn.descend are called nowhere else, but for gradcheck's probe. The names of
 a scene's dataset files are written only in synth.io.SCENE_FILES. A
 checkpoint's group names and the meta key that rebuilds the diffuser are
 read and written only by estimator.Models and estimator.load_estimator. The
+contact sampler names no tape, const or mlp_apply. The
 settable values (defaulted parameters, dataclass fields and CLI arguments)
 stay within SETTABLE_BOUND."""
 
@@ -318,6 +319,60 @@ def test_scene_files_named_only_in_their_table():
         for where in scene_file_names(path.read_text(encoding="utf-8"))
     ]
     assert found == [f"synth/io.py: SCENE_FILES: {name}" for name in SCENE_FILES]
+
+
+# The contact sampler runs without the autodiff engine: these functions of
+# priors.py name none of ENGINE_NAMES (ad.Tape, ad.const, nn.mlp_apply).
+TAPE_FREE = ("ContactDiffuser.denoise_value", "_reverse_chain", "sample_contact_map")
+ENGINE_NAMES = {("ad", "Tape"), ("ad", "const"), ("nn", "mlp_apply")}
+
+
+def engine_names_in(source: str, functions) -> dict:
+    """{qualified function name: ["module.name", ...]} for each of
+    `functions` found in `source`: the ENGINE_NAMES it or a function nested
+    in it names, as an attribute of the module's name."""
+    found = {}
+
+    def visit(node, where, inside):
+        for child in ast.iter_child_nodes(node):
+            inner, scope = where, inside
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if where == "<module>" else f"{where}.{child.name}"
+                if inside is None and inner in functions:
+                    scope = inner
+                    found[scope] = []
+            elif (
+                inside is not None
+                and isinstance(child, ast.Attribute)
+                and isinstance(child.value, ast.Name)
+                and (child.value.id, child.attr) in ENGINE_NAMES
+            ):
+                found[inside].append(f"{child.value.id}.{child.attr}")
+            visit(child, inner, scope)
+
+    visit(ast.parse(source), "<module>", None)
+    return found
+
+
+def test_finds_engine_names():
+    source = (
+        "from . import autodiff as ad, nn\n"
+        "class C:\n    def value(self, x):\n        tape = ad.Tape(grad=False)\n"
+        "        return nn.mlp_apply(self.spec, self.store, 'eps', ad.const(x, tape)).data\n"
+        "    def graph(self, tape, x):\n        return ad.const(x, tape)\n"
+        "def sample(c, x):\n    def run(lo):\n        return ad.Tape\n    return np.tape.const(x)\n"
+        "def chain(c, x):\n    return c.value(x)\n"
+    )
+    assert engine_names_in(source, ("C.value", "sample", "chain")) == {
+        "C.value": ["ad.Tape", "nn.mlp_apply", "ad.const"],
+        "sample": ["ad.Tape"],
+        "chain": [],
+    }
+
+
+def test_sampler_names_no_engine():
+    found = engine_names_in((SRC / "priors.py").read_text(encoding="utf-8"), TAPE_FREE)
+    assert found == {name: [] for name in TAPE_FREE}
 
 
 # A checkpoint's groups, and the meta key the diffuser's schedule comes from;

@@ -204,6 +204,40 @@ class TestAdam:
         assert all(b < a for a, b in zip(losses, losses[1:])), losses
 
 
+class TestStateOnFirstUse:
+    def test_loaded_store_holds_no_state_until_a_descend(self, tmp_path):
+        spec = nn.MlpSpec((3, 5, 2))
+        path = tmp_path / "model.ckpt"
+        saved = {"a": make_store(spec, seed=23), "b": make_store(nn.MlpSpec((2, 2)), seed=24)}
+        nn.save_checkpoint(path, saved)
+        stores, _ = nn.load_checkpoint(path)
+        for store in stores.values():
+            assert (len(store.grads), len(store._m), len(store._v)) == (0, 0, 0)
+
+        store = stores["a"]
+        tape = ad.Tape()
+        y = nn.mlp_apply(spec, store, "mlp", ad.const(np.random.default_rng(25).normal(size=(4, 3)), tape))
+        nn.descend(tape, ad.vsum(ad.mul(y, y)), [store], lr=1e-3)
+        for name, param in store.params.items():
+            g, m, v = store.grads[name], store._m[name], store._v[name]
+            for state in (g, m, v):
+                assert state.dtype == np.float32 and state.shape == param.shape, name
+            # zero-started moments after one step
+            assert np.array_equal(m, (1.0 - nn.ADAM_BETA1) * g), name
+            assert np.array_equal(v, (1.0 - nn.ADAM_BETA2) * g * g), name
+        assert len(stores["b"].grads) == 0
+
+    def test_f64_store_state_is_float64(self):
+        spec = nn.MlpSpec((3, 4, 1))
+        store = f64_store(make_store(spec, seed=26))
+        y, _, tape = forward(spec, store, np.random.default_rng(27).normal(size=(5, 3)))
+        backward(store, tape, y, np.ones_like(y.data))
+        nn.adam_step(store, lr=1e-3)
+        for name in store.names():
+            for arrays in (store.params, store.grads, store._m, store._v):
+                assert arrays[name].dtype == np.float64, name
+
+
 # ---------------------------------------------------------------------------
 # time embedding
 # ---------------------------------------------------------------------------
