@@ -60,6 +60,23 @@ behind the sweep is freed as it goes. Leaves (`leaf` inputs and the
 parameters from `ParamStore.use`) keep their grads; the grads of op outputs
 are not kept, as in PyTorch without `retain_grad`.
 
+Rebuilt activations. `linear(..., rebuild=True)` on a recording tape marks
+its output as rebuilt: an activation whose one forward consumer is another
+`linear`. The consumer drops the array (its `data` becomes None) once its
+own product is taken, so nothing holds it from then until the backward. The
+consumer's backward, the first to read it (its input gradient takes the
+activation's shape and dtype, its weight gradient its values), recomputes
+it through `Var._value`: one call over all rows with the forward's ops, so
+it is the dropped array bit for bit, as long as the BLAS gives the same
+bits for the same call (the one-BLAS-thread CI step runs the rebuild tests
+again). The producer's ReLU mask reads the rebuilt array, which stays on
+its Var until the producer's record pops. This trades one more
+forward product per marked layer for its memory, as in Chen et al.,
+"Training Deep Nets with Sublinear Memory Cost" (arXiv 1604.06174). An
+output that records nothing, as on every grad=False tape, is never marked,
+so forward-only passes keep no rebuild state. The estimator marks two
+activations (see estimator.py's module docstring).
+
 Forward-only passes. A tape that is never swept is built with
 `Tape(grad=False)`: leaves and parameters enter it as consts, so no op
 records anything, and `backward` on it raises. Inference and the
@@ -181,12 +198,13 @@ class Var:
     cycle and batch-sized graphs would pile up waiting for the cyclic GC.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_owns_grad", "_tape_ref", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_owns_grad", "_rebuild", "_tape_ref", "__weakref__")
 
     def __init__(self, data, tape: Tape, requires_grad: bool):
         self.data = np.asarray(data)
         self.grad = None
         self._owns_grad = False
+        self._rebuild = None  # recomputes a rebuilt activation's data
         self.requires_grad = requires_grad
         self._tape_ref = weakref.ref(tape)
 
@@ -196,6 +214,13 @@ class Var:
         if tape is None:
             raise RuntimeError("tape was garbage collected; keep it alive while building")
         return tape
+
+    def _value(self) -> np.ndarray:
+        """`data`, recomputed first when it is a rebuilt activation that its
+        consumer dropped (see "Rebuilt activations" in the module docstring)."""
+        if self.data is None:
+            self.data = self._rebuild()
+        return self.data
 
     def _add_grad(self, g):
         """Accumulate `g`, borrowing a first gradient (see the module docstring)."""
@@ -329,7 +354,7 @@ def matmul(a, b):
     return out
 
 
-def linear(x: Var, w: Var, b: Var, relu: bool, shift: Var | None = None) -> Var:
+def linear(x: Var, w: Var, b: Var, relu: bool, shift: Var | None = None, rebuild: bool = False) -> Var:
     """x @ w (+ shift) + b, then a ReLU when `relu`: one op for the chain.
 
     `shift` (S, H) is one row per block: x's rows fall into S blocks of
@@ -342,24 +367,38 @@ def linear(x: Var, w: Var, b: Var, relu: bool, shift: Var | None = None) -> Var:
     backward masks by `out > 0` on the activated output. A backward over
     two or more ROW_BLOCK row blocks masks an owned `g`, and adds into a
     gradient x owns, block by block (see "Row blocks" in the module
-    docstring).
+    docstring). With `rebuild` on a recording tape, the output is a rebuilt
+    activation: its one consumer, a `linear`, drops it, and that consumer's
+    backward recomputes it (see "Rebuilt activations").
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeMismatch(f"linear {x.data.shape} @ {w.data.shape}")
-    out_data = x.data @ w.data
+    n, H = x.data.shape[0], w.data.shape[1]
     if shift is not None:
-        S, H = shift.data.shape
-        if H != out_data.shape[1] or S == 0 or out_data.shape[0] % S:
-            raise ShapeMismatch(f"shift {shift.data.shape} for {out_data.shape} rows")
-        blocks = out_data.reshape(S, -1, H)
-        blocks += shift.data[:, None, :]
-    out_data += b.data
-    if relu:
-        np.maximum(out_data, 0, out=out_data)
+        S = shift.data.shape[0]
+        if shift.data.shape[1] != H or S == 0 or n % S:
+            raise ShapeMismatch(f"shift {shift.data.shape} for {(n, H)} rows")
+
+    def value():
+        out_data = x._value() @ w.data
+        if shift is not None:
+            blocks = out_data.reshape(S, -1, H)
+            blocks += shift.data[:, None, :]
+        out_data += b.data
+        if relu:
+            np.maximum(out_data, 0, out=out_data)
+        return out_data
+
+    out_data = value()
+    if x._rebuild is not None:
+        x.data = None  # its one consumer has run (see "Rebuilt activations")
     req = x.requires_grad or w.requires_grad or b.requires_grad
     req = req or (shift is not None and shift.requires_grad)
     out = Var(out_data, x.tape, req)
     if req:
+        if rebuild:
+            out._rebuild = value
+
         def x_grad(gb):
             if w.data.shape[1] == 1:
                 # the outer product without matmul's slow narrow path;
@@ -370,14 +409,14 @@ def linear(x: Var, w: Var, b: Var, relu: bool, shift: Var | None = None) -> Var:
             return gb @ w.data.T
 
         def back(g, owned):
-            n = g.shape[0]
+            xd = x._value()  # rebuilt here when it was dropped
             cuts = row_cuts(n, ROW_BLOCK, n // ROW_BLOCK)
             spans = list(zip(cuts[:-1], cuts[1:]))
             if relu and owned and g.flags.c_contiguous:
                 for lo, hi in spans:
-                    g[lo:hi] *= out_data[lo:hi] > 0
+                    g[lo:hi] *= out.data[lo:hi] > 0
             elif relu:
-                g = g * (out_data > 0)
+                g = g * (out.data > 0)
             if b.requires_grad:
                 b._add_grad(_unbroadcast(g, b.data.shape))
             if shift is not None and shift.requires_grad:
@@ -390,7 +429,7 @@ def linear(x: Var, w: Var, b: Var, relu: bool, shift: Var | None = None) -> Var:
                 else:
                     x._own_grad(x_grad(g))
             if w.requires_grad:
-                w._own_grad(x.data.T @ g)
+                w._own_grad(xd.T @ g)
         x.tape.record(out, back)
     return out
 

@@ -23,7 +23,7 @@ from . import metrics as metrics_mod
 from . import priors as priors_mod
 from . import tta as tta_mod
 from .errors import ArtiposeError, UsageError
-from .synth import CATEGORIES, generate_dataset, load_dataset
+from .synth import CATEGORIES, generate_dataset, load_dataset, load_manifest
 from .synth.io import DEFAULT_N_POINTS, MIN_N_POINTS
 
 
@@ -128,12 +128,27 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_models(args) -> est_mod.Models:
+    """--checkpoint's networks. A UsageError naming both categories, before
+    any scene is read, when they were trained on another category than
+    --dataset's manifest names: categories of one part count pass every
+    shape check."""
+    models, meta = est_mod.Models.load(args.checkpoint)
+    category = load_manifest(args.dataset)["category"]
+    if meta.get("category") != category:
+        raise UsageError(
+            f"checkpoint {args.checkpoint} was trained on category {meta.get('category')!r}, "
+            f"dataset {args.dataset} is {category!r}"
+        )
+    return models
+
+
 def cmd_eval(args) -> int:
     """Metric rows as CSV to --out, the summary to --out with suffix .json."""
     summary = Path(args.out).with_suffix(".json")
     if summary == Path(args.out):
         raise UsageError(f"--out {args.out} is where the JSON summary goes; name the CSV report otherwise")
-    est = est_mod.Models.load(args.checkpoint).est
+    est = _load_models(args).est
     _, scenes = load_dataset(args.dataset, limit=args.limit)
     preds = []
     for rec in scenes:
@@ -161,7 +176,7 @@ def cmd_tta(args) -> int:
     aborted scene's `after` repeats `before`, its first estimate, where a
     part without a fit reads NaN. "adapted" counts the scenes that did not
     abort; "reduced" those of them whose last loss is below the first."""
-    models = est_mod.Models.load(args.checkpoint)
+    models = _load_models(args)
     if models.disc is None:
         raise UsageError("checkpoint has no discriminator group; train with lambda_adv > 0")
     _, scenes = load_dataset(args.dataset, limit=args.limit)
@@ -201,7 +216,7 @@ def cmd_hand_opt(args) -> int:
     cfg = tta_mod.HandOptConfig(iters=args.iters, lr=args.lr)
     models = None
     if not args.gt_contact:
-        models = est_mod.Models.load(args.checkpoint)
+        models = _load_models(args)
         if models.diffuser is None:
             raise UsageError("checkpoint has no diffuser group; train with lambda_diff > 0")
     _, scenes = load_dataset(args.dataset, limit=args.limit)

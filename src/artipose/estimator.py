@@ -17,6 +17,17 @@ one stacked (P, N) @ (N, L) product per scene. The pose fit (assemble_graph)
 is one batched pass over every part of a batch, with no per-part loop: the
 member masks, Gram-Schmidt, closed forms and posed corners are stacked ops,
 and each part's reason for having no fit is computed alongside.
+
+On a recording tape two per-point activations are rebuilt, not held (see
+"Rebuilt activations" in autodiff.py): the encoder's first layer (B*N x 64,
+a K = 3 product) and the seg head's hidden layer (B*N x 128). The seg head
+is recorded before the NOCS head, so the sweep reaches its hidden layer
+only after the whole NOCS backward, through which a held one would sit; a
+rebuilt NOCS hidden layer would come back where that backward starts. On
+a one-epoch step of eight 1024-point scenes with both priors (numpy 2.4.6,
+one BLAS thread, 2 vCPUs), the tracemalloc peak is 24.1-24.3 MB with these
+two marks and 30.4-30.6 MB with none; marking the NOCS hidden layer
+instead of the seg one leaves 25.9-26.1 MB, at the NOCS backward.
 """
 
 from __future__ import annotations
@@ -166,7 +177,7 @@ class Estimator:
         for i in range(len(LOCAL_WIDTHS) - 1):
             w = self.store.use(f"enc{i}.w0", tape, dtype=h.data.dtype)
             b = self.store.use(f"enc{i}.b0", tape, dtype=h.data.dtype)
-            h = ad.linear(h, w, b, relu=True)
+            h = ad.linear(h, w, b, relu=True, rebuild=i == 0)
         local = h  # (B*N, local_dim)
         stacked = ad.reshape(local, (B, N, self.spec.local_dim))
         mx = ad.vmax(stacked, axis=1)
@@ -182,7 +193,8 @@ class Estimator:
         w0 = self.store.use(f"{name}.w0", local.tape, dtype=dtype)
         b0 = self.store.use(f"{name}.b0", local.tape, dtype=dtype)
         shift = ad.matmul(mx, ad.take(w0, np.arange(L, 2 * L), axis=0))
-        h = ad.linear(local, ad.take(w0, np.arange(L), axis=0), b0, relu=True, shift=shift)
+        w_local = ad.take(w0, np.arange(L), axis=0)
+        h = ad.linear(local, w_local, b0, relu=True, shift=shift, rebuild=name == "seg")
         return nn.mlp_apply(self.spec.head_specs()[name], self.store, name, h, dtype=dtype, start=1)
 
     def heads_graph(self, tape: ad.Tape, local: ad.Var, mx: ad.Var, pooled: ad.Var):
@@ -604,8 +616,8 @@ class Models:
         )
 
     @classmethod
-    def load(cls, path) -> "Models":
-        """Every network `path` holds."""
+    def load(cls, path) -> tuple["Models", dict]:
+        """(every network `path` holds, the checkpoint's meta)."""
         est, meta, stores = load_estimator(path)
         disc = diffuser = None
         if "discriminator" in stores:
@@ -613,4 +625,4 @@ class Models:
         if "diffuser" in stores:
             schedule = priors.NoiseSchedule.linear(meta["diffusion_steps"])
             diffuser = priors.ContactDiffuser(est.spec.feature_dim, stores["diffuser"], schedule)
-        return cls(est, disc, diffuser)
+        return cls(est, disc, diffuser), meta

@@ -72,7 +72,8 @@ def eval_object(preds: list, gts: list) -> MetricsReport:
     """Aggregate object pose metrics over aligned prediction/gt scene lists.
 
     Each list names every scene once, and both name the same scenes;
-    IdMismatch otherwise.
+    IdMismatch otherwise. Over zero scenes every mean, the accuracy and
+    mIoU too, is NaN.
     """
     if len(preds) != len(gts):
         raise IdMismatch(f"{len(preds)} predictions vs {len(gts)} gt scenes")
@@ -113,8 +114,8 @@ def eval_object(preds: list, gts: list) -> MetricsReport:
     return MetricsReport(
         category=gts[0].category if gts else "",
         scene_count=len(preds),
-        acc_5deg5cm=100.0 * float(np.mean(acc_scene)) if acc_scene else 0.0,
-        miou=100.0 * float(np.mean(iou_scene)) if iou_scene else 0.0,
+        acc_5deg5cm=100.0 * float(np.mean(acc_scene)) if acc_scene else float("nan"),
+        miou=100.0 * float(np.mean(iou_scene)) if iou_scene else float("nan"),
         r_err=float(np.mean(r_all)) if r_all else float("nan"),
         t_err=float(np.mean(t_all)) if t_all else float("nan"),
         invalid_parts=invalid,

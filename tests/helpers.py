@@ -444,10 +444,11 @@ def where_relu(a):
     return ad._unary(a, np.where(mask, a.data, 0), lambda g: g * mask)
 
 
-def linear_chain(x, w, b, relu, shift=None):
+def linear_chain(x, w, b, relu, shift=None, rebuild=False):
     """relu(add(matmul(x, w), b)) as three taped ops, with
     add(..., repeat_rows(shift, n)) before the bias when a per-block shift
-    is given: the oracle for the fused autodiff.linear."""
+    is given: the oracle for the fused autodiff.linear. It holds every
+    activation, so `rebuild` is taken and ignored."""
     h = ad.matmul(x, w)
     if shift is not None:
         h = ad.add(h, ad.repeat_rows(shift, x.data.shape[0] // shift.data.shape[0]))

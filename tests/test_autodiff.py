@@ -4,8 +4,11 @@ kept in helpers.py; whole training runs also swap in the np.take, argmax
 and np.cross forward forms. linear's row-blocked input gradient is checked
 against one product. The sweep's lifetimes: a swept tape is empty,
 op outputs drop their grads and leaves keep theirs, its tracemalloc peak
-stays under half of the retaining loop's in helpers.py, and a one-step
-training run stays under TRAIN_PEAK_BOUND."""
+stays under half of the retaining loop's in helpers.py, and one-step
+training runs stay under TRAIN_PEAK_BOUND and EIGHT_SCENE_PEAK_BOUND. The
+rebuilt activations are held by nothing from their consumer's forward to
+the backward, come back bit for bit, and leave training's bytes and record
+count as they are with no activation marked."""
 
 import csv
 import tracemalloc
@@ -27,6 +30,7 @@ from helpers import (
     linear_chain,
     nan,
     special_pool,
+    spy_tapes,
     take_scatter,
     vmax_argmax,
 )
@@ -634,10 +638,17 @@ def two_chain_sweep_peak(sweep):
 
 
 # The tracemalloc peak of train_step_peak(), at most. Set from a measured
-# 13.64-13.90 MB (numpy 2.4.6, Python 3.11) plus 0.1 MB; a train step that
-# adds linear's full (2048, 128) float32 input-gradient product at once,
-# instead of one row block at a time, exceeds it (14.23-14.48 MB).
-TRAIN_PEAK_BOUND = 14_000_000
+# 10.67-10.93 MB (numpy 2.4.6, Python 3.11) plus 0.1 MB. The peak sits in
+# the discriminator's Adam step, while the swept estimator step's tape and
+# outputs are still referenced; the estimator's backward peaks at
+# 8.42-8.67 MB.
+TRAIN_PEAK_BOUND = 11_030_000
+
+# The tracemalloc peak of eight_scene_step_peak(), at most. Set from a
+# measured 24.09-24.35 MB (numpy 2.4.6, Python 3.11) plus 0.25 MB; holding
+# the encoder's first layer and the seg head's hidden layer to the backward
+# instead of rebuilding them exceeds it (30.38-30.64 MB).
+EIGHT_SCENE_PEAK_BOUND = 24_600_000
 
 
 def train_step_peak(tmp_path):
@@ -653,10 +664,50 @@ def train_step_peak(tmp_path):
         tracemalloc.stop()
 
 
+def spy_marks(monkeypatch, strip=False):
+    """Patch ad.linear to note each output it marks rebuilt, as (weakref to
+    the Var, weakref to its forward array, a copy of that array); with
+    `strip`, it marks none."""
+    marked = []
+    linear = ad.linear
+
+    def spy(x, w, b, relu, shift=None, rebuild=False):
+        out = linear(x, w, b, relu, shift=shift, rebuild=rebuild and not strip)
+        if out._rebuild is not None:
+            marked.append((weakref.ref(out), weakref.ref(out.data), out.data.copy()))
+        return out
+
+    monkeypatch.setattr(ad, "linear", spy)
+    return marked
+
+
+def eight_scene_step_peak(tmp_path):
+    """tracemalloc peak (bytes) of a one-epoch train_estimator run: one
+    batch of eight 1024-point scenes, both priors on."""
+    scenes = [
+        sample_scene(make_instance("laptop", 4 + i), np.random.SeedSequence([4, i]), n_points=1024, scene_id=f"s{i}")
+        for i in range(8)
+    ]
+    cfg = E.TrainConfig(epochs=1, batch_size=8, lr=3e-3, lambda_adv=0.1, lambda_diff=1.0, seed=9)
+    tracemalloc.start()
+    try:
+        E.train_estimator(scenes, cfg, tmp_path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSweepMemory:
     def test_train_step_peak_within_bound(self, tmp_path):
         peak = train_step_peak(tmp_path)
         assert peak <= TRAIN_PEAK_BOUND, peak
+
+    def test_eight_scene_step_peak_within_bound(self, tmp_path, monkeypatch):
+        peak = eight_scene_step_peak(tmp_path / "rebuilt")
+        assert peak <= EIGHT_SCENE_PEAK_BOUND, peak
+        spy_marks(monkeypatch, strip=True)
+        held = eight_scene_step_peak(tmp_path / "held")
+        assert held > EIGHT_SCENE_PEAK_BOUND, held
 
     def test_peak_at_most_half_of_retaining_sweep_same_grads(self):
         peak, x_grad, grads = two_chain_sweep_peak(ad.Tape.backward)
@@ -704,3 +755,74 @@ class TestWholeTraining:
         monkeypatch.setattr(ad, "vmax", vmax_argmax)
         monkeypatch.setattr(ad, "cross", np.cross)
         assert train_bytes(tmp_path, "oracle") == (ckpt, log)
+
+
+def marked_sweep(monkeypatch, strip):
+    """Build and sweep a two-scene encoder and heads graph (1024 points
+    each); returns (spy_marks's notes, each marked Var's data and forward
+    array after the forward, the bits of each rebuilt array, whether each
+    marked Var outlived the sweep, the flushed param grads)."""
+    est = E.Estimator.create(E.EstimatorSpec(part_count=2), seed=3)
+    clouds = np.random.default_rng(13).normal(size=(2, 1024, 3)).astype(np.float32)
+    with monkeypatch.context() as m:
+        marked = spy_marks(m, strip)
+        tape = ad.Tape()
+        seg, nocs, rot = est.heads_graph(tape, *est.encode_graph(tape, clouds))
+    dropped = [(var().data, array()) for var, array, _ in marked]
+    rebuilt = []
+    for var, _, _ in marked:
+
+        def spy(rebuild=var()._rebuild):
+            out = rebuild()
+            rebuilt.append(bits(out).copy())
+            return out
+
+        var()._rebuild = spy
+    loss = ad.add(ad.add(ad.vsum(seg), ad.vsum(ad.mul(nocs, nocs))), ad.vsum(ad.mul(rot, rot)))
+    tape.backward(loss)
+    est.store.flush_tape_grads(tape)
+    alive = [var() is not None for var, _, _ in marked]
+    return marked, dropped, rebuilt, alive, est.store.grads
+
+
+class TestRebuiltActivations:
+    """linear's rebuilt activations: the encoder's first layer and the seg
+    head's hidden layer are dropped once their one consumer has run and
+    recomputed bit for bit in the backward."""
+
+    def test_dropped_until_the_backward_rebuilt_bit_for_bit(self, monkeypatch):
+        marked, dropped, rebuilt, alive, grads = marked_sweep(monkeypatch, strip=False)
+        assert [held.shape for _, _, held in marked] == [(2048, E.LOCAL_WIDTHS[1]), (2048, E.HEAD_HIDDEN)]
+        # nothing held either forward array once its consumer had run
+        assert dropped == [(None, None), (None, None)]
+        # each was rebuilt once, into its forward bits, and went with its record;
+        # the seg head's, recorded later, is rebuilt first
+        assert len(rebuilt) == 2
+        assert np.array_equal(rebuilt[0], bits(marked[1][2]))
+        assert np.array_equal(rebuilt[1], bits(marked[0][2]))
+        assert alive == [False, False]
+        # and the sweep's gradients are those of the graph that holds them
+        _, _, none, _, held_grads = marked_sweep(monkeypatch, strip=True)
+        assert none == []
+        assert grads.keys() == held_grads.keys()
+        for name in grads:
+            assert np.array_equal(bits(grads[name]), bits(held_grads[name])), name
+
+    def test_training_bytes_and_records_as_without_the_marks(self, tmp_path, monkeypatch):
+        runs = {}
+        for strip in (False, True):
+            with monkeypatch.context() as m:
+                marked = spy_marks(m, strip)
+                _, records = spy_tapes(m)
+                runs[strip] = train_bytes(tmp_path, f"strip{strip}"), len(records), len(marked)
+        # three one-scene steps, two marks each
+        assert runs[False][2] == 6 and runs[True][2] == 0
+        assert runs[False][:2] == runs[True][:2]
+
+    def test_no_grad_passes_keep_no_rebuild_state(self, monkeypatch):
+        est = E.Estimator.create(E.EstimatorSpec(part_count=2), seed=3)
+        cloud = np.random.default_rng(14).normal(size=(512, 3))
+        marked = spy_marks(monkeypatch)
+        out = est.head_output(cloud)
+        assert marked == []
+        assert np.isfinite(out.seg_logits).all()

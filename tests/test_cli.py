@@ -175,6 +175,14 @@ class TestEval:
         assert summary["checkpoint"] == str(ckpt)
         assert "mIoU: " in capsys.readouterr().out
 
+    def test_zero_scenes_write_null_means(self, trained, tmp_path):
+        _, ds, ckpt = trained
+        out = tmp_path / "report.csv"
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--dataset", str(ds), "--out", str(out), "--limit", "0"]) == 0
+        summary = json.loads(out.with_suffix(".json").read_text())
+        assert summary["scenes"] == 0
+        assert [summary[k] for k in ("acc_5deg5cm", "mIoU", "R_err_deg", "T_err_cm")] == [None] * 4
+
     def test_json_out_is_usage_error_before_loading(self, trained, tmp_path, capsys, monkeypatch):
         # the summary would take the CSV's place
         _, ds, ckpt = trained
@@ -602,6 +610,25 @@ def test_checkpoint_without_the_prior_is_usage_error(trained, tmp_path, capsys, 
     monkeypatch.setattr(cli, "load_dataset", no_dataset)
     assert cli.main([command, "--checkpoint", str(other), "--dataset", str(ds), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "tta", "hand-opt"])
+def test_checkpoint_of_another_category_is_usage_error(trained, tmp_path, capsys, monkeypatch, command):
+    # trashcan has 2 parts like laptop, so no shape check would trip
+    root, _, ckpt = trained
+    other = tmp_path / "trashcan"
+    generate_dataset(other, "trashcan", 1, seed=0, n_points=512)
+    out = tmp_path / "report.csv"
+
+    def no_scenes(*args, **kwargs):
+        raise AssertionError("a scene was read before the categories were compared")
+
+    monkeypatch.setattr(cli, "load_dataset", no_scenes)
+    assert cli.main([command, "--checkpoint", str(ckpt), "--dataset", str(other), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: checkpoint {ckpt} was trained on category 'laptop', dataset {other} is 'trashcan'\n"
+    )
     assert not out.exists()
 
 

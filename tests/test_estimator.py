@@ -560,7 +560,8 @@ class TestTraining:
         assert sorted(meta) == sorted(
             ["category", "config", "diffusion_steps", "feature_dim", "n_points", "part_count", *E.ARCHITECTURE]
         )
-        models = E.Models.load(ckpt)
+        models, loaded_meta = E.Models.load(ckpt)
+        assert loaded_meta == meta
         assert models.est.spec.part_count == models.disc.part_count == 2
         assert (models.diffuser.feature_dim, models.diffuser.schedule.T) == (256, 7)
         for net, group in ((models.est, "estimator"), (models.disc, "discriminator"), (models.diffuser, "diffuser")):
@@ -572,7 +573,7 @@ class TestTraining:
         stores, meta = nn.load_checkpoint(path)
         assert list(stores) == ["estimator"]
         assert meta == {"category": "laptop", "part_count": 2, "feature_dim": 256, **E.ARCHITECTURE}
-        loaded = E.Models.load(path)
+        loaded, _ = E.Models.load(path)
         assert (loaded.disc, loaded.diffuser) == (None, None)
         for name, value in net.store.params.items():
             assert np.array_equal(bits(loaded.est.store.params[name]), bits(value))

@@ -46,24 +46,27 @@ def test_suite_reports_its_margin(suite):
 @pytest.mark.parametrize(
     "suite, paths",
     [
-        (gradcheck.check_heads, {"shift", "stacked"}),
-        (gradcheck.check_end_to_end, {"shift", "stacked", "fit batch"}),
+        (gradcheck.check_heads, {"shift", "stacked", "rebuild"}),
+        (gradcheck.check_end_to_end, {"shift", "stacked", "fit batch", "rebuild"}),
         (gradcheck.check_discriminator, {"batch"}),
     ],
     ids=lambda v: getattr(v, "__name__", ""),
 )
 def test_network_suites_check_the_factored_and_batched_paths(suite, paths, monkeypatch):
     """The suites probe the per-scene shift of the seg and NOCS first
-    layers, the stacked part soft-pool product, the pose fit of a batch of
-    B >= 2 scenes with P >= 2 parts, and the batched D."""
+    layers, the stacked part soft-pool product, the rebuilt activations,
+    the pose fit of a batch of B >= 2 scenes with P >= 2 parts, and the
+    batched D."""
     seen = set()
     linear, matmul, score_graph = ad.linear, ad.matmul, Discriminator.score_graph
     assemble_graph = gradcheck.assemble_graph
 
-    def spy_linear(x, w, b, relu, shift=None):
+    def spy_linear(x, w, b, relu, shift=None, rebuild=False):
         if shift is not None:
             seen.add("shift")
-        return linear(x, w, b, relu, shift=shift)
+        if rebuild:
+            seen.add("rebuild")
+        return linear(x, w, b, relu, shift=shift, rebuild=rebuild)
 
     def spy_matmul(a, b):
         if a.data.ndim == 3:

@@ -162,6 +162,24 @@ def test_summary_json_holds_numbers(tmp_path, scene):
     assert "NaN" not in out.read_text()
 
 
+def test_zero_scenes_give_nan_means_written_as_null(tmp_path):
+    report = metrics.eval_object([], [])
+    assert (report.scene_count, report.invalid_parts) == (0, 0)
+    for value in (report.acc_5deg5cm, report.miou, report.r_err, report.t_err):
+        assert math.isnan(value)
+    out = tmp_path / "report.json"
+    metrics.write_summary_json(out, report)
+    assert json.loads(out.read_text()) == {
+        "category": "",
+        "scenes": 0,
+        "acc_5deg5cm": None,
+        "mIoU": None,
+        "R_err_deg": None,
+        "T_err_cm": None,
+        "invalid_parts": 0,
+    }
+
+
 def test_rows_print_as_their_repr(scene):
     # the CSV and the printed lines show str(value), the repr of each number
     report = metrics.eval_object([ground_truth(scene)], [scene])
