@@ -33,12 +33,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _bounded(name: str, cast, rule: str, ok):
-    """An argparse type `name`: `cast` of the text, which must pass `ok`."""
+    """An argparse type `name`: `cast` of the text, which must pass `ok`
+    and, when it is a float, be finite."""
 
     def parse(text: str):
         value = cast(text)
         if not ok(value):
             raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
         return value
 
     parse.__name__ = name  # argparse's "invalid <name> value" message
@@ -46,7 +49,7 @@ def _bounded(name: str, cast, rule: str, ok):
 
 
 # counts, limits and seeds; iterations and draws; cloud sizes; learning
-# rates (NaN is not > 0); distances
+# rates; distances
 non_negative_int = _bounded("non_negative_int", int, ">= 0", lambda v: v >= 0)
 positive_int = _bounded("positive_int", int, ">= 1", lambda v: v >= 1)
 cloud_size = _bounded("cloud_size", int, f">= {MIN_N_POINTS}", lambda v: v >= MIN_N_POINTS)
@@ -108,14 +111,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args) -> int:
-    generate_dataset(
+    """A scene with no usable draw is recorded in the manifest, not raised:
+    it is counted and listed with its reason, and the command exits 0."""
+    root = generate_dataset(
         args.out,
         args.category,
         args.count,
         seed=args.seed,
         n_points=args.points,
     )
-    print(f"wrote {args.count} {args.category} scenes to {args.out}")
+    failed = [e for e in load_manifest(root)["scenes"] if "failed" in e]
+    print(f"wrote {args.count - len(failed)} {args.category} scenes to {args.out}; {len(failed)} failed")
+    if failed:
+        print("failed scenes are recorded in manifest.json, with no files:")
+    for entry in failed:
+        print(f"  {entry['id']}: {entry['failed']}")
     return 0
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -386,6 +387,16 @@ def assemble_pose(cloud: np.ndarray, pred: HeadOutput, canonical_boxes: list) ->
     return results
 
 
+def is_int(value) -> bool:
+    """An integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A real number, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class TrainConfig:
     """Joint training configuration (JSON-serializable)."""
@@ -405,16 +416,17 @@ class TrainConfig:
     loss_log: str = "loss_log.csv"
 
     def __post_init__(self):
-        """ValueError on a setting no run can train with (NaN included)."""
+        """ValueError on a setting no run can train with: NaN, an infinity,
+        or a bool where a number belongs included."""
         lambdas = ("lambda_adv", "lambda_diff")
         for name in ("dataset", "category", "checkpoint", "loss_log"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string")
         for name in ("epochs", "batch_size", "diffusion_points", "diffusion_steps", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
         for name in ("lr",) + lambdas:
-            if not isinstance(getattr(self, name), numbers.Real):
+            if not is_number(getattr(self, name)):
                 raise ValueError(f"{name} must be a number")
         for name in ("epochs", "seed") + lambdas:
             if not getattr(self, name) >= 0:
@@ -422,16 +434,21 @@ class TrainConfig:
         for name in ("batch_size", "lr", "diffusion_points", "diffusion_steps"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("lr",) + lambdas:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not isinstance(self.lr_schedule, (list, tuple)):
             raise ValueError("lr_schedule must be a list")
         for entry in self.lr_schedule:
             if not (
                 isinstance(entry, (list, tuple))
                 and len(entry) == 2
-                and all(isinstance(v, numbers.Real) for v in entry)
+                and all(is_number(v) for v in entry)
                 and entry[1] > 0
             ):
                 raise ValueError(f"lr_schedule entry {entry!r} is not [start_epoch, lr > 0]")
+            if not all(math.isfinite(v) for v in entry):
+                raise ValueError(f"lr_schedule entry {entry!r} must be finite")
 
     def lr_at(self, epoch: int) -> float:
         lr = self.lr
@@ -505,6 +522,48 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
     )
 
     trained = [est.store] if diffuser is None else [est.store, diffuser.store]
+
+    def estimator_step(idx, lr):
+        """One estimator (and diffuser) update on the scenes idx. Returns
+        the batch's L_pose, L_seg, L_nocs, L_rot, L_adv and L_diff, and the
+        stacked fake layouts for D (None when none could be assembled).
+        Nothing of the step's graph outlives the call, so D trains without
+        it in memory."""
+        B = len(idx)
+        tape = ad.Tape()
+        local, mx, pooled = est.encode_graph(tape, clouds_in[idx])
+        seg, nocs, rot = est.heads_graph(tape, local, mx, pooled)
+        total, parts = pose_loss_graph(tape, seg, nocs, rot, seg_labels[idx], gt_nocs[idx], gt_rots[idx])
+        l_pose = float(total.data)
+
+        l_adv = 0.0
+        fake = None
+        if disc is not None:
+            labels = point_labels(seg.data).reshape(B, n_pts)
+            *_, boxes, reasons = assemble_graph(tape, clouds[idx], labels, nocs, rot, extents[idx])
+            fake_vars = [layout for layout in scene_layouts(boxes, reasons) if not isinstance(layout, str)]
+            if fake_vars:
+                adv_var = priors.g_adv_loss_graph(disc, tape, fake_vars)
+                l_adv = float(adv_var.data)
+                total = ad.add(total, ad.mul(adv_var, config.lambda_adv))
+                fake = np.stack([fv.data for fv in fake_vars])
+
+        l_diff = 0.0
+        if diffuser is not None:
+            sub = rng.integers(0, n_pts, size=(B, config.diffusion_points))
+            rows = (np.arange(B)[:, None] * n_pts + sub).reshape(-1)
+            x0 = contact_enc[idx[:, None], sub].reshape(-1, 1)
+            t_step = int(rng.integers(1, diffuser.schedule.T + 1))
+            eps = rng.standard_normal(x0.shape).astype(np.float32)
+            diff_var = priors.diff_loss_graph(
+                diffuser, tape, ad.take(local, rows, axis=0), mx, x0, t_step, eps
+            )
+            l_diff = float(diff_var.data)
+            total = ad.add(total, ad.mul(diff_var, config.lambda_diff))
+
+        nn.descend(tape, total, trained, lr)
+        return [l_pose, *(float(parts[k].data) for k in ("seg", "nocs", "rot")), l_adv, l_diff], fake
+
     n = len(scenes)
     with open(out / config.loss_log, "w", newline="", encoding="utf-8") as logf:
         writer = csv.writer(logf)
@@ -516,48 +575,13 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
             batches = adv_batches = adv_scenes = 0
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
-                B = len(idx)
-                tape = ad.Tape()
-                local, mx, pooled = est.encode_graph(tape, clouds_in[idx])
-                seg, nocs, rot = est.heads_graph(tape, local, mx, pooled)
-                total, parts = pose_loss_graph(tape, seg, nocs, rot, seg_labels[idx], gt_nocs[idx], gt_rots[idx])
-                l_pose = float(total.data)
-
-                l_adv = 0.0
-                fake_vars = []
-                if disc is not None:
-                    labels = point_labels(seg.data).reshape(B, n_pts)
-                    *_, boxes, reasons = assemble_graph(tape, clouds[idx], labels, nocs, rot, extents[idx])
-                    layouts = scene_layouts(boxes, reasons)
-                    fake_vars = [layout for layout in layouts if not isinstance(layout, str)]
-                    if fake_vars:
-                        adv_var = priors.g_adv_loss_graph(disc, tape, fake_vars)
-                        l_adv = float(adv_var.data)
-                        total = ad.add(total, ad.mul(adv_var, config.lambda_adv))
-
-                l_diff = 0.0
-                if diffuser is not None:
-                    sub = rng.integers(0, n_pts, size=(B, config.diffusion_points))
-                    rows = (np.arange(B)[:, None] * n_pts + sub).reshape(-1)
-                    x0 = contact_enc[idx[:, None], sub].reshape(-1, 1)
-                    t_step = int(rng.integers(1, diffuser.schedule.T + 1))
-                    eps = rng.standard_normal(x0.shape).astype(np.float32)
-                    diff_var = priors.diff_loss_graph(
-                        diffuser, tape, ad.take(local, rows, axis=0), mx, x0, t_step, eps
-                    )
-                    l_diff = float(diff_var.data)
-                    total = ad.add(total, ad.mul(diff_var, config.lambda_diff))
-
-                nn.descend(tape, total, trained, lr_now)
-
+                losses, fake = estimator_step(idx, lr_now)
                 l_d = 0.0
-                if fake_vars:
-                    fake = np.stack([fv.data for fv in fake_vars])
+                if fake is not None:
                     l_d = priors.d_train_step(disc, real_boxes[idx], fake, lr=D_LR)
                     adv_batches += 1
-                    adv_scenes += len(fake_vars)
-
-                sums += [l_pose, parts["seg"].data, parts["nocs"].data, parts["rot"].data, l_adv, l_diff, l_d]
+                    adv_scenes += len(fake)
+                sums += losses + [l_d]
                 batches += 1
             a = max(adv_batches, 1)  # L_adv and L_D average over the batches that fed D
             means = sums / [batches, batches, batches, batches, a, batches, a]

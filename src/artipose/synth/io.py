@@ -7,30 +7,36 @@ per-part half extents recorded in the manifest.
 A dataset's settings are its category, count, seed and point count. The
 rest are module constants: the contact threshold geometry.CONTACT_TAU and
 the hand's hand.SURFACE_SAMPLES surface points, which the manifest records
-and load_manifest checks against the library's, MIN_VISIBLE_CONTACTS, the
-fewest contact points a kept scene's cloud holds, and instances.DRAWERS,
-the sliding parts of a drawer, which the manifest records as "drawers"
-(null for the other categories).
+and load_manifest checks against the library's, and MIN_VISIBLE_CONTACTS,
+the fewest contact points a kept scene's cloud holds.
+
+The manifest holds one entry per requested scene, in index order. A kept
+scene's entry holds its "id", its "index", its "joint_state",
+"half_extents" and "camera". A scene with no usable draw in
+MAX_SCENE_ATTEMPTS is recorded, not raised: its entry holds only "id",
+"index" and "failed", the reason with the count of draws each stage
+rejected, and no file is written for it. load_dataset skips such entries.
 
 Scene i depends only on (seed, i), so `generate_dataset` builds the scenes
 of one call in k = min(usable CPUs, count) processes: the calling process
 builds scenes i = 0 mod k, and k - 1 forked workers build one other residue
-each, write its binaries and send back the manifest entries. The files are
-byte-identical to those of one loop over the scenes, and so is the outcome
-of a failing call: the lowest failing scene's error, with the loop's
-message, over the tree the loop leaves. No process is started when k = 1,
-where the OS has no fork, while other Python threads are alive, or from a
+each, write its binaries and send back the manifest entries. The files and
+the manifest are byte-identical to those of one loop over the scenes, and
+no process stops at a failed scene. An unexpected error (an OSError, a bug)
+is raised as it is, and a worker that dies unreported raises RuntimeError;
+either ends the call before the manifest is written, with no promise about
+the scene files already written. No process is started when k = 1, where
+the OS has no fork, while other Python threads are alive, or from a
 daemonic process.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
-import shutil
 import threading
+import traceback
 from dataclasses import fields
 from pathlib import Path
 
@@ -40,12 +46,12 @@ from .. import parallel
 from ..errors import EmptyView, FewContacts, GraspFailure
 from ..geometry import CONTACT_TAU, OrientedBox, SimilarityTransform
 from .hand import ANGLE_HI, ANGLE_LO, SURFACE_SAMPLES, KinematicHand
-from .instances import DRAWERS, make_instance
+from .instances import make_instance
 from .render import IMAGE_HEIGHT, IMAGE_WIDTH, Camera
 from .scene import DEFAULT_N_POINTS, SceneRecord, sample_scene
 
 FORMAT_NAME = "artipose-dataset"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # A scene draw is retried under a fresh deterministic sub-seed when the
 # grasp or the view fails, or when fewer than this many cloud points are in
@@ -112,80 +118,61 @@ def _build_scene(
     i: int,
     seed: int,
     n_points: int,
-) -> tuple:
+) -> dict:
     """Scene i of a dataset: build its instance, draw it until a draw is
-    usable and save it. Returns (manifest entry, part count); raises
-    GraspFailure naming the scene and counting each reason when every
-    attempt fails."""
+    usable and save it. Returns its manifest entry; when every attempt
+    fails, the entry records why and no file is written."""
     inst_seed = int(
         np.random.default_rng(np.random.SeedSequence([seed, i, 1])).integers(2**31)
     )
     instance = make_instance(category, inst_seed)
-
-    def draw(attempt, min_contacts):
-        return sample_scene(
-            instance,
-            np.random.SeedSequence([seed, i, 2, attempt]),
-            n_points=n_points,
-            scene_id=_scene_id(i),
-            min_contacts=min_contacts,
-        )
-
-    record = None
-    grasp_failures = empty_views = 0
-    few = []  # visible-contact counts of the draws below the floor
-    early = []  # the attempts rejected on their candidate pool, before FPS
+    grasp_failures = empty_views = few_in_pool = few_in_cloud = 0
     for attempt in range(MAX_SCENE_ATTEMPTS):
         try:
-            record = draw(attempt, MIN_VISIBLE_CONTACTS)
+            record = sample_scene(
+                instance,
+                np.random.SeedSequence([seed, i, 2, attempt]),
+                n_points=n_points,
+                scene_id=_scene_id(i),
+                min_contacts=MIN_VISIBLE_CONTACTS,
+            )
         except GraspFailure:
             grasp_failures += 1
-            continue
         except EmptyView:
             empty_views += 1
-            continue
         except FewContacts:
-            early.append(attempt)
-            continue
-        contacts = int(record.contact.sum())
-        if contacts >= MIN_VISIBLE_CONTACTS:
-            break
-        few.append(contacts)
-        record = None
-    if record is None:
-        # the message counts the contacts of each draw's cloud, so the
-        # early-rejected draws are drawn again in full
-        few += [int(draw(attempt, 0).contact.sum()) for attempt in early]
-        raise GraspFailure(
-            f"scene {i}: no usable draw in {MAX_SCENE_ATTEMPTS} attempts: "
-            f"{grasp_failures} grasp failures, {empty_views} empty views, "
-            f"{len(few)} draws below {MIN_VISIBLE_CONTACTS} visible contacts "
-            f"(best {max(few, default=0)})"
-        )
-    entry = save_scene(root, record)
-    entry["seed"] = i  # the manifest's "seed" is the scene index
-    return entry, record.part_count
+            few_in_pool += 1
+        else:
+            if int(record.contact.sum()) >= MIN_VISIBLE_CONTACTS:
+                return {**save_scene(root, record), "index": i}
+            few_in_cloud += 1
+    return {
+        "id": _scene_id(i),
+        "index": i,
+        "failed": (
+            f"no usable draw in {MAX_SCENE_ATTEMPTS} attempts: {grasp_failures} grasp failures, "
+            f"{empty_views} empty views, {few_in_pool + few_in_cloud} draws below "
+            f"{MIN_VISIBLE_CONTACTS} visible contacts ({few_in_pool} in the candidate pool, "
+            f"{few_in_cloud} in the cloud)"
+        ),
+    }
 
 
 def _scene_id(i: int) -> str:
     return f"scene_{i:06d}"
 
 
-def _run_share(scenes, build, report) -> None:
-    """Build the scenes in order, calling report(i, build(i)) for each, or
-    report(i, error) for the first that raises and stopping there."""
-    for i in scenes:
-        try:
-            built = build(i)
-        except Exception as err:
-            report(i, err)
-            return
-        report(i, built)
-
-
 def _worker(conn, scenes, build) -> None:
+    """Send build(i) for each scene in order, or the first exception one
+    raises, with the worker's traceback as a note, and stop there."""
     try:
-        _run_share(scenes, build, lambda i, result: conn.send(result))
+        for i in scenes:
+            try:
+                conn.send(build(i))
+            except Exception as err:
+                err.add_note(traceback.format_exc())
+                conn.send(err)
+                return
     finally:
         conn.close()
 
@@ -206,67 +193,51 @@ def _fork_context():
     return None
 
 
-def _build_scenes(root: Path, count: int, build) -> list:
-    """[(entry, part_count)] for scenes 0..count-1, as build(i) returns
-    them, or the error of the lowest failing scene f, after deleting the
-    scene directories above f that were written.
+def _build_scenes(count: int, build) -> list:
+    """[build(i) for i in range(count)], built across k processes.
 
-    Workers report through one-way pipes as they go. Every process stops at
-    its first failing scene. A worker that exits without reporting all of
-    its scenes fails the first scene it did not report with a RuntimeError."""
+    Workers report through one-way pipes as they go. An exception raised
+    in the calling process propagates at once, and one a worker reports is
+    raised when the calling process reads it. A worker that exits without
+    reporting all of its scenes raises a RuntimeError naming the first
+    scene it did not report."""
     k = min(parallel.usable_cpus(), count)
-    results = {}
-    failures = {}
-
-    def report(i, result):
-        (failures if isinstance(result, BaseException) else results)[i] = result
-
     ctx = _fork_context() if k > 1 else None
     if ctx is None:
-        _run_share(range(count), build, report)
-    else:
-        workers = []
-        drained = False
-        try:
-            for w in range(1, k):
-                recv, send = ctx.Pipe(duplex=False)
-                scenes = range(w, count, k)
-                proc = ctx.Process(target=_worker, args=(send, scenes, build), daemon=True)
-                proc.start()
-                send.close()
-                workers.append((proc, recv, scenes))
-            _run_share(range(0, count, k), build, report)
-            for proc, recv, scenes in workers:
-                for i in scenes:
-                    try:
-                        result = recv.recv()
-                    except EOFError:
-                        proc.join()
-                        failures[i] = RuntimeError(
-                            f"synth worker for scenes {scenes.start}, {scenes.start + k}, ... "
-                            f"below {count} exited with code {proc.exitcode} before "
-                            f"reporting scene {i}"
-                        )
-                        break
-                    report(i, result)
-                    if i in failures:
-                        break
-            drained = True
-        finally:
-            for proc, recv, _ in workers:
-                recv.close()
-                if not drained:  # the calling process is raising: stop, not wait
-                    proc.terminate()
-                proc.join()
-    if failures:
-        f = min(failures)
-        for i in results:
-            if i > f:
-                shutil.rmtree(scene_dir(root, _scene_id(i)))
-        if f == 0 and results:  # the serial loop makes scenes/ with scene 0
-            with contextlib.suppress(OSError):
-                (root / "scenes").rmdir()
-        raise failures[f]
+        return [build(i) for i in range(count)]
+    results = {}
+    workers = []
+    drained = False
+    try:
+        for w in range(1, k):
+            recv, send = ctx.Pipe(duplex=False)
+            scenes = range(w, count, k)
+            proc = ctx.Process(target=_worker, args=(send, scenes, build), daemon=True)
+            proc.start()
+            send.close()
+            workers.append((proc, recv, scenes))
+        for i in range(0, count, k):
+            results[i] = build(i)
+        for proc, recv, scenes in workers:
+            for i in scenes:
+                try:
+                    results[i] = recv.recv()
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(
+                        f"synth worker for scenes {scenes.start}, {scenes.start + k}, ... "
+                        f"below {count} exited with code {proc.exitcode} before "
+                        f"reporting scene {i}"
+                    ) from None
+                if isinstance(results[i], Exception):
+                    raise results[i]
+        drained = True
+    finally:
+        for proc, recv, _ in workers:
+            recv.close()
+            if not drained:  # the calling process is raising: stop, not wait
+                proc.terminate()
+            proc.join()
     return [results[i] for i in range(count)]
 
 
@@ -288,25 +259,32 @@ def generate_dataset(
     holds fewer than MIN_VISIBLE_CONTACTS contacts is rejected before its
     furthest-point sampling, since its cloud cannot hold more; that skips
     most of the cost of a draw that would be thrown away and changes no
-    output. If all fail, GraspFailure counts each reason, and "(best N)"
-    is the largest contact count of a rejected draw's cloud, the
-    early-rejected draws being drawn again in full for it.
-    Every scene of a category has the same part count: a drawer has
-    instances.DRAWERS sliding parts. A negative count or seed, n_points
-    below MIN_N_POINTS, or a CONTACT_TAU edited to a value that is not
-    positive and finite raises ValueError before anything is written.
+    output. Each attempt is drawn once.
+
+    A scene with no usable draw in MAX_SCENE_ATTEMPTS raises nothing: its
+    manifest entry holds "id", "index" and "failed", which counts the
+    grasp failures, the empty views and the draws whose candidate pool or
+    cloud held too few contacts. No file is written for it, and every
+    other scene is built. The manifest's "count" is the requested count
+    and "part_count" that of the kept scenes (null when none is kept);
+    every scene of a category has the same part count, a drawer's
+    instances.DRAWERS sliding parts and its body. A negative count or
+    seed, n_points below MIN_N_POINTS, or a CONTACT_TAU edited to a value
+    that is not positive and finite raises ValueError before anything is
+    written.
 
     Scenes depend on nothing but their index, so they are built across
     k = min(usable CPUs, count) processes: the calling process builds the
     scenes i = 0 mod k and each of k - 1 forked workers one other residue.
-    Every file is byte-identical to the serial loop's, and the manifest is
-    written in scene order. On failure the error of the lowest failing
-    scene is raised with the serial loop's message, and the tree on disk is
-    the one the serial loop leaves; a worker that dies unreported raises a
-    RuntimeError naming its scenes and exit code. No process is started
-    when k = 1, where the OS has no fork, while other Python threads are
-    alive, or from a daemonic process: the calling process then builds every
-    scene in order.
+    Every file, the manifest included, is byte-identical to the serial
+    loop's, and no process stops at a failed scene. An unexpected error
+    (an OSError, a bug) propagates from the process that meets it, and a
+    worker that dies unreported raises a RuntimeError naming its scenes,
+    its exit code and the first scene it did not report; either ends the
+    call before the manifest is written, with no promise about the scene
+    files already written. No process is started when k = 1, where the OS
+    has no fork, while other Python threads are alive, or from a daemonic
+    process: the calling process then builds every scene in order.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -325,9 +303,8 @@ def generate_dataset(
         seed=seed,
         n_points=n_points,
     )
-    built = _build_scenes(root, count, build)
-    entries = [entry for entry, _ in built]
-    part_count = built[-1][1] if built else None
+    entries = _build_scenes(count, build)
+    kept = [e for e in entries if "failed" not in e]
 
     manifest = {
         "format": FORMAT_NAME,
@@ -338,8 +315,7 @@ def generate_dataset(
         "n_points": n_points,
         "tau": CONTACT_TAU,
         "surface_samples": SURFACE_SAMPLES,
-        "part_count": part_count,
-        "drawers": DRAWERS if category == "drawer" else None,
+        "part_count": len(kept[0]["half_extents"]) if kept else None,
         "image_size": [IMAGE_WIDTH, IMAGE_HEIGHT],
         "dtypes": {_stem(name): dtype for name, (dtype, _) in SCENE_FILES.items()},
         "scenes": entries,
@@ -431,10 +407,11 @@ def load_scene(root, manifest: dict, entry: dict) -> SceneRecord:
 
 
 def load_dataset(root, limit: int | None = None) -> tuple[dict, list]:
-    """Load the manifest and (up to limit) scene records; a negative limit
-    raises ValueError before anything is read."""
+    """Load the manifest and the records of its kept scenes, the first
+    `limit` of them when limit is given; entries of failed scenes are
+    skipped. A negative limit raises ValueError before anything is read."""
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     manifest = load_manifest(root)
-    entries = manifest["scenes"][:limit]
-    return manifest, [load_scene(root, manifest, e) for e in entries]
+    kept = [e for e in manifest["scenes"] if "failed" not in e]
+    return manifest, [load_scene(root, manifest, e) for e in kept[:limit]]

@@ -16,6 +16,7 @@ translation + 15 flexion angles), keeping the best iterate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +24,22 @@ import numpy as np
 from . import autodiff as ad
 from . import diffgeom as dg
 from . import nn
-from .estimator import Estimator, HeadOutput, assemble_graph, assemble_pose, point_labels, scene_layouts
+from .estimator import Estimator, HeadOutput, assemble_graph, assemble_pose, is_int, is_number, point_labels, scene_layouts
 from .geometry import box_half_extents, matrix_to_rot6d
 from .priors import Discriminator, g_adv_loss_graph
 from .synth.hand import ANGLE_HI, ANGLE_LO, SURFACE_SAMPLES, KinematicHand, fk_tables, fk_vars, root_frame_vars
 
 HEADS_ONLY = "heads_only"
+
+
+def _check_lr(lr) -> None:
+    """ValueError unless lr is a positive, finite number (not a bool)."""
+    if not is_number(lr):
+        raise ValueError("lr must be a number")
+    if not lr > 0:
+        raise ValueError("lr must be positive")
+    if not math.isfinite(lr):
+        raise ValueError("lr must be finite")
 
 
 @dataclass(frozen=True)
@@ -38,10 +49,11 @@ class TtaConfig:
     scope: str = HEADS_ONLY  # the one scope, which perfbench names; adapt_object does not read it
 
     def __post_init__(self):
+        if not is_int(self.steps):
+            raise ValueError("steps must be an integer")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        _check_lr(self.lr)
         if self.scope != HEADS_ONLY:
             raise ValueError(f"unknown scope {self.scope!r}; the one scope is {HEADS_ONLY!r}")
 
@@ -52,10 +64,11 @@ class HandOptConfig:
     lr: float = 1e-2
 
     def __post_init__(self):
+        if not is_int(self.iters):
+            raise ValueError("iters must be an integer")
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        _check_lr(self.lr)
 
 
 @dataclass

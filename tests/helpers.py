@@ -12,6 +12,7 @@ from artipose import tta
 from artipose.errors import (
     DegenerateRotation,
     EmptyView,
+    FewContacts,
     GraspFailure,
     ShapeMismatch,
 )
@@ -608,22 +609,21 @@ def generate_dataset_serial(
     """synth.io.generate_dataset as one loop over the scenes in the calling
     process: the bit-for-bit oracle of the parallel generate_dataset. It calls
     make_instance, sample_scene and save_scene through synth.io, and reads
-    its MIN_VISIBLE_CONTACTS there, so tests that replace them there replace
-    them here too."""
+    its MIN_VISIBLE_CONTACTS and MAX_SCENE_ATTEMPTS there, so tests that
+    replace them there replace them here too. A scene without a usable draw
+    is recorded with the count of draws each stage rejected."""
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     min_contacts = synth_io.MIN_VISIBLE_CONTACTS
 
     entries = []
-    part_count = None
     for i in range(count):
         inst_seed = int(
             np.random.default_rng(np.random.SeedSequence([seed, i, 1])).integers(2**31)
         )
         instance = synth_io.make_instance(category, inst_seed)
-        record = None
-        grasp_failures = empty_views = 0
-        few = []
+        rejected = {GraspFailure: 0, EmptyView: 0, FewContacts: 0, "cloud": 0}
+        entry = None
         for attempt in range(synth_io.MAX_SCENE_ATTEMPTS):
             try:
                 record = synth_io.sample_scene(
@@ -631,30 +631,29 @@ def generate_dataset_serial(
                     np.random.SeedSequence([seed, i, 2, attempt]),
                     n_points=n_points,
                     scene_id=f"scene_{i:06d}",
+                    min_contacts=min_contacts,
                 )
-            except GraspFailure:
-                grasp_failures += 1
+            except (GraspFailure, EmptyView, FewContacts) as err:
+                rejected[type(err)] += 1
                 continue
-            except EmptyView:
-                empty_views += 1
-                continue
-            contacts = int(record.contact.sum())
-            if contacts >= min_contacts:
+            if int(record.contact.sum()) >= min_contacts:
+                entry = {**synth_io.save_scene(root, record), "index": i}
                 break
-            few.append(contacts)
-            record = None
-        if record is None:
-            raise GraspFailure(
-                f"scene {i}: no usable draw in {synth_io.MAX_SCENE_ATTEMPTS} attempts: "
-                f"{grasp_failures} grasp failures, {empty_views} empty views, "
-                f"{len(few)} draws below {min_contacts} visible contacts "
-                f"(best {max(few, default=0)})"
-            )
-        part_count = record.part_count
-        entry = synth_io.save_scene(root, record)
-        entry["seed"] = i
+            rejected["cloud"] += 1
+        if entry is None:
+            entry = {
+                "id": f"scene_{i:06d}",
+                "index": i,
+                "failed": (
+                    f"no usable draw in {synth_io.MAX_SCENE_ATTEMPTS} attempts: "
+                    f"{rejected[GraspFailure]} grasp failures, {rejected[EmptyView]} empty views, "
+                    f"{rejected[FewContacts] + rejected['cloud']} draws below {min_contacts} visible "
+                    f"contacts ({rejected[FewContacts]} in the candidate pool, {rejected['cloud']} in the cloud)"
+                ),
+            }
         entries.append(entry)
 
+    kept = [e for e in entries if "failed" not in e]
     manifest = {
         "format": synth_io.FORMAT_NAME,
         "version": synth_io.FORMAT_VERSION,
@@ -664,8 +663,7 @@ def generate_dataset_serial(
         "n_points": n_points,
         "tau": synth_io.CONTACT_TAU,
         "surface_samples": synth_io.SURFACE_SAMPLES,
-        "part_count": part_count,
-        "drawers": synth_io.DRAWERS if category == "drawer" else None,
+        "part_count": len(kept[0]["half_extents"]) if kept else None,
         "image_size": [synth_io.IMAGE_WIDTH, synth_io.IMAGE_HEIGHT],
         "dtypes": {name.split(".")[0]: dtype for name, (dtype, _) in synth_io.SCENE_FILES.items()},
         "scenes": entries,

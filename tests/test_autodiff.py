@@ -638,11 +638,11 @@ def two_chain_sweep_peak(sweep):
 
 
 # The tracemalloc peak of train_step_peak(), at most. Set from a measured
-# 10.67-10.93 MB (numpy 2.4.6, Python 3.11) plus 0.1 MB. The peak sits in
-# the discriminator's Adam step, while the swept estimator step's tape and
-# outputs are still referenced; the estimator's backward peaks at
-# 8.42-8.67 MB.
-TRAIN_PEAK_BOUND = 11_030_000
+# 8.42-8.67 MB (numpy 2.4.6, Python 3.11) plus 0.1 MB: the estimator's
+# backward. Keeping the swept estimator step's tape and outputs referenced
+# while the discriminator trains exceeds it (10.67-10.93 MB, in D's Adam
+# step).
+TRAIN_PEAK_BOUND = 8_770_000
 
 # The tracemalloc peak of eight_scene_step_peak(), at most. Set from a
 # measured 24.09-24.35 MB (numpy 2.4.6, Python 3.11) plus 0.25 MB; holding

@@ -274,6 +274,10 @@ class TestTrainConfig:
             ({"seed": "a"}, "seed must be an integer"),
             ({"seed": -1}, "seed must be >= 0"),
             ({"lr_schedule": None}, "lr_schedule must be a list"),
+            ({"lr": float("inf")}, "lr must be finite"),
+            ({"lambda_adv": float("inf")}, "lambda_adv must be finite"),
+            ({"lr_schedule": [[float("nan"), 0.1]]}, "lr_schedule entry [nan, 0.1] must be finite"),
+            ({"epochs": True}, "epochs must be an integer"),
         ],
     )
     def test_invalid_setting_is_runtime_error_before_writing(self, trained, tmp_path, capsys, setting, message):
@@ -292,6 +296,25 @@ class TestTrainConfig:
         assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: ValueError: config must be a JSON object\n"
         assert not out.exists()
+
+
+class TestSynth:
+    def test_failed_scene_is_recorded_and_exits_0(self, tmp_path, capsys):
+        # 256-point microwave clouds often hold too few contacts: scene 1 of
+        # seed 0 has no usable draw, and the other three are written
+        out = tmp_path / "ds"
+        argv = ["synth", "--category", "microwave", "--count", "4", "--points", "256", "--seed", "0"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        manifest, scenes = load_dataset(out)
+        failed = [e for e in manifest["scenes"] if "failed" in e]
+        assert [e["id"] for e in failed] == ["scene_000001"]
+        assert [r.scene_id for r in scenes] == ["scene_000000", "scene_000002", "scene_000003"]
+        stdout = capsys.readouterr().out
+        assert stdout == (
+            f"wrote 3 microwave scenes to {out}; 1 failed\n"
+            "failed scenes are recorded in manifest.json, with no files:\n"
+            f"  scene_000001: {failed[0]['failed']}\n"
+        )
 
 
 class TestNegativeCounts:
@@ -339,6 +362,9 @@ class TestNegativeCounts:
             ("hand-opt", "--perturb", "nan", "must be finite and >= 0, got nan"),
             ("hand-opt", "--perturb", "-0.1", "must be finite and >= 0, got -0.1"),
             ("hand-opt", "--seed", "-1", "must be >= 0, got -1"),
+            ("tta", "--lr", "inf", "must be finite, got inf"),
+            ("hand-opt", "--lr", "inf", "must be finite, got inf"),
+            ("hand-opt", "--lr", "Infinity", "must be finite, got inf"),
         ],
     )
     def test_numbers_checked_before_loading(self, tmp_path, capsys, monkeypatch, command, flag, value, message):
@@ -543,7 +569,7 @@ class TestEntryPoint:
         assert done.stderr.startswith("usage error: ")
 
     def test_numpy_floor_is_2(self):
-        # the autodiff dtypes, PINNED_TREE_SHA256 and the bench digests rest
+        # the autodiff dtypes, the pinned dataset hashes and the bench digests rest
         # on NumPy 2's promotion rules (NEP 50)
         tomllib = pytest.importorskip("tomllib")
         with open(ROOT / "pyproject.toml", "rb") as f:

@@ -621,6 +621,16 @@ class TestTraining:
             ({"seed": -1}, "seed must be >= 0"),
             ({"lr_schedule": 5}, "lr_schedule must be a list"),
             ({"lr_schedule": None}, "lr_schedule must be a list"),
+            ({"lr": float("inf")}, "lr must be finite"),
+            ({"lambda_adv": float("inf")}, "lambda_adv must be finite"),
+            ({"lambda_diff": float("inf")}, "lambda_diff must be finite"),
+            ({"lr_schedule": [[float("nan"), 0.1]]}, r"lr_schedule entry \[nan, 0.1\] must be finite"),
+            ({"lr_schedule": [[1, float("inf")]]}, r"lr_schedule entry \[1, inf\] must be finite"),
+            ({"lr_schedule": [[True, 0.1]]}, r"lr_schedule entry \[True, 0.1\] is not \[start_epoch, lr > 0\]"),
+            ({"epochs": True}, "epochs must be an integer"),
+            ({"seed": False}, "seed must be an integer"),
+            ({"batch_size": True}, "batch_size must be an integer"),
+            ({"lr": True}, "lr must be a number"),
         ],
     )
     def test_invalid_setting_rejected(self, setting, message):

@@ -739,34 +739,35 @@ class TestEarlyRejection:
         self, tmp_path, monkeypatch, forks, serial_oracle, cpus
     ):
         # no candidate pool holds 10**6 contacts, so every draw that renders
-        # is rejected before FPS and drawn again in full for "(best N)"
+        # is rejected before FPS; the recorded reasons count those draws, and
+        # each attempt is drawn once
         monkeypatch.setattr(synth_io, "MAX_SCENE_ATTEMPTS", MATRIX_ATTEMPTS)
         monkeypatch.setattr(synth_io, "MIN_VISIBLE_CONTACTS", 10**6)
         args = ("laptop", 3, MATRIX_SEEDS["laptop"])
         kwargs = {"n_points": 256}
         ref = serial_oracle(tmp_path / "serial", *args, **kwargs)
-        assert ref[0][0] is GraspFailure
-        best = re.fullmatch(
-            r"scene 0: no usable draw in 4 attempts: 0 grasp failures, 0 empty views, "
-            r"4 draws below 1000000 visible contacts \(best (\d+)\)",
-            ref[0][1],
-        )
-        assert best and int(best[1]) > 0
-        early = []
+        assert ref[0] is None
+        entries = json.loads(ref[1]["manifest.json"])["scenes"]
+        assert entries[0] == {
+            "id": "scene_000000",
+            "index": 0,
+            "failed": "no usable draw in 4 attempts: 0 grasp failures, 0 empty views, "
+            "4 draws below 1000000 visible contacts (4 in the candidate pool, 0 in the cloud)",
+        }
+        assert all("failed" in e for e in entries) and "scenes" not in ref[1]
+        draws = []
         sample = synth_io.sample_scene
 
-        def spy(*a, **kw):
-            try:
-                return sample(*a, **kw)
-            except FewContacts:
-                early.append(kw["scene_id"])
-                raise
+        def spy(instance, seed, **kw):
+            draws.append((kw["scene_id"], seed.entropy[-1]))
+            return sample(instance, seed, **kw)
 
         monkeypatch.setattr(synth_io, "sample_scene", spy)
         monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         assert outcome(generate_dataset, tmp_path / "ds", *args, **kwargs) == ref
-        # scene 0 is the calling process's share for any worker count
-        assert early == ["scene_000000"] * MATRIX_ATTEMPTS
+        # the calling process's share: scenes 0, cpus, 2 * cpus, ...
+        share = range(0, 3, cpus)
+        assert draws == [(f"scene_{i:06d}", a) for i in share for a in range(MATRIX_ATTEMPTS)]
         assert len(forks) == cpus - 1
         assert not multiprocessing.active_children()
 
@@ -784,26 +785,54 @@ def tree_bytes(root):
 
 
 # sha256 over the sorted relative paths and bytes of a 256-point laptop
-# scene and a 256-point drawer scene at seed 4. The constant was computed with
-# the row-wise FPS, the broadcast contact map and the uncached hand FK, before
-# they were rewritten to be byte-identical and faster; any change to synth
-# output shows here. (It holds for one numpy build on x86-64: a platform whose
-# libm or SIMD code rounds differently can change it.)
-PINNED_TREE_SHA256 = "f3dd8a67e873f5b51d892eefdf0bdc78b5c547af8f143453254b8d67f20132bb"
+# scene and a 256-point drawer scene at seed 4: one pin over the files under
+# scenes/, one over the two manifest.json files. The scene pin was computed
+# with the row-wise FPS, the broadcast contact map and the uncached hand FK,
+# before they were rewritten to be byte-identical and faster, and held
+# through the manifest's format version 2; any change to the scene bytes
+# shows there, and a manifest change alone moves only the manifest pin.
+# (They hold for one numpy build on x86-64: a platform whose libm or SIMD
+# code rounds differently can change them.)
+PINNED_SCENES_SHA256 = "a742f1f581d80a3597a37c202b0f18f84299dd1407c2ad5ba97613a40a21ac59"
+PINNED_MANIFEST_SHA256 = "19908012464934905d47b571c89d97331ef370d26eb3a51ce963a6738ea01561"
 
 
-def tree_sha256(root):
+def files_sha256(files):
+    """sha256 over the names and bytes of {relative path: bytes}."""
     h = hashlib.sha256()
-    for name, data in tree_bytes(root).items():
+    for name, data in files.items():
         h.update(name.encode() + b"\0" + data)
     return h.hexdigest()
+
+
+@pytest.fixture
+def failing_scenes(monkeypatch):
+    """Replaces sample_scene with one that fails every draw of the scenes
+    in the returned set and returns one fixed record otherwise."""
+    real = sample_scene(make_instance("laptop", 4), np.random.SeedSequence([4, 1]), n_points=256)
+    contact = np.zeros_like(real.contact)
+    contact[:4] = 1
+    failing = set()
+
+    def fake_sample_scene(instance, seed, scene_id, **kwargs):
+        if int(scene_id[-6:]) in failing:
+            raise EmptyView("no pixels")
+        return replace(real, contact=contact, scene_id=scene_id)
+
+    monkeypatch.setattr(synth_io, "sample_scene", fake_sample_scene)
+    return failing
 
 
 class TestDataset:
     def test_pinned_bytes(self, tmp_path):
         for cat in ("laptop", "drawer"):
             generate_dataset(tmp_path / cat, cat, 1, seed=4, n_points=256)
-        assert tree_sha256(tmp_path) == PINNED_TREE_SHA256
+        files = tree_bytes(tmp_path)
+        scenes = {k: v for k, v in files.items() if "/scenes/" in k}
+        manifests = {k: v for k, v in files.items() if k.endswith("/manifest.json")}
+        assert len(scenes) + len(manifests) == len(files)
+        assert files_sha256(scenes) == PINNED_SCENES_SHA256
+        assert files_sha256(manifests) == PINNED_MANIFEST_SHA256
 
     def test_generation_deterministic(self, tmp_path):
         a = generate_dataset(tmp_path / "a", "laptop", 3, seed=9)
@@ -877,9 +906,8 @@ class TestDataset:
                 assert getattr(got.camera, field) == getattr(rec.camera, field), field
             assert np.array_equal(bits(got.camera.R), bits(rec.camera.R))
             assert np.array_equal(bits(got.camera.t), bits(rec.camera.t))
-            # the manifest records the scene's index as its seed
             assert (got.scene_id, got.category) == (rec.scene_id, rec.category)
-            assert manifest["scenes"][i]["seed"] == i
+            assert manifest["scenes"][i]["index"] == i
 
     def test_manifest_dtypes_come_from_the_scene_files(self, tmp_path):
         root = generate_dataset(tmp_path / "ds", "laptop", 1, seed=0, n_points=256)
@@ -890,14 +918,44 @@ class TestDataset:
             name.split(".")[0]: dtype for name, (dtype, _) in synth_io.SCENE_FILES.items()
         }
 
-    @pytest.mark.parametrize("version", [0, 2, None])
+    @pytest.mark.parametrize("version", [0, 1, None])
     def test_other_format_version_rejected(self, tmp_path, version):
+        # version 1 raised on a failed scene and keyed the index as "seed"
         root = generate_dataset(tmp_path / "ds", "laptop", 1, seed=0, n_points=256)
         manifest = json.loads((root / "manifest.json").read_text())
         manifest["version"] = version
         (root / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match=f"artipose-dataset version {version!r}, not 1$"):
+        with pytest.raises(ValueError, match=f"artipose-dataset version {version!r}, not 2$"):
             load_dataset(root)
+
+    def test_manifest_keys(self, tmp_path):
+        root = generate_dataset(tmp_path / "ds", "drawer", 2, seed=0, n_points=256)
+        manifest = json.loads((root / "manifest.json").read_text())
+        assert sorted(manifest) == [
+            "category", "count", "dtypes", "format", "image_size", "master_seed",
+            "n_points", "part_count", "scenes", "surface_samples", "tau", "version",
+        ]
+        assert [sorted(e) for e in manifest["scenes"]] == [
+            ["camera", "half_extents", "id", "index", "joint_state"]
+        ] * 2
+
+    @pytest.mark.parametrize("limit, kept", [(None, [0, 2, 4]), (2, [0, 2]), (0, [])])
+    def test_load_skips_failed_scenes(self, tmp_path, failing_scenes, limit, kept):
+        # the limit counts kept scenes; "count" stays the requested count
+        failing_scenes.update({1, 3})
+        root = generate_dataset(tmp_path / "ds", "laptop", 5, seed=0, n_points=256)
+        manifest, scenes = load_dataset(root, limit=limit)
+        assert manifest["count"] == 5 and manifest["part_count"] == 2
+        assert [r.scene_id for r in scenes] == [f"scene_{i:06d}" for i in kept]
+        assert sorted(p.name for p in (root / "scenes").iterdir()) == ["scene_000000", "scene_000002", "scene_000004"]
+
+    def test_every_scene_failed(self, tmp_path, failing_scenes):
+        failing_scenes.update(range(2))
+        root = generate_dataset(tmp_path / "ds", "laptop", 2, seed=0, n_points=256)
+        manifest, scenes = load_dataset(root)
+        assert scenes == [] and manifest["part_count"] is None
+        assert [e["index"] for e in manifest["scenes"]] == [0, 1]
+        assert sorted(p.name for p in root.iterdir()) == ["manifest.json"]
 
     @pytest.mark.parametrize("key, value, library", [("tau", 0.02, "0.01"), ("surface_samples", 256, "512")])
     def test_manifest_of_other_fixed_settings_rejected(self, tmp_path, key, value, library):
@@ -996,9 +1054,11 @@ class TestDataset:
     @pytest.fixture
     def failing_scene_1(self, monkeypatch):
         """Replaces sample_scene so that scene 0 succeeds on its second draw
-        and scene 1 fails every draw; returns the GraspFailure message and
-        the list of make_instance calls made in the calling process."""
+        and scene 1 fails every draw; returns the recorded reason, the list
+        of make_instance calls and the list of (scene, attempt) draws made in
+        the calling process."""
         real = sample_scene(make_instance("laptop", 4), np.random.SeedSequence([4, 1]), n_points=256)
+        draws = []
 
         def with_contacts(count):
             contact = np.zeros_like(real.contact)
@@ -1007,15 +1067,18 @@ class TestDataset:
 
         def fake_sample_scene(instance, seed, scene_id, **kwargs):
             # scene 0 succeeds on its second draw; scene 1 cycles through
-            # the three failure reasons for all its draws
+            # the four ways a draw fails for all its draws
             attempt = seed.entropy[-1]
+            draws.append((scene_id, attempt))
             if scene_id == "scene_000000" and attempt == 1:
                 return replace(with_contacts(4), scene_id=scene_id)
-            if attempt % 4 == 0:
+            if attempt % 5 == 0:
                 raise GraspFailure("no grasp")
-            if attempt % 4 == 1:
+            if attempt % 5 == 1:
                 raise EmptyView("no pixels")
-            return with_contacts(attempt % 4 - 1)
+            if attempt % 5 == 2:
+                raise FewContacts("3 contacts among 900 candidate points < 4")
+            return with_contacts(attempt % 5 - 2)
 
         instances = []
 
@@ -1026,26 +1089,36 @@ class TestDataset:
         monkeypatch.setattr(synth_io, "sample_scene", fake_sample_scene)
         monkeypatch.setattr(synth_io, "make_instance", spy_make_instance)
         reason = (
-            "scene 1: no usable draw in 40 attempts: 10 grasp failures, 10 empty views, "
-            "20 draws below 4 visible contacts (best 2)"
+            "no usable draw in 40 attempts: 8 grasp failures, 8 empty views, "
+            "24 draws below 4 visible contacts (8 in the candidate pool, 16 in the cloud)"
         )
-        return reason, instances
+        return reason, instances, draws
+
+    @staticmethod
+    def check_scene_1_recorded(root, reason):
+        manifest, scenes = load_dataset(root)
+        assert manifest["scenes"][1] == {"id": "scene_000001", "index": 1, "failed": reason}
+        assert [r.scene_id for r in scenes] == ["scene_000000"]
+        assert sorted(p.name for p in (root / "scenes").iterdir()) == ["scene_000000"]
 
     def test_failed_scene_counts_reasons_and_builds_one_instance(self, tmp_path, monkeypatch, failing_scene_1):
-        # one worker: both scenes run in this process, where the spy sees them
+        # one worker: both scenes run in this process, where the spies see them
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
-        reason, instances = failing_scene_1
-        with pytest.raises(GraspFailure, match=f"^{re.escape(reason)}$"):
-            generate_dataset(tmp_path / "ds", "laptop", 2, seed=0, n_points=256)
+        reason, instances, draws = failing_scene_1
+        root = generate_dataset(tmp_path / "ds", "laptop", 2, seed=0, n_points=256)
+        self.check_scene_1_recorded(root, reason)
         assert len(instances) == 2
+        # each attempt is drawn once, counted by the stage that rejected it
+        assert draws == [("scene_000000", 0), ("scene_000000", 1)] + [("scene_000001", a) for a in range(40)]
 
     def test_failed_scene_in_worker_keeps_message(self, tmp_path, monkeypatch, forks, failing_scene_1):
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-        reason, instances = failing_scene_1
-        with pytest.raises(GraspFailure, match=f"^{re.escape(reason)}$"):
-            generate_dataset(tmp_path / "ds", "laptop", 2, seed=0, n_points=256)
+        reason, instances, draws = failing_scene_1
+        root = generate_dataset(tmp_path / "ds", "laptop", 2, seed=0, n_points=256)
+        self.check_scene_1_recorded(root, reason)
         # scene 1 ran in the one worker, so this process built one instance
         assert len(forks) == 1 and len(instances) == 1
+        assert draws == [("scene_000000", 0), ("scene_000000", 1)]
         assert not multiprocessing.active_children()
 
 
@@ -1124,14 +1197,14 @@ def serial_oracle():
 
 
 # 256-point seeds whose scenes take few draws. Under MATRIX_ATTEMPTS four
-# of them raise GraspFailure within five scenes, at the scene given in
-# FAILING_SCENE: in the calling process's share for some worker counts and
-# in a worker's share for others. Under the full 40 attempts the drawer and
-# safe seeds raise too, at scenes 1 and 2, but a failing scene then costs
-# 40 draws.
+# of them record the scenes in FAILED_SCENES as failed among their first
+# five: in the calling process's share for some worker counts and in a
+# worker's share for others. Under the full 40 attempts the drawer and safe
+# seeds record failed scenes too, at scenes 1 and 2, but a failing scene
+# then costs 40 draws.
 MATRIX_ATTEMPTS = 4
 MATRIX_SEEDS = {"laptop": 10, "drawer": 4, "safe": 18, "microwave": 10, "trashcan": 27}
-FAILING_SCENE = {"drawer": 1, "safe": 0, "microwave": 1, "trashcan": 4}
+FAILED_SCENES = {"drawer": {1, 2, 3, 4}, "safe": {0, 1, 2, 3, 4}, "microwave": {1, 2, 3, 4}, "trashcan": {4}}
 
 
 class TestParallelScenes:
@@ -1141,10 +1214,12 @@ class TestParallelScenes:
         monkeypatch.setattr(synth_io, "MAX_SCENE_ATTEMPTS", MATRIX_ATTEMPTS)
         seed = MATRIX_SEEDS[category]
         ref = serial_oracle(tmp_path / "serial", category, count, seed, n_points=256)
-        f = FAILING_SCENE.get(category, count)
-        assert (ref[0] is None) == (f >= count)
-        if f < count:
-            assert ref[0][0] is GraspFailure and ref[0][1].startswith(f"scene {f}: ")
+        assert ref[0] is None
+        failed = {i for i in FAILED_SCENES.get(category, ()) if i < count}
+        entries = json.loads(ref[1]["manifest.json"])["scenes"]
+        assert [e["index"] for e in entries] == list(range(count))
+        assert {e["index"] for e in entries if "failed" in e} == failed
+        assert not any(f"scenes/scene_{i:06d}" in ref[1] for i in failed)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
             forks.clear()
@@ -1161,42 +1236,25 @@ class TestParallelScenes:
         assert len(forks) == min(parallel.usable_cpus(), 4) - 1
         assert not multiprocessing.active_children()
 
-    @pytest.fixture
-    def failing_scenes(self, monkeypatch):
-        """Replaces sample_scene with one that fails every draw of the
-        scenes in the returned set and returns one fixed record otherwise."""
-        real = sample_scene(make_instance("laptop", 4), np.random.SeedSequence([4, 1]), n_points=256)
-        contact = np.zeros_like(real.contact)
-        contact[:4] = 1
-        failing = set()
-
-        def fake_sample_scene(instance, seed, scene_id, **kwargs):
-            if int(scene_id[-6:]) in failing:
-                raise EmptyView("no pixels")
-            return replace(real, contact=contact, scene_id=scene_id)
-
-        monkeypatch.setattr(synth_io, "sample_scene", fake_sample_scene)
-        return failing
-
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("failing", [{0}, {1}, {4}, {1, 2}, {2, 3}, {0, 1, 2, 3, 4}])
-    def test_lowest_failing_scene_is_raised_on_the_serial_tree(
-        self, tmp_path, monkeypatch, forks, failing_scenes, cpus, failing
-    ):
+    def test_failed_scenes_recorded_in_any_share(self, tmp_path, monkeypatch, forks, failing_scenes, cpus, failing):
         failing_scenes.update(failing)
         ref = outcome(generate_dataset_serial, tmp_path / "serial", "laptop", 5, 0, n_points=256)
-        assert ref[0][1].startswith(f"scene {min(failing)}: ")
+        assert ref[0] is None
+        entries = json.loads(ref[1]["manifest.json"])["scenes"]
+        assert {e["index"] for e in entries if "failed" in e} == failing
         monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         assert outcome(generate_dataset, tmp_path / "ds", "laptop", 5, 0, n_points=256) == ref
         assert len(forks) == cpus - 1
         assert not multiprocessing.active_children()
 
-    @pytest.mark.parametrize("crash_scene, error", [(1, None), (3, None), (3, 2)])
-    def test_worker_that_dies_raises(self, tmp_path, monkeypatch, failing_scenes, crash_scene, error):
+    @pytest.mark.parametrize("crash_scene, failed", [(1, None), (3, None), (3, 2)])
+    def test_worker_that_dies_raises(self, tmp_path, monkeypatch, failing_scenes, crash_scene, failed):
         """A worker that exits without reporting fails its first unreported
-        scene, unless a lower scene failed first."""
-        if error is not None:
-            failing_scenes.add(error)
+        scene, also when a lower scene failed and was recorded."""
+        if failed is not None:
+            failing_scenes.add(failed)
         caller = os.getpid()
         sample = synth_io.sample_scene
 
@@ -1207,16 +1265,35 @@ class TestParallelScenes:
 
         monkeypatch.setattr(synth_io, "sample_scene", dying_sample_scene)
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-        if error is None:
-            message = (
-                f"synth worker for scenes 1, 3, ... below 5 exited with code 1 "
-                f"before reporting scene {crash_scene}"
-            )
-            expected = pytest.raises(RuntimeError, match=f"^{re.escape(message)}$")
-        else:
-            expected = pytest.raises(GraspFailure, match=f"^scene {error}: ")
-        with expected, deadline(60):
+        message = (
+            f"synth worker for scenes 1, 3, ... below 5 exited with code 1 "
+            f"before reporting scene {crash_scene}"
+        )
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"), deadline(60):
             generate_dataset(tmp_path / "ds", "laptop", 5, seed=0, n_points=256)
+        assert not (tmp_path / "ds" / "manifest.json").exists()
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("scene", [2, 1], ids=["calling-process", "worker"])
+    def test_unexpected_error_propagates(self, tmp_path, monkeypatch, failing_scenes, scene):
+        # with two processes, scene 2 is the calling process's and scene 1
+        # the worker's; the error is not a failed draw, so it is not recorded
+        sample = synth_io.sample_scene
+
+        def full_disk(instance, seed, scene_id, **kwargs):
+            if scene_id == f"scene_{scene:06d}":
+                raise OSError(28, "No space left on device")
+            return sample(instance, seed, scene_id=scene_id, **kwargs)
+
+        monkeypatch.setattr(synth_io, "sample_scene", full_disk)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        with pytest.raises(OSError) as raised, deadline(60):
+            generate_dataset(tmp_path / "ds", "laptop", 5, seed=0, n_points=256)
+        assert str(raised.value) == "[Errno 28] No space left on device"
+        # a worker's error carries the worker's traceback
+        notes = getattr(raised.value, "__notes__", [])
+        assert len(notes) == (scene == 1) and all("in full_disk" in n for n in notes)
+        assert not (tmp_path / "ds" / "manifest.json").exists()
         assert not multiprocessing.active_children()
 
     def test_one_cpu_starts_no_process(self, tmp_path, monkeypatch, forks, serial_oracle):

@@ -269,6 +269,26 @@ class TestConfigs:
         with pytest.raises(ValueError, match="lr must be positive"):
             config(lr=lr)
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"lr": float("inf")}, "lr must be finite"),
+            ({"lr": float("nan")}, "lr must be positive"),
+            ({"lr": True}, "lr must be a number"),
+            ({"lr": "0.1"}, "lr must be a number"),
+        ],
+    )
+    @pytest.mark.parametrize("config", [tta.TtaConfig, tta.HandOptConfig])
+    def test_lr_must_be_a_finite_number(self, config, setting, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            config(**setting)
+
+    @pytest.mark.parametrize("config, name", [(tta.TtaConfig, "steps"), (tta.HandOptConfig, "iters")])
+    @pytest.mark.parametrize("value", [True, 2.0, "3"])
+    def test_counts_must_be_integers(self, config, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            config(**{name: value})
+
     def test_hand_opt_accepts_a_positive_lr(self):
         assert tta.HandOptConfig(iters=5, lr=1e-9).lr == 1e-9
 
