@@ -14,7 +14,9 @@ backward function hands a gradient over in one of two ways:
 - `Var._own_grad` for an array the backward allocated: the products of
   `matmul` and `linear`, linear's shift sum, the dense scatters of `take`
   and `vmax`, and `softmax_cross_entropy`'s. A first such gradient of the
-  Var's dtype and shape becomes the Var's own, without a copy.
+  Var's dtype and shape becomes the Var's own, without a copy. `take`
+  hands over its taken rows alone, through `Var._own_rows` (see "Pending
+  rows" below).
 - `Var._add_grad` for every other gradient, among them the arrays that
   may alias another: the identity partials of `add` and `sub`, `vsum`'s
   broadcast views, `concat` and `stack` slices and the seed. A first such
@@ -30,9 +32,30 @@ place. No backward writes into a borrowed `g`. A grad always has its Var's
 dtype, so `g` has the dtype of the output it belongs to. Every sum is the
 one a copying tape computes, in the same order. A borrowed grad can be a
 strided or broadcast (read-only) view where a copy would be packed, and
-numpy can round a later reduction differently by memory layout, so
-tests/test_autodiff.py checks whole training runs bit for bit against a
-tape that copies every first gradient.
+numpy can round a later reduction differently by memory layout. numpy's
+matmul takes such a view through another path than the packed copy (a
+(2048, 5) column slice of concat's gradient times a (5, 1) weight rounds
+differently), so the backwards of `matmul` and `linear` first copy a
+borrowed `g` that is neither C- nor F-contiguous, laid out as the copying
+tape's copy. tests/test_autodiff.py checks whole training runs bit for bit
+against a tape that copies every first gradient.
+
+Pending rows. When `take`'s input is an op output with no gradient yet,
+its backward leaves the input a pending row gradient, not a dense one:
+the unique taken rows (along the take's axis) and their sums, built as the
+dense scatter builds them (first occurrences as `g + 0.0`, later ones
+through `np.add.at` in their given order). The next event that touches
+the input makes it dense. An owned C-ordered gradient of the input's shape
+and dtype, handed over through `_own_grad`, takes the rows in place: the
+taken rows become `rows + g[taken]` and every other row `g + 0.0`, the
+bits of the dense `full + g` (see "Views and exact values"). Any other
+contribution, another `take` of the same input, or the input's own record
+popping first writes the rows into zeros, the dense gradient the scatter
+builds. Leaves (`leaf` inputs and parameters) have no record to settle
+them, so their rows become dense at once. In a train step this keeps the
+diffusion term's 2048 rows of the (8192, 128) `local` from filling a 4 MB
+zero gradient: they go into the owned gradient that the rotation head's
+part-feature product hands `local`.
 
 Row blocks. When `g` spans two or more ROW_BLOCK = 1024 row blocks,
 `linear`'s backward masks an owned `g` by its ReLU one block at a time, and
@@ -98,14 +121,15 @@ the forward is bit for bit the value at the first argmax, as before.
 The ReLU of `linear` is `np.maximum(out, 0, out=out)` in place, and its
 backward rebuilds the mask from that output: `x > 0` exactly when
 `max(x, 0) > 0`, for NaN and -0.0 too, so no mask is kept. When `take`'s
-input already has a gradient, its backward adds `g` into `grad + 0.0` at
-the taken indices, which is bit for bit `grad + full` for the dense `full`
-(zeros, and `g + 0.0` at those indices): `(x + 0.0) + y` equals
-`x + (y + 0.0)` for every value, ±0.0, ±inf and NaN payloads included.
-`vmax`'s `full` holds `g` itself at the argmax, and `-0.0 + -0.0` is -0.0
-where `(-0.0 + 0.0) + -0.0` is +0.0, so its backward onto an existing
-gradient sums the argmax entries `grad + g` first, then takes `grad + 0.0`
-in place and writes those sums back.
+input already has a gradient, its backward sums the taken rows
+`grad + rows` first, then takes `grad + 0.0` in place and writes those
+sums back: bit for bit `grad + full` for the dense `full` (zeros, and the
+rows there). `vmax` does the same with `g` itself at the argmax, since
+`-0.0 + -0.0` is -0.0 where `(-0.0 + 0.0) + -0.0` is +0.0. These row sums
+and the dense sum agree on every value but the payload where NaN meets
+NaN: numpy's add takes it from either operand, by the entry's place in
+its loop (numpy 2.4.6 on x86-64 takes the second operand's from entry 16
+of a 30-entry float32 add on), so no operand order fixes it.
 
 Dtypes. `vsum` accumulates in float64 and casts back to its input's dtype;
 every other op takes numpy's promotion of its operands. A Python scalar
@@ -115,8 +139,7 @@ float64, and `ad.add(x, 1e-6)` does the same. A float32 training graph is theref
 not float32 throughout: on float32 clouds `Estimator.encode_graph` returns
 `pooled` as float64 and `Estimator.heads_graph` returns `rot` as float64
 (local, mx, seg and nocs stay float32). Gradient checks run in float64. The
-planned fix is the dtype-honest tape of the ROADMAP.md item "Training speed:
-a train unit is bound by BLAS".
+planned fix is ROADMAP.md item 5, "A float32-honest tape".
 """
 
 from __future__ import annotations
@@ -156,6 +179,7 @@ class Tape:
 
     def record(self, out: "Var", backward):
         self._ops.append((out, backward))
+        out._recorded = True
 
     def backward(self, var: "Var", seed=None):
         """Reverse sweep from `var`; accumulates grads on every leaf on the path.
@@ -183,6 +207,8 @@ class Tape:
         ops = self._ops
         while ops:
             out, fn = ops.pop()
+            if out._pending is not None:
+                out._settle(None)
             g = out.grad
             if g is not None:
                 owned = out._owns_grad
@@ -198,12 +224,17 @@ class Var:
     cycle and batch-sized graphs would pile up waiting for the cyclic GC.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_owns_grad", "_rebuild", "_tape_ref", "__weakref__")
+    __slots__ = (
+        "data", "grad", "requires_grad", "_owns_grad", "_pending", "_recorded", "_rebuild", "_tape_ref",
+        "__weakref__",
+    )
 
     def __init__(self, data, tape: Tape, requires_grad: bool):
         self.data = np.asarray(data)
         self.grad = None
         self._owns_grad = False
+        self._pending = None  # (key, rows) of a pending row gradient
+        self._recorded = False  # a record pops for this Var in the sweep
         self._rebuild = None  # recomputes a rebuilt activation's data
         self.requires_grad = requires_grad
         self._tape_ref = weakref.ref(tape)
@@ -224,6 +255,8 @@ class Var:
 
     def _add_grad(self, g):
         """Accumulate `g`, borrowing a first gradient (see the module docstring)."""
+        if self._pending is not None:
+            self._settle(None)
         if self._owns_grad:
             self.grad += g
         elif self.grad is not None:
@@ -246,10 +279,53 @@ class Var:
 
     def _own_grad(self, g):
         """Accumulate `g`, a new array that nothing else holds: a first
-        gradient kept without a copy becomes the Var's own."""
+        gradient kept without a copy becomes the Var's own, and pending rows
+        go into a C-ordered `g` of the Var's shape and dtype in place."""
+        if (
+            self._pending is not None
+            and g.flags.c_contiguous
+            and g.dtype == self.data.dtype
+            and g.shape == self.data.shape
+        ):
+            self._settle(g)
+            return
         self._add_grad(g)
         if self.grad is g:
             self._owns_grad = True
+
+    def _own_rows(self, key, rows):
+        """Accumulate the gradient that is `rows` at `key` and zero
+        elsewhere, `rows` a new array nothing else holds. An op output with
+        no gradient yet keeps it pending (see "Pending rows" in the module
+        docstring)."""
+        if self._pending is not None:
+            self._settle(None)
+        if self.grad is not None:
+            # grad + full for the dense full: the rows are summed from the
+            # old grad before it takes its + 0.0 in place
+            np.add(self.grad[key], rows, out=rows)
+            self._add_grad(0.0)
+            self.grad[key] = rows
+            return
+        self._pending = key, rows
+        if not self._recorded:  # a leaf: no record of its own pops to settle it
+            self._settle(None)
+
+    def _settle(self, into):
+        """Make the pending rows dense: added into `into`, an owned C-ordered
+        gradient of the Var's shape and dtype, in place, or written into
+        zeros when `into` is None."""
+        key, rows = self._pending
+        self._pending = None
+        if into is None:
+            full = np.zeros_like(self.data)
+            full[key] = rows
+            self._own_grad(full)
+        else:
+            rows += into[key]  # full + g, in that operand order
+            into += 0.0
+            into[key] = rows
+            self.grad, self._owns_grad = into, True
 
 
 def const(x, tape: Tape) -> Var:
@@ -322,6 +398,17 @@ def div(a, b):
     )
 
 
+def _packed(g, owned):
+    """(g, owned) for the products of a backward: a borrowed `g` that is
+    neither C- nor F-contiguous (a strided or broadcast view) becomes an
+    owned copy laid out as `np.array` lays it out, as the copying tape
+    would hand it over; numpy's matmul takes such a view through another
+    path, which can round differently."""
+    if owned or g.flags.c_contiguous or g.flags.f_contiguous:
+        return g, owned
+    return np.array(g), True
+
+
 def matmul(a, b):
     """Matrix product of 2-D operands, or of stacks (B, m, k) @ (B, k, n),
     one product per leading index; a 1-D operand is promoted to 2-D and
@@ -345,7 +432,7 @@ def matmul(a, b):
     out = Var(out_data, a.tape, req)
     if req:
         def back(g, owned):
-            g2 = g.reshape(ad.shape[:-1] + bd.shape[-1:])
+            g2 = _packed(g, owned)[0].reshape(ad.shape[:-1] + bd.shape[-1:])
             if a.requires_grad:
                 a._own_grad((g2 @ np.swapaxes(bd, -1, -2)).reshape(a.data.shape))
             if b.requires_grad:
@@ -410,6 +497,7 @@ def linear(x: Var, w: Var, b: Var, relu: bool, shift: Var | None = None, rebuild
 
         def back(g, owned):
             xd = x._value()  # rebuilt here when it was dropped
+            g, owned = _packed(g, owned)
             cuts = row_cuts(n, ROW_BLOCK, n // ROW_BLOCK)
             spans = list(zip(cuts[:-1], cuts[1:]))
             if relu and owned and g.flags.c_contiguous:
@@ -573,11 +661,13 @@ def take(a: Var, indices, axis: int = 0):
     input, the basic slice they spell; any other indices go through
     np.take, which raises on out-of-range ones. The backward is the
     scatter-add of `g` into zeros added to the input's gradient, bit for
-    bit (so a -0.0 lands as +0.0): a run writes a slice, unique indices
-    assign, and repeated indices assign their first occurrences and
-    `np.add.at` only the later ones, in their given order. A run or unique
-    indices meeting an existing gradient add `g` into `grad + 0.0` there
-    instead, with no dense zeros (see the module docstring).
+    bit (so a -0.0 lands as +0.0). For a run, and for any 1-D non-negative
+    indices, it builds the taken rows alone: a run's `g + 0.0`, or the
+    first occurrences' `g + 0.0` with `np.add.at` adding only the later
+    ones, in their given order. Those rows are added into an existing
+    gradient, become a leaf's dense gradient, and stay pending on an op
+    output until the next event settles them (see "Pending rows" in the
+    module docstring). Other indices scatter into dense zeros.
     """
     idx = np.asarray(indices)
     ax = axis % a.data.ndim
@@ -593,33 +683,20 @@ def take(a: Var, indices, axis: int = 0):
         out_data.flags.writeable = False
 
     def back(g, owned):
-        full = None
         if lo is not None:
-            key = at(slice(lo, lo + idx.size))
+            a._own_rows(at(slice(lo, lo + idx.size)), g + 0.0)
         elif idx.ndim != 1 or idx.size == 0 or idx.min() < 0:
             full = np.zeros_like(a.data)
             np.add.at(full, at(idx), g)
+            a._own_grad(full)
         else:
-            key = at(idx)
-            first = np.unique(idx, return_index=True)[1]
+            rows, first, inverse = np.unique(idx, return_index=True, return_inverse=True)
+            compact = np.take(g, first, axis=ax) + 0.0
             if first.size < idx.size:
                 later = np.ones(idx.size, dtype=bool)
                 later[first] = False
-                full = np.zeros_like(a.data)
-                full[at(idx[first])] = np.take(g, first, axis=ax) + 0.0
-                np.add.at(full, at(idx[later]), np.compress(later, g, axis=ax))
-        if full is not None:
-            a._own_grad(full)
-        elif a.grad is not None:
-            a._add_grad(0.0)  # grad + 0.0 everywhere, into a grad `a` owns
-            a.grad[key] += g
-        else:
-            full = np.zeros_like(a.data)
-            if lo is not None:
-                np.add(g, 0.0, out=full[key])
-            else:
-                full[key] = g + 0.0
-            a._own_grad(full)
+                np.add.at(compact, at(inverse[later]), np.compress(later, g, axis=ax))
+            a._own_rows(at(rows), compact)
 
     out = Var(out_data, a.tape, a.requires_grad)
     if a.requires_grad:

@@ -25,9 +25,9 @@ is recorded before the NOCS head, so the sweep reaches its hidden layer
 only after the whole NOCS backward, through which a held one would sit; a
 rebuilt NOCS hidden layer would come back where that backward starts. On
 a one-epoch step of eight 1024-point scenes with both priors (numpy 2.4.6,
-one BLAS thread, 2 vCPUs), the tracemalloc peak is 24.1-24.3 MB with these
-two marks and 30.4-30.6 MB with none; marking the NOCS hidden layer
-instead of the seg one leaves 25.9-26.1 MB, at the NOCS backward.
+one BLAS thread, 2 vCPUs), the tracemalloc peak is 22.0-22.3 MB with these
+two marks and 28.3 MB with none; marking the NOCS hidden layer instead of
+the seg one leaves 25.9-26.1 MB, at the NOCS backward.
 """
 
 from __future__ import annotations

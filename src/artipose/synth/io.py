@@ -15,7 +15,9 @@ scene's entry holds its "id", its "index", its "joint_state",
 "half_extents" and "camera". A scene with no usable draw in
 MAX_SCENE_ATTEMPTS is recorded, not raised: its entry holds only "id",
 "index" and "failed", the reason with the count of draws each stage
-rejected, and no file is written for it. load_dataset skips such entries.
+rejected, and no file is written for it: the process that records it
+removes the scene's directory, which a dataset written there before may
+have left. load_dataset skips such entries.
 
 Scene i depends only on (seed, i), so `generate_dataset` builds the scenes
 of one call in k = min(usable CPUs, count) processes: the calling process
@@ -35,6 +37,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import shutil
 import threading
 import traceback
 from dataclasses import fields
@@ -121,7 +124,7 @@ def _build_scene(
 ) -> dict:
     """Scene i of a dataset: build its instance, draw it until a draw is
     usable and save it. Returns its manifest entry; when every attempt
-    fails, the entry records why and no file is written."""
+    fails, the entry records why, and no file of the scene is left."""
     inst_seed = int(
         np.random.default_rng(np.random.SeedSequence([seed, i, 1])).integers(2**31)
     )
@@ -146,6 +149,9 @@ def _build_scene(
             if int(record.contact.sum()) >= MIN_VISIBLE_CONTACTS:
                 return {**save_scene(root, record), "index": i}
             few_in_cloud += 1
+    d = scene_dir(root, _scene_id(i))
+    if d.exists():  # left by a dataset written here before
+        shutil.rmtree(d)
     return {
         "id": _scene_id(i),
         "index": i,
@@ -264,14 +270,15 @@ def generate_dataset(
     A scene with no usable draw in MAX_SCENE_ATTEMPTS raises nothing: its
     manifest entry holds "id", "index" and "failed", which counts the
     grasp failures, the empty views and the draws whose candidate pool or
-    cloud held too few contacts. No file is written for it, and every
-    other scene is built. The manifest's "count" is the requested count
-    and "part_count" that of the kept scenes (null when none is kept);
-    every scene of a category has the same part count, a drawer's
-    instances.DRAWERS sliding parts and its body. A negative count or
-    seed, n_points below MIN_N_POINTS, or a CONTACT_TAU edited to a value
-    that is not positive and finite raises ValueError before anything is
-    written.
+    cloud held too few contacts. No file is written for it, the process
+    that records it removes its directory (left by an earlier dataset in
+    `out_dir`), and every other scene is built. The manifest's "count" is
+    the requested count and "part_count" that of the kept scenes (null
+    when none is kept); every scene of a category has the same part
+    count, a drawer's instances.DRAWERS sliding parts and its body. A
+    negative count or seed, n_points below MIN_N_POINTS, or a CONTACT_TAU
+    edited to a value that is not positive and finite raises ValueError
+    before anything is written.
 
     Scenes depend on nothing but their index, so they are built across
     k = min(usable CPUs, count) processes: the calling process builds the

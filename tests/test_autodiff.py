@@ -5,7 +5,8 @@ and np.cross forward forms. linear's row-blocked input gradient is checked
 against one product. The sweep's lifetimes: a swept tape is empty,
 op outputs drop their grads and leaves keep theirs, its tracemalloc peak
 stays under half of the retaining loop's in helpers.py, and one-step
-training runs stay under TRAIN_PEAK_BOUND and EIGHT_SCENE_PEAK_BOUND. The
+training runs stay under TRAIN_PEAK_BOUND and EIGHT_SCENE_PEAK_BOUND.
+take's pending row gradient settles into the dense scatter's bits. The
 rebuilt activations are held by nothing from their consumer's forward to
 the backward, come back bit for bit, and leave training's bytes and record
 count as they are with no activation marked."""
@@ -302,6 +303,41 @@ class TestBorrowedGradients:
         assert x.grad.flags.c_contiguous
         assert np.allclose(x.grad.sum(axis=1), 2.0)
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("layout", ["column_slice", "broadcast"])
+    @pytest.mark.parametrize("op", ["matmul", "linear"])
+    def test_strided_gradient_into_a_product_matches_copying_tape(self, op, layout, dtype, monkeypatch):
+        # x (2048, 128) -> a width-1 product h -> a (1, 5) product whose
+        # gradient is a borrowed column slice of concat's, or vsum's
+        # broadcast: numpy's matmul rounds such a view differently from the
+        # packed copy the copying tape hands over
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=(2048, 128)).astype(dtype)
+        w, v = rng.normal(size=(128, 1)).astype(dtype), rng.normal(size=(1, 5)).astype(dtype)
+
+        def run():
+            tape = ad.Tape()
+            xv = ad.leaf(x, tape)
+            zero = ad.const(np.zeros(1, dtype=dtype), tape)
+            if op == "matmul":
+                h = ad.linear(xv, ad.const(w, tape), zero, relu=False)
+                top = ad.matmul(h, ad.const(v, tape))
+            else:
+                h = ad.matmul(xv, ad.const(w, tape))
+                top = ad.linear(h, ad.const(v, tape), ad.const(np.zeros(5, dtype=dtype), tape), relu=False)
+            if layout == "column_slice":
+                out = ad.concat([top, h], axis=1)
+            else:
+                out = ad.concat([ad.vsum(top, axis=0), ad.reshape(h, (-1,))], axis=0)
+            tape.backward(out, np.random.default_rng(21).normal(size=out.data.shape))
+            return xv.grad
+
+        got = run()
+        monkeypatch.setattr(ad.Var, "_add_grad", add_grad_copying)
+        want = run()
+        assert got.dtype == want.dtype
+        assert np.array_equal(bits(got), bits(want))
+
     def test_second_backward_raises(self):
         tape = ad.Tape()
         x = ad.leaf(np.ones(3), tape)
@@ -472,6 +508,130 @@ class TestOwnedGradients:
         x = ad.leaf(np.ones((4, 6)), tape)
         tape.backward(ad.reshape(x, (24,)), seed)
         assert not x._owns_grad and np.shares_memory(x.grad, seed)
+
+
+def record_as_leaves(monkeypatch):
+    """Have Tape.record leave its output unmarked, so that no Var keeps a
+    pending row gradient: take's backward builds the dense one at once, as
+    it does for a leaf."""
+    record = ad.Tape.record
+
+    def spy(self, out, backward):
+        record(self, out, backward)
+        out._recorded = False
+
+    monkeypatch.setattr(ad.Tape, "record", spy)
+
+
+def spy_settles(monkeypatch):
+    """Patch Var._settle to note, for each pending gradient it settles,
+    whether that Var has a record and whether the rows went into an owned
+    gradient in place; returns the list of those pairs."""
+    settles = []
+    settle = ad.Var._settle
+
+    def spy(self, into):
+        settles.append((self._recorded, into is not None))
+        settle(self, into)
+
+    monkeypatch.setattr(ad.Var, "_settle", spy)
+    return settles
+
+
+# (indices, axis) of the take in PENDING_GRAPHS, over a (6, 5) input
+PENDING_TAKES = {
+    "repeated_rows": (np.array([4, 1, 4, 0, 4, 1, 5, 4]), 0),
+    "unique_rows": (np.array([5, 0, 3]), 0),
+    "run_of_rows": (np.arange(2, 5), 0),
+    "repeated_columns": (np.array([3, 0, 3, 3]), 1),
+}
+
+# Graphs over y, an op output, whose take(y) is recorded last: swept first,
+# it leaves y a pending row gradient, which the next event settles. Each
+# names the settles it makes, as spy_settles notes them; the last adds the
+# rows into a gradient y already has.
+PENDING_GRAPHS = {
+    # vmax over a unit axis hands y the seed's values in an owned array
+    "owned": ([(True, True)], lambda y, t: [ad.vmax(ad.reshape(y, (6, 5, 1)), axis=2), t(y)]),
+    "borrowed": ([(True, False)], lambda y, t: [ad.reshape(y, (30,)), t(y)]),
+    "broadcast": ([(True, False)], lambda y, t: [ad.vsum(y, axis=0), t(y)]),
+    "record_pops": ([(True, False)], lambda y, t: [t(y)]),
+    "second_take": ([(True, False)], lambda y, t: [t(y), t(y)]),
+    # y already borrows the seed's signed zeros when take's backward runs
+    "onto_borrowed": ([], lambda y, t: [t(y), ad.reshape(y, (30,))]),
+}
+
+
+def pending_sweep(graph, take_fn, rows, dtype):
+    """x's gradient through y = reshape(x), y's bit for bit, after sweeping
+    the flattened outputs of graph from signed zeros, infinities and
+    normals. The seed holds no NaN: where NaN meets NaN, numpy's add takes
+    the payload of either operand by the entry's place in its loop, so
+    the row sums and the dense sum need not agree on it."""
+    idx, axis = PENDING_TAKES[rows]
+    tape = ad.Tape()
+    x = ad.leaf(np.random.default_rng(22).normal(size=(6, 5)).astype(dtype), tape)
+    y = ad.reshape(x, (6, 5))
+    outs = PENDING_GRAPHS[graph][1](y, lambda v: take_fn(v, idx, axis=axis))
+    out = ad.concat([ad.reshape(o, (-1,)) for o in outs], axis=0)
+    pool = special_pool(dtype)
+    seed = np.resize(pool[~np.isnan(pool)], out.data.shape)
+    seed[::3] = signed_seed(seed[::3].shape, dtype, np.random.default_rng(23))
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        tape.backward(out, seed)
+    return x.grad
+
+
+class TestPendingRows:
+    """take's first gradient on an op output holds only the taken rows until
+    the next event settles it: bit for bit the dense scatter's sum."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("rows", sorted(PENDING_TAKES))
+    @pytest.mark.parametrize("graph", sorted(PENDING_GRAPHS))
+    def test_settled_as_the_dense_scatter(self, graph, rows, dtype, monkeypatch):
+        with monkeypatch.context() as m:
+            settles = spy_settles(m)
+            got = pending_sweep(graph, ad.take, rows, dtype)
+        assert settles == PENDING_GRAPHS[graph][0]
+        with monkeypatch.context() as m:
+            record_as_leaves(m)
+            dense = pending_sweep(graph, ad.take, rows, dtype)
+        monkeypatch.setattr(ad.Var, "_add_grad", add_grad_copying)
+        want = pending_sweep(graph, take_scatter, rows, dtype)
+        assert got.dtype == dense.dtype == want.dtype
+        assert np.array_equal(bits(got), bits(dense))
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("rows", sorted(PENDING_TAKES))
+    def test_never_left_on_a_leaf(self, rows, dtype, monkeypatch):
+        idx, axis = PENDING_TAKES[rows]
+        rng = np.random.default_rng(24)
+        store = nn.ParamStore()
+        store.add("w", rng.normal(size=(6, 5)))
+        x = rng.normal(size=(6, 5)).astype(dtype)
+        seed = signed_seed(np.take(x, idx, axis=axis).shape, dtype, rng)
+
+        def run(take_fn):
+            """x's grad and the flushed w grad, after checking that neither
+            leaf holds pending rows once the sweep is done."""
+            tape = ad.Tape()
+            leaves = [ad.leaf(x, tape), store.use("w", tape, dtype=dtype)]
+            outs = [take_fn(v, idx, axis=axis) for v in leaves]
+            tape.backward(ad.concat(outs, axis=axis), np.concatenate([seed, seed], axis=axis))
+            assert all(v._pending is None and v.grad.shape == v.data.shape for v in leaves)
+            store.flush_tape_grads(tape)
+            return leaves[0].grad, store.grads["w"].copy()
+
+        # each leaf's rows became dense in its take's backward, with no record
+        settles = spy_settles(monkeypatch)
+        got = run(ad.take)
+        assert settles == [(False, False)] * 2
+        monkeypatch.setattr(ad.Var, "_add_grad", add_grad_copying)
+        want = run(take_scatter)
+        for g, w in zip(got, want):
+            assert np.array_equal(bits(g), bits(w))
 
 
 def row_block_case(n, width, dtype):
@@ -645,10 +805,11 @@ def two_chain_sweep_peak(sweep):
 TRAIN_PEAK_BOUND = 8_770_000
 
 # The tracemalloc peak of eight_scene_step_peak(), at most. Set from a
-# measured 24.09-24.35 MB (numpy 2.4.6, Python 3.11) plus 0.25 MB; holding
-# the encoder's first layer and the seg head's hidden layer to the backward
-# instead of rebuilding them exceeds it (30.38-30.64 MB).
-EIGHT_SCENE_PEAK_BOUND = 24_600_000
+# measured 22.04-22.29 MB (numpy 2.4.6, Python 3.11) plus 0.25 MB. A dense
+# first gradient for the diffusion term's take of `local`, with no pending
+# rows, exceeds it (23.08 MB), and so does holding the encoder's first layer
+# and the seg head's hidden layer to the backward instead of rebuilding them.
+EIGHT_SCENE_PEAK_BOUND = 22_540_000
 
 
 def train_step_peak(tmp_path):
@@ -705,6 +866,10 @@ class TestSweepMemory:
     def test_eight_scene_step_peak_within_bound(self, tmp_path, monkeypatch):
         peak = eight_scene_step_peak(tmp_path / "rebuilt")
         assert peak <= EIGHT_SCENE_PEAK_BOUND, peak
+        with monkeypatch.context() as m:
+            record_as_leaves(m)
+            dense = eight_scene_step_peak(tmp_path / "dense")
+        assert dense > EIGHT_SCENE_PEAK_BOUND, dense
         spy_marks(monkeypatch, strip=True)
         held = eight_scene_step_peak(tmp_path / "held")
         assert held > EIGHT_SCENE_PEAK_BOUND, held
@@ -743,9 +908,13 @@ class TestWholeTraining:
 
         with monkeypatch.context() as m:
             m.setattr(ad, "take", spy)
+            settles = spy_settles(m)
             ckpt, log = train_bytes(tmp_path, "fast")
         # the run goes through every take path, and the adversarial term fires
         assert paths == {"repeated", "range", "unique"}
+        # pending rows settle into an owned gradient (the diffusion term's
+        # take of `local`) and into zeros, and leaves settle at once
+        assert set(settles) == {(True, True), (True, False), (False, False)}
         rows = list(csv.DictReader(log.decode().splitlines()))
         assert all(int(r["adv_scenes"]) > 0 for r in rows)
 

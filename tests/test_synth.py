@@ -957,6 +957,18 @@ class TestDataset:
         assert [e["index"] for e in manifest["scenes"]] == [0, 1]
         assert sorted(p.name for p in root.iterdir()) == ["manifest.json"]
 
+    def test_failed_scene_leaves_no_files_of_an_earlier_dataset(self, tmp_path, monkeypatch):
+        # microwave scene 1 of seed 0 is kept at 512 points and fails at 256;
+        # the forked worker that builds the odd scenes records and clears it
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        root = generate_dataset(tmp_path / "ds", "microwave", 4, seed=0, n_points=512)
+        assert (root / "scenes" / "scene_000001" / "cloud.f32").stat().st_size == 512 * 12
+        generate_dataset(root, "microwave", 4, seed=0, n_points=256)
+        manifest = json.loads((root / "manifest.json").read_text())
+        assert [e["index"] for e in manifest["scenes"] if "failed" in e] == [1]
+        fresh = generate_dataset(tmp_path / "fresh", "microwave", 4, seed=0, n_points=256)
+        assert tree_listing(root) == tree_listing(fresh)
+
     @pytest.mark.parametrize("key, value, library", [("tau", 0.02, "0.01"), ("surface_samples", 256, "512")])
     def test_manifest_of_other_fixed_settings_rejected(self, tmp_path, key, value, library):
         # the contact labels and the hand_surface files follow both
