@@ -527,8 +527,10 @@ def train_estimator(scenes: list, config: TrainConfig, out_dir) -> Path:
         """One estimator (and diffuser) update on the scenes idx. Returns
         the batch's L_pose, L_seg, L_nocs, L_rot, L_adv and L_diff, and the
         stacked fake layouts for D (None when none could be assembled).
-        Nothing of the step's graph outlives the call, so D trains without
-        it in memory."""
+        g_adv_loss_graph scores the layouts with D's parameters as
+        constants, so the step's backward computes no D gradient; D trains
+        in its own step, on d_loss_graph. Nothing of the step's graph
+        outlives the call, so D trains without it in memory."""
         B = len(idx)
         tape = ad.Tape()
         local, mx, pooled = est.encode_graph(tape, clouds_in[idx])

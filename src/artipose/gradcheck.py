@@ -193,23 +193,27 @@ def check_end_to_end() -> SuiteResult:
 
 
 def check_discriminator() -> SuiteResult:
-    """Parameter grads of both LSGAN terms and box-vertex input grads of the
-    generator term, each scoring a batch of layouts."""
+    """Parameter grads of the discriminator loss, and box-vertex input grads
+    of the generator term, which holds D fixed; each scores a batch of
+    layouts."""
     rng = np.random.default_rng(3)
     disc = Discriminator.create(2, seed=3)
     f64_store(disc.store)
     inputs = f64_store(nn.ParamStore(), layouts=rng.normal(size=(3, 2, 8, 3)))
     real, fake = rng.normal(size=(2, 2, 8, 3)), rng.normal(size=(3, 2, 8, 3))
 
-    def loss(tape):
+    def d_loss(tape):
+        return d_loss_graph(disc, tape, real, fake)
+
+    def g_loss(tape):
         layouts = inputs.use("layouts", tape)
         fake_vars = [ad.reshape(ad.take(layouts, np.array([i])), (2, 8, 3)) for i in range(3)]
-        return ad.add(g_adv_loss_graph(disc, tape, fake_vars), d_loss_graph(disc, tape, real, fake))
+        return g_adv_loss_graph(disc, tape, fake_vars)
 
-    worst = _worst(fd_pairs(loss, disc.store, random_probes(disc.store, rng, PROBES)))
+    worst = _worst(fd_pairs(d_loss, disc.store, random_probes(disc.store, rng, PROBES)))
     corners = [tuple(rng.integers((3, 2, 8, 3))) for _ in range(PROBES // 2)]
     vertex_probes = [("layouts", int(np.ravel_multi_index(c, (3, 2, 8, 3)))) for c in corners]
-    worst = max(worst, _worst(fd_pairs(loss, inputs, vertex_probes)))
+    worst = max(worst, _worst(fd_pairs(g_loss, inputs, vertex_probes)))
     return SuiteResult("discriminator", worst, PROBES + PROBES // 2)
 
 

@@ -9,7 +9,13 @@ part arrangement. The discriminator scores a batch of n layouts, (n, P, 8, 3),
 as one (n, P*24) pass through its MLP. The least-squares GAN terms exist only
 as graphs, and each scores one batch: training steps D on d_loss_graph (real
 and fake layouts in one batch) and the estimator on g_adv_loss_graph, which
-test-time adaptation also descends.
+test-time adaptation also descends. The updates alternate, as in Mao et al.,
+"Least Squares Generative Adversarial Networks" (arXiv 1611.04076), and the
+generator step holds D fixed: only d_loss_graph puts D's parameters on a
+tape, as leaves. g_adv_loss_graph scores with them as constants, so its
+backward computes the layouts' gradients and no D weight gradient, which
+nothing read: a 3-step adapt_object on a 1024-point laptop scene peaks at
+5.28 MB (tracemalloc) where it peaked at 6.54 MB with them.
 
 Diffusion: binary contact labels are encoded as x0 in {-1, +1}; a linear
 beta schedule corrupts them and a shared per-point MLP denoiser conditioned
@@ -19,11 +25,14 @@ generations into a per-point confidence, thresholded at 0. The feature block
 of the denoiser's first layer is projected once per sampler call; each step
 adds only the noisy-contact and time-embedding terms to it and runs the
 remaining layers in plain numpy, without the autodiff engine: SUB_BLOCK =
-256 points (all K generations of them) at a time through two scratch
-buffers that every sub-block of a step reuses, with mlp_apply's ops in its
-order, so the output is the training graph's bit for bit. At the bench's
-sizes (F 256, N 1024, K 5, T 100, two chains) a sampler call peaks at
-5.46 MB (tracemalloc) where a tape over whole chains peaked at 8.48 MB.
+256 points (all K generations of them) at a time, with mlp_apply's ops in
+its order, so the output is the training graph's bit for bit. Each chain
+has two scratch buffers for that, allocated once per sampler call in the
+calling thread, before any worker starts, and every sub-block of every step
+writes into them, so no worker thread allocates a sub-block's activations.
+At the bench's sizes (F 256, N 1024, K 5, T 100, two chains) a sampler call
+peaks at 3.49 MB (tracemalloc); with per-call buffers and the pre-drawn
+noise it peaked at 5.46 MB, and a tape over whole chains at 8.48 MB.
 The training loss factors that layer the same way: one linear over each
 row's local feature and x_t, plus a per-scene shift from the max-pool and
 the time embedding, so it builds neither z nor the constant columns.
@@ -32,15 +41,17 @@ The sampler runs its reverse chains in parallel over the points, one chain
 per usable CPU, and its output is byte-identical to one serial chain:
 - every layer of the denoiser and the update of x work row by row, so the
   chain of one set of points depends on no other point;
-- x_T and the T-1 step noises are drawn up front from the one PCG64 stream,
-  in the order and with the float32 cast of the serial loop, and each chain
-  reads its own columns;
+- each chain replays the one PCG64(seed) stream as the serial loop draws
+  it, x_T and then one (K, N) draw per step, with its float32 cast, and
+  keeps its own columns;
 - every inner cut between chains, and between the sub-blocks of a chain,
   falls on a multiple of CHAIN_BLOCK = 64 points, so every BLAS call but
   those of the last chain's last sub-block gets a row count that is a
   multiple of 64.
-The pre-drawn noise takes (T-1)*G*N float32: 2 MB at T = 100, G = 5,
-N = 1024.
+No step noise is drawn up front, where it took (T-1)*K*N float32, 2 MB at
+T = 100, K = 5, N = 1024. Each chain holds one (K, N) float64 draw instead
+and pays the RNG work of all N points, about 7 ms per call at those sizes,
+in parallel with the other chains.
 """
 
 from __future__ import annotations
@@ -80,31 +91,49 @@ class Discriminator:
         nn.init_mlp(store, "d", disc.spec, np.random.default_rng(np.random.SeedSequence([seed, 31])))
         return disc
 
-    def score_graph(self, layouts: ad.Var) -> ad.Var:
-        """(n, P, 8, 3) layouts Var -> (n,) scores Var, one MLP pass."""
+    def score_graph(self, layouts: ad.Var, trainable: bool) -> ad.Var:
+        """(n, P, 8, 3) layouts Var -> (n,) scores Var, one MLP pass.
+
+        With `trainable` D's parameters enter the layouts' tape as leaves
+        (d_loss_graph); without it they enter as constants, so a backward
+        computes gradients for the layouts alone (g_adv_loss_graph).
+        """
         shape = layouts.data.shape
         if len(shape) != 4 or shape[2:] != (8, 3):
             raise ShapeMismatch(f"expected (n, P, 8, 3) layouts, got {shape}")
         if shape[1] != self.part_count:
             raise PartCountMismatch(f"layouts {shape} vs configured P = {self.part_count}")
         flat = ad.reshape(dg.normalize_layout(layouts), (shape[0], self.part_count * 24))
-        out = nn.mlp_apply(self.spec, self.store, "d", flat, dtype=flat.data.dtype)
+        dtype = flat.data.dtype
+        if trainable:
+            out = nn.mlp_apply(self.spec, self.store, "d", flat, dtype=dtype)
+        else:
+            # mlp_apply's layers, with the parameters as constants
+            out = flat
+            last = self.spec.n_layers() - 1
+            params = self.store.params
+            for i in range(last + 1):
+                w = ad.const(params[f"d.w{i}"].astype(dtype, copy=False), flat.tape)
+                b = ad.const(params[f"d.b{i}"].astype(dtype, copy=False), flat.tape)
+                out = ad.linear(out, w, b, relu=i < last)
         return ad.reshape(out, (shape[0],))
 
 
 def g_adv_loss_graph(disc: Discriminator, tape: ad.Tape, fake_vars: list) -> ad.Var:
     """Least-squares generator (estimator) term E[(D(b_hat) - 1)^2] over
     layout Vars, scored as one batch; training and test-time adaptation
-    both descend it."""
-    d = ad.sub(disc.score_graph(ad.stack(fake_vars, axis=0)), 1.0)
+    both descend it, and neither descends D, so D's parameters are
+    constants here."""
+    d = ad.sub(disc.score_graph(ad.stack(fake_vars, axis=0), trainable=False), 1.0)
     return ad.vmean(ad.mul(d, d))
 
 
 def d_loss_graph(disc: Discriminator, tape: ad.Tape, real: np.ndarray, fake: np.ndarray) -> ad.Var:
     """Least-squares discriminator loss E[(D(b) - 1)^2] + E[D(b_hat)^2] on
-    constant (detached) layout batches, scored as one batch."""
+    constant (detached) layout batches, scored as one batch, with D's
+    parameters on the tape as leaves."""
     n_real = len(real)
-    scores = disc.score_graph(ad.const(np.concatenate([real, fake]), tape))
+    scores = disc.score_graph(ad.const(np.concatenate([real, fake]), tape), trainable=True)
     d_real = ad.sub(ad.take(scores, np.arange(n_real)), 1.0)
     s_fake = ad.take(scores, np.arange(n_real, n_real + len(fake)))
     return ad.add(ad.vmean(ad.mul(d_real, d_real)), ad.vmean(ad.mul(s_fake, s_fake)))
@@ -232,22 +261,35 @@ class ContactDiffuser:
         w = self.store.params["eps.w0"][: self.feature_dim].astype(z.dtype, copy=False)
         return z @ w + self.store.params["eps.b0"].astype(z.dtype, copy=False)
 
-    def denoise_value(self, cond: np.ndarray, x_t: np.ndarray, t: int) -> np.ndarray:
+    def scratch(self, generations: int, n_points: int, dtype) -> tuple:
+        """denoise_value's two scratch buffers for G generations of n_points
+        points: flat `dtype` arrays, each the size of the largest
+        sub-block's (G * rows, H) activation."""
+        rows = max(hi - lo for lo, hi in _sub_blocks(n_points))
+        size = generations * rows * self.spec.widths[1]
+        return np.empty(size, dtype), np.empty(size, dtype)
+
+    def denoise_value(self, cond: np.ndarray, x_t: np.ndarray, t: int, scratch: tuple) -> np.ndarray:
         """Noise estimate at step t for G stacked generations, in plain numpy.
 
-        cond is condition(z), (N, H); x_t is (G*N, 1), generation-major. The
-        points go through all three layers SUB_BLOCK at a time, in two
-        scratch buffers allocated once per call: the first layer adds the
-        rank-1 x_t term and then cond plus the one time-embedding row, and
-        layers 1 and 2 take ad.linear's product, bias and (on layer 1)
-        ReLU. The ops and their order are mlp_apply's, so the output is its
-        bit for bit.
+        cond is condition(z), (N, H); x_t is (G*N, 1), generation-major;
+        scratch is the pair from scratch(G, N, cond.dtype). The points go
+        through all three layers SUB_BLOCK at a time, every sub-block in
+        the two scratch buffers: the first layer adds the rank-1 x_t term
+        and then cond plus the one time-embedding row, and layers 1 and 2
+        take ad.linear's product, bias and (on layer 1) ReLU. The ops and
+        their order are mlp_apply's, so the output is its bit for bit.
         """
         self.schedule.check_t(t)
         N, H = cond.shape
         if N == 0 or x_t.ndim != 2 or x_t.shape[1] != 1 or x_t.shape[0] % N:
             raise ShapeMismatch(f"x_t shape {x_t.shape} is not (G * {N}, 1)")
         G = x_t.shape[0] // N
+        blocks = _sub_blocks(N)
+        first, second = scratch
+        size = G * max(hi - lo for lo, hi in blocks) * H
+        if any(buf.dtype != cond.dtype or buf.size < size for buf in scratch):
+            raise ShapeMismatch(f"scratch buffers do not each hold {size} {cond.dtype} values")
         F = self.feature_dim
         params = self.store.params
         w0, w1, w2 = (params[f"eps.w{i}"].astype(cond.dtype, copy=False) for i in range(3))
@@ -255,10 +297,7 @@ class ContactDiffuser:
         temb = self._temb[t].astype(cond.dtype) @ w0[F + 1 :]
         x = x_t.astype(cond.dtype).reshape(G, N, 1)
         out = np.empty((G, N, 1), dtype=cond.dtype)
-        cuts = ad.row_cuts(N, CHAIN_BLOCK, N // SUB_BLOCK)
-        size = G * max(hi - lo for lo, hi in zip(cuts[:-1], cuts[1:])) * H
-        first, second = np.empty(size, cond.dtype), np.empty(size, cond.dtype)
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
+        for lo, hi in blocks:
             n = hi - lo
             h0 = first[: G * n * H].reshape(G, n, H)
             h1 = second[: G * n * H].reshape(G * n, H)
@@ -273,6 +312,14 @@ class ContactDiffuser:
             eps += b2
             out[:, lo:hi] = eps.reshape(G, n, 1)
         return out.reshape(G * N, 1)
+
+
+def _sub_blocks(n_points: int) -> list:
+    """The (lo, hi) sub-blocks in which denoise_value runs n points:
+    SUB_BLOCK at a time, cut on multiples of CHAIN_BLOCK, the last keeping
+    the remainder rows."""
+    cuts = ad.row_cuts(n_points, CHAIN_BLOCK, n_points // SUB_BLOCK)
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def diff_loss_graph(
@@ -303,22 +350,28 @@ def _chain_cuts(n_points: int) -> list[int]:
 
 
 def _reverse_chain(
-    diffuser: ContactDiffuser, cond: np.ndarray, x: np.ndarray, noise: np.ndarray
+    diffuser: ContactDiffuser, cond: np.ndarray, seed: int, generations: int, lo: int, hi: int, scratch: tuple
 ) -> np.ndarray:
-    """All T reverse steps for one chunk of points: cond (n, H), x the
-    chunk's x_T as (G, n), noise its (T-1, G, n) step noises in draw order.
-    Returns the chunk's final x as (G, n)."""
+    """All T reverse steps for the points lo:hi of cond, the (N, H)
+    projection of all N points, in the chain's denoise_value scratch. The
+    chain replays the sampler's PCG64(seed) stream as the serial loop draws
+    it, x_T and then one (G, N) draw per step, and keeps the columns lo:hi
+    of each, cast to float32. Returns the chunk's final x as (G, hi - lo)."""
     sched = diffuser.schedule
-    G, n = x.shape
-    x = x.reshape(G * n, 1)
+    G, n = generations, hi - lo
+    rng = np.random.Generator(np.random.PCG64(seed))
+    draw = rng.standard_normal((G, len(cond)))
+    x = draw[:, lo:hi].astype(np.float32).reshape(G * n, 1)
+    cond = cond[lo:hi]
     ab = sched.alpha_bars
     for t in range(sched.T, 0, -1):
-        eps_hat = diffuser.denoise_value(cond, x, t)
+        eps_hat = diffuser.denoise_value(cond, x, t, scratch)
         beta = sched.betas[t - 1]
         alpha = sched.alphas[t - 1]
         x = (x - beta / np.sqrt(1.0 - ab[t - 1]) * eps_hat) / np.sqrt(alpha)
         if t > 1:
-            x = x + np.sqrt(beta) * noise[sched.T - t].reshape(G * n, 1)
+            rng.standard_normal(out=draw)
+            x = x + np.sqrt(beta) * draw[:, lo:hi].astype(np.float32).reshape(G * n, 1)
     return x.reshape(G, n)
 
 
@@ -332,40 +385,35 @@ def sample_contact_map(diffuser: ContactDiffuser, z: np.ndarray, generations: in
     denoiser's first layer (ContactDiffuser.condition) is computed once per
     call and shared by every step and generation.
 
-    x_T and then the T-1 step noises are drawn first, in the serial loop's
-    order, which takes (T-1)*K*N float32 (2 MB at T = 100, K = 5,
-    N = 1024). The points are then cut into k = min(usable CPUs,
-    N // CHAIN_BLOCK) contiguous chunks with every inner cut on a multiple
-    of CHAIN_BLOCK. Each chunk runs all T steps for all K generations of its
-    points: the calling thread runs chunk 0 and a pool of k - 1 threads the
-    others, and a chunk's error is raised in the calling thread. The rows
-    are independent and every chunk sees the same noise values as the
-    serial loop, so the output is byte-identical to it. With k = 1 no thread
-    is started.
+    The points are cut into k = min(usable CPUs, N // CHAIN_BLOCK)
+    contiguous chunks with every inner cut on a multiple of CHAIN_BLOCK.
+    This thread allocates each chunk's two denoise_value scratch buffers
+    before any chunk runs. Each chunk runs all T steps for all K
+    generations of its points, drawing its noise as it goes: it replays
+    the PCG64(seed) stream, x_T and then one (K, N) draw per step, and
+    keeps its own columns. The calling thread runs chunk 0 and a pool of
+    k - 1 threads the others, and a chunk's error is raised in the calling
+    thread. The rows are independent and every chunk sees the same noise
+    values as the serial loop, so the output is byte-identical to it. With
+    k = 1 no thread is started.
     """
     if generations < 1:
         raise ValueError("need at least one generation")
     z = np.asarray(z, dtype=np.float32)
-    N = z.shape[0]
-    T = diffuser.schedule.T
-    rng = np.random.Generator(np.random.PCG64(seed))
     cond = diffuser.condition(z)
-    x = rng.standard_normal((generations, N)).astype(np.float32)
-    noise = np.empty((T - 1, generations, N), dtype=np.float32)
-    for step_noise in noise:
-        step_noise[...] = rng.standard_normal((generations, N))
+    cuts = _chain_cuts(len(z))
+    chunks = list(zip(cuts[:-1], cuts[1:]))
+    scratch = [diffuser.scratch(generations, hi - lo, cond.dtype) for lo, hi in chunks]
 
-    cuts = _chain_cuts(N)
-
-    def run(lo, hi):
-        return _reverse_chain(diffuser, cond[lo:hi], x[:, lo:hi], noise[:, :, lo:hi])
+    def run(i):
+        return _reverse_chain(diffuser, cond, seed, generations, *chunks[i], scratch[i])
 
     # imported here: a process that never samples saves its ~0.3 MB
     from concurrent.futures import ThreadPoolExecutor
 
     # a pool starts its threads on submit, so one chunk starts none
-    with ThreadPoolExecutor(max(1, len(cuts) - 2)) as pool:
-        others = [pool.submit(run, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
-        finals = [run(0, cuts[1])] + [future.result() for future in others]
+    with ThreadPoolExecutor(max(1, len(chunks) - 1)) as pool:
+        others = [pool.submit(run, i) for i in range(1, len(chunks))]
+        finals = [run(0)] + [future.result() for future in others]
     confidence = np.concatenate(finals, axis=1).mean(axis=0).astype(np.float64)
     return (confidence > 0).astype(np.uint8), confidence

@@ -5,7 +5,9 @@ adapt_object clones the estimator per scene and takes Adam steps on the
 generator term (D(layout) - 1)^2 from estimator.assemble_graph (a batch of
 one), scene_layouts and priors.g_adv_loss_graph, the training path. It adapts
 the heads on a frozen encoder: the cloud is encoded once, off the gradient
-tape, and before/after come from the first and last passes.
+tape, and before/after come from the first and last passes. D scores the
+layout with its parameters as constants, so a step's tape holds the heads'
+parameters alone and its backward computes no D weight gradient.
 A scene it cannot adapt, from its first estimate on, comes back as an
 AdaptResult whose `aborted` names the step and the reason.
 

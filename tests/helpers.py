@@ -229,7 +229,8 @@ def score(disc, layout):
     """Scalar discriminator score of one (P, 8, 3) layout array, scored as a
     batch of one."""
     tape = ad.Tape()
-    return float(disc.score_graph(ad.const(np.asarray(layout, dtype=np.float64)[None], tape)).data[0])
+    layouts = ad.const(np.asarray(layout, dtype=np.float64)[None], tape)
+    return float(disc.score_graph(layouts, trainable=False).data[0])
 
 
 def d_loss(score_fn, real_layouts, fake_layouts):
@@ -586,10 +587,11 @@ def sample_contact_map_serial(diffuser, z, generations=5, seed=0):
     sched = diffuser.schedule
     rng = np.random.Generator(np.random.PCG64(seed))
     cond = diffuser.condition(z)
+    scratch = diffuser.scratch(generations, N, cond.dtype)
     x = rng.standard_normal((generations * N, 1)).astype(np.float32)
     ab = sched.alpha_bars
     for t in range(sched.T, 0, -1):
-        eps_hat = diffuser.denoise_value(cond, x, t)
+        eps_hat = diffuser.denoise_value(cond, x, t, scratch)
         beta = sched.betas[t - 1]
         alpha = sched.alphas[t - 1]
         x = (x - beta / np.sqrt(1.0 - ab[t - 1]) * eps_hat) / np.sqrt(alpha)

@@ -499,6 +499,28 @@ class TestTraining:
             assert float(row["L_adv"]) == expect
             assert (float(row["L_D"]) > 0.0) == (count > 0)
 
+    def test_generator_term_puts_no_discriminator_parameter_on_the_tape(self, scene, tmp_path, monkeypatch):
+        scored = []  # (disc, tape) of every generator term
+        d_steps = []
+        original, d_train_step = priors.g_adv_loss_graph, priors.d_train_step
+
+        def spy(disc, tape, fake_vars):
+            scored.append((disc, tape))
+            return original(disc, tape, fake_vars)
+
+        def spy_d(disc, real, fake, lr):
+            d_steps.append(disc)
+            return d_train_step(disc, real, fake, lr)
+
+        monkeypatch.setattr(priors, "g_adv_loss_graph", spy)
+        monkeypatch.setattr(priors, "d_train_step", spy_d)
+        cfg = E.TrainConfig(epochs=5, batch_size=1, lr=3e-3, lambda_adv=0.1, seed=2)
+        E.train_estimator([scene, scene], cfg, tmp_path)
+        assert scored and len(d_steps) == len(scored)
+        for disc, tape in scored:
+            assert d_steps[0] is disc
+            assert tape.param_uses and all(store is not disc.store for store, *_ in tape.param_uses)
+
     def test_descend_matches_the_hand_written_update(self, scene, tmp_path, monkeypatch):
         cfg = E.TrainConfig(
             epochs=3, batch_size=1, lr=3e-3, lambda_adv=0.1, lambda_diff=1.0,

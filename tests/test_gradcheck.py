@@ -48,7 +48,7 @@ def test_suite_reports_its_margin(suite):
     [
         (gradcheck.check_heads, {"shift", "stacked", "rebuild"}),
         (gradcheck.check_end_to_end, {"shift", "stacked", "fit batch", "rebuild"}),
-        (gradcheck.check_discriminator, {"batch"}),
+        (gradcheck.check_discriminator, {"batch", "fixed"}),
     ],
     ids=lambda v: getattr(v, "__name__", ""),
 )
@@ -56,7 +56,7 @@ def test_network_suites_check_the_factored_and_batched_paths(suite, paths, monke
     """The suites probe the per-scene shift of the seg and NOCS first
     layers, the stacked part soft-pool product, the rebuilt activations,
     the pose fit of a batch of B >= 2 scenes with P >= 2 parts, and the
-    batched D."""
+    batched D, held fixed in the generator term."""
     seen = set()
     linear, matmul, score_graph = ad.linear, ad.matmul, Discriminator.score_graph
     assemble_graph = gradcheck.assemble_graph
@@ -73,10 +73,12 @@ def test_network_suites_check_the_factored_and_batched_paths(suite, paths, monke
             seen.add("stacked")
         return matmul(a, b)
 
-    def spy_score_graph(self, layouts):
+    def spy_score_graph(self, layouts, trainable):
         if layouts.data.shape[0] > 1:
             seen.add("batch")
-        return score_graph(self, layouts)
+        if not trainable:
+            seen.add("fixed")
+        return score_graph(self, layouts, trainable)
 
     def spy_assemble_graph(tape, clouds, labels, nocs, rot, half_extents):
         if min(half_extents.shape[:2]) >= 2:

@@ -66,7 +66,7 @@ class TestDiscriminator:
             disc.store.params[name] = disc.store.params[name].astype(np.float64)
         layouts = np.stack([random_layout(rng) for _ in range(5)])
         tape = ad.Tape(grad=False)
-        batch = disc.score_graph(ad.const(layouts, tape)).data
+        batch = disc.score_graph(ad.const(layouts, tape), trainable=False).data
         assert batch.shape == (5,) and batch.dtype == np.float64
         for got, layout in zip(batch, layouts):
             assert rel_err(float(got), score(disc, layout), floor=1e-300) < 1e-12
@@ -77,9 +77,9 @@ class TestDiscriminator:
         tape = ad.Tape(grad=False)
         wrong_p = np.stack([random_layout(rng, parts=3) for _ in range(2)])
         with pytest.raises(PartCountMismatch):
-            disc.score_graph(ad.const(wrong_p, tape))
+            disc.score_graph(ad.const(wrong_p, tape), trainable=False)
         with pytest.raises(ShapeMismatch):
-            disc.score_graph(ad.const(random_layout(rng), tape))  # not a batch
+            disc.score_graph(ad.const(random_layout(rng), tape), trainable=True)  # not a batch
 
 
 class TestGanLosses:
@@ -133,6 +133,50 @@ class TestGanLosses:
         fakes_v = [ad.const(f, tape) for f in fake]
         g_graph = float(priors.g_adv_loss_graph(disc, tape, fakes_v).data)
         assert rel_err(g_graph, g_adv_loss(lambda lay: score(disc, lay), list(fake))) < 1e-6
+
+    def test_fixed_and_trainable_scores_agree(self):
+        rng = np.random.default_rng(8)
+        disc = priors.Discriminator.create(2, seed=4)
+        layouts = np.stack([random_layout(rng) for _ in range(4)])
+        for dtype in (np.float32, np.float64):
+            tape = ad.Tape()
+            fixed = disc.score_graph(ad.const(layouts.astype(dtype), tape), trainable=False)
+            assert tape.param_uses == []
+            trained = disc.score_graph(ad.const(layouts.astype(dtype), tape), trainable=True)
+            assert {name for _, name, _, _ in tape.param_uses} == set(disc.store.names())
+            assert fixed.data.dtype == trained.data.dtype
+            assert fixed.data.tobytes() == trained.data.tobytes()
+
+    def test_generator_term_holds_d_fixed(self):
+        rng = np.random.default_rng(9)
+        disc = priors.Discriminator.create(2, seed=5)
+        inputs = nn.ParamStore()
+        inputs.add("layouts", np.stack([random_layout(rng) for _ in range(3)]))
+        tape = ad.Tape()
+        layouts = inputs.use("layouts", tape)
+        fake_vars = [ad.reshape(ad.take(layouts, np.array([i])), (2, 8, 3)) for i in range(3)]
+        loss = priors.g_adv_loss_graph(disc, tape, fake_vars)
+        tape.backward(loss)
+        assert [store for store, *_ in tape.param_uses] == [inputs]
+        assert layouts.grad is not None and np.abs(layouts.grad).max() > 0
+
+    def test_d_train_step_records_every_parameter(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        disc = priors.Discriminator.create(2, seed=6)
+        tapes, descend = [], nn.descend
+
+        def spy(tape, loss, stores, lr):
+            tapes.append(tape)
+            descend(tape, loss, stores, lr)
+
+        monkeypatch.setattr(nn, "descend", spy)
+        real = np.stack([random_layout(rng) for _ in range(2)])
+        fake = np.stack([random_layout(rng) for _ in range(2)])
+        priors.d_train_step(disc, real, fake, lr=1e-3)
+        (tape,) = tapes
+        assert all(store is disc.store for store, *_ in tape.param_uses)
+        assert sorted(name for _, name, _, _ in tape.param_uses) == sorted(disc.store.names())
+        assert all(np.abs(disc.store.grads[name]).max() > 0 for name in disc.store.names() if ".w" in name)
 
 
 class TestNoiseSchedule:
@@ -365,8 +409,9 @@ class TestSplitDenoiser:
         x_t = rng.normal(size=(generations * N, 1))
         cond = diffuser.condition(z)
         assert cond.shape == (N, diffuser.spec.widths[1]) and cond.dtype == dtype
+        scratch = diffuser.scratch(generations, N, dtype)
         for t in (1, 17, 30):
-            got = diffuser.denoise_value(cond, x_t, t)
+            got = diffuser.denoise_value(cond, x_t, t, scratch)
             tape = ad.Tape()
             want = diffuser.denoise_graph(
                 tape, ad.const(np.tile(local, (generations, 1)), tape), ad.const(mx, tape), x_t, t
@@ -378,16 +423,17 @@ class TestSplitDenoiser:
         # plain numpy: no tape is built, not even one that records nothing
         cond = diffuser.condition(np.ones((10, 16), dtype=np.float32))
         tapes, records = spy_tapes(monkeypatch)
-        diffuser.denoise_value(cond, np.ones((30, 1)), 3)
+        diffuser.denoise_value(cond, np.ones((30, 1)), 3, diffuser.scratch(3, 10, cond.dtype))
         assert tapes == [] and records == []
 
     def test_rows_not_multiple_of_n(self, diffuser):
         cond = diffuser.condition(np.zeros((10, 16), dtype=np.float32))
+        scratch = diffuser.scratch(2, 10, cond.dtype)
         for rows in (15, 9, 11):
             with pytest.raises(ShapeMismatch):
-                diffuser.denoise_value(cond, np.zeros((rows, 1)), 3)
+                diffuser.denoise_value(cond, np.zeros((rows, 1)), 3, scratch)
         with pytest.raises(ShapeMismatch):
-            diffuser.denoise_value(cond, np.zeros((20, 2)), 3)
+            diffuser.denoise_value(cond, np.zeros((20, 2)), 3, scratch)
 
     def test_bad_feature_width_and_timestep(self, diffuser):
         with pytest.raises(ShapeMismatch):
@@ -398,7 +444,18 @@ class TestSplitDenoiser:
             priors.sample_contact_map(diffuser, np.zeros((0, 16)), 2, seed=0)
         cond = diffuser.condition(np.zeros((10, 16), dtype=np.float32))
         with pytest.raises(BadTimestep):
-            diffuser.denoise_value(cond, np.zeros((10, 1)), 31)
+            diffuser.denoise_value(cond, np.zeros((10, 1)), 31, diffuser.scratch(1, 10, cond.dtype))
+
+    def test_scratch_must_hold_the_call(self, diffuser):
+        cond = diffuser.condition(np.zeros((300, 16), dtype=np.float32))
+        x_t = np.zeros((600, 1))
+        # the 300 points run as one sub-block of 300 rows, so 2 generations need 2 * 300 * H values
+        first, second = diffuser.scratch(2, 300, np.float32)
+        assert first.size == second.size == 2 * 300 * diffuser.spec.widths[1]
+        diffuser.denoise_value(cond, x_t, 3, (first, second))
+        for bad in [(first[:-1], second), (first, second[:-1]), (first, second.astype(np.float64))]:
+            with pytest.raises(ShapeMismatch, match="scratch"):
+                diffuser.denoise_value(cond, x_t, 3, bad)
 
     @pytest.mark.parametrize("generations, seed", [(1, 3), (5, 4)])
     def test_sampler_matches_reference(self, diffuser, generations, seed):
@@ -487,13 +544,62 @@ class TestParallelChains:
         rows = []
         denoise = priors.ContactDiffuser.denoise_value
 
-        def spy(self, cond, x_t, t):
+        def spy(self, cond, x_t, t, scratch):
             rows.append(len(cond))
-            return denoise(self, cond, x_t, t)
+            return denoise(self, cond, x_t, t, scratch)
 
         monkeypatch.setattr(priors.ContactDiffuser, "denoise_value", spy)
         priors.sample_contact_map(biased_diffuser, features(1000), 2, seed=0)
         assert sorted(rows) == sorted([320] * 60 + [360] * 30)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_every_step_reuses_buffers_allocated_before_the_workers(self, biased_diffuser, monkeypatch, cpus):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        events = []  # ("scratch", buffers) and ("start", None), in order
+        steps = {}  # first row of a chunk's cond -> the scratch pair of each of its steps
+        scratch, start = priors.ContactDiffuser.scratch, threading.Thread.start
+        denoise = priors.ContactDiffuser.denoise_value
+        full_cond = biased_diffuser.condition(features(1000))
+        c_ref = sample_contact_map_serial(biased_diffuser, features(1000), 2, seed=0)[1]
+
+        def spy_scratch(self, generations, n_points, dtype):
+            buffers = scratch(self, generations, n_points, dtype)
+            events.append(("scratch", buffers))
+            return buffers
+
+        def spy_start(thread):
+            events.append(("start", None))
+            return start(thread)
+
+        def spy_denoise(self, cond, x_t, t, buffers):
+            # a chunk's cond is a view into the full projection, at its first row
+            row = (cond.ctypes.data - full_cond.ctypes.data) // full_cond.strides[0]
+            steps.setdefault(row, []).append(buffers)
+            # the step writes into both buffers and reads nothing it did not write
+            for buf in buffers:
+                buf.fill(np.nan)
+            eps = denoise(self, cond, x_t, t, buffers)
+            assert not any(np.isnan(buf).all() for buf in buffers)
+            return eps
+
+        monkeypatch.setattr(priors.ContactDiffuser, "condition", lambda self, feats: full_cond)
+        monkeypatch.setattr(priors.ContactDiffuser, "scratch", spy_scratch)
+        monkeypatch.setattr(threading.Thread, "start", spy_start)
+        monkeypatch.setattr(priors.ContactDiffuser, "denoise_value", spy_denoise)
+        c = priors.sample_contact_map(biased_diffuser, features(1000), 2, seed=0)[1]
+
+        cuts = priors._chain_cuts(1000)
+        kinds = [kind for kind, _ in events]
+        allocated = [buffers for kind, buffers in events if kind == "scratch"]
+        # one pair per chunk, every one allocated before the first worker starts
+        assert len(allocated) == len(cuts) - 1
+        assert kinds == sorted(kinds, key=lambda kind: kind == "start")
+        assert ("start" in kinds) == (cpus > 1)
+        assert sorted(steps) == cuts[:-1]
+        for (row, pairs), owned in zip(sorted(steps.items()), allocated):
+            assert len(pairs) == biased_diffuser.schedule.T
+            assert all(pair[0] is owned[0] and pair[1] is owned[1] for pair in pairs), row
+        assert c.tobytes() == c_ref.tobytes()
 
     def test_worker_error_is_raised_and_threads_end(self, biased_diffuser, monkeypatch):
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
@@ -504,11 +610,11 @@ class TestParallelChains:
 
         denoise = priors.ContactDiffuser.denoise_value
 
-        def fail_on_worker_slice(self, cond, x_t, t):
+        def fail_on_worker_slice(self, cond, x_t, t, scratch):
             # chunk 0 starts at row 0 of the full projection; the workers' do not
             if not np.shares_memory(cond[:1], full_cond[:1]):
                 raise FloatingPointError("worker chunk")
-            return denoise(self, cond, x_t, t)
+            return denoise(self, cond, x_t, t, scratch)
 
         full_cond = biased_diffuser.condition(z)
         monkeypatch.setattr(
@@ -525,10 +631,10 @@ class TestParallelChains:
         denoise = priors.ContactDiffuser.denoise_value
         caller = threading.current_thread()
 
-        def fail(self, cond, x_t, t):
+        def fail(self, cond, x_t, t, scratch):
             if threading.current_thread() is caller:
                 raise BadTimestep("stop")
-            return denoise(self, cond, x_t, t)
+            return denoise(self, cond, x_t, t, scratch)
 
         monkeypatch.setattr(priors.ContactDiffuser, "denoise_value", fail)
         with pytest.raises(BadTimestep):
@@ -538,10 +644,11 @@ class TestParallelChains:
 
 # The tracemalloc peak of one sample_contact_map call at the bench's sizes
 # (F 256, N 1024, G 5, T 100) on two chains, at most. Set from a measured
-# 5.46 MB (numpy 2.4.6, Python 3.11) plus 0.1 MB; a denoiser that runs its
-# layers through a tape over whole chains, with fresh (G * n, 128)
-# activations per layer and step, exceeds it (8.48 MB).
-SAMPLER_PEAK_BOUND = 5_560_000
+# 3.49 MB (numpy 2.4.6, Python 3.11) plus 0.1 MB; a sampler that draws the
+# (T - 1) * G * N step noises up front exceeds it (5.46 MB), and so does a
+# denoiser that runs its layers through a tape over whole chains, with fresh
+# (G * n, 128) activations per layer and step (8.48 MB).
+SAMPLER_PEAK_BOUND = 3_593_000
 
 
 class TestSamplerMemory:

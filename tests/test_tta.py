@@ -239,6 +239,19 @@ class TestAdaptObject:
         assert len(want.trace) == steps + 1
         assert_same_result(got, want)
 
+    def test_discriminator_is_no_parameter_of_a_step(self, est, disc, scene, monkeypatch):
+        tapes, descend = [], nn.descend
+
+        def spy(tape, loss, stores, lr):
+            tapes.append(tape)
+            descend(tape, loss, stores, lr)
+
+        monkeypatch.setattr(nn, "descend", spy)
+        assert adapt(est, disc, scene, steps=2).aborted == ""
+        assert len(tapes) == 2
+        for tape in tapes:
+            assert tape.param_uses and all(store is not disc.store for store, *_ in tape.param_uses)
+
     def test_encoder_runs_once_off_the_grad_tape(self, est, disc, scene, monkeypatch):
         encodes, graded = [], set()
         encode_graph, use = E.Estimator.encode_graph, nn.ParamStore.use
