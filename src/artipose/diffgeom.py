@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+from .geometry import sq_dist_blocks
 
 
 def _unit_rows(v: ad.Var):
@@ -75,8 +76,31 @@ def transform_points(pts, R: ad.Var, t: ad.Var, s: ad.Var) -> ad.Var:
 
 
 def chamfer_assignments(a: np.ndarray, b: np.ndarray) -> tuple:
-    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1), d2.argmin(axis=0)
+    """Nearest-neighbor indices both ways between point sets a (N, 3) and
+    b (M, 3): into b for each row of a, and into a for each row of b.
+
+    Reads the squared distances from `geometry.sq_dist_blocks`, whose
+    entries are the (N, M, 3) broadcast's bit for bit. Each block's row
+    argmin is the full row's. The column argmin is carried across blocks
+    from row 0 at +inf, and moves to a later block only where that block's
+    minimum is strictly smaller, or is NaN while the carried one is not, so
+    ties and NaNs go to the first row, as `argmin` over the whole column
+    gives (a column that is +inf throughout stays at row 0).
+    """
+    if not (len(a) and len(b)):
+        raise ValueError(f"chamfer_assignments needs a point in each set, got {len(a)} and {len(b)}")
+    idx_ab = np.empty(len(a), np.intp)
+    idx_ba = np.zeros(len(b), np.intp)
+    best = np.full(len(b), np.inf)
+    cols = np.arange(len(b))
+    for start, d2 in sq_dist_blocks(a, b):
+        idx_ab[start : start + len(d2)] = d2.argmin(axis=1)
+        rows = d2.argmin(axis=0)
+        vals = d2[rows, cols]
+        later = (vals < best) | (np.isnan(vals) & ~np.isnan(best))
+        best[later] = vals[later]
+        idx_ba[later] = rows[later] + start
+    return idx_ab, idx_ba
 
 
 def chamfer_fixed(A: ad.Var, B: ad.Var, assignments: tuple | None = None) -> ad.Var:

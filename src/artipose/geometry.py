@@ -23,6 +23,10 @@ from .errors import DegenerateRotation, EmptyCloud
 # Contact threshold in meters: the paper does not pin tau; change it here.
 CONTACT_TAU = 0.01
 
+# Entries in one block of sq_dist_blocks: 256 KB of float64, 64 rows against
+# the hand's 512 surface samples.
+SQ_DIST_BLOCK = 2**15
+
 # Corner k of a box has sign pattern given by the bits of k, x most
 # significant: k = 4*bx + 2*by + bz, bit 0 -> -h, bit 1 -> +h.
 _CORNER_SIGNS = np.array(
@@ -337,6 +341,40 @@ def box_iou(a: OrientedBox, b: OrientedBox) -> float:
     return inter / (vol_a + vol_b - inter)
 
 
+def sq_dist_blocks(a, b):
+    """Squared distances between the rows of a (N, 3) and b (M, 3), as
+    (start, block) pairs: block is the (rows, M) slab of a[start:start +
+    rows] against all of b, in order of start.
+
+    Every block but the last has max(1, SQ_DIST_BLOCK // M) rows, so the
+    scratch is two buffers of at most about SQ_DIST_BLOCK entries each,
+    whatever N is (at M = 512 hand surface points, 64 rows). Each yielded
+    block is a view of one of them and the next block overwrites it: reduce
+    it before asking for the next. The entries take the operands' promoted
+    dtype and accumulate one coordinate at a time, (dx^2 + dy^2) + dz^2,
+    the order in which `((a[:, None] - b[None]) ** 2).sum(axis=2)` adds its
+    three terms. Each entry comes from its own row and column alone, so
+    any reduction over the blocks that does not depend on the grouping of
+    its rows (a min, or an argmin whose ties go to the first row) equals
+    that of the full broadcast bit for bit.
+    """
+    n, m = len(a), len(b)
+    rows = max(1, SQ_DIST_BLOCK // max(m, 1))
+    d2 = np.empty((min(n, rows), m), np.result_type(a, b))
+    sq = np.empty_like(d2)
+    aT, bT = np.ascontiguousarray(a.T)[..., None], np.ascontiguousarray(b.T)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        d, s = d2[: stop - start], sq[: stop - start]
+        np.subtract(aT[0, start:stop], bT[0], out=d)
+        np.multiply(d, d, out=d)
+        for k in (1, 2):
+            np.subtract(aT[k, start:stop], bT[k], out=s)
+            np.multiply(s, s, out=s)
+            np.add(d, s, out=d)
+        yield start, d
+
+
 def compute_contact_map(obj_pts, hand_pts, tau: float = CONTACT_TAU) -> np.ndarray:
     """Binary per-object-point contact: min distance to any hand point < tau.
 
@@ -347,11 +385,12 @@ def compute_contact_map(obj_pts, hand_pts, tau: float = CONTACT_TAU) -> np.ndarr
     of |h| + pad), so farther than tau * (1 + 1e-9) * (1 - eps). Rounding
     the difference, the squares, the sums and the sqrt loses a factor of at
     most (1 - eps/2) each, so its computed distance stays above tau, as in
-    the full map (for any tau whose square is a normal float). For the
-    points inside, the squared distances accumulate one coordinate at a
-    time, (dx^2 + dy^2) + dz^2, the sum order of the (N_obj, S, 3) broadcast
-    this replaced, so every distance and every comparison with tau is
-    unchanged.
+    the full map (for any tau whose square is a normal float). The points
+    inside take their squared distances from `sq_dist_blocks`, in the sum
+    order of the (N_obj, S, 3) broadcast this replaced, and each block's
+    row minimum is exact, so every distance and every comparison with tau
+    is unchanged. The scratch stays at the kernel's two blocks however many
+    points are near the hand.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be positive and finite, got {tau}")
@@ -363,14 +402,10 @@ def compute_contact_map(obj_pts, hand_pts, tau: float = CONTACT_TAU) -> np.ndarr
     )
     contact = np.zeros(len(o), dtype=np.uint8)
     if len(near):
-        d2 = np.subtract.outer(o[near, 0], h[:, 0])
-        np.multiply(d2, d2, out=d2)
-        sq = np.empty_like(d2)
-        for k in (1, 2):
-            np.subtract.outer(o[near, k], h[:, k], out=sq)
-            np.multiply(sq, sq, out=sq)
-            np.add(d2, sq, out=d2)
-        contact[near] = np.sqrt(d2.min(axis=1)) < tau
+        nearest = np.empty(len(near))
+        for start, d2 in sq_dist_blocks(o[near], h):
+            d2.min(axis=1, out=nearest[start : start + len(d2)])
+        contact[near] = np.sqrt(nearest) < tau
     return contact
 
 

@@ -301,11 +301,18 @@ def render_every_ray(boxes, capsules, camera, n_points, rng):
 
 def contact_map_broadcast(obj_pts, hand_pts, tau):
     """Contact map through an (N_obj, S, 3) broadcast, the oracle for the
-    column-wise geometry.compute_contact_map."""
+    row-blocked geometry.compute_contact_map."""
     o = np.asarray(obj_pts, dtype=np.float64)
     h = np.asarray(hand_pts, dtype=np.float64)
     d2 = ((o[:, None, :] - h[None, :, :]) ** 2).sum(axis=2)
     return (np.sqrt(d2.min(axis=1)) < tau).astype(np.uint8)
+
+
+def chamfer_assignments_broadcast(a, b):
+    """Nearest-neighbor indices both ways through an (N, M, 3) broadcast and
+    `argmin`, the oracle for the row-blocked diffgeom.chamfer_assignments."""
+    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    return d2.argmin(axis=1), d2.argmin(axis=0)
 
 
 def take_scatter(a, indices, axis=0):

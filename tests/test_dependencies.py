@@ -3,8 +3,10 @@ the only runtime dependency (every absolute import names the standard
 library, numpy or artipose itself), and every imported name is used. Every
 error type in errors.py is raised somewhere in src/artipose. Only the
 rot6d_to_matrix oracle uses numpy's cross product; everything else goes
-through geometry.cross. Parameter updates take one path: the steps of
-nn.descend are called nowhere else, but for gradcheck's probe. The names of
+through geometry.cross. Pairwise point distances take one path,
+geometry.sq_dist_blocks: no a[:, None] - b[None] broadcast is left.
+Parameter updates take one path: the steps of nn.descend are called
+nowhere else, but for gradcheck's probe. The names of
 a scene's dataset files are written only in synth.io.SCENE_FILES. A
 checkpoint's group names and the meta key that rebuilds the diffuser are
 read and written only by estimator.Models and estimator.load_estimator. The
@@ -183,6 +185,44 @@ def test_numpy_cross_only_in_the_rotation_oracle():
         for where in numpy_cross_uses(path.read_text(encoding="utf-8"))
     ]
     assert uses == ["geometry.py: rot6d_to_matrix"]
+
+
+def pairwise_broadcasts(source: str) -> list:
+    """Lines of the differences of two subscripts that both insert an axis
+    with None, the pairwise broadcast a[:, None, :] - b[None, :, :]."""
+
+    def inserts_axis(node):
+        if not isinstance(node, ast.Subscript):
+            return False
+        index = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        return any(isinstance(i, ast.Constant) and i.value is None for i in index)
+
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+        and inserts_axis(node.left) and inserts_axis(node.right)
+    )
+
+
+def test_finds_pairwise_broadcasts():
+    source = (
+        "d = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)\n"
+        "e = a[:, None] - b[None]\n"
+        "f = a[:, None] - b\n"
+        "g = a[None] + b[:, None]\n"
+        "h = a[..., None] - b[..., None, :]\n"
+    )
+    assert pairwise_broadcasts(source) == [1, 2, 5]
+
+
+def test_pairwise_distances_only_in_the_row_blocked_kernel():
+    lines = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line in pairwise_broadcasts(path.read_text(encoding="utf-8"))
+    ]
+    assert lines == []
 
 
 # Where each step of a parameter update may be called in src/artipose:

@@ -6,10 +6,11 @@ import pytest
 from artipose import autodiff as ad
 from artipose import diffgeom as dg
 from artipose import geometry as geo
+from artipose import gradcheck
 from artipose import nn
 from artipose.errors import DegenerateRotation
 from artipose.gradcheck import f64_store, fd_pairs
-from helpers import chamfer, fit_translation_scale, rel_err
+from helpers import chamfer, chamfer_assignments_broadcast, fit_translation_scale, rel_err
 
 
 def rand_rot(rng):
@@ -168,3 +169,86 @@ class TestGradients:
         tape2 = ad.Tape()
         out = dg.normalize_layout(ad.const(moved, tape2)).data
         assert np.allclose(out, base, atol=1e-12)
+
+
+class TestChamferAssignments:
+    """The row-blocked chamfer_assignments equals the broadcast `argmin`
+    oracle bit for bit: at counts across the block edges, on ties between
+    duplicated points in different blocks, and on NaN rows."""
+
+    # rows per block of geometry.sq_dist_blocks against 512 points
+    B = geo.SQ_DIST_BLOCK // 512
+
+    @staticmethod
+    def assert_matches_oracle(a, b):
+        got = dg.chamfer_assignments(a, b)
+        for g, w in zip(got, chamfer_assignments_broadcast(a, b)):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+        return got
+
+    @pytest.mark.parametrize("count", [1, B - 1, B, B + 1, 700])
+    def test_counts_at_block_edges(self, count):
+        rng = np.random.default_rng(count)
+        surface = rng.normal(size=(512, 3)) * 0.05
+        points = rng.normal(size=(count, 3)) * 0.05
+        # count rows in blocks of B, and the hand-opt order: 512 surface
+        # rows against count contacts
+        self.assert_matches_oracle(points, surface)
+        self.assert_matches_oracle(surface, points)
+
+    def test_first_occurrence_wins_across_block_edges(self):
+        rng = np.random.default_rng(49)
+        # three copies of B - 1 points: copy k of row i sits at
+        # i + k (B - 1), so most duplicate pairs straddle a block edge;
+        # rounding makes distinct points tie too
+        base = np.round(rng.normal(size=(self.B - 1, 3)), 1)
+        a = np.tile(base, (3, 1))
+        b = np.repeat(np.round(rng.normal(size=(256, 3)), 1), 2, axis=0)
+        idx_ab, idx_ba = self.assert_matches_oracle(a, b)
+        assert (idx_ba < self.B - 1).all()
+        assert (idx_ab % 2 == 0).all()
+        self.assert_matches_oracle(b, a)
+
+    @pytest.mark.parametrize("nan_rows", [[0], [B + 3], [B + 3, 2 * B + 1]])
+    def test_nan_rows_resolve_to_the_first(self, nan_rows):
+        rng = np.random.default_rng(50)
+        a = rng.normal(size=(3 * self.B + 5, 3))
+        b = rng.normal(size=(512, 3))
+        a[nan_rows] = np.nan
+        idx_ab, idx_ba = self.assert_matches_oracle(a, b)
+        assert (idx_ba == nan_rows[0]).all()
+        assert (idx_ab[nan_rows] == 0).all()
+        # the NaN rows as columns
+        idx_ab, idx_ba = self.assert_matches_oracle(b, a)
+        assert (idx_ab == nan_rows[0]).all()
+
+    def test_overflowing_distances_keep_row_zero(self):
+        # squares that overflow to +inf: half of b is far from every row of
+        # a, so those columns are +inf throughout; the other half is
+        # finitely near one row in the second block only
+        a = np.full((3 * self.B + 5, 3), 1e200)
+        a[self.B + 3] = 0.0
+        b = np.concatenate([np.full((256, 3), -1e200), np.random.default_rng(51).normal(size=(256, 3))])
+        with np.errstate(over="ignore"):
+            idx_ab, idx_ba = self.assert_matches_oracle(a, b)
+        assert (idx_ba[:256] == 0).all() and (idx_ba[256:] == self.B + 3).all()
+
+    def test_empty_set_raises(self):
+        with pytest.raises(ValueError):
+            dg.chamfer_assignments(np.zeros((0, 3)), np.zeros((4, 3)))
+        with pytest.raises(ValueError):
+            dg.chamfer_assignments(np.zeros((4, 3)), np.zeros((0, 3)))
+
+    def test_gradcheck_hand_suite_freezes_the_oracle_assignments(self, monkeypatch):
+        matched = []
+        assignments = dg.chamfer_assignments
+
+        def spy(a, b):
+            got = assignments(a, b)
+            matched.append(all(map(np.array_equal, got, chamfer_assignments_broadcast(a, b))))
+            return got
+
+        monkeypatch.setattr(dg, "chamfer_assignments", spy)
+        assert gradcheck.check_hand_chamfer().passed
+        assert matched == [True]

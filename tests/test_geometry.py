@@ -476,9 +476,13 @@ class TestContactMap:
 
 class TestContactMapColumnwise:
     """The column-wise contact map, which computes distances only inside the
-    hand's bounding box widened by about tau, equals the (N_obj, S, 3)
-    broadcast oracle bit for bit, including points at tau and one ulp
-    either side and points on the faces of the widened box."""
+    hand's bounding box widened by about tau, in row blocks, equals the
+    (N_obj, S, 3) broadcast oracle bit for bit, including points at tau and
+    one ulp either side, points on the faces of the widened box and near
+    counts at the edges of the blocks."""
+
+    # rows per block of geometry.sq_dist_blocks against 512 hand points
+    B = geo.SQ_DIST_BLOCK // 512
 
     @staticmethod
     def assert_matches_broadcast(obj, hand, tau):
@@ -586,6 +590,49 @@ class TestContactMapColumnwise:
         obj = rng.normal(size=(300, 3)) * 2.0
         got = self.assert_matches_broadcast(obj, hand, 1.5)
         assert 0 < got.sum() < len(obj)
+
+    @staticmethod
+    def spy_near_counts(monkeypatch):
+        """The row count of every sq_dist_blocks call: the near points."""
+        counts = []
+        kernel = geo.sq_dist_blocks
+
+        def spy(a, b):
+            counts.append(len(a))
+            return kernel(a, b)
+
+        monkeypatch.setattr(geo, "sq_dist_blocks", spy)
+        return counts
+
+    @pytest.mark.parametrize("near", [0, 1, B - 1, B, B + 1, 3 * B + 5])
+    def test_near_counts_at_block_edges(self, near, monkeypatch):
+        rng = np.random.default_rng(47)
+        hand = self.hand_cloud(rng, 512)
+        lo, hi = hand.min(axis=0), hand.max(axis=0)
+        far = hi + rng.uniform(1.0, 2.0, size=(40, 3))
+        obj = np.concatenate([far[:20], rng.uniform(lo, hi, size=(near, 3)), far[20:]])
+        counts = self.spy_near_counts(monkeypatch)
+        got = self.assert_matches_broadcast(obj, hand, 0.01)
+        assert counts == ([near] if near else [])
+        assert not got[:20].any() and not got[-20:].any()
+        if near >= self.B:
+            assert 0 < got.sum() < near
+
+    def test_points_at_tau_and_one_ulp_either_side_in_the_last_block(self, monkeypatch):
+        # 3B + 5 near points; the last block holds the five after 3B, at tau
+        # or one ulp either side of it along an axis from the hand point at
+        # the origin, so their distances are exact
+        tau = 0.01
+        below, above = np.nextafter(tau, 0.0), np.nextafter(tau, 1.0)
+        rng = np.random.default_rng(48)
+        hand = np.concatenate([np.zeros((1, 3)), self.hand_cloud(rng, 511, [0.3, 0.0, 0.0])])
+        assert hand[1:, 0].min() > 0.1
+        fill = rng.uniform(hand.min(axis=0), hand.max(axis=0), size=(3 * self.B, 3))
+        last = np.array([[-below, 0, 0], [-tau, 0, 0], [-above, 0, 0], [0, -above, 0], [0, 0, -below]])
+        counts = self.spy_near_counts(monkeypatch)
+        got = self.assert_matches_broadcast(np.concatenate([fill, last]), hand, tau)
+        assert counts == [3 * self.B + 5]
+        assert got[-5:].tolist() == [1, 0, 0, 0, 1]
 
 
 class TestPointBoxDistance:

@@ -11,6 +11,7 @@ import re
 import shutil
 import signal
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -656,6 +657,39 @@ class TestSampleScene:
         rec = laptop_scene
         assert np.allclose(rec.hand_joints, rec.hand.joints())
         assert np.allclose(rec.hand_surface, rec.hand.surface())
+
+
+# The tracemalloc peak of one sample_scene draw with many object points
+# near the hand, at most: laptop instance 11, draw [11, 1], whose pool has
+# 652 of them, the most in a scan of 820 draws over the five categories.
+# Set from a measured 1.82 MB plus 0.18 MB. The contact map's distances run
+# in row blocks of geometry.SQ_DIST_BLOCK entries; two whole near x 512
+# float64 arrays, 5.3 MB here, would exceed it.
+SCENE_PEAK_BOUND = 2_000_000
+
+
+class TestSceneMemory:
+    def test_draw_with_many_near_points_stays_under_bound(self, monkeypatch):
+        inst, seed = make_instance("laptop", 11), np.random.SeedSequence([11, 1])
+        near = []
+        kernel = geo.sq_dist_blocks
+
+        def spy(a, b):
+            near.append(len(a))
+            return kernel(a, b)
+
+        monkeypatch.setattr(geo, "sq_dist_blocks", spy)
+        sample_scene(inst, seed)
+        monkeypatch.undo()
+        assert len(near) == 1 and near[0] >= 400, near
+        assert 2 * near[0] * hand_mod.SURFACE_SAMPLES * 8 > SCENE_PEAK_BOUND
+        tracemalloc.start()
+        try:
+            sample_scene(inst, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= SCENE_PEAK_BOUND, peak
 
 
 def draw_key(instance, seed, n_points, **kwargs):
